@@ -13,12 +13,19 @@ a term expansion into a partial-sum expansion up to a constant.
 That constant is anchored numerically: prefix expansions of the nested
 harmonic sums are built recursively and pinned to an exact dynamic-program
 evaluation at a moderate index.  Tails of outer series whose terms have
-an AsymSeries expansion are then summed in closed form through s-derivatives
-of the Hurwitz zeta function.
+an AsymSeries expansion are then summed in closed form: sum_{n>=a} n^(-e)
+log(n)^j is (-1)^j j! times the j-th Taylor coefficient in s of the
+Hurwitz zeta function zeta(s, a) at s = e.  :func:`hurwitz_jets` computes
+those coefficients by Euler-Maclaurin summation on truncated power series
+in s, one pass per distinct exponent for every log power at once; all
+exponents share the direct head, log a and the ratios of consecutive
+Bernoulli terms.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -49,8 +56,6 @@ class TailStrategy:
 
 
 DEFAULT_STRATEGY = TailStrategy()
-
-_DROP = None  # per-context drop threshold, see _drop_tol
 
 
 def _drop_tol():
@@ -361,7 +366,33 @@ def gamma_ratio(c, emax):
     return shifted
 
 
-_prefix_cache = {}
+class LruCache:
+    """Mapping that keeps only its ``capacity`` most recently used entries."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._data = OrderedDict()
+
+    def __len__(self):
+        return len(self._data)
+
+    def get(self, key):
+        hit = self._data.get(key)
+        if hit is not None:
+            self._data.move_to_end(key)
+        return hit
+
+    def __setitem__(self, key, value):
+        self._data[key] = value
+        self._data.move_to_end(key)
+        if len(self._data) > self.capacity:
+            self._data.popitem(last=False)
+
+
+# A cold 51-identity verify pass fills 77 entries; a warm process that
+# keeps meeting new shifts would otherwise grow without bound.
+PREFIX_CACHE_SIZE = 128
+_prefix_cache = LruCache(PREFIX_CACHE_SIZE)
 
 
 def prefix_expansion(k, a=None, star=False, strategy=DEFAULT_STRATEGY,
@@ -399,15 +430,171 @@ def prefix_expansion(k, a=None, star=False, strategy=DEFAULT_STRATEGY,
         return out
 
 
+_BERNOULLI_STEPS = {}  # precision -> [b_(k+1) / b_k for k = 1, 2, ...]
+
+
+def _bernoulli_step(k):
+    """b_(k+1) / b_k for b_k = B_2k / (2k)!, tabulated once per precision."""
+    tab = _BERNOULLI_STEPS.setdefault(mp.mp.prec, [])
+    while len(tab) < k:
+        i = len(tab) + 1
+        tab.append(mp.bernoulli(2 * i + 2) / mp.bernoulli(2 * i)
+                   / ((2 * i + 1) * (2 * i + 2)))
+    return tab[k - 1]
+
+
+def _em_base(e, bits):
+    """Smallest base A from which the Euler-Maclaurin series of
+    sum_{n>=A} n^(-e) reaches 2^-bits of its leading term.
+
+    The terms B_2k/(2k)! (e)_(2k-1) A^(1-e-2k) shrink while 2k + e < X =
+    2 pi A; relative to the leading term A^(1-e)/(e-1) the smallest is
+    about 2 X^(e-1) / Gamma(e-1) sqrt(2 pi / X) exp(-X).  A starts at
+    0.11 bits + 8 (where exp(-X) alone is small enough) and grows until
+    that bound holds, which large e needs.
+    """
+    e = float(e)
+    target = -bits * math.log(2)
+    A = 0.11 * bits + 8
+    while True:
+        X = 2 * math.pi * A
+        if X > e + 1 and (
+            math.log(2) + (e - 1) * math.log(X) - math.lgamma(e - 1)
+            + 0.5 * math.log(2 * math.pi / X) - X
+        ) < target:
+            return A
+        A *= 1.125
+
+
+def _log_jet(x, order):
+    """[x^i / i! for i = 0..order]."""
+    out = [mp.mpf(1)]
+    for i in range(1, order + 1):
+        out.append(out[-1] * x / i)
+    return out
+
+
+def hurwitz_jets(orders, a):
+    """Taylor jets in s of the Hurwitz zeta function, for several s at once.
+
+    ``orders`` maps exponents e > 1 to the largest wanted order J; the
+    result maps each e to [zeta^(i)(e, a) / i! for i = 0..J], where
+    zeta(s, a) = sum_{n>=0} (n + a)^(-s) and a > 0.  Log-weighted sums
+    follow without further work: sum_{n>=0} (n+a)^(-e) log(n+a)^j equals
+    (-1)^j j! jet[j].
+
+    Euler-Maclaurin on power series in s - e truncated after order J:
+    sum the head n + a < A directly, then
+
+        zeta(s, A) = A^(-s) [A/(s - 1) + 1/2 + sum_k c_k (s)_(2k-1)],
+        c_k = B_2k/(2k)! A^(1-2k),
+
+    where each term is the previous one times c_(k+1)/c_k (about
+    -1/(2 pi A)^2) and two linear factors of the Pochhammer jet.  Each
+    exponent stops once the next term is below 2^-prec of the matching
+    coefficient of A/(s - 1) + 1/2 in every order (no coefficient of
+    A^(-s) cancels, so that bounds the relative error of every jet
+    coefficient), and raises :class:`NoConvergence` if the terms start to
+    grow first.  All exponents share the head, log A, the ratios
+    c_(k+1)/c_k and the Bernoulli table; each pays one A^(-e).  The head
+    is empty unless a is below :func:`_em_base`, which is about
+    0.11 prec + 8 for moderate e.
+    """
+    prec = mp.mp.prec
+    jmax = max(orders.values())
+    with mp.workprec(prec + 12):
+        a = mp.mpf(a)
+        jets = {e: [mp.mpf(0)] * (J + 1) for e, J in orders.items()}
+        # the order-J coefficient of a term exceeds its order-0 size by up
+        # to ~(2k)^J / J!, hence 8 margin bits per order
+        A_min = _em_base(max(orders), prec + 8 * (jmax + 2))
+        M = max(0, math.ceil(A_min - float(a)))
+        for m in range(M):
+            ln = mp.log(a + m)
+            lp = _log_jet(-ln, jmax)
+            for e, jet in jets.items():
+                w = mp.exp(-e * ln)
+                for i in range(len(jet)):
+                    jet[i] += w * lp[i]
+        A = a + M
+        lnA = mp.log(A)
+        lpA = _log_jet(-lnA, jmax)
+        inv_A2 = 1 / (A * A)
+        k_max = int(math.pi * float(A)) + 2
+        # The Bernoulli loop runs on integers: a term coefficient X stands
+        # for X 2^-F, a ratio Y for Y 2^-G.  G gives the ratios, which are
+        # about (2 pi A)^-2, 32 bits beyond the working precision.
+        G = prec + 32 + 2 * math.ceil(math.log2(2 * math.pi * float(A)))
+        ratios = []  # c_(k+1)/c_k 2^G, shared by every exponent
+        for e, jet in jets.items():
+            J = len(jet) - 1
+            r = 1 / (e - 1)
+            L = [A * r]  # A/(s - 1) + 1/2
+            for _ in range(J):
+                L.append(-L[-1] * r)
+            L[0] += mp.mpf(0.5)
+            # a unit 2^-F is 2^-16 of the tolerance on the smallest
+            # coefficient of L, so the roundings of ~k_max terms stay below it
+            F = prec + 16 - min(mp.mag(x) for x in L)
+            one = 1 << F
+            thr = [int(mp.ldexp(abs(x), F - prec)) for x in L]
+            c1 = 1 / (12 * A)  # B_2/2! A^-1
+            T = [0] * (J + 1)  # c_1 (s)_1 = c_1 (e + (s - e))
+            T[0] = int(mp.ldexp(c1 * e, F))
+            if J:
+                T[1] = int(mp.ldexp(c1, F))
+            Q = [0] * (J + 1)
+            e_fix = int(mp.ldexp(e, F))
+            for k in range(1, k_max):
+                if all(abs(T[q]) <= thr[q] for q in range(J + 1)):
+                    break
+                size = abs(T[0])
+                if k > 1 and size > prev:
+                    raise NoConvergence(
+                        f"Euler-Maclaurin terms for zeta({e}, {A}) grow "
+                        f"from k = {k}"
+                    )
+                prev = size
+                for q in range(J + 1):
+                    Q[q] += T[q]
+                if len(ratios) < k:
+                    ratios.append(int(mp.ldexp(_bernoulli_step(k) * inv_A2, G)))
+                rho = ratios[k - 1]
+                # next term: rho (s + 2k - 1)(s + 2k) times this one
+                u = e_fix + ((2 * k - 1) << F)
+                a0 = rho * ((u * (u + one)) >> F) >> F
+                a1 = rho * (2 * u + one) >> F
+                for i in range(J, -1, -1):
+                    x = a0 * T[i]
+                    if i >= 1:
+                        x += a1 * T[i - 1]
+                    if i >= 2:
+                        x += rho * T[i - 2]
+                    T[i] = x >> G
+            else:
+                raise NoConvergence(
+                    f"Euler-Maclaurin series for zeta({e}, {A}) did not "
+                    f"converge in {k_max} terms"
+                )
+            scale = mp.exp(-e * lnA)  # A^(-e)
+            for i in range(J + 1):
+                jet[i] += scale * mp.fsum(
+                    lpA[p] * (L[i - p] + mp.ldexp(Q[i - p], -F))
+                    for p in range(i + 1)
+                )
+    return {e: [+x for x in jet] for e, jet in jets.items()}
+
+
 def tail_sum(series, n_start):
     """sum_{n > n_start} of the termwise expansion, in closed form.
 
-    Each n^(-e) log^j n term sums to (-1)^j zeta^(j)(e, n_start + 1) in the
-    s-derivative sense; exponents e <= 1 with non-negligible coefficients
+    Each n^(-e) log^j n term sums to (-1)^j j! times the j-th Taylor
+    coefficient in s of zeta(s, n_start + 1) at s = e.  Terms are grouped
+    by exponent, so one :func:`hurwitz_jets` pass per distinct e serves
+    every log power.  Exponents e <= 1 with non-negligible coefficients
     mean divergence and raise :class:`NoConvergence`.
     """
-    a = mp.mpf(n_start + 1)
-    total = mp.mpf(0)
+    orders = {}
     for (e, j), c in series.terms.items():
         if e <= 1:
             if abs(c) > _drop_tol() * mp.mpf(2) ** 40:
@@ -415,25 +602,12 @@ def tail_sum(series, n_start):
                     f"tail term n^(-{e}) log^{j} with coefficient {c} diverges"
                 )
             continue
-        total += c * (-1) ** j * mp.zeta(e, a, j) if j else c * mp.zeta(e, a)
+        orders[e] = max(orders.get(e, 0), j)
+    if not orders:
+        return mp.mpf(0)
+    jets = hurwitz_jets(orders, n_start + 1)
+    total = mp.mpf(0)
+    for (e, j), c in series.terms.items():
+        if e > 1:
+            total += c * jets[e][j] * ((-1) ** j * math.factorial(j))
     return total
-
-
-def outer_sum(exact_term, term_series, strategy=DEFAULT_STRATEGY,
-              prec: PrecisionConfig | None = None):
-    """Sum_{n>=1} exact_term(n), using ``term_series`` for the tail.
-
-    ``exact_term(n)`` must be the exact summand; ``term_series`` its
-    AsymSeries expansion, accurate for n beyond ``strategy.n_anchor``.
-    Returns (value, error_estimate); the estimate is heuristic, driven by
-    the observed expansion defect at the crossover index.
-    """
-    with working(prec):
-        N = strategy.n_direct
-        head = mp.mpf(0)
-        for n in range(1, N + 1):
-            head += exact_term(n)
-        tail = tail_sum(term_series, N)
-        defect = abs(exact_term(N) - term_series(N))
-        err = 2 * N * defect + mp.ldexp(abs(head) + abs(tail) + 1, -mp.mp.prec + 10)
-        return head + tail, err

@@ -93,9 +93,17 @@ def _require(args, names):
 
 
 def cmd_eval(args, cfg: PrecisionConfig) -> int:
+    start = time.monotonic()
+    # arguments such as 1/3 are parsed at the working precision
+    with working(cfg):
+        v = _evaluate(args, cfg)
+    _print_value(v, cfg, time.monotonic() - start)
+    return EXIT_OK
+
+
+def _evaluate(args, cfg: PrecisionConfig):
     tol = mp.mpf(args.tol) if args.tol else None
     kind = args.kind
-    start = time.monotonic()
     if kind in ("htmzv", "htmzsv"):
         _require(args, ["index"])
         k = _parse_index(args.index)
@@ -144,8 +152,7 @@ def cmd_eval(args, cfg: PrecisionConfig) -> int:
             v = se.param_euler_sum(args.m, a, b, tol, None, cfg)
     else:
         raise HZetaError(f"unknown kind {kind!r}")
-    _print_value(v, cfg, time.monotonic() - start)
-    return EXIT_OK
+    return v
 
 
 def cmd_verify(args, cfg: PrecisionConfig) -> int:

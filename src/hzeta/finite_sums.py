@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .compositions import Composition
 from .errors import DimensionMismatch, PoleError
-from .precision import PrecisionConfig, working
+from .precision import PrecisionConfig, default_precision, working
 
 
 class ShiftVector:
@@ -130,34 +130,55 @@ def mhss(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
 
 
 def mhs_stream(k, a=None, prec: PrecisionConfig | None = None):
-    """Yield (n, zeta_n(k; a)) for n = 1, 2, ... incrementally."""
+    """Yield (n, zeta_n(k; a)) for n = 1, 2, ... incrementally.
+
+    Each step runs at the working precision of ``prec`` and restores the
+    caller's precision before it yields, so a suspended stream leaves the
+    caller's mpmath context as it found it.  A switch costs about as much
+    as a short step, so callers already at that precision skip it.
+    """
     k, a = _coerce(k, a)
     r = k.depth()
-    with working(prec):
-        S = [mp.mpf(0)] * r + [mp.mpf(1)]
-        m = 0
-        while True:
-            m += 1
-            if r:
-                for j in range(r):
-                    if S[j + 1]:
-                        S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
-            yield m, +S[0]
+    bits = (prec or default_precision()).work_bits
+    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+    m = 0
+    while True:
+        m += 1
+        caller = mp.mp.prec
+        if caller != bits:
+            mp.mp.prec = bits
+        try:
+            for j in range(r):
+                if S[j + 1]:
+                    S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
+            v = +S[0]
+        finally:
+            if caller != bits:
+                mp.mp.prec = caller
+        yield m, v
 
 
 def mhss_stream(k, a=None, prec: PrecisionConfig | None = None):
-    """Yield (n, zeta*_n(k; a)) for n = 1, 2, ... incrementally."""
+    """Yield (n, zeta*_n(k; a)) for n = 1, 2, ... incrementally, at the
+    working precision of ``prec`` per step, as :func:`mhs_stream` does."""
     k, a = _coerce(k, a)
     r = k.depth()
-    with working(prec):
-        S = [mp.mpf(0)] * r + [mp.mpf(1)]
-        m = 0
-        while True:
-            m += 1
-            if r:
-                for j in range(r - 1, -1, -1):
-                    S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
-            yield m, +S[0]
+    bits = (prec or default_precision()).work_bits
+    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+    m = 0
+    while True:
+        m += 1
+        caller = mp.mp.prec
+        if caller != bits:
+            mp.mp.prec = bits
+        try:
+            for j in range(r - 1, -1, -1):
+                S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
+            v = +S[0]
+        finally:
+            if caller != bits:
+                mp.mp.prec = caller
+        yield m, v
 
 
 def power_sums(n: int, alpha, jmax: int, prec: PrecisionConfig | None = None):

@@ -47,7 +47,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .finite_sums import ShiftVector, _coerce, mhs_stream, mhss_stream
-from .precision import PrecisionConfig, working
+from .precision import PrecisionConfig, default_precision, working
 
 
 @dataclass(frozen=True)
@@ -820,19 +820,25 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
         return total
 
 
-_pbc_cache = {}
+# A cold 51-identity verify pass fills 45 entries.
+PBC_CACHE_SIZE = 64
+_pbc_cache = asym.LruCache(PBC_CACHE_SIZE)
 
 
 def _pbc_stream(k_parts, shift, alpha, prec):
     """Yield the weighted strict prefix W_1, W_2, ... where the innermost
     index carries the factor C(n_r + alpha - 2, n_r - 1)."""
     r = len(k_parts)
-    with working(prec):
-        S = [mp.mpf(0)] * r + [mp.mpf(1)]
-        b = mp.mpf(1)
-        m = 0
-        while True:
-            m += 1
+    bits = (prec or default_precision()).work_bits
+    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+    b = mp.mpf(1)
+    m = 0
+    while True:
+        m += 1
+        caller = mp.mp.prec  # restored before each yield, as in mhs_stream
+        if caller != bits:
+            mp.mp.prec = bits
+        try:
             for j in range(r):
                 if S[j + 1]:
                     w = (m + shift - 1) ** (-k_parts[j])
@@ -840,7 +846,11 @@ def _pbc_stream(k_parts, shift, alpha, prec):
                         w *= b
                     S[j] += w * S[j + 1]
             b *= (m + alpha - 1) / m
-            yield +S[0]
+            v = +S[0]
+        finally:
+            if caller != bits:
+                mp.mp.prec = caller
+        yield v
 
 
 def _pbc_exact(n, k_parts, shift, alpha, prec):

@@ -3,8 +3,8 @@
 log-gamma, digamma/polygamma, Pochhammer symbols, generalized binomial
 coefficients, the beta function with mixed partial derivatives (via the
 polygamma recurrence for log-derivatives of B), the Hurwitz zeta function
-at integer exponents by Euler-Maclaurin summation, and the
-Euler-Mascheroni constant.
+at integer exponents (through the Euler-Maclaurin jet kernel of
+:mod:`hzeta.asymptotics`), and the Euler-Mascheroni constant.
 
 The domain is real throughout: every gamma-type argument must be positive.
 """
@@ -15,6 +15,7 @@ from math import comb
 
 import mpmath as mp
 
+from .asymptotics import hurwitz_jets
 from .errors import DomainError
 from .precision import PrecisionConfig, working
 
@@ -143,40 +144,14 @@ def beta_partial(p: int, q: int, a, b, prec: PrecisionConfig | None = None) -> m
 def hurwitz_zeta(s: int, a, prec: PrecisionConfig | None = None) -> mp.mpf:
     """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2 and a > 0.
 
-    Euler-Maclaurin: sum the series directly up to a shifted starting
-    point A = a + M large enough for the asymptotic tail expansion with
-    Bernoulli numbers to converge below the working epsilon, bounding the
-    truncation by the first omitted term.
+    The order-0 jet of :func:`hzeta.asymptotics.hurwitz_jets`, the
+    Euler-Maclaurin kernel that also sums every asymptotic tail: a direct
+    head up to a base A chosen from the working precision and s, then the
+    Bernoulli series, stopped at the first term below the working epsilon.
     """
     if s < 2:
         raise DomainError(f"hurwitz_zeta needs integer s >= 2, got {s}")
-    with working(prec) as cfg:
+    with working(prec):
         a = _pos(a, "a")
-        eps = mp.ldexp(1, -cfg.work_bits)
-        # A controls the EM convergence rate ~ ((s + 2K) / (2 pi A))^(2K)
-        A_target = max(10, cfg.work_bits, 4 * s)
-        while True:
-            M = max(0, int(mp.ceil(A_target - a)))
-            head = mp.mpf(0)
-            for n in range(M):
-                head += (n + a) ** (-s)
-            A = a + M
-            tail = A ** (1 - s) / (s - 1) + A ** (-s) / 2
-            poch = mp.mpf(s)  # (s)_1
-            Apow = A ** (-s - 1)
-            ok = False
-            prev_term = mp.inf
-            for k in range(1, 81):
-                term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * poch * Apow
-                if abs(term) <= eps * (abs(head + tail) + 1):
-                    ok = True
-                    break
-                if abs(term) > abs(prev_term):
-                    break  # divergent regime; restart with larger A
-                tail += term
-                prev_term = term
-                poch *= (s + 2 * k - 1) * (s + 2 * k)
-                Apow /= A * A
-            if ok:
-                return head + tail
-            A_target *= 2
+        s = mp.mpf(s)
+        return hurwitz_jets({s: 0}, a)[s][0]

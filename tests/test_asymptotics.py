@@ -1,11 +1,15 @@
+import math
+
 import mpmath as mp
 import pytest
 
 from hzeta.asymptotics import (
     AsymSeries,
+    LruCache,
     TailStrategy,
     em_antidifference,
     gamma_ratio,
+    hurwitz_jets,
     log_shift,
     power_shift,
     prefix_expansion,
@@ -13,6 +17,7 @@ from hzeta.asymptotics import (
     tail_sum,
 )
 from hzeta.compositions import Composition
+from hzeta.errors import NoConvergence
 from hzeta.finite_sums import ShiftVector, mhs, mhss
 from hzeta.precision import PrecisionConfig
 
@@ -96,6 +101,88 @@ def test_tail_sum_log_weighted():
     got = tail_sum(S, 5)
     brute = mp.fsum(mp.log(n) / mp.mpf(n) ** 3 for n in range(6, 40000))
     assert abs(got - brute) < mp.mpf(10) ** -8
+
+
+JET_EXPONENTS = ("1.3", "2", "2.5", "7.25", "20.7", "30")
+
+
+def _zeta_ref(e, a, j, bits):
+    """zeta^(j)(e, a) / j! good to 2^-(bits + 100) relative.
+
+    mp.zeta's error is about 2^-prec in absolute terms, which is large
+    relative to tiny values (e = 20.7 and 30 at a = 401 or 801), so the
+    reference precision also covers the value's own binary magnitude.
+    """
+    with mp.workprec(53):
+        lost = max(0, -mp.mag(mp.zeta(e, a, j)))
+    with mp.workprec(bits + 128 + lost):
+        return mp.zeta(e, a, j) / math.factorial(j)
+
+
+@pytest.mark.parametrize("bits", [256, 448])
+@pytest.mark.parametrize("a", [6, 11, 401, 801])
+def test_hurwitz_jets_vs_mpmath(bits, a):
+    # all six exponents in one batch, jets up to order 3; small a needs a
+    # direct head before the Euler-Maclaurin series converges
+    with mp.workprec(bits):
+        exps = [mp.mpf(e) for e in JET_EXPONENTS]
+        jets = hurwitz_jets({e: 3 for e in exps}, a)
+    for e in exps:
+        for j in range(4):
+            ref = _zeta_ref(e, a, j, bits)
+            with mp.workprec(bits + 128):
+                rel = abs(jets[e][j] - ref) / abs(ref)
+            assert rel < mp.ldexp(1, 3 - bits), (e, j, a, bits)
+
+
+def test_tail_sum_batches_log_powers():
+    # several log powers of one exponent plus a second exponent, vs the
+    # per-term sums (-1)^j zeta^(j)(e, a)
+    with mp.workprec(288):
+        S = AsymSeries(emax=40)
+        for e, j, c in (("2.5", 0, "0.75"), ("2.5", 1, "-1.5"),
+                        ("2.5", 3, "0.25"), ("7.25", 2, "3")):
+            S = S + AsymSeries.monomial(mp.mpf(c), mp.mpf(e), j, 40)
+        got = tail_sum(S, 400)
+        ref = mp.fsum(
+            c * (-1) ** j * math.factorial(j)
+            * _zeta_ref(e, 401, j, 288)
+            for (e, j), c in S.terms.items()
+        )
+        assert abs(got - ref) < mp.ldexp(abs(ref), -280)
+
+
+def test_tail_sum_small_start_terminates():
+    # a = 6 is far below the Euler-Maclaurin base at 480 bits, and e = 30
+    # with log power 3 needs the largest base; the head closes the gap
+    with mp.workprec(480):
+        S = AsymSeries.monomial(1, mp.mpf(30), 3, 40)
+        got = tail_sum(S, 5)
+        ref = -6 * _zeta_ref(mp.mpf(30), 6, 3, 480)
+        assert abs(got - ref) < mp.ldexp(abs(ref), -472)
+
+
+def test_tail_sum_divergent_raises():
+    S = AsymSeries.monomial(1, 1, 0, EMAX) + AsymSeries.monomial(1, 2, 0, EMAX)
+    with pytest.raises(NoConvergence):
+        tail_sum(S, 400)
+    with pytest.raises(NoConvergence):
+        tail_sum(AsymSeries.monomial(1, mp.mpf("0.5"), 1, EMAX), 400)
+    # a negligible divergent coefficient is dropped, not an error
+    S = AsymSeries.monomial(mp.mpf(2) ** -400, 1, 0, EMAX)
+    assert tail_sum(S + AsymSeries.monomial(1, 2, 0, EMAX), 10) == tail_sum(
+        AsymSeries.monomial(1, 2, 0, EMAX), 10)
+
+
+def test_lru_cache_evicts_least_recently_used():
+    c = LruCache(2)
+    c["a"] = 1
+    c["b"] = 2
+    assert c.get("a") == 1  # "b" is now the oldest
+    c["c"] = 3
+    assert len(c) == 2
+    assert c.get("b") is None
+    assert c.get("a") == 1 and c.get("c") == 3
 
 
 def test_strategy_frozen():

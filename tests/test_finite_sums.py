@@ -130,6 +130,21 @@ def test_streams_match_direct():
             assert close(w, mhss(n, k, a, PREC))
 
 
+@pytest.mark.parametrize("stream", [mhs_stream, mhss_stream])
+def test_stream_keeps_caller_precision(stream):
+    # each step runs at the stream's 224 working bits, but the caller's
+    # 53-bit context is back in place whenever the stream is suspended
+    with mp.workprec(53):
+        g = stream((2, 1), ["0.5", "0.25"], PREC)
+        next(g)
+        assert mp.mp.prec == 53
+        _, v = next(g)
+        assert mp.mp.prec == 53
+    with mp.workprec(224):
+        direct = mhs if stream is mhs_stream else mhss
+        assert v == direct(2, (2, 1), ["0.5", "0.25"], PREC)
+
+
 @pytest.mark.parametrize("alpha", ["1", "0.5", "0.3"])
 def test_ones_sums_vs_direct(alpha):
     with mp.workprec(224):

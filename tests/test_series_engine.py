@@ -21,6 +21,7 @@ from hzeta.series_engine import (
     mpl_landen,
     param_euler_pow,
     param_euler_sum,
+    _pbc_stream,
     term_spec,
     weighted_sum,
 )
@@ -217,6 +218,16 @@ class TestPbc:
         ref = -beta(1 - a, 1 - b, PREC) \
             * (digamma(1 - b, PREC) - digamma(2 - a - b, PREC))
         assert close(v, ref)
+
+    def test_stream_keeps_caller_precision(self):
+        alpha, shift = mp.mpf("0.3"), mp.mpf("0.75")
+        with mp.workprec(53):
+            g = _pbc_stream((2, 1), shift, alpha, PREC)
+            next(g)
+            v = next(g)
+            assert mp.mp.prec == 53
+        # W_2 = C(alpha - 1, 0) / ((1 + shift)^2 shift)
+        assert abs(v - 1 / ((1 + shift) ** 2 * shift)) < mp.mpf(10) ** -60
 
 
 class TestErrorModel:
