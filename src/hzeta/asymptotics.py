@@ -37,7 +37,7 @@ from .precision import PrecisionConfig, working
 
 
 @dataclass(frozen=True)
-class TailStrategy:
+class ExpansionWindow:
     """Truncation controls for anchored expansions and tail summation.
 
     ``order``: largest kept exponent in n^(-e) (graded truncation degree).
@@ -52,10 +52,10 @@ class TailStrategy:
 
     def __post_init__(self):
         if self.order < 4 or self.n_anchor < 8 or self.n_direct < self.n_anchor:
-            raise ValueError("degenerate tail strategy")
+            raise ValueError("degenerate expansion window")
 
 
-DEFAULT_STRATEGY = TailStrategy()
+DEFAULT_WINDOW = ExpansionWindow()
 
 
 def _drop_tol():
@@ -395,34 +395,34 @@ PREFIX_CACHE_SIZE = 128
 _prefix_cache = LruCache(PREFIX_CACHE_SIZE)
 
 
-def prefix_expansion(k, a=None, star=False, strategy=DEFAULT_STRATEGY,
+def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
                      prec: PrecisionConfig | None = None):
     """AsymSeries E with E(n) ~ zeta_n(k; a) (or the star sum) for large n.
 
     Built by the nested-sum recursion: the outermost summand is expanded,
     Euler-Maclaurin turns it into a partial-sum expansion, and the free
     constant is anchored against the exact dynamic program at
-    ``strategy.n_anchor``.
+    ``window.n_anchor``.
     """
-    k, a = _coerce(k, a)
+    k, a = _coerce(k, a, prec)
     with working(prec) as cfg:
-        key = (k.parts, a.shifts, bool(star), strategy, cfg.work_bits)
+        key = (k.parts, a.shifts, bool(star), window, cfg.work_bits)
         hit = _prefix_cache.get(key)
         if hit is not None:
             return hit
-        emax = strategy.order
+        emax = window.order
         r = k.depth()
         if r == 0:
             out = AsymSeries.constant(1, emax)
         else:
             tail = prefix_expansion(
                 Composition(k.parts[1:]), ShiftVector(a.shifts[1:]), star,
-                strategy, prec,
+                window, prec,
             )
             inner = tail if star else tail.shift_arg(-1)
             T = power_shift(k[0], a[0] - 1, emax) * inner
             V = em_antidifference(T).prune()
-            n0 = strategy.n_anchor
+            n0 = window.n_anchor
             exact = mhss(n0, k, a, prec) if star else mhs(n0, k, a, prec)
             out = V + (exact - V(n0))
             out = out.prune()

@@ -7,12 +7,17 @@ Three subcommands:
   elapsed time.
 * ``verify`` runs the identity suite and prints the aligned residual
   table; with ``--out`` the per-check records are also written as JSON
-  lines.  Exit code is 0 when all checks pass, 2 otherwise.
+  lines.  A check whose sides cannot be evaluated is reported as an
+  ERROR row and the run goes on.  Exit code is 0 when all checks pass,
+  2 when any check fails, 4 when none fails but some could not be
+  evaluated.
 * ``index``  applies combinatorial transforms to composition indices.
 
 Exit codes: 0 success, 2 failed identity checks, 3 usage or domain
-errors.  The environment variable HZETA_PREC overrides the default
-precision in bits; everything else is configured by flags.
+errors, 4 a value that could not be evaluated to the requested tolerance
+(``ToleranceNotReached`` or ``NoConvergence``).  The environment
+variable HZETA_PREC overrides the default precision in bits; everything
+else is configured by flags.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ import mpmath as mp
 
 from . import series_engine as se
 from .compositions import Composition, dual_index, hoffman_dual, refinements
-from .errors import HZetaError
+from .errors import HZetaError, NoConvergence, ToleranceNotReached
 from .finite_sums import ShiftVector
 from .identity_registry import run_suite
-from .precision import PrecisionConfig, default_precision, working
+from .precision import (PrecisionConfig, default_precision, parse_real,
+                        working)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 2
 EXIT_USAGE = 3
+EXIT_NOT_EVALUATED = 4
 
 EVAL_KINDS = ("htmzv", "htmzsv", "htmtv", "mpl", "kta", "apery1", "apery2",
               "apery3", "xi", "psi", "eta", "pbc", "euler-sum")
@@ -52,13 +59,6 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_USAGE
 
 
-def _parse_number(text: str):
-    if "/" in text:
-        p, q = text.split("/")
-        return mp.mpf(p.strip()) / mp.mpf(q.strip())
-    return mp.mpf(text)
-
-
 def _parse_index(text: str) -> Composition:
     if not text.strip():
         return Composition(())
@@ -67,9 +67,9 @@ def _parse_index(text: str) -> Composition:
 
 def _parse_shift(text: str, depth: int):
     if "," in text:
-        parts = tuple(_parse_number(p) for p in text.split(","))
+        parts = tuple(parse_real(p) for p in text.split(","))
         return ShiftVector(parts)
-    value = _parse_number(text)
+    value = parse_real(text)
     return ShiftVector.constant(value, depth) if depth else value
 
 
@@ -112,43 +112,43 @@ def _evaluate(args, cfg: PrecisionConfig):
         v = fn(k, shift, tol, None, cfg)
     elif kind == "htmtv":
         _require(args, ["index"])
-        alpha = _parse_number(args.alpha) if args.alpha else 1
+        alpha = parse_real(args.alpha) if args.alpha else 1
         v = se.htmtv(_parse_index(args.index), alpha, tol, None, cfg)
     elif kind in ("mpl", "kta"):
         _require(args, ["index", "x"])
         fn = se.mpl if kind == "mpl" else se.kta
-        v = fn(_parse_index(args.index), _parse_number(args.x), tol, None, cfg)
+        v = fn(_parse_index(args.index), parse_real(args.x), tol, None, cfg)
     elif kind == "apery1":
         _require(args, ["index", "alpha"])
         v = se.apery_I(_parse_index(args.index), args.kk,
-                       _parse_number(args.alpha), tol, None, cfg)
+                       parse_real(args.alpha), tol, None, cfg)
     elif kind == "apery2":
         _require(args, ["alpha"])
         star = _parse_index(args.star_index) if args.star_index else None
-        v = se.apery_II(args.k, star, args.m, _parse_number(args.alpha),
+        v = se.apery_II(args.k, star, args.m, parse_real(args.alpha),
                         tol, None, cfg)
     elif kind == "apery3":
         _require(args, ["alpha", "beta"])
         k = _parse_index(args.index) if args.index else None
         star = _parse_index(args.star_index) if args.star_index else None
-        v = se.apery_III(k, star, args.m, _parse_number(args.alpha),
-                         _parse_number(args.beta), tol, None, cfg)
+        v = se.apery_III(k, star, args.m, parse_real(args.alpha),
+                         parse_real(args.beta), tol, None, cfg)
     elif kind in ("xi", "psi", "eta"):
         _require(args, ["index"])
         v = se.arakawa_kaneko(kind, args.s, _parse_index(args.index),
                               tol, None, cfg)
     elif kind == "pbc":
         _require(args, ["index", "alpha", "shift-arg"])
-        v = se.htmzv_pbc(_parse_number(args.alpha), _parse_index(args.index),
-                         _parse_number(args.shift_arg), tol, None, cfg)
+        v = se.htmzv_pbc(parse_real(args.alpha), _parse_index(args.index),
+                         parse_real(args.shift_arg), tol, None, cfg)
     elif kind == "euler-sum":
         if args.k is not None:
             _require(args, ["alpha"])
             v = se.param_euler_pow(args.m, args.k,
-                                   _parse_number(args.alpha), tol, None, cfg)
+                                   parse_real(args.alpha), tol, None, cfg)
         else:
-            a = _parse_number(args.a) if args.a else mp.mpf(0)
-            b = _parse_number(args.b) if args.b else mp.mpf(0)
+            a = parse_real(args.a) if args.a else mp.mpf(0)
+            b = parse_real(args.b) if args.b else mp.mpf(0)
             v = se.param_euler_sum(args.m, a, b, tol, None, cfg)
     else:
         raise HZetaError(f"unknown kind {kind!r}")
@@ -166,7 +166,9 @@ def cmd_verify(args, cfg: PrecisionConfig) -> int:
         with open(args.out, "w") as fh:
             for rec in report.to_records():
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return EXIT_OK if report.all_passed else EXIT_FAILED_CHECKS
+    if report.n_failed:
+        return EXIT_FAILED_CHECKS
+    return EXIT_NOT_EVALUATED if report.n_errors else EXIT_OK
 
 
 def cmd_index(args, cfg: PrecisionConfig) -> int:
@@ -233,6 +235,9 @@ def main(argv=None) -> int:
     cfg = PrecisionConfig(args.bits) if args.bits else default_precision()
     try:
         return args.func(args, cfg)
+    except (ToleranceNotReached, NoConvergence) as exc:
+        print(f"hzeta: error: {exc}", file=sys.stderr)
+        return EXIT_NOT_EVALUATED
     except HZetaError as exc:
         print(f"hzeta: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -261,13 +261,6 @@ def ones(count: int) -> Composition:
     return Composition((1,) * count)
 
 
-def concat(*ks: Composition) -> Composition:
-    parts = ()
-    for k in ks:
-        parts = parts + k.parts
-    return Composition(parts)
-
-
 def theorem_dual(k: Composition) -> Composition:
     """The index (reverse(k)^dual)_+ entering the expansion theorems.
 

@@ -2,8 +2,11 @@
 
 Strict sums zeta_n(k; a) over n >= n_1 > ... > n_r >= 1 and star sums
 zeta*_n(k; a) over n >= n_1 >= ... >= n_r >= 1, with denominators
-(n_j + a_j - 1)^(k_j).  Also the odd-denominator t-variants and the fast
-Newton-identity recurrences for all-ones indices.
+(n_j + a_j - 1)^(k_j), and the odd-denominator t-variants.  One streaming
+kernel, :func:`nested_stream`, runs the nested-sum recurrence for all of
+them and for the series engine's exact heads: strict or star ordering,
+per-slot (shift, exponent), and an optional multiplier sequence on the
+innermost index (the parametric binomial C(n + alpha - 2, n - 1)).
 
 Conventions: the empty index gives 1 at every n; the strict sum vanishes
 for n < depth; the star sum is evaluated literally for n >= 1 (it still
@@ -13,6 +16,8 @@ for a nonempty index.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import mpmath as mp
@@ -22,6 +27,7 @@ from .errors import DimensionMismatch, PoleError
 from .precision import PrecisionConfig, default_precision, working
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ShiftVector:
     """Immutable vector of real denominator shifts (a_1, ..., a_r).
 
@@ -29,15 +35,12 @@ class ShiftVector:
     any zero denominator raises :class:`PoleError` at evaluation time.
     """
 
-    __slots__ = ("shifts",)
+    shifts: tuple
 
     def __init__(self, shifts: Sequence | "ShiftVector"):
         if isinstance(shifts, ShiftVector):
             shifts = shifts.shifts
         object.__setattr__(self, "shifts", tuple(mp.mpf(s) for s in shifts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftVector is immutable")
 
     @classmethod
     def constant(cls, alpha, depth: int) -> "ShiftVector":
@@ -52,27 +55,24 @@ class ShiftVector:
     def __getitem__(self, i):
         return self.shifts[i]
 
-    def __eq__(self, other):
-        return isinstance(other, ShiftVector) and self.shifts == other.shifts
-
-    def __hash__(self):
-        return hash(("ShiftVector", self.shifts))
-
     def __repr__(self):
         return f"ShiftVector({list(self.shifts)!r})"
 
 
-def _coerce(k, a):
+def _coerce(k, a, prec: PrecisionConfig | None = None):
+    """(Composition, ShiftVector), shifts converted at the working
+    precision of ``prec`` whatever precision the caller has active."""
     k = Composition(k)
-    if a is None:
-        a = ShiftVector.constant(1, k.depth())
-    elif not isinstance(a, ShiftVector):
-        try:
-            a = ShiftVector(a)
-        except TypeError:
-            a = ShiftVector.constant(a, k.depth())
-        if len(a) == 1 and k.depth() > 1:
-            a = ShiftVector.constant(a[0], k.depth())
+    with working(prec):
+        if a is None or isinstance(a, str):
+            a = ShiftVector.constant(1 if a is None else a, k.depth())
+        elif not isinstance(a, ShiftVector):
+            try:
+                a = ShiftVector(a)
+            except TypeError:
+                a = ShiftVector.constant(a, k.depth())
+            if len(a) == 1 and k.depth() > 1:
+                a = ShiftVector.constant(a[0], k.depth())
     if len(a) != k.depth():
         raise DimensionMismatch(
             f"shift vector length {len(a)} != depth {k.depth()}"
@@ -80,66 +80,27 @@ def _coerce(k, a):
     return k, a
 
 
-def _weight_factor(m: int, shift, expo: int):
-    d = m + shift - 1
-    if d == 0:
-        raise PoleError(f"denominator {m} + {shift} - 1 vanishes")
-    return d ** -expo
+def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
+                  innermost=None):
+    """Yield (n, S_n) for n = 1, 2, ..., the one nested-sum kernel.
 
-
-def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
-    """Strict nested sum zeta_n(k; a); 0 when n < depth(k), 1 for empty k."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    k, a = _coerce(k, a)
-    r = k.depth()
-    if r == 0:
-        return mp.mpf(1)
-    if n < r:
-        return mp.mpf(0)
-    with working(prec):
-        # S[j] accumulates the depth-(r-j) inner sum truncated at the
-        # current m; increasing-j update order keeps S[j+1] at m-1.
-        # A zero inner sum suppresses the weight entirely, so chains that
-        # the strictness constraint rules out cannot trip a pole.
-        S = [mp.mpf(0)] * r + [mp.mpf(1)]
-        for m in range(1, n + 1):
-            for j in range(r):
-                if S[j + 1]:
-                    S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
-        return +S[0]
-
-
-def mhss(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
-    """Star nested sum zeta*_n(k; a) with >= ordering, summed literally."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    k, a = _coerce(k, a)
-    r = k.depth()
-    if r == 0:
-        return mp.mpf(1)
-    if n == 0:
-        return mp.mpf(0)
-    with working(prec):
-        S = [mp.mpf(0)] * r + [mp.mpf(1)]
-        for m in range(1, n + 1):
-            # decreasing-j order lets S[j] see S[j+1] already updated at m
-            for j in range(r - 1, -1, -1):
-                S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
-        return +S[0]
-
-
-def mhs_stream(k, a=None, prec: PrecisionConfig | None = None):
-    """Yield (n, zeta_n(k; a)) for n = 1, 2, ... incrementally.
+    S_n sums prod_j (n_j + a_j - 1)^(-k_j) over n >= n_1 > ... > n_r >= 1
+    (>= throughout when ``star``) for exponents ``k`` and mpf shifts ``a``;
+    the n_r-th element of the iterator ``innermost``, when given,
+    multiplies the innermost factor.  S[j] holds the depth-(r - j) inner
+    sum and S[r] the innermost multiplier (1 without one).  A strict step
+    updates S[0], S[1], ... so that S[j + 1] is still at m - 1, a star step
+    the other way round.  A zero inner sum skips its weight, so chains
+    that the ordering rules out cannot trip a pole.
 
     Each step runs at the working precision of ``prec`` and restores the
     caller's precision before it yields, so a suspended stream leaves the
     caller's mpmath context as it found it.  A switch costs about as much
     as a short step, so callers already at that precision skip it.
     """
-    k, a = _coerce(k, a)
-    r = k.depth()
+    r = len(k)
     bits = (prec or default_precision()).work_bits
+    slots = range(r - 1, -1, -1) if star else range(r)
     S = [mp.mpf(0)] * r + [mp.mpf(1)]
     m = 0
     while True:
@@ -148,101 +109,88 @@ def mhs_stream(k, a=None, prec: PrecisionConfig | None = None):
         if caller != bits:
             mp.mp.prec = bits
         try:
-            for j in range(r):
+            if innermost is not None:
+                S[r] = next(innermost)
+            for j in slots:
                 if S[j + 1]:
-                    S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
-            v = +S[0]
+                    d = m + a[j] - 1
+                    if not d:
+                        raise PoleError(f"denominator {m} + {a[j]} - 1 vanishes")
+                    S[j] += d ** -k[j] * S[j + 1]
+            v = S[0]
         finally:
             if caller != bits:
                 mp.mp.prec = caller
         yield m, v
+
+
+def nth(stream, n: int):
+    """The value at step n >= 1 of a :func:`nested_stream`."""
+    return next(islice(stream, n - 1, None))[1]
+
+
+def _nth(k, a, star, n, prec):
+    """S_n of the kernel, drained inside the working precision so that no
+    step switches precision."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    with working(prec):
+        k, a = _coerce(k, a, prec)
+        r = k.depth()
+        if r == 0:
+            return mp.mpf(1)
+        if n < (1 if star else r):
+            return mp.mpf(0)
+        return nth(nested_stream(k.parts, a.shifts, star, prec), n)
+
+
+def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
+    """Strict nested sum zeta_n(k; a); 0 when n < depth(k), 1 for empty k."""
+    return _nth(k, a, False, n, prec)
+
+
+def mhss(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
+    """Star nested sum zeta*_n(k; a) with >= ordering, summed literally."""
+    return _nth(k, a, True, n, prec)
+
+
+def mhs_stream(k, a=None, prec: PrecisionConfig | None = None):
+    """Yield (n, zeta_n(k; a)) for n = 1, 2, ... incrementally, each step at
+    the working precision of ``prec`` (see :func:`nested_stream`)."""
+    k, a = _coerce(k, a, prec)
+    return nested_stream(k.parts, a.shifts, False, prec)
 
 
 def mhss_stream(k, a=None, prec: PrecisionConfig | None = None):
-    """Yield (n, zeta*_n(k; a)) for n = 1, 2, ... incrementally, at the
-    working precision of ``prec`` per step, as :func:`mhs_stream` does."""
-    k, a = _coerce(k, a)
-    r = k.depth()
-    bits = (prec or default_precision()).work_bits
-    S = [mp.mpf(0)] * r + [mp.mpf(1)]
-    m = 0
-    while True:
-        m += 1
-        caller = mp.mp.prec
-        if caller != bits:
-            mp.mp.prec = bits
-        try:
-            for j in range(r - 1, -1, -1):
-                S[j] += _weight_factor(m, a[j], k[j]) * S[j + 1]
-            v = +S[0]
-        finally:
-            if caller != bits:
-                mp.mp.prec = caller
-        yield m, v
+    """Yield (n, zeta*_n(k; a)) for n = 1, 2, ... incrementally, as
+    :func:`mhs_stream` does."""
+    k, a = _coerce(k, a, prec)
+    return nested_stream(k.parts, a.shifts, True, prec)
 
 
 def power_sums(n: int, alpha, jmax: int, prec: PrecisionConfig | None = None):
-    """p_j = sum_{i<=n} (i + alpha - 1)^(-j) for j = 1..jmax, as a list."""
-    with working(prec):
-        alpha = mp.mpf(alpha)
-        p = [mp.mpf(0)] * (jmax + 1)
-        for i in range(1, n + 1):
-            d = i + alpha - 1
-            if d == 0:
-                raise PoleError(f"denominator {i} + {alpha} - 1 vanishes")
-            w = 1 / d
-            acc = mp.mpf(1)
-            for j in range(1, jmax + 1):
-                acc *= w
-                p[j] += acc
-        return p
+    """[0, p_1, ..., p_jmax] with p_j = sum_{i<=n} (i + alpha - 1)^(-j)."""
+    return [mp.mpf(0)] + [mhs(n, (j,), alpha, prec) for j in range(1, jmax + 1)]
 
 
 def ones_sums(n: int, kmax: int, alpha, prec: PrecisionConfig | None = None):
     """All-ones sums (zeta_n({1}_k; alpha))_k and (zeta*_n({1}_k; alpha))_k
-    for k = 0..kmax, via the Newton-identity recurrences.
-
-    The strict sums are the elementary symmetric functions of
-    x_i = 1/(i+alpha-1) and the star sums the complete homogeneous ones:
-
-        m e_m = sum_{i=1..m} (-1)^(i-1) e_(m-i) p_i,
-        m h_m = sum_{i=1..m} h_(m-i) p_i,
-
-    with p_i the power sums.  O(n + kmax^2) after power-sum accumulation.
-    """
+    for k = 0..kmax, as two lists."""
     if n < 0 or kmax < 0:
         raise ValueError("n and kmax must be >= 0")
-    with working(prec):
-        p = power_sums(n, alpha, kmax, prec)
-        e = [mp.mpf(1)]
-        h = [mp.mpf(1)]
-        for m in range(1, kmax + 1):
-            em = mp.mpf(0)
-            hm = mp.mpf(0)
-            for i in range(1, m + 1):
-                em += (-1) ** (i - 1) * e[m - i] * p[i]
-                hm += h[m - i] * p[i]
-            e.append(em / m)
-            h.append(hm / m)
-        return e, h
+    ones = [(1,) * k for k in range(kmax + 1)]
+    return ([mhs(n, k, alpha, prec) for k in ones],
+            [mhss(n, k, alpha, prec) for k in ones])
 
 
 def t_mhs(n: int, k, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Strict odd-denominator sum t_n(k) = 2^(-|k|) zeta_n(k; 1/2)."""
     k = Composition(k)
-    with working(prec):
-        half = ShiftVector.constant(mp.mpf("0.5"), k.depth())
-        return mp.ldexp(mhs(n, k, half, prec), -k.weight())
+    return mp.ldexp(mhs(n, k, mp.mpf(0.5), prec), -k.weight())
 
 
 def t_mhss(n: int, k, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Star odd-denominator sum t*_n(k) = 2^(-|k|) zeta*_n(k; 1/2)."""
     k = Composition(k)
-    with working(prec):
-        half = ShiftVector.constant(mp.mpf("0.5"), k.depth())
-        return mp.ldexp(mhss(n, k, half, prec), -k.weight())
+    return mp.ldexp(mhss(n, k, mp.mpf(0.5), prec), -k.weight())
 
-
-def t_sums(n: int, k, prec: PrecisionConfig | None = None):
-    """(t_n(k), t*_n(k)) as a pair."""
-    return t_mhs(n, k, prec), t_mhss(n, k, prec)

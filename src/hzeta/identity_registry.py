@@ -35,20 +35,17 @@ from .compositions import (
     theorem_dual,
     weak_compositions,
 )
-from .errors import DomainError, UnknownIdentity
+from .errors import (
+    DomainError,
+    NoConvergence,
+    ToleranceNotReached,
+    UnknownIdentity,
+)
 from .finite_sums import ShiftVector, mhss
-from .precision import PrecisionConfig, working
+from .precision import PrecisionConfig, parse_real, working
 from .series_engine import ValueWithBound, term_spec, weighted_sum
 
 DEFAULT_TOL = "1e-8"
-
-
-def _num(s):
-    """Parse a numeric parameter; fraction strings like "1/3" allowed."""
-    if isinstance(s, str) and "/" in s:
-        p, q = s.split("/")
-        return mp.mpf(p) / mp.mpf(q)
-    return mp.mpf(s)
 
 
 def _closed(x) -> ValueWithBound:
@@ -67,7 +64,10 @@ def _binom(a, b) -> mp.mpf:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Outcome of evaluating one identity at one parameter point."""
+    """Outcome of evaluating one identity at one parameter point.
+
+    ``error`` is set when a side could not be evaluated; ``best`` is then
+    the best estimate the exception carried, and the sides are NaN."""
 
     id: str
     params: dict
@@ -77,9 +77,11 @@ class IdentityCheck:
     tol: mp.mpf
     passed: bool
     elapsed: float
+    error: str | None = None
+    best: ValueWithBound | None = None
 
     def record(self) -> dict:
-        return {
+        rec = {
             "id": self.id,
             "params": {k: str(v) for k, v in sorted(self.params.items())},
             "lhs": mp.nstr(self.lhs.value, 24),
@@ -89,6 +91,11 @@ class IdentityCheck:
             "passed": self.passed,
             "elapsed": round(self.elapsed, 3),
         }
+        if self.error is not None:
+            rec["error"] = self.error
+        if self.best is not None:
+            rec["best"] = mp.nstr(self.best.value, 24)
+        return rec
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,18 @@ class SuiteReport:
         return sum(1 for c in self.checks if c.passed)
 
     @property
+    def n_errors(self) -> int:
+        """Checks whose sides could not be evaluated."""
+        return sum(1 for c in self.checks if c.error is not None)
+
+    @property
     def n_failed(self) -> int:
-        return len(self.checks) - self.n_passed
+        """Evaluated checks whose residual exceeds the allowance."""
+        return len(self.checks) - self.n_passed - self.n_errors
 
     @property
     def all_passed(self) -> bool:
-        return self.n_failed == 0
+        return self.n_passed == len(self.checks)
 
     def to_records(self) -> list:
         return [c.record() for c in self.checks]
@@ -121,20 +134,20 @@ class SuiteReport:
         rows = [("id", "params", "residual", "tol", "status")]
         for c in self.checks:
             ps = ",".join(f"{k}={v}" for k, v in sorted(c.params.items()))
-            rows.append((
-                c.id,
-                ps,
-                mp.nstr(c.residual, 4),
-                mp.nstr(c.tol, 4),
-                "pass" if c.passed else "FAIL",
-            ))
+            if c.error is not None:
+                residual, status = "-", "ERROR"
+            else:
+                residual = mp.nstr(c.residual, 4)
+                status = "pass" if c.passed else "FAIL"
+            rows.append((c.id, ps, residual, mp.nstr(c.tol, 4), status))
         widths = [max(len(r[i]) for r in rows) for i in range(5)]
         lines = [
             "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
             for row in rows
         ]
-        lines.append(f"{self.n_passed} passed, {self.n_failed} failed "
-                     f"(tol={self.tol}, seed={self.seed}, "
+        errors = f", {self.n_errors} errors" if self.n_errors else ""
+        lines.append(f"{self.n_passed} passed, {self.n_failed} failed"
+                     f"{errors} (tol={self.tol}, seed={self.seed}, "
                      f"samples={self.samples})")
         return "\n".join(lines)
 
@@ -164,26 +177,13 @@ def identity_ids() -> list:
 
 def _zeta(idx, shift=1, tol=None, prec=None) -> ValueWithBound:
     """Multiple zeta value with a constant (or vector) denominator shift."""
-    idx = Composition(idx)
-    if idx.is_empty():
-        return ValueWithBound(1, 0, True)
-    if isinstance(shift, ShiftVector):
-        a = shift
-    else:
-        a = ShiftVector.constant(_num(shift), idx.depth())
-    return se.htmzv(idx, a, tol, None, prec)
-
-
-def _zeta_star(idx, shift=1, tol=None, prec=None) -> ValueWithBound:
-    idx = Composition(idx)
-    if idx.is_empty():
-        return ValueWithBound(1, 0, True)
-    a = ShiftVector.constant(_num(shift), idx.depth())
-    return se.htmzsv(idx, a, tol, None, prec)
+    if not isinstance(shift, ShiftVector):
+        shift = parse_real(shift)
+    return se.htmzv(idx, shift, tol, None, prec)
 
 
 def _tee(idx, alpha=1, tol=None, prec=None) -> ValueWithBound:
-    return se.htmtv(Composition(idx), _num(alpha), tol, None, prec)
+    return se.htmtv(Composition(idx), parse_real(alpha), tol, None, prec)
 
 
 def _t_value(idx, tol=None, prec=None) -> ValueWithBound:
@@ -275,14 +275,14 @@ def _pbc_deriv(order: int, beta, k, shift, tol, prec) -> mp.mpf:
         sub = mp.ldexp(1, -min(cfg.work_bits - 60, 400))
         h = mp.ldexp(1, -cfg.work_bits // 6)
         f = lambda b: se.htmzv_pbc(b, k, shift, sub, None, prec).value
-        return mp.diff(f, _num(beta), order, h=h, method="step")
+        return mp.diff(f, parse_real(beta), order, h=h, method="step")
 
 
 def _series_in_x(spec, x, tol, prec, extra=0) -> ValueWithBound:
     """sum_n a_n x^n for a TermSpec sequence a_n, with a geometric
     heuristic tail bound; ``extra`` is added to the total (n = 0 term)."""
     with working(prec):
-        x = _num(x)
+        x = parse_real(x)
         if not 0 < x < 1:
             raise DomainError(f"x must lie in (0, 1), got {x}")
         state = se._SpecState(spec, prec)
@@ -307,7 +307,6 @@ def _series_in_x(spec, x, tol, prec, extra=0) -> ValueWithBound:
 
 _ALPHAS = ["0.25", "0.3", "0.4", "0.6", "0.7"]
 _SMALL_ALPHAS = ["0.15", "0.25", "0.35", "0.45"]
-_INDICES = [(2,), (3,), (2, 1), (2, 2), (3, 1), (2, 1, 1)]
 _SHORT_INDICES = [(2,), (2, 1), (1, 2), (2, 2)]
 
 
@@ -321,7 +320,7 @@ def _pick(rng, pool):
 def _eval_thm_21a(p, tol, prec):
     k = tuple(p["k"])
     kk = int(p["log_pow"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     lhs = quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol / 16, prec)
     sign = mp.mpf(-1) ** kk * _fac(kk)
     rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8, prec) * sign
@@ -341,7 +340,7 @@ _register(
 def _eval_thm_21b(p, tol, prec):
     k = tuple(p["k"])
     kk = int(p["log_pow"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     lhs = quad.int_kta_weighted(k, alpha, kk, tol / 16, prec)
     sign = mp.mpf(-1) ** kk * _fac(kk)
     zfun = lambda idx, s, t, pr: _tee(idx, s, t, pr)
@@ -361,11 +360,11 @@ _register(
 
 def _eval_thm_22(p, tol, prec):
     k = Composition(tuple(p["k"]))
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     lhs = quad.int_mpl_weighted(k, 1, alpha, 0, 0, tol / 16, prec,
                                 core="mpl_landen")
     sign = mp.mpf(-1) ** k.depth()
-    rhs = _zeta_star(theorem_dual(k), 1 - alpha, tol / 8, prec) * sign
+    rhs = se.htmzsv(theorem_dual(k), 1 - alpha, tol / 8, None, prec) * sign
     return lhs, rhs
 
 
@@ -441,8 +440,8 @@ _register(
 
 def _eval_thm_31(p, tol, prec):
     with working(prec):
-        x = _num(p["x"])
-        alpha = _num(p["alpha"])
+        x = parse_real(p["x"])
+        alpha = parse_real(p["alpha"])
         kk = int(p["log_pow"])
         v = mp.mpf(-1) ** kk / _fac(kk) * mp.log(1 - x) ** kk \
             / (1 - x) ** alpha
@@ -468,7 +467,7 @@ def _eval_thm_32(p, tol, prec):
     with working(prec):
         n = int(p["n"])
         kk = int(p["log_pow"])
-        alpha = _num(p["alpha"])
+        alpha = parse_real(p["alpha"])
         f = quad.WeightedIntegrand(core=("monomial", n), omx_exp=-alpha,
                                    logomx_pow=kk)
         lhs = quad.de_quad(f, tol / 16, prec)
@@ -491,7 +490,7 @@ _register(
 def _eval_thm_34(p, tol, prec):
     k = tuple(p["k"])
     kk = int(p["kk"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     lhs = se.apery_I(k, kk, alpha, tol / 8, None, prec)
     rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8, prec)
     return lhs, rhs
@@ -518,7 +517,7 @@ def _eval_thm_34_display(which):
     k, combo = _THM34_DISPLAYS[which]
 
     def ev(p, tol, prec):
-        alpha = _num(p["alpha"])
+        alpha = parse_real(p["alpha"])
         lhs = se.apery_I(k, 1, alpha, tol / 8, None, prec)
         rhs = ValueWithBound(0, 0, True)
         for idx, c in combo:
@@ -540,7 +539,7 @@ for _i in range(1, 5):
 def _eval_thm_35(p, tol, prec):
     k = Composition(tuple(p["k"]))
     kk = int(p["kk"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     r = k.depth()
     parts = k.parts + (2,)  # the final slot uses exponent 2 by convention
     sub = tol / 64
@@ -576,7 +575,7 @@ _register(
 
 def _eval_thm_36a(p, tol, prec):
     m = int(p["m"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     lhs = se.apery_II(0, None, m + 1, alpha, tol / 8, None, prec)
     rhs = se.param_euler_sum(m, 0, -alpha, tol / 8, None, prec) * alpha
     return lhs, rhs
@@ -593,7 +592,7 @@ _register(
 def _eval_thm_36b(p, tol, prec):
     m = int(p["m"])
     k = int(p["k"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     lhs = se.apery_II(k, None, m + 1, alpha, tol / 8, None, prec)
     rhs = se.param_euler_pow(m, k, -alpha, tol / 8, None, prec)
     return lhs, rhs
@@ -610,7 +609,7 @@ _register(
 
 def _eval_harmonic_n(p, tol, prec):
     with working(prec):
-        alpha = _num(p["alpha"])
+        alpha = parse_real(p["alpha"])
         lhs = se.param_euler_sum(1, 0, alpha, tol / 8, None, prec)
         g = sf.euler_gamma(prec)
         v = (mp.zeta(2) - mp.zeta(2, 1 + alpha)) / (2 * alpha) \
@@ -629,7 +628,7 @@ _register(
 def _eval_binom_display(which):
     def ev(p, tol, prec):
         with working(prec):
-            alpha = _num(p["alpha"])
+            alpha = parse_real(p["alpha"])
             k = int(p.get("k", 1))
             g = sf.euler_gamma(prec)
             psi0 = sf.digamma(1 - alpha) + g
@@ -691,7 +690,7 @@ def _eval_conj_37(p, tol, prec):
     Euler sums and asserts nothing (no closed form is available)."""
     m = int(p["m"])
     k = int(p["k"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     if k == 0:
         v = se.param_euler_sum(m, 0, alpha, tol / 8, None, prec)
     else:
@@ -712,7 +711,7 @@ def _eval_ones_duality(p, tol, prec):
     with working(prec):
         k = int(p["k"])
         r = int(p["r"])
-        alpha = _num(p["alpha"])
+        alpha = parse_real(p["alpha"])
         spec = term_spec(strict=ones(k), strict_shift=alpha,
                          star=ones(r), binom_upper=((alpha, False),),
                          powers=((0, 1),))
@@ -737,7 +736,7 @@ def _eval_thm_42(p, tol, prec):
     m = int(p["m"])
     pp = int(p["p"])
     k = int(p["k"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     idx = (1,) + (1,) * (m - 2) + ((2,) + (1,) * (m - 2)) * (pp - 1)
     lhs = se.apery_I(idx, k, alpha, tol / 8, None, prec)
     rhs = _partition_rhs(m, pp, k, 1 - alpha, tol / 8, prec)
@@ -757,7 +756,7 @@ def _eval_thm_43(p, tol, prec):
     m = int(p["m"])
     pp = int(p["p"])
     k = int(p["k"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     sub = tol / 32
     total = ValueWithBound(0, 0, True)
     if k == 0:
@@ -783,7 +782,7 @@ _register(
 def _eval_thm_44(p, tol, prec):
     mvec = tuple(p["m"])
     k = int(p["k"])
-    alpha = _num(p["alpha"])
+    alpha = parse_real(p["alpha"])
     pp = len(mvec)
     sub = tol / 32
     total = ValueWithBound(0, 0, True)
@@ -839,8 +838,8 @@ _register(
 def _eval_thm_52(p, tol, prec):
     with working(prec):
         m = int(p["m"])
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         specs = [
             term_spec(binom_upper=((alpha, False),), binom_lower=(beta,),
                       powers=((0, m + 2),)),
@@ -898,8 +897,8 @@ def _eval_thm_54(p, tol, prec):
         m = int(p["m"])
         k = int(p["k"])
         pp = int(p["p"])
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         specs = [
             term_spec(strict=ones(k), strict_shift=alpha,
                       star=ones(pp), star_shift=1 - beta,
@@ -1011,8 +1010,8 @@ _register(
 def _eval_thm_57(p, tol, prec):
     with working(prec):
         m = int(p["m"])
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         lhs = se.apery_III(None, None, m, alpha, beta, tol / 8, None, prec)
         spec = term_spec(strict=ones(m + 1), strict_shift=1 - beta,
                          strict_prev=True,
@@ -1036,8 +1035,8 @@ def _eval_thm_58(p, tol, prec):
         m = int(p["m"])
         k = int(p["k"])
         pp = int(p["p"])
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         lhs = se.apery_III(ones(k), ones(pp), m, alpha, beta,
                            tol / 8, None, prec)
         sub = tol / 32
@@ -1267,8 +1266,8 @@ _register(
 
 def _eval_ideas_4(p, tol, prec):
     k = Composition(tuple(p["k"]))
-    alpha = _num(p["alpha"])
-    beta = _num(p["beta"])
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
     lhs = quad.int_mpl_weighted(k, alpha, beta, 0, 0, tol / 16, prec)
     rhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, tol / 8, None, prec)
     return lhs, rhs
@@ -1286,8 +1285,8 @@ _register(
 
 def _eval_ideas_5(p, tol, prec):
     with working(prec):
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         lhs = se.htmzv_pbc(alpha, (1,), 1 - beta, tol / 8, None, prec)
         rhs = _closed(sf.beta(1 - alpha, 1 - beta, prec))
         return lhs, rhs
@@ -1306,8 +1305,8 @@ def _eval_ideas_6(p, tol, prec):
     with working(prec):
         k = int(p["k"])
         m = int(p["m"])
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         spec = term_spec(strict=ones(k), strict_shift=alpha,
                          strict_prev=True, binom_upper=((alpha, True),),
                          powers=((-beta, m + 1),))
@@ -1330,8 +1329,8 @@ _register(
 def _eval_depth1(p, tol, prec):
     with working(prec):
         m = int(p["m"])
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         lhs = se.htmzv_pbc(alpha, (m + 1,), 1 - beta, tol / 8, None, prec)
         v = mp.mpf(-1) ** m / _fac(m) \
             * sf.beta_partial(0, m, 1 - alpha, 1 - beta, prec)
@@ -1352,8 +1351,8 @@ def _eval_thm_72(p, tol, prec):
     with working(prec):
         k = int(p["k"])
         r = int(p["r"])
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         idx = (k,) + (1,) * (r - 1)
         lhs = quad.int_mpl_weighted(idx, alpha, beta, 0, 0, tol / 16, prec)
         rhs = ValueWithBound(0, 0, True)
@@ -1394,8 +1393,8 @@ _register(
 
 def _eval_cor_73(p, tol, prec):
     with working(prec):
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         lhs = se.htmzv_pbc(alpha, (2, 1), 1 - beta, tol / 8, None, prec) \
             + se.htmzv_pbc(beta, (2, 1), 1 - alpha, tol / 8, None, prec)
         b = sf.beta(1 - alpha, 1 - beta, prec)
@@ -1418,8 +1417,8 @@ _register(
 
 def _eval_cor_74(p, tol, prec):
     with working(prec):
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         sub = tol / 32
         lhs = se.htmzv_pbc(alpha, (3, 1), 1 - beta, sub, None, prec) \
             + se.htmzv_pbc(beta, (2, 1, 1), 1 - alpha, sub, None, prec)
@@ -1443,8 +1442,8 @@ _register(
 def _eval_thm_75(p, tol, prec):
     with working(prec):
         k = Composition(tuple(p["k"]))
-        alpha = _num(p["alpha"])
-        beta = _num(p["beta"])
+        alpha = parse_real(p["alpha"])
+        beta = parse_real(p["beta"])
         if beta >= 0:
             raise DomainError("beta must be negative here")
         sub = tol / 16
@@ -1471,7 +1470,8 @@ _register(
 
 def run_check(id: str, params: dict | None = None, tol=None,
               prec: PrecisionConfig | None = None) -> IdentityCheck:
-    """Evaluate both sides of one identity and compare."""
+    """Evaluate both sides of one identity and compare.  A side that
+    cannot be evaluated gives an ERROR check (see :class:`IdentityCheck`)."""
     try:
         ident = _REGISTRY[id]
     except KeyError:
@@ -1481,7 +1481,13 @@ def run_check(id: str, params: dict | None = None, tol=None,
     with working(prec):
         tol = mp.mpf(DEFAULT_TOL if tol is None else tol)
         start = time.monotonic()
-        lhs, rhs = ident.evaluate(params, tol, prec)
+        try:
+            lhs, rhs = ident.evaluate(params, tol, prec)
+        except (ToleranceNotReached, NoConvergence) as exc:
+            nan = ValueWithBound(mp.nan, mp.nan)
+            return IdentityCheck(id, dict(params), nan, nan, mp.nan, tol,
+                                 False, time.monotonic() - start, str(exc),
+                                 getattr(exc, "best", None))
         elapsed = time.monotonic() - start
         residual = abs(lhs.value - rhs.value)
         passed = bool(residual <= tol + lhs.abs_error + rhs.abs_error)

@@ -57,11 +57,11 @@ def working(prec: PrecisionConfig | None = None):
         yield cfg
 
 
-def hpreal(x, prec: PrecisionConfig | None = None) -> mp.mpf:
-    """Convert ``x`` to mpf at working precision.
 
-    Strings and integers convert exactly; passing a Python float is allowed
-    but keeps its binary value (use strings for decimal literals).
-    """
-    with working(prec):
-        return mp.mpf(x)
+def parse_real(x) -> mp.mpf:
+    """``x`` as an mpf at the current precision; strings may be fractions
+    such as "1/3"."""
+    if isinstance(x, str) and "/" in x:
+        p, q = x.split("/")
+        return mp.mpf(p) / mp.mpf(q)
+    return mp.mpf(x)

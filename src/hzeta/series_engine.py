@@ -18,8 +18,8 @@ Every evaluator returns a :class:`ValueWithBound`.  The families covered:
 
 The generic driver accepts a list of :class:`TermSpec` product summands,
 sums them exactly up to a crossover index, and replaces the tail by an
-anchored asymptotic expansion summed in closed form (default), a direct
-power bound, or Richardson extrapolation, per :class:`TailStrategy`.
+anchored asymptotic expansion summed in closed form, with the budgets of
+:class:`TailStrategy`.
 """
 
 from __future__ import annotations
@@ -46,8 +46,15 @@ from .errors import (
     PoleError,
     ToleranceNotReached,
 )
-from .finite_sums import ShiftVector, _coerce, mhs_stream, mhss_stream
-from .precision import PrecisionConfig, default_precision, working
+from .finite_sums import (
+    ShiftVector,
+    _coerce,
+    mhs_stream,
+    mhss_stream,
+    nested_stream,
+    nth,
+)
+from .precision import PrecisionConfig, working
 
 
 @dataclass(frozen=True)
@@ -110,22 +117,16 @@ class ValueWithBound:
 
 @dataclass(frozen=True)
 class TailStrategy:
-    """Outer-tail policy: how the remainder beyond the crossover is handled.
-
-    ``euler_maclaurin`` (default) uses the anchored asymptotic expansion
-    of the summand and closed-form Hurwitz tails; ``direct_bound`` sums
-    until an explicit power-law envelope certifies the tolerance;
-    ``richardson`` extrapolates partial sums.  ``N_max`` caps the number
-    of exactly summed terms; ``em_order`` sets the base expansion order.
+    """Outer-tail budgets.  The remainder beyond the crossover is the
+    anchored asymptotic expansion of the summand, summed through
+    closed-form Hurwitz tails.  ``N_max`` caps the number of exactly
+    summed terms; ``em_order`` sets the base expansion order.
     """
 
-    kind: str = "euler_maclaurin"
     N_max: int = 2_000_000
     em_order: int = 8
 
     def __post_init__(self):
-        if self.kind not in ("euler_maclaurin", "direct_bound", "richardson"):
-            raise ValueError(f"unknown tail strategy kind {self.kind!r}")
         if self.N_max < 1000:
             raise ValueError("N_max must be >= 1000")
         if self.em_order < 2:
@@ -141,8 +142,8 @@ def _default_tol(cfg: PrecisionConfig):
     return mp.ldexp(1, -min(cfg.bits // 3, 120))
 
 
-def _expansion_window(em_order: int, level: int) -> asym.TailStrategy:
-    return asym.TailStrategy(
+def _expansion_window(em_order: int, level: int) -> asym.ExpansionWindow:
+    return asym.ExpansionWindow(
         order=em_order + 6 + 4 * level,
         n_anchor=160 + 110 * level,
         n_direct=400 * 2 ** level,
@@ -276,7 +277,7 @@ def _spec_gen(specs, prec):
         yield mp.fsum(st.step(n) for st in states)
 
 
-def _spec_series(spec: TermSpec, window: asym.TailStrategy, prec) -> AsymSeries:
+def _spec_series(spec: TermSpec, window: asym.ExpansionWindow, prec) -> AsymSeries:
     emax = window.order
     S = AsymSeries.constant(spec.coeff, emax)
     if spec.strict_index is not None:
@@ -342,103 +343,16 @@ def _em_sum(builder, tol, strategy: TailStrategy, prec):
         )
 
 
-def _direct_bound_sum(specs, tol, strategy, prec):
-    with working(prec) as cfg:
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
-        window = _expansion_window(strategy.em_order, 0)
-        series = _specs_series(specs, window, prec)
-        e0 = series.min_exponent()
-        if e0 <= mp.mpf("1.01"):
-            raise NoConvergence(
-                f"leading tail exponent {mp.nstr(e0, 6)} too close to 1 for a "
-                "direct bound"
-            )
-        gen = _spec_gen(specs, prec)
-        head = mp.mpf(0)
-        n = 0
-        N = 2000
-        best = None
-        while True:
-            envelope = mp.mpf(0)
-            while n < N:
-                n += 1
-                t = next(gen)
-                head += t
-                if 2 * n >= N:
-                    envelope = max(envelope, abs(t) * mp.mpf(n) ** e0)
-            bound = mp.mpf("1.3") * envelope * mp.mpf(N) ** (1 - e0) / (e0 - 1)
-            bound += mp.ldexp(abs(head) + 1, -cfg.work_bits + 12)
-            val = ValueWithBound(head, bound, e0 >= 3)
-            if best is None or bound < best.abs_error:
-                best = val
-            if bound <= tol:
-                return val
-            if 2 * N > strategy.N_max:
-                raise ToleranceNotReached(
-                    f"direct bound stalled at {mp.nstr(bound, 6)} after "
-                    f"{N} terms",
-                    best=best,
-                )
-            N *= 2
-
-
-def _richardson_sum(specs, tol, strategy, prec):
-    with working(prec) as cfg:
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
-        gen = _spec_gen(specs, prec)
-        N = max(1000, strategy.N_max // 512)
-        head = mp.mpf(0)
-        n = 0
-        snaps = []
-        while len(snaps) < 4:
-            while n < N:
-                n += 1
-                head += next(gen)
-            snaps.append(head)
-            N *= 2
-        best = None
-        while True:
-            s1, s2, s3, s4 = snaps[-4:]
-            d1, d2, d3 = s2 - s1, s3 - s2, s4 - s3
-            if d2 == 0 or d1 == 0:
-                return ValueWithBound(
-                    s4, mp.ldexp(abs(s4) + 1, -cfg.work_bits + 12), False
-                )
-            r2, r3 = d2 / d1, d3 / d2
-            ex2 = s3 + d2 * r2 / (1 - r2) if r2 != 1 else s3
-            ex3 = s4 + d3 * r3 / (1 - r3) if r3 != 1 else s4
-            err = 2 * abs(ex3 - ex2) + mp.ldexp(abs(s4) + 1, -cfg.work_bits + 12)
-            val = ValueWithBound(ex3, err, False)
-            if best is None or err < best.abs_error:
-                best = val
-            if err <= tol:
-                return val
-            if N > strategy.N_max:
-                raise ToleranceNotReached(
-                    f"extrapolation stalled at {mp.nstr(err, 6)}", best=best
-                )
-            while n < N:
-                n += 1
-                head += next(gen)
-            snaps.append(head)
-            N *= 2
-
-
 def weighted_sum(specs, tol=None, strategy: TailStrategy | None = None,
                  prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Sum over n >= 1 of the combined TermSpec summands."""
     specs = tuple(specs)
     if not specs:
         return ValueWithBound(0, 0, True)
-    strategy = strategy or DEFAULT_TAIL
-    if strategy.kind == "direct_bound":
-        return _direct_bound_sum(specs, tol, strategy, prec)
-    if strategy.kind == "richardson":
-        return _richardson_sum(specs, tol, strategy, prec)
     return _em_sum(
         lambda w: (_spec_gen(specs, prec), _specs_series(specs, w, prec)),
         tol,
-        strategy,
+        strategy or DEFAULT_TAIL,
         prec,
     )
 
@@ -463,7 +377,7 @@ def _check_strict_shifts(k: Composition, a: ShiftVector):
 def htmzv(k, a=None, tol=None, strategy=None,
           prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Hurwitz-type multiple zeta value zeta(k; a) with vector shifts."""
-    k, a = _coerce(k, a)
+    k, a = _coerce(k, a, prec)
     if k.is_empty():
         return ValueWithBound(1, 0, True)
     if not k.admissible():
@@ -482,7 +396,7 @@ def htmzv(k, a=None, tol=None, strategy=None,
 def htmzsv(k, a=None, tol=None, strategy=None,
            prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Hurwitz-type multiple zeta-star value zeta*(k; a)."""
-    k, a = _coerce(k, a)
+    k, a = _coerce(k, a, prec)
     if k.is_empty():
         return ValueWithBound(1, 0, True)
     if not k.admissible():
@@ -646,22 +560,23 @@ def kta(k, x, tol=None, strategy=None,
         scale = mp.ldexp(1, r)
         x2 = x * x
         xp = x ** (2 - r)  # x^(2 m - r) at m = 1
-        S = [mp.mpf(0)] * r + [mp.mpf(1)]
+        # inner slot i >= 1 has denominator 2 m_i - r + i = 2 (m_i + a_i - 1)
+        # with a_i = (i + 2 - r) / 2, so the inner sum over m_1 > m_2 > ...
+        # is 2^(-|k_2..k_r|) zeta_(m_1 - 1)(k_2..k_r; a); that power of 2
+        # moves into the scale, which rounds the same
+        tail = Composition(k.parts[1:])
+        inner = mhs_stream(
+            tail, [mp.mpf(i + 2 - r) / 2 for i in range(1, r)], prec)
+        term_scale = mp.ldexp(scale, -tail.weight())
+        prev = mp.mpf(1) if r == 1 else mp.mpf(0)
         total = mp.mpf(0)
         m = 0
         while True:
             m += 1
-            # increasing-j update keeps S[j+1] at m-1, enforcing m_j > m_(j+1)
-            delta = mp.mpf(0)
-            for j in range(r):
-                if S[j + 1]:
-                    d = mp.mpf(2 * m - r + j)
-                    inc = d ** (-k[j]) * S[j + 1]
-                    S[j] += inc
-                    if j == 0:
-                        delta = inc
-            if delta:
-                total += scale * xp * delta
+            if prev:
+                delta = mp.mpf(2 * m - r) ** (-k[0]) * prev
+                total += term_scale * xp * delta
+            _, prev = next(inner)
             xp *= x2
             if m % 16 == 0 or m <= 32:
                 d1 = mp.mpf(max(2 * (m + 1) - r, 1))
@@ -825,40 +740,22 @@ PBC_CACHE_SIZE = 64
 _pbc_cache = asym.LruCache(PBC_CACHE_SIZE)
 
 
-def _pbc_stream(k_parts, shift, alpha, prec):
-    """Yield the weighted strict prefix W_1, W_2, ... where the innermost
-    index carries the factor C(n_r + alpha - 2, n_r - 1)."""
-    r = len(k_parts)
-    bits = (prec or default_precision()).work_bits
-    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+def _binomials(alpha):
+    """C(m + alpha - 2, m - 1) for m = 1, 2, ...: the innermost multiplier
+    of the parametric-binomial family."""
     b = mp.mpf(1)
-    m = 0
+    m = 1
     while True:
+        yield b
+        b *= (m + alpha - 1) / m
         m += 1
-        caller = mp.mp.prec  # restored before each yield, as in mhs_stream
-        if caller != bits:
-            mp.mp.prec = bits
-        try:
-            for j in range(r):
-                if S[j + 1]:
-                    w = (m + shift - 1) ** (-k_parts[j])
-                    if j == r - 1:
-                        w *= b
-                    S[j] += w * S[j + 1]
-            b *= (m + alpha - 1) / m
-            v = +S[0]
-        finally:
-            if caller != bits:
-                mp.mp.prec = caller
-        yield v
 
 
-def _pbc_exact(n, k_parts, shift, alpha, prec):
-    gen = _pbc_stream(k_parts, shift, alpha, prec)
-    v = mp.mpf(0)
-    for _ in range(n):
-        v = next(gen)
-    return v
+def _pbc_stream(k_parts, shift, alpha, prec):
+    """Yield (n, W_n), the strict prefix whose innermost index carries the
+    factor C(n_r + alpha - 2, n_r - 1)."""
+    return nested_stream(k_parts, (shift,) * len(k_parts), False, prec,
+                         _binomials(alpha))
 
 
 def _pbc_prefix(k_parts, shift, alpha, window, prec) -> AsymSeries:
@@ -880,7 +777,7 @@ def _pbc_prefix(k_parts, shift, alpha, window, prec) -> AsymSeries:
             T = power_shift(k_parts[0], shift - 1, emax) * inner.shift_arg(-1)
         V = asym.em_antidifference(T).prune()
         n0 = window.n_anchor
-        exact = _pbc_exact(n0, k_parts, shift, alpha, prec)
+        exact = nth(_pbc_stream(k_parts, shift, alpha, prec), n0)
         out = (V + (exact - V(n0))).prune()
         _pbc_cache[key] = out
         return out
@@ -948,7 +845,7 @@ def htmzv_pbc(alpha, k, shift, tol=None, strategy=None,
                 while True:
                     n += 1
                     yield prev * (n + shift - 1) ** (-k[0]) if prev else mp.mpf(0)
-                    prev = next(stream)
+                    _, prev = next(stream)
 
             return gen(), series
 

@@ -6,7 +6,7 @@ import pytest
 from hzeta.asymptotics import (
     AsymSeries,
     LruCache,
-    TailStrategy,
+    ExpansionWindow,
     em_antidifference,
     gamma_ratio,
     hurwitz_jets,
@@ -186,6 +186,6 @@ def test_lru_cache_evicts_least_recently_used():
 
 
 def test_strategy_frozen():
-    s = TailStrategy()
+    s = ExpansionWindow()
     with pytest.raises(Exception):
         s.order = 3

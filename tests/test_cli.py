@@ -3,7 +3,9 @@ import json
 import mpmath as mp
 import pytest
 
+from hzeta import identity_registry, series_engine
 from hzeta.cli import main
+from hzeta.errors import NoConvergence, ToleranceNotReached
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +54,15 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "htmzv", "--index", "1,2")
         assert code == 3
 
+    def test_not_evaluated_exit(self, capsys, monkeypatch):
+        def stall(*args):
+            raise ToleranceNotReached("error estimate exceeds tolerance")
+
+        monkeypatch.setattr(series_engine, "htmzv", stall)
+        code, _, err = run_cli(capsys, "eval", "htmzv", "--index", "2")
+        assert code == 4
+        assert "exceeds tolerance" in err
+
     def test_output_roundtrips(self, capsys):
         code, out, _ = run_cli(capsys, "--bits", "128", "eval", "htmzv",
                                "--index", "2")
@@ -90,6 +101,50 @@ class TestVerify:
         rec = json.loads(lines[0])
         assert rec["id"] == "cor-5.3"
         assert rec["passed"] is True
+
+
+    def test_unevaluated_check_is_an_error_row(self, capsys, monkeypatch):
+        # the first of two checks raises; the run reports it and goes on
+        def fail(params, tol, prec):
+            raise ToleranceNotReached(
+                "error estimate 3e-7 exceeds tolerance 1e-8",
+                best=series_engine.ValueWithBound(mp.mpf("0.25"), 3e-7))
+
+        monkeypatch.setattr(identity_registry._REGISTRY["cor-5.3"],
+                            "evaluate", fail)
+        code, out, _ = run_cli(capsys, "--bits", "160", "verify",
+                               "--filter", "cor-5.[35]")
+        assert code == 4
+        rows = out.splitlines()
+        assert rows[1].split()[0] == "cor-5.3"
+        assert rows[1].split()[-3:] == ["-", "1.0e-8", "ERROR"]
+        assert rows[2].split()[0] == "cor-5.5" and rows[2].endswith("pass")
+        assert rows[3].startswith("1 passed, 0 failed, 1 errors (tol=")
+
+        report = identity_registry.run_suite("cor-5.[35]", 1, None, 0,
+                                             None)
+        bad = report.checks[0]
+        assert not bad.passed and bad.best.value == mp.mpf("0.25")
+        rec = bad.record()
+        assert "exceeds tolerance" in rec["error"]
+        assert rec["best"] == "0.25"
+
+    def test_failed_check_outranks_error(self, capsys, monkeypatch):
+        def fail(params, tol, prec):
+            raise NoConvergence("quadrature stalled")
+
+        def wrong(params, tol, prec):
+            one = series_engine.ValueWithBound(1, 0)
+            return one, one * 2
+
+        monkeypatch.setattr(identity_registry._REGISTRY["cor-5.3"],
+                            "evaluate", fail)
+        monkeypatch.setattr(identity_registry._REGISTRY["cor-5.5"],
+                            "evaluate", wrong)
+        code, out, _ = run_cli(capsys, "--bits", "160", "verify",
+                               "--filter", "cor-5.[35]")
+        assert code == 2
+        assert out.splitlines()[-1].startswith("0 passed, 1 failed, 1 errors")
 
 
 class TestIndex:

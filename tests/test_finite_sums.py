@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice, product
 
 import mpmath as mp
 import pytest
@@ -15,7 +15,6 @@ from hzeta.finite_sums import (
     ones_sums,
     t_mhs,
     t_mhss,
-    t_sums,
 )
 from hzeta.precision import PrecisionConfig
 
@@ -173,9 +172,7 @@ def test_t_sums():
         assert close(t_mhs(1, (1,), PREC), mp.mpf(1))
         assert close(t_mhs(2, (2,), PREC), mp.mpf(10) / 9)
         assert close(t_mhs(2, (1, 1), PREC), mp.mpf(1) / 3)
-        a, b = t_sums(2, (1, 1), PREC)
-        assert close(a, mp.mpf(1) / 3)
-        assert close(b, t_mhss(2, (1, 1), PREC))
+        b = t_mhss(2, (1, 1), PREC)
         # star pair enumeration: (1,1),(2,1),(2,2) over odd denoms 1,3
         assert close(b, 1 + mp.mpf(1) / 3 + mp.mpf(1) / 9)
 
@@ -204,6 +201,29 @@ def test_symmetric_function_lemmas(alpha):
                 e_direct = _lemma_elementary(n, m, xs)
                 e, h = ones_sums(n, m, al, PREC)
                 assert close(e[m], e_direct)
+
+
+@pytest.mark.parametrize("fn", [mhs, mhss])
+def test_decimal_shifts_ignore_caller_precision(fn):
+    # "0.3" is converted at the working precision, not the caller's
+    prec = PrecisionConfig(bits=256)
+    with mp.workprec(53):
+        lo = fn(50, (2, 1), ["0.3", "0.3"], prec)
+    with mp.workprec(300):
+        hi = fn(50, (2, 1), ["0.3", "0.3"], prec)
+    assert lo == hi
+    with mp.workprec(53):
+        assert fn(50, (2, 1), "0.3", prec) == hi
+
+
+@pytest.mark.parametrize("stream", [mhs_stream, mhss_stream])
+def test_stream_shifts_ignore_caller_precision(stream):
+    prec = PrecisionConfig(bits=256)
+    with mp.workprec(53):
+        lo = [v for _, v in islice(stream((2, 1), ["0.3", "0.3"], prec), 20)]
+    with mp.workprec(300):
+        hi = [v for _, v in islice(stream((2, 1), ["0.3", "0.3"], prec), 20)]
+    assert lo == hi
 
 
 def test_shift_vector():

@@ -1,10 +1,12 @@
+import itertools
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hzeta.compositions import Composition, contractions, ones
 from hzeta.errors import DomainError, NonAdmissible
-from hzeta.finite_sums import ShiftVector
+from hzeta.finite_sums import ShiftVector, nth
 from hzeta.precision import PrecisionConfig
 from hzeta.series_engine import (
     ValueWithBound,
@@ -224,13 +226,45 @@ class TestPbc:
         with mp.workprec(53):
             g = _pbc_stream((2, 1), shift, alpha, PREC)
             next(g)
-            v = next(g)
+            _, v = next(g)
             assert mp.mp.prec == 53
         # W_2 = C(alpha - 1, 0) / ((1 + shift)^2 shift)
         assert abs(v - 1 / ((1 + shift) ** 2 * shift)) < mp.mpf(10) ** -60
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("alpha", ["0.3", "0.7"])
+    def test_stream_matches_nested_loop(self, depth, alpha):
+        # W_25 by brute force over 25 >= n_1 > ... > n_r >= 1
+        alpha, shift = mp.mpf(alpha), mp.mpf("0.625")
+        k = (2, 1, 3)[:depth]
+        n = 25
+        ref = mp.mpf(0)
+        for idx in itertools.combinations(range(n, 0, -1), depth):
+            term = mp.binomial(idx[-1] + alpha - 2, idx[-1] - 1)
+            for m, kj in zip(idx, k):
+                term /= (m + shift - 1) ** kj
+            ref += term
+        v = nth(_pbc_stream(k, shift, alpha, PREC), n)
+        assert abs(v - ref) <= mp.mpf(2) ** -180 * abs(ref)
+
 
 class TestErrorModel:
+    @pytest.mark.parametrize("fn", [htmzv, htmzsv])
+    def test_decimal_shifts_ignore_caller_precision(self, fn):
+        # "0.3" is converted at the working precision, not the caller's
+        prec = PrecisionConfig(bits=256)
+        with mp.workprec(53):
+            lo = fn((2, 1), ["0.3", "0.7"], None, None, prec)
+        with mp.workprec(300):
+            hi = fn((2, 1), ["0.3", "0.7"], None, None, prec)
+        assert lo.value == hi.value and lo.abs_error == hi.abs_error
+
+    @pytest.mark.parametrize("fn", [htmzv, htmzsv])
+    def test_scalar_string_shift_broadcasts(self, fn):
+        v = fn((2, 1), "0.5", None, None, PREC)
+        ref = fn((2, 1), ["0.5", "0.5"], None, None, PREC)
+        assert v.value == ref.value and v.abs_error == ref.abs_error
+
     def test_precision_monotone(self):
         lo = htmzv((2, 1), None, mp.mpf(10) ** -10, None,
                    PrecisionConfig(bits=128))
