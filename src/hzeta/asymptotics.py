@@ -348,8 +348,20 @@ def _stirling_log_gamma(c, emax):
 
 
 def gamma_ratio(c, emax):
-    """Gamma(n + c) / Gamma(n + 1) as an AsymSeries ~ n^(c-1) (1 + ...)."""
+    """Gamma(n + c) / Gamma(n + 1) as an AsymSeries ~ n^(c-1) (1 + ...).
+
+    Memoised per (c, emax, precision); callers share the returned series
+    and must not mutate it.
+    """
     c = mp.mpf(c)
+    key = (c, emax, mp.mp.prec)
+    hit = _gamma_ratio_cache.get(key)
+    if hit is None:
+        hit = _gamma_ratio_cache[key] = _gamma_ratio(c, emax)
+    return hit
+
+
+def _gamma_ratio(c, emax):
     D = (_stirling_log_gamma(c, emax) - _stirling_log_gamma(mp.mpf(1), emax)).prune()
     # D = (c - 1) log n + kappa + decaying; kappa is analytically zero
     growth = [abs(coef) for (e, j), coef in D.terms.items() if e < 0]
@@ -393,6 +405,11 @@ class LruCache:
 # keeps meeting new shifts would otherwise grow without bound.
 PREFIX_CACHE_SIZE = 128
 _prefix_cache = LruCache(PREFIX_CACHE_SIZE)
+
+# A cold 51-identity verify pass asks 72 times for 14 distinct ratios; a
+# warm process that keeps meeting new parameters holds about 11 KB each.
+GAMMA_RATIO_CACHE_SIZE = 16
+_gamma_ratio_cache = LruCache(GAMMA_RATIO_CACHE_SIZE)
 
 
 def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,

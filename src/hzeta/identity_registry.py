@@ -266,16 +266,10 @@ def _partition_rhs(m: int, p: int, k: int, shift, tol, prec) -> ValueWithBound:
     return total
 
 
-def _pbc_deriv(order: int, beta, k, shift, tol, prec) -> mp.mpf:
+def _pbc_deriv(order: int, beta, k, shift, tol, prec) -> ValueWithBound:
     """order-th derivative in the binomial parameter of the nested sum
-    with a parametric binomial coefficient, by central differences."""
-    with working(prec) as cfg:
-        if order == 0:
-            return se.htmzv_pbc(beta, k, shift, tol, None, prec).value
-        sub = mp.ldexp(1, -min(cfg.work_bits - 60, 400))
-        h = mp.ldexp(1, -cfg.work_bits // 6)
-        f = lambda b: se.htmzv_pbc(b, k, shift, sub, None, prec).value
-        return mp.diff(f, parse_real(beta), order, h=h, method="step")
+    with a parametric binomial coefficient (see ``series_engine._pbc_sum``)."""
+    return se._pbc_sum(beta, k, shift, order, tol, None, prec)
 
 
 def _series_in_x(spec, x, tol, prec, extra=0) -> ValueWithBound:
@@ -1377,7 +1371,7 @@ def _eval_thm_72(p, tol, prec):
                 continue
             dual = theorem_dual(Composition(i_parts))
             d = _pbc_deriv(l, beta, dual, 1 - alpha, sub, prec)
-            rhs = rhs + _closed(d / _fac(l)) * sign
+            rhs = rhs + d * (sign / _fac(l))
         return lhs, rhs
 
 
@@ -1426,7 +1420,7 @@ def _eval_cor_74(p, tol, prec):
             * se.htmzv_pbc(beta, (1,), 1 - alpha, sub, None, prec)
         d2 = _pbc_deriv(2, beta, (2,), 1 - alpha, sub, prec)
         d1 = _pbc_deriv(1, beta, (2, 1), 1 - alpha, sub, prec)
-        rhs = rhs - _closed(d2 / 2) - _closed(d1)
+        rhs = rhs - d2 * mp.mpf(0.5) - d1
         return lhs, rhs
 
 

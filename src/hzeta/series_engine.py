@@ -14,7 +14,9 @@ Every evaluator returns a :class:`ValueWithBound`.  The families covered:
 * the zeta-function values of the three Arakawa-Kaneko-type functions
   (xi, psi, eta) at positive integers, through their finite expansions;
 * nested zeta sums carrying a parametric binomial coefficient on the
-  innermost index.
+  innermost index, and their derivatives in the binomial parameter: the
+  sum is linear in that coefficient, so a derivative runs the same
+  pipeline on its Taylor jet.
 
 The generic driver accepts a list of :class:`TermSpec` product summands,
 sums them exactly up to a crossover index, and replaces the tail by an
@@ -24,6 +26,7 @@ anchored asymptotic expansion summed in closed form, with the budgets of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -310,9 +313,22 @@ def _em_sum(builder, tol, strategy: TailStrategy, prec):
     """Escalating anchored-expansion summation.
 
     ``builder(window)`` must return (term generator, tail AsymSeries).
-    The error estimate is driven by the observed expansion defect at the
-    crossover; escalation raises the order and crossover until ``tol``
-    holds or the level budget is spent.
+    The error estimate is driven by the observed expansion defect d(n) =
+    term(n) - series(n) at the crossover N; escalation raises the order
+    and crossover until ``tol`` holds or the level budget is spent.
+
+    Beyond N the defect falls like n^-e0 P(log n), where e0 is the
+    smallest tail exponent and P varies slowly: anchor errors of nested
+    prefix expansions reach it as powers of log n.  Its sum is then
+    N (p0 / (e0 - 1) + p1 / (e0 - 1)^2 + ...) with p0 = d(N) and p1 the
+    log slope N^-e0 P'(log N), which keeps the estimate honest where P
+    changes sign near N.  With t = n d/dn, d = n^-e0 (A + B log n) has
+    t^2 d * d - (t d)^2 = -(n^-e0 B)^2, and a pure power law, such as the
+    expansion's own truncation error, has 0; so |p1| is read as the root
+    of |t^2 d * d - (t d)^2|, with t d and t^2 d from d(N), d(N - 1) and
+    d(N - 2).  Both terms are charged with a factor 4: the 2 of a
+    one-point estimate, times 2 for the higher log terms that three
+    points cannot see.
     """
     with working(prec) as cfg:
         tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
@@ -322,15 +338,19 @@ def _em_sum(builder, tol, strategy: TailStrategy, prec):
             N = max(min(window.n_direct, strategy.N_max), window.n_anchor)
             gen, series = builder(window)
             head = mp.mpf(0)
-            last = mp.mpf(0)
+            t2 = t1 = t0 = mp.mpf(0)  # terms N - 2, N - 1, N
             for _ in range(N):
-                last = next(gen)
-                head += last
+                t2, t1, t0 = t1, t0, next(gen)
+                head += t0
             tail = tail_sum(series, N)
-            defect = abs(last - series(N))
-            err = 2 * N * defect + mp.ldexp(
-                abs(head) + abs(tail) + 1, -cfg.work_bits + 12
-            )
+            e0 = min((e for e, _ in series.terms if e > 1),
+                     default=series.emax)
+            d0, d1, d2 = t0 - series(N), t1 - series(N - 1), t2 - series(N - 2)
+            td = N * (d0 - d1)
+            ttd = N * N * (d0 - 2 * d1 + d2) + td
+            p1 = mp.sqrt(abs(ttd * d0 - td * td))
+            err = 4 * N * (abs(d0) / (e0 - 1) + p1 / (e0 - 1) ** 2) \
+                + mp.ldexp(abs(head) + abs(tail) + 1, -cfg.work_bits + 12)
             val = ValueWithBound(head + tail, err, False)
             if best is None or err < best.abs_error:
                 best = val
@@ -735,49 +755,84 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
         return total
 
 
-# A cold 51-identity verify pass fills 45 entries.
+# A cold 51-identity verify pass fills 14 entries, derivative orders
+# included.
 PBC_CACHE_SIZE = 64
 _pbc_cache = asym.LruCache(PBC_CACHE_SIZE)
 
 
-def _binomials(alpha):
-    """C(m + alpha - 2, m - 1) for m = 1, 2, ...: the innermost multiplier
-    of the parametric-binomial family."""
-    b = mp.mpf(1)
+def _binomials(alpha, order=0):
+    """The order-th alpha-derivative of C(m + alpha - 2, m - 1) for m = 1,
+    2, ...: the innermost multiplier of the parametric-binomial family.
+
+    d[i] is the i-th derivative.  Each step multiplies by the factor
+    (m + alpha - 1) / m, which is linear in alpha, so Leibniz gives
+    d[i] <- d[i] (m + alpha - 1) / m + i d[i - 1] / m.
+    """
+    d = [mp.mpf(1)] + [mp.mpf(0)] * order
     m = 1
     while True:
-        yield b
-        b *= (m + alpha - 1) / m
+        yield d[order]
+        c = (m + alpha - 1) / m
+        for i in range(order, 0, -1):
+            d[i] = d[i] * c + i * d[i - 1] / m
+        d[0] *= c
         m += 1
 
 
-def _pbc_stream(k_parts, shift, alpha, prec):
+def _binomial_series(alpha, order, emax) -> AsymSeries:
+    """Expansion in n of the order-th alpha-derivative of
+    G = C(n + alpha - 2, n - 1) = Gamma(n + alpha - 1) / (Gamma(n) Gamma(alpha)).
+
+    log G(alpha + eps) - log G(alpha) = sum_j eps^j / j! (psi^(j-1)(n +
+    alpha - 1) - psi^(j-1)(alpha)), and psi^(j-1)(n + alpha - 1) is the
+    j-th n-derivative of the Stirling series of log Gamma(n + alpha - 1),
+    so the derivative is l! G [eps^l] exp(...), a log-power series.
+    """
+    G = gamma_ratio(alpha, emax).shift_arg(-1) * (1 / mp.gamma(alpha))
+    if not order:
+        return G
+    a = []  # a[j - 1]: the eps^j coefficient of log G(alpha + eps)
+    D = asym._stirling_log_gamma(alpha - 1, emax)
+    for j in range(1, order + 1):
+        D = D.derivative()
+        a.append((D - mp.psi(j - 1, alpha)) * (1 / mp.factorial(j)))
+    # E = exp(sum_j a_j eps^j) by i E_i = sum_j j a_j E_(i-j)
+    E = [AsymSeries.constant(1, emax)]
+    for i in range(1, order + 1):
+        acc = AsymSeries(emax=emax)
+        for j in range(1, i + 1):
+            acc = acc + a[j - 1] * E[i - j] * j
+        E.append(acc * (mp.mpf(1) / i))
+    return G * E[order] * mp.factorial(order)
+
+
+def _pbc_stream(k_parts, shift, alpha, prec, order=0):
     """Yield (n, W_n), the strict prefix whose innermost index carries the
-    factor C(n_r + alpha - 2, n_r - 1)."""
+    factor C(n_r + alpha - 2, n_r - 1), or its order-th alpha-derivative."""
     return nested_stream(k_parts, (shift,) * len(k_parts), False, prec,
-                         _binomials(alpha))
+                         _binomials(alpha, order))
 
 
-def _pbc_prefix(k_parts, shift, alpha, window, prec) -> AsymSeries:
-    """Anchored expansion of the binomial-weighted strict prefix."""
+def _pbc_prefix(k_parts, shift, alpha, order, window, prec) -> AsymSeries:
+    """Anchored expansion of the binomial-weighted strict prefix, or of its
+    order-th alpha-derivative: the expansion and its anchor are linear in
+    the innermost multiplier, so both take the derivative termwise."""
     with working(prec) as cfg:
-        key = (k_parts, shift, alpha, window, cfg.work_bits)
+        key = (k_parts, shift, alpha, order, window, cfg.work_bits)
         hit = _pbc_cache.get(key)
         if hit is not None:
             return hit
         emax = window.order
         if len(k_parts) == 1:
-            T = (
-                gamma_ratio(alpha, emax).shift_arg(-1)
-                * (1 / mp.gamma(alpha))
-                * power_shift(k_parts[0], shift - 1, emax)
-            )
+            T = (_binomial_series(alpha, order, emax)
+                 * power_shift(k_parts[0], shift - 1, emax))
         else:
-            inner = _pbc_prefix(k_parts[1:], shift, alpha, window, prec)
+            inner = _pbc_prefix(k_parts[1:], shift, alpha, order, window, prec)
             T = power_shift(k_parts[0], shift - 1, emax) * inner.shift_arg(-1)
         V = asym.em_antidifference(T).prune()
         n0 = window.n_anchor
-        exact = nth(_pbc_stream(k_parts, shift, alpha, prec), n0)
+        exact = nth(_pbc_stream(k_parts, shift, alpha, prec, order), n0)
         out = (V + (exact - V(n0))).prune()
         _pbc_cache[key] = out
         return out
@@ -793,7 +848,22 @@ def htmzv_pbc(alpha, k, shift, tol=None, strategy=None,
     ``shift`` is the full denominator shift (the depth-1 case with
     k = (1) equals the beta function B(1 - alpha, shift) when it
     converges).  At alpha = 0 the binomial pins n_r = 1 and the sum
-    collapses to a lower-depth value.
+    collapses to a lower-depth value.  Its alpha-derivatives come from
+    :func:`_pbc_sum`.
+    """
+    return _pbc_sum(alpha, k, shift, 0, tol, strategy, prec)
+
+
+def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None,
+             prec: PrecisionConfig | None = None) -> ValueWithBound:
+    """The order-th alpha-derivative of :func:`htmzv_pbc` (order 0 is the
+    sum itself).
+
+    The sum is linear in the innermost multiplier, so a derivative runs
+    the same head and anchored expansion with the multiplier replaced by
+    its derivative: a Taylor jet in the head (:func:`_binomials`) and a
+    log-power series in the expansion (:func:`_binomial_series`).  The
+    error estimate is that of :func:`_em_sum`.
     """
     k = Composition(k)
     if k.is_empty():
@@ -807,7 +877,13 @@ def htmzv_pbc(alpha, k, shift, tol=None, strategy=None,
             raise DomainError(f"shift must be positive, got {shift}")
         if r >= 2 and k[0] < 2:
             raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
-        if alpha == 0:
+        if alpha <= 0 and alpha == mp.floor(alpha):
+            if order:
+                raise DomainError(f"alpha-derivatives need alpha off the "
+                                  f"nonpositive integers, got {alpha}")
+            if alpha < 0:
+                raise DomainError(f"alpha must not be a negative integer, "
+                                  f"got {alpha}")
             # C(n_r - 2, n_r - 1) vanishes except at n_r = 1
             w = shift ** (-k[r - 1])
             if r == 1:
@@ -816,36 +892,38 @@ def htmzv_pbc(alpha, k, shift, tol=None, strategy=None,
             inner = htmzv(head, ShiftVector.constant(shift + 1, r - 1),
                           tol, strategy, prec)
             return inner * w
-        if alpha < 0 and alpha == mp.floor(alpha):
-            raise DomainError(f"alpha must not be a negative integer, "
-                              f"got {alpha}")
         if r == 1:
             if k[0] + 1 - alpha <= 1:
                 raise NoConvergence(
                     f"depth-1 sum diverges for exponent {k[0]} at "
                     f"alpha = {alpha}"
                 )
-            spec = term_spec(
-                binom_upper=((alpha, True),),
-                powers=((shift - 1, k[0]),),
-            )
-            return weighted_sum([spec], tol, strategy, prec)
+            if not order:
+                spec = term_spec(
+                    binom_upper=((alpha, True),),
+                    powers=((shift - 1, k[0]),),
+                )
+                return weighted_sum([spec], tol, strategy, prec)
 
         def builder(window):
-            inner_series = _pbc_prefix(k.parts[1:], shift, alpha, window, prec)
-            series = (
-                power_shift(k[0], shift - 1, window.order)
-                * inner_series.shift_arg(-1)
-            )
+            emax = window.order
+            lead = power_shift(k[0], shift - 1, emax)
+            if r == 1:
+                # the multiplier sits on n itself
+                series = _binomial_series(alpha, order, emax) * lead
+                inner = _binomials(alpha, order)
+            else:
+                prefix = _pbc_prefix(k.parts[1:], shift, alpha, order,
+                                     window, prec)
+                series = lead * prefix.shift_arg(-1)
+                stream = _pbc_stream(k.parts[1:], shift, alpha, prec, order)
+                inner = itertools.chain([mp.mpf(0)], (v for _, v in stream))
 
             def gen():
-                stream = _pbc_stream(k.parts[1:], shift, alpha, prec)
-                prev = mp.mpf(0)
                 n = 0
-                while True:
+                for w in inner:
                     n += 1
-                    yield prev * (n + shift - 1) ** (-k[0]) if prev else mp.mpf(0)
-                    _, prev = next(stream)
+                    yield w * (n + shift - 1) ** (-k[0]) if w else mp.mpf(0)
 
             return gen(), series
 

@@ -79,6 +79,15 @@ class TestVerify:
         assert code == 0
         assert "pass" in out
 
+    def test_verify_thm_72_seed_22(self, capsys):
+        # the sample alpha = beta = 0.45 at k = 2, r = 3, which the
+        # derivative terms once could not evaluate to their tolerance
+        code, out, _ = run_cli(capsys, "verify", "--filter", "thm-7.2",
+                               "--samples", "1", "--seed", "22")
+        assert code == 0
+        row = out.splitlines()[1]
+        assert row.startswith("thm-7.2") and row.endswith("pass")
+
     def test_verify_no_match_exit3(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--filter", "nope-*")
         assert code == 3

@@ -51,6 +51,12 @@ def test_run_check_thm_61():
     assert c.passed
 
 
+@pytest.mark.parametrize("id", ["thm-7.2", "cor-7.4"])
+def test_derivative_identities_at_448_bits(id):
+    c = run_check(id, None, TOL, PrecisionConfig(bits=448))
+    assert c.error is None and c.passed
+
+
 def test_run_check_ideas_five_tight():
     c = run_check("eq-7-ideas-5", {"alpha": "1/3", "beta": "1/4"},
                   "1e-10", PREC)

@@ -23,7 +23,9 @@ from hzeta.series_engine import (
     mpl_landen,
     param_euler_pow,
     param_euler_sum,
+    _binomials,
     _pbc_stream,
+    _pbc_sum,
     term_spec,
     weighted_sum,
 )
@@ -246,6 +248,59 @@ class TestPbc:
             ref += term
         v = nth(_pbc_stream(k, shift, alpha, PREC), n)
         assert abs(v - ref) <= mp.mpf(2) ** -180 * abs(ref)
+
+
+class TestPbcDerivative:
+    """alpha-derivatives of htmzv_pbc by Taylor jets (``_pbc_sum``)."""
+
+    P256 = PrecisionConfig(bits=256)
+    P448 = PrecisionConfig(bits=448)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_depth_one_matches_beta(self, order):
+        # sum_n C(n + a - 2, n - 1) / (n + s - 1) = B(1 - a, s)
+        v = _pbc_sum("0.3", (1,), "0.75", order, None, None, self.P256)
+        with mp.workprec(640):
+            a, s = mp.mpf("0.3"), mp.mpf("0.75")
+            ref = mp.diff(lambda x: mp.beta(1 - x, s), a, order)
+            assert abs(v.value - ref) <= v.abs_error
+
+    @pytest.mark.parametrize("k", [(2, 1), (2, 1, 1), (2, 1, 1, 1)])
+    @pytest.mark.parametrize("alpha,shift", [("0.25", "0.55"),
+                                             ("0.15", "0.55")])
+    def test_bound_holds_against_448_bits(self, k, alpha, shift):
+        for order in range(4):
+            v = _pbc_sum(alpha, k, shift, order, None, None, self.P256)
+            ref = _pbc_sum(alpha, k, shift, order, None, None, self.P448)
+            with mp.workprec(480):
+                assert abs(v.value - ref.value) <= v.abs_error, (order, v)
+
+    @pytest.mark.parametrize("k,man,exp", [
+        ((2,), 119972703708518903829229012010726816938798937753298160218048534718724534850489884609385, -285),
+        ((2, 1), 141899738303564438914206948856397401397740367619414170241614126205328025805988718101009, -286),
+        ((2, 1, 1), 483561211047413581965976379155192328328056135843651347010340605158441056133438064682121, -288),
+    ])
+    def test_order_zero_keeps_its_bits(self, k, man, exp):
+        # the value htmzv_pbc had before it gained derivative orders
+        v = _pbc_sum("0.3", k, "0.75", 0, None, None, self.P256)
+        ref = htmzv_pbc("0.3", k, "0.75", None, None, self.P256)
+        assert (v.value.man, v.value.exp) == (man, exp)
+        assert v.value == ref.value and v.abs_error == ref.abs_error
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_multiplier_jet(self, order):
+        alpha = mp.mpf("0.3")
+        jet = _binomials(alpha, order)
+        for m in range(1, 40):
+            v = next(jet)
+            if m in (1, 2, 7, 39):
+                ref = mp.diff(lambda x: mp.binomial(m + x - 2, m - 1),
+                              alpha, order)
+                assert abs(v - ref) <= mp.mpf(10) ** -40 * (1 + abs(ref))
+
+    def test_derivative_needs_alpha_off_the_integers(self):
+        with pytest.raises(DomainError):
+            _pbc_sum(0, (2, 1), "0.5", 1, None, None, PREC)
 
 
 class TestErrorModel:
