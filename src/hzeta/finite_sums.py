@@ -6,7 +6,8 @@ zeta*_n(k; a) over n >= n_1 >= ... >= n_r >= 1, with denominators
 kernel, :func:`nested_stream`, runs the nested-sum recurrence for all of
 them and for the series engine's exact heads: strict or star ordering,
 per-slot (shift, exponent), and an optional multiplier sequence on the
-innermost index (the parametric binomial C(n + alpha - 2, n - 1)).
+innermost index (the parametric binomial C(n + alpha - 2, n - 1) of
+:func:`_binomials`, or one of its alpha-derivatives).
 
 Conventions: the empty index gives 1 at every n; the strict sum vanishes
 for n < depth; the star sum is evaluated literally for n >= 1 (it still
@@ -122,6 +123,25 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
             if caller != bits:
                 mp.mp.prec = caller
         yield m, v
+
+
+def _binomials(alpha, order=0):
+    """The order-th alpha-derivative of C(m + alpha - 2, m - 1) for m = 1,
+    2, ...: the parametric-binomial multiplier of :func:`nested_stream`.
+
+    d[i] is the i-th derivative.  Each step multiplies by the factor
+    (m + alpha - 1) / m, which is linear in alpha, so Leibniz gives
+    d[i] <- d[i] (m + alpha - 1) / m + i d[i - 1] / m.
+    """
+    d = [mp.mpf(1)] + [mp.mpf(0)] * order
+    m = 1
+    while True:
+        yield d[order]
+        c = (m + alpha - 1) / m
+        for i in range(order, 0, -1):
+            d[i] = d[i] * c + i * d[i - 1] / m
+        d[0] *= c
+        m += 1
 
 
 def nth(stream, n: int):

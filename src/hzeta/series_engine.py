@@ -18,7 +18,8 @@ Every evaluator returns a :class:`ValueWithBound`.  The families covered:
   sum is linear in that coefficient, so a derivative runs the same
   pipeline on its Taylor jet.
 
-The generic driver accepts a list of :class:`TermSpec` product summands,
+Every Euler-Maclaurin family, the parametric-binomial one included, runs
+on one driver: it accepts a list of :class:`TermSpec` product summands,
 sums them exactly up to a crossover index, and replaces the tail by an
 anchored asymptotic expansion summed in closed form, with the budgets of
 :class:`TailStrategy`.
@@ -26,13 +27,13 @@ anchored asymptotic expansion summed in closed form, with the budgets of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import mpmath as mp
 
 from . import asymptotics as asym
-from .asymptotics import AsymSeries, gamma_ratio, power_shift, prefix_expansion, reciprocal, tail_sum
+from .asymptotics import (AsymSeries, _binomial_series, gamma_ratio, power_shift,
+                          prefix_expansion, reciprocal, tail_sum)
 from .compositions import (
     Composition,
     add as index_add,
@@ -51,11 +52,11 @@ from .errors import (
 )
 from .finite_sums import (
     ShiftVector,
+    _binomials,
     _coerce,
     mhs_stream,
     mhss_stream,
     nested_stream,
-    nth,
 )
 from .precision import PrecisionConfig, working
 
@@ -162,12 +163,16 @@ class TermSpec:
               * prod C(n + alpha - 1, n)  [or C(n + alpha - 2, n - 1)]
               * prod 1 / C(n - beta, n)
 
+    ``strict_binomial`` = (alpha, order) puts the order-th alpha-derivative
+    of C(n_r + alpha - 2, n_r - 1) on the innermost index of the strict
+    prefix; a C(n + alpha - 2, n - 1) factor may carry an order likewise.
     Build instances through :func:`term_spec`, which normalises shifts.
     """
 
     strict_index: Composition | None = None
     strict_shift: ShiftVector | None = None
     strict_prev: bool = False
+    strict_binomial: tuple | None = None
     star_index: Composition | None = None
     star_shift: ShiftVector | None = None
     powers: tuple = ()
@@ -180,6 +185,7 @@ def term_spec(
     strict=None,
     strict_shift=1,
     strict_prev=False,
+    strict_binomial=None,
     star=None,
     star_shift=1,
     powers=(),
@@ -192,7 +198,8 @@ def term_spec(
     ``strict``/``star`` accept anything :class:`Composition` accepts;
     empty indices drop the factor (it is identically 1).  ``powers`` is a
     sequence of (offset, exponent) pairs; ``binom_upper`` of (alpha,
-    at_prev) pairs; ``binom_lower`` of beta values.
+    at_prev) pairs or (alpha, True, order) triples; ``binom_lower`` of
+    beta values.
     """
     sk = ss = tk = ts = None
     if strict is not None:
@@ -203,14 +210,22 @@ def term_spec(
         tk, ts = _coerce(star, star_shift)
         if tk.is_empty():
             tk = ts = None
+    binom_upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
+                        for a, p, *o in binom_upper)
+    if (strict_binomial is not None and sk is None
+            or any(o and not p for _, p, o in binom_upper)):
+        raise ValueError("strict_binomial needs a strict index and a binomial "
+                         "order needs C(n + alpha - 2, n - 1)")
     return TermSpec(
         strict_index=sk,
         strict_shift=ss,
         strict_prev=bool(strict_prev),
+        strict_binomial=None if strict_binomial is None
+        else (mp.mpf(strict_binomial[0]), int(strict_binomial[1])),
         star_index=tk,
         star_shift=ts,
         powers=tuple((mp.mpf(c), int(m)) for c, m in powers),
-        binom_upper=tuple((mp.mpf(a), bool(p)) for a, p in binom_upper),
+        binom_upper=binom_upper,
         binom_lower=tuple(mp.mpf(b) for b in binom_lower),
         coeff=mp.mpf(coeff),
     )
@@ -226,16 +241,19 @@ class _SpecState:
     def __init__(self, spec: TermSpec, prec):
         self.spec = spec
         self.strict = None
-        if spec.strict_index is not None:
+        if spec.strict_binomial is not None:
+            self.strict = nested_stream(
+                spec.strict_index.parts, spec.strict_shift.shifts, False,
+                prec, _binomials(*spec.strict_binomial))
+        elif spec.strict_index is not None:
             self.strict = mhs_stream(spec.strict_index, spec.strict_shift, prec)
-            self.strict_prev_val = mp.mpf(0)
+        self.strict_prev_val = mp.mpf(0)
         self.star = None
         if spec.star_index is not None:
             self.star = mhss_stream(spec.star_index, spec.star_shift, prec)
-        # binomial values at n = 1: C(a, 1) = a and C(a - 1, 0) = 1
-        self.upper = [
-            mp.mpf(1) if at_prev else mp.mpf(a) for a, at_prev in spec.binom_upper
-        ]
+        # C(a, 1) = a at n = 1; C(n + a - 2, n - 1) runs on _binomials
+        self.upper = [_binomials(a, order) if at_prev else mp.mpf(a)
+                      for a, at_prev, order in spec.binom_upper]
         self.lower = [1 - b for b in spec.binom_lower]
 
     def step(self, n: int):
@@ -251,11 +269,11 @@ class _SpecState:
         if self.star is not None:
             _, v = next(self.star)
             t *= v
-        for i, (a, at_prev) in enumerate(spec.binom_upper):
-            t *= self.upper[i]
+        for i, (a, at_prev, _) in enumerate(spec.binom_upper):
             if at_prev:
-                self.upper[i] *= (n + a - 1) / n
+                t *= next(self.upper[i])
             else:
+                t *= self.upper[i]
                 self.upper[i] *= (n + a) / (n + 1)
         for i, b in enumerate(spec.binom_lower):
             w = self.lower[i]
@@ -272,29 +290,22 @@ class _SpecState:
         return t
 
 
-def _spec_gen(specs, prec):
-    states = [_SpecState(s, prec) for s in specs]
-    n = 0
-    while True:
-        n += 1
-        yield mp.fsum(st.step(n) for st in states)
-
-
 def _spec_series(spec: TermSpec, window: asym.ExpansionWindow, prec) -> AsymSeries:
     emax = window.order
     S = AsymSeries.constant(spec.coeff, emax)
     if spec.strict_index is not None:
-        E = prefix_expansion(spec.strict_index, spec.strict_shift, False, window, prec)
+        E = prefix_expansion(spec.strict_index, spec.strict_shift, False,
+                             window, prec, spec.strict_binomial)
         if spec.strict_prev:
             E = E.shift_arg(-1)
         S = S * E
     if spec.star_index is not None:
         S = S * prefix_expansion(spec.star_index, spec.star_shift, True, window, prec)
-    for a, at_prev in spec.binom_upper:
-        G = gamma_ratio(a, emax)
+    for a, at_prev, order in spec.binom_upper:
         if at_prev:
-            G = G.shift_arg(-1)
-        S = S * G * (1 / mp.gamma(a))
+            S = S * _binomial_series(a, order, emax)
+        else:
+            S = S * gamma_ratio(a, emax) * (1 / mp.gamma(a))
     for b in spec.binom_lower:
         S = S * reciprocal(gamma_ratio(1 - b, emax)) * mp.gamma(1 - b)
     for c, m in spec.powers:
@@ -302,17 +313,9 @@ def _spec_series(spec: TermSpec, window: asym.ExpansionWindow, prec) -> AsymSeri
     return S
 
 
-def _specs_series(specs, window, prec) -> AsymSeries:
-    total = AsymSeries(emax=window.order)
-    for s in specs:
-        total = total + _spec_series(s, window, prec)
-    return total.prune()
+def _em_sum(specs, tol, strategy: TailStrategy, prec):
+    """Escalating anchored-expansion summation of the TermSpec summands.
 
-
-def _em_sum(builder, tol, strategy: TailStrategy, prec):
-    """Escalating anchored-expansion summation.
-
-    ``builder(window)`` must return (term generator, tail AsymSeries).
     The error estimate is driven by the observed expansion defect d(n) =
     term(n) - series(n) at the crossover N; escalation raises the order
     and crossover until ``tol`` holds or the level budget is spent.
@@ -336,11 +339,15 @@ def _em_sum(builder, tol, strategy: TailStrategy, prec):
         for level in range(_LEVELS):
             window = _expansion_window(strategy.em_order, level)
             N = max(min(window.n_direct, strategy.N_max), window.n_anchor)
-            gen, series = builder(window)
+            series = AsymSeries(emax=window.order)
+            for s in specs:
+                series = series + _spec_series(s, window, prec)
+            series = series.prune()
+            states = [_SpecState(s, prec) for s in specs]
             head = mp.mpf(0)
             t2 = t1 = t0 = mp.mpf(0)  # terms N - 2, N - 1, N
-            for _ in range(N):
-                t2, t1, t0 = t1, t0, next(gen)
+            for n in range(1, N + 1):
+                t2, t1, t0 = t1, t0, mp.fsum(st.step(n) for st in states)
                 head += t0
             tail = tail_sum(series, N)
             e0 = min((e for e, _ in series.terms if e > 1),
@@ -369,12 +376,7 @@ def weighted_sum(specs, tol=None, strategy: TailStrategy | None = None,
     specs = tuple(specs)
     if not specs:
         return ValueWithBound(0, 0, True)
-    return _em_sum(
-        lambda w: (_spec_gen(specs, prec), _specs_series(specs, w, prec)),
-        tol,
-        strategy or DEFAULT_TAIL,
-        prec,
-    )
+    return _em_sum(specs, tol, strategy or DEFAULT_TAIL, prec)
 
 
 def _check_strict_shifts(k: Composition, a: ShiftVector):
@@ -755,89 +757,6 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
         return total
 
 
-# A cold 51-identity verify pass fills 14 entries, derivative orders
-# included.
-PBC_CACHE_SIZE = 64
-_pbc_cache = asym.LruCache(PBC_CACHE_SIZE)
-
-
-def _binomials(alpha, order=0):
-    """The order-th alpha-derivative of C(m + alpha - 2, m - 1) for m = 1,
-    2, ...: the innermost multiplier of the parametric-binomial family.
-
-    d[i] is the i-th derivative.  Each step multiplies by the factor
-    (m + alpha - 1) / m, which is linear in alpha, so Leibniz gives
-    d[i] <- d[i] (m + alpha - 1) / m + i d[i - 1] / m.
-    """
-    d = [mp.mpf(1)] + [mp.mpf(0)] * order
-    m = 1
-    while True:
-        yield d[order]
-        c = (m + alpha - 1) / m
-        for i in range(order, 0, -1):
-            d[i] = d[i] * c + i * d[i - 1] / m
-        d[0] *= c
-        m += 1
-
-
-def _binomial_series(alpha, order, emax) -> AsymSeries:
-    """Expansion in n of the order-th alpha-derivative of
-    G = C(n + alpha - 2, n - 1) = Gamma(n + alpha - 1) / (Gamma(n) Gamma(alpha)).
-
-    log G(alpha + eps) - log G(alpha) = sum_j eps^j / j! (psi^(j-1)(n +
-    alpha - 1) - psi^(j-1)(alpha)), and psi^(j-1)(n + alpha - 1) is the
-    j-th n-derivative of the Stirling series of log Gamma(n + alpha - 1),
-    so the derivative is l! G [eps^l] exp(...), a log-power series.
-    """
-    G = gamma_ratio(alpha, emax).shift_arg(-1) * (1 / mp.gamma(alpha))
-    if not order:
-        return G
-    a = []  # a[j - 1]: the eps^j coefficient of log G(alpha + eps)
-    D = asym._stirling_log_gamma(alpha - 1, emax)
-    for j in range(1, order + 1):
-        D = D.derivative()
-        a.append((D - mp.psi(j - 1, alpha)) * (1 / mp.factorial(j)))
-    # E = exp(sum_j a_j eps^j) by i E_i = sum_j j a_j E_(i-j)
-    E = [AsymSeries.constant(1, emax)]
-    for i in range(1, order + 1):
-        acc = AsymSeries(emax=emax)
-        for j in range(1, i + 1):
-            acc = acc + a[j - 1] * E[i - j] * j
-        E.append(acc * (mp.mpf(1) / i))
-    return G * E[order] * mp.factorial(order)
-
-
-def _pbc_stream(k_parts, shift, alpha, prec, order=0):
-    """Yield (n, W_n), the strict prefix whose innermost index carries the
-    factor C(n_r + alpha - 2, n_r - 1), or its order-th alpha-derivative."""
-    return nested_stream(k_parts, (shift,) * len(k_parts), False, prec,
-                         _binomials(alpha, order))
-
-
-def _pbc_prefix(k_parts, shift, alpha, order, window, prec) -> AsymSeries:
-    """Anchored expansion of the binomial-weighted strict prefix, or of its
-    order-th alpha-derivative: the expansion and its anchor are linear in
-    the innermost multiplier, so both take the derivative termwise."""
-    with working(prec) as cfg:
-        key = (k_parts, shift, alpha, order, window, cfg.work_bits)
-        hit = _pbc_cache.get(key)
-        if hit is not None:
-            return hit
-        emax = window.order
-        if len(k_parts) == 1:
-            T = (_binomial_series(alpha, order, emax)
-                 * power_shift(k_parts[0], shift - 1, emax))
-        else:
-            inner = _pbc_prefix(k_parts[1:], shift, alpha, order, window, prec)
-            T = power_shift(k_parts[0], shift - 1, emax) * inner.shift_arg(-1)
-        V = asym.em_antidifference(T).prune()
-        n0 = window.n_anchor
-        exact = nth(_pbc_stream(k_parts, shift, alpha, prec, order), n0)
-        out = (V + (exact - V(n0))).prune()
-        _pbc_cache[key] = out
-        return out
-
-
 def htmzv_pbc(alpha, k, shift, tol=None, strategy=None,
               prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Nested zeta sum with a parametric binomial on the innermost index:
@@ -859,16 +778,16 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None,
     """The order-th alpha-derivative of :func:`htmzv_pbc` (order 0 is the
     sum itself).
 
-    The sum is linear in the innermost multiplier, so a derivative runs
-    the same head and anchored expansion with the multiplier replaced by
-    its derivative: a Taylor jet in the head (:func:`_binomials`) and a
-    log-power series in the expansion (:func:`_binomial_series`).  The
-    error estimate is that of :func:`_em_sum`.
+    One TermSpec summand on :func:`weighted_sum`, whose strict prefix
+    carries the binomial on its innermost index (on n itself at depth 1).
+    The sum is linear in that multiplier, so a derivative runs the same
+    head and anchored expansion with the multiplier replaced by its
+    derivative: a Taylor jet in the head (:func:`_binomials`) and a
+    log-power series in the expansion (:func:`_binomial_series`).
     """
     k = Composition(k)
     if k.is_empty():
         raise DomainError("needs a nonempty index")
-    strategy = strategy or DEFAULT_TAIL
     r = k.depth()
     with working(prec):
         alpha = mp.mpf(alpha)
@@ -898,33 +817,15 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None,
                     f"depth-1 sum diverges for exponent {k[0]} at "
                     f"alpha = {alpha}"
                 )
-            if not order:
-                spec = term_spec(
-                    binom_upper=((alpha, True),),
-                    powers=((shift - 1, k[0]),),
-                )
-                return weighted_sum([spec], tol, strategy, prec)
-
-        def builder(window):
-            emax = window.order
-            lead = power_shift(k[0], shift - 1, emax)
-            if r == 1:
-                # the multiplier sits on n itself
-                series = _binomial_series(alpha, order, emax) * lead
-                inner = _binomials(alpha, order)
-            else:
-                prefix = _pbc_prefix(k.parts[1:], shift, alpha, order,
-                                     window, prec)
-                series = lead * prefix.shift_arg(-1)
-                stream = _pbc_stream(k.parts[1:], shift, alpha, prec, order)
-                inner = itertools.chain([mp.mpf(0)], (v for _, v in stream))
-
-            def gen():
-                n = 0
-                for w in inner:
-                    n += 1
-                    yield w * (n + shift - 1) ** (-k[0]) if w else mp.mpf(0)
-
-            return gen(), series
-
-        return _em_sum(builder, tol, strategy, prec)
+            # the multiplier sits on n itself
+            spec = term_spec(binom_upper=((alpha, True, order),),
+                             powers=((shift - 1, k[0]),))
+        else:
+            spec = term_spec(
+                strict=k.parts[1:],
+                strict_shift=ShiftVector.constant(shift, r - 1),
+                strict_prev=True,
+                strict_binomial=(alpha, order),
+                powers=((shift - 1, k[0]),),
+            )
+        return weighted_sum([spec], tol, strategy, prec)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hzeta.compositions import Composition, contractions, ones
 from hzeta.errors import DomainError, NonAdmissible
-from hzeta.finite_sums import ShiftVector, nth
+from hzeta import asymptotics as asym
+from hzeta.finite_sums import ShiftVector, _binomials, nested_stream, nth
 from hzeta.precision import PrecisionConfig
 from hzeta.series_engine import (
     ValueWithBound,
@@ -23,8 +24,6 @@ from hzeta.series_engine import (
     mpl_landen,
     param_euler_pow,
     param_euler_sum,
-    _binomials,
-    _pbc_stream,
     _pbc_sum,
     term_spec,
     weighted_sum,
@@ -226,7 +225,8 @@ class TestPbc:
     def test_stream_keeps_caller_precision(self):
         alpha, shift = mp.mpf("0.3"), mp.mpf("0.75")
         with mp.workprec(53):
-            g = _pbc_stream((2, 1), shift, alpha, PREC)
+            g = nested_stream((2, 1), (shift, shift), False, PREC,
+                              _binomials(alpha))
             next(g)
             _, v = next(g)
             assert mp.mp.prec == 53
@@ -246,7 +246,8 @@ class TestPbc:
             for m, kj in zip(idx, k):
                 term /= (m + shift - 1) ** kj
             ref += term
-        v = nth(_pbc_stream(k, shift, alpha, PREC), n)
+        v = nth(nested_stream(k, (shift,) * depth, False, PREC,
+                              _binomials(alpha)), n)
         assert abs(v - ref) <= mp.mpf(2) ** -180 * abs(ref)
 
 
@@ -301,6 +302,33 @@ class TestPbcDerivative:
     def test_derivative_needs_alpha_off_the_integers(self):
         with pytest.raises(DomainError):
             _pbc_sum(0, (2, 1), "0.5", 1, None, None, PREC)
+
+    @pytest.mark.parametrize("kw", [{"strict_binomial": ("0.3", 1)},
+                                    {"binom_upper": (("0.3", False, 1),)}])
+    def test_binomial_needs_its_place(self, kw):
+        with pytest.raises(ValueError):
+            term_spec(**kw)
+
+    def test_shared_prefix_cache_keeps_binomials_apart(self, monkeypatch):
+        # pbc and plain prefixes share one cache; a plain htmzv after a pbc
+        # sum over the same index and shift must not pick up its prefixes
+        def cold():
+            monkeypatch.setattr(asym, "_prefix_cache",
+                                asym.LruCache(asym.PREFIX_CACHE_SIZE))
+
+        cold()
+        ref = htmzv((2, 1, 1), "0.75", None, None, self.P256)
+        cold()
+        htmzv_pbc("0.3", (2, 1, 1), "0.75", None, None, self.P256)
+        v = htmzv((2, 1, 1), "0.75", None, None, self.P256)
+        assert v.value == ref.value and v.abs_error == ref.abs_error
+
+    @pytest.mark.parametrize("k", [(2,), (2, 1), (2, 1, 1)])
+    def test_alpha_one_is_htmzv(self, k):
+        # C(m - 1, m - 1) = 1 leaves the plain Hurwitz-type value
+        v = htmzv_pbc(1, k, "0.75", None, None, self.P256)
+        ref = htmzv(k, "0.75", None, None, self.P256)
+        assert v.value == ref.value and v.abs_error == ref.abs_error
 
 
 class TestErrorModel:
