@@ -59,12 +59,6 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_USAGE
 
 
-def _parse_index(text: str) -> Composition:
-    if not text.strip():
-        return Composition(())
-    return Composition(tuple(int(p) for p in text.split(",")))
-
-
 def _parse_shift(text: str, depth: int):
     if "," in text:
         parts = tuple(parse_real(p) for p in text.split(","))
@@ -106,40 +100,41 @@ def _evaluate(args, cfg: PrecisionConfig):
     kind = args.kind
     if kind in ("htmzv", "htmzsv"):
         _require(args, ["index"])
-        k = _parse_index(args.index)
+        k = Composition.parse(args.index)
         shift = _parse_shift(args.shift, k.depth()) if args.shift else None
         fn = se.htmzv if kind == "htmzv" else se.htmzsv
         v = fn(k, shift, tol, None, cfg)
     elif kind == "htmtv":
         _require(args, ["index"])
         alpha = parse_real(args.alpha) if args.alpha else 1
-        v = se.htmtv(_parse_index(args.index), alpha, tol, None, cfg)
+        v = se.htmtv(Composition.parse(args.index), alpha, tol, None, cfg)
     elif kind in ("mpl", "kta"):
         _require(args, ["index", "x"])
         fn = se.mpl if kind == "mpl" else se.kta
-        v = fn(_parse_index(args.index), parse_real(args.x), tol, None, cfg)
+        v = fn(Composition.parse(args.index), parse_real(args.x), tol, None,
+               cfg)
     elif kind == "apery1":
         _require(args, ["index", "alpha"])
-        v = se.apery_I(_parse_index(args.index), args.kk,
+        v = se.apery_I(Composition.parse(args.index), args.kk,
                        parse_real(args.alpha), tol, None, cfg)
     elif kind == "apery2":
         _require(args, ["alpha"])
-        star = _parse_index(args.star_index) if args.star_index else None
+        star = Composition.parse(args.star_index) if args.star_index else None
         v = se.apery_II(args.k, star, args.m, parse_real(args.alpha),
                         tol, None, cfg)
     elif kind == "apery3":
         _require(args, ["alpha", "beta"])
-        k = _parse_index(args.index) if args.index else None
-        star = _parse_index(args.star_index) if args.star_index else None
+        k = Composition.parse(args.index) if args.index else None
+        star = Composition.parse(args.star_index) if args.star_index else None
         v = se.apery_III(k, star, args.m, parse_real(args.alpha),
                          parse_real(args.beta), tol, None, cfg)
     elif kind in ("xi", "psi", "eta"):
         _require(args, ["index"])
-        v = se.arakawa_kaneko(kind, args.s, _parse_index(args.index),
+        v = se.arakawa_kaneko(kind, args.s, Composition.parse(args.index),
                               tol, None, cfg)
     elif kind == "pbc":
         _require(args, ["index", "alpha", "shift-arg"])
-        v = se.htmzv_pbc(parse_real(args.alpha), _parse_index(args.index),
+        v = se.htmzv_pbc(parse_real(args.alpha), Composition.parse(args.index),
                          parse_real(args.shift_arg), tol, None, cfg)
     elif kind == "euler-sum":
         if args.k is not None:
@@ -172,7 +167,7 @@ def cmd_verify(args, cfg: PrecisionConfig) -> int:
 
 
 def cmd_index(args, cfg: PrecisionConfig) -> int:
-    k = _parse_index(args.index)
+    k = Composition.parse(args.index)
     if args.op == "dual":
         print(str(dual_index(k)))
     elif args.op == "hoffman-dual":

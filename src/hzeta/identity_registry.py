@@ -28,8 +28,6 @@ from . import series_engine as se
 from . import specfun as sf
 from .compositions import (
     Composition,
-    binom_weight,
-    add as index_add,
     hoffman_dual,
     ones,
     theorem_dual,
@@ -52,14 +50,6 @@ def _closed(x) -> ValueWithBound:
     """Wrap a closed-form value, charging a few ulps of roundoff."""
     x = mp.mpf(x)
     return ValueWithBound(x, mp.ldexp(abs(x) + 1, -mp.mp.prec + 8), False)
-
-
-def _fac(n: int):
-    return mp.factorial(n)
-
-
-def _binom(a, b) -> mp.mpf:
-    return sf.gen_binom(a, b)
 
 
 @dataclass(frozen=True)
@@ -196,14 +186,8 @@ def _t_value(idx, tol=None, prec=None) -> ValueWithBound:
 def _bsum(k, kk: int, shift, zfun, tol, prec) -> ValueWithBound:
     """sum over |j| = kk of B(b; j) Z(b + j; shift) with b the
     raised-dual index of k and Z supplied by ``zfun``."""
-    base = theorem_dual(Composition(k))
-    jlist = list(weak_compositions(kk, base.depth()))
-    weights = [binom_weight(base, j) for j in jlist]
-    sub = tol / (2 * sum(weights))
-    total = ValueWithBound(0, 0, True)
-    for j, w in zip(jlist, weights):
-        total = total + zfun(index_add(base, j), shift, sub, prec) * w
-    return total
+    return se._dual_binomial_sum(
+        k, kk, lambda idx, sub: zfun(idx, shift, sub, prec), tol / 2)
 
 
 def _product_rhs(mvec, k: int, shift, tol, prec) -> ValueWithBound:
@@ -215,7 +199,7 @@ def _product_rhs(mvec, k: int, shift, tol, prec) -> ValueWithBound:
     for i in weak_compositions(k, p):
         w = mp.mpf(1)
         for mj, ij in zip(mvec, i.parts):
-            w *= _binom(mj + ij - 1, ij)
+            w *= sf.gen_binom(mj + ij - 1, ij)
         idx = tuple(mvec[j] + i[j] for j in reversed(range(p)))
         terms.append((w, idx))
     wsum = mp.fsum(abs(w) for w, _ in terms) + 1
@@ -253,7 +237,8 @@ def _partition_rhs(m: int, p: int, k: int, shift, tol, prec) -> ValueWithBound:
     for c in _level_partitions(p):
         pref = mp.mpf(1)
         for j, cj in enumerate(c, start=1):
-            pref *= mp.mpf(-1) ** ((j - 1) * cj) / (_fac(cj) * mp.mpf(j) ** cj)
+            pref *= mp.mpf(-1) ** ((j - 1) * cj) \
+                / (mp.factorial(cj) * mp.mpf(j) ** cj)
         levels = []
         for j, cj in enumerate(c, start=1):
             levels.extend([j] * cj)
@@ -261,7 +246,8 @@ def _partition_rhs(m: int, p: int, k: int, shift, tol, prec) -> ValueWithBound:
         for kvec in weak_compositions(k, q):
             term = ValueWithBound(pref, 0, True)
             for lev, kj in zip(levels, kvec.parts):
-                term = term * (zv(lev * m + kj) * _binom(lev * m - 1 + kj, kj))
+                term = term * (zv(lev * m + kj)
+                               * sf.gen_binom(lev * m - 1 + kj, kj))
             total = total + term
     return total
 
@@ -275,25 +261,24 @@ def _pbc_deriv(order: int, beta, k, shift, tol, prec) -> ValueWithBound:
 def _series_in_x(spec, x, tol, prec, extra=0) -> ValueWithBound:
     """sum_n a_n x^n for a TermSpec sequence a_n, with a geometric
     heuristic tail bound; ``extra`` is added to the total (n = 0 term)."""
-    with working(prec):
-        x = parse_real(x)
-        if not 0 < x < 1:
-            raise DomainError(f"x must lie in (0, 1), got {x}")
-        state = se._SpecState(spec, prec)
-        total = mp.mpf(extra)
-        xn = mp.mpf(1)
-        n = 0
-        while True:
-            n += 1
-            xn *= x
-            t = state.step(n) * xn
-            total += t
-            if n >= 40 and n % 8 == 0:
-                tail = abs(t) * 2 * x / (1 - x)
-                if tail <= tol:
-                    return ValueWithBound(total, tail + tol / 4, False)
-            if n > 2_000_000:
-                raise DomainError("series in x did not reach tolerance")
+    x = parse_real(x)
+    if not 0 < x < 1:
+        raise DomainError(f"x must lie in (0, 1), got {x}")
+    state = se._SpecState(spec, prec)
+    total = mp.mpf(extra)
+    xn = mp.mpf(1)
+    n = 0
+    while True:
+        n += 1
+        xn *= x
+        t = state.step(n) * xn
+        total += t
+        if n >= 40 and n % 8 == 0:
+            tail = abs(t) * 2 * x / (1 - x)
+            if tail <= tol:
+                return ValueWithBound(total, tail + tol / 4, False)
+        if n > 2_000_000:
+            raise DomainError("series in x did not reach tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +301,7 @@ def _eval_thm_21a(p, tol, prec):
     kk = int(p["log_pow"])
     alpha = parse_real(p["alpha"])
     lhs = quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol / 16, prec)
-    sign = mp.mpf(-1) ** kk * _fac(kk)
+    sign = mp.mpf(-1) ** kk * mp.factorial(kk)
     rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8, prec) * sign
     return lhs, rhs
 
@@ -336,9 +321,8 @@ def _eval_thm_21b(p, tol, prec):
     kk = int(p["log_pow"])
     alpha = parse_real(p["alpha"])
     lhs = quad.int_kta_weighted(k, alpha, kk, tol / 16, prec)
-    sign = mp.mpf(-1) ** kk * _fac(kk)
-    zfun = lambda idx, s, t, pr: _tee(idx, s, t, pr)
-    rhs = _bsum(k, kk, 1 - alpha, zfun, tol / 8, prec) * sign
+    sign = mp.mpf(-1) ** kk * mp.factorial(kk)
+    rhs = _bsum(k, kk, 1 - alpha, _tee, tol / 8, prec) * sign
     return lhs, rhs
 
 
@@ -371,80 +355,55 @@ _register(
 )
 
 
-def _eval_cor_23_xi(p, tol, prec):
-    k = tuple(p["k"])
-    s = int(p["s"])
-    kk = s - 1
-    lhs = se.arakawa_kaneko("xi", s, k, tol / 8, None, prec)
-    sign = mp.mpf(-1) ** kk / _fac(kk)
-    rhs = quad.int_mpl_weighted(k, 1, 0, 0, kk, tol / 16, prec) * sign
-    return lhs, rhs
+def _eval_arakawa_kaneko(kind):
+    """xi, psi or eta at s against its weighted integral: the polylog
+    core for xi, its Landen image for eta, the A-function for psi."""
+    def ev(p, tol, prec):
+        k = tuple(p["k"])
+        s = int(p["s"])
+        kk = s - 1
+        lhs = se.arakawa_kaneko(kind, s, k, tol / 8, None, prec)
+        sign = mp.mpf(-1) ** (kk - (kind == "eta")) / mp.factorial(kk)
+        if kind == "psi":
+            rhs = quad.int_kta_weighted(k, 0, kk, tol / 16, prec)
+        else:
+            core = "mpl_landen" if kind == "eta" else "mpl"
+            rhs = quad.int_mpl_weighted(k, 1, 0, 0, kk, tol / 16, prec,
+                                        core=core)
+        return lhs, rhs * sign
+
+    return ev
 
 
-_register(
-    "cor-2.3-xi",
-    _eval_cor_23_xi,
-    lambda rng: {"k": _pick(rng, [(1,), (2,), (2, 1), (1, 2)]),
-                 "s": 1 + rng.randrange(3)},
-    {"k": (2, 1), "s": 2},
-)
-
-
-def _eval_cor_23_psi(p, tol, prec):
-    k = tuple(p["k"])
-    s = int(p["s"])
-    kk = s - 1
-    lhs = se.arakawa_kaneko("psi", s, k, tol / 8, None, prec)
-    sign = mp.mpf(-1) ** kk / _fac(kk)
-    rhs = quad.int_kta_weighted(k, 0, kk, tol / 16, prec) * sign
-    return lhs, rhs
-
-
-_register(
-    "cor-2.3-psi",
-    _eval_cor_23_psi,
-    lambda rng: {"k": _pick(rng, [(1,), (2,), (2, 1)]),
-                 "s": 1 + rng.randrange(3)},
-    {"k": (2,), "s": 2},
-)
-
-
-def _eval_eq_eta(p, tol, prec):
-    k = tuple(p["k"])
-    s = int(p["s"])
-    kk = s - 1
-    lhs = se.arakawa_kaneko("eta", s, k, tol / 8, None, prec)
-    sign = mp.mpf(-1) ** (kk - 1) / _fac(kk)
-    rhs = quad.int_mpl_weighted(k, 1, 0, 0, kk, tol / 16, prec,
-                                core="mpl_landen") * sign
-    return lhs, rhs
-
-
-_register(
-    "eq-eta",
-    _eval_eq_eta,
-    lambda rng: {"k": _pick(rng, [(1,), (2,), (2, 1)]),
-                 "s": 1 + rng.randrange(3)},
-    {"k": (2,), "s": 2},
-)
+for _kind, _id, _pool, _default in (
+    ("xi", "cor-2.3-xi", [(1,), (2,), (2, 1), (1, 2)], {"k": (2, 1), "s": 2}),
+    ("psi", "cor-2.3-psi", [(1,), (2,), (2, 1)], {"k": (2,), "s": 2}),
+    ("eta", "eq-eta", [(1,), (2,), (2, 1)], {"k": (2,), "s": 2}),
+):
+    _register(
+        _id,
+        _eval_arakawa_kaneko(_kind),
+        lambda rng, pool=_pool: {"k": _pick(rng, pool),
+                                 "s": 1 + rng.randrange(3)},
+        _default,
+    )
 
 
 # ---------------------------------------------------------------------------
 # section 3: generating functions and one-binomial series
 
 def _eval_thm_31(p, tol, prec):
-    with working(prec):
-        x = parse_real(p["x"])
-        alpha = parse_real(p["alpha"])
-        kk = int(p["log_pow"])
-        v = mp.mpf(-1) ** kk / _fac(kk) * mp.log(1 - x) ** kk \
-            / (1 - x) ** alpha
-        lhs = _closed(v)
-        spec = term_spec(strict=ones(kk), strict_shift=alpha,
-                         binom_upper=((alpha, False),))
-        rhs = _series_in_x(spec, x, tol / 8, prec,
-                           extra=1 if kk == 0 else 0)
-        return lhs, rhs
+    x = parse_real(p["x"])
+    alpha = parse_real(p["alpha"])
+    kk = int(p["log_pow"])
+    v = mp.mpf(-1) ** kk / mp.factorial(kk) * mp.log(1 - x) ** kk \
+        / (1 - x) ** alpha
+    lhs = _closed(v)
+    spec = term_spec(strict=ones(kk), strict_shift=alpha,
+                     binom_upper=((alpha, False),), prec=prec)
+    rhs = _series_in_x(spec, x, tol / 8, prec,
+                       extra=1 if kk == 0 else 0)
+    return lhs, rhs
 
 
 _register(
@@ -458,18 +417,17 @@ _register(
 
 
 def _eval_thm_32(p, tol, prec):
-    with working(prec):
-        n = int(p["n"])
-        kk = int(p["log_pow"])
-        alpha = parse_real(p["alpha"])
-        f = quad.WeightedIntegrand(core=("monomial", n), omx_exp=-alpha,
-                                   logomx_pow=kk)
-        lhs = quad.de_quad(f, tol / 16, prec)
-        star = mhss(n, ones(kk), 1 - alpha, prec) if kk else mp.mpf(1)
-        v = mp.mpf(-1) ** kk * _fac(kk) * star \
-            / (n * _binom(n - alpha, n))
-        rhs = _closed(v)
-        return lhs, rhs
+    n = int(p["n"])
+    kk = int(p["log_pow"])
+    alpha = parse_real(p["alpha"])
+    f = quad.WeightedIntegrand(core=("monomial", n), omx_exp=-alpha,
+                               logomx_pow=kk)
+    lhs = quad.de_quad(f, tol / 16, prec)
+    star = mhss(n, ones(kk), 1 - alpha, prec) if kk else mp.mpf(1)
+    v = mp.mpf(-1) ** kk * mp.factorial(kk) * star \
+        / (n * sf.gen_binom(n - alpha, n))
+    rhs = _closed(v)
+    return lhs, rhs
 
 
 _register(
@@ -602,13 +560,12 @@ _register(
 
 
 def _eval_harmonic_n(p, tol, prec):
-    with working(prec):
-        alpha = parse_real(p["alpha"])
-        lhs = se.param_euler_sum(1, 0, alpha, tol / 8, None, prec)
-        g = sf.euler_gamma(prec)
-        v = (mp.zeta(2) - mp.zeta(2, 1 + alpha)) / (2 * alpha) \
-            + (sf.digamma(1 + alpha) + g) ** 2 / (2 * alpha)
-        return lhs, _closed(v)
+    alpha = parse_real(p["alpha"])
+    lhs = se.param_euler_sum(1, 0, alpha, tol / 8, None, prec)
+    g = sf.euler_gamma(prec)
+    v = (mp.zeta(2) - mp.zeta(2, 1 + alpha)) / (2 * alpha) \
+        + (sf.digamma(1 + alpha) + g) ** 2 / (2 * alpha)
+    return lhs, _closed(v)
 
 
 _register(
@@ -621,48 +578,47 @@ _register(
 
 def _eval_binom_display(which):
     def ev(p, tol, prec):
-        with working(prec):
-            alpha = parse_real(p["alpha"])
-            k = int(p.get("k", 1))
-            g = sf.euler_gamma(prec)
-            psi0 = sf.digamma(1 - alpha) + g
-            sub = tol / 16
-            if which == 1:
-                lhs = se.apery_II(0, None, 1, alpha, sub, None, prec)
-                return lhs, _closed(-psi0)
-            if which == 2:
-                lhs = se.apery_II(k, None, 1, alpha, sub, None, prec)
-                return lhs, _closed(mp.zeta(k + 1, 1 - alpha))
-            if which == 3:
-                lhs = se.apery_II(0, None, 2, alpha, sub, None, prec)
-                v = (mp.zeta(2, 1 - alpha) - mp.zeta(2)) / 2 - psi0 ** 2 / 2
-                return lhs, _closed(v)
-            if which == 4:
-                lhs = se.apery_II(0, ones(k), 2, alpha, sub, None, prec)
-                rhs = _zeta((k + 1, 1), 1, sub, prec) \
-                    - _zeta((k + 1, 1), 1 - alpha, sub, prec) \
-                    - _closed(mp.zeta(k + 1) * psi0)
-                return lhs, rhs
-            if which == 5:
-                lhs = se.apery_II(1, (1,), 2, alpha, sub, None, prec)
-                rhs = _closed(mp.zeta(2) * mp.zeta(2, 1 - alpha)) \
-                    - _zeta((3, 1), 1 - alpha, sub, prec) * 2 \
-                    - _zeta((2, 2), 1 - alpha, sub, prec)
-                return lhs, rhs
-            if which == 6:
-                lhs = se.apery_II(1, (1, 1), 2, alpha, sub, None, prec)
-                rhs = _closed(mp.zeta(3) * mp.zeta(2, 1 - alpha)) \
-                    - _zeta((3, 2), 1 - alpha, sub, prec) \
-                    - _zeta((4, 1), 1 - alpha, sub, prec) * 3
-                return lhs, rhs
-            lhs = se.apery_II(1, (2, 1), 2, alpha, sub, None, prec)
-            rhs = _zeta((3, 2, 1), 1 - alpha, sub, prec) * 2 \
-                + _zeta((2, 3, 1), 1 - alpha, sub, prec) * 2 \
-                + _zeta((2, 2, 2), 1 - alpha, sub, prec) \
-                + _closed(mp.mpf(7) / 4 * mp.zeta(4) * mp.zeta(2, 1 - alpha)) \
-                - _zeta((3, 1), 1 - alpha, sub, prec) * (2 * mp.zeta(2)) \
-                - _zeta((2, 2), 1 - alpha, sub, prec) * mp.zeta(2)
+        alpha = parse_real(p["alpha"])
+        k = int(p.get("k", 1))
+        g = sf.euler_gamma(prec)
+        psi0 = sf.digamma(1 - alpha) + g
+        sub = tol / 16
+        if which == 1:
+            lhs = se.apery_II(0, None, 1, alpha, sub, None, prec)
+            return lhs, _closed(-psi0)
+        if which == 2:
+            lhs = se.apery_II(k, None, 1, alpha, sub, None, prec)
+            return lhs, _closed(mp.zeta(k + 1, 1 - alpha))
+        if which == 3:
+            lhs = se.apery_II(0, None, 2, alpha, sub, None, prec)
+            v = (mp.zeta(2, 1 - alpha) - mp.zeta(2)) / 2 - psi0 ** 2 / 2
+            return lhs, _closed(v)
+        if which == 4:
+            lhs = se.apery_II(0, ones(k), 2, alpha, sub, None, prec)
+            rhs = _zeta((k + 1, 1), 1, sub, prec) \
+                - _zeta((k + 1, 1), 1 - alpha, sub, prec) \
+                - _closed(mp.zeta(k + 1) * psi0)
             return lhs, rhs
+        if which == 5:
+            lhs = se.apery_II(1, (1,), 2, alpha, sub, None, prec)
+            rhs = _closed(mp.zeta(2) * mp.zeta(2, 1 - alpha)) \
+                - _zeta((3, 1), 1 - alpha, sub, prec) * 2 \
+                - _zeta((2, 2), 1 - alpha, sub, prec)
+            return lhs, rhs
+        if which == 6:
+            lhs = se.apery_II(1, (1, 1), 2, alpha, sub, None, prec)
+            rhs = _closed(mp.zeta(3) * mp.zeta(2, 1 - alpha)) \
+                - _zeta((3, 2), 1 - alpha, sub, prec) \
+                - _zeta((4, 1), 1 - alpha, sub, prec) * 3
+            return lhs, rhs
+        lhs = se.apery_II(1, (2, 1), 2, alpha, sub, None, prec)
+        rhs = _zeta((3, 2, 1), 1 - alpha, sub, prec) * 2 \
+            + _zeta((2, 3, 1), 1 - alpha, sub, prec) * 2 \
+            + _zeta((2, 2, 2), 1 - alpha, sub, prec) \
+            + _closed(mp.mpf(7) / 4 * mp.zeta(4) * mp.zeta(2, 1 - alpha)) \
+            - _zeta((3, 1), 1 - alpha, sub, prec) * (2 * mp.zeta(2)) \
+            - _zeta((2, 2), 1 - alpha, sub, prec) * mp.zeta(2)
+        return lhs, rhs
 
     return ev
 
@@ -702,16 +658,15 @@ _register(
 
 
 def _eval_ones_duality(p, tol, prec):
-    with working(prec):
-        k = int(p["k"])
-        r = int(p["r"])
-        alpha = parse_real(p["alpha"])
-        spec = term_spec(strict=ones(k), strict_shift=alpha,
-                         star=ones(r), binom_upper=((alpha, False),),
-                         powers=((0, 1),))
-        lhs = weighted_sum([spec], tol / 8, None, prec)
-        v = _binom(k + r, k) * mp.zeta(k + r + 1, 1 - alpha)
-        return lhs, _closed(v)
+    k = int(p["k"])
+    r = int(p["r"])
+    alpha = parse_real(p["alpha"])
+    spec = term_spec(strict=ones(k), strict_shift=alpha,
+                     star=ones(r), binom_upper=((alpha, False),),
+                     powers=((0, 1),), prec=prec)
+    lhs = weighted_sum([spec], tol / 8, None, prec)
+    v = sf.gen_binom(k + r, k) * mp.zeta(k + r + 1, 1 - alpha)
+    return lhs, _closed(v)
 
 
 _register(
@@ -829,57 +784,19 @@ _register(
 # ---------------------------------------------------------------------------
 # section 5: two-binomial symmetry and reduction
 
-def _eval_thm_52(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        specs = [
-            term_spec(binom_upper=((alpha, False),), binom_lower=(beta,),
-                      powers=((0, m + 2),)),
-            term_spec(binom_upper=((beta, False),), binom_lower=(alpha,),
-                      powers=((0, m + 2),), coeff=mp.mpf(-1) ** m),
-            term_spec(binom_upper=((alpha, False),),
-                      powers=((0, m + 2),), coeff=-1),
-            term_spec(binom_upper=((beta, False),),
-                      powers=((0, m + 2),), coeff=-mp.mpf(-1) ** m),
-        ]
-        lhs = weighted_sum(specs, tol / 8, None, prec)
-        rhs = ValueWithBound(0, 0, True)
-        for i in range(1, m + 2):
-            a = se.apery_II(0, None, i, beta, tol / 32, None, prec)
-            b = se.apery_II(0, None, m + 2 - i, alpha, tol / 32, None, prec)
-            rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
-        return lhs, rhs
-
-
-def _sample_thm_52(rng):
-    m = _pick(rng, [-1, 0, 1, 2, 3])
-    if m == -1:
-        a = _pick(rng, _SMALL_ALPHAS)
-        return {"m": m, "alpha": a, "beta": a}
-    return {"m": m, "alpha": _pick(rng, _SMALL_ALPHAS),
-            "beta": _pick(rng, _SMALL_ALPHAS)}
-
-
-_register("thm-5.2", _eval_thm_52, _sample_thm_52,
-          {"m": 1, "alpha": "0.5", "beta": "0.5"})
-
-
 def _eval_cor_53(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        half = mp.mpf("0.5")
-        parity = 1 + mp.mpf(-1) ** m
-        lhs = _closed(parity * mp.zeta(m + 2))
-        c = {}
-        for i in list(range(1, m + 2)) + [m + 2]:
-            if i not in c:
-                c[i] = se.apery_II(0, None, i, half, tol / 32, None, prec)
-        rhs = c[m + 2] * parity
-        for i in range(1, m + 2):
-            rhs = rhs + c[i] * c[m + 2 - i] * mp.mpf(-1) ** (i - 1)
-        return lhs, rhs
+    m = int(p["m"])
+    half = mp.mpf("0.5")
+    parity = 1 + mp.mpf(-1) ** m
+    lhs = _closed(parity * mp.zeta(m + 2))
+    c = {}
+    for i in list(range(1, m + 2)) + [m + 2]:
+        if i not in c:
+            c[i] = se.apery_II(0, None, i, half, tol / 32, None, prec)
+    rhs = c[m + 2] * parity
+    for i in range(1, m + 2):
+        rhs = rhs + c[i] * c[m + 2 - i] * mp.mpf(-1) ** (i - 1)
+    return lhs, rhs
 
 
 _register("cor-5.3", _eval_cor_53,
@@ -887,38 +804,37 @@ _register("cor-5.3", _eval_cor_53,
 
 
 def _eval_thm_54(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        k = int(p["k"])
-        pp = int(p["p"])
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        specs = [
-            term_spec(strict=ones(k), strict_shift=alpha,
-                      star=ones(pp), star_shift=1 - beta,
-                      binom_upper=((alpha, False),), binom_lower=(beta,),
-                      powers=((0, m + 2),)),
-            term_spec(strict=ones(pp), strict_shift=beta,
-                      star=ones(k), star_shift=1 - alpha,
-                      binom_upper=((beta, False),), binom_lower=(alpha,),
-                      powers=((0, m + 2),), coeff=mp.mpf(-1) ** m),
-        ]
-        if pp == 0:
-            specs.append(term_spec(strict=ones(k), strict_shift=alpha,
-                                   binom_upper=((alpha, False),),
-                                   powers=((0, m + 2),), coeff=-1))
-        if k == 0:
-            specs.append(term_spec(strict=ones(pp), strict_shift=beta,
-                                   binom_upper=((beta, False),),
-                                   powers=((0, m + 2),),
-                                   coeff=-mp.mpf(-1) ** m))
-        lhs = weighted_sum(specs, tol / 8, None, prec)
-        rhs = ValueWithBound(0, 0, True)
-        for i in range(1, m + 2):
-            a = se.apery_II(pp, None, i, beta, tol / 32, None, prec)
-            b = se.apery_II(k, None, m + 2 - i, alpha, tol / 32, None, prec)
-            rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
-        return lhs, rhs
+    m = int(p["m"])
+    k = int(p["k"])
+    pp = int(p["p"])
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    specs = [
+        term_spec(strict=ones(k), strict_shift=alpha,
+                  star=ones(pp), star_shift=1 - beta,
+                  binom_upper=((alpha, False),), binom_lower=(beta,),
+                  powers=((0, m + 2),), prec=prec),
+        term_spec(strict=ones(pp), strict_shift=beta,
+                  star=ones(k), star_shift=1 - alpha,
+                  binom_upper=((beta, False),), binom_lower=(alpha,),
+                  powers=((0, m + 2),), coeff=mp.mpf(-1) ** m, prec=prec),
+    ]
+    if pp == 0:
+        specs.append(term_spec(strict=ones(k), strict_shift=alpha,
+                               binom_upper=((alpha, False),),
+                               powers=((0, m + 2),), coeff=-1, prec=prec))
+    if k == 0:
+        specs.append(term_spec(strict=ones(pp), strict_shift=beta,
+                               binom_upper=((beta, False),),
+                               powers=((0, m + 2),),
+                               coeff=-mp.mpf(-1) ** m, prec=prec))
+    lhs = weighted_sum(specs, tol / 8, None, prec)
+    rhs = ValueWithBound(0, 0, True)
+    for i in range(1, m + 2):
+        a = se.apery_II(pp, None, i, beta, tol / 32, None, prec)
+        b = se.apery_II(k, None, m + 2 - i, alpha, tol / 32, None, prec)
+        rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
+    return lhs, rhs
 
 
 _register(
@@ -930,6 +846,21 @@ _register(
                  "beta": _pick(rng, _SMALL_ALPHAS)},
     {"m": 1, "k": 1, "p": 1, "alpha": "0.25", "beta": "0.35"},
 )
+
+
+def _sample_thm_52(rng):
+    m = _pick(rng, [-1, 0, 1, 2, 3])
+    if m == -1:
+        a = _pick(rng, _SMALL_ALPHAS)
+        return {"m": m, "alpha": a, "beta": a}
+    return {"m": m, "alpha": _pick(rng, _SMALL_ALPHAS),
+            "beta": _pick(rng, _SMALL_ALPHAS)}
+
+
+# thm-5.2 is thm-5.4 with no harmonic prefixes (k = p = 0)
+_register("thm-5.2",
+          lambda p, tol, prec: _eval_thm_54({**p, "k": 0, "p": 0}, tol, prec),
+          _sample_thm_52, {"m": 1, "alpha": "0.5", "beta": "0.5"})
 
 
 def _eval_cor_55(p, tol, prec):
@@ -962,34 +893,33 @@ _register(
 
 
 def _eval_cor_56(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        k = int(p["k"])
-        pp = int(p["p"])
-        half = mp.mpf("0.5")
-        specs = [
-            term_spec(strict=ones(k - 1), strict_prev=True,
-                      star=ones(pp), star_shift=half,
-                      binom_lower=(half,), powers=((0, m + 3),),
-                      coeff=mp.ldexp(1, -pp)),
-            term_spec(strict=ones(pp), strict_shift=half,
-                      star=ones(k), binom_upper=((half, False),),
-                      powers=((0, m + 2),),
-                      coeff=mp.mpf(-1) ** m * mp.ldexp(1, -pp)),
-        ]
-        lhs = weighted_sum(specs, tol / 8, None, prec)
-        sub = tol / 32
-        if pp == 0:
-            lhs = lhs - _zeta((m + 3,) + (1,) * (k - 1), 1, sub, prec)
-        rhs = ValueWithBound(0, 0, True)
-        for i in range(1, m + 2):
-            tspec = term_spec(strict=ones(pp), strict_shift=half,
-                              binom_upper=((half, False),),
-                              powers=((0, i),), coeff=mp.ldexp(1, -pp))
-            a = weighted_sum([tspec], sub, None, prec)
-            b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub, prec)
-            rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
-        return lhs, rhs
+    m = int(p["m"])
+    k = int(p["k"])
+    pp = int(p["p"])
+    half = mp.mpf("0.5")
+    specs = [
+        term_spec(strict=ones(k - 1), strict_prev=True,
+                  star=ones(pp), star_shift=half,
+                  binom_lower=(half,), powers=((0, m + 3),),
+                  coeff=mp.ldexp(1, -pp)),
+        term_spec(strict=ones(pp), strict_shift=half,
+                  star=ones(k), binom_upper=((half, False),),
+                  powers=((0, m + 2),),
+                  coeff=mp.mpf(-1) ** m * mp.ldexp(1, -pp)),
+    ]
+    lhs = weighted_sum(specs, tol / 8, None, prec)
+    sub = tol / 32
+    if pp == 0:
+        lhs = lhs - _zeta((m + 3,) + (1,) * (k - 1), 1, sub, prec)
+    rhs = ValueWithBound(0, 0, True)
+    for i in range(1, m + 2):
+        tspec = term_spec(strict=ones(pp), strict_shift=half,
+                          binom_upper=((half, False),),
+                          powers=((0, i),), coeff=mp.ldexp(1, -pp))
+        a = weighted_sum([tspec], sub, None, prec)
+        b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub, prec)
+        rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
+    return lhs, rhs
 
 
 _register(
@@ -1002,16 +932,15 @@ _register(
 
 
 def _eval_thm_57(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        lhs = se.apery_III(None, None, m, alpha, beta, tol / 8, None, prec)
-        spec = term_spec(strict=ones(m + 1), strict_shift=1 - beta,
-                         strict_prev=True,
-                         powers=((-beta - alpha, 1), (-beta, 1)))
-        rhs = weighted_sum([spec], tol / 8, None, prec) * alpha
-        return lhs, rhs
+    m = int(p["m"])
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    lhs = se.apery_III(None, None, m, alpha, beta, tol / 8, None, prec)
+    spec = term_spec(strict=ones(m + 1), strict_shift=1 - beta,
+                     strict_prev=True,
+                     powers=((-beta - alpha, 1), (-beta, 1)), prec=prec)
+    rhs = weighted_sum([spec], tol / 8, None, prec) * alpha
+    return lhs, rhs
 
 
 _register(
@@ -1025,32 +954,31 @@ _register(
 
 
 def _eval_thm_58(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        k = int(p["k"])
-        pp = int(p["p"])
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        lhs = se.apery_III(ones(k), ones(pp), m, alpha, beta,
-                           tol / 8, None, prec)
-        sub = tol / 32
-        rhs = ValueWithBound(0, 0, True)
-        for i in weak_compositions(pp, m + 2):
-            w = _binom(i[0] + k, k)
-            idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
-            if i[0] == 0 and k == 0:
-                spec = term_spec(strict=idx[1:], strict_shift=1 - beta,
-                                 strict_prev=True,
-                                 powers=((-beta, 1), (-alpha - beta, 1)))
-                bracket = weighted_sum([spec], sub, None, prec) * alpha
-            else:
-                shifts = ShiftVector((1 - alpha - beta,)
-                                     + (1 - beta,) * (m + 1))
-                bracket = _zeta(idx, shifts, sub, prec)
-                if k == 0:
-                    bracket = bracket - _zeta(idx, 1 - beta, sub, prec)
-            rhs = rhs + bracket * w
-        return lhs, rhs
+    m = int(p["m"])
+    k = int(p["k"])
+    pp = int(p["p"])
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    lhs = se.apery_III(ones(k), ones(pp), m, alpha, beta,
+                       tol / 8, None, prec)
+    sub = tol / 32
+    rhs = ValueWithBound(0, 0, True)
+    for i in weak_compositions(pp, m + 2):
+        w = sf.gen_binom(i[0] + k, k)
+        idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
+        if i[0] == 0 and k == 0:
+            spec = term_spec(strict=idx[1:], strict_shift=1 - beta,
+                             strict_prev=True, prec=prec,
+                             powers=((-beta, 1), (-alpha - beta, 1)))
+            bracket = weighted_sum([spec], sub, None, prec) * alpha
+        else:
+            shifts = ShiftVector((1 - alpha - beta,)
+                                 + (1 - beta,) * (m + 1))
+            bracket = _zeta(idx, shifts, sub, prec)
+            if k == 0:
+                bracket = bracket - _zeta(idx, 1 - beta, sub, prec)
+        rhs = rhs + bracket * w
+    return lhs, rhs
 
 
 _register(
@@ -1065,23 +993,22 @@ _register(
 
 
 def _eval_cor_59(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        k = int(p["k"])
-        pp = int(p["p"])
-        half = mp.mpf("0.5")
-        spec = term_spec(strict=ones(k - 1), strict_prev=True,
-                         star=ones(pp), star_shift=half,
-                         binom_lower=(half,), powers=((0, m + 3),),
-                         coeff=mp.ldexp(1, -pp))
-        lhs = weighted_sum([spec], tol / 8, None, prec)
-        sub = tol / 32
-        rhs = ValueWithBound(0, 0, True)
-        for i in weak_compositions(pp, m + 2):
-            w = _binom(i[0] + k, k) * mp.ldexp(1, k + m + 2)
-            idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
-            rhs = rhs + _t_value(idx, sub, prec) * w
-        return lhs, rhs
+    m = int(p["m"])
+    k = int(p["k"])
+    pp = int(p["p"])
+    half = mp.mpf("0.5")
+    spec = term_spec(strict=ones(k - 1), strict_prev=True,
+                     star=ones(pp), star_shift=half,
+                     binom_lower=(half,), powers=((0, m + 3),),
+                     coeff=mp.ldexp(1, -pp))
+    lhs = weighted_sum([spec], tol / 8, None, prec)
+    sub = tol / 32
+    rhs = ValueWithBound(0, 0, True)
+    for i in weak_compositions(pp, m + 2):
+        w = sf.gen_binom(i[0] + k, k) * mp.ldexp(1, k + m + 2)
+        idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
+        rhs = rhs + _t_value(idx, sub, prec) * w
+    return lhs, rhs
 
 
 _register(
@@ -1094,36 +1021,35 @@ _register(
 
 
 def _eval_cor_510(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        k = int(p["k"])
-        pp = int(p["p"])
-        half = mp.mpf("0.5")
-        spec = term_spec(strict=ones(k), strict_shift=half,
-                         star=ones(pp), star_shift=half,
-                         powers=((0, m + 2),))
-        lhs = weighted_sum([spec], tol / 8, None, prec)
-        sub = tol / 32
-        rhs = ValueWithBound(0, 0, True)
-        for i in weak_compositions(pp, m + 2):
-            # the specialization forces weight 2^(p - i_1 + m + 1)
-            w = mp.ldexp(_binom(i[0] + k, k), pp - i[0] + m + 1)
-            tail = tuple(ij + 1 for ij in i.parts[1:])
-            tw = mp.ldexp(1, -sum(tail))
-            if k >= 1:
-                specs = [term_spec(strict=tail, strict_shift=half,
-                                   powers=((0, i[0] + k + 1),), coeff=tw)]
-            else:
-                # the subtracted sum carries the prefix strictly below n
-                specs = [
-                    term_spec(strict=tail, strict_shift=half,
-                              powers=((0, i[0] + 1),), coeff=tw),
-                    term_spec(strict=tail, strict_shift=half,
-                              strict_prev=True,
-                              powers=((-half, i[0] + 1),), coeff=-tw),
-                ]
-            rhs = rhs + weighted_sum(specs, sub, None, prec) * w
-        return lhs, rhs
+    m = int(p["m"])
+    k = int(p["k"])
+    pp = int(p["p"])
+    half = mp.mpf("0.5")
+    spec = term_spec(strict=ones(k), strict_shift=half,
+                     star=ones(pp), star_shift=half,
+                     powers=((0, m + 2),))
+    lhs = weighted_sum([spec], tol / 8, None, prec)
+    sub = tol / 32
+    rhs = ValueWithBound(0, 0, True)
+    for i in weak_compositions(pp, m + 2):
+        # the specialization forces weight 2^(p - i_1 + m + 1)
+        w = mp.ldexp(sf.gen_binom(i[0] + k, k), pp - i[0] + m + 1)
+        tail = tuple(ij + 1 for ij in i.parts[1:])
+        tw = mp.ldexp(1, -sum(tail))
+        if k >= 1:
+            specs = [term_spec(strict=tail, strict_shift=half,
+                               powers=((0, i[0] + k + 1),), coeff=tw)]
+        else:
+            # the subtracted sum carries the prefix strictly below n
+            specs = [
+                term_spec(strict=tail, strict_shift=half,
+                          powers=((0, i[0] + 1),), coeff=tw),
+                term_spec(strict=tail, strict_shift=half,
+                          strict_prev=True,
+                          powers=((-half, i[0] + 1),), coeff=-tw),
+            ]
+        rhs = rhs + weighted_sum(specs, sub, None, prec) * w
+    return lhs, rhs
 
 
 _register(
@@ -1136,32 +1062,31 @@ _register(
 
 
 def _eval_cor_511(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        k = int(p["k"])
-        pp = int(p["p"])
-        half = mp.mpf("0.5")
-        spec = term_spec(strict=ones(k), strict_shift=half,
-                         star=ones(pp), binom_upper=((half, False),),
-                         powers=((0, m + 2),))
-        lhs = weighted_sum([spec], tol / 8, None, prec)
-        sub = tol / 32
-        rhs = ValueWithBound(0, 0, True)
-        for i in weak_compositions(pp, m + 2):
-            w = _binom(i[0] + k, k)
-            tail = tuple(ij + 1 for ij in i.parts[1:])
-            if k >= 1:
-                specs = [term_spec(strict=tail, strict_prev=True,
-                                   powers=((-half, i[0] + k + 1),))]
-            else:
-                specs = [
-                    term_spec(strict=tail, strict_prev=True,
-                              powers=((-half, i[0] + 1),)),
-                    term_spec(strict=tail, strict_prev=True,
-                              powers=((0, i[0] + 1),), coeff=-1),
-                ]
-            rhs = rhs + weighted_sum(specs, sub, None, prec) * w
-        return lhs, rhs
+    m = int(p["m"])
+    k = int(p["k"])
+    pp = int(p["p"])
+    half = mp.mpf("0.5")
+    spec = term_spec(strict=ones(k), strict_shift=half,
+                     star=ones(pp), binom_upper=((half, False),),
+                     powers=((0, m + 2),))
+    lhs = weighted_sum([spec], tol / 8, None, prec)
+    sub = tol / 32
+    rhs = ValueWithBound(0, 0, True)
+    for i in weak_compositions(pp, m + 2):
+        w = sf.gen_binom(i[0] + k, k)
+        tail = tuple(ij + 1 for ij in i.parts[1:])
+        if k >= 1:
+            specs = [term_spec(strict=tail, strict_prev=True,
+                               powers=((-half, i[0] + k + 1),))]
+        else:
+            specs = [
+                term_spec(strict=tail, strict_prev=True,
+                          powers=((-half, i[0] + 1),)),
+                term_spec(strict=tail, strict_prev=True,
+                          powers=((0, i[0] + 1),), coeff=-1),
+            ]
+        rhs = rhs + weighted_sum(specs, sub, None, prec) * w
+    return lhs, rhs
 
 
 _register(
@@ -1176,35 +1101,37 @@ _register(
 # ---------------------------------------------------------------------------
 # section 6: symmetric double-value formula
 
+def _double_single(family, sub, prec):
+    """The depth-two and depth-one value maps of the zeta or T family."""
+    if family == "zeta":
+        return (lambda a, b: _zeta((a, b), 1, sub, prec),
+                lambda a: _closed(mp.zeta(a)))
+    return (lambda a, b: _tee((a, b), 1, sub, prec),
+            lambda a: _tee((a,), 1, sub, prec))
+
+
 def _eval_thm_61(family):
     def ev(p, tol, prec):
-        with working(prec):
-            m = int(p["m"])
-            pp = int(p["p"])
-            q = int(p["q"])
-            sub = tol / 64
-            if family == "zeta":
-                double = lambda a, b: _zeta((a, b), 1, sub, prec)
-                single = lambda a: _closed(mp.zeta(a))
-            else:
-                double = lambda a, b: _tee((a, b), 1, sub, prec)
-                single = lambda a: _tee((a,), 1, sub, prec)
-            lhs = ValueWithBound(0, 0, True)
-            for i in range(m):
-                j = m - 1 - i
-                w = _binom(pp + i - 1, i) * _binom(q + j - 1, j)
-                lhs = lhs + double(pp + i, q + j) * w
-            for i in range(pp):
-                j = pp - 1 - i
-                w = _binom(m + i - 1, i) * _binom(q + j - 1, j)
-                lhs = lhs - double(m + i, q + j) * (w * mp.mpf(-1) ** q)
-            rhs = ValueWithBound(0, 0, True)
-            for i in range(q):
-                j = q - 1 - i
-                w = _binom(m + i - 1, i) * _binom(pp + j - 1, j) \
-                    * mp.mpf(-1) ** j
-                rhs = rhs + single(m + i) * single(pp + j) * w
-            return lhs, rhs
+        m = int(p["m"])
+        pp = int(p["p"])
+        q = int(p["q"])
+        double, single = _double_single(family, tol / 64, prec)
+        lhs = ValueWithBound(0, 0, True)
+        for i in range(m):
+            j = m - 1 - i
+            w = sf.gen_binom(pp + i - 1, i) * sf.gen_binom(q + j - 1, j)
+            lhs = lhs + double(pp + i, q + j) * w
+        for i in range(pp):
+            j = pp - 1 - i
+            w = sf.gen_binom(m + i - 1, i) * sf.gen_binom(q + j - 1, j)
+            lhs = lhs - double(m + i, q + j) * (w * mp.mpf(-1) ** q)
+        rhs = ValueWithBound(0, 0, True)
+        for i in range(q):
+            j = q - 1 - i
+            w = sf.gen_binom(m + i - 1, i) * sf.gen_binom(pp + j - 1, j) \
+                * mp.mpf(-1) ** j
+            rhs = rhs + single(m + i) * single(pp + j) * w
+        return lhs, rhs
 
     return ev
 
@@ -1220,30 +1147,22 @@ for _fam in ("zeta", "T"):
 
 
 def _eval_cor_62(p, tol, prec):
-    with working(prec):
-        pp = int(p["p"])
-        q = int(p["q"])
-        family = p["family"]
-        sub = tol / 64
-        if family == "zeta":
-            double = lambda a, b: _zeta((a, b), 1, sub, prec)
-            single = lambda a: _closed(mp.zeta(a))
-        else:
-            double = lambda a, b: _tee((a, b), 1, sub, prec)
-            single = lambda a: _tee((a,), 1, sub, prec)
-        lhs = ValueWithBound(0, 0, True)
-        for i in range(pp):
-            j = pp - 1 - i
-            w = _binom(pp + i - 1, i) * _binom(q + j - 1, j)
-            lhs = lhs + double(pp + i, q + j) * w
-        lhs = lhs * (1 - mp.mpf(-1) ** q)
-        rhs = ValueWithBound(0, 0, True)
-        for i in range(q):
-            j = q - 1 - i
-            w = _binom(pp + i - 1, i) * _binom(pp + j - 1, j) \
-                * mp.mpf(-1) ** j
-            rhs = rhs + single(pp + i) * single(pp + j) * w
-        return lhs, rhs
+    pp = int(p["p"])
+    q = int(p["q"])
+    double, single = _double_single(p["family"], tol / 64, prec)
+    lhs = ValueWithBound(0, 0, True)
+    for i in range(pp):
+        j = pp - 1 - i
+        w = sf.gen_binom(pp + i - 1, i) * sf.gen_binom(q + j - 1, j)
+        lhs = lhs + double(pp + i, q + j) * w
+    lhs = lhs * (1 - mp.mpf(-1) ** q)
+    rhs = ValueWithBound(0, 0, True)
+    for i in range(q):
+        j = q - 1 - i
+        w = sf.gen_binom(pp + i - 1, i) * sf.gen_binom(pp + j - 1, j) \
+            * mp.mpf(-1) ** j
+        rhs = rhs + single(pp + i) * single(pp + j) * w
+    return lhs, rhs
 
 
 _register(
@@ -1278,12 +1197,11 @@ _register(
 
 
 def _eval_ideas_5(p, tol, prec):
-    with working(prec):
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        lhs = se.htmzv_pbc(alpha, (1,), 1 - beta, tol / 8, None, prec)
-        rhs = _closed(sf.beta(1 - alpha, 1 - beta, prec))
-        return lhs, rhs
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    lhs = se.htmzv_pbc(alpha, (1,), 1 - beta, tol / 8, None, prec)
+    rhs = _closed(sf.beta(1 - alpha, 1 - beta, prec))
+    return lhs, rhs
 
 
 _register(
@@ -1296,18 +1214,17 @@ _register(
 
 
 def _eval_ideas_6(p, tol, prec):
-    with working(prec):
-        k = int(p["k"])
-        m = int(p["m"])
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        spec = term_spec(strict=ones(k), strict_shift=alpha,
-                         strict_prev=True, binom_upper=((alpha, True),),
-                         powers=((-beta, m + 1),))
-        lhs = weighted_sum([spec], tol / 8, None, prec)
-        v = mp.mpf(-1) ** (k + m) / (_fac(k) * _fac(m)) \
-            * sf.beta_partial(k, m, 1 - alpha, 1 - beta, prec)
-        return lhs, _closed(v)
+    k = int(p["k"])
+    m = int(p["m"])
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    spec = term_spec(strict=ones(k), strict_shift=alpha,
+                     strict_prev=True, binom_upper=((alpha, True),),
+                     powers=((-beta, m + 1),), prec=prec)
+    lhs = weighted_sum([spec], tol / 8, None, prec)
+    v = mp.mpf(-1) ** (k + m) / (mp.factorial(k) * mp.factorial(m)) \
+        * sf.beta_partial(k, m, 1 - alpha, 1 - beta, prec)
+    return lhs, _closed(v)
 
 
 _register(
@@ -1321,14 +1238,13 @@ _register(
 
 
 def _eval_depth1(p, tol, prec):
-    with working(prec):
-        m = int(p["m"])
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        lhs = se.htmzv_pbc(alpha, (m + 1,), 1 - beta, tol / 8, None, prec)
-        v = mp.mpf(-1) ** m / _fac(m) \
-            * sf.beta_partial(0, m, 1 - alpha, 1 - beta, prec)
-        return lhs, _closed(v)
+    m = int(p["m"])
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    lhs = se.htmzv_pbc(alpha, (m + 1,), 1 - beta, tol / 8, None, prec)
+    v = mp.mpf(-1) ** m / mp.factorial(m) \
+        * sf.beta_partial(0, m, 1 - alpha, 1 - beta, prec)
+    return lhs, _closed(v)
 
 
 _register(
@@ -1342,37 +1258,26 @@ _register(
 
 
 def _eval_thm_72(p, tol, prec):
-    with working(prec):
-        k = int(p["k"])
-        r = int(p["r"])
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        idx = (k,) + (1,) * (r - 1)
-        lhs = quad.int_mpl_weighted(idx, alpha, beta, 0, 0, tol / 16, prec)
-        rhs = ValueWithBound(0, 0, True)
-        sub = tol / 64
-        for j in range(k - 1):
-            zf = _zeta((k - j,) + (1,) * (r - 1), 1, sub, prec)
-            pb = se.htmzv_pbc(beta, (j + 1,), 1 - alpha, sub, None, prec)
-            rhs = rhs + zf * pb * mp.mpf(-1) ** j
-        sign = -mp.mpf(-1) ** k
-
-        # enumerate i_1 + ... + i_{k-1} + l = r + k - 1 with i_j >= 1
-        def slots(remaining, count):
-            if count == 0:
-                yield ()
-                return
-            for first in range(1, remaining - count + 2):
-                for rest in slots(remaining - first, count - 1):
-                    yield (first,) + rest
-        for i_parts in slots(r + k - 1, k - 1):
-            l = r + k - 1 - sum(i_parts)
-            if l < 0:
-                continue
-            dual = theorem_dual(Composition(i_parts))
-            d = _pbc_deriv(l, beta, dual, 1 - alpha, sub, prec)
-            rhs = rhs + d * (sign / _fac(l))
-        return lhs, rhs
+    k = int(p["k"])
+    r = int(p["r"])
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    idx = (k,) + (1,) * (r - 1)
+    lhs = quad.int_mpl_weighted(idx, alpha, beta, 0, 0, tol / 16, prec)
+    rhs = ValueWithBound(0, 0, True)
+    sub = tol / 64
+    for j in range(k - 1):
+        zf = _zeta((k - j,) + (1,) * (r - 1), 1, sub, prec)
+        pb = se.htmzv_pbc(beta, (j + 1,), 1 - alpha, sub, None, prec)
+        rhs = rhs + zf * pb * mp.mpf(-1) ** j
+    sign = -mp.mpf(-1) ** k
+    # i_1 + ... + i_{k-1} + l = r + k - 1 with i_j >= 1 and l >= 0
+    for w in weak_compositions(r, k):
+        i_parts, l = tuple(wj + 1 for wj in w.parts[:-1]), w.parts[-1]
+        dual = theorem_dual(Composition(i_parts))
+        d = _pbc_deriv(l, beta, dual, 1 - alpha, sub, prec)
+        rhs = rhs + d * (sign / mp.factorial(l))
+    return lhs, rhs
 
 
 _register(
@@ -1386,18 +1291,17 @@ _register(
 
 
 def _eval_cor_73(p, tol, prec):
-    with working(prec):
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        lhs = se.htmzv_pbc(alpha, (2, 1), 1 - beta, tol / 8, None, prec) \
-            + se.htmzv_pbc(beta, (2, 1), 1 - alpha, tol / 8, None, prec)
-        b = sf.beta(1 - alpha, 1 - beta, prec)
-        v = b * (mp.zeta(2) + sf.polygamma(1, 2 - alpha - beta, prec)
-                 - (sf.digamma(1 - alpha, prec)
-                    - sf.digamma(2 - alpha - beta, prec))
-                 * (sf.digamma(1 - beta, prec)
-                    - sf.digamma(2 - alpha - beta, prec)))
-        return lhs, _closed(v)
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    lhs = se.htmzv_pbc(alpha, (2, 1), 1 - beta, tol / 8, None, prec) \
+        + se.htmzv_pbc(beta, (2, 1), 1 - alpha, tol / 8, None, prec)
+    b = sf.beta(1 - alpha, 1 - beta, prec)
+    v = b * (mp.zeta(2) + sf.polygamma(1, 2 - alpha - beta, prec)
+             - (sf.digamma(1 - alpha, prec)
+                - sf.digamma(2 - alpha - beta, prec))
+             * (sf.digamma(1 - beta, prec)
+                - sf.digamma(2 - alpha - beta, prec)))
+    return lhs, _closed(v)
 
 
 _register(
@@ -1410,18 +1314,17 @@ _register(
 
 
 def _eval_cor_74(p, tol, prec):
-    with working(prec):
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        sub = tol / 32
-        lhs = se.htmzv_pbc(alpha, (3, 1), 1 - beta, sub, None, prec) \
-            + se.htmzv_pbc(beta, (2, 1, 1), 1 - alpha, sub, None, prec)
-        rhs = _zeta((2, 1), 1, sub, prec) \
-            * se.htmzv_pbc(beta, (1,), 1 - alpha, sub, None, prec)
-        d2 = _pbc_deriv(2, beta, (2,), 1 - alpha, sub, prec)
-        d1 = _pbc_deriv(1, beta, (2, 1), 1 - alpha, sub, prec)
-        rhs = rhs - d2 * mp.mpf(0.5) - d1
-        return lhs, rhs
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    sub = tol / 32
+    lhs = se.htmzv_pbc(alpha, (3, 1), 1 - beta, sub, None, prec) \
+        + se.htmzv_pbc(beta, (2, 1, 1), 1 - alpha, sub, None, prec)
+    rhs = _zeta((2, 1), 1, sub, prec) \
+        * se.htmzv_pbc(beta, (1,), 1 - alpha, sub, None, prec)
+    d2 = _pbc_deriv(2, beta, (2,), 1 - alpha, sub, prec)
+    d1 = _pbc_deriv(1, beta, (2, 1), 1 - alpha, sub, prec)
+    rhs = rhs - d2 * mp.mpf(0.5) - d1
+    return lhs, rhs
 
 
 _register(
@@ -1434,19 +1337,18 @@ _register(
 
 
 def _eval_thm_75(p, tol, prec):
-    with working(prec):
-        k = Composition(tuple(p["k"]))
-        alpha = parse_real(p["alpha"])
-        beta = parse_real(p["beta"])
-        if beta >= 0:
-            raise DomainError("beta must be negative here")
-        sub = tol / 16
-        lhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, sub, None, prec)
-        kp = theorem_dual(Composition((k[0] + 1,) + k.parts[1:]))
-        rhs = se.htmzv_pbc(alpha, kp, 1 - beta, sub, None, prec) \
-            * (-(1 - alpha)) \
-            - se.htmzv_pbc(alpha - 1, kp, -beta, sub, None, prec) * beta
-        return lhs, rhs
+    k = Composition(tuple(p["k"]))
+    alpha = parse_real(p["alpha"])
+    beta = parse_real(p["beta"])
+    if beta >= 0:
+        raise DomainError("beta must be negative here")
+    sub = tol / 16
+    lhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, sub, None, prec)
+    kp = theorem_dual(Composition((k[0] + 1,) + k.parts[1:]))
+    rhs = se.htmzv_pbc(alpha, kp, 1 - beta, sub, None, prec) \
+        * (-(1 - alpha)) \
+        - se.htmzv_pbc(alpha - 1, kp, -beta, sub, None, prec) * beta
+    return lhs, rhs
 
 
 _register(

@@ -192,22 +192,24 @@ def term_spec(
     binom_upper=(),
     binom_lower=(),
     coeff=1,
+    prec: PrecisionConfig | None = None,
 ) -> TermSpec:
     """Normalising constructor for :class:`TermSpec`.
 
     ``strict``/``star`` accept anything :class:`Composition` accepts;
-    empty indices drop the factor (it is identically 1).  ``powers`` is a
+    empty indices drop the factor (it is identically 1).  Scalar shifts
+    are converted at the working precision of ``prec``.  ``powers`` is a
     sequence of (offset, exponent) pairs; ``binom_upper`` of (alpha,
     at_prev) pairs or (alpha, True, order) triples; ``binom_lower`` of
     beta values.
     """
     sk = ss = tk = ts = None
     if strict is not None:
-        sk, ss = _coerce(strict, strict_shift)
+        sk, ss = _coerce(strict, strict_shift, prec)
         if sk.is_empty():
             sk = ss = None
     if star is not None:
-        tk, ts = _coerce(star, star_shift)
+        tk, ts = _coerce(star, star_shift, prec)
         if tk.is_empty():
             tk = ts = None
     binom_upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
@@ -508,7 +510,7 @@ def mpl(k, x, tol=None, strategy=None,
             if prev:
                 total += xp * prev / mp.mpf(n) ** k1
             _, prev = next(inner)
-            if n % 16 == 0 or n <= 32:
+            if n % 16 == 0 or n <= 32 or n >= strategy.N_max:
                 # |coefficient of x^m| <= (2 + 2 log m)^(r-1) / m^(k1) and the
                 # envelope ratio beyond n is at most x e^((r-1)/n)
                 env = (
@@ -520,14 +522,12 @@ def mpl(k, x, tol=None, strategy=None,
                 if bound <= tol:
                     fl = mp.ldexp(abs(total) + 1, -cfg.work_bits + 12)
                     return ValueWithBound(total, bound + fl, True)
-            if n >= strategy.N_max:
-                raise ToleranceNotReached(
-                    f"Li tail bound not certified within {strategy.N_max} terms",
-                    best=ValueWithBound(total, _geom_tail(
-                        xp * x * (2 + 2 * mp.log(n + 1)) ** (r - 1)
-                        / mp.mpf(n + 1) ** k1,
-                        x * mp.exp(mp.mpf(r - 1) / n)), False),
-                )
+                if n >= strategy.N_max:
+                    raise ToleranceNotReached(
+                        f"Li tail bound not certified within "
+                        f"{strategy.N_max} terms",
+                        best=ValueWithBound(total, bound, False),
+                    )
 
 
 def mpl_landen(k, x, tol=None, strategy=None,
@@ -600,7 +600,7 @@ def kta(k, x, tol=None, strategy=None,
                 total += term_scale * xp * delta
             _, prev = next(inner)
             xp *= x2
-            if m % 16 == 0 or m <= 32:
+            if m % 16 == 0 or m <= 32 or m >= strategy.N_max:
                 d1 = mp.mpf(max(2 * (m + 1) - r, 1))
                 env = scale * xp * (2 + 2 * mp.log(2 * m + 2)) ** (r - 1) / d1 ** k[0]
                 q = x2 * mp.exp(mp.mpf(r - 1) / m)
@@ -608,12 +608,12 @@ def kta(k, x, tol=None, strategy=None,
                 if bound <= tol:
                     fl = mp.ldexp(abs(total) + 1, -cfg.work_bits + 12)
                     return ValueWithBound(total, bound + fl, True)
-            if m >= strategy.N_max:
-                raise ToleranceNotReached(
-                    f"A-function tail bound not certified within "
-                    f"{strategy.N_max} terms",
-                    best=ValueWithBound(total, mp.mpf(1), False),
-                )
+                if m >= strategy.N_max:
+                    raise ToleranceNotReached(
+                        f"A-function tail bound not certified within "
+                        f"{strategy.N_max} terms",
+                        best=ValueWithBound(total, bound, False),
+                    )
 
 
 def apery_I(k, kk: int, alpha, tol=None, strategy=None,
@@ -636,6 +636,7 @@ def apery_I(k, kk: int, alpha, tol=None, strategy=None,
             star_shift=1 - alpha,
             powers=((0, k[0] + 1),),
             binom_lower=(alpha,),
+            prec=prec,
         )
         return weighted_sum([spec], tol, strategy, prec)
 
@@ -657,6 +658,7 @@ def apery_II(k_head: int, star_tail, m: int, alpha, tol=None, strategy=None,
             star=star_tail,
             powers=((0, m),),
             binom_upper=((alpha, False),),
+            prec=prec,
         )
         return weighted_sum([spec], tol, strategy, prec)
 
@@ -685,6 +687,7 @@ def apery_III(k, l, m: int, alpha, beta, tol=None, strategy=None,
             powers=((0, m + 2),),
             binom_upper=((alpha, False),),
             binom_lower=(beta,),
+            prec=prec,
         )
         return weighted_sum([spec], tol, strategy, prec)
 
@@ -719,6 +722,19 @@ def param_euler_pow(m: int, k: int, alpha, tol=None, strategy=None,
         return weighted_sum([spec], tol, strategy, prec)
 
 
+def _dual_binomial_sum(k, total: int, Z, tol) -> ValueWithBound:
+    """sum over weak compositions j of ``total`` of B(b; j) Z(b + j, sub),
+    with b = theorem_dual(k) and the budget sub = tol / sum_j B(b; j)."""
+    base = theorem_dual(Composition(k))
+    jlist = list(weak_compositions(total, base.depth()))
+    weights = [binom_weight(base, j) for j in jlist]
+    sub = tol / sum(weights)
+    out = ValueWithBound(0, 0, True)
+    for j, w in zip(jlist, weights):
+        out = out + Z(index_add(base, j), sub) * w
+    return out
+
+
 def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
                    prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Values of the xi / psi / eta zeta functions at integer s >= 1.
@@ -738,20 +754,13 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
         raise DomainError("needs a nonempty index")
     with working(prec) as cfg:
         tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
-        base = theorem_dual(k)
-        jlist = list(weak_compositions(s - 1, base.depth()))
-        weights = [binom_weight(base, j) for j in jlist]
-        sub = tol / sum(weights)
-        total = ValueWithBound(0, 0, True)
-        for j, w in zip(jlist, weights):
-            idx = index_add(base, j)
-            if kind == "xi":
-                v = htmzv(idx, None, sub, strategy, prec)
-            elif kind == "psi":
-                v = htmtv(idx, 1, sub, strategy, prec)
-            else:
-                v = htmzsv(idx, None, sub, strategy, prec)
-            total = total + v * w
+        if kind == "xi":
+            Z = lambda idx, sub: htmzv(idx, None, sub, strategy, prec)
+        elif kind == "psi":
+            Z = lambda idx, sub: htmtv(idx, 1, sub, strategy, prec)
+        else:
+            Z = lambda idx, sub: htmzsv(idx, None, sub, strategy, prec)
+        total = _dual_binomial_sum(k, s - 1, Z, tol)
         if kind == "eta" and k.depth() % 2 == 0:
             total = -total
         return total

@@ -57,6 +57,17 @@ def test_derivative_identities_at_448_bits(id):
     assert c.error is None and c.passed
 
 
+@pytest.mark.parametrize("id", ["thm-3.1", "thm-5.4", "cor-7.3"])
+def test_run_check_ignores_caller_precision(id):
+    def check(bits):
+        with mp.workprec(bits):
+            return run_check(id, None, TOL, PREC)
+
+    lo, hi = check(53), check(600)
+    for a, b in ((lo.lhs, hi.lhs), (lo.rhs, hi.rhs)):
+        assert a.value == b.value and a.abs_error == b.abs_error
+
+
 def test_run_check_ideas_five_tight():
     c = run_check("eq-7-ideas-5", {"alpha": "1/3", "beta": "1/4"},
                   "1e-10", PREC)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hzeta.compositions import Composition, contractions, ones
-from hzeta.errors import DomainError, NonAdmissible
+from hzeta.errors import DomainError, NonAdmissible, ToleranceNotReached
 from hzeta import asymptotics as asym
 from hzeta.finite_sums import ShiftVector, _binomials, nested_stream, nth
 from hzeta.precision import PrecisionConfig
 from hzeta.series_engine import (
+    TailStrategy,
     ValueWithBound,
     apery_I,
     apery_II,
@@ -341,6 +342,26 @@ class TestErrorModel:
         with mp.workprec(300):
             hi = fn((2, 1), ["0.3", "0.7"], None, None, prec)
         assert lo.value == hi.value and lo.abs_error == hi.abs_error
+
+    def test_term_spec_shifts_keep_the_working_precision(self):
+        prec = PrecisionConfig(bits=448)
+        with mp.workprec(prec.work_bits):
+            shift = mp.mpf(3) / 10
+            spec = term_spec(strict=(1, 1), strict_shift=shift,
+                             star=(1,), star_shift=shift, prec=prec)
+            assert spec.strict_shift[0] == shift
+            assert spec.star_shift[0] == shift
+
+    @pytest.mark.parametrize("x", ["0.99", "0.9999"])
+    @pytest.mark.parametrize("fn", [mpl, kta])
+    def test_give_up_bound_holds(self, fn, x):
+        # the best estimate at the term cap claims at least its true error
+        prec = PrecisionConfig(bits=128)
+        with pytest.raises(ToleranceNotReached) as info:
+            fn((1, 1), x, None, TailStrategy(N_max=1000), prec)
+        best = info.value.best
+        ref = fn((1, 1), x, mp.mpf("1e-12"), None, prec)
+        assert best.abs_error >= abs(best.value - ref.value)
 
     @pytest.mark.parametrize("fn", [htmzv, htmzsv])
     def test_scalar_string_shift_broadcasts(self, fn):
