@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import mpmath as mp
 
+from . import series_engine
 from .compositions import Composition
 from .precision import PrecisionConfig, working
 
@@ -80,12 +81,9 @@ def _mul_geom(terms, step, M):
 
 def _direct_core(kind, k_parts, x, bits, prec):
     """Direct series value of the core at an interior anchor point."""
-    from .series_engine import kta as _kta, mpl as _mpl
-
     tol = mp.ldexp(1, -bits + 6)
-    if kind == "mpl":
-        return _mpl(Composition(k_parts), x, tol, None, prec).value
-    return _kta(Composition(k_parts), x, tol, None, prec).value
+    return getattr(series_engine, kind)(Composition(k_parts), x, tol, None,
+                                        prec).value
 
 
 _ANCHOR_U = "0.25"
@@ -108,10 +106,8 @@ def _useries(kind, k_parts, M, prec):
             rhs = {(m - 1, j): -c for (m, j), c in R.items()}
         else:
             S = _useries(kind, (k1 - 1,) + k_parts[1:], M, prec)
-            if kind == "mpl":
-                rhs = {k: -c for k, c in _mul_geom(S, 1, M).items()}
-            else:
-                rhs = {k: -2 * c for k, c in _mul_geom(S, 2, M).items()}
+            f = 1 if kind == "mpl" else 2
+            rhs = {key: -f * c for key, c in _mul_geom(S, f, M).items()}
         E = _integrate_terms(rhs, M)
         u0 = mp.mpf(_ANCHOR_U)
         x0 = 1 - u0 if kind == "mpl" else (1 - u0) / (1 + u0)
@@ -127,27 +123,23 @@ def _series_length(prec: PrecisionConfig | None):
         return cfg.work_bits // 2 + 24
 
 
-def mpl_endpoint(k, prec: PrecisionConfig | None = None):
-    """Evaluator u -> Li_k(1 - u), accurate for 0 < u <= 1/4."""
-    k = Composition(k)
-    M = _series_length(prec)
-    terms = _useries("mpl", k.parts, M, prec)
+def _endpoint(kind, k, prec):
+    """Evaluator u -> core at the local variable u, accurate for
+    0 < u <= 1/4."""
+    terms = _useries(kind, Composition(k).parts, _series_length(prec), prec)
 
     def f(u):
         with working(prec):
             return _eval_terms(terms, mp.mpf(u))
 
     return f
+
+
+def mpl_endpoint(k, prec: PrecisionConfig | None = None):
+    """Evaluator u -> Li_k(1 - u), accurate for 0 < u <= 1/4."""
+    return _endpoint("mpl", k, prec)
 
 
 def kta_endpoint(k, prec: PrecisionConfig | None = None):
     """Evaluator u -> A(k; (1-u)/(1+u)), accurate for 0 < u <= 1/4."""
-    k = Composition(k)
-    M = _series_length(prec)
-    terms = _useries("kta", k.parts, M, prec)
-
-    def f(u):
-        with working(prec):
-            return _eval_terms(terms, mp.mpf(u))
-
-    return f
+    return _endpoint("kta", k, prec)

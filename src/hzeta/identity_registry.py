@@ -258,27 +258,35 @@ def _pbc_deriv(order: int, beta, k, shift, tol, prec) -> ValueWithBound:
     return se._pbc_sum(beta, k, shift, order, tol, None, prec)
 
 
+SERIES_IN_X_MAX_TERMS = 2_000_000
+
+
 def _series_in_x(spec, x, tol, prec, extra=0) -> ValueWithBound:
     """sum_n a_n x^n for a TermSpec sequence a_n, with a geometric
     heuristic tail bound; ``extra`` is added to the total (n = 0 term)."""
     x = parse_real(x)
     if not 0 < x < 1:
         raise DomainError(f"x must lie in (0, 1), got {x}")
-    state = se._SpecState(spec, prec)
-    total = mp.mpf(extra)
-    xn = mp.mpf(1)
-    n = 0
-    while True:
-        n += 1
-        xn *= x
-        t = state.step(n) * xn
-        total += t
-        if n >= 40 and n % 8 == 0:
-            tail = abs(t) * 2 * x / (1 - x)
-            if tail <= tol:
-                return ValueWithBound(total, tail + tol / 4, False)
-        if n > 2_000_000:
-            raise DomainError("series in x did not reach tolerance")
+    with working(prec) as cfg:
+        state = se._SpecState(spec, prec)
+        total = mp.mpf(extra)
+        xn = mp.mpf(1)
+        n = 0
+        while True:
+            n += 1
+            xn *= x
+            t = state.step(n) * xn
+            total += t
+            if n >= 40 and n % 8 == 0 or n >= SERIES_IN_X_MAX_TERMS:
+                tail = abs(t) * 2 * x / (1 - x)
+                if tail <= tol:
+                    fl = mp.ldexp(abs(total) + 1, -cfg.work_bits + 12)
+                    return ValueWithBound(total, tail + fl, False)
+                if n >= SERIES_IN_X_MAX_TERMS:
+                    raise ToleranceNotReached(
+                        f"series in x did not reach tolerance within "
+                        f"{SERIES_IN_X_MAX_TERMS} terms",
+                        best=ValueWithBound(total, tail, False))
 
 
 # ---------------------------------------------------------------------------

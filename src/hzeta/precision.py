@@ -34,12 +34,6 @@ class PrecisionConfig:
     def work_bits(self) -> int:
         return self.bits + self.guard_bits
 
-    @property
-    def eps(self) -> mp.mpf:
-        """Unit roundoff at the user-visible precision."""
-        with mp.workprec(self.work_bits):
-            return mp.ldexp(1, -self.bits)
-
 
 def default_precision() -> PrecisionConfig:
     """Default config; HZETA_PREC (bits) overrides the 256-bit default."""

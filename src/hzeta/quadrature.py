@@ -7,14 +7,15 @@ so algebraic singularities x^a (1-x)^b with a, b > -1 and log factors
 are integrated accurately; the error estimate is the last level-doubling
 delta and is heuristic.
 
-Both endpoint coordinates of every node are kept explicitly (x and
-1 - x), and polylogarithm cores switch to the anchored endpoint
-expansions of :mod:`hzeta.endpoint` once 1 - x < 1/4, so nodes
-exponentially close to 1 stay cheap and fully accurate.
+Both endpoint coordinates of every node are kept explicitly (v and
+1 - v), and polylogarithm cores switch to the anchored endpoint
+expansions of :mod:`hzeta.endpoint` once their right-endpoint variable
+is at most 1/4, so nodes exponentially close to x = 1 stay cheap and
+fully accurate.
 
-Integrals in the odd frame substitute u = (1 - x)/(1 + x) and integrate
-in u, so the natural singular variable of the A-function weights sits at
-an interval endpoint.
+The frame follows from the core.  The A-function core integrates in
+u = (1 - x)/(1 + x), so the natural singular variable of its weights sits
+at an interval endpoint; every other core integrates in x.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class WeightedIntegrand:
 
     ``core`` is one of ("constant",), ("monomial", n), ("mpl", k),
     ("mpl_landen", k), ("kta", k).  The weight is
-    x^x_exp (1-x)^omx_exp log^logx_pow x log^logomx_pow (1-x); with
-    ``kta_frame`` the (1-x) pieces use u = (1-x)/(1+x) instead and the
-    integral is carried out in u.
+    x^x_exp w^omx_exp log^logx_pow x log^logomx_pow w, where the
+    right-endpoint variable w is 1 - x, except for the "kta" core, whose
+    w is u = (1-x)/(1+x) and whose integral is carried out in u.
     """
 
     core: tuple = ("constant",)
@@ -87,7 +88,6 @@ class WeightedIntegrand:
     omx_exp: object = 0
     logx_pow: int = 0
     logomx_pow: int = 0
-    kta_frame: bool = False
 
     def core_order(self) -> int:
         """Vanishing order of the core at x = 0."""
@@ -99,52 +99,37 @@ class WeightedIntegrand:
         return Composition(self.core[1]).depth()
 
 
-def _hybrid_mpl(k: Composition, prec):
-    """Evaluator (x, omx) -> Li_k(x), switching representation at 1/4."""
-    near = mpl_endpoint(k, prec)
+def _hybrid(kind, k: Composition, prec):
+    """Evaluator (x, u) -> Li_k(x) or A(k; x), u the core's right-endpoint
+    variable; switches to the endpoint series once u <= 1/4."""
+    near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(k, prec)
+    series = _mpl_series if kind == "mpl" else _kta_series
     quarter = mp.mpf("0.25")
+    with working(prec) as cfg:
+        tol = mp.ldexp(1, -(cfg.work_bits - 16))
 
-    def f(x, omx):
-        if omx <= quarter:
-            return near(omx)
-        return _mpl_series(k, x, _core_tol(prec), None, prec).value
-
-    return f
-
-
-def _hybrid_kta(k: Composition, prec):
-    near = kta_endpoint(k, prec)
-    quarter = mp.mpf("0.25")
-
-    def f(x, omx):
-        u = omx / (1 + x)
+    def f(x, u):
         if u <= quarter:
             return near(u)
-        return _kta_series(k, x, _core_tol(prec), None, prec).value
+        return series(k, x, tol, None, prec).value
 
     return f
-
-
-def _core_tol(prec):
-    with working(prec) as cfg:
-        return mp.ldexp(1, -(cfg.work_bits - 16))
 
 
 def _core_evaluator(core, prec):
+    """Evaluator (x, w) -> core value, w the right-endpoint variable."""
     kind = core[0]
     if kind == "constant":
         return lambda x, omx: mp.mpf(1)
     if kind == "monomial":
         n = int(core[1])
         return lambda x, omx: x ** (n - 1)
-    if kind == "mpl":
-        return _hybrid_mpl(Composition(core[1]), prec)
-    if kind == "kta":
-        return _hybrid_kta(Composition(core[1]), prec)
+    if kind in ("mpl", "kta"):
+        return _hybrid(kind, Composition(core[1]), prec)
     if kind == "mpl_landen":
         k = Composition(core[1])
-        parts = [_hybrid_mpl(l, prec) for l in sorted(refinements(k),
-                                                     key=lambda l: l.parts)]
+        parts = [_hybrid("mpl", l, prec) for l in sorted(refinements(k),
+                                                        key=lambda l: l.parts)]
         sign = -1 if k.depth() % 2 else 1
 
         def f(x, omx):
@@ -156,64 +141,43 @@ def _core_evaluator(core, prec):
 
 def _build_pointwise(f: WeightedIntegrand, prec):
     """Map a node (v, 1-v) of the integration variable to the full
-    integrand value, including the frame jacobian."""
+    integrand value: (x, w) = (v, 1 - v), or for the "kta" core u = w = v,
+    x = (1-u)/(1+u) and the jacobian 2/(1+u)^2."""
     core = _core_evaluator(f.core, prec)
+    odd = f.core[0] == "kta"
     a = mp.mpf(f.x_exp)
     b = mp.mpf(f.omx_exp)
     p = int(f.logx_pow)
     q = int(f.logomx_pow)
 
-    if not f.kta_frame:
-
-        def g(v, omv):
-            val = core(v, omv)
-            if a:
-                val *= v ** a
-            if b:
-                val *= omv ** b
-            if p:
-                val *= mp.log(v) ** p
-            if q:
-                val *= mp.log(omv) ** q
-            return val
-
-        return g
-
     def g(v, omv):
-        # integration variable is u = v; x = (1-u)/(1+u)
-        x = omv / (1 + v)
-        omx = 2 * v / (1 + v)
-        val = core(x, omx) * 2 / (1 + v) ** 2
+        if odd:
+            x, w, val = omv / (1 + v), v, 2 / (1 + v) ** 2
+        else:
+            x, w, val = v, omv, 1
+        val *= core(x, w)
         if a:
             val *= x ** a
         if b:
-            val *= v ** b
+            val *= w ** b
         if p:
             val *= mp.log(x) ** p
         if q:
-            val *= mp.log(v) ** q
+            val *= mp.log(w) ** q
         return val
 
     return g
 
 
 def _check_integrable(f: WeightedIntegrand):
-    order0 = f.core_order()
-    if f.kta_frame:
-        # at u -> 0 (x -> 1) the core is log-bounded; at u -> 1, x -> 0
-        if mp.mpf(f.omx_exp) <= -1:
-            raise DomainError("u-exponent must exceed -1")
-        if order0 + mp.mpf(f.x_exp) <= -1:
-            raise DomainError("x-exponent too singular at x = 0")
-    else:
-        if order0 + mp.mpf(f.x_exp) <= -1:
-            raise DomainError("x-exponent too singular at x = 0")
-        if mp.mpf(f.omx_exp) <= -1:
-            raise DomainError("(1-x)-exponent must exceed -1")
+    if f.core_order() + mp.mpf(f.x_exp) <= -1:
+        raise DomainError("x-exponent too singular at x = 0")
+    if mp.mpf(f.omx_exp) <= -1:
+        raise DomainError("right-endpoint exponent must exceed -1")
 
 
-def de_quad(f: WeightedIntegrand, tol=None, prec: PrecisionConfig | None = None,
-            max_levels: int = MAX_LEVELS) -> ValueWithBound:
+def de_quad(f: WeightedIntegrand, tol=None,
+            prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Integrate a weighted core over (0, 1) by level-doubled tanh-sinh."""
     _check_integrable(f)
     with working(prec) as cfg:
@@ -222,7 +186,7 @@ def de_quad(f: WeightedIntegrand, tol=None, prec: PrecisionConfig | None = None,
         total = mp.mpf(0)
         prev = None
         delta = mp.inf
-        for level in range(max_levels + 1):
+        for level in range(MAX_LEVELS + 1):
             total = total / 2 if level else total
             total += mp.fsum(w * g(v, omv) for v, omv, w in _nodes(level))
             if prev is not None:
@@ -265,6 +229,5 @@ def int_kta_weighted(k, alpha, q: int = 0, tol=None,
         x_exp=-1,
         omx_exp=-mp.mpf(alpha),
         logomx_pow=q,
-        kta_frame=True,
     )
     return de_quad(f, tol, prec)

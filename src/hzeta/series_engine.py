@@ -468,25 +468,74 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
         return weighted_sum([spec], tol, strategy, prec)
 
 
-def _geom_tail(env_next, q):
-    """Tail bound env_next * (1 + q + q^2 + ...) for ratio bound q < 1."""
-    if q >= 1:
-        return mp.inf
-    return env_next / (1 - q)
+def _direct_series(k: Composition, x, frame: int, tol, strategy, prec,
+                   name: str) -> ValueWithBound:
+    """Li_k(x) (frame 1) or A(k; x) (frame 2) for 0 < x < 1: scale times
+    sum_{m>=1} x^d(m) d(m)^(-k_1) zeta_(m-1)(k_2..k_r; a), d(m) = frame m - c.
+
+    Li: c = 0, a = 1, scale 1.  A: c = r and a_i = (i + 2 - r)/2, since
+    inner slot i has denominator 2 m_i - r + i = 2 (m_i + a_i - 1); the
+    2^r of A and those 2s give scale 2^(r - |k_2..k_r|), a power of two
+    applied once to the total.  Tail: |coefficient of x^d(m)| <= env_scale
+    (2 + 2 log(frame m))^(r-1) / d(m)^(k_1) (env_scale 2^r for A), with
+    envelope ratio beyond m at most x^frame e^((r-1)/m).
+    """
+    strategy = strategy or DEFAULT_TAIL
+    with working(prec) as cfg:
+        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
+        r = k.depth()
+        k1 = k[0]
+        tail = Composition(k.parts[1:])
+        if frame == 1:
+            c, shifts, scale, env_scale = 0, None, 1, 1
+        else:
+            c = r
+            shifts = [mp.mpf(i + 2 - r) / 2 for i in range(1, r)]
+            scale = mp.ldexp(1, r - tail.weight())
+            env_scale = mp.ldexp(1, r)
+        inner = mhs_stream(tail, shifts, prec)
+        xf = x ** frame
+        xp = x ** (frame - c)  # x^d(m) at m = 1
+        prev = mp.mpf(1) if r == 1 else mp.mpf(0)
+        total = mp.mpf(0)
+        m = 0
+        while True:
+            m += 1
+            if prev:
+                total += xp * prev / mp.mpf(frame * m - c) ** k1
+            _, prev = next(inner)
+            xp *= xf
+            if m % 16 == 0 or m <= 32 or m >= strategy.N_max:
+                d1 = mp.mpf(max(frame * (m + 1) - c, 1))
+                env = (env_scale * xp
+                       * (2 + 2 * mp.log(frame * (m + 1))) ** (r - 1)
+                       / d1 ** k1)
+                q = xf * mp.exp(mp.mpf(r - 1) / m)
+                bound = env / (1 - q) if q < 1 else mp.inf  # env (1 + q + ...)
+                value = scale * total
+                if bound <= tol:
+                    fl = mp.ldexp(abs(value) + 1, -cfg.work_bits + 12)
+                    return ValueWithBound(value, bound + fl, True)
+                if m >= strategy.N_max:
+                    raise ToleranceNotReached(
+                        f"{name} tail bound not certified within "
+                        f"{strategy.N_max} terms",
+                        best=ValueWithBound(value, bound, False),
+                    )
 
 
 def mpl(k, x, tol=None, strategy=None,
         prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Single-variable multiple polylogarithm Li_k(x) for 0 <= x <= 1.
 
-    Direct summation with a rigorous log-majorant envelope on the tail;
-    at x = 1 the admissible case delegates to :func:`htmzv`.
+    Frame 1 of :func:`_direct_series`: direct summation with a rigorous
+    log-majorant envelope on the tail.  At x = 1 the admissible case
+    delegates to :func:`htmzv`.
     """
     k = Composition(k)
     if k.is_empty():
         raise DomainError("mpl needs a nonempty index")
-    strategy = strategy or DEFAULT_TAIL
-    with working(prec) as cfg:
+    with working(prec):
         x = mp.mpf(x)
         if not 0 <= x <= 1:
             raise DomainError(f"x must lie in [0, 1], got {x}")
@@ -496,38 +545,7 @@ def mpl(k, x, tol=None, strategy=None,
             return htmzv(k, None, tol, strategy, prec)
         if x == 0:
             return ValueWithBound(0, 0, True)
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
-        r = k.depth()
-        k1 = k[0]
-        inner = mhs_stream(Composition(k.parts[1:]), None, prec)
-        prev = mp.mpf(1) if r == 1 else mp.mpf(0)
-        total = mp.mpf(0)
-        xp = mp.mpf(1)
-        n = 0
-        while True:
-            n += 1
-            xp *= x
-            if prev:
-                total += xp * prev / mp.mpf(n) ** k1
-            _, prev = next(inner)
-            if n % 16 == 0 or n <= 32 or n >= strategy.N_max:
-                # |coefficient of x^m| <= (2 + 2 log m)^(r-1) / m^(k1) and the
-                # envelope ratio beyond n is at most x e^((r-1)/n)
-                env = (
-                    xp * x * (2 + 2 * mp.log(n + 1)) ** (r - 1)
-                    / mp.mpf(n + 1) ** k1
-                )
-                q = x * mp.exp(mp.mpf(r - 1) / n)
-                bound = _geom_tail(env, q)
-                if bound <= tol:
-                    fl = mp.ldexp(abs(total) + 1, -cfg.work_bits + 12)
-                    return ValueWithBound(total, bound + fl, True)
-                if n >= strategy.N_max:
-                    raise ToleranceNotReached(
-                        f"Li tail bound not certified within "
-                        f"{strategy.N_max} terms",
-                        best=ValueWithBound(total, bound, False),
-                    )
+        return _direct_series(k, x, 1, tol, strategy, prec, "Li")
 
 
 def mpl_landen(k, x, tol=None, strategy=None,
@@ -561,13 +579,13 @@ def kta(k, x, tol=None, strategy=None,
         A(k; x) = 2^r sum_{m_1 > ... > m_r >= 1}
                   x^(2 m_1 - r) / prod_j (2 m_j - r + j - 1)^(k_j)
 
-    for 0 <= x <= 1; at x = 1 it equals the multiple T-value T(k).
+    for 0 <= x <= 1, summed directly as frame 2 of :func:`_direct_series`;
+    at x = 1 it equals the multiple T-value T(k).
     """
     k = Composition(k)
     if k.is_empty():
         raise DomainError("kta needs a nonempty index")
-    strategy = strategy or DEFAULT_TAIL
-    with working(prec) as cfg:
+    with working(prec):
         x = mp.mpf(x)
         if not 0 <= x <= 1:
             raise DomainError(f"x must lie in [0, 1], got {x}")
@@ -577,43 +595,7 @@ def kta(k, x, tol=None, strategy=None,
             return htmtv(k, 1, tol, strategy, prec)
         if x == 0:
             return ValueWithBound(0, 0, True)
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
-        r = k.depth()
-        scale = mp.ldexp(1, r)
-        x2 = x * x
-        xp = x ** (2 - r)  # x^(2 m - r) at m = 1
-        # inner slot i >= 1 has denominator 2 m_i - r + i = 2 (m_i + a_i - 1)
-        # with a_i = (i + 2 - r) / 2, so the inner sum over m_1 > m_2 > ...
-        # is 2^(-|k_2..k_r|) zeta_(m_1 - 1)(k_2..k_r; a); that power of 2
-        # moves into the scale, which rounds the same
-        tail = Composition(k.parts[1:])
-        inner = mhs_stream(
-            tail, [mp.mpf(i + 2 - r) / 2 for i in range(1, r)], prec)
-        term_scale = mp.ldexp(scale, -tail.weight())
-        prev = mp.mpf(1) if r == 1 else mp.mpf(0)
-        total = mp.mpf(0)
-        m = 0
-        while True:
-            m += 1
-            if prev:
-                delta = mp.mpf(2 * m - r) ** (-k[0]) * prev
-                total += term_scale * xp * delta
-            _, prev = next(inner)
-            xp *= x2
-            if m % 16 == 0 or m <= 32 or m >= strategy.N_max:
-                d1 = mp.mpf(max(2 * (m + 1) - r, 1))
-                env = scale * xp * (2 + 2 * mp.log(2 * m + 2)) ** (r - 1) / d1 ** k[0]
-                q = x2 * mp.exp(mp.mpf(r - 1) / m)
-                bound = _geom_tail(env, q)
-                if bound <= tol:
-                    fl = mp.ldexp(abs(total) + 1, -cfg.work_bits + 12)
-                    return ValueWithBound(total, bound + fl, True)
-                if m >= strategy.N_max:
-                    raise ToleranceNotReached(
-                        f"A-function tail bound not certified within "
-                        f"{strategy.N_max} terms",
-                        best=ValueWithBound(total, bound, False),
-                    )
+        return _direct_series(k, x, 2, tol, strategy, prec, "A-function")
 
 
 def apery_I(k, kk: int, alpha, tol=None, strategy=None,

@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 
+from hzeta import identity_registry
 from hzeta.errors import UnknownIdentity
 from hzeta.identity_registry import (
     identity_ids,
@@ -111,3 +112,16 @@ def test_records_shape():
         assert field in rec
     assert rec["id"] == "cor-5.3"
     assert rec["passed"] is True
+
+
+def test_series_in_x_gives_up_as_an_error_check(monkeypatch):
+    # a series in x that reaches the term cap is an ERROR check carrying
+    # its partial sum, not an exception that ends the suite
+    monkeypatch.setattr(identity_registry, "SERIES_IN_X_MAX_TERMS", 200)
+    c = run_check("thm-3.1", {"x": "0.99999", "alpha": "0.4",
+                              "log_pow": 0}, TOL, PREC)
+    assert not c.passed
+    assert "did not reach tolerance" in c.error
+    assert c.best is not None and mp.isfinite(c.best.value)
+    assert c.best.abs_error > 0
+    assert "best" in c.record()

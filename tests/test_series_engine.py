@@ -138,6 +138,29 @@ class TestPolylogs:
         ref = htmtv((2, 1), 1, TOL, None, PREC)
         assert abs(v.value - ref.value) < mp.mpf(10) ** -12
 
+    @pytest.mark.parametrize("k", [(1,), (2,), (2, 1), (1, 2), (2, 1, 1)])
+    @pytest.mark.parametrize("x", ["1/4", "1/2"])
+    @pytest.mark.parametrize("fn, frame", [(mpl, 1), (kta, 2)])
+    def test_matches_defining_sum(self, fn, frame, k, x):
+        # Li_k(x) = sum x^(n_1) / prod n_j^(k_j) over n_1 > ... > n_r >= 1;
+        # A(k; x) = 2^r sum x^(2 m_1 - r) / prod (2 m_j - r + j - 1)^(k_j).
+        # acc[j] holds the sum over the slots j.. below the current m.
+        r = len(k)
+        with mp.workprec(320):
+            x = mp.mpf(1) / int(x[2:])
+            acc = [mp.mpf(0)] * r + [mp.mpf(1)]
+            m = 0
+            while x ** (frame * m) >= mp.ldexp(1, -300):
+                m += 1
+                for j in range(r):
+                    if acc[j + 1]:
+                        d = m if frame == 1 else 2 * m - r + j
+                        w = acc[j + 1] / mp.mpf(d) ** k[j]
+                        acc[j] += x ** d * w if j == 0 else w
+            ref = acc[0] * (1 if frame == 1 else 2 ** r)
+        v = fn(k, x, mp.mpf(10) ** -70, None, PrecisionConfig(bits=256))
+        assert abs(v.value - ref) < mp.mpf(10) ** -60
+
 
 class TestAperyFamilies:
     def test_apery_I_pi4(self):
