@@ -10,6 +10,10 @@ products, argument shifts f(n+c), termwise antiderivatives, and the
 Euler-Maclaurin antidifference V with V(n) - V(n-1) ~ t(n), which turns
 a term expansion into a partial-sum expansion up to a constant.
 
+Every parametric binomial factor is a constant times Gamma(n + c) /
+Gamma(n + d), which :func:`gamma_ratio` expands from DLMF 5.11.8 with no
+growth terms left over and no series to invert or shift.
+
 That constant is anchored numerically: prefix expansions of the nested
 harmonic sums are built recursively and pinned to an exact dynamic-program
 evaluation at a moderate index.  Tails of outer series whose terms have
@@ -91,10 +95,6 @@ class AsymSeries:
     def constant(cls, c, emax):
         return cls({(mp.mpf(0), 0): mp.mpf(c)}, emax)
 
-    @classmethod
-    def monomial(cls, c, e, j, emax):
-        return cls({(mp.mpf(e), int(j)): mp.mpf(c)}, emax)
-
     def copy(self):
         out = AsymSeries(emax=self.emax)
         out.terms = dict(self.terms)
@@ -133,9 +133,9 @@ class AsymSeries:
 
     __rmul__ = __mul__
 
-    def prune(self, tol=None):
+    def prune(self):
         """Drop terms with negligible coefficients."""
-        tol = tol if tol is not None else _drop_tol()
+        tol = _drop_tol()
         out = AsymSeries(emax=self.emax)
         out.terms = {k: c for k, c in self.terms.items() if abs(c) > tol}
         return out
@@ -328,71 +328,52 @@ def em_antidifference(T):
     return V
 
 
-def _stirling_log_gamma(c, emax):
-    """log Gamma(n + c) minus the constant log sqrt(2 pi), as an AsymSeries
-    with growth terms (exponents -1 and 0)."""
-    c = mp.mpf(c)
-    lam = log_shift(c, emax)  # log(n + c)
-    poly = AsymSeries(emax=emax)
-    poly._accum(mp.mpf(-1), 0, mp.mpf(1))  # n
-    poly._accum(mp.mpf(0), 0, c - mp.mpf("0.5"))
-    out = poly * lam
-    out._accum(mp.mpf(-1), 0, mp.mpf(-1))  # -n
-    out._accum(mp.mpf(0), 0, -c)  # -(n + c), constant part
-    k = 1
-    while 2 * k - 1 <= mp.mpf(emax):
-        out = out + power_shift(2 * k - 1, c, emax) * (
-            mp.bernoulli(2 * k) / (2 * k * (2 * k - 1))
-        )
-        k += 1
-    return out
+def _log_gamma(h, emax):
+    """log Gamma(n + h) minus the constant log sqrt(2 pi), as an AsymSeries
+    with growth terms (exponents -1 and 0): DLMF 5.11.8,
+
+        (n + h - 1/2) log n - n + sum_(k>=2) (-1)^k B_k(h) / (k (k - 1)) n^(1-k).
+    """
+    terms = {(k - 1, 0): (-1) ** k * mp.bernpoly(k, h) / (k * (k - 1))
+             for k in range(2, int(emax) + 2)}
+    terms.update({(-1, 1): 1, (-1, 0): -1, (0, 1): h - mp.mpf("0.5")})
+    return AsymSeries(terms, emax)
 
 
-def gamma_ratio(c, emax):
-    """Gamma(n + c) / Gamma(n + 1) as an AsymSeries ~ n^(c-1) (1 + ...).
+def gamma_ratio(c, d, emax):
+    """Gamma(n + c) / Gamma(n + d) ~ n^(c-d) (1 + ...): exp of the decaying
+    part of :func:`_log_gamma` (c) - (d), shifted by the exact c - d.
 
-    Memoised per (c, emax, precision); callers share the returned series
+    Memoised per (c, d, emax, precision); callers share the returned series
     and must not mutate it.
     """
-    c = mp.mpf(c)
-    key = (c, emax, mp.mp.prec)
+    c, d = mp.mpf(c), mp.mpf(d)
+    key = (c, d, emax, mp.mp.prec)
     hit = _gamma_ratio_cache.get(key)
     if hit is None:
-        hit = _gamma_ratio_cache[key] = _gamma_ratio(c, emax)
+        D = _log_gamma(c, emax) - _log_gamma(d, emax)
+        R = AsymSeries({k: v for k, v in D.terms.items() if k[0] > 0}, emax)
+        hit = _gamma_ratio_cache[key] = AsymSeries(
+            {(e - (c - d), j): v for (e, j), v in exp_decaying(R).terms.items()},
+            emax)
     return hit
-
-
-def _gamma_ratio(c, emax):
-    D = (_stirling_log_gamma(c, emax) - _stirling_log_gamma(mp.mpf(1), emax)).prune()
-    # D = (c - 1) log n + kappa + decaying; kappa is analytically zero
-    growth = [abs(coef) for (e, j), coef in D.terms.items() if e < 0]
-    if growth and max(growth) > _drop_tol():
-        raise AssertionError("Stirling difference kept a growth term")
-    lead = D.coefficient(0, 1)
-    kappa = D.coefficient(0, 0)
-    R = D.drop_term(0, 1).drop_term(0, 0)
-    R.terms = {k: v for k, v in R.terms.items() if k[0] > 0}
-    out = exp_decaying(R) * mp.exp(kappa)
-    shifted = AsymSeries(emax=out.emax)
-    for (e, j), coef in out.terms.items():
-        shifted._accum(e - lead, j, coef)
-    return shifted
 
 
 def _binomial_series(alpha, order, emax) -> AsymSeries:
     """Expansion in n of the order-th alpha-derivative of
-    G = C(n + alpha - 2, n - 1) = Gamma(n + alpha - 1) / (Gamma(n) Gamma(alpha)).
+    G = C(n + alpha - 2, n - 1) = Gamma(n + alpha - 1) / (Gamma(n) Gamma(alpha)),
+    which is :func:`gamma_ratio` (alpha - 1, 0) / Gamma(alpha).
 
     log G(alpha + eps) - log G(alpha) = sum_j eps^j / j! (psi^(j-1)(n +
     alpha - 1) - psi^(j-1)(alpha)), and psi^(j-1)(n + alpha - 1) is the
-    j-th n-derivative of the Stirling series of log Gamma(n + alpha - 1),
-    so the derivative is l! G [eps^l] exp(...), a log-power series.
+    j-th n-derivative of :func:`_log_gamma` (alpha - 1), so the derivative
+    is l! G [eps^l] exp(...), a log-power series.
     """
-    G = gamma_ratio(alpha, emax).shift_arg(-1) * (1 / mp.gamma(alpha))
+    G = gamma_ratio(alpha - 1, 0, emax) * (1 / mp.gamma(alpha))
     if not order:
         return G
     a = []  # a[j - 1]: the eps^j coefficient of log G(alpha + eps)
-    D = _stirling_log_gamma(alpha - 1, emax)
+    D = _log_gamma(alpha - 1, emax)
     for j in range(1, order + 1):
         D = D.derivative()
         a.append((D - mp.psi(j - 1, alpha)) * (1 / mp.factorial(j)))
@@ -435,9 +416,10 @@ class LruCache:
 PREFIX_CACHE_SIZE = 128
 _prefix_cache = LruCache(PREFIX_CACHE_SIZE)
 
-# A cold 51-identity verify pass asks 72 times for 14 distinct ratios; a
-# warm process that keeps meeting new parameters holds about 11 KB each.
-GAMMA_RATIO_CACHE_SIZE = 16
+# A cold seed-7 verify pass asks 72 times for 20 distinct ratios (other
+# suite seeds up to 22) and evicts none; a warm process that keeps meeting
+# new parameters holds about 11 KB each.
+GAMMA_RATIO_CACHE_SIZE = 32
 _gamma_ratio_cache = LruCache(GAMMA_RATIO_CACHE_SIZE)
 
 

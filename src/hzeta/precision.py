@@ -2,7 +2,7 @@
 
 All real arithmetic in hzeta runs on mpmath.  A :class:`PrecisionConfig`
 fixes the user-visible precision in bits; internally every routine works
-at ``bits + guard_bits`` and results are returned as ``mpf`` values
+at ``bits + GUARD_BITS`` and results are returned as ``mpf`` values
 produced at that precision.
 """
 
@@ -15,24 +15,22 @@ from dataclasses import dataclass
 import mpmath as mp
 
 MIN_BITS = 64
+GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision in bits plus internal guard bits."""
+    """Working precision in bits; routines add :data:`GUARD_BITS`."""
 
     bits: int = 256
-    guard_bits: int = 32
 
     def __post_init__(self):
         if self.bits < MIN_BITS:
             raise ValueError(f"precision must be >= {MIN_BITS} bits, got {self.bits}")
-        if self.guard_bits < 0:
-            raise ValueError("guard_bits must be >= 0")
 
     @property
     def work_bits(self) -> int:
-        return self.bits + self.guard_bits
+        return self.bits + GUARD_BITS
 
 
 def default_precision() -> PrecisionConfig:
@@ -49,7 +47,6 @@ def working(prec: PrecisionConfig | None = None):
     cfg = prec or default_precision()
     with mp.workprec(cfg.work_bits):
         yield cfg
-
 
 
 def parse_real(x) -> mp.mpf:

@@ -28,12 +28,13 @@ anchored asymptotic expansion summed in closed form, with the budgets of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import mpmath as mp
 
 from . import asymptotics as asym
 from .asymptotics import (AsymSeries, _binomial_series, gamma_ratio, power_shift,
-                          prefix_expansion, reciprocal, tail_sum)
+                          prefix_expansion, tail_sum)
 from .compositions import (
     Composition,
     add as index_add,
@@ -236,8 +237,8 @@ def term_spec(
 class _SpecState:
     """Incremental evaluator of one TermSpec along n = 1, 2, ...
 
-    Prefix sums advance through streams, binomials through first-order
-    recurrences; each :meth:`step` costs O(total depth).
+    Prefix sums advance through streams, every binomial through
+    :func:`_binomials`; each :meth:`step` costs O(total depth).
     """
 
     def __init__(self, spec: TermSpec, prec):
@@ -253,10 +254,12 @@ class _SpecState:
         self.star = None
         if spec.star_index is not None:
             self.star = mhss_stream(spec.star_index, spec.star_shift, prec)
-        # C(a, 1) = a at n = 1; C(n + a - 2, n - 1) runs on _binomials
-        self.upper = [_binomials(a, order) if at_prev else mp.mpf(a)
+        # C(n + alpha - 1, n) and C(n - beta, n) are C(m + c - 2, m - 1)
+        # at m = n + 1 for c = alpha and c = 1 - beta
+        self.upper = [islice(_binomials(a, order), 0 if at_prev else 1, None)
                       for a, at_prev, order in spec.binom_upper]
-        self.lower = [1 - b for b in spec.binom_lower]
+        self.lower = [islice(_binomials(1 - b), 1, None)
+                      for b in spec.binom_lower]
 
     def step(self, n: int):
         spec = self.spec
@@ -271,18 +274,13 @@ class _SpecState:
         if self.star is not None:
             _, v = next(self.star)
             t *= v
-        for i, (a, at_prev, _) in enumerate(spec.binom_upper):
-            if at_prev:
-                t *= next(self.upper[i])
-            else:
-                t *= self.upper[i]
-                self.upper[i] *= (n + a) / (n + 1)
-        for i, b in enumerate(spec.binom_lower):
-            w = self.lower[i]
+        for upper in self.upper:
+            t *= next(upper)
+        for b, lower in zip(spec.binom_lower, self.lower):
+            w = next(lower)
             if w == 0:
                 raise PoleError(f"binomial C(n - {b}, n) vanishes at n = {n}")
             t /= w
-            self.lower[i] *= (n + 1 - b) / (n + 1)
         if t:
             for c, m in spec.powers:
                 d = n + c
@@ -307,9 +305,9 @@ def _spec_series(spec: TermSpec, window: asym.ExpansionWindow, prec) -> AsymSeri
         if at_prev:
             S = S * _binomial_series(a, order, emax)
         else:
-            S = S * gamma_ratio(a, emax) * (1 / mp.gamma(a))
+            S = S * gamma_ratio(a, 1, emax) * (1 / mp.gamma(a))
     for b in spec.binom_lower:
-        S = S * reciprocal(gamma_ratio(1 - b, emax)) * mp.gamma(1 - b)
+        S = S * gamma_ratio(1, 1 - b, emax) * mp.gamma(1 - b)
     for c, m in spec.powers:
         S = S * power_shift(m, c, emax)
     return S

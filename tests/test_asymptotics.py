@@ -5,6 +5,7 @@ import pytest
 
 from hzeta.asymptotics import (
     AsymSeries,
+    _binomial_series,
     LruCache,
     ExpansionWindow,
     em_antidifference,
@@ -57,12 +58,27 @@ def test_reciprocal_roundtrip():
     assert abs(inv(n) * S(n) - 1) < mp.mpf(10) ** -22
 
 
-def test_gamma_ratio_half():
-    # Gamma(n + 1/2)/Gamma(n + 1), checked against the exact ratio
-    S = gamma_ratio(mp.mpf("0.5"), EMAX)
-    n = mp.mpf(80)
-    exact = mp.gamma(n + mp.mpf("0.5")) / mp.gamma(n + 1)
-    assert abs(S(n) - exact) < mp.mpf(10) ** -24
+@pytest.mark.parametrize("c,d", [("0.5", 1), ("1.9", 1), ("1.4375", 1),
+                                 (1, "0.3"), ("-0.25", 0)])
+def test_gamma_ratio_half(c, d):
+    # Gamma(n + c)/Gamma(n + d) against the exact ratio, down to its top
+    # kept term n^(c - d - EMAX); c > 1 needs the full Bernoulli term there
+    c, d = mp.mpf(c), mp.mpf(d)
+    n = mp.mpf(400)
+    S = gamma_ratio(c, d, EMAX)
+    with mp.workprec(400):
+        exact = mp.exp(mp.loggamma(n + c) - mp.loggamma(n + d))
+        assert abs(S(n) / exact - 1) < mp.mpf(10) ** -38
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_binomial_series_vs_diff(order):
+    # the order-th alpha-derivative of C(n + alpha - 2, n - 1) at alpha = 3/2
+    alpha, n = mp.mpf("1.5"), 400
+    S = _binomial_series(alpha, order, EMAX)
+    with mp.workprec(700):
+        ref = mp.diff(lambda a: mp.binomial(n + a - 2, n - 1), alpha, order)
+        assert abs(S(n) / ref - 1) < mp.mpf(10) ** -38
 
 
 def test_em_antidifference_harmonic():
@@ -90,14 +106,14 @@ def test_prefix_expansion_matches_dp(k, a, star):
 
 
 def test_tail_sum_zeta():
-    S = AsymSeries.monomial(mp.mpf(1), mp.mpf(2), 0, EMAX)
+    S = AsymSeries({(2, 0): 1}, EMAX)
     got = tail_sum(S, 10)
     assert abs(got - mp.zeta(2, 11)) < mp.mpf(10) ** -30
 
 
 def test_tail_sum_log_weighted():
     # sum n^-3 log n via the derivative of the Hurwitz zeta
-    S = AsymSeries.monomial(mp.mpf(1), mp.mpf(3), 1, EMAX)
+    S = AsymSeries({(3, 1): 1}, EMAX)
     got = tail_sum(S, 5)
     brute = mp.fsum(mp.log(n) / mp.mpf(n) ** 3 for n in range(6, 40000))
     assert abs(got - brute) < mp.mpf(10) ** -8
@@ -142,7 +158,7 @@ def test_tail_sum_batches_log_powers():
         S = AsymSeries(emax=40)
         for e, j, c in (("2.5", 0, "0.75"), ("2.5", 1, "-1.5"),
                         ("2.5", 3, "0.25"), ("7.25", 2, "3")):
-            S = S + AsymSeries.monomial(mp.mpf(c), mp.mpf(e), j, 40)
+            S = S + AsymSeries({(e, j): c}, 40)
         got = tail_sum(S, 400)
         ref = mp.fsum(
             c * (-1) ** j * math.factorial(j)
@@ -156,22 +172,22 @@ def test_tail_sum_small_start_terminates():
     # a = 6 is far below the Euler-Maclaurin base at 480 bits, and e = 30
     # with log power 3 needs the largest base; the head closes the gap
     with mp.workprec(480):
-        S = AsymSeries.monomial(1, mp.mpf(30), 3, 40)
+        S = AsymSeries({(30, 3): 1}, 40)
         got = tail_sum(S, 5)
         ref = -6 * _zeta_ref(mp.mpf(30), 6, 3, 480)
         assert abs(got - ref) < mp.ldexp(abs(ref), -472)
 
 
 def test_tail_sum_divergent_raises():
-    S = AsymSeries.monomial(1, 1, 0, EMAX) + AsymSeries.monomial(1, 2, 0, EMAX)
+    S = AsymSeries({(1, 0): 1}, EMAX) + AsymSeries({(2, 0): 1}, EMAX)
     with pytest.raises(NoConvergence):
         tail_sum(S, 400)
     with pytest.raises(NoConvergence):
-        tail_sum(AsymSeries.monomial(1, mp.mpf("0.5"), 1, EMAX), 400)
+        tail_sum(AsymSeries({("0.5", 1): 1}, EMAX), 400)
     # a negligible divergent coefficient is dropped, not an error
-    S = AsymSeries.monomial(mp.mpf(2) ** -400, 1, 0, EMAX)
-    assert tail_sum(S + AsymSeries.monomial(1, 2, 0, EMAX), 10) == tail_sum(
-        AsymSeries.monomial(1, 2, 0, EMAX), 10)
+    S = AsymSeries({(1, 0): mp.mpf(2) ** -400}, EMAX)
+    assert tail_sum(S + AsymSeries({(2, 0): 1}, EMAX), 10) == tail_sum(
+        AsymSeries({(2, 0): 1}, EMAX), 10)
 
 
 def test_lru_cache_evicts_least_recently_used():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hzeta.compositions import Composition, contractions, ones
-from hzeta.errors import DomainError, NonAdmissible, ToleranceNotReached
+from hzeta.errors import DomainError, NonAdmissible, PoleError, ToleranceNotReached
 from hzeta import asymptotics as asym
 from hzeta.finite_sums import ShiftVector, _binomials, nested_stream, nth
-from hzeta.precision import PrecisionConfig
+from hzeta.precision import PrecisionConfig, working
 from hzeta.series_engine import (
     TailStrategy,
     ValueWithBound,
@@ -26,6 +26,7 @@ from hzeta.series_engine import (
     param_euler_pow,
     param_euler_sum,
     _pbc_sum,
+    _SpecState,
     term_spec,
     weighted_sum,
 )
@@ -193,6 +194,26 @@ class TestAperyFamilies:
         v = apery_III(None, None, 1, mp.mpf("0.3"), 0, TOL, None, PREC)
         w = apery_II(0, None, 3, mp.mpf("0.3"), TOL, None, PREC)
         assert abs(v.value - w.value) < mp.mpf(10) ** -20
+
+    @pytest.mark.parametrize("alpha,beta", [("0.3", "0.7"), ("-0.45", "-1.25")])
+    def test_binomial_heads(self, alpha, beta):
+        # C(n + alpha - 1, n) / C(n - beta, n), term by term
+        P = PrecisionConfig(bits=256)
+        with working(P):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            state = _SpecState(term_spec(binom_upper=((a, False),),
+                                         binom_lower=(b,), prec=P), P)
+            for n in range(1, 61):
+                ref = mp.binomial(n + a - 1, n) / mp.binomial(n - b, n)
+                assert abs(state.step(n) / ref - 1) < mp.mpf(10) ** -70, n
+
+    def test_vanishing_lower_binomial_is_a_pole(self):
+        # C(n - 3, n) = -2, 1, 0 at n = 1, 2, 3
+        state = _SpecState(term_spec(binom_lower=(3,)), PREC)
+        state.step(1)
+        state.step(2)
+        with pytest.raises(PoleError):
+            state.step(3)
 
 
 class TestEulerSums:
