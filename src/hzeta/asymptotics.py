@@ -38,7 +38,7 @@ from .compositions import Composition
 from .errors import NoConvergence
 from .finite_sums import (ShiftVector, _binomials, _coerce, mhs, mhss,
                           nested_stream, nth)
-from .precision import PrecisionConfig, working
+from .precision import working
 
 
 @dataclass(frozen=True)
@@ -424,7 +424,7 @@ _gamma_ratio_cache = LruCache(GAMMA_RATIO_CACHE_SIZE)
 
 
 def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
-                     prec: PrecisionConfig | None = None, binomial=None):
+                     binomial=None):
     """AsymSeries E with E(n) ~ zeta_n(k; a) (or the star sum) for large n.
 
     ``binomial`` = (alpha, order), when given, puts the order-th
@@ -432,11 +432,12 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
     (:func:`_binomial_series`).  Built by the nested-sum recursion: the
     outermost summand is expanded, Euler-Maclaurin turns it into a
     partial-sum expansion, and the free constant is anchored against the
-    exact dynamic program at ``window.n_anchor``.
+    exact dynamic program at ``window.n_anchor``.  Runs at the active
+    :func:`working` precision, which keys the cache.
     """
-    k, a = _coerce(k, a, prec)
-    with working(prec) as cfg:
-        key = (k.parts, a.shifts, bool(star), binomial, window, cfg.work_bits)
+    with working():
+        k, a = _coerce(k, a)
+        key = (k.parts, a.shifts, bool(star), binomial, window, mp.mp.prec)
         hit = _prefix_cache.get(key)
         if hit is not None:
             return hit
@@ -451,17 +452,17 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
             else:
                 tail = prefix_expansion(
                     Composition(k.parts[1:]), ShiftVector(a.shifts[1:]), star,
-                    window, prec, binomial,
+                    window, binomial,
                 )
                 T = lead * (tail if star else tail.shift_arg(-1))
             V = em_antidifference(T).prune()
             n0 = window.n_anchor
             # plain anchors stay on mhs/mhss, whose traced calls mark misses
             if binomial is not None:
-                exact = nth(nested_stream(k.parts, a.shifts, star, prec,
-                                          _binomials(*binomial)), n0)
+                exact = nth(nested_stream(k.parts, a.shifts, star,
+                                          innermost=_binomials(*binomial)), n0)
             else:
-                exact = mhss(n0, k, a, prec) if star else mhs(n0, k, a, prec)
+                exact = mhss(n0, k, a) if star else mhs(n0, k, a)
             out = V + (exact - V(n0))
             out = out.prune()
         _prefix_cache[key] = out

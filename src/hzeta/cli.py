@@ -67,18 +67,6 @@ def _parse_shift(text: str, depth: int):
     return ShiftVector.constant(value, depth) if depth else value
 
 
-def _digits(cfg: PrecisionConfig) -> int:
-    return max(int(cfg.bits * 0.30103 - 2), 4)
-
-
-def _print_value(v, cfg: PrecisionConfig, elapsed: float):
-    with working(cfg):
-        print(f"value    {mp.nstr(v.value, _digits(cfg), strip_zeros=False)}")
-        print(f"error    {mp.nstr(mp.mpf(v.abs_error), 2)}")
-        print(f"rigorous {'yes' if v.rigorous else 'no'}")
-        print(f"elapsed  {elapsed:.3f}s")
-
-
 def _require(args, names):
     missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
@@ -88,14 +76,21 @@ def _require(args, names):
 
 def cmd_eval(args, cfg: PrecisionConfig) -> int:
     start = time.monotonic()
-    # arguments such as 1/3 are parsed at the working precision
+    # arguments such as 1/3 are parsed at the working precision, and the
+    # evaluator inherits it
     with working(cfg):
-        v = _evaluate(args, cfg)
-    _print_value(v, cfg, time.monotonic() - start)
+        v = _evaluate(args)
+        elapsed = time.monotonic() - start
+        digits = max(int(cfg.bits * 0.30103 - 2), 4)
+        print(f"value    {mp.nstr(v.value, digits, strip_zeros=False)}")
+        print(f"error    {mp.nstr(mp.mpf(v.abs_error), 2)}")
+        print(f"rigorous {'yes' if v.rigorous else 'no'}")
+        print(f"elapsed  {elapsed:.3f}s")
     return EXIT_OK
 
 
-def _evaluate(args, cfg: PrecisionConfig):
+def _evaluate(args):
+    """The value of ``args.kind`` at the active working precision."""
     tol = mp.mpf(args.tol) if args.tol else None
     kind = args.kind
     if kind in ("htmzv", "htmzsv"):
@@ -103,48 +98,44 @@ def _evaluate(args, cfg: PrecisionConfig):
         k = Composition.parse(args.index)
         shift = _parse_shift(args.shift, k.depth()) if args.shift else None
         fn = se.htmzv if kind == "htmzv" else se.htmzsv
-        v = fn(k, shift, tol, None, cfg)
+        v = fn(k, shift, tol)
     elif kind == "htmtv":
         _require(args, ["index"])
         alpha = parse_real(args.alpha) if args.alpha else 1
-        v = se.htmtv(Composition.parse(args.index), alpha, tol, None, cfg)
+        v = se.htmtv(Composition.parse(args.index), alpha, tol)
     elif kind in ("mpl", "kta"):
         _require(args, ["index", "x"])
         fn = se.mpl if kind == "mpl" else se.kta
-        v = fn(Composition.parse(args.index), parse_real(args.x), tol, None,
-               cfg)
+        v = fn(Composition.parse(args.index), parse_real(args.x), tol)
     elif kind == "apery1":
         _require(args, ["index", "alpha"])
         v = se.apery_I(Composition.parse(args.index), args.kk,
-                       parse_real(args.alpha), tol, None, cfg)
+                       parse_real(args.alpha), tol)
     elif kind == "apery2":
         _require(args, ["alpha"])
         star = Composition.parse(args.star_index) if args.star_index else None
-        v = se.apery_II(args.k, star, args.m, parse_real(args.alpha),
-                        tol, None, cfg)
+        v = se.apery_II(args.k, star, args.m, parse_real(args.alpha), tol)
     elif kind == "apery3":
         _require(args, ["alpha", "beta"])
         k = Composition.parse(args.index) if args.index else None
         star = Composition.parse(args.star_index) if args.star_index else None
         v = se.apery_III(k, star, args.m, parse_real(args.alpha),
-                         parse_real(args.beta), tol, None, cfg)
+                         parse_real(args.beta), tol)
     elif kind in ("xi", "psi", "eta"):
         _require(args, ["index"])
-        v = se.arakawa_kaneko(kind, args.s, Composition.parse(args.index),
-                              tol, None, cfg)
+        v = se.arakawa_kaneko(kind, args.s, Composition.parse(args.index), tol)
     elif kind == "pbc":
         _require(args, ["index", "alpha", "shift-arg"])
         v = se.htmzv_pbc(parse_real(args.alpha), Composition.parse(args.index),
-                         parse_real(args.shift_arg), tol, None, cfg)
+                         parse_real(args.shift_arg), tol)
     elif kind == "euler-sum":
         if args.k is not None:
             _require(args, ["alpha"])
-            v = se.param_euler_pow(args.m, args.k,
-                                   parse_real(args.alpha), tol, None, cfg)
+            v = se.param_euler_pow(args.m, args.k, parse_real(args.alpha), tol)
         else:
             a = parse_real(args.a) if args.a else mp.mpf(0)
             b = parse_real(args.b) if args.b else mp.mpf(0)
-            v = se.param_euler_sum(args.m, a, b, tol, None, cfg)
+            v = se.param_euler_sum(args.m, a, b, tol)
     else:
         raise HZetaError(f"unknown kind {kind!r}")
     return v

@@ -79,67 +79,65 @@ def _mul_geom(terms, step, M):
     return out
 
 
-def _direct_core(kind, k_parts, x, bits, prec):
+def _direct_core(kind, k_parts, x):
     """Direct series value of the core at an interior anchor point."""
-    tol = mp.ldexp(1, -bits + 6)
-    return getattr(series_engine, kind)(Composition(k_parts), x, tol, None,
-                                        prec).value
+    tol = mp.ldexp(1, -mp.mp.prec + 6)
+    return getattr(series_engine, kind)(Composition(k_parts), x, tol).value
 
 
 _ANCHOR_U = "0.25"
 
 
-def _useries(kind, k_parts, M, prec):
-    """Coefficient table of the u-expansion for the given core."""
-    with working(prec) as cfg:
-        key = (kind, k_parts, M, cfg.work_bits)
-        hit = _cache.get(key)
-        if hit is not None:
-            return hit
-        if not k_parts:
-            out = {(0, 0): mp.mpf(1)}
-            _cache[key] = out
-            return out
-        k1 = k_parts[0]
-        if k1 == 1:
-            R = _useries(kind, k_parts[1:], M, prec)
-            rhs = {(m - 1, j): -c for (m, j), c in R.items()}
-        else:
-            S = _useries(kind, (k1 - 1,) + k_parts[1:], M, prec)
-            f = 1 if kind == "mpl" else 2
-            rhs = {key: -f * c for key, c in _mul_geom(S, f, M).items()}
-        E = _integrate_terms(rhs, M)
-        u0 = mp.mpf(_ANCHOR_U)
-        x0 = 1 - u0 if kind == "mpl" else (1 - u0) / (1 + u0)
-        direct = _direct_core(kind, k_parts, x0, cfg.work_bits, prec)
-        delta = direct - _eval_terms(E, u0)
-        E[(0, 0)] = E.get((0, 0), mp.mpf(0)) + delta
-        _cache[key] = E
-        return E
+def _useries(kind, k_parts, M):
+    """Coefficient table of the u-expansion, cached per working precision."""
+    key = (kind, k_parts, M, mp.mp.prec)
+    hit = _cache.get(key)
+    if hit is not None:
+        return hit
+    if not k_parts:
+        out = {(0, 0): mp.mpf(1)}
+        _cache[key] = out
+        return out
+    k1 = k_parts[0]
+    if k1 == 1:
+        R = _useries(kind, k_parts[1:], M)
+        rhs = {(m - 1, j): -c for (m, j), c in R.items()}
+    else:
+        S = _useries(kind, (k1 - 1,) + k_parts[1:], M)
+        f = 1 if kind == "mpl" else 2
+        rhs = {key: -f * c for key, c in _mul_geom(S, f, M).items()}
+    E = _integrate_terms(rhs, M)
+    u0 = mp.mpf(_ANCHOR_U)
+    x0 = 1 - u0 if kind == "mpl" else (1 - u0) / (1 + u0)
+    direct = _direct_core(kind, k_parts, x0)
+    delta = direct - _eval_terms(E, u0)
+    E[(0, 0)] = E.get((0, 0), mp.mpf(0)) + delta
+    _cache[key] = E
+    return E
 
 
-def _series_length(prec: PrecisionConfig | None):
-    with working(prec) as cfg:
-        return cfg.work_bits // 2 + 24
-
-
-def _endpoint(kind, k, prec):
-    """Evaluator u -> core at the local variable u, accurate for
-    0 < u <= 1/4."""
-    terms = _useries(kind, Composition(k).parts, _series_length(prec), prec)
+def _endpoint(kind, k):
+    """Evaluator u -> core at the local variable u, accurate for 0 < u <=
+    1/4; it captures the active config and enters it on every call."""
+    with working() as cfg:
+        terms = _useries(kind, Composition(k).parts, cfg.work_bits // 2 + 24)
 
     def f(u):
-        with working(prec):
+        with working(cfg):
             return _eval_terms(terms, mp.mpf(u))
 
     return f
 
 
 def mpl_endpoint(k, prec: PrecisionConfig | None = None):
-    """Evaluator u -> Li_k(1 - u), accurate for 0 < u <= 1/4."""
-    return _endpoint("mpl", k, prec)
+    """Evaluator u -> Li_k(1 - u), accurate for 0 < u <= 1/4, evaluated
+    at ``prec`` wherever it is called (see :func:`_endpoint`)."""
+    with working(prec):
+        return _endpoint("mpl", k)
 
 
 def kta_endpoint(k, prec: PrecisionConfig | None = None):
-    """Evaluator u -> A(k; (1-u)/(1+u)), accurate for 0 < u <= 1/4."""
-    return _endpoint("kta", k, prec)
+    """Evaluator u -> A(k; (1-u)/(1+u)), accurate for 0 < u <= 1/4, as
+    :func:`mpl_endpoint` builds it."""
+    with working(prec):
+        return _endpoint("kta", k)

@@ -25,7 +25,7 @@ import mpmath as mp
 
 from .compositions import Composition
 from .errors import DimensionMismatch, PoleError
-from .precision import PrecisionConfig, default_precision, working
+from .precision import PrecisionConfig, working
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -60,11 +60,11 @@ class ShiftVector:
         return f"ShiftVector({list(self.shifts)!r})"
 
 
-def _coerce(k, a, prec: PrecisionConfig | None = None):
+def _coerce(k, a):
     """(Composition, ShiftVector), shifts converted at the working
-    precision of ``prec`` whatever precision the caller has active."""
+    precision whatever precision the caller has active."""
     k = Composition(k)
-    with working(prec):
+    with working():
         if a is None or isinstance(a, str):
             a = ShiftVector.constant(1 if a is None else a, k.depth())
         elif not isinstance(a, ShiftVector):
@@ -83,7 +83,7 @@ def _coerce(k, a, prec: PrecisionConfig | None = None):
 
 def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
                   innermost=None):
-    """Yield (n, S_n) for n = 1, 2, ..., the one nested-sum kernel.
+    """An iterator of (n, S_n) for n = 1, 2, ..., the one nested-sum kernel.
 
     S_n sums prod_j (n_j + a_j - 1)^(-k_j) over n >= n_1 > ... > n_r >= 1
     (>= throughout when ``star``) for exponents ``k`` and mpf shifts ``a``;
@@ -94,13 +94,18 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
     the other way round.  A zero inner sum skips its weight, so chains
     that the ordering rules out cannot trip a pole.
 
-    Each step runs at the working precision of ``prec`` and restores the
-    caller's precision before it yields, so a suspended stream leaves the
-    caller's mpmath context as it found it.  A switch costs about as much
+    The work bits are resolved when the stream is created, not at its
+    first ``next``, so a stream built inside a :func:`working` block keeps
+    its bits wherever it is drained.  Each step runs at them and restores
+    the caller's precision before it yields; a switch costs about as much
     as a short step, so callers already at that precision skip it.
     """
+    with working(prec) as cfg:
+        return _steps(k, a, star, cfg.work_bits, innermost)
+
+
+def _steps(k, a, star, bits, innermost):
     r = len(k)
-    bits = (prec or default_precision()).work_bits
     slots = range(r - 1, -1, -1) if star else range(r)
     S = [mp.mpf(0)] * r + [mp.mpf(1)]
     m = 0
@@ -149,43 +154,46 @@ def nth(stream, n: int):
     return next(islice(stream, n - 1, None))[1]
 
 
-def _nth(k, a, star, n, prec):
+def _nth(k, a, star, n):
     """S_n of the kernel, drained inside the working precision so that no
     step switches precision."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    with working(prec):
-        k, a = _coerce(k, a, prec)
-        r = k.depth()
-        if r == 0:
-            return mp.mpf(1)
-        if n < (1 if star else r):
-            return mp.mpf(0)
-        return nth(nested_stream(k.parts, a.shifts, star, prec), n)
+    k, a = _coerce(k, a)
+    r = k.depth()
+    if r == 0:
+        return mp.mpf(1)
+    if n < (1 if star else r):
+        return mp.mpf(0)
+    return nth(nested_stream(k.parts, a.shifts, star), n)
 
 
 def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Strict nested sum zeta_n(k; a); 0 when n < depth(k), 1 for empty k."""
-    return _nth(k, a, False, n, prec)
+    with working(prec):
+        return _nth(k, a, False, n)
 
 
 def mhss(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Star nested sum zeta*_n(k; a) with >= ordering, summed literally."""
-    return _nth(k, a, True, n, prec)
+    with working(prec):
+        return _nth(k, a, True, n)
 
 
 def mhs_stream(k, a=None, prec: PrecisionConfig | None = None):
     """Yield (n, zeta_n(k; a)) for n = 1, 2, ... incrementally, each step at
     the working precision of ``prec`` (see :func:`nested_stream`)."""
-    k, a = _coerce(k, a, prec)
-    return nested_stream(k.parts, a.shifts, False, prec)
+    with working(prec):
+        k, a = _coerce(k, a)
+        return nested_stream(k.parts, a.shifts, False)
 
 
 def mhss_stream(k, a=None, prec: PrecisionConfig | None = None):
     """Yield (n, zeta*_n(k; a)) for n = 1, 2, ... incrementally, as
     :func:`mhs_stream` does."""
-    k, a = _coerce(k, a, prec)
-    return nested_stream(k.parts, a.shifts, True, prec)
+    with working(prec):
+        k, a = _coerce(k, a)
+        return nested_stream(k.parts, a.shifts, True)
 
 
 def power_sums(n: int, alpha, jmax: int, prec: PrecisionConfig | None = None):
@@ -213,4 +221,3 @@ def t_mhss(n: int, k, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Star odd-denominator sum t*_n(k) = 2^(-|k|) zeta*_n(k; 1/2)."""
     k = Composition(k)
     return mp.ldexp(mhss(n, k, mp.mpf(0.5), prec), -k.weight())
-

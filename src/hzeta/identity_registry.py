@@ -165,32 +165,32 @@ def identity_ids() -> list:
 # ---------------------------------------------------------------------------
 # shared evaluation helpers
 
-def _zeta(idx, shift=1, tol=None, prec=None) -> ValueWithBound:
+def _zeta(idx, shift=1, tol=None) -> ValueWithBound:
     """Multiple zeta value with a constant (or vector) denominator shift."""
     if not isinstance(shift, ShiftVector):
         shift = parse_real(shift)
-    return se.htmzv(idx, shift, tol, None, prec)
+    return se.htmzv(idx, shift, tol)
 
 
-def _tee(idx, alpha=1, tol=None, prec=None) -> ValueWithBound:
-    return se.htmtv(Composition(idx), parse_real(alpha), tol, None, prec)
+def _tee(idx, alpha=1, tol=None) -> ValueWithBound:
+    return se.htmtv(Composition(idx), parse_real(alpha), tol)
 
 
-def _t_value(idx, tol=None, prec=None) -> ValueWithBound:
+def _t_value(idx, tol=None) -> ValueWithBound:
     """Odd-denominator multiple t-value 2^-|k| zeta(k; 1/2)."""
     idx = Composition(idx)
-    v = _zeta(idx, mp.mpf("0.5"), tol, prec)
+    v = _zeta(idx, mp.mpf("0.5"), tol)
     return v * mp.ldexp(1, -idx.weight())
 
 
-def _bsum(k, kk: int, shift, zfun, tol, prec) -> ValueWithBound:
+def _bsum(k, kk: int, shift, zfun, tol) -> ValueWithBound:
     """sum over |j| = kk of B(b; j) Z(b + j; shift) with b the
     raised-dual index of k and Z supplied by ``zfun``."""
     return se._dual_binomial_sum(
-        k, kk, lambda idx, sub: zfun(idx, shift, sub, prec), tol / 2)
+        k, kk, lambda idx, sub: zfun(idx, shift, sub), tol / 2)
 
 
-def _product_rhs(mvec, k: int, shift, tol, prec) -> ValueWithBound:
+def _product_rhs(mvec, k: int, shift, tol) -> ValueWithBound:
     """sum over weak compositions i of k into depth(m) parts of
     prod C(m_j + i_j - 1, i_j) zeta(m_p + i_p, ..., m_1 + i_1; shift)."""
     mvec = tuple(mvec)
@@ -206,7 +206,7 @@ def _product_rhs(mvec, k: int, shift, tol, prec) -> ValueWithBound:
     sub = tol / (2 * wsum)
     total = ValueWithBound(0, 0, True)
     for w, idx in terms:
-        total = total + _zeta(idx, shift, sub, prec) * w
+        total = total + _zeta(idx, shift, sub) * w
     return total
 
 
@@ -223,14 +223,14 @@ def _level_partitions(p: int):
     yield from rec(1, p, [])
 
 
-def _partition_rhs(m: int, p: int, k: int, shift, tol, prec) -> ValueWithBound:
+def _partition_rhs(m: int, p: int, k: int, shift, tol) -> ValueWithBound:
     """Symmetric-function expansion of (1/k!) d^k/da^k zeta({m}_p; s)
     in depth-one values zeta(im + j; s)."""
     zc = {}
 
     def zv(s):
         if s not in zc:
-            zc[s] = _zeta((s,), shift, tol / 64, prec)
+            zc[s] = _zeta((s,), shift, tol / 64)
         return zc[s]
 
     total = ValueWithBound(0, 0, True)
@@ -252,23 +252,23 @@ def _partition_rhs(m: int, p: int, k: int, shift, tol, prec) -> ValueWithBound:
     return total
 
 
-def _pbc_deriv(order: int, beta, k, shift, tol, prec) -> ValueWithBound:
+def _pbc_deriv(order: int, beta, k, shift, tol) -> ValueWithBound:
     """order-th derivative in the binomial parameter of the nested sum
     with a parametric binomial coefficient (see ``series_engine._pbc_sum``)."""
-    return se._pbc_sum(beta, k, shift, order, tol, None, prec)
+    return se._pbc_sum(beta, k, shift, order, tol)
 
 
 SERIES_IN_X_MAX_TERMS = 2_000_000
 
 
-def _series_in_x(spec, x, tol, prec, extra=0) -> ValueWithBound:
+def _series_in_x(spec, x, tol, extra=0) -> ValueWithBound:
     """sum_n a_n x^n for a TermSpec sequence a_n, with a geometric
     heuristic tail bound; ``extra`` is added to the total (n = 0 term)."""
     x = parse_real(x)
     if not 0 < x < 1:
         raise DomainError(f"x must lie in (0, 1), got {x}")
-    with working(prec) as cfg:
-        state = se._SpecState(spec, prec)
+    with working() as cfg:
+        state = se._SpecState(spec)
         total = mp.mpf(extra)
         xn = mp.mpf(1)
         n = 0
@@ -304,13 +304,13 @@ def _pick(rng, pool):
 # ---------------------------------------------------------------------------
 # section 2: weighted integrals of polylogarithm cores
 
-def _eval_thm_21a(p, tol, prec):
+def _eval_thm_21a(p, tol):
     k = tuple(p["k"])
     kk = int(p["log_pow"])
     alpha = parse_real(p["alpha"])
-    lhs = quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol / 16, prec)
+    lhs = quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol / 16)
     sign = mp.mpf(-1) ** kk * mp.factorial(kk)
-    rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8, prec) * sign
+    rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8) * sign
     return lhs, rhs
 
 
@@ -324,13 +324,13 @@ _register(
 )
 
 
-def _eval_thm_21b(p, tol, prec):
+def _eval_thm_21b(p, tol):
     k = tuple(p["k"])
     kk = int(p["log_pow"])
     alpha = parse_real(p["alpha"])
-    lhs = quad.int_kta_weighted(k, alpha, kk, tol / 16, prec)
+    lhs = quad.int_kta_weighted(k, alpha, kk, tol / 16)
     sign = mp.mpf(-1) ** kk * mp.factorial(kk)
-    rhs = _bsum(k, kk, 1 - alpha, _tee, tol / 8, prec) * sign
+    rhs = _bsum(k, kk, 1 - alpha, _tee, tol / 8) * sign
     return lhs, rhs
 
 
@@ -344,13 +344,12 @@ _register(
 )
 
 
-def _eval_thm_22(p, tol, prec):
+def _eval_thm_22(p, tol):
     k = Composition(tuple(p["k"]))
     alpha = parse_real(p["alpha"])
-    lhs = quad.int_mpl_weighted(k, 1, alpha, 0, 0, tol / 16, prec,
-                                core="mpl_landen")
+    lhs = quad.int_mpl_weighted(k, 1, alpha, 0, 0, tol / 16, core="mpl_landen")
     sign = mp.mpf(-1) ** k.depth()
-    rhs = se.htmzsv(theorem_dual(k), 1 - alpha, tol / 8, None, prec) * sign
+    rhs = se.htmzsv(theorem_dual(k), 1 - alpha, tol / 8) * sign
     return lhs, rhs
 
 
@@ -366,18 +365,17 @@ _register(
 def _eval_arakawa_kaneko(kind):
     """xi, psi or eta at s against its weighted integral: the polylog
     core for xi, its Landen image for eta, the A-function for psi."""
-    def ev(p, tol, prec):
+    def ev(p, tol):
         k = tuple(p["k"])
         s = int(p["s"])
         kk = s - 1
-        lhs = se.arakawa_kaneko(kind, s, k, tol / 8, None, prec)
+        lhs = se.arakawa_kaneko(kind, s, k, tol / 8)
         sign = mp.mpf(-1) ** (kk - (kind == "eta")) / mp.factorial(kk)
         if kind == "psi":
-            rhs = quad.int_kta_weighted(k, 0, kk, tol / 16, prec)
+            rhs = quad.int_kta_weighted(k, 0, kk, tol / 16)
         else:
             core = "mpl_landen" if kind == "eta" else "mpl"
-            rhs = quad.int_mpl_weighted(k, 1, 0, 0, kk, tol / 16, prec,
-                                        core=core)
+            rhs = quad.int_mpl_weighted(k, 1, 0, 0, kk, tol / 16, core=core)
         return lhs, rhs * sign
 
     return ev
@@ -400,7 +398,7 @@ for _kind, _id, _pool, _default in (
 # ---------------------------------------------------------------------------
 # section 3: generating functions and one-binomial series
 
-def _eval_thm_31(p, tol, prec):
+def _eval_thm_31(p, tol):
     x = parse_real(p["x"])
     alpha = parse_real(p["alpha"])
     kk = int(p["log_pow"])
@@ -408,9 +406,8 @@ def _eval_thm_31(p, tol, prec):
         / (1 - x) ** alpha
     lhs = _closed(v)
     spec = term_spec(strict=ones(kk), strict_shift=alpha,
-                     binom_upper=((alpha, False),), prec=prec)
-    rhs = _series_in_x(spec, x, tol / 8, prec,
-                       extra=1 if kk == 0 else 0)
+                     binom_upper=((alpha, False),))
+    rhs = _series_in_x(spec, x, tol / 8, extra=1 if kk == 0 else 0)
     return lhs, rhs
 
 
@@ -424,14 +421,14 @@ _register(
 )
 
 
-def _eval_thm_32(p, tol, prec):
+def _eval_thm_32(p, tol):
     n = int(p["n"])
     kk = int(p["log_pow"])
     alpha = parse_real(p["alpha"])
     f = quad.WeightedIntegrand(core=("monomial", n), omx_exp=-alpha,
                                logomx_pow=kk)
-    lhs = quad.de_quad(f, tol / 16, prec)
-    star = mhss(n, ones(kk), 1 - alpha, prec) if kk else mp.mpf(1)
+    lhs = quad.de_quad(f, tol / 16)
+    star = mhss(n, ones(kk), 1 - alpha) if kk else mp.mpf(1)
     v = mp.mpf(-1) ** kk * mp.factorial(kk) * star \
         / (n * sf.gen_binom(n - alpha, n))
     rhs = _closed(v)
@@ -447,12 +444,12 @@ _register(
 )
 
 
-def _eval_thm_34(p, tol, prec):
+def _eval_thm_34(p, tol):
     k = tuple(p["k"])
     kk = int(p["kk"])
     alpha = parse_real(p["alpha"])
-    lhs = se.apery_I(k, kk, alpha, tol / 8, None, prec)
-    rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8, prec)
+    lhs = se.apery_I(k, kk, alpha, tol / 8)
+    rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8)
     return lhs, rhs
 
 
@@ -476,12 +473,12 @@ _THM34_DISPLAYS = {
 def _eval_thm_34_display(which):
     k, combo = _THM34_DISPLAYS[which]
 
-    def ev(p, tol, prec):
+    def ev(p, tol):
         alpha = parse_real(p["alpha"])
-        lhs = se.apery_I(k, 1, alpha, tol / 8, None, prec)
+        lhs = se.apery_I(k, 1, alpha, tol / 8)
         rhs = ValueWithBound(0, 0, True)
         for idx, c in combo:
-            rhs = rhs + _zeta(idx, 1 - alpha, tol / 16, prec) * c
+            rhs = rhs + _zeta(idx, 1 - alpha, tol / 16) * c
         return lhs, rhs
 
     return ev
@@ -496,7 +493,7 @@ for _i in range(1, 5):
     )
 
 
-def _eval_thm_35(p, tol, prec):
+def _eval_thm_35(p, tol):
     k = Composition(tuple(p["k"]))
     kk = int(p["kk"])
     alpha = parse_real(p["alpha"])
@@ -505,22 +502,22 @@ def _eval_thm_35(p, tol, prec):
     sub = tol / 64
     total = ValueWithBound(0, 0, True)
     if kk == 0:
-        total = total + _zeta((k[0] + 1,) + k.parts[1:], 1, sub, prec)
+        total = total + _zeta((k[0] + 1,) + k.parts[1:], 1, sub)
     for j in range(1, k[0]):
-        zf = _zeta((k[0] + 1 - j,) + k.parts[1:], 1, sub, prec)
-        sj = se.apery_II(kk, None, j, alpha, sub, None, prec)
+        zf = _zeta((k[0] + 1 - j,) + k.parts[1:], 1, sub)
+        sj = se.apery_II(kk, None, j, alpha, sub)
         total = total + zf * sj * mp.mpf(-1) ** (j - 1)
     for l in range(1, r + 1):
         sign_l = mp.mpf(-1) ** (sum(parts[:l]) - l)
         for j in range(1, parts[l] if l < r else 2):
             if l < r:
-                zf = _zeta((parts[l] + 1 - j,) + parts[l + 1:r], 1, sub, prec)
+                zf = _zeta((parts[l] + 1 - j,) + parts[l + 1:r], 1, sub)
             else:
                 zf = ValueWithBound(1, 0, True)
             star = k.parts[1:l] + (j,)
-            tl = se.apery_II(kk, star, k[0], alpha, sub, None, prec)
+            tl = se.apery_II(kk, star, k[0], alpha, sub)
             total = total + zf * tl * (sign_l * mp.mpf(-1) ** (j - 1))
-    rhs = _bsum(k.parts, kk, 1 - alpha, _zeta, tol / 8, prec)
+    rhs = _bsum(k.parts, kk, 1 - alpha, _zeta, tol / 8)
     return total, rhs
 
 
@@ -533,11 +530,11 @@ _register(
 )
 
 
-def _eval_thm_36a(p, tol, prec):
+def _eval_thm_36a(p, tol):
     m = int(p["m"])
     alpha = parse_real(p["alpha"])
-    lhs = se.apery_II(0, None, m + 1, alpha, tol / 8, None, prec)
-    rhs = se.param_euler_sum(m, 0, -alpha, tol / 8, None, prec) * alpha
+    lhs = se.apery_II(0, None, m + 1, alpha, tol / 8)
+    rhs = se.param_euler_sum(m, 0, -alpha, tol / 8) * alpha
     return lhs, rhs
 
 
@@ -549,12 +546,12 @@ _register(
 )
 
 
-def _eval_thm_36b(p, tol, prec):
+def _eval_thm_36b(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     alpha = parse_real(p["alpha"])
-    lhs = se.apery_II(k, None, m + 1, alpha, tol / 8, None, prec)
-    rhs = se.param_euler_pow(m, k, -alpha, tol / 8, None, prec)
+    lhs = se.apery_II(k, None, m + 1, alpha, tol / 8)
+    rhs = se.param_euler_pow(m, k, -alpha, tol / 8)
     return lhs, rhs
 
 
@@ -567,10 +564,10 @@ _register(
 )
 
 
-def _eval_harmonic_n(p, tol, prec):
+def _eval_harmonic_n(p, tol):
     alpha = parse_real(p["alpha"])
-    lhs = se.param_euler_sum(1, 0, alpha, tol / 8, None, prec)
-    g = sf.euler_gamma(prec)
+    lhs = se.param_euler_sum(1, 0, alpha, tol / 8)
+    g = sf.euler_gamma()
     v = (mp.zeta(2) - mp.zeta(2, 1 + alpha)) / (2 * alpha) \
         + (sf.digamma(1 + alpha) + g) ** 2 / (2 * alpha)
     return lhs, _closed(v)
@@ -585,47 +582,47 @@ _register(
 
 
 def _eval_binom_display(which):
-    def ev(p, tol, prec):
+    def ev(p, tol):
         alpha = parse_real(p["alpha"])
         k = int(p.get("k", 1))
-        g = sf.euler_gamma(prec)
+        g = sf.euler_gamma()
         psi0 = sf.digamma(1 - alpha) + g
         sub = tol / 16
         if which == 1:
-            lhs = se.apery_II(0, None, 1, alpha, sub, None, prec)
+            lhs = se.apery_II(0, None, 1, alpha, sub)
             return lhs, _closed(-psi0)
         if which == 2:
-            lhs = se.apery_II(k, None, 1, alpha, sub, None, prec)
+            lhs = se.apery_II(k, None, 1, alpha, sub)
             return lhs, _closed(mp.zeta(k + 1, 1 - alpha))
         if which == 3:
-            lhs = se.apery_II(0, None, 2, alpha, sub, None, prec)
+            lhs = se.apery_II(0, None, 2, alpha, sub)
             v = (mp.zeta(2, 1 - alpha) - mp.zeta(2)) / 2 - psi0 ** 2 / 2
             return lhs, _closed(v)
         if which == 4:
-            lhs = se.apery_II(0, ones(k), 2, alpha, sub, None, prec)
-            rhs = _zeta((k + 1, 1), 1, sub, prec) \
-                - _zeta((k + 1, 1), 1 - alpha, sub, prec) \
+            lhs = se.apery_II(0, ones(k), 2, alpha, sub)
+            rhs = _zeta((k + 1, 1), 1, sub) \
+                - _zeta((k + 1, 1), 1 - alpha, sub) \
                 - _closed(mp.zeta(k + 1) * psi0)
             return lhs, rhs
         if which == 5:
-            lhs = se.apery_II(1, (1,), 2, alpha, sub, None, prec)
+            lhs = se.apery_II(1, (1,), 2, alpha, sub)
             rhs = _closed(mp.zeta(2) * mp.zeta(2, 1 - alpha)) \
-                - _zeta((3, 1), 1 - alpha, sub, prec) * 2 \
-                - _zeta((2, 2), 1 - alpha, sub, prec)
+                - _zeta((3, 1), 1 - alpha, sub) * 2 \
+                - _zeta((2, 2), 1 - alpha, sub)
             return lhs, rhs
         if which == 6:
-            lhs = se.apery_II(1, (1, 1), 2, alpha, sub, None, prec)
+            lhs = se.apery_II(1, (1, 1), 2, alpha, sub)
             rhs = _closed(mp.zeta(3) * mp.zeta(2, 1 - alpha)) \
-                - _zeta((3, 2), 1 - alpha, sub, prec) \
-                - _zeta((4, 1), 1 - alpha, sub, prec) * 3
+                - _zeta((3, 2), 1 - alpha, sub) \
+                - _zeta((4, 1), 1 - alpha, sub) * 3
             return lhs, rhs
-        lhs = se.apery_II(1, (2, 1), 2, alpha, sub, None, prec)
-        rhs = _zeta((3, 2, 1), 1 - alpha, sub, prec) * 2 \
-            + _zeta((2, 3, 1), 1 - alpha, sub, prec) * 2 \
-            + _zeta((2, 2, 2), 1 - alpha, sub, prec) \
+        lhs = se.apery_II(1, (2, 1), 2, alpha, sub)
+        rhs = _zeta((3, 2, 1), 1 - alpha, sub) * 2 \
+            + _zeta((2, 3, 1), 1 - alpha, sub) * 2 \
+            + _zeta((2, 2, 2), 1 - alpha, sub) \
             + _closed(mp.mpf(7) / 4 * mp.zeta(4) * mp.zeta(2, 1 - alpha)) \
-            - _zeta((3, 1), 1 - alpha, sub, prec) * (2 * mp.zeta(2)) \
-            - _zeta((2, 2), 1 - alpha, sub, prec) * mp.zeta(2)
+            - _zeta((3, 1), 1 - alpha, sub) * (2 * mp.zeta(2)) \
+            - _zeta((2, 2), 1 - alpha, sub) * mp.zeta(2)
         return lhs, rhs
 
     return ev
@@ -643,16 +640,16 @@ for _i in range(1, 8):
               _sampler, _default)
 
 
-def _eval_conj_37(p, tol, prec):
+def _eval_conj_37(p, tol):
     """Exploratory entry: evaluates one of the conjectured parametric
     Euler sums and asserts nothing (no closed form is available)."""
     m = int(p["m"])
     k = int(p["k"])
     alpha = parse_real(p["alpha"])
     if k == 0:
-        v = se.param_euler_sum(m, 0, alpha, tol / 8, None, prec)
+        v = se.param_euler_sum(m, 0, alpha, tol / 8)
     else:
-        v = se.param_euler_pow(m, k, alpha, tol / 8, None, prec)
+        v = se.param_euler_pow(m, k, alpha, tol / 8)
     return v, v
 
 
@@ -665,14 +662,14 @@ _register(
 )
 
 
-def _eval_ones_duality(p, tol, prec):
+def _eval_ones_duality(p, tol):
     k = int(p["k"])
     r = int(p["r"])
     alpha = parse_real(p["alpha"])
     spec = term_spec(strict=ones(k), strict_shift=alpha,
                      star=ones(r), binom_upper=((alpha, False),),
-                     powers=((0, 1),), prec=prec)
-    lhs = weighted_sum([spec], tol / 8, None, prec)
+                     powers=((0, 1),))
+    lhs = weighted_sum([spec], tol / 8)
     v = sf.gen_binom(k + r, k) * mp.zeta(k + r + 1, 1 - alpha)
     return lhs, _closed(v)
 
@@ -689,14 +686,14 @@ _register(
 # ---------------------------------------------------------------------------
 # section 4: symmetric-function expansions
 
-def _eval_thm_42(p, tol, prec):
+def _eval_thm_42(p, tol):
     m = int(p["m"])
     pp = int(p["p"])
     k = int(p["k"])
     alpha = parse_real(p["alpha"])
     idx = (1,) + (1,) * (m - 2) + ((2,) + (1,) * (m - 2)) * (pp - 1)
-    lhs = se.apery_I(idx, k, alpha, tol / 8, None, prec)
-    rhs = _partition_rhs(m, pp, k, 1 - alpha, tol / 8, prec)
+    lhs = se.apery_I(idx, k, alpha, tol / 8)
+    rhs = _partition_rhs(m, pp, k, 1 - alpha, tol / 8)
     return lhs, rhs
 
 
@@ -709,7 +706,7 @@ _register(
 )
 
 
-def _eval_thm_43(p, tol, prec):
+def _eval_thm_43(p, tol):
     m = int(p["m"])
     pp = int(p["p"])
     k = int(p["k"])
@@ -717,13 +714,13 @@ def _eval_thm_43(p, tol, prec):
     sub = tol / 32
     total = ValueWithBound(0, 0, True)
     if k == 0:
-        total = total + _zeta((m,) * pp, 1, sub, prec)
+        total = total + _zeta((m,) * pp, 1, sub)
     for l in range(1, pp + 1):
-        zf = _zeta((m,) * (pp - l), 1, sub, prec)
+        zf = _zeta((m,) * (pp - l), 1, sub)
         star = ((1,) * (m - 2) + (2,)) * (l - 1) + (1,) * (m - 1)
-        s = se.apery_II(k, star, 1, alpha, sub, None, prec)
+        s = se.apery_II(k, star, 1, alpha, sub)
         total = total + zf * s * mp.mpf(-1) ** (l - 1)
-    rhs = _partition_rhs(m, pp, k, 1 - alpha, tol / 8, prec)
+    rhs = _partition_rhs(m, pp, k, 1 - alpha, tol / 8)
     return total, rhs
 
 
@@ -736,7 +733,7 @@ _register(
 )
 
 
-def _eval_thm_44(p, tol, prec):
+def _eval_thm_44(p, tol):
     mvec = tuple(p["m"])
     k = int(p["k"])
     alpha = parse_real(p["alpha"])
@@ -744,13 +741,13 @@ def _eval_thm_44(p, tol, prec):
     sub = tol / 32
     total = ValueWithBound(0, 0, True)
     for j in range(1, pp + 1):
-        zf = _zeta(tuple(reversed(mvec[j:])), 1, sub, prec)
+        zf = _zeta(tuple(reversed(mvec[j:])), 1, sub)
         star = hoffman_dual(Composition((mvec[0] - 1,) + mvec[1:j]))
-        s = se.apery_II(k, star.parts, 1, alpha, sub, None, prec)
+        s = se.apery_II(k, star.parts, 1, alpha, sub)
         total = total + zf * s * mp.mpf(-1) ** (j - 1)
-    rhs = _product_rhs(mvec, k, 1 - alpha, tol / 8, prec)
+    rhs = _product_rhs(mvec, k, 1 - alpha, tol / 8)
     if k == 0:
-        rhs = rhs - _zeta(tuple(reversed(mvec)), 1, sub, prec)
+        rhs = rhs - _zeta(tuple(reversed(mvec)), 1, sub)
     return total, rhs
 
 
@@ -763,20 +760,20 @@ _register(
 )
 
 
-def _eval_44_limit(p, tol, prec):
+def _eval_44_limit(p, tol):
     mvec = tuple(p["m"])
     k = int(p["k"])
     pp = len(mvec)
     sub = tol / 32
     total = ValueWithBound(0, 0, True)
     for j in range(1, pp + 1):
-        zf = _zeta(tuple(reversed(mvec[j:])), 1, sub, prec)
+        zf = _zeta(tuple(reversed(mvec[j:])), 1, sub)
         star = hoffman_dual(Composition((mvec[0] - 1,) + mvec[1:j]))
         spec = term_spec(strict=ones(k - 1), strict_prev=True,
                          star=star.parts, powers=((0, 2),))
-        s = weighted_sum([spec], sub, None, prec)
+        s = weighted_sum([spec], sub)
         total = total + zf * s * mp.mpf(-1) ** (j - 1)
-    rhs = _product_rhs(mvec, k, 1, tol / 8, prec)
+    rhs = _product_rhs(mvec, k, 1, tol / 8)
     return total, rhs
 
 
@@ -792,7 +789,7 @@ _register(
 # ---------------------------------------------------------------------------
 # section 5: two-binomial symmetry and reduction
 
-def _eval_cor_53(p, tol, prec):
+def _eval_cor_53(p, tol):
     m = int(p["m"])
     half = mp.mpf("0.5")
     parity = 1 + mp.mpf(-1) ** m
@@ -800,7 +797,7 @@ def _eval_cor_53(p, tol, prec):
     c = {}
     for i in list(range(1, m + 2)) + [m + 2]:
         if i not in c:
-            c[i] = se.apery_II(0, None, i, half, tol / 32, None, prec)
+            c[i] = se.apery_II(0, None, i, half, tol / 32)
     rhs = c[m + 2] * parity
     for i in range(1, m + 2):
         rhs = rhs + c[i] * c[m + 2 - i] * mp.mpf(-1) ** (i - 1)
@@ -811,7 +808,7 @@ _register("cor-5.3", _eval_cor_53,
           lambda rng: {"m": rng.randrange(5)}, {"m": 2})
 
 
-def _eval_thm_54(p, tol, prec):
+def _eval_thm_54(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     pp = int(p["p"])
@@ -821,26 +818,26 @@ def _eval_thm_54(p, tol, prec):
         term_spec(strict=ones(k), strict_shift=alpha,
                   star=ones(pp), star_shift=1 - beta,
                   binom_upper=((alpha, False),), binom_lower=(beta,),
-                  powers=((0, m + 2),), prec=prec),
+                  powers=((0, m + 2),)),
         term_spec(strict=ones(pp), strict_shift=beta,
                   star=ones(k), star_shift=1 - alpha,
                   binom_upper=((beta, False),), binom_lower=(alpha,),
-                  powers=((0, m + 2),), coeff=mp.mpf(-1) ** m, prec=prec),
+                  powers=((0, m + 2),), coeff=mp.mpf(-1) ** m),
     ]
     if pp == 0:
         specs.append(term_spec(strict=ones(k), strict_shift=alpha,
                                binom_upper=((alpha, False),),
-                               powers=((0, m + 2),), coeff=-1, prec=prec))
+                               powers=((0, m + 2),), coeff=-1))
     if k == 0:
         specs.append(term_spec(strict=ones(pp), strict_shift=beta,
                                binom_upper=((beta, False),),
                                powers=((0, m + 2),),
-                               coeff=-mp.mpf(-1) ** m, prec=prec))
-    lhs = weighted_sum(specs, tol / 8, None, prec)
+                               coeff=-mp.mpf(-1) ** m))
+    lhs = weighted_sum(specs, tol / 8)
     rhs = ValueWithBound(0, 0, True)
     for i in range(1, m + 2):
-        a = se.apery_II(pp, None, i, beta, tol / 32, None, prec)
-        b = se.apery_II(k, None, m + 2 - i, alpha, tol / 32, None, prec)
+        a = se.apery_II(pp, None, i, beta, tol / 32)
+        b = se.apery_II(k, None, m + 2 - i, alpha, tol / 32)
         rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
     return lhs, rhs
 
@@ -867,11 +864,11 @@ def _sample_thm_52(rng):
 
 # thm-5.2 is thm-5.4 with no harmonic prefixes (k = p = 0)
 _register("thm-5.2",
-          lambda p, tol, prec: _eval_thm_54({**p, "k": 0, "p": 0}, tol, prec),
+          lambda p, tol: _eval_thm_54({**p, "k": 0, "p": 0}, tol),
           _sample_thm_52, {"m": 1, "alpha": "0.5", "beta": "0.5"})
 
 
-def _eval_cor_55(p, tol, prec):
+def _eval_cor_55(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     pp = int(p["p"])
@@ -881,12 +878,12 @@ def _eval_cor_55(p, tol, prec):
         term_spec(strict=ones(pp - 1), strict_prev=True, star=ones(k),
                   powers=((0, m + 3),), coeff=mp.mpf(-1) ** m),
     ]
-    lhs = weighted_sum(specs, tol / 8, None, prec)
+    lhs = weighted_sum(specs, tol / 8)
     rhs = ValueWithBound(0, 0, True)
     sub = tol / 32
     for i in range(1, m + 2):
-        a = _zeta((i + 1,) + (1,) * (pp - 1), 1, sub, prec)
-        b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub, prec)
+        a = _zeta((i + 1,) + (1,) * (pp - 1), 1, sub)
+        b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub)
         rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
     return lhs, rhs
 
@@ -900,7 +897,7 @@ _register(
 )
 
 
-def _eval_cor_56(p, tol, prec):
+def _eval_cor_56(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     pp = int(p["p"])
@@ -915,17 +912,17 @@ def _eval_cor_56(p, tol, prec):
                   powers=((0, m + 2),),
                   coeff=mp.mpf(-1) ** m * mp.ldexp(1, -pp)),
     ]
-    lhs = weighted_sum(specs, tol / 8, None, prec)
+    lhs = weighted_sum(specs, tol / 8)
     sub = tol / 32
     if pp == 0:
-        lhs = lhs - _zeta((m + 3,) + (1,) * (k - 1), 1, sub, prec)
+        lhs = lhs - _zeta((m + 3,) + (1,) * (k - 1), 1, sub)
     rhs = ValueWithBound(0, 0, True)
     for i in range(1, m + 2):
         tspec = term_spec(strict=ones(pp), strict_shift=half,
                           binom_upper=((half, False),),
                           powers=((0, i),), coeff=mp.ldexp(1, -pp))
-        a = weighted_sum([tspec], sub, None, prec)
-        b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub, prec)
+        a = weighted_sum([tspec], sub)
+        b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub)
         rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
     return lhs, rhs
 
@@ -939,15 +936,15 @@ _register(
 )
 
 
-def _eval_thm_57(p, tol, prec):
+def _eval_thm_57(p, tol):
     m = int(p["m"])
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
-    lhs = se.apery_III(None, None, m, alpha, beta, tol / 8, None, prec)
+    lhs = se.apery_III(None, None, m, alpha, beta, tol / 8)
     spec = term_spec(strict=ones(m + 1), strict_shift=1 - beta,
                      strict_prev=True,
-                     powers=((-beta - alpha, 1), (-beta, 1)), prec=prec)
-    rhs = weighted_sum([spec], tol / 8, None, prec) * alpha
+                     powers=((-beta - alpha, 1), (-beta, 1)))
+    rhs = weighted_sum([spec], tol / 8) * alpha
     return lhs, rhs
 
 
@@ -961,14 +958,13 @@ _register(
 )
 
 
-def _eval_thm_58(p, tol, prec):
+def _eval_thm_58(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     pp = int(p["p"])
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
-    lhs = se.apery_III(ones(k), ones(pp), m, alpha, beta,
-                       tol / 8, None, prec)
+    lhs = se.apery_III(ones(k), ones(pp), m, alpha, beta, tol / 8)
     sub = tol / 32
     rhs = ValueWithBound(0, 0, True)
     for i in weak_compositions(pp, m + 2):
@@ -976,15 +972,15 @@ def _eval_thm_58(p, tol, prec):
         idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
         if i[0] == 0 and k == 0:
             spec = term_spec(strict=idx[1:], strict_shift=1 - beta,
-                             strict_prev=True, prec=prec,
+                             strict_prev=True,
                              powers=((-beta, 1), (-alpha - beta, 1)))
-            bracket = weighted_sum([spec], sub, None, prec) * alpha
+            bracket = weighted_sum([spec], sub) * alpha
         else:
             shifts = ShiftVector((1 - alpha - beta,)
                                  + (1 - beta,) * (m + 1))
-            bracket = _zeta(idx, shifts, sub, prec)
+            bracket = _zeta(idx, shifts, sub)
             if k == 0:
-                bracket = bracket - _zeta(idx, 1 - beta, sub, prec)
+                bracket = bracket - _zeta(idx, 1 - beta, sub)
         rhs = rhs + bracket * w
     return lhs, rhs
 
@@ -1000,7 +996,7 @@ _register(
 )
 
 
-def _eval_cor_59(p, tol, prec):
+def _eval_cor_59(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     pp = int(p["p"])
@@ -1009,13 +1005,13 @@ def _eval_cor_59(p, tol, prec):
                      star=ones(pp), star_shift=half,
                      binom_lower=(half,), powers=((0, m + 3),),
                      coeff=mp.ldexp(1, -pp))
-    lhs = weighted_sum([spec], tol / 8, None, prec)
+    lhs = weighted_sum([spec], tol / 8)
     sub = tol / 32
     rhs = ValueWithBound(0, 0, True)
     for i in weak_compositions(pp, m + 2):
         w = sf.gen_binom(i[0] + k, k) * mp.ldexp(1, k + m + 2)
         idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
-        rhs = rhs + _t_value(idx, sub, prec) * w
+        rhs = rhs + _t_value(idx, sub) * w
     return lhs, rhs
 
 
@@ -1028,7 +1024,7 @@ _register(
 )
 
 
-def _eval_cor_510(p, tol, prec):
+def _eval_cor_510(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     pp = int(p["p"])
@@ -1036,7 +1032,7 @@ def _eval_cor_510(p, tol, prec):
     spec = term_spec(strict=ones(k), strict_shift=half,
                      star=ones(pp), star_shift=half,
                      powers=((0, m + 2),))
-    lhs = weighted_sum([spec], tol / 8, None, prec)
+    lhs = weighted_sum([spec], tol / 8)
     sub = tol / 32
     rhs = ValueWithBound(0, 0, True)
     for i in weak_compositions(pp, m + 2):
@@ -1056,7 +1052,7 @@ def _eval_cor_510(p, tol, prec):
                           strict_prev=True,
                           powers=((-half, i[0] + 1),), coeff=-tw),
             ]
-        rhs = rhs + weighted_sum(specs, sub, None, prec) * w
+        rhs = rhs + weighted_sum(specs, sub) * w
     return lhs, rhs
 
 
@@ -1069,7 +1065,7 @@ _register(
 )
 
 
-def _eval_cor_511(p, tol, prec):
+def _eval_cor_511(p, tol):
     m = int(p["m"])
     k = int(p["k"])
     pp = int(p["p"])
@@ -1077,7 +1073,7 @@ def _eval_cor_511(p, tol, prec):
     spec = term_spec(strict=ones(k), strict_shift=half,
                      star=ones(pp), binom_upper=((half, False),),
                      powers=((0, m + 2),))
-    lhs = weighted_sum([spec], tol / 8, None, prec)
+    lhs = weighted_sum([spec], tol / 8)
     sub = tol / 32
     rhs = ValueWithBound(0, 0, True)
     for i in weak_compositions(pp, m + 2):
@@ -1093,7 +1089,7 @@ def _eval_cor_511(p, tol, prec):
                 term_spec(strict=tail, strict_prev=True,
                           powers=((0, i[0] + 1),), coeff=-1),
             ]
-        rhs = rhs + weighted_sum(specs, sub, None, prec) * w
+        rhs = rhs + weighted_sum(specs, sub) * w
     return lhs, rhs
 
 
@@ -1109,21 +1105,20 @@ _register(
 # ---------------------------------------------------------------------------
 # section 6: symmetric double-value formula
 
-def _double_single(family, sub, prec):
+def _double_single(family, sub):
     """The depth-two and depth-one value maps of the zeta or T family."""
     if family == "zeta":
-        return (lambda a, b: _zeta((a, b), 1, sub, prec),
+        return (lambda a, b: _zeta((a, b), 1, sub),
                 lambda a: _closed(mp.zeta(a)))
-    return (lambda a, b: _tee((a, b), 1, sub, prec),
-            lambda a: _tee((a,), 1, sub, prec))
+    return (lambda a, b: _tee((a, b), 1, sub), lambda a: _tee((a,), 1, sub))
 
 
 def _eval_thm_61(family):
-    def ev(p, tol, prec):
+    def ev(p, tol):
         m = int(p["m"])
         pp = int(p["p"])
         q = int(p["q"])
-        double, single = _double_single(family, tol / 64, prec)
+        double, single = _double_single(family, tol / 64)
         lhs = ValueWithBound(0, 0, True)
         for i in range(m):
             j = m - 1 - i
@@ -1154,10 +1149,10 @@ for _fam in ("zeta", "T"):
     )
 
 
-def _eval_cor_62(p, tol, prec):
+def _eval_cor_62(p, tol):
     pp = int(p["p"])
     q = int(p["q"])
-    double, single = _double_single(p["family"], tol / 64, prec)
+    double, single = _double_single(p["family"], tol / 64)
     lhs = ValueWithBound(0, 0, True)
     for i in range(pp):
         j = pp - 1 - i
@@ -1185,12 +1180,12 @@ _register(
 # ---------------------------------------------------------------------------
 # section 7: nested sums with a parametric binomial coefficient
 
-def _eval_ideas_4(p, tol, prec):
+def _eval_ideas_4(p, tol):
     k = Composition(tuple(p["k"]))
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
-    lhs = quad.int_mpl_weighted(k, alpha, beta, 0, 0, tol / 16, prec)
-    rhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, tol / 8, None, prec)
+    lhs = quad.int_mpl_weighted(k, alpha, beta, 0, 0, tol / 16)
+    rhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, tol / 8)
     return lhs, rhs
 
 
@@ -1204,11 +1199,11 @@ _register(
 )
 
 
-def _eval_ideas_5(p, tol, prec):
+def _eval_ideas_5(p, tol):
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
-    lhs = se.htmzv_pbc(alpha, (1,), 1 - beta, tol / 8, None, prec)
-    rhs = _closed(sf.beta(1 - alpha, 1 - beta, prec))
+    lhs = se.htmzv_pbc(alpha, (1,), 1 - beta, tol / 8)
+    rhs = _closed(sf.beta(1 - alpha, 1 - beta))
     return lhs, rhs
 
 
@@ -1221,17 +1216,17 @@ _register(
 )
 
 
-def _eval_ideas_6(p, tol, prec):
+def _eval_ideas_6(p, tol):
     k = int(p["k"])
     m = int(p["m"])
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
     spec = term_spec(strict=ones(k), strict_shift=alpha,
                      strict_prev=True, binom_upper=((alpha, True),),
-                     powers=((-beta, m + 1),), prec=prec)
-    lhs = weighted_sum([spec], tol / 8, None, prec)
+                     powers=((-beta, m + 1),))
+    lhs = weighted_sum([spec], tol / 8)
     v = mp.mpf(-1) ** (k + m) / (mp.factorial(k) * mp.factorial(m)) \
-        * sf.beta_partial(k, m, 1 - alpha, 1 - beta, prec)
+        * sf.beta_partial(k, m, 1 - alpha, 1 - beta)
     return lhs, _closed(v)
 
 
@@ -1245,13 +1240,13 @@ _register(
 )
 
 
-def _eval_depth1(p, tol, prec):
+def _eval_depth1(p, tol):
     m = int(p["m"])
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
-    lhs = se.htmzv_pbc(alpha, (m + 1,), 1 - beta, tol / 8, None, prec)
+    lhs = se.htmzv_pbc(alpha, (m + 1,), 1 - beta, tol / 8)
     v = mp.mpf(-1) ** m / mp.factorial(m) \
-        * sf.beta_partial(0, m, 1 - alpha, 1 - beta, prec)
+        * sf.beta_partial(0, m, 1 - alpha, 1 - beta)
     return lhs, _closed(v)
 
 
@@ -1265,25 +1260,25 @@ _register(
 )
 
 
-def _eval_thm_72(p, tol, prec):
+def _eval_thm_72(p, tol):
     k = int(p["k"])
     r = int(p["r"])
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
     idx = (k,) + (1,) * (r - 1)
-    lhs = quad.int_mpl_weighted(idx, alpha, beta, 0, 0, tol / 16, prec)
+    lhs = quad.int_mpl_weighted(idx, alpha, beta, 0, 0, tol / 16)
     rhs = ValueWithBound(0, 0, True)
     sub = tol / 64
     for j in range(k - 1):
-        zf = _zeta((k - j,) + (1,) * (r - 1), 1, sub, prec)
-        pb = se.htmzv_pbc(beta, (j + 1,), 1 - alpha, sub, None, prec)
+        zf = _zeta((k - j,) + (1,) * (r - 1), 1, sub)
+        pb = se.htmzv_pbc(beta, (j + 1,), 1 - alpha, sub)
         rhs = rhs + zf * pb * mp.mpf(-1) ** j
     sign = -mp.mpf(-1) ** k
     # i_1 + ... + i_{k-1} + l = r + k - 1 with i_j >= 1 and l >= 0
     for w in weak_compositions(r, k):
         i_parts, l = tuple(wj + 1 for wj in w.parts[:-1]), w.parts[-1]
         dual = theorem_dual(Composition(i_parts))
-        d = _pbc_deriv(l, beta, dual, 1 - alpha, sub, prec)
+        d = _pbc_deriv(l, beta, dual, 1 - alpha, sub)
         rhs = rhs + d * (sign / mp.factorial(l))
     return lhs, rhs
 
@@ -1298,17 +1293,15 @@ _register(
 )
 
 
-def _eval_cor_73(p, tol, prec):
+def _eval_cor_73(p, tol):
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
-    lhs = se.htmzv_pbc(alpha, (2, 1), 1 - beta, tol / 8, None, prec) \
-        + se.htmzv_pbc(beta, (2, 1), 1 - alpha, tol / 8, None, prec)
-    b = sf.beta(1 - alpha, 1 - beta, prec)
-    v = b * (mp.zeta(2) + sf.polygamma(1, 2 - alpha - beta, prec)
-             - (sf.digamma(1 - alpha, prec)
-                - sf.digamma(2 - alpha - beta, prec))
-             * (sf.digamma(1 - beta, prec)
-                - sf.digamma(2 - alpha - beta, prec)))
+    lhs = se.htmzv_pbc(alpha, (2, 1), 1 - beta, tol / 8) \
+        + se.htmzv_pbc(beta, (2, 1), 1 - alpha, tol / 8)
+    b = sf.beta(1 - alpha, 1 - beta)
+    v = b * (mp.zeta(2) + sf.polygamma(1, 2 - alpha - beta)
+             - (sf.digamma(1 - alpha) - sf.digamma(2 - alpha - beta))
+             * (sf.digamma(1 - beta) - sf.digamma(2 - alpha - beta)))
     return lhs, _closed(v)
 
 
@@ -1321,16 +1314,15 @@ _register(
 )
 
 
-def _eval_cor_74(p, tol, prec):
+def _eval_cor_74(p, tol):
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
     sub = tol / 32
-    lhs = se.htmzv_pbc(alpha, (3, 1), 1 - beta, sub, None, prec) \
-        + se.htmzv_pbc(beta, (2, 1, 1), 1 - alpha, sub, None, prec)
-    rhs = _zeta((2, 1), 1, sub, prec) \
-        * se.htmzv_pbc(beta, (1,), 1 - alpha, sub, None, prec)
-    d2 = _pbc_deriv(2, beta, (2,), 1 - alpha, sub, prec)
-    d1 = _pbc_deriv(1, beta, (2, 1), 1 - alpha, sub, prec)
+    lhs = se.htmzv_pbc(alpha, (3, 1), 1 - beta, sub) \
+        + se.htmzv_pbc(beta, (2, 1, 1), 1 - alpha, sub)
+    rhs = _zeta((2, 1), 1, sub) * se.htmzv_pbc(beta, (1,), 1 - alpha, sub)
+    d2 = _pbc_deriv(2, beta, (2,), 1 - alpha, sub)
+    d1 = _pbc_deriv(1, beta, (2, 1), 1 - alpha, sub)
     rhs = rhs - d2 * mp.mpf(0.5) - d1
     return lhs, rhs
 
@@ -1344,18 +1336,17 @@ _register(
 )
 
 
-def _eval_thm_75(p, tol, prec):
+def _eval_thm_75(p, tol):
     k = Composition(tuple(p["k"]))
     alpha = parse_real(p["alpha"])
     beta = parse_real(p["beta"])
     if beta >= 0:
         raise DomainError("beta must be negative here")
     sub = tol / 16
-    lhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, sub, None, prec)
+    lhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, sub)
     kp = theorem_dual(Composition((k[0] + 1,) + k.parts[1:]))
-    rhs = se.htmzv_pbc(alpha, kp, 1 - beta, sub, None, prec) \
-        * (-(1 - alpha)) \
-        - se.htmzv_pbc(alpha - 1, kp, -beta, sub, None, prec) * beta
+    rhs = se.htmzv_pbc(alpha, kp, 1 - beta, sub) * (-(1 - alpha)) \
+        - se.htmzv_pbc(alpha - 1, kp, -beta, sub) * beta
     return lhs, rhs
 
 
@@ -1374,8 +1365,9 @@ _register(
 
 def run_check(id: str, params: dict | None = None, tol=None,
               prec: PrecisionConfig | None = None) -> IdentityCheck:
-    """Evaluate both sides of one identity and compare.  A side that
-    cannot be evaluated gives an ERROR check (see :class:`IdentityCheck`)."""
+    """Evaluate both sides of one identity at ``prec`` and compare.  The
+    evaluator takes (params, tol) and inherits the working block entered
+    here.  A side that cannot be evaluated gives an ERROR check."""
     try:
         ident = _REGISTRY[id]
     except KeyError:
@@ -1386,7 +1378,7 @@ def run_check(id: str, params: dict | None = None, tol=None,
         tol = mp.mpf(DEFAULT_TOL if tol is None else tol)
         start = time.monotonic()
         try:
-            lhs, rhs = ident.evaluate(params, tol, prec)
+            lhs, rhs = ident.evaluate(params, tol)
         except (ToleranceNotReached, NoConvergence) as exc:
             nan = ValueWithBound(mp.nan, mp.nan)
             return IdentityCheck(id, dict(params), nan, nan, mp.nan, tol,

@@ -2,14 +2,20 @@
 
 All real arithmetic in hzeta runs on mpmath.  A :class:`PrecisionConfig`
 fixes the user-visible precision in bits; internally every routine works
-at ``bits + GUARD_BITS`` and results are returned as ``mpf`` values
-produced at that precision.
+at ``bits + GUARD_BITS``.  Public entry points take ``prec`` and enter it
+once with :func:`working`; private layers take no precision and run at
+the innermost active config, so ``prec=None`` inside a block means that
+block's config.  No block spans a ``yield``: streams resolve their bits
+when created, and factories capture the config and re-enter it on every
+call of the closure they return.  Precision-keyed caches key on
+``mp.mp.prec``, which equals ``work_bits`` inside a block.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -41,12 +47,21 @@ def default_precision() -> PrecisionConfig:
     return PrecisionConfig()
 
 
+_active: ContextVar = ContextVar("working", default=None)
+
+
 @contextmanager
 def working(prec: PrecisionConfig | None = None):
-    """Context manager entering the working precision of ``prec``."""
-    cfg = prec or default_precision()
-    with mp.workprec(cfg.work_bits):
-        yield cfg
+    """Enter the working precision of ``prec`` (by default the innermost
+    active block's config, else :func:`default_precision`) and yield its
+    config; the outer config comes back on exit, also after an error."""
+    cfg = prec or _active.get() or default_precision()
+    token = _active.set(cfg)
+    try:
+        with mp.workprec(cfg.work_bits):
+            yield cfg
+    finally:
+        _active.reset(token)
 
 
 def parse_real(x) -> mp.mpf:

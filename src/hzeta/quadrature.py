@@ -62,10 +62,8 @@ def _nodes(level: int):
         w = h * mp.pi / 4 * mp.cosh(t) / mp.cosh(u) ** 2
         if omv < cutoff or w < cutoff:
             break
-        if t == 0:
-            out.append((v, omv, w))
-        else:
-            out.append((v, omv, w))
+        out.append((v, omv, w))
+        if t:
             out.append((omv, v, w))  # the mirrored node t -> -t
         j += 1
     _node_cache[key] = out
@@ -99,24 +97,23 @@ class WeightedIntegrand:
         return Composition(self.core[1]).depth()
 
 
-def _hybrid(kind, k: Composition, prec):
+def _hybrid(kind, k: Composition):
     """Evaluator (x, u) -> Li_k(x) or A(k; x), u the core's right-endpoint
     variable; switches to the endpoint series once u <= 1/4."""
-    near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(k, prec)
+    near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(k)
     series = _mpl_series if kind == "mpl" else _kta_series
     quarter = mp.mpf("0.25")
-    with working(prec) as cfg:
-        tol = mp.ldexp(1, -(cfg.work_bits - 16))
+    tol = mp.ldexp(1, -(mp.mp.prec - 16))
 
     def f(x, u):
         if u <= quarter:
             return near(u)
-        return series(k, x, tol, None, prec).value
+        return series(k, x, tol).value
 
     return f
 
 
-def _core_evaluator(core, prec):
+def _core_evaluator(core):
     """Evaluator (x, w) -> core value, w the right-endpoint variable."""
     kind = core[0]
     if kind == "constant":
@@ -125,11 +122,11 @@ def _core_evaluator(core, prec):
         n = int(core[1])
         return lambda x, omx: x ** (n - 1)
     if kind in ("mpl", "kta"):
-        return _hybrid(kind, Composition(core[1]), prec)
+        return _hybrid(kind, Composition(core[1]))
     if kind == "mpl_landen":
         k = Composition(core[1])
-        parts = [_hybrid("mpl", l, prec) for l in sorted(refinements(k),
-                                                        key=lambda l: l.parts)]
+        parts = [_hybrid("mpl", l) for l in sorted(refinements(k),
+                                                  key=lambda l: l.parts)]
         sign = -1 if k.depth() % 2 else 1
 
         def f(x, omx):
@@ -139,11 +136,11 @@ def _core_evaluator(core, prec):
     raise DomainError(f"unknown integrand core {core!r}")
 
 
-def _build_pointwise(f: WeightedIntegrand, prec):
+def _build_pointwise(f: WeightedIntegrand):
     """Map a node (v, 1-v) of the integration variable to the full
     integrand value: (x, w) = (v, 1 - v), or for the "kta" core u = w = v,
     x = (1-u)/(1+u) and the jacobian 2/(1+u)^2."""
-    core = _core_evaluator(f.core, prec)
+    core = _core_evaluator(f.core)
     odd = f.core[0] == "kta"
     a = mp.mpf(f.x_exp)
     b = mp.mpf(f.omx_exp)
@@ -182,7 +179,7 @@ def de_quad(f: WeightedIntegrand, tol=None,
     _check_integrable(f)
     with working(prec) as cfg:
         tol = mp.mpf(10) ** -20 if tol is None else mp.mpf(tol)
-        g = _build_pointwise(f, prec)
+        g = _build_pointwise(f)
         total = mp.mpf(0)
         prev = None
         delta = mp.inf

@@ -205,14 +205,15 @@ def term_spec(
     beta values.
     """
     sk = ss = tk = ts = None
-    if strict is not None:
-        sk, ss = _coerce(strict, strict_shift, prec)
-        if sk.is_empty():
-            sk = ss = None
-    if star is not None:
-        tk, ts = _coerce(star, star_shift, prec)
-        if tk.is_empty():
-            tk = ts = None
+    with working(prec):
+        if strict is not None:
+            sk, ss = _coerce(strict, strict_shift)
+            if sk.is_empty():
+                sk = ss = None
+        if star is not None:
+            tk, ts = _coerce(star, star_shift)
+            if tk.is_empty():
+                tk = ts = None
     binom_upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
                         for a, p, *o in binom_upper)
     if (strict_binomial is not None and sk is None
@@ -241,19 +242,19 @@ class _SpecState:
     :func:`_binomials`; each :meth:`step` costs O(total depth).
     """
 
-    def __init__(self, spec: TermSpec, prec):
+    def __init__(self, spec: TermSpec):
         self.spec = spec
         self.strict = None
         if spec.strict_binomial is not None:
             self.strict = nested_stream(
                 spec.strict_index.parts, spec.strict_shift.shifts, False,
-                prec, _binomials(*spec.strict_binomial))
+                innermost=_binomials(*spec.strict_binomial))
         elif spec.strict_index is not None:
-            self.strict = mhs_stream(spec.strict_index, spec.strict_shift, prec)
+            self.strict = mhs_stream(spec.strict_index, spec.strict_shift)
         self.strict_prev_val = mp.mpf(0)
         self.star = None
         if spec.star_index is not None:
-            self.star = mhss_stream(spec.star_index, spec.star_shift, prec)
+            self.star = mhss_stream(spec.star_index, spec.star_shift)
         # C(n + alpha - 1, n) and C(n - beta, n) are C(m + c - 2, m - 1)
         # at m = n + 1 for c = alpha and c = 1 - beta
         self.upper = [islice(_binomials(a, order), 0 if at_prev else 1, None)
@@ -290,17 +291,17 @@ class _SpecState:
         return t
 
 
-def _spec_series(spec: TermSpec, window: asym.ExpansionWindow, prec) -> AsymSeries:
+def _spec_series(spec: TermSpec, window: asym.ExpansionWindow) -> AsymSeries:
     emax = window.order
     S = AsymSeries.constant(spec.coeff, emax)
     if spec.strict_index is not None:
         E = prefix_expansion(spec.strict_index, spec.strict_shift, False,
-                             window, prec, spec.strict_binomial)
+                             window, spec.strict_binomial)
         if spec.strict_prev:
             E = E.shift_arg(-1)
         S = S * E
     if spec.star_index is not None:
-        S = S * prefix_expansion(spec.star_index, spec.star_shift, True, window, prec)
+        S = S * prefix_expansion(spec.star_index, spec.star_shift, True, window)
     for a, at_prev, order in spec.binom_upper:
         if at_prev:
             S = S * _binomial_series(a, order, emax)
@@ -313,7 +314,7 @@ def _spec_series(spec: TermSpec, window: asym.ExpansionWindow, prec) -> AsymSeri
     return S
 
 
-def _em_sum(specs, tol, strategy: TailStrategy, prec):
+def _em_sum(specs, tol, strategy: TailStrategy):
     """Escalating anchored-expansion summation of the TermSpec summands.
 
     The error estimate is driven by the observed expansion defect d(n) =
@@ -333,7 +334,7 @@ def _em_sum(specs, tol, strategy: TailStrategy, prec):
     one-point estimate, times 2 for the higher log terms that three
     points cannot see.
     """
-    with working(prec) as cfg:
+    with working() as cfg:
         tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
         best = None
         for level in range(_LEVELS):
@@ -341,9 +342,9 @@ def _em_sum(specs, tol, strategy: TailStrategy, prec):
             N = max(min(window.n_direct, strategy.N_max), window.n_anchor)
             series = AsymSeries(emax=window.order)
             for s in specs:
-                series = series + _spec_series(s, window, prec)
+                series = series + _spec_series(s, window)
             series = series.prune()
-            states = [_SpecState(s, prec) for s in specs]
+            states = [_SpecState(s) for s in specs]
             head = mp.mpf(0)
             t2 = t1 = t0 = mp.mpf(0)  # terms N - 2, N - 1, N
             for n in range(1, N + 1):
@@ -376,7 +377,8 @@ def weighted_sum(specs, tol=None, strategy: TailStrategy | None = None,
     specs = tuple(specs)
     if not specs:
         return ValueWithBound(0, 0, True)
-    return _em_sum(specs, tol, strategy or DEFAULT_TAIL, prec)
+    with working(prec):
+        return _em_sum(specs, tol, strategy or DEFAULT_TAIL)
 
 
 def _check_strict_shifts(k: Composition, a: ShiftVector):
@@ -399,12 +401,12 @@ def _check_strict_shifts(k: Composition, a: ShiftVector):
 def htmzv(k, a=None, tol=None, strategy=None,
           prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Hurwitz-type multiple zeta value zeta(k; a) with vector shifts."""
-    k, a = _coerce(k, a, prec)
-    if k.is_empty():
-        return ValueWithBound(1, 0, True)
-    if not k.admissible():
-        raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
     with working(prec):
+        k, a = _coerce(k, a)
+        if k.is_empty():
+            return ValueWithBound(1, 0, True)
+        if not k.admissible():
+            raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
         _check_strict_shifts(k, a)
         spec = term_spec(
             strict=Composition(k.parts[1:]),
@@ -412,18 +414,18 @@ def htmzv(k, a=None, tol=None, strategy=None,
             strict_prev=True,
             powers=((a[0] - 1, k[0]),),
         )
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
 def htmzsv(k, a=None, tol=None, strategy=None,
            prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Hurwitz-type multiple zeta-star value zeta*(k; a)."""
-    k, a = _coerce(k, a, prec)
-    if k.is_empty():
-        return ValueWithBound(1, 0, True)
-    if not k.admissible():
-        raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
     with working(prec):
+        k, a = _coerce(k, a)
+        if k.is_empty():
+            return ValueWithBound(1, 0, True)
+        if not k.admissible():
+            raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
         for i in range(k.depth()):
             if a[i] == 0:
                 raise PoleError(f"shift a_{i + 1} = 0 puts a pole at index 1")
@@ -434,7 +436,7 @@ def htmzsv(k, a=None, tol=None, strategy=None,
             star_shift=ShiftVector(a.shifts[1:]),
             powers=((a[0] - 1, k[0]),),
         )
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
 def htmtv(k, alpha=1, tol=None, strategy=None,
@@ -463,10 +465,10 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
             powers=((a[0] - 1, k[0]),),
             coeff=mp.ldexp(1, r - k.weight()),
         )
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
-def _direct_series(k: Composition, x, frame: int, tol, strategy, prec,
+def _direct_series(k: Composition, x, frame: int, tol, strategy,
                    name: str) -> ValueWithBound:
     """Li_k(x) (frame 1) or A(k; x) (frame 2) for 0 < x < 1: scale times
     sum_{m>=1} x^d(m) d(m)^(-k_1) zeta_(m-1)(k_2..k_r; a), d(m) = frame m - c.
@@ -479,7 +481,7 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy, prec,
     envelope ratio beyond m at most x^frame e^((r-1)/m).
     """
     strategy = strategy or DEFAULT_TAIL
-    with working(prec) as cfg:
+    with working() as cfg:
         tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
         r = k.depth()
         k1 = k[0]
@@ -491,7 +493,7 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy, prec,
             shifts = [mp.mpf(i + 2 - r) / 2 for i in range(1, r)]
             scale = mp.ldexp(1, r - tail.weight())
             env_scale = mp.ldexp(1, r)
-        inner = mhs_stream(tail, shifts, prec)
+        inner = mhs_stream(tail, shifts)
         xf = x ** frame
         xp = x ** (frame - c)  # x^d(m) at m = 1
         prev = mp.mpf(1) if r == 1 else mp.mpf(0)
@@ -540,10 +542,10 @@ def mpl(k, x, tol=None, strategy=None,
         if x == 1:
             if not k.admissible():
                 raise DomainError("Li_k(1) diverges for leading exponent 1")
-            return htmzv(k, None, tol, strategy, prec)
+            return htmzv(k, None, tol, strategy)
         if x == 0:
             return ValueWithBound(0, 0, True)
-        return _direct_series(k, x, 1, tol, strategy, prec, "Li")
+        return _direct_series(k, x, 1, tol, strategy, "Li")
 
 
 def mpl_landen(k, x, tol=None, strategy=None,
@@ -565,7 +567,7 @@ def mpl_landen(k, x, tol=None, strategy=None,
         sub = tol / len(terms)
         total = ValueWithBound(0, 0, True)
         for l in terms:
-            total = total + mpl(l, x, sub, strategy, prec)
+            total = total + mpl(l, x, sub, strategy)
         sign = -1 if k.depth() % 2 else 1
         return total * sign
 
@@ -590,10 +592,10 @@ def kta(k, x, tol=None, strategy=None,
         if x == 1:
             if not k.admissible():
                 raise DomainError("A(k; 1) diverges for leading exponent 1")
-            return htmtv(k, 1, tol, strategy, prec)
+            return htmtv(k, 1, tol, strategy)
         if x == 0:
             return ValueWithBound(0, 0, True)
-        return _direct_series(k, x, 2, tol, strategy, prec, "A-function")
+        return _direct_series(k, x, 2, tol, strategy, "A-function")
 
 
 def apery_I(k, kk: int, alpha, tol=None, strategy=None,
@@ -616,9 +618,8 @@ def apery_I(k, kk: int, alpha, tol=None, strategy=None,
             star_shift=1 - alpha,
             powers=((0, k[0] + 1),),
             binom_lower=(alpha,),
-            prec=prec,
         )
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
 def apery_II(k_head: int, star_tail, m: int, alpha, tol=None, strategy=None,
@@ -638,9 +639,8 @@ def apery_II(k_head: int, star_tail, m: int, alpha, tol=None, strategy=None,
             star=star_tail,
             powers=((0, m),),
             binom_upper=((alpha, False),),
-            prec=prec,
         )
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
 def apery_III(k, l, m: int, alpha, beta, tol=None, strategy=None,
@@ -667,9 +667,8 @@ def apery_III(k, l, m: int, alpha, beta, tol=None, strategy=None,
             powers=((0, m + 2),),
             binom_upper=((alpha, False),),
             binom_lower=(beta,),
-            prec=prec,
         )
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
 def param_euler_sum(m: int, a, b, tol=None, strategy=None,
@@ -685,7 +684,7 @@ def param_euler_sum(m: int, a, b, tol=None, strategy=None,
                 raise DomainError(f"offset {c} puts a pole on the index set")
         powers = ((a, 2),) if a == b else ((a, 1), (b, 1))
         spec = term_spec(strict=ones(m), strict_prev=True, powers=powers)
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
 def param_euler_pow(m: int, k: int, alpha, tol=None, strategy=None,
@@ -699,7 +698,7 @@ def param_euler_pow(m: int, k: int, alpha, tol=None, strategy=None,
             raise DomainError(f"offset {alpha} puts a pole on the index set")
         spec = term_spec(strict=ones(m), strict_prev=True,
                          powers=((alpha, k + 1),))
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)
 
 
 def _dual_binomial_sum(k, total: int, Z, tol) -> ValueWithBound:
@@ -735,11 +734,11 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
     with working(prec) as cfg:
         tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
         if kind == "xi":
-            Z = lambda idx, sub: htmzv(idx, None, sub, strategy, prec)
+            Z = lambda idx, sub: htmzv(idx, None, sub, strategy)
         elif kind == "psi":
-            Z = lambda idx, sub: htmtv(idx, 1, sub, strategy, prec)
+            Z = lambda idx, sub: htmtv(idx, 1, sub, strategy)
         else:
-            Z = lambda idx, sub: htmzsv(idx, None, sub, strategy, prec)
+            Z = lambda idx, sub: htmzsv(idx, None, sub, strategy)
         total = _dual_binomial_sum(k, s - 1, Z, tol)
         if kind == "eta" and k.depth() % 2 == 0:
             total = -total
@@ -759,13 +758,13 @@ def htmzv_pbc(alpha, k, shift, tol=None, strategy=None,
     collapses to a lower-depth value.  Its alpha-derivatives come from
     :func:`_pbc_sum`.
     """
-    return _pbc_sum(alpha, k, shift, 0, tol, strategy, prec)
+    with working(prec):
+        return _pbc_sum(alpha, k, shift, 0, tol, strategy)
 
 
-def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None,
-             prec: PrecisionConfig | None = None) -> ValueWithBound:
+def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None) -> ValueWithBound:
     """The order-th alpha-derivative of :func:`htmzv_pbc` (order 0 is the
-    sum itself).
+    sum itself), at the active :func:`working` precision.
 
     One TermSpec summand on :func:`weighted_sum`, whose strict prefix
     carries the binomial on its innermost index (on n itself at depth 1).
@@ -778,7 +777,7 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None,
     if k.is_empty():
         raise DomainError("needs a nonempty index")
     r = k.depth()
-    with working(prec):
+    with working():
         alpha = mp.mpf(alpha)
         shift = mp.mpf(shift)
         if shift <= 0:
@@ -798,7 +797,7 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None,
                 return ValueWithBound(w, 0, True)
             head = Composition(k.parts[:-1])
             inner = htmzv(head, ShiftVector.constant(shift + 1, r - 1),
-                          tol, strategy, prec)
+                          tol, strategy)
             return inner * w
         if r == 1:
             if k[0] + 1 - alpha <= 1:
@@ -817,4 +816,4 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None,
                 strict_binomial=(alpha, order),
                 powers=((shift - 1, k[0]),),
             )
-        return weighted_sum([spec], tol, strategy, prec)
+        return weighted_sum([spec], tol, strategy)

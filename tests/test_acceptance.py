@@ -32,6 +32,7 @@ from hzeta.series_engine import htmzv
 from hzeta.specfun import gen_binom, hurwitz_zeta
 
 GOLDEN_SEED7 = Path(__file__).parent / "data" / "verify_seed7.txt"
+GOLDEN_SEED7_160 = Path(__file__).parent / "data" / "verify_seed7_160.txt"
 PREC160 = PrecisionConfig(bits=160)
 PREC256 = PrecisionConfig(bits=256)
 
@@ -288,19 +289,34 @@ def test_10_property_suites():
     _report(10, "property suites", ok and elapsed < 300, f"{elapsed:.1f}s")
 
 
-def test_11_report_determinism():
-    argv = ["--bits", "256", "verify", "--filter", "*", "--samples", "1",
+def _verify_seed7(bits, runs):
+    """Exit codes and tables of ``runs`` seed-7 verify passes."""
+    argv = ["--bits", str(bits), "verify", "--filter", "*", "--samples", "1",
             "--seed", "7"]
     outs = []
     codes = []
-    for _ in range(2):
+    for _ in range(runs):
         buf = io.StringIO()
         with redirect_stdout(buf):
             codes.append(cli_main(list(argv)))
         outs.append(buf.getvalue())
+    return codes, outs
+
+
+def test_11_report_determinism():
+    codes, outs = _verify_seed7(256, 2)
     # the committed table pins the bytes across code changes, not only
     # across runs
     golden = GOLDEN_SEED7.read_text()
     ok = codes == [0, 0] and outs == [golden, golden]
     _report(11, "byte-identical verify reports", ok,
+            f"{len(outs[0])} bytes, exit {codes[0]}")
+
+
+def test_11_report_at_160_bits():
+    # a precision that one layer fails to pass on shows at a width other
+    # than the default
+    codes, outs = _verify_seed7(160, 1)
+    ok = codes == [0] and outs == [GOLDEN_SEED7_160.read_text()]
+    _report(11, "byte-identical verify report at 160 bits", ok,
             f"{len(outs[0])} bytes, exit {codes[0]}")

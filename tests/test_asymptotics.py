@@ -20,7 +20,7 @@ from hzeta.asymptotics import (
 from hzeta.compositions import Composition
 from hzeta.errors import NoConvergence
 from hzeta.finite_sums import ShiftVector, mhs, mhss
-from hzeta.precision import PrecisionConfig
+from hzeta.precision import PrecisionConfig, working
 
 PREC = PrecisionConfig(bits=192)
 EMAX = 14
@@ -99,7 +99,8 @@ def test_em_antidifference_harmonic():
 ])
 def test_prefix_expansion_matches_dp(k, a, star):
     a = ShiftVector(tuple(mp.mpf(x) for x in a))
-    E = prefix_expansion(Composition(k), a, star, prec=PREC)
+    with working(PREC):
+        E = prefix_expansion(Composition(k), a, star)
     n = 4000
     exact = mhss(n, k, a, PREC) if star else mhs(n, k, a, PREC)
     assert abs(E(mp.mpf(n)) - exact) < mp.mpf(10) ** -18

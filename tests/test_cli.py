@@ -114,7 +114,7 @@ class TestVerify:
 
     def test_unevaluated_check_is_an_error_row(self, capsys, monkeypatch):
         # the first of two checks raises; the run reports it and goes on
-        def fail(params, tol, prec):
+        def fail(params, tol):
             raise ToleranceNotReached(
                 "error estimate 3e-7 exceeds tolerance 1e-8",
                 best=series_engine.ValueWithBound(mp.mpf("0.25"), 3e-7))
@@ -139,10 +139,10 @@ class TestVerify:
         assert rec["best"] == "0.25"
 
     def test_failed_check_outranks_error(self, capsys, monkeypatch):
-        def fail(params, tol, prec):
+        def fail(params, tol):
             raise NoConvergence("quadrature stalled")
 
-        def wrong(params, tol, prec):
+        def wrong(params, tol):
             one = series_engine.ValueWithBound(1, 0)
             return one, one * 2
 

@@ -8,7 +8,7 @@ from hzeta.identity_registry import (
     run_check,
     run_suite,
 )
-from hzeta.precision import PrecisionConfig
+from hzeta.precision import PrecisionConfig, working
 
 PREC = PrecisionConfig(bits=160)
 TOL = "1e-8"
@@ -65,7 +65,11 @@ def test_run_check_ignores_caller_precision(id):
             return run_check(id, None, TOL, PREC)
 
     lo, hi = check(53), check(600)
-    for a, b in ((lo.lhs, hi.lhs), (lo.rhs, hi.rhs)):
+    # an explicit config wins over an enclosing working block
+    with working(PrecisionConfig(bits=448)):
+        inner = check(53)
+    for a, b in ((lo.lhs, hi.lhs), (lo.rhs, hi.rhs),
+                 (lo.lhs, inner.lhs), (lo.rhs, inner.rhs)):
         assert a.value == b.value and a.abs_error == b.abs_error
 
 

@@ -202,14 +202,15 @@ class TestAperyFamilies:
         with working(P):
             a, b = mp.mpf(alpha), mp.mpf(beta)
             state = _SpecState(term_spec(binom_upper=((a, False),),
-                                         binom_lower=(b,), prec=P), P)
+                                         binom_lower=(b,), prec=P))
             for n in range(1, 61):
                 ref = mp.binomial(n + a - 1, n) / mp.binomial(n - b, n)
                 assert abs(state.step(n) / ref - 1) < mp.mpf(10) ** -70, n
 
     def test_vanishing_lower_binomial_is_a_pole(self):
         # C(n - 3, n) = -2, 1, 0 at n = 1, 2, 3
-        state = _SpecState(term_spec(binom_lower=(3,)), PREC)
+        with working(PREC):
+            state = _SpecState(term_spec(binom_lower=(3,)))
         state.step(1)
         state.step(2)
         with pytest.raises(PoleError):
@@ -305,7 +306,8 @@ class TestPbcDerivative:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_depth_one_matches_beta(self, order):
         # sum_n C(n + a - 2, n - 1) / (n + s - 1) = B(1 - a, s)
-        v = _pbc_sum("0.3", (1,), "0.75", order, None, None, self.P256)
+        with working(self.P256):
+            v = _pbc_sum("0.3", (1,), "0.75", order, None, None)
         with mp.workprec(640):
             a, s = mp.mpf("0.3"), mp.mpf("0.75")
             ref = mp.diff(lambda x: mp.beta(1 - x, s), a, order)
@@ -316,8 +318,10 @@ class TestPbcDerivative:
                                              ("0.15", "0.55")])
     def test_bound_holds_against_448_bits(self, k, alpha, shift):
         for order in range(4):
-            v = _pbc_sum(alpha, k, shift, order, None, None, self.P256)
-            ref = _pbc_sum(alpha, k, shift, order, None, None, self.P448)
+            with working(self.P256):
+                v = _pbc_sum(alpha, k, shift, order, None, None)
+            with working(self.P448):
+                ref = _pbc_sum(alpha, k, shift, order, None, None)
             with mp.workprec(480):
                 assert abs(v.value - ref.value) <= v.abs_error, (order, v)
 
@@ -328,7 +332,8 @@ class TestPbcDerivative:
     ])
     def test_order_zero_keeps_its_bits(self, k, man, exp):
         # the value htmzv_pbc had before it gained derivative orders
-        v = _pbc_sum("0.3", k, "0.75", 0, None, None, self.P256)
+        with working(self.P256):
+            v = _pbc_sum("0.3", k, "0.75", 0, None, None)
         ref = htmzv_pbc("0.3", k, "0.75", None, None, self.P256)
         assert (v.value.man, v.value.exp) == (man, exp)
         assert v.value == ref.value and v.abs_error == ref.abs_error
@@ -346,7 +351,8 @@ class TestPbcDerivative:
 
     def test_derivative_needs_alpha_off_the_integers(self):
         with pytest.raises(DomainError):
-            _pbc_sum(0, (2, 1), "0.5", 1, None, None, PREC)
+            with working(PREC):
+                _pbc_sum(0, (2, 1), "0.5", 1, None, None)
 
     @pytest.mark.parametrize("kw", [{"strict_binomial": ("0.3", 1)},
                                     {"binom_upper": (("0.3", False, 1),)}])
