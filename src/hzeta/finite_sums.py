@@ -13,6 +13,15 @@ Conventions: the empty index gives 1 at every n; the strict sum vanishes
 for n < depth; the star sum is evaluated literally for n >= 1 (it still
 has terms with repeated indices when 1 <= n < depth) and is 0 at n = 0
 for a nonempty index.
+
+The kernel runs on Python integers in fixed point: an integer X stands
+for X 2^-F, with F = work_bits + sum_j k_j bitlen(|a_j| + r + 1) + 64
+(raised where needed so that every shift is exact).  The middle term
+bounds the first nonzero inner sum from below, so it already carries
+work_bits + 64 bits.  Each slot of each step rounds once, by a floor
+division, so after n steps of a depth-r sum the error is at most n r
+units of 2^-F, far below the working precision for any reachable n.
+Values become mpf only where they leave the kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from itertools import islice
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .compositions import Composition
 from .errors import DimensionMismatch, PoleError
@@ -86,48 +96,73 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
     """An iterator of (n, S_n) for n = 1, 2, ..., the one nested-sum kernel.
 
     S_n sums prod_j (n_j + a_j - 1)^(-k_j) over n >= n_1 > ... > n_r >= 1
-    (>= throughout when ``star``) for exponents ``k`` and mpf shifts ``a``;
-    the n_r-th element of the iterator ``innermost``, when given,
-    multiplies the innermost factor.  S[j] holds the depth-(r - j) inner
-    sum and S[r] the innermost multiplier (1 without one).  A strict step
-    updates S[0], S[1], ... so that S[j + 1] is still at m - 1, a star step
-    the other way round.  A zero inner sum skips its weight, so chains
-    that the ordering rules out cannot trip a pole.
-
-    The work bits are resolved when the stream is created, not at its
-    first ``next``, so a stream built inside a :func:`working` block keeps
-    its bits wherever it is drained.  Each step runs at them and restores
-    the caller's precision before it yields; a switch costs about as much
-    as a short step, so callers already at that precision skip it.
+    (>= throughout when ``star``) for exponents ``k`` and real shifts
+    ``a``; the n_r-th element of the iterator ``innermost``, when given,
+    multiplies the innermost factor.  The recurrence runs on integers at
+    2^-F (:func:`_fixed_stream`; F as in the module docstring), so S_n is
+    off by at most n r units of 2^-F before it is rounded once to an mpf
+    of the work bits, whatever the caller's precision.  The work bits are
+    resolved when the stream is created, so a stream built inside a
+    :func:`working` block keeps its bits wherever it is drained.
     """
     with working(prec) as cfg:
-        return _steps(k, a, star, cfg.work_bits, innermost)
+        bits = cfg.work_bits
+        F, raw = _fixed_stream(k, a, star, bits, innermost)
+    return ((m, _to_mpf(s, F, bits)) for m, s in enumerate(raw, 1))
 
 
-def _steps(k, a, star, bits, innermost):
+def _to_mpf(s, F, bits):
+    """s 2^-F as an mpf of ``bits`` bits, whatever precision is active."""
+    return mp.make_mpf(from_man_exp(s, -F, bits, round_nearest))
+
+
+def _fixed_stream(k, a, star, bits, innermost=None):
+    """(F, the iterator of floor(S_n 2^F) for n = 1, 2, ...), resolved
+    before the generator starts (F as in the module docstring).
+
+    S[j] holds the depth-(r - j) inner sum and S[r] the innermost
+    multiplier (1 without one).  A slot adds S[j + 1] / (m + a_j - 1)^(k_j)
+    as (S[j + 1] << k_j F) // D^(k_j) with D = m 2^F + (a_j - 1) 2^F exact,
+    so the pole test is D == 0.  A strict step updates S[0], S[1], ... so
+    that S[j + 1] is still at m - 1, a star step the other way round.  A
+    zero inner sum skips its weight, so chains that the ordering rules out
+    cannot trip a pole.  Each multiplier is drawn at ``bits``, the only
+    precision switch, and converted by a mantissa shift.
+    """
+    a = [mp.mpf(x) for x in a]
     r = len(k)
-    slots = range(r - 1, -1, -1) if star else range(r)
-    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+    F = bits + 64 + sum(kj * (int(abs(x)) + r + 1).bit_length()
+                        for kj, x in zip(k, a))
+    F = max([F] + [-x._mpf_[2] for x in a])
+    slots = []
+    for j in range(r - 1, -1, -1) if star else range(r):
+        # D = 2^(F - e) (m 2^e + B): the power of two cancels, so a shift
+        # with e fractional bits divides by an (e + log2 m)-bit integer
+        A = to_fixed(a[j]._mpf_, F) - (1 << F)
+        e = max(F - ((A & -A).bit_length() - 1), 0) if A else 0
+        slots.append((j, k[j], k[j] * e, e, A >> (F - e)))
+    return F, _steps(slots, r, F, bits, innermost)
+
+
+def _steps(slots, r, F, bits, innermost):
+    S = [0] * r + [1 << F]
     m = 0
     while True:
         m += 1
-        caller = mp.mp.prec
-        if caller != bits:
-            mp.mp.prec = bits
-        try:
-            if innermost is not None:
-                S[r] = next(innermost)
-            for j in slots:
-                if S[j + 1]:
-                    d = m + a[j] - 1
-                    if not d:
-                        raise PoleError(f"denominator {m} + {a[j]} - 1 vanishes")
-                    S[j] += d ** -k[j] * S[j + 1]
-            v = S[0]
-        finally:
-            if caller != bits:
+        if innermost is not None:
+            caller, mp.mp.prec = mp.mp.prec, bits
+            try:
+                S[r] = to_fixed(next(innermost)._mpf_, F)
+            finally:
                 mp.mp.prec = caller
-        yield m, v
+        for j, kj, ke, e, B in slots:
+            inner = S[j + 1]
+            if inner:
+                d = (m << e) + B
+                if not d:
+                    raise PoleError(f"denominator {m} + {1 - m} - 1 vanishes")
+                S[j] += (inner << ke) // (d if kj == 1 else d ** kj)
+        yield S[0]
 
 
 def _binomials(alpha, order=0):
@@ -155,8 +190,7 @@ def nth(stream, n: int):
 
 
 def _nth(k, a, star, n):
-    """S_n of the kernel, drained inside the working precision so that no
-    step switches precision."""
+    """S_n of the kernel, converted to an mpf only at the end."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     k, a = _coerce(k, a)
@@ -165,7 +199,9 @@ def _nth(k, a, star, n):
         return mp.mpf(1)
     if n < (1 if star else r):
         return mp.mpf(0)
-    return nth(nested_stream(k.parts, a.shifts, star), n)
+    bits = mp.mp.prec  # the work bits of the caller's block
+    F, raw = _fixed_stream(k.parts, a.shifts, star, bits)
+    return _to_mpf(next(islice(raw, n - 1, None)), F, bits)
 
 
 def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:

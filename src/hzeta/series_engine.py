@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from . import asymptotics as asym
 from .asymptotics import (AsymSeries, _binomial_series, gamma_ratio, power_shift,
@@ -55,6 +56,8 @@ from .finite_sums import (
     ShiftVector,
     _binomials,
     _coerce,
+    _fixed_stream,
+    _to_mpf,
     mhs_stream,
     mhss_stream,
     nested_stream,
@@ -479,42 +482,58 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy,
     applied once to the total.  Tail: |coefficient of x^d(m)| <= env_scale
     (2 + 2 log(frame m))^(r-1) / d(m)^(k_1) (env_scale 2^r for A), with
     envelope ratio beyond m at most x^frame e^((r-1)/m).
+
+    The loop runs on the kernel's integers (at 2^-F): x^d(m) and the total
+    are integers at 2^-G, with G such that the first nonzero term keeps
+    work_bits + 64 bits (a tiny x keeps its relative accuracy) and x^d(m)
+    64 bits where the envelope meets ``tol``; they become mpf only at the
+    envelope check.  After n terms the positive total is off by at most
+    n (4 + 2 / (1 - x^frame)) units of 2^-G plus n r units of 2^-F per
+    term, so below 2^-(work_bits + 64) of it times those counts, which the
+    floor 2^(12 - work_bits) (|value| + 1) of the claim covers.
     """
     strategy = strategy or DEFAULT_TAIL
     with working() as cfg:
+        bits = cfg.work_bits
         tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
         r = k.depth()
         k1 = k[0]
         tail = Composition(k.parts[1:])
         if frame == 1:
-            c, shifts, scale, env_scale = 0, None, 1, 1
+            c, shifts, scale_exp, env_scale = 0, None, 0, 1
         else:
             c = r
             shifts = [mp.mpf(i + 2 - r) / 2 for i in range(1, r)]
-            scale = mp.ldexp(1, r - tail.weight())
+            scale_exp = r - tail.weight()
             env_scale = mp.ldexp(1, r)
-        inner = mhs_stream(tail, shifts)
+        tail, shifts = _coerce(tail, shifts)
+        F, inner = _fixed_stream(tail.parts, shifts.shifts, False, bits)
+        d0 = frame * (1 if r == 1 else r) - c  # d(m) of the first nonzero term
+        G = max(F + k1 * d0.bit_length() + d0 * (1 - mp.mag(x)),
+                64 - mp.mag(tol) if tol else 0)
         xf = x ** frame
-        xp = x ** (frame - c)  # x^d(m) at m = 1
-        prev = mp.mpf(1) if r == 1 else mp.mpf(0)
-        total = mp.mpf(0)
+        # x^frame, and x^d(m) at m = 1
+        XF, X = (to_fixed(y._mpf_, G) for y in (xf, x ** (frame - c)))
+        P = 1 << F if r == 1 else 0  # zeta_(m-1)(k_2..k_r; a) at 2^-F
+        T = 0
         m = 0
         while True:
             m += 1
-            if prev:
-                total += xp * prev / mp.mpf(frame * m - c) ** k1
-            _, prev = next(inner)
-            xp *= xf
+            if P:
+                T += (X * P >> F) // (frame * m - c) ** k1
+            P = next(inner)
+            X = X * XF >> G
             if m % 16 == 0 or m <= 32 or m >= strategy.N_max:
+                xp = _to_mpf(X, G, bits)
                 d1 = mp.mpf(max(frame * (m + 1) - c, 1))
                 env = (env_scale * xp
                        * (2 + 2 * mp.log(frame * (m + 1))) ** (r - 1)
                        / d1 ** k1)
                 q = xf * mp.exp(mp.mpf(r - 1) / m)
                 bound = env / (1 - q) if q < 1 else mp.inf  # env (1 + q + ...)
-                value = scale * total
+                value = _to_mpf(T, G - scale_exp, bits)
                 if bound <= tol:
-                    fl = mp.ldexp(abs(value) + 1, -cfg.work_bits + 12)
+                    fl = mp.ldexp(abs(value) + 1, -bits + 12)
                     return ValueWithBound(value, bound + fl, True)
                 if m >= strategy.N_max:
                     raise ToleranceNotReached(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -176,3 +180,15 @@ class TestIndex:
         code, out, _ = run_cli(capsys, "index", "refinements", "2")
         assert code == 0
         assert out.strip() == "2 | 1,1"
+
+
+def test_python_m_hzeta_runs_from_the_source_tree():
+    # no install: the package is found on PYTHONPATH alone
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hzeta", "verify", "--filter", "conj-3.7"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "conj-3.7" in proc.stdout
+    assert "1 passed, 0 failed" in proc.stdout

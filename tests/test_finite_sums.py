@@ -1,4 +1,4 @@
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import mpmath as mp
 import pytest
@@ -8,15 +8,18 @@ from hzeta.compositions import Composition
 from hzeta.errors import PoleError
 from hzeta.finite_sums import (
     ShiftVector,
+    _binomials,
     mhs,
     mhs_stream,
     mhss,
     mhss_stream,
+    nested_stream,
     ones_sums,
     t_mhs,
     t_mhss,
 )
-from hzeta.precision import PrecisionConfig
+from hzeta.precision import PrecisionConfig, parse_real, working
+from hzeta.series_engine import kta, mpl
 
 PREC = PrecisionConfig(bits=192)
 TOL = mp.mpf(2) ** -180
@@ -233,3 +236,130 @@ def test_shift_vector():
     assert ShiftVector.constant(1, 3) == ShiftVector([1, 1, 1])
     with pytest.raises(AttributeError):
         v.shifts = ()
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point kernel against the mpf recurrence
+
+BITS = [160, 256, 448]
+
+
+def _mpf_nested(k, a, star, jet=None):
+    """S_1, S_2, ... by the nested-sum recurrence on mpf objects at the
+    active precision, the reference for the fixed-point kernel; ``jet``,
+    when given, multiplies the innermost factor."""
+    r = len(k)
+    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+    slots = range(r - 1, -1, -1) if star else range(r)
+    m = 0
+    while True:
+        m += 1
+        if jet is not None:
+            S[r] = next(jet)
+        for j in slots:
+            if S[j + 1]:
+                S[j] += S[j + 1] / (m + a[j] - 1) ** k[j]
+        yield S[0]
+
+
+def _kernel_errors(bits, k, shift, star, n, alpha=None, order=0):
+    """(checkpoint, error of the kernel, error of the mpf recurrence at the
+    work bits), both relative to the recurrence at bits + 256."""
+    prec = PrecisionConfig(bits)
+    with working(prec) as cfg:
+        a = [parse_real(shift)] * len(k)  # the kernel's rounded shift
+        al = None if alpha is None else mp.mpf(alpha)
+    got = nested_stream(k, a, star, prec,
+                        None if al is None else _binomials(al, order))
+    with mp.workprec(cfg.work_bits):
+        work = _mpf_nested(k, a, star,
+                           None if al is None else _binomials(al, order))
+        work = [next(work) for _ in range(n)]
+    checks = {len(k) + order + 1, 50, n}  # the order-th jet vanishes first
+    out = []
+    with mp.workprec(bits + 256):
+        ref = _mpf_nested(k, a, star,
+                          None if al is None else _binomials(al, order))
+        for m, v in islice(got, n):
+            w = next(ref)
+            if m in checks:
+                assert w != 0
+                out.append((m, abs(v - w) / abs(w),
+                            abs(work[m - 1] - w) / abs(w)))
+    return out
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("k,shift,star,n", [
+    ((2,), "0.05", False, 4000),
+    ((1,), "1.95", True, 4000),
+    ((3,), "-0.95", False, 4000),
+    ((2, 1), "1/3", True, 4000),
+    ((1, 3), "0.55", False, 4000),
+    ((3, 2, 1), "0.05", True, 800),
+    ((2, 1, 1), "-0.95", False, 800),
+    ((2, 1, 1, 1), "1.95", True, 800),
+    ((1, 2, 3, 1, 2), "1/3", False, 400),
+    ((2, 3, 1, 1, 1), "-0.95", True, 400),
+])
+def test_fixed_point_kernel_accuracy(bits, k, shift, star, n):
+    for m, err, parent in _kernel_errors(bits, k, shift, star, n):
+        assert err <= max(mp.ldexp(1, -(bits + 16)), parent), (m, err, parent)
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_fixed_point_kernel_with_multiplier(bits, order):
+    for k, shift, star in [((2, 1), "0.55", False), ((1, 2, 1), "1/3", True)]:
+        for m, err, parent in _kernel_errors(bits, k, shift, star, 1000,
+                                             "0.3", order):
+            assert err <= max(mp.ldexp(1, -(bits + 16)), parent), \
+                (k, m, err, parent)
+
+
+@pytest.mark.parametrize("fn", [mhs, mhss])
+def test_poles_at_integer_shifts_only(fn):
+    with pytest.raises(PoleError):
+        fn(3, (2,), (0,), PREC)
+    for m in (1, 2, 4):
+        # the innermost denominator m + a - 1 vanishes at step m
+        with pytest.raises(PoleError):
+            fn(6, (2, 1), (1, 1 - m), PREC)
+    with mp.workprec(PREC.work_bits):
+        near = [mp.ldexp(1, -300), -2 + mp.ldexp(1, -40)]
+    for a in near:
+        v = fn(6, (2, 1), (1, a), PREC)
+        with mp.workprec(PREC.work_bits + 256):
+            ref = brute_mhs(6, (2, 1), (1, a), strict=fn is mhs)
+            assert abs(v - ref) <= mp.ldexp(abs(ref), -PREC.bits)
+
+
+def _series_reference(k, x, frame, terms):
+    """Li_k(x) (frame 1) or A(k; x) (frame 2) summed over m_1 < r + terms,
+    at the active precision."""
+    r = len(k)
+    c = 0 if frame == 1 else r
+    total = mp.mpf(0)
+    for idx in combinations(range(r + terms, 0, -1), r):
+        term = x ** (frame * idx[0] - c)
+        for j, (m, kj) in enumerate(zip(idx, k)):
+            term /= (frame * m - c + (frame - 1) * j) ** kj
+        total += term
+    return total * (1 if frame == 1 else mp.mpf(2) ** r)
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("fn,frame,k", [
+    (mpl, 1, (1,)), (mpl, 1, (2, 1)), (mpl, 1, (3, 1, 2)),
+    (kta, 2, (1,)), (kta, 2, (2, 3)), (kta, 2, (2, 1, 1)),
+])
+def test_direct_series_at_tiny_x_keeps_relative_accuracy(bits, fn, frame, k):
+    x = mp.ldexp(1, -200)
+    r = len(k)
+    # the first term is about x^(frame r - c) = x^r; ask for bits + 64 of it
+    tol = mp.ldexp(1, -(200 * r + bits + 64))
+    v = fn(k, x, tol, None, PrecisionConfig(bits))
+    with mp.workprec(bits + 256):
+        ref = _series_reference(k, x, frame, 4)
+        assert abs(v.value - ref) <= mp.ldexp(abs(ref), -(bits + 16))
+        assert abs(v.value - ref) <= v.abs_error

@@ -1,3 +1,5 @@
+import time
+
 import mpmath as mp
 import pytest
 
@@ -129,3 +131,14 @@ def test_series_in_x_gives_up_as_an_error_check(monkeypatch):
     assert c.best is not None and mp.isfinite(c.best.value)
     assert c.best.abs_error > 0
     assert "best" in c.record()
+
+
+def test_series_in_x_predicts_that_it_misses_the_cap():
+    # at x = 0.99999 the tail bound is still above tol after the 2,000,000
+    # terms of the cap; extrapolating the first terms says so at once
+    t = time.perf_counter()
+    c = run_check("thm-3.1", {"x": "0.99999", "alpha": "0.4", "log_pow": 0})
+    assert time.perf_counter() - t < 5
+    assert not c.passed
+    assert "did not reach tolerance" in c.error
+    assert c.best is not None and c.best.abs_error > 0
