@@ -218,8 +218,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = PrecisionConfig(args.bits) if args.bits else default_precision()
     try:
+        cfg = PrecisionConfig(args.bits) if args.bits else default_precision()
         return args.func(args, cfg)
     except (ToleranceNotReached, NoConvergence) as exc:
         print(f"hzeta: error: {exc}", file=sys.stderr)

@@ -268,7 +268,6 @@ def _series_in_x(spec, x, tol, extra=0) -> ValueWithBound:
     At n = 128, 256, ... it fits |t_n| = C n^p x^n through n / 2 and n and
     gives up at once if the tail bound extrapolated to
     :data:`SERIES_IN_X_MAX_TERMS` terms still misses ``tol``."""
-    x = parse_real(x)
     if not 0 < x < 1:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     cap = SERIES_IN_X_MAX_TERMS
@@ -315,52 +314,48 @@ def _pick(rng, pool):
     return pool[rng.randrange(len(pool))]
 
 
+def _pools(**pools):
+    """Sampler that draws each parameter, in the order written, from its
+    pool (a list or a range); a scalar is a constant and draws nothing."""
+    def sample(rng):
+        return {name: _pick(rng, pool) if isinstance(pool, (list, range))
+                else pool for name, pool in pools.items()}
+
+    return sample
+
+
 # ---------------------------------------------------------------------------
 # section 2: weighted integrals of polylogarithm cores
 
-def _eval_thm_21a(p, tol):
-    k = tuple(p["k"])
-    kk = int(p["log_pow"])
-    alpha = parse_real(p["alpha"])
-    lhs = quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol / 16)
-    sign = mp.mpf(-1) ** kk * mp.factorial(kk)
-    rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8) * sign
-    return lhs, rhs
+def _eval_thm_21(integral, zfun):
+    """A weighted integral against the binomial sum of Z: the polylog
+    core with zeta for thm-2.1a, the A-function with t for thm-2.1b."""
+    def ev(tol, *, k, log_pow, alpha):
+        lhs = integral(k, alpha, log_pow, tol / 16)
+        sign = mp.mpf(-1) ** log_pow * mp.factorial(log_pow)
+        rhs = _bsum(k, log_pow, 1 - alpha, zfun, tol / 8) * sign
+        return lhs, rhs
+
+    return ev
 
 
 _register(
     "thm-2.1a",
-    _eval_thm_21a,
-    lambda rng: {"k": _pick(rng, [(2,), (2, 2), (2, 1)]),
-                 "log_pow": rng.randrange(3),
-                 "alpha": _pick(rng, _ALPHAS)},
+    _eval_thm_21(lambda k, alpha, kk, tol:
+                 quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol), _zeta),
+    _pools(k=[(2,), (2, 2), (2, 1)], log_pow=range(3), alpha=_ALPHAS),
     {"k": (2, 2), "log_pow": 1, "alpha": "0.25"},
 )
-
-
-def _eval_thm_21b(p, tol):
-    k = tuple(p["k"])
-    kk = int(p["log_pow"])
-    alpha = parse_real(p["alpha"])
-    lhs = quad.int_kta_weighted(k, alpha, kk, tol / 16)
-    sign = mp.mpf(-1) ** kk * mp.factorial(kk)
-    rhs = _bsum(k, kk, 1 - alpha, _tee, tol / 8) * sign
-    return lhs, rhs
-
-
 _register(
     "thm-2.1b",
-    _eval_thm_21b,
-    lambda rng: {"k": _pick(rng, [(2,), (2, 1), (1, 2)]),
-                 "log_pow": rng.randrange(2),
-                 "alpha": _pick(rng, _ALPHAS)},
+    _eval_thm_21(quad.int_kta_weighted, _tee),
+    _pools(k=[(2,), (2, 1), (1, 2)], log_pow=range(2), alpha=_ALPHAS),
     {"k": (2,), "log_pow": 1, "alpha": "0.3"},
 )
 
 
-def _eval_thm_22(p, tol):
-    k = Composition(tuple(p["k"]))
-    alpha = parse_real(p["alpha"])
+def _eval_thm_22(tol, *, k, alpha):
+    k = Composition(k)
     lhs = quad.int_mpl_weighted(k, 1, alpha, 0, 0, tol / 16, core="mpl_landen")
     sign = mp.mpf(-1) ** k.depth()
     rhs = se.htmzsv(theorem_dual(k), 1 - alpha, tol / 8) * sign
@@ -370,8 +365,7 @@ def _eval_thm_22(p, tol):
 _register(
     "thm-2.2",
     _eval_thm_22,
-    lambda rng: {"k": _pick(rng, [(1,), (2,), (1, 1), (2, 1)]),
-                 "alpha": _pick(rng, _ALPHAS)},
+    _pools(k=[(1,), (2,), (1, 1), (2, 1)], alpha=_ALPHAS),
     {"k": (2, 1), "alpha": "0.3"},
 )
 
@@ -379,9 +373,7 @@ _register(
 def _eval_arakawa_kaneko(kind):
     """xi, psi or eta at s against its weighted integral: the polylog
     core for xi, its Landen image for eta, the A-function for psi."""
-    def ev(p, tol):
-        k = tuple(p["k"])
-        s = int(p["s"])
+    def ev(tol, *, k, s):
         kk = s - 1
         lhs = se.arakawa_kaneko(kind, s, k, tol / 8)
         sign = mp.mpf(-1) ** (kk - (kind == "eta")) / mp.factorial(kk)
@@ -403,8 +395,7 @@ for _kind, _id, _pool, _default in (
     _register(
         _id,
         _eval_arakawa_kaneko(_kind),
-        lambda rng, pool=_pool: {"k": _pick(rng, pool),
-                                 "s": 1 + rng.randrange(3)},
+        _pools(k=_pool, s=range(1, 4)),
         _default,
     )
 
@@ -412,38 +403,30 @@ for _kind, _id, _pool, _default in (
 # ---------------------------------------------------------------------------
 # section 3: generating functions and one-binomial series
 
-def _eval_thm_31(p, tol):
-    x = parse_real(p["x"])
-    alpha = parse_real(p["alpha"])
-    kk = int(p["log_pow"])
-    v = mp.mpf(-1) ** kk / mp.factorial(kk) * mp.log(1 - x) ** kk \
-        / (1 - x) ** alpha
+def _eval_thm_31(tol, *, x, alpha, log_pow):
+    v = mp.mpf(-1) ** log_pow / mp.factorial(log_pow) \
+        * mp.log(1 - x) ** log_pow / (1 - x) ** alpha
     lhs = _closed(v)
-    spec = term_spec(strict=ones(kk), strict_shift=alpha,
+    spec = term_spec(strict=ones(log_pow), strict_shift=alpha,
                      binom_upper=((alpha, False),))
-    rhs = _series_in_x(spec, x, tol / 8, extra=1 if kk == 0 else 0)
+    rhs = _series_in_x(spec, x, tol / 8, extra=1 if log_pow == 0 else 0)
     return lhs, rhs
 
 
 _register(
     "thm-3.1",
     _eval_thm_31,
-    lambda rng: {"x": _pick(rng, ["0.2", "0.3", "0.5"]),
-                 "alpha": _pick(rng, _ALPHAS),
-                 "log_pow": rng.randrange(4)},
+    _pools(x=["0.2", "0.3", "0.5"], alpha=_ALPHAS, log_pow=range(4)),
     {"x": "0.3", "alpha": "0.4", "log_pow": 2},
 )
 
 
-def _eval_thm_32(p, tol):
-    n = int(p["n"])
-    kk = int(p["log_pow"])
-    alpha = parse_real(p["alpha"])
+def _eval_thm_32(tol, *, n, log_pow, alpha):
     f = quad.WeightedIntegrand(core=("monomial", n), omx_exp=-alpha,
-                               logomx_pow=kk)
+                               logomx_pow=log_pow)
     lhs = quad.de_quad(f, tol / 16)
-    star = mhss(n, ones(kk), 1 - alpha) if kk else mp.mpf(1)
-    v = mp.mpf(-1) ** kk * mp.factorial(kk) * star \
+    star = mhss(n, ones(log_pow), 1 - alpha) if log_pow else mp.mpf(1)
+    v = mp.mpf(-1) ** log_pow * mp.factorial(log_pow) * star \
         / (n * sf.gen_binom(n - alpha, n))
     rhs = _closed(v)
     return lhs, rhs
@@ -452,28 +435,15 @@ def _eval_thm_32(p, tol):
 _register(
     "thm-3.2",
     _eval_thm_32,
-    lambda rng: {"n": 1 + rng.randrange(5), "log_pow": rng.randrange(4),
-                 "alpha": _pick(rng, _ALPHAS)},
+    _pools(n=range(1, 6), log_pow=range(4), alpha=_ALPHAS),
     {"n": 3, "log_pow": 2, "alpha": "1/3"},
 )
 
 
-def _eval_thm_34(p, tol):
-    k = tuple(p["k"])
-    kk = int(p["kk"])
-    alpha = parse_real(p["alpha"])
+def _eval_thm_34(tol, *, k, kk, alpha):
     lhs = se.apery_I(k, kk, alpha, tol / 8)
     rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8)
     return lhs, rhs
-
-
-_register(
-    "thm-3.4",
-    _eval_thm_34,
-    lambda rng: {"k": _pick(rng, _SHORT_INDICES), "kk": rng.randrange(3),
-                 "alpha": _pick(rng, _ALPHAS)},
-    {"k": (2, 1), "kk": 1, "alpha": "0.3"},
-)
 
 
 _THM34_DISPLAYS = {
@@ -487,8 +457,7 @@ _THM34_DISPLAYS = {
 def _eval_thm_34_display(which):
     k, combo = _THM34_DISPLAYS[which]
 
-    def ev(p, tol):
-        alpha = parse_real(p["alpha"])
+    def ev(tol, *, alpha):
         lhs = se.apery_I(k, 1, alpha, tol / 8)
         rhs = ValueWithBound(0, 0, True)
         for idx, c in combo:
@@ -502,15 +471,13 @@ for _i in range(1, 5):
     _register(
         f"thm-3.4-display-{_i}",
         _eval_thm_34_display(_i),
-        (lambda rng: {"alpha": _pick(rng, _ALPHAS)}),
+        _pools(alpha=_ALPHAS),
         {"alpha": "0.3"},
     )
 
 
-def _eval_thm_35(p, tol):
-    k = Composition(tuple(p["k"]))
-    kk = int(p["kk"])
-    alpha = parse_real(p["alpha"])
+def _eval_thm_35(tol, *, k, kk, alpha):
+    k = Composition(k)
     r = k.depth()
     parts = k.parts + (2,)  # the final slot uses exponent 2 by convention
     sub = tol / 64
@@ -535,18 +502,16 @@ def _eval_thm_35(p, tol):
     return total, rhs
 
 
-_register(
-    "thm-3.5",
-    _eval_thm_35,
-    lambda rng: {"k": _pick(rng, _SHORT_INDICES), "kk": rng.randrange(3),
-                 "alpha": _pick(rng, _ALPHAS)},
-    {"k": (2, 1), "kk": 1, "alpha": "0.3"},
-)
+for _id, _ev in (("thm-3.4", _eval_thm_34), ("thm-3.5", _eval_thm_35)):
+    _register(
+        _id,
+        _ev,
+        _pools(k=_SHORT_INDICES, kk=range(3), alpha=_ALPHAS),
+        {"k": (2, 1), "kk": 1, "alpha": "0.3"},
+    )
 
 
-def _eval_thm_36a(p, tol):
-    m = int(p["m"])
-    alpha = parse_real(p["alpha"])
+def _eval_thm_36a(tol, *, m, alpha):
     lhs = se.apery_II(0, None, m + 1, alpha, tol / 8)
     rhs = se.param_euler_sum(m, 0, -alpha, tol / 8) * alpha
     return lhs, rhs
@@ -555,15 +520,12 @@ def _eval_thm_36a(p, tol):
 _register(
     "thm-3.6a",
     _eval_thm_36a,
-    lambda rng: {"m": 1 + rng.randrange(3), "alpha": _pick(rng, _ALPHAS)},
+    _pools(m=range(1, 4), alpha=_ALPHAS),
     {"m": 2, "alpha": "0.3"},
 )
 
 
-def _eval_thm_36b(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    alpha = parse_real(p["alpha"])
+def _eval_thm_36b(tol, *, m, k, alpha):
     lhs = se.apery_II(k, None, m + 1, alpha, tol / 8)
     rhs = se.param_euler_pow(m, k, -alpha, tol / 8)
     return lhs, rhs
@@ -572,14 +534,12 @@ def _eval_thm_36b(p, tol):
 _register(
     "thm-3.6b",
     _eval_thm_36b,
-    lambda rng: {"m": 1 + rng.randrange(3), "k": 1 + rng.randrange(3),
-                 "alpha": _pick(rng, _ALPHAS)},
+    _pools(m=range(1, 4), k=range(1, 4), alpha=_ALPHAS),
     {"m": 1, "k": 2, "alpha": "0.3"},
 )
 
 
-def _eval_harmonic_n(p, tol):
-    alpha = parse_real(p["alpha"])
+def _eval_harmonic_n(tol, *, alpha):
     lhs = se.param_euler_sum(1, 0, alpha, tol / 8)
     g = sf.euler_gamma()
     v = (mp.zeta(2) - mp.zeta(2, 1 + alpha)) / (2 * alpha) \
@@ -590,15 +550,13 @@ def _eval_harmonic_n(p, tol):
 _register(
     "eq-harmonic-N",
     _eval_harmonic_n,
-    lambda rng: {"alpha": _pick(rng, _ALPHAS)},
+    _pools(alpha=_ALPHAS),
     {"alpha": "0.3"},
 )
 
 
 def _eval_binom_display(which):
-    def ev(p, tol):
-        alpha = parse_real(p["alpha"])
-        k = int(p.get("k", 1))
+    def ev(tol, *, alpha, k=1):
         g = sf.euler_gamma()
         psi0 = sf.digamma(1 - alpha) + g
         sub = tol / 16
@@ -644,22 +602,18 @@ def _eval_binom_display(which):
 
 for _i in range(1, 8):
     if _i in (2, 4):
-        _sampler = (lambda rng: {"alpha": _pick(rng, _ALPHAS),
-                                 "k": 1 + rng.randrange(3)})
+        _sampler = _pools(alpha=_ALPHAS, k=range(1, 4))
         _default = {"alpha": "0.3", "k": 2}
     else:
-        _sampler = (lambda rng: {"alpha": _pick(rng, _ALPHAS)})
+        _sampler = _pools(alpha=_ALPHAS)
         _default = {"alpha": "0.3"}
     _register(f"thm-3.6-display-{_i}", _eval_binom_display(_i),
               _sampler, _default)
 
 
-def _eval_conj_37(p, tol):
+def _eval_conj_37(tol, *, m, k, alpha):
     """Exploratory entry: evaluates one of the conjectured parametric
     Euler sums and asserts nothing (no closed form is available)."""
-    m = int(p["m"])
-    k = int(p["k"])
-    alpha = parse_real(p["alpha"])
     if k == 0:
         v = se.param_euler_sum(m, 0, alpha, tol / 8)
     else:
@@ -670,16 +624,12 @@ def _eval_conj_37(p, tol):
 _register(
     "conj-3.7",
     _eval_conj_37,
-    lambda rng: {"m": 1 + rng.randrange(3), "k": rng.randrange(3),
-                 "alpha": _pick(rng, _ALPHAS)},
+    _pools(m=range(1, 4), k=range(3), alpha=_ALPHAS),
     {"m": 2, "k": 1, "alpha": "0.3"},
 )
 
 
-def _eval_ones_duality(p, tol):
-    k = int(p["k"])
-    r = int(p["r"])
-    alpha = parse_real(p["alpha"])
+def _eval_ones_duality(tol, *, k, r, alpha):
     spec = term_spec(strict=ones(k), strict_shift=alpha,
                      star=ones(r), binom_upper=((alpha, False),),
                      powers=((0, 1),))
@@ -691,8 +641,7 @@ def _eval_ones_duality(p, tol):
 _register(
     "eq-ones-duality",
     _eval_ones_duality,
-    lambda rng: {"k": 1 + rng.randrange(3), "r": 1 + rng.randrange(3),
-                 "alpha": _pick(rng, _ALPHAS)},
+    _pools(k=range(1, 4), r=range(1, 4), alpha=_ALPHAS),
     {"k": 1, "r": 2, "alpha": "0.3"},
 )
 
@@ -700,102 +649,82 @@ _register(
 # ---------------------------------------------------------------------------
 # section 4: symmetric-function expansions
 
-def _eval_thm_42(p, tol):
-    m = int(p["m"])
-    pp = int(p["p"])
-    k = int(p["k"])
-    alpha = parse_real(p["alpha"])
-    idx = (1,) + (1,) * (m - 2) + ((2,) + (1,) * (m - 2)) * (pp - 1)
+def _eval_thm_42(tol, *, m, p, k, alpha):
+    idx = (1,) + (1,) * (m - 2) + ((2,) + (1,) * (m - 2)) * (p - 1)
     lhs = se.apery_I(idx, k, alpha, tol / 8)
-    rhs = _partition_rhs(m, pp, k, 1 - alpha, tol / 8)
+    rhs = _partition_rhs(m, p, k, 1 - alpha, tol / 8)
     return lhs, rhs
 
 
-_register(
-    "thm-4.2",
-    _eval_thm_42,
-    lambda rng: {"m": 2 + rng.randrange(2), "p": 1 + rng.randrange(2),
-                 "k": rng.randrange(3), "alpha": _pick(rng, _ALPHAS)},
-    {"m": 2, "p": 2, "k": 1, "alpha": "0.3"},
-)
-
-
-def _eval_thm_43(p, tol):
-    m = int(p["m"])
-    pp = int(p["p"])
-    k = int(p["k"])
-    alpha = parse_real(p["alpha"])
+def _eval_thm_43(tol, *, m, p, k, alpha):
     sub = tol / 32
     total = ValueWithBound(0, 0, True)
     if k == 0:
-        total = total + _zeta((m,) * pp, 1, sub)
-    for l in range(1, pp + 1):
-        zf = _zeta((m,) * (pp - l), 1, sub)
+        total = total + _zeta((m,) * p, 1, sub)
+    for l in range(1, p + 1):
+        zf = _zeta((m,) * (p - l), 1, sub)
         star = ((1,) * (m - 2) + (2,)) * (l - 1) + (1,) * (m - 1)
         s = se.apery_II(k, star, 1, alpha, sub)
         total = total + zf * s * mp.mpf(-1) ** (l - 1)
-    rhs = _partition_rhs(m, pp, k, 1 - alpha, tol / 8)
+    rhs = _partition_rhs(m, p, k, 1 - alpha, tol / 8)
     return total, rhs
 
 
-_register(
-    "thm-4.3",
-    _eval_thm_43,
-    lambda rng: {"m": 2 + rng.randrange(2), "p": 1 + rng.randrange(2),
-                 "k": rng.randrange(3), "alpha": _pick(rng, _ALPHAS)},
-    {"m": 2, "p": 2, "k": 1, "alpha": "0.3"},
-)
+for _id, _ev in (("thm-4.2", _eval_thm_42), ("thm-4.3", _eval_thm_43)):
+    _register(
+        _id,
+        _ev,
+        _pools(m=range(2, 4), p=range(1, 3), k=range(3), alpha=_ALPHAS),
+        {"m": 2, "p": 2, "k": 1, "alpha": "0.3"},
+    )
 
 
-def _eval_thm_44(p, tol):
-    mvec = tuple(p["m"])
-    k = int(p["k"])
-    alpha = parse_real(p["alpha"])
-    pp = len(mvec)
-    sub = tol / 32
+def _hoffman_sum(m, series, sub):
+    """sum over j of (-1)^(j-1) zeta(m_p, ..., m_(j+1)) S(s_j), where s_j
+    is the Hoffman dual of (m_1 - 1, m_2, ..., m_j) and S = ``series``."""
     total = ValueWithBound(0, 0, True)
-    for j in range(1, pp + 1):
-        zf = _zeta(tuple(reversed(mvec[j:])), 1, sub)
-        star = hoffman_dual(Composition((mvec[0] - 1,) + mvec[1:j]))
-        s = se.apery_II(k, star.parts, 1, alpha, sub)
-        total = total + zf * s * mp.mpf(-1) ** (j - 1)
-    rhs = _product_rhs(mvec, k, 1 - alpha, tol / 8)
+    for j in range(1, len(m) + 1):
+        zf = _zeta(tuple(reversed(m[j:])), 1, sub)
+        star = hoffman_dual(Composition((m[0] - 1,) + m[1:j]))
+        total = total + zf * series(star.parts) * mp.mpf(-1) ** (j - 1)
+    return total
+
+
+def _eval_thm_44(tol, *, m, k, alpha):
+    sub = tol / 32
+    total = _hoffman_sum(
+        m, lambda star: se.apery_II(k, star, 1, alpha, sub), sub)
+    rhs = _product_rhs(m, k, 1 - alpha, tol / 8)
     if k == 0:
-        rhs = rhs - _zeta(tuple(reversed(mvec)), 1, sub)
+        rhs = rhs - _zeta(tuple(reversed(m)), 1, sub)
     return total, rhs
 
 
 _register(
     "thm-4.4",
     _eval_thm_44,
-    lambda rng: {"m": _pick(rng, [(2, 2), (3, 2), (2, 3), (2, 1, 2)]),
-                 "k": rng.randrange(3), "alpha": _pick(rng, _ALPHAS)},
+    _pools(m=[(2, 2), (3, 2), (2, 3), (2, 1, 2)], k=range(3), alpha=_ALPHAS),
     {"m": (3, 2), "k": 1, "alpha": "0.3"},
 )
 
 
-def _eval_44_limit(p, tol):
-    mvec = tuple(p["m"])
-    k = int(p["k"])
-    pp = len(mvec)
+def _eval_44_limit(tol, *, m, k):
     sub = tol / 32
-    total = ValueWithBound(0, 0, True)
-    for j in range(1, pp + 1):
-        zf = _zeta(tuple(reversed(mvec[j:])), 1, sub)
-        star = hoffman_dual(Composition((mvec[0] - 1,) + mvec[1:j]))
+
+    def series(star):
         spec = term_spec(strict=ones(k - 1), strict_prev=True,
-                         star=star.parts, powers=((0, 2),))
-        s = weighted_sum([spec], sub)
-        total = total + zf * s * mp.mpf(-1) ** (j - 1)
-    rhs = _product_rhs(mvec, k, 1, tol / 8)
+                         star=star, powers=((0, 2),))
+        return weighted_sum([spec], sub)
+
+    total = _hoffman_sum(m, series, sub)
+    rhs = _product_rhs(m, k, 1, tol / 8)
     return total, rhs
 
 
 _register(
     "eq-4.4-limit",
     _eval_44_limit,
-    lambda rng: {"m": _pick(rng, [(2, 2), (3, 2), (2, 3)]),
-                 "k": 1 + rng.randrange(2)},
+    _pools(m=[(2, 2), (3, 2), (2, 3)], k=range(1, 3)),
     {"m": (2, 2), "k": 1},
 )
 
@@ -803,54 +732,49 @@ _register(
 # ---------------------------------------------------------------------------
 # section 5: two-binomial symmetry and reduction
 
-def _eval_cor_53(p, tol):
-    m = int(p["m"])
+def _eval_cor_53(tol, *, m):
     half = mp.mpf("0.5")
     parity = 1 + mp.mpf(-1) ** m
     lhs = _closed(parity * mp.zeta(m + 2))
-    c = {}
-    for i in list(range(1, m + 2)) + [m + 2]:
-        if i not in c:
-            c[i] = se.apery_II(0, None, i, half, tol / 32)
+    c = {i: se.apery_II(0, None, i, half, tol / 32) for i in range(1, m + 3)}
     rhs = c[m + 2] * parity
     for i in range(1, m + 2):
         rhs = rhs + c[i] * c[m + 2 - i] * mp.mpf(-1) ** (i - 1)
     return lhs, rhs
 
 
-_register("cor-5.3", _eval_cor_53,
-          lambda rng: {"m": rng.randrange(5)}, {"m": 2})
+_register(
+    "cor-5.3",
+    _eval_cor_53,
+    _pools(m=range(5)),
+    {"m": 2},
+)
 
 
-def _eval_thm_54(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    pp = int(p["p"])
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_thm_54(tol, *, m, k, p, alpha, beta):
     specs = [
         term_spec(strict=ones(k), strict_shift=alpha,
-                  star=ones(pp), star_shift=1 - beta,
+                  star=ones(p), star_shift=1 - beta,
                   binom_upper=((alpha, False),), binom_lower=(beta,),
                   powers=((0, m + 2),)),
-        term_spec(strict=ones(pp), strict_shift=beta,
+        term_spec(strict=ones(p), strict_shift=beta,
                   star=ones(k), star_shift=1 - alpha,
                   binom_upper=((beta, False),), binom_lower=(alpha,),
                   powers=((0, m + 2),), coeff=mp.mpf(-1) ** m),
     ]
-    if pp == 0:
+    if p == 0:
         specs.append(term_spec(strict=ones(k), strict_shift=alpha,
                                binom_upper=((alpha, False),),
                                powers=((0, m + 2),), coeff=-1))
     if k == 0:
-        specs.append(term_spec(strict=ones(pp), strict_shift=beta,
+        specs.append(term_spec(strict=ones(p), strict_shift=beta,
                                binom_upper=((beta, False),),
                                powers=((0, m + 2),),
                                coeff=-mp.mpf(-1) ** m))
     lhs = weighted_sum(specs, tol / 8)
     rhs = ValueWithBound(0, 0, True)
     for i in range(1, m + 2):
-        a = se.apery_II(pp, None, i, beta, tol / 32)
+        a = se.apery_II(p, None, i, beta, tol / 32)
         b = se.apery_II(k, None, m + 2 - i, alpha, tol / 32)
         rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
     return lhs, rhs
@@ -859,10 +783,8 @@ def _eval_thm_54(p, tol):
 _register(
     "thm-5.4",
     _eval_thm_54,
-    lambda rng: {"m": rng.randrange(3), "k": rng.randrange(3),
-                 "p": rng.randrange(3),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(m=range(3), k=range(3), p=range(3),
+           alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"m": 1, "k": 1, "p": 1, "alpha": "0.25", "beta": "0.35"},
 )
 
@@ -878,25 +800,22 @@ def _sample_thm_52(rng):
 
 # thm-5.2 is thm-5.4 with no harmonic prefixes (k = p = 0)
 _register("thm-5.2",
-          lambda p, tol: _eval_thm_54({**p, "k": 0, "p": 0}, tol),
+          lambda tol, **params: _eval_thm_54(tol, k=0, p=0, **params),
           _sample_thm_52, {"m": 1, "alpha": "0.5", "beta": "0.5"})
 
 
-def _eval_cor_55(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    pp = int(p["p"])
+def _eval_cor_55(tol, *, m, k, p):
     specs = [
-        term_spec(strict=ones(k - 1), strict_prev=True, star=ones(pp),
+        term_spec(strict=ones(k - 1), strict_prev=True, star=ones(p),
                   powers=((0, m + 3),)),
-        term_spec(strict=ones(pp - 1), strict_prev=True, star=ones(k),
+        term_spec(strict=ones(p - 1), strict_prev=True, star=ones(k),
                   powers=((0, m + 3),), coeff=mp.mpf(-1) ** m),
     ]
     lhs = weighted_sum(specs, tol / 8)
     rhs = ValueWithBound(0, 0, True)
     sub = tol / 32
     for i in range(1, m + 2):
-        a = _zeta((i + 1,) + (1,) * (pp - 1), 1, sub)
+        a = _zeta((i + 1,) + (1,) * (p - 1), 1, sub)
         b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub)
         rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
     return lhs, rhs
@@ -905,36 +824,32 @@ def _eval_cor_55(p, tol):
 _register(
     "cor-5.5",
     _eval_cor_55,
-    lambda rng: {"m": rng.randrange(3), "k": 1 + rng.randrange(3),
-                 "p": 1 + rng.randrange(3)},
+    _pools(m=range(3), k=range(1, 4), p=range(1, 4)),
     {"m": 1, "k": 2, "p": 1},
 )
 
 
-def _eval_cor_56(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    pp = int(p["p"])
+def _eval_cor_56(tol, *, m, k, p):
     half = mp.mpf("0.5")
     specs = [
         term_spec(strict=ones(k - 1), strict_prev=True,
-                  star=ones(pp), star_shift=half,
+                  star=ones(p), star_shift=half,
                   binom_lower=(half,), powers=((0, m + 3),),
-                  coeff=mp.ldexp(1, -pp)),
-        term_spec(strict=ones(pp), strict_shift=half,
+                  coeff=mp.ldexp(1, -p)),
+        term_spec(strict=ones(p), strict_shift=half,
                   star=ones(k), binom_upper=((half, False),),
                   powers=((0, m + 2),),
-                  coeff=mp.mpf(-1) ** m * mp.ldexp(1, -pp)),
+                  coeff=mp.mpf(-1) ** m * mp.ldexp(1, -p)),
     ]
     lhs = weighted_sum(specs, tol / 8)
     sub = tol / 32
-    if pp == 0:
+    if p == 0:
         lhs = lhs - _zeta((m + 3,) + (1,) * (k - 1), 1, sub)
     rhs = ValueWithBound(0, 0, True)
     for i in range(1, m + 2):
-        tspec = term_spec(strict=ones(pp), strict_shift=half,
+        tspec = term_spec(strict=ones(p), strict_shift=half,
                           binom_upper=((half, False),),
-                          powers=((0, i),), coeff=mp.ldexp(1, -pp))
+                          powers=((0, i),), coeff=mp.ldexp(1, -p))
         a = weighted_sum([tspec], sub)
         b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub)
         rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
@@ -944,16 +859,12 @@ def _eval_cor_56(p, tol):
 _register(
     "cor-5.6",
     _eval_cor_56,
-    lambda rng: {"m": rng.randrange(3), "k": 1 + rng.randrange(2),
-                 "p": rng.randrange(3)},
+    _pools(m=range(3), k=range(1, 3), p=range(3)),
     {"m": 1, "k": 1, "p": 1},
 )
 
 
-def _eval_thm_57(p, tol):
-    m = int(p["m"])
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_thm_57(tol, *, m, alpha, beta):
     lhs = se.apery_III(None, None, m, alpha, beta, tol / 8)
     spec = term_spec(strict=ones(m + 1), strict_shift=1 - beta,
                      strict_prev=True,
@@ -965,27 +876,29 @@ def _eval_thm_57(p, tol):
 _register(
     "thm-5.7",
     _eval_thm_57,
-    lambda rng: {"m": _pick(rng, [-1, 0, 1, 2]),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(m=[-1, 0, 1, 2], alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"m": 0, "alpha": "0.25", "beta": "0.35"},
 )
 
 
-def _eval_thm_58(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    pp = int(p["p"])
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
-    lhs = se.apery_III(ones(k), ones(pp), m, alpha, beta, tol / 8)
+def _composition_sum(p, m, k, term):
+    """sum over weak compositions (i_1, ..., i_(m+2)) of p of
+    term(i_1, (i_2 + 1, ..., i_(m+2) + 1), C(i_1 + k, k))."""
+    total = ValueWithBound(0, 0, True)
+    for i in weak_compositions(p, m + 2):
+        tail = tuple(ij + 1 for ij in i.parts[1:])
+        total = total + term(i[0], tail, sf.gen_binom(i[0] + k, k))
+    return total
+
+
+def _eval_thm_58(tol, *, m, k, p, alpha, beta):
+    lhs = se.apery_III(ones(k), ones(p), m, alpha, beta, tol / 8)
     sub = tol / 32
-    rhs = ValueWithBound(0, 0, True)
-    for i in weak_compositions(pp, m + 2):
-        w = sf.gen_binom(i[0] + k, k)
-        idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
-        if i[0] == 0 and k == 0:
-            spec = term_spec(strict=idx[1:], strict_shift=1 - beta,
+
+    def term(i1, tail, w):
+        idx = (i1 + k + 1,) + tail
+        if i1 == 0 and k == 0:
+            spec = term_spec(strict=tail, strict_shift=1 - beta,
                              strict_prev=True,
                              powers=((-beta, 1), (-alpha - beta, 1)))
             bracket = weighted_sum([spec], sub) * alpha
@@ -995,123 +908,108 @@ def _eval_thm_58(p, tol):
             bracket = _zeta(idx, shifts, sub)
             if k == 0:
                 bracket = bracket - _zeta(idx, 1 - beta, sub)
-        rhs = rhs + bracket * w
-    return lhs, rhs
+        return bracket * w
+
+    return lhs, _composition_sum(p, m, k, term)
 
 
 _register(
     "thm-5.8",
     _eval_thm_58,
-    lambda rng: {"m": _pick(rng, [-1, 0, 1]), "k": rng.randrange(3),
-                 "p": rng.randrange(3),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(m=[-1, 0, 1], k=range(3), p=range(3),
+           alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"m": 0, "k": 1, "p": 1, "alpha": "0.25", "beta": "0.35"},
 )
 
 
-def _eval_cor_59(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    pp = int(p["p"])
+def _eval_cor_59(tol, *, m, k, p):
     half = mp.mpf("0.5")
     spec = term_spec(strict=ones(k - 1), strict_prev=True,
-                     star=ones(pp), star_shift=half,
+                     star=ones(p), star_shift=half,
                      binom_lower=(half,), powers=((0, m + 3),),
-                     coeff=mp.ldexp(1, -pp))
+                     coeff=mp.ldexp(1, -p))
     lhs = weighted_sum([spec], tol / 8)
     sub = tol / 32
-    rhs = ValueWithBound(0, 0, True)
-    for i in weak_compositions(pp, m + 2):
-        w = sf.gen_binom(i[0] + k, k) * mp.ldexp(1, k + m + 2)
-        idx = (i[0] + k + 1,) + tuple(ij + 1 for ij in i.parts[1:])
-        rhs = rhs + _t_value(idx, sub) * w
-    return lhs, rhs
+
+    def term(i1, tail, w):
+        idx = (i1 + k + 1,) + tail
+        return _t_value(idx, sub) * (w * mp.ldexp(1, k + m + 2))
+
+    return lhs, _composition_sum(p, m, k, term)
 
 
 _register(
     "cor-5.9",
     _eval_cor_59,
-    lambda rng: {"m": _pick(rng, [-1, 0, 1]), "k": 1 + rng.randrange(2),
-                 "p": rng.randrange(3)},
+    _pools(m=[-1, 0, 1], k=range(1, 3), p=range(3)),
     {"m": 0, "k": 1, "p": 1},
 )
 
 
-def _eval_cor_510(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    pp = int(p["p"])
+def _eval_cor_510(tol, *, m, k, p):
     half = mp.mpf("0.5")
     spec = term_spec(strict=ones(k), strict_shift=half,
-                     star=ones(pp), star_shift=half,
+                     star=ones(p), star_shift=half,
                      powers=((0, m + 2),))
     lhs = weighted_sum([spec], tol / 8)
     sub = tol / 32
-    rhs = ValueWithBound(0, 0, True)
-    for i in weak_compositions(pp, m + 2):
-        # the specialization forces weight 2^(p - i_1 + m + 1)
-        w = mp.ldexp(sf.gen_binom(i[0] + k, k), pp - i[0] + m + 1)
-        tail = tuple(ij + 1 for ij in i.parts[1:])
+
+    def term(i1, tail, w):
         tw = mp.ldexp(1, -sum(tail))
         if k >= 1:
             specs = [term_spec(strict=tail, strict_shift=half,
-                               powers=((0, i[0] + k + 1),), coeff=tw)]
+                               powers=((0, i1 + k + 1),), coeff=tw)]
         else:
             # the subtracted sum carries the prefix strictly below n
             specs = [
                 term_spec(strict=tail, strict_shift=half,
-                          powers=((0, i[0] + 1),), coeff=tw),
+                          powers=((0, i1 + 1),), coeff=tw),
                 term_spec(strict=tail, strict_shift=half,
                           strict_prev=True,
-                          powers=((-half, i[0] + 1),), coeff=-tw),
+                          powers=((-half, i1 + 1),), coeff=-tw),
             ]
-        rhs = rhs + weighted_sum(specs, sub) * w
-    return lhs, rhs
+        # the specialization forces weight 2^(p - i_1 + m + 1)
+        return weighted_sum(specs, sub) * mp.ldexp(w, p - i1 + m + 1)
+
+    return lhs, _composition_sum(p, m, k, term)
 
 
 _register(
     "cor-5.10",
     _eval_cor_510,
-    lambda rng: {"m": rng.randrange(3), "k": rng.randrange(3),
-                 "p": rng.randrange(3)},
+    _pools(m=range(3), k=range(3), p=range(3)),
     {"m": 1, "k": 1, "p": 1},
 )
 
 
-def _eval_cor_511(p, tol):
-    m = int(p["m"])
-    k = int(p["k"])
-    pp = int(p["p"])
+def _eval_cor_511(tol, *, m, k, p):
     half = mp.mpf("0.5")
     spec = term_spec(strict=ones(k), strict_shift=half,
-                     star=ones(pp), binom_upper=((half, False),),
+                     star=ones(p), binom_upper=((half, False),),
                      powers=((0, m + 2),))
     lhs = weighted_sum([spec], tol / 8)
     sub = tol / 32
-    rhs = ValueWithBound(0, 0, True)
-    for i in weak_compositions(pp, m + 2):
-        w = sf.gen_binom(i[0] + k, k)
-        tail = tuple(ij + 1 for ij in i.parts[1:])
+
+    def term(i1, tail, w):
         if k >= 1:
             specs = [term_spec(strict=tail, strict_prev=True,
-                               powers=((-half, i[0] + k + 1),))]
+                               powers=((-half, i1 + k + 1),))]
         else:
             specs = [
                 term_spec(strict=tail, strict_prev=True,
-                          powers=((-half, i[0] + 1),)),
+                          powers=((-half, i1 + 1),)),
                 term_spec(strict=tail, strict_prev=True,
-                          powers=((0, i[0] + 1),), coeff=-1),
+                          powers=((0, i1 + 1),), coeff=-1),
             ]
-        rhs = rhs + weighted_sum(specs, sub) * w
-    return lhs, rhs
+        return weighted_sum(specs, sub) * w
+
+    return lhs, _composition_sum(p, m, k, term)
 
 
 _register(
     "cor-5.11",
     _eval_cor_511,
-    lambda rng: {"m": _pick(rng, [-1, 0, 1]), "k": 1 + rng.randrange(2),
-                 "p": rng.randrange(3)},
+    _pools(m=[-1, 0, 1], k=range(1, 3), p=range(3)),
     {"m": 0, "k": 1, "p": 1},
 )
 
@@ -1128,26 +1026,23 @@ def _double_single(family, sub):
 
 
 def _eval_thm_61(family):
-    def ev(p, tol):
-        m = int(p["m"])
-        pp = int(p["p"])
-        q = int(p["q"])
+    def ev(tol, *, m, p, q):
         double, single = _double_single(family, tol / 64)
         lhs = ValueWithBound(0, 0, True)
         for i in range(m):
             j = m - 1 - i
-            w = sf.gen_binom(pp + i - 1, i) * sf.gen_binom(q + j - 1, j)
-            lhs = lhs + double(pp + i, q + j) * w
-        for i in range(pp):
-            j = pp - 1 - i
+            w = sf.gen_binom(p + i - 1, i) * sf.gen_binom(q + j - 1, j)
+            lhs = lhs + double(p + i, q + j) * w
+        for i in range(p):
+            j = p - 1 - i
             w = sf.gen_binom(m + i - 1, i) * sf.gen_binom(q + j - 1, j)
             lhs = lhs - double(m + i, q + j) * (w * mp.mpf(-1) ** q)
         rhs = ValueWithBound(0, 0, True)
         for i in range(q):
             j = q - 1 - i
-            w = sf.gen_binom(m + i - 1, i) * sf.gen_binom(pp + j - 1, j) \
+            w = sf.gen_binom(m + i - 1, i) * sf.gen_binom(p + j - 1, j) \
                 * mp.mpf(-1) ** j
-            rhs = rhs + single(m + i) * single(pp + j) * w
+            rhs = rhs + single(m + i) * single(p + j) * w
         return lhs, rhs
 
     return ev
@@ -1157,36 +1052,32 @@ for _fam in ("zeta", "T"):
     _register(
         f"thm-6.1-{_fam}",
         _eval_thm_61(_fam),
-        lambda rng: {"m": 2 + rng.randrange(3), "p": 2 + rng.randrange(3),
-                     "q": 1 + rng.randrange(3)},
+        _pools(m=range(2, 5), p=range(2, 5), q=range(1, 4)),
         {"m": 2, "p": 2, "q": 1},
     )
 
 
-def _eval_cor_62(p, tol):
-    pp = int(p["p"])
-    q = int(p["q"])
-    double, single = _double_single(p["family"], tol / 64)
+def _eval_cor_62(tol, *, p, q, family):
+    double, single = _double_single(family, tol / 64)
     lhs = ValueWithBound(0, 0, True)
-    for i in range(pp):
-        j = pp - 1 - i
-        w = sf.gen_binom(pp + i - 1, i) * sf.gen_binom(q + j - 1, j)
-        lhs = lhs + double(pp + i, q + j) * w
+    for i in range(p):
+        j = p - 1 - i
+        w = sf.gen_binom(p + i - 1, i) * sf.gen_binom(q + j - 1, j)
+        lhs = lhs + double(p + i, q + j) * w
     lhs = lhs * (1 - mp.mpf(-1) ** q)
     rhs = ValueWithBound(0, 0, True)
     for i in range(q):
         j = q - 1 - i
-        w = sf.gen_binom(pp + i - 1, i) * sf.gen_binom(pp + j - 1, j) \
+        w = sf.gen_binom(p + i - 1, i) * sf.gen_binom(p + j - 1, j) \
             * mp.mpf(-1) ** j
-        rhs = rhs + single(pp + i) * single(pp + j) * w
+        rhs = rhs + single(p + i) * single(p + j) * w
     return lhs, rhs
 
 
 _register(
     "cor-6.2",
     _eval_cor_62,
-    lambda rng: {"p": 2 + rng.randrange(3), "q": 1 + rng.randrange(3),
-                 "family": _pick(rng, ["zeta", "T"])},
+    _pools(p=range(2, 5), q=range(1, 4), family=["zeta", "T"]),
     {"p": 2, "q": 1, "family": "T"},
 )
 
@@ -1194,10 +1085,8 @@ _register(
 # ---------------------------------------------------------------------------
 # section 7: nested sums with a parametric binomial coefficient
 
-def _eval_ideas_4(p, tol):
-    k = Composition(tuple(p["k"]))
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_ideas_4(tol, *, k, alpha, beta):
+    k = Composition(k)
     lhs = quad.int_mpl_weighted(k, alpha, beta, 0, 0, tol / 16)
     rhs = se.htmzv_pbc(alpha, theorem_dual(k), 1 - beta, tol / 8)
     return lhs, rhs
@@ -1206,16 +1095,13 @@ def _eval_ideas_4(p, tol):
 _register(
     "eq-7-ideas-4",
     _eval_ideas_4,
-    lambda rng: {"k": _pick(rng, [(2,), (1, 1), (2, 1), (2, 1, 1)]),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(k=[(2,), (1, 1), (2, 1), (2, 1, 1)],
+           alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"k": (2, 1), "alpha": "0.3", "beta": "0.25"},
 )
 
 
-def _eval_ideas_5(p, tol):
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_ideas_5(tol, *, alpha, beta):
     lhs = se.htmzv_pbc(alpha, (1,), 1 - beta, tol / 8)
     rhs = _closed(sf.beta(1 - alpha, 1 - beta))
     return lhs, rhs
@@ -1224,17 +1110,12 @@ def _eval_ideas_5(p, tol):
 _register(
     "eq-7-ideas-5",
     _eval_ideas_5,
-    lambda rng: {"alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"alpha": "1/3", "beta": "1/4"},
 )
 
 
-def _eval_ideas_6(p, tol):
-    k = int(p["k"])
-    m = int(p["m"])
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_ideas_6(tol, *, k, m, alpha, beta):
     spec = term_spec(strict=ones(k), strict_shift=alpha,
                      strict_prev=True, binom_upper=((alpha, True),),
                      powers=((-beta, m + 1),))
@@ -1247,17 +1128,12 @@ def _eval_ideas_6(p, tol):
 _register(
     "eq-7-ideas-6",
     _eval_ideas_6,
-    lambda rng: {"k": rng.randrange(3), "m": rng.randrange(3),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(k=range(3), m=range(3), alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"k": 1, "m": 2, "alpha": "0.3", "beta": "0.25"},
 )
 
 
-def _eval_depth1(p, tol):
-    m = int(p["m"])
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_depth1(tol, *, m, alpha, beta):
     lhs = se.htmzv_pbc(alpha, (m + 1,), 1 - beta, tol / 8)
     v = mp.mpf(-1) ** m / mp.factorial(m) \
         * sf.beta_partial(0, m, 1 - alpha, 1 - beta)
@@ -1267,18 +1143,12 @@ def _eval_depth1(p, tol):
 _register(
     "eq-7-depth1",
     _eval_depth1,
-    lambda rng: {"m": rng.randrange(4),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(m=range(4), alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"m": 2, "alpha": "0.3", "beta": "0.25"},
 )
 
 
-def _eval_thm_72(p, tol):
-    k = int(p["k"])
-    r = int(p["r"])
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_thm_72(tol, *, k, r, alpha, beta):
     idx = (k,) + (1,) * (r - 1)
     lhs = quad.int_mpl_weighted(idx, alpha, beta, 0, 0, tol / 16)
     rhs = ValueWithBound(0, 0, True)
@@ -1297,19 +1167,16 @@ def _eval_thm_72(p, tol):
     return lhs, rhs
 
 
+# k = 2 is a constant: a one-element pool would still consume a draw
 _register(
     "thm-7.2",
     _eval_thm_72,
-    lambda rng: {"k": 2, "r": 2 + rng.randrange(2),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(k=2, r=range(2, 4), alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"k": 2, "r": 2, "alpha": "0.3", "beta": "0.25"},
 )
 
 
-def _eval_cor_73(p, tol):
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_cor_73(tol, *, alpha, beta):
     lhs = se.htmzv_pbc(alpha, (2, 1), 1 - beta, tol / 8) \
         + se.htmzv_pbc(beta, (2, 1), 1 - alpha, tol / 8)
     b = sf.beta(1 - alpha, 1 - beta)
@@ -1322,15 +1189,12 @@ def _eval_cor_73(p, tol):
 _register(
     "cor-7.3",
     _eval_cor_73,
-    lambda rng: {"alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"alpha": "1/3", "beta": "1/4"},
 )
 
 
-def _eval_cor_74(p, tol):
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_cor_74(tol, *, alpha, beta):
     sub = tol / 32
     lhs = se.htmzv_pbc(alpha, (3, 1), 1 - beta, sub) \
         + se.htmzv_pbc(beta, (2, 1, 1), 1 - alpha, sub)
@@ -1344,16 +1208,13 @@ def _eval_cor_74(p, tol):
 _register(
     "cor-7.4",
     _eval_cor_74,
-    lambda rng: {"alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, _SMALL_ALPHAS)},
+    _pools(alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"alpha": "0.3", "beta": "0.25"},
 )
 
 
-def _eval_thm_75(p, tol):
-    k = Composition(tuple(p["k"]))
-    alpha = parse_real(p["alpha"])
-    beta = parse_real(p["beta"])
+def _eval_thm_75(tol, *, k, alpha, beta):
+    k = Composition(k)
     if beta >= 0:
         raise DomainError("beta must be negative here")
     sub = tol / 16
@@ -1367,9 +1228,8 @@ def _eval_thm_75(p, tol):
 _register(
     "thm-7.5",
     _eval_thm_75,
-    lambda rng: {"k": _pick(rng, [(2,), (1, 1), (2, 1)]),
-                 "alpha": _pick(rng, _SMALL_ALPHAS),
-                 "beta": _pick(rng, ["-0.4", "-0.25", "-0.7"])},
+    _pools(k=[(2,), (1, 1), (2, 1)], alpha=_SMALL_ALPHAS,
+           beta=["-0.4", "-0.25", "-0.7"]),
     {"k": (2,), "alpha": "0.3", "beta": "-0.4"},
 )
 
@@ -1377,11 +1237,15 @@ _register(
 # ---------------------------------------------------------------------------
 # runner
 
+_REALS = ("alpha", "beta", "x")
+
+
 def run_check(id: str, params: dict | None = None, tol=None,
               prec: PrecisionConfig | None = None) -> IdentityCheck:
     """Evaluate both sides of one identity at ``prec`` and compare.  The
-    evaluator takes (params, tol) and inherits the working block entered
-    here.  A side that cannot be evaluated gives an ERROR check."""
+    real parameters (alpha, beta, x) are parsed here, once, at the working
+    precision; the evaluator takes (tol, **params) and inherits the
+    working block.  A side that cannot be evaluated gives an ERROR check."""
     try:
         ident = _REGISTRY[id]
     except KeyError:
@@ -1390,9 +1254,11 @@ def run_check(id: str, params: dict | None = None, tol=None,
         params = dict(ident.default)
     with working(prec):
         tol = mp.mpf(DEFAULT_TOL if tol is None else tol)
+        parsed = {k: parse_real(v) if k in _REALS else v
+                  for k, v in params.items()}
         start = time.monotonic()
         try:
-            lhs, rhs = ident.evaluate(params, tol)
+            lhs, rhs = ident.evaluate(tol, **parsed)
         except (ToleranceNotReached, NoConvergence) as exc:
             nan = ValueWithBound(mp.nan, mp.nan)
             return IdentityCheck(id, dict(params), nan, nan, mp.nan, tol,
@@ -1409,6 +1275,9 @@ def run_suite(filter: str = "*", samples_per_id: int = 1, tol=None,
               seed: int = 0,
               prec: PrecisionConfig | None = None) -> SuiteReport:
     """Run every matching identity at seeded sample points."""
+    if samples_per_id < 1:
+        raise ValueError(f"samples per identity must be >= 1, "
+                         f"got {samples_per_id}")
     ids = [i for i in identity_ids() if fnmatch.fnmatch(i, filter)]
     if not ids:
         raise UnknownIdentity(f"no identity matches filter {filter!r}")

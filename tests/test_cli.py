@@ -75,6 +75,20 @@ class TestEval:
             v = value_line(out)
             assert abs(v - mp.zeta(2)) < mp.mpf(10) ** -30
 
+    @pytest.mark.parametrize("bits, env", [("32", None), (None, "abc"),
+                                           (None, "16")])
+    def test_bad_precision_usage_error(self, capsys, monkeypatch, bits, env):
+        # --bits 32, HZETA_PREC=abc and HZETA_PREC=16 print one error line
+        monkeypatch.delenv("HZETA_PREC", raising=False)
+        if env is not None:
+            monkeypatch.setenv("HZETA_PREC", env)
+        argv = (("--bits", bits) if bits else ()) + ("eval", "htmzv",
+                                                     "--index", "2")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("hzeta: error: ") and "Traceback" not in err
+        assert out == ""
+
 
 class TestVerify:
     def test_verify_pass_exit0(self, capsys):
@@ -97,6 +111,13 @@ class TestVerify:
         assert code == 3
         assert "no identit" in err
 
+    def test_verify_zero_samples_exit3(self, capsys):
+        # a run that would check nothing is a usage error, not a pass
+        code, out, err = run_cli(capsys, "verify", "--filter", "cor-5.3",
+                                 "--samples", "0")
+        assert code == 3
+        assert "samples" in err and out == ""
+
     def test_verify_deterministic(self, capsys):
         args = ("--bits", "160", "verify", "--filter", "thm-3.6-display-*",
                 "--samples", "1", "--seed", "7")
@@ -118,7 +139,7 @@ class TestVerify:
 
     def test_unevaluated_check_is_an_error_row(self, capsys, monkeypatch):
         # the first of two checks raises; the run reports it and goes on
-        def fail(params, tol):
+        def fail(tol, **params):
             raise ToleranceNotReached(
                 "error estimate 3e-7 exceeds tolerance 1e-8",
                 best=series_engine.ValueWithBound(mp.mpf("0.25"), 3e-7))
@@ -143,10 +164,10 @@ class TestVerify:
         assert rec["best"] == "0.25"
 
     def test_failed_check_outranks_error(self, capsys, monkeypatch):
-        def fail(params, tol):
+        def fail(tol, **params):
             raise NoConvergence("quadrature stalled")
 
-        def wrong(params, tol):
+        def wrong(tol, **params):
             one = series_engine.ValueWithBound(1, 0)
             return one, one * 2
 

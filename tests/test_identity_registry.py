@@ -1,4 +1,7 @@
+import json
+import random
 import time
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -35,6 +38,24 @@ def test_registry_covers_required_ids():
         assert f"thm-3.4-display-{n}" in ids
     for n in range(1, 8):
         assert f"thm-3.6-display-{n}" in ids
+
+
+def test_samplers_keep_their_draw_order():
+    # the params each sampler draws at suite seeds 0-15; the golden tables
+    # pin seed 7 only, and perfbench runs all 16.  JSON holds the index
+    # tuples as lists; ints and the strings of the real parameters keep
+    # their types.
+    path = Path(__file__).parent / "data" / "suite_params.json"
+    expected = json.loads(path.read_text())
+    assert sorted(expected) == identity_ids()
+    for id, rows in expected.items():
+        sample = identity_registry._REGISTRY[id].sample
+        for seed, row in enumerate(rows):
+            want = [(k, tuple(v) if isinstance(v, list) else v)
+                    for k, v in row.items()]
+            got = list(sample(random.Random(f"{seed}:{id}")).items())
+            assert got == want, (id, seed)
+            assert [type(v) for _, v in got] == [type(v) for _, v in want]
 
 
 def test_unknown_identity():
