@@ -41,7 +41,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .finite_sums import ShiftVector, mhss
-from .precision import PrecisionConfig, parse_real, working
+from .precision import PrecisionConfig, parse_real, parse_tol, working
 from .series_engine import ValueWithBound, term_spec, weighted_sum
 
 DEFAULT_TOL = "1e-8"
@@ -1253,7 +1253,7 @@ def run_check(id: str, params: dict | None = None, tol=None,
     if params is None:
         params = dict(ident.default)
     with working(prec):
-        tol = mp.mpf(DEFAULT_TOL if tol is None else tol)
+        tol = parse_tol(tol, DEFAULT_TOL)
         parsed = {k: parse_real(v) if k in _REALS else v
                   for k, v in params.items()}
         start = time.monotonic()
@@ -1278,6 +1278,7 @@ def run_suite(filter: str = "*", samples_per_id: int = 1, tol=None,
     if samples_per_id < 1:
         raise ValueError(f"samples per identity must be >= 1, "
                          f"got {samples_per_id}")
+    shown = mp.nstr(parse_tol(tol, DEFAULT_TOL), 6)
     ids = [i for i in identity_ids() if fnmatch.fnmatch(i, filter)]
     if not ids:
         raise UnknownIdentity(f"no identity matches filter {filter!r}")
@@ -1295,7 +1296,7 @@ def run_suite(filter: str = "*", samples_per_id: int = 1, tol=None,
             checks.append(run_check(id, params, tol, prec))
     return SuiteReport(
         checks=tuple(checks),
-        tol=mp.nstr(mp.mpf(DEFAULT_TOL if tol is None else tol), 6),
+        tol=shown,
         seed=seed,
         samples=samples_per_id,
     )

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from .errors import DomainError
+
 MIN_BITS = 64
 GUARD_BITS = 32
 
@@ -71,3 +73,13 @@ def parse_real(x) -> mp.mpf:
         p, q = x.split("/")
         return mp.mpf(p) / mp.mpf(q)
     return mp.mpf(x)
+
+
+def parse_tol(tol, default) -> mp.mpf:
+    """The tolerance ``tol`` (``default`` when it is None) as an mpf at the
+    current precision; raises :class:`DomainError` unless it is positive
+    and finite, since no error estimate can meet such a tolerance."""
+    t = parse_real(default if tol is None else tol)
+    if not (mp.isfinite(t) and t > 0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    return t

@@ -27,7 +27,7 @@ import mpmath as mp
 from .compositions import Composition, refinements
 from .endpoint import kta_endpoint, mpl_endpoint
 from .errors import DomainError, NoConvergence
-from .precision import PrecisionConfig, working
+from .precision import PrecisionConfig, parse_tol, working
 from .series_engine import ValueWithBound, kta as _kta_series, mpl as _mpl_series
 
 MAX_LEVELS = 12
@@ -178,7 +178,7 @@ def de_quad(f: WeightedIntegrand, tol=None,
     """Integrate a weighted core over (0, 1) by level-doubled tanh-sinh."""
     _check_integrable(f)
     with working(prec) as cfg:
-        tol = mp.mpf(10) ** -20 if tol is None else mp.mpf(tol)
+        tol = parse_tol(tol, mp.mpf(10) ** -20)
         g = _build_pointwise(f)
         total = mp.mpf(0)
         prev = None

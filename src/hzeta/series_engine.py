@@ -62,7 +62,7 @@ from .finite_sums import (
     mhss_stream,
     nested_stream,
 )
-from .precision import PrecisionConfig, working
+from .precision import PrecisionConfig, parse_tol, working
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def _em_sum(specs, tol, strategy: TailStrategy):
     points cannot see.
     """
     with working() as cfg:
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
+        tol = parse_tol(tol, _default_tol(cfg))
         best = None
         for level in range(_LEVELS):
             window = _expansion_window(strategy.em_order, level)
@@ -354,8 +354,7 @@ def _em_sum(specs, tol, strategy: TailStrategy):
                 t2, t1, t0 = t1, t0, mp.fsum(st.step(n) for st in states)
                 head += t0
             tail = tail_sum(series, N)
-            e0 = min((e for e, _ in series.terms if e > 1),
-                     default=series.emax)
+            e0 = min(series.min_exponent(above=1), series.emax)
             d0, d1, d2 = t0 - series(N), t1 - series(N - 1), t2 - series(N - 2)
             td = N * (d0 - d1)
             ttd = N * N * (d0 - 2 * d1 + d2) + td
@@ -495,7 +494,7 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy,
     strategy = strategy or DEFAULT_TAIL
     with working() as cfg:
         bits = cfg.work_bits
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
+        tol = parse_tol(tol, _default_tol(cfg))
         r = k.depth()
         k1 = k[0]
         tail = Composition(k.parts[1:])
@@ -510,7 +509,7 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy,
         F, inner = _fixed_stream(tail.parts, shifts.shifts, False, bits)
         d0 = frame * (1 if r == 1 else r) - c  # d(m) of the first nonzero term
         G = max(F + k1 * d0.bit_length() + d0 * (1 - mp.mag(x)),
-                64 - mp.mag(tol) if tol else 0)
+                64 - mp.mag(tol))
         xf = x ** frame
         # x^frame, and x^d(m) at m = 1
         XF, X = (to_fixed(y._mpf_, G) for y in (xf, x ** (frame - c)))
@@ -581,7 +580,7 @@ def mpl_landen(k, x, tol=None, strategy=None,
         x = mp.mpf(x)
         if not 0 <= x < 1:
             raise DomainError(f"x must lie in [0, 1), got {x}")
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
+        tol = parse_tol(tol, _default_tol(cfg))
         terms = sorted(refinements(k), key=lambda l: l.parts)
         sub = tol / len(terms)
         total = ValueWithBound(0, 0, True)
@@ -751,7 +750,7 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
     if k.is_empty():
         raise DomainError("needs a nonempty index")
     with working(prec) as cfg:
-        tol = _default_tol(cfg) if tol is None else mp.mpf(tol)
+        tol = parse_tol(tol, _default_tol(cfg))
         if kind == "xi":
             Z = lambda idx, sub: htmzv(idx, None, sub, strategy)
         elif kind == "psi":

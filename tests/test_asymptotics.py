@@ -206,3 +206,144 @@ def test_strategy_frozen():
     s = ExpansionWindow()
     with pytest.raises(Exception):
         s.order = 3
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "0.3"])
+def test_exponent_classes_summing_to_one_take_the_log_branch(alpha):
+    # the classes alpha and 1 - alpha meet in the integer class exactly:
+    # at 1/2 as n^-1/2 (n + 1/4)^-1/2, at 0.3 as (n + 1/4)^-0.3 times
+    # Gamma(n - 0.7) / Gamma(n), whose exponents are 0.7 + m.  The n^-1
+    # term integrates to log n instead of a 1/(1 - e) blow-up, and the
+    # antidifference stays right
+    alpha = mp.mpf(alpha)
+    if alpha == mp.mpf("0.5"):
+        T = power_shift("0.5", 0, EMAX) * power_shift("0.5", "0.25", EMAX)
+        f = lambda n: (n * (n + mp.mpf("0.25"))) ** -alpha
+    else:
+        T = power_shift(alpha, "0.25", EMAX) * gamma_ratio(alpha - 1, 0, EMAX)
+        f = lambda n: (n + mp.mpf("0.25")) ** -alpha * mp.exp(
+            mp.loggamma(n + alpha - 1) - mp.loggamma(n))
+    assert all(e == int(e) for e, _ in T.terms)
+    assert T.coefficient(1, 0) == 1
+    assert T.antiderivative().coefficient(0, 1) == 1
+    V = em_antidifference(T)
+    n = 90
+    with mp.workprec(400):
+        exact = f(mp.mpf(n))
+    assert abs(V(n) - V(n - 1) - exact) < mp.mpf(10) ** -24
+
+
+# An mpf reference of the series algebra on {(e, j): c} dicts, with the
+# truncation rules of AsymSeries (log(1 + c/n) is cut at n^-floor(emax)).
+
+def _ref_mul(a, b, emax):
+    out = {}
+    for (e1, j1), c1 in a.items():
+        for (e2, j2), c2 in b.items():
+            if e1 + e2 <= emax:
+                key = (e1 + e2, j1 + j2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _ref_derivative(a, emax):
+    out = {}
+    for (e, j), c in a.items():
+        if e + 1 <= emax:
+            out[(e + 1, j)] = out.get((e + 1, j), 0) - c * e
+            if j:
+                out[(e + 1, j - 1)] = out.get((e + 1, j - 1), 0) + c * j
+    return out
+
+
+def _ref_antiderivative(a):
+    out = {}
+    for (e, j), c in a.items():
+        if e == 1:
+            out[(0, j + 1)] = out.get((0, j + 1), 0) + c / (j + 1)
+            continue
+        coef = c / (1 - e)
+        for i in range(j, -1, -1):
+            out[(e - 1, i)] = out.get((e - 1, i), 0) + coef
+            coef = -coef * i / (1 - e)
+    return out
+
+
+def _ref_shift(a, c, emax):
+    c = mp.mpf(c)
+    top = int(emax)
+    L = {(i, 0): (-1) ** (i + 1) * c ** i / i for i in range(1, top + 1)}
+    powers = [{(0, 0): mp.mpf(1)}]
+    for _ in range(max(j for _, j in a)):
+        powers.append(_ref_mul(powers[-1], L, top))
+    out = {}
+    for (e, j), coef in a.items():
+        i, b = 0, mp.mpf(1)
+        while e + i <= emax:
+            for t in range(j + 1):
+                for (k, _), p in powers[t].items():
+                    if e + i + k <= emax:
+                        key = (e + i + k, j - t)
+                        out[key] = (out.get(key, 0)
+                                    + coef * b * math.comb(j, t) * p)
+            b *= (-e - i) * c / (i + 1)
+            i += 1
+    return out
+
+
+def _ref_em_antidifference(T, emax):
+    V = _ref_add(_ref_antiderivative(T), {k: c / 2 for k, c in T.items()})
+    D, k = _ref_derivative(T, emax), 1
+    while D and k <= 60:
+        b = mp.bernoulli(2 * k) / mp.factorial(2 * k)
+        V = _ref_add(V, {key: c * b for key, c in D.items()})
+        D = _ref_derivative(_ref_derivative(D, emax), emax)
+        k += 1
+    return V
+
+
+def _ref_value(a, n):
+    n = mp.mpf(n)
+    return mp.fsum(c * n ** -e * mp.log(n) ** j for (e, j), c in a.items())
+
+
+@pytest.mark.parametrize("bits", [256, 448])
+def test_fixed_point_algebra_matches_mpf_reference(bits):
+    # a depth-3 prefix expansion (integer exponents, log powers up to 3)
+    # and a second-order binomial series (the class 0.7) through every
+    # algebra step, each checked at n = 400 against the same step in mpf
+    # 128 bits higher, started from the same exact inputs and shift
+    n, emax = 400, 18
+    window = ExpansionWindow(order=emax, n_anchor=160, n_direct=400)
+    with working(PrecisionConfig(bits)):
+        P = prefix_expansion((1, 2, 1), ("0.75", "1.25", "0.5"),
+                             window=window)
+        c = mp.mpf("0.3")
+        B = _binomial_series(c, 2, emax)
+        M = P * B
+        got = {"mul": M, "shift+1": M.shift_arg(1),
+               "shift-1": M.shift_arg(-1), "shift0.3": M.shift_arg(c)}
+        got["derivative"] = got["shift0.3"].derivative()
+        got["antiderivative"] = got["shift-1"].antiderivative()
+        got["em"] = em_antidifference(M * power_shift(2, 0, emax))
+        values = {name: S(n) for name, S in got.items()}
+    with mp.workprec(bits + 128):
+        P, B = P.terms, B.terms
+        M = _ref_mul(P, B, emax)
+        ref = {"mul": M, "shift+1": _ref_shift(M, 1, emax),
+               "shift-1": _ref_shift(M, -1, emax),
+               "shift0.3": _ref_shift(M, c, emax)}
+        ref["derivative"] = _ref_derivative(ref["shift0.3"], emax)
+        ref["antiderivative"] = _ref_antiderivative(ref["shift-1"])
+        ref["em"] = _ref_em_antidifference(
+            _ref_mul(M, {(2, 0): mp.mpf(1)}, emax), emax)
+        for name, a in ref.items():
+            r = _ref_value(a, n)
+            assert abs(values[name] - r) < mp.ldexp(abs(r), 8 - bits), name

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -75,6 +76,16 @@ class TestEval:
             v = value_line(out)
             assert abs(v - mp.zeta(2)) < mp.mpf(10) ** -30
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_usage_error(self, capsys, tol):
+        # no error estimate can meet it, so it is refused before any work
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "eval", "htmzv", "--index", "2",
+                               "--tol", tol)
+        assert code == 3
+        assert "tolerance" in err
+        assert time.monotonic() - start < 1
+
     @pytest.mark.parametrize("bits, env", [("32", None), (None, "abc"),
                                            (None, "16")])
     def test_bad_precision_usage_error(self, capsys, monkeypatch, bits, env):
@@ -110,6 +121,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--filter", "nope-*")
         assert code == 3
         assert "no identit" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_verify_bad_tolerance_exit3(self, capsys, tol):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "verify", "--filter", "thm-2.1a",
+                                 "--tol", tol)
+        assert code == 3
+        assert "tolerance" in err and not out
+        assert time.monotonic() - start < 1
 
     def test_verify_zero_samples_exit3(self, capsys):
         # a run that would check nothing is a usage error, not a pass

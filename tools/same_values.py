@@ -1,0 +1,118 @@
+"""Check that two source trees give the same eval-em values and claims.
+
+Usage: python tools/same_values.py OTHER_TREE
+
+Runs the requests of ``perfbench/workloads.make_pass("eval-em", c, 0)``
+for the candidates c = 0-15 in both trees, one fresh process per tree and
+candidate, two processes at a time.  The request lists come from this
+tree's ``perfbench/workloads.py`` for both trees; each tree's ``src`` is
+imported for the evaluation.  Values and claimed errors travel as exact
+signed (mantissa, exponent) pairs.
+
+Prints the largest relative value difference, in units of
+2^-(bits - 8) for each request's bits, and the largest claim ratio.  Exits
+1 if a value differs from the other tree's by more than 2^-(bits - 8)
+relative, a claim by more than 1%, or a request fails in one tree only;
+else exits 0.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+CANDIDATES = range(16)
+CLAIM_RATIO = Fraction(101, 100)
+
+
+def _signed(x):
+    """An mpf as an exact [signed mantissa, exponent] pair."""
+    sign, man, exp, _ = x._mpf_
+    return [-man if sign else man, exp]
+
+
+def child(tree: str, candidate: int):
+    """Evaluate one candidate's requests with ``tree``'s hzeta; print one
+    JSON line per request."""
+    sys.path[:0] = [str(Path(tree) / "src"), str(HERE / "perfbench")]
+    import hzeta
+    import workloads
+
+    for req in workloads.make_pass("eval-em", candidate, 0):
+        try:
+            value, err = workloads.execute(hzeta, req)
+            out = {"value": _signed(value),
+                   "abs_error": None if err is None else _signed(err)}
+        except hzeta.HZetaError as exc:
+            out = {"error": type(exc).__name__}
+        print(json.dumps(out), flush=True)
+
+
+def run(tree: Path, candidate: int):
+    cmd = [sys.executable, __file__, "--child", str(tree), str(candidate)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{tree} candidate {candidate}: {proc.stderr}")
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def _exact(pair):
+    man, exp = pair
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--child":
+        child(argv[1], int(argv[2]))
+        return 0
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(HERE / "perfbench"))
+    import workloads
+
+    other = Path(argv[0]).resolve()
+    jobs = [(tree, c) for c in CANDIDATES for tree in (HERE, other)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda job: run(*job), jobs))
+    worst_value, worst_claim, broken = Fraction(0), Fraction(1), []
+    for i, c in enumerate(CANDIDATES):
+        reqs = workloads.make_pass("eval-em", c, 0)
+        for req, a, b in zip(reqs, results[2 * i], results[2 * i + 1]):
+            where = f"candidate {c}: {workloads.key(req)}"
+            if "error" in a or "error" in b:
+                if a != b:
+                    broken.append(f"{where}: {a} here, {b} in {other}")
+                continue
+            va, vb = _exact(a["value"]), _exact(b["value"])
+            rel = abs(va - vb) / abs(vb) if vb else abs(va)
+            units = rel * 2 ** (req["bits"] - 8)
+            worst_value = max(worst_value, units)
+            if units > 1:
+                broken.append(f"{where}: values differ by {float(rel):.3g} "
+                              "relative")
+            ea, eb = a["abs_error"], b["abs_error"]
+            if ea is not None and eb is not None:
+                ea, eb = _exact(ea), _exact(eb)
+                ratio = max(ea, eb) / min(ea, eb) if min(ea, eb) else (
+                    Fraction(1) if ea == eb else Fraction(10 ** 9))
+                worst_claim = max(worst_claim, ratio)
+                if ratio > CLAIM_RATIO:
+                    broken.append(f"{where}: claims {float(ea):.4g} here, "
+                                  f"{float(eb):.4g} in {other}")
+    count = sum(len(r) for r in results[::2])
+    print(f"{count} requests; largest value difference "
+          f"{float(worst_value):.3g} x 2^-(bits - 8) relative; "
+          f"largest claim ratio {float(worst_claim):.6f}")
+    for line in broken:
+        print(line)
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
