@@ -65,8 +65,8 @@ from mpmath.libmp import from_man_exp
 
 from .compositions import Composition
 from .errors import NoConvergence
-from .finite_sums import (ShiftVector, _binomials, _coerce, mhs, mhss,
-                          nested_stream, nth)
+from .finite_sums import (ShiftVector, _coerce, mhs, mhss, nested_stream,
+                          nth)
 from .precision import working
 
 
@@ -707,7 +707,7 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
             # plain anchors stay on mhs/mhss, whose traced calls mark misses
             if binomial is not None:
                 exact = nth(nested_stream(k.parts, a.shifts, star,
-                                          innermost=_binomials(*binomial)), n0)
+                                          binomial=binomial), n0)
             else:
                 exact = mhss(n0, k, a) if star else mhs(n0, k, a)
             out = V + (exact - V(n0))

@@ -91,7 +91,7 @@ def cmd_eval(args, cfg: PrecisionConfig) -> int:
 
 def _evaluate(args):
     """The value of ``args.kind`` at the active working precision."""
-    tol = mp.mpf(args.tol) if args.tol else None
+    tol = parse_real(args.tol) if args.tol else None
     kind = args.kind
     if kind in ("htmzv", "htmzsv"):
         _require(args, ["index"])

@@ -21,7 +21,10 @@ bounds the first nonzero inner sum from below, so it already carries
 work_bits + 64 bits.  Each slot of each step rounds once, by a floor
 division, so after n steps of a depth-r sum the error is at most n r
 units of 2^-F, far below the working precision for any reachable n.
-Values become mpf only where they leave the kernel.
+The innermost multiplier is an integer at 2^-F as well: the binomial jet
+of :func:`_binomials` runs its recurrence on integers, one floor division
+per jet entry and step, so no step of the kernel touches an mpf.  Values
+become mpf only where they leave the kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import islice
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .compositions import Composition
 from .errors import DimensionMismatch, PoleError
@@ -92,22 +95,24 @@ def _coerce(k, a):
 
 
 def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
-                  innermost=None):
+                  binomial=None):
     """An iterator of (n, S_n) for n = 1, 2, ..., the one nested-sum kernel.
 
     S_n sums prod_j (n_j + a_j - 1)^(-k_j) over n >= n_1 > ... > n_r >= 1
     (>= throughout when ``star``) for exponents ``k`` and real shifts
-    ``a``; the n_r-th element of the iterator ``innermost``, when given,
-    multiplies the innermost factor.  The recurrence runs on integers at
-    2^-F (:func:`_fixed_stream`; F as in the module docstring), so S_n is
-    off by at most n r units of 2^-F before it is rounded once to an mpf
-    of the work bits, whatever the caller's precision.  The work bits are
-    resolved when the stream is created, so a stream built inside a
-    :func:`working` block keeps its bits wherever it is drained.
+    ``a``; ``binomial`` = (alpha, order), when given, multiplies the
+    innermost factor by the order-th alpha-derivative of
+    C(n_r + alpha - 2, n_r - 1) (:func:`_binomials`).  The recurrence runs
+    on integers at 2^-F (:func:`_fixed_stream`; F as in the module
+    docstring), so S_n is off by at most n r units of 2^-F, plus the
+    multiplier's rounding carried through the sum, before it is rounded
+    once to an mpf of the work bits, whatever the caller's precision.  The
+    work bits are resolved when the stream is created, so a stream built
+    inside a :func:`working` block keeps its bits wherever it is drained.
     """
     with working(prec) as cfg:
         bits = cfg.work_bits
-        F, raw = _fixed_stream(k, a, star, bits, innermost)
+        F, raw = _fixed_stream(k, a, star, bits, binomial)
     return ((m, _to_mpf(s, F, bits)) for m, s in enumerate(raw, 1))
 
 
@@ -116,18 +121,28 @@ def _to_mpf(s, F, bits):
     return mp.make_mpf(from_man_exp(s, -F, bits, round_nearest))
 
 
-def _fixed_stream(k, a, star, bits, innermost=None):
+def _dyadic(x):
+    """(e, B) with the mpf x = B 2^-e exactly and e >= 0 as small as
+    possible (mpf mantissas are odd)."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"{x} has no fixed-point value")
+    B = -man if sign else man
+    return (0, B << exp) if exp >= 0 else (-exp, B)
+
+
+def _fixed_stream(k, a, star, bits, binomial=None):
     """(F, the iterator of floor(S_n 2^F) for n = 1, 2, ...), resolved
     before the generator starts (F as in the module docstring).
 
     S[j] holds the depth-(r - j) inner sum and S[r] the innermost
-    multiplier (1 without one).  A slot adds S[j + 1] / (m + a_j - 1)^(k_j)
-    as (S[j + 1] << k_j F) // D^(k_j) with D = m 2^F + (a_j - 1) 2^F exact,
-    so the pole test is D == 0.  A strict step updates S[0], S[1], ... so
+    multiplier (1 without one; the jet of ``binomial`` = (alpha, order)
+    at 2^-F with one).  A slot adds S[j + 1] / (m + a_j - 1)^(k_j) as
+    (S[j + 1] << k_j e) // D^(k_j) with D = (m + a_j - 1) 2^e exact, so
+    the pole test is D == 0.  A strict step updates S[0], S[1], ... so
     that S[j + 1] is still at m - 1, a star step the other way round.  A
     zero inner sum skips its weight, so chains that the ordering rules out
-    cannot trip a pole.  Each multiplier is drawn at ``bits``, the only
-    precision switch, and converted by a mantissa shift.
+    cannot trip a pole.
     """
     a = [mp.mpf(x) for x in a]
     r = len(k)
@@ -136,25 +151,21 @@ def _fixed_stream(k, a, star, bits, innermost=None):
     F = max([F] + [-x._mpf_[2] for x in a])
     slots = []
     for j in range(r - 1, -1, -1) if star else range(r):
-        # D = 2^(F - e) (m 2^e + B): the power of two cancels, so a shift
-        # with e fractional bits divides by an (e + log2 m)-bit integer
-        A = to_fixed(a[j]._mpf_, F) - (1 << F)
-        e = max(F - ((A & -A).bit_length() - 1), 0) if A else 0
-        slots.append((j, k[j], k[j] * e, e, A >> (F - e)))
-    return F, _steps(slots, r, F, bits, innermost)
+        # the power of two cancels, so a shift with e fractional bits
+        # divides by an (e + log2 m)-bit integer
+        e, B = _dyadic(a[j])
+        slots.append((j, k[j], k[j] * e, e, B - (1 << e)))
+    jet = None if binomial is None else _binomials(*binomial, F)
+    return F, _steps(slots, r, F, jet)
 
 
-def _steps(slots, r, F, bits, innermost):
+def _steps(slots, r, F, jet):
     S = [0] * r + [1 << F]
     m = 0
     while True:
         m += 1
-        if innermost is not None:
-            caller, mp.mp.prec = mp.mp.prec, bits
-            try:
-                S[r] = to_fixed(next(innermost)._mpf_, F)
-            finally:
-                mp.mp.prec = caller
+        if jet is not None:
+            S[r] = next(jet)
         for j, kj, ke, e, B in slots:
             inner = S[j + 1]
             if inner:
@@ -165,22 +176,30 @@ def _steps(slots, r, F, bits, innermost):
         yield S[0]
 
 
-def _binomials(alpha, order=0):
+def _binomials(alpha, order, F):
     """The order-th alpha-derivative of C(m + alpha - 2, m - 1) for m = 1,
-    2, ...: the parametric-binomial multiplier of :func:`nested_stream`.
+    2, ..., as integers at 2^-F: the parametric-binomial multiplier of
+    :func:`nested_stream` and the binomial factors of the series engine.
 
     d[i] is the i-th derivative.  Each step multiplies by the factor
     (m + alpha - 1) / m, which is linear in alpha, so Leibniz gives
-    d[i] <- d[i] (m + alpha - 1) / m + i d[i - 1] / m.
+    d[i] <- d[i] (m + alpha - 1) / m + i d[i - 1] / m.  With alpha - 1 =
+    B 2^-e exact, that is one floor division of integers by m 2^e per
+    entry and step, so an entry is off by at most one unit of 2^-F per
+    step plus the earlier errors carried by the factors; a factor that is
+    exactly 0 makes every later value exactly 0.
     """
-    d = [mp.mpf(1)] + [mp.mpf(0)] * order
+    e, B = _dyadic(mp.mpf(alpha))
+    B -= 1 << e
+    d = [1 << F] + [0] * order
     m = 1
     while True:
         yield d[order]
-        c = (m + alpha - 1) / m
+        c = (m << e) + B
+        q = m << e
         for i in range(order, 0, -1):
-            d[i] = d[i] * c + i * d[i - 1] / m
-        d[0] *= c
+            d[i] = (d[i] * c + (i * d[i - 1] << e)) // q
+        d[0] = d[0] * c // q
         m += 1
 
 

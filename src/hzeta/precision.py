@@ -68,10 +68,16 @@ def working(prec: PrecisionConfig | None = None):
 
 def parse_real(x) -> mp.mpf:
     """``x`` as an mpf at the current precision; strings may be fractions
-    such as "1/3"."""
+    such as "1/3".  A fraction with a zero denominator or more than one
+    slash raises :class:`DomainError`."""
     if isinstance(x, str) and "/" in x:
-        p, q = x.split("/")
-        return mp.mpf(p) / mp.mpf(q)
+        parts = x.split("/")
+        if len(parts) != 2:
+            raise DomainError(f"malformed fraction {x!r}")
+        p, q = (mp.mpf(s) for s in parts)
+        if not q:
+            raise DomainError(f"fraction {x!r} has a zero denominator")
+        return p / q
     return mp.mpf(x)
 
 

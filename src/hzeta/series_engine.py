@@ -23,6 +23,20 @@ on one driver: it accepts a list of :class:`TermSpec` product summands,
 sums them exactly up to a crossover index, and replaces the tail by an
 anchored asymptotic expansion summed in closed form, with the budgets of
 :class:`TailStrategy`.
+
+The exact head runs on Python integers in fixed point: a term is an
+integer at 2^-H, H = work_bits + 64 (the guard bits of
+:mod:`asymptotics`), formed by :class:`_SpecState` from the nested-sum
+kernel's integers, the integer binomial jets of
+:func:`finite_sums._binomials` and exact divisions by (n + c)^m.  Each of
+its factors rounds once, by a floor, so a term is off by a few units of
+2^-H per factor times the size of the later factors (see
+:class:`_SpecState`), and the coefficient comes last, applied to the
+magnitude before the sign is set, so summands that differ only in the
+sign of their coefficient cancel exactly.  The head and the terms at
+N - 2, N - 1 and N are summed as integers and become mpf once per
+escalation level; a level continues the head where the previous one
+stopped.
 """
 
 from __future__ import annotations
@@ -56,11 +70,9 @@ from .finite_sums import (
     ShiftVector,
     _binomials,
     _coerce,
+    _dyadic,
     _fixed_stream,
     _to_mpf,
-    mhs_stream,
-    mhss_stream,
-    nested_stream,
 )
 from .precision import PrecisionConfig, parse_tol, working
 
@@ -239,59 +251,83 @@ def term_spec(
 
 
 class _SpecState:
-    """Incremental evaluator of one TermSpec along n = 1, 2, ...
+    """Incremental evaluator of one TermSpec along n = 1, 2, ..., on
+    integers at 2^-H with H = work_bits + 64 (the guard bits of
+    :mod:`asymptotics`), resolved from the working precision when the
+    state is built; each :meth:`step` costs O(total depth).
 
-    Prefix sums advance through streams, every binomial through
-    :func:`_binomials`; each :meth:`step` costs O(total depth).
+    :meth:`step` returns the term as an integer at 2^-H.  The prefix sums
+    are the raw integers of :func:`_fixed_stream` (at their own 2^-F,
+    F >= H), every binomial factor is a jet of :func:`_binomials` at 2^-H,
+    and each (n + c)^(-m) divides by the exact integer ((n + c) 2^e)^m of a
+    shift c with e fractional bits.  Each factor rounds once, by a floor,
+    so it adds at most one unit of 2^-H to the term besides the error its
+    input carries (n r units of 2^-F for a prefix, a few n units of 2^-H
+    for a jet entry after n steps), and later factors scale the earlier
+    error by their size; the divisions come last, where (n + c)^(-m) <= 1
+    only shrinks it.  The coefficient is applied last, to |t|, and the
+    sign set after: floor is not odd, so rounding a signed product would
+    leave a unit where two summands that differ only in the sign of their
+    coefficient cancel exactly.
     """
 
     def __init__(self, spec: TermSpec):
         self.spec = spec
-        self.strict = None
-        if spec.strict_binomial is not None:
-            self.strict = nested_stream(
+        bits = mp.mp.prec  # the work bits of the caller's block
+        H = self.H = bits + asym.FIXED_GUARD_BITS
+        self.strict = self.star = None
+        if spec.strict_index is not None:
+            self.strict = _fixed_stream(
                 spec.strict_index.parts, spec.strict_shift.shifts, False,
-                innermost=_binomials(*spec.strict_binomial))
-        elif spec.strict_index is not None:
-            self.strict = mhs_stream(spec.strict_index, spec.strict_shift)
-        self.strict_prev_val = mp.mpf(0)
-        self.star = None
+                bits, spec.strict_binomial)
+        self.strict_prev_val = 0
         if spec.star_index is not None:
-            self.star = mhss_stream(spec.star_index, spec.star_shift)
+            self.star = _fixed_stream(spec.star_index.parts,
+                                      spec.star_shift.shifts, True, bits)
         # C(n + alpha - 1, n) and C(n - beta, n) are C(m + c - 2, m - 1)
         # at m = n + 1 for c = alpha and c = 1 - beta
-        self.upper = [islice(_binomials(a, order), 0 if at_prev else 1, None)
+        self.upper = [islice(_binomials(a, order, H), 0 if at_prev else 1,
+                             None)
                       for a, at_prev, order in spec.binom_upper]
-        self.lower = [islice(_binomials(1 - b), 1, None)
+        self.lower = [islice(_binomials(1 - b, 0, H), 1, None)
                       for b in spec.binom_lower]
+        self.powers = []
+        for c, m in spec.powers:
+            e, B = _dyadic(c)  # (n + c) 2^e = n 2^e + B
+            self.powers.append((c, m, m * e, e, B))
+        self.coeff = spec.coeff._mpf_[:3]
 
-    def step(self, n: int):
+    def step(self, n: int) -> int:
         spec = self.spec
-        t = spec.coeff
+        H = self.H
+        t = 1 << H
         if self.strict is not None:
+            F, raw = self.strict
             if spec.strict_prev:
-                v = self.strict_prev_val
-                _, self.strict_prev_val = next(self.strict)
+                v, self.strict_prev_val = self.strict_prev_val, next(raw)
             else:
-                _, v = next(self.strict)
-            t *= v
+                v = next(raw)
+            t = v >> (F - H)
         if self.star is not None:
-            _, v = next(self.star)
-            t *= v
+            F, raw = self.star
+            t = t * next(raw) >> F
         for upper in self.upper:
-            t *= next(upper)
+            t = t * next(upper) >> H
         for b, lower in zip(spec.binom_lower, self.lower):
             w = next(lower)
-            if w == 0:
+            if not w:
                 raise PoleError(f"binomial C(n - {b}, n) vanishes at n = {n}")
-            t /= w
-        if t:
-            for c, m in spec.powers:
-                d = n + c
-                if d == 0:
+            t = (t << H) // w
+        sign, man, exp = self.coeff
+        if t and man:
+            for c, m, me, e, B in self.powers:
+                d = (n << e) + B
+                if not d:
                     raise PoleError(f"denominator n + {c} vanishes at n = {n}")
-                t *= d ** (-m)
-        return t
+                t = (t << me) // (d if m == 1 else d ** m)
+        mag = abs(t) * man
+        mag = mag << exp if exp >= 0 else mag >> -exp
+        return -mag if (t < 0) != sign else mag
 
 
 def _spec_series(spec: TermSpec, window: asym.ExpansionWindow) -> AsymSeries:
@@ -339,6 +375,11 @@ def _em_sum(specs, tol, strategy: TailStrategy):
     """
     with working() as cfg:
         tol = parse_tol(tol, _default_tol(cfg))
+        bits = cfg.work_bits
+        # one set of states per call: each level continues the head
+        states = [_SpecState(s) for s in specs]
+        H = states[0].H
+        n = head = t2 = t1 = t0 = 0  # integers at 2^-H; terms N - 2, N - 1, N
         best = None
         for level in range(_LEVELS):
             window = _expansion_window(strategy.em_order, level)
@@ -347,21 +388,24 @@ def _em_sum(specs, tol, strategy: TailStrategy):
             for s in specs:
                 series = series + _spec_series(s, window)
             series = series.prune()
-            states = [_SpecState(s) for s in specs]
-            head = mp.mpf(0)
-            t2 = t1 = t0 = mp.mpf(0)  # terms N - 2, N - 1, N
-            for n in range(1, N + 1):
-                t2, t1, t0 = t1, t0, mp.fsum(st.step(n) for st in states)
-                head += t0
+            while n < N:
+                n += 1
+                t = 0
+                for st in states:
+                    t += st.step(n)
+                t2, t1, t0 = t1, t0, t
+                head += t
+            head_v, v0, v1, v2 = (_to_mpf(x, H, bits)
+                                  for x in (head, t0, t1, t2))
             tail = tail_sum(series, N)
             e0 = min(series.min_exponent(above=1), series.emax)
-            d0, d1, d2 = t0 - series(N), t1 - series(N - 1), t2 - series(N - 2)
+            d0, d1, d2 = v0 - series(N), v1 - series(N - 1), v2 - series(N - 2)
             td = N * (d0 - d1)
             ttd = N * N * (d0 - 2 * d1 + d2) + td
             p1 = mp.sqrt(abs(ttd * d0 - td * td))
             err = 4 * N * (abs(d0) / (e0 - 1) + p1 / (e0 - 1) ** 2) \
-                + mp.ldexp(abs(head) + abs(tail) + 1, -cfg.work_bits + 12)
-            val = ValueWithBound(head + tail, err, False)
+                + mp.ldexp(abs(head_v) + abs(tail) + 1, -bits + 12)
+            val = ValueWithBound(head_v + tail, err, False)
             if best is None or err < best.abs_error:
                 best = val
             if err <= tol:

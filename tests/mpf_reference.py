@@ -1,0 +1,35 @@
+"""Reference recurrences on mpf objects at the active precision, against
+which the fixed-point kernels are checked."""
+
+import mpmath as mp
+
+
+def mpf_binomials(alpha, order=0):
+    """The order-th alpha-derivative of C(m + alpha - 2, m - 1) for m = 1,
+    2, ...: d[i] <- d[i] (m + alpha - 1) / m + i d[i - 1] / m."""
+    d = [mp.mpf(1)] + [mp.mpf(0)] * order
+    m = 1
+    while True:
+        yield d[order]
+        c = (m + alpha - 1) / m
+        for i in range(order, 0, -1):
+            d[i] = d[i] * c + i * d[i - 1] / m
+        d[0] *= c
+        m += 1
+
+
+def mpf_nested(k, a, star, jet=None):
+    """S_1, S_2, ... by the nested-sum recurrence; ``jet``, when given,
+    multiplies the innermost factor."""
+    r = len(k)
+    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+    slots = range(r - 1, -1, -1) if star else range(r)
+    m = 0
+    while True:
+        m += 1
+        if jet is not None:
+            S[r] = next(jet)
+        for j in slots:
+            if S[j + 1]:
+                S[j] += S[j + 1] / (m + a[j] - 1) ** k[j]
+        yield S[0]

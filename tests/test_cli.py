@@ -101,6 +101,24 @@ class TestEval:
         assert out == ""
 
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "mpl", "--index", "2", "--x", "1/0"),
+        ("eval", "htmzv", "--index", "2", "--shift", "1/0"),
+        ("eval", "htmzv", "--index", "2", "--tol", "1/0"),
+        ("eval", "htmzv", "--index", "2", "--shift", "1/2/3"),
+        ("verify", "--filter", "thm-2.1a", "--tol", "1/0"),
+        ("verify", "--filter", "thm-2.1a", "--tol", "1/2/3"),
+    ])
+    def test_bad_fraction_usage_error(self, capsys, argv):
+        # a zero denominator or a second slash is refused before any work
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("hzeta: error: ") and "fraction" in err
+        assert out == ""
+        assert time.monotonic() - start < 1
+
+
 class TestVerify:
     def test_verify_pass_exit0(self, capsys):
         code, out, _ = run_cli(capsys, "--bits", "160", "verify",

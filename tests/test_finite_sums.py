@@ -8,7 +8,6 @@ from hzeta.compositions import Composition
 from hzeta.errors import PoleError
 from hzeta.finite_sums import (
     ShiftVector,
-    _binomials,
     mhs,
     mhs_stream,
     mhss,
@@ -20,6 +19,7 @@ from hzeta.finite_sums import (
 )
 from hzeta.precision import PrecisionConfig, parse_real, working
 from hzeta.series_engine import kta, mpl
+from mpf_reference import mpf_binomials, mpf_nested
 
 PREC = PrecisionConfig(bits=192)
 TOL = mp.mpf(2) ** -180
@@ -244,24 +244,6 @@ def test_shift_vector():
 BITS = [160, 256, 448]
 
 
-def _mpf_nested(k, a, star, jet=None):
-    """S_1, S_2, ... by the nested-sum recurrence on mpf objects at the
-    active precision, the reference for the fixed-point kernel; ``jet``,
-    when given, multiplies the innermost factor."""
-    r = len(k)
-    S = [mp.mpf(0)] * r + [mp.mpf(1)]
-    slots = range(r - 1, -1, -1) if star else range(r)
-    m = 0
-    while True:
-        m += 1
-        if jet is not None:
-            S[r] = next(jet)
-        for j in slots:
-            if S[j + 1]:
-                S[j] += S[j + 1] / (m + a[j] - 1) ** k[j]
-        yield S[0]
-
-
 def _kernel_errors(bits, k, shift, star, n, alpha=None, order=0):
     """(checkpoint, error of the kernel, error of the mpf recurrence at the
     work bits), both relative to the recurrence at bits + 256."""
@@ -270,16 +252,16 @@ def _kernel_errors(bits, k, shift, star, n, alpha=None, order=0):
         a = [parse_real(shift)] * len(k)  # the kernel's rounded shift
         al = None if alpha is None else mp.mpf(alpha)
     got = nested_stream(k, a, star, prec,
-                        None if al is None else _binomials(al, order))
+                        None if al is None else (al, order))
     with mp.workprec(cfg.work_bits):
-        work = _mpf_nested(k, a, star,
-                           None if al is None else _binomials(al, order))
+        work = mpf_nested(k, a, star,
+                          None if al is None else mpf_binomials(al, order))
         work = [next(work) for _ in range(n)]
     checks = {len(k) + order + 1, 50, n}  # the order-th jet vanishes first
     out = []
     with mp.workprec(bits + 256):
-        ref = _mpf_nested(k, a, star,
-                          None if al is None else _binomials(al, order))
+        ref = mpf_nested(k, a, star,
+                         None if al is None else mpf_binomials(al, order))
         for m, v in islice(got, n):
             w = next(ref)
             if m in checks:

@@ -6,8 +6,9 @@ Runs ``python -m hzeta --bits B verify --filter '*' --samples 1 --seed S
 --format records`` with each tree's ``src`` on PYTHONPATH, at seeds 0-15
 and 256 bits and at seed 7 and 160 and 448 bits, two processes at a time.
 The ``elapsed`` field is dropped; every other field of every record, and
-the exit code, must match.  Prints the first differing record and exits 1
-on any difference, else exits 0.
+the exit code, must match.  Prints every differing record, one line
+each (id, params, the fields that differ and the residual in both trees),
+and exits 1 on any difference, else exits 0.
 """
 
 from __future__ import annotations
@@ -56,20 +57,22 @@ def main(argv) -> int:
             print(err_a.strip() or err_b.strip())
             same = False
             continue
-        for a, b in zip(recs_a, recs_b):
-            if a != b:
-                print(f"{where}: first differing record")
-                print(f"  here:  {json.dumps(a, sort_keys=True)}")
-                print(f"  other: {json.dumps(b, sort_keys=True)}")
-                same = False
-                break
-        else:
-            if len(recs_a) != len(recs_b):
-                print(f"{where}: {len(recs_a)} records here, "
-                      f"{len(recs_b)} in {other}")
-                same = False
-            else:
-                print(f"{where}: {len(recs_a)} records, exit {code_a}, same")
+        diffs = [(a, b) for a, b in zip(recs_a, recs_b) if a != b]
+        for a, b in diffs:
+            fields = sorted(f for f in a.keys() | b.keys()
+                            if a.get(f) != b.get(f))
+            print(f"{where}: {a.get('id')} "
+                  f"{json.dumps(a.get('params'), sort_keys=True)} "
+                  f"differs in {', '.join(fields)}: residual "
+                  f"{a.get('residual')} here, {b.get('residual')} in {other}")
+        if diffs:
+            same = False
+        if len(recs_a) != len(recs_b):
+            print(f"{where}: {len(recs_a)} records here, "
+                  f"{len(recs_b)} in {other}")
+            same = False
+        elif not diffs:
+            print(f"{where}: {len(recs_a)} records, exit {code_a}, same")
     return 0 if same else 1
 
 
