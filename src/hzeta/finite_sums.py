@@ -37,7 +37,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .compositions import Composition
-from .errors import DimensionMismatch, PoleError
+from .errors import DimensionMismatch, DomainError, PoleError
 from .precision import PrecisionConfig, working
 
 
@@ -46,7 +46,8 @@ class ShiftVector:
     """Immutable vector of real denominator shifts (a_1, ..., a_r).
 
     At truncation n the sum uses denominators m + a_j - 1 for 1 <= m <= n;
-    any zero denominator raises :class:`PoleError` at evaluation time.
+    any zero denominator raises :class:`PoleError` at evaluation time, and
+    a shift that is not finite raises :class:`DomainError` at once.
     """
 
     shifts: tuple
@@ -54,7 +55,11 @@ class ShiftVector:
     def __init__(self, shifts: Sequence | "ShiftVector"):
         if isinstance(shifts, ShiftVector):
             shifts = shifts.shifts
-        object.__setattr__(self, "shifts", tuple(mp.mpf(s) for s in shifts))
+        shifts = tuple(mp.mpf(s) for s in shifts)
+        for s in shifts:
+            if not mp.isfinite(s):
+                raise DomainError(f"shift {s} is not finite")
+        object.__setattr__(self, "shifts", shifts)
 
     @classmethod
     def constant(cls, alpha, depth: int) -> "ShiftVector":

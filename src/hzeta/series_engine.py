@@ -213,8 +213,9 @@ def term_spec(
     """Normalising constructor for :class:`TermSpec`.
 
     ``strict``/``star`` accept anything :class:`Composition` accepts;
-    empty indices drop the factor (it is identically 1).  Scalar shifts
-    are converted at the working precision of ``prec``.  ``powers`` is a
+    empty indices drop the factor (it is identically 1).  Every scalar
+    (shifts, offsets, binomial parameters and the coefficient) is
+    converted at the working precision of ``prec``.  ``powers`` is a
     sequence of (offset, exponent) pairs; ``binom_upper`` of (alpha,
     at_prev) pairs or (alpha, True, order) triples; ``binom_lower`` of
     beta values.
@@ -229,8 +230,14 @@ def term_spec(
             tk, ts = _coerce(star, star_shift)
             if tk.is_empty():
                 tk = ts = None
-    binom_upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
-                        for a, p, *o in binom_upper)
+        binom_upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
+                            for a, p, *o in binom_upper)
+        if strict_binomial is not None:
+            strict_binomial = (mp.mpf(strict_binomial[0]),
+                               int(strict_binomial[1]))
+        powers = tuple((mp.mpf(c), int(m)) for c, m in powers)
+        binom_lower = tuple(mp.mpf(b) for b in binom_lower)
+        coeff = mp.mpf(coeff)
     if (strict_binomial is not None and sk is None
             or any(o and not p for _, p, o in binom_upper)):
         raise ValueError("strict_binomial needs a strict index and a binomial "
@@ -239,14 +246,13 @@ def term_spec(
         strict_index=sk,
         strict_shift=ss,
         strict_prev=bool(strict_prev),
-        strict_binomial=None if strict_binomial is None
-        else (mp.mpf(strict_binomial[0]), int(strict_binomial[1])),
+        strict_binomial=strict_binomial,
         star_index=tk,
         star_shift=ts,
-        powers=tuple((mp.mpf(c), int(m)) for c, m in powers),
+        powers=powers,
         binom_upper=binom_upper,
-        binom_lower=tuple(mp.mpf(b) for b in binom_lower),
-        coeff=mp.mpf(coeff),
+        binom_lower=binom_lower,
+        coeff=coeff,
     )
 
 

@@ -33,3 +33,16 @@ def mpf_nested(k, a, star, jet=None):
             if S[j + 1]:
                 S[j] += S[j + 1] / (m + a[j] - 1) ** k[j]
         yield S[0]
+
+
+def mpf_useries(terms, u):
+    """sum c u^m log(u)^j over the {(m, j): c} of ``terms``, one mpf power
+    of u per term."""
+    lu = mp.log(u)
+    lpow = {0: mp.mpf(1)}
+    total = mp.mpf(0)
+    for (m, j), c in terms.items():
+        if j not in lpow:
+            lpow[j] = lu ** j
+        total += c * u ** m * lpow[j]
+    return total

@@ -118,6 +118,16 @@ class TestEval:
         assert out == ""
         assert time.monotonic() - start < 1
 
+    @pytest.mark.parametrize("shift", ["inf", "nan", "1,-inf"])
+    def test_non_finite_shift_usage_error(self, capsys, shift):
+        # refused as a domain error that names the shift, before any work
+        code, out, err = run_cli(capsys, "eval", "htmzv", "--index", "2,1",
+                                 "--shift", shift)
+        assert code == 3
+        assert err.startswith("hzeta: error: shift ")
+        assert "inf is not finite" in err or "nan is not finite" in err
+        assert out == ""
+
 
 class TestVerify:
     def test_verify_pass_exit0(self, capsys):

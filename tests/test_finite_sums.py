@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hzeta.compositions import Composition
-from hzeta.errors import PoleError
+from hzeta.errors import DomainError, PoleError
 from hzeta.finite_sums import (
     ShiftVector,
     mhs,
@@ -236,6 +236,12 @@ def test_shift_vector():
     assert ShiftVector.constant(1, 3) == ShiftVector([1, 1, 1])
     with pytest.raises(AttributeError):
         v.shifts = ()
+
+
+@pytest.mark.parametrize("shift", [(1, "inf"), "nan", ("-inf", 1)])
+def test_non_finite_shift_is_a_domain_error(shift):
+    with pytest.raises(DomainError, match=r"shift [-+]?(inf|nan) is not finite"):
+        mhs(5, (2, 1), shift)
 
 
 # ---------------------------------------------------------------------------

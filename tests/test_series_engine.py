@@ -496,6 +496,24 @@ class TestErrorModel:
             assert spec.strict_shift[0] == shift
             assert spec.star_shift[0] == shift
 
+    def test_term_spec_scalars_keep_the_working_precision(self):
+        # outside any block, every decimal string is read at the 480 work
+        # bits of the config, not at the caller's 53
+        prec = PrecisionConfig(bits=448)
+        spec = term_spec(powers=(("0.3", 2),), binom_upper=(("0.3", True, 1),),
+                         binom_lower=("0.7",), coeff="0.3", strict=(1,),
+                         strict_shift="0.3", strict_binomial=("0.3", 1),
+                         prec=prec)
+        with mp.workprec(prec.work_bits):
+            p3, p7 = mp.mpf("0.3"), mp.mpf("0.7")
+        assert spec.strict_shift[0] == p3
+        assert spec.powers == ((p3, 2),)
+        assert spec.binom_upper == ((p3, True, 1),)
+        assert spec.strict_binomial == (p3, 1)
+        assert spec.binom_lower == (p7,)
+        assert spec.coeff == p3
+        assert spec.coeff != mp.mpf("0.3")
+
     @pytest.mark.parametrize("x", ["0.99", "0.9999"])
     @pytest.mark.parametrize("fn", [mpl, kta])
     def test_give_up_bound_holds(self, fn, x):
