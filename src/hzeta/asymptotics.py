@@ -25,17 +25,16 @@ in s, one pass per distinct exponent for every log power at once; all
 exponents share the direct head, log a and the ratios of consecutive
 Bernoulli terms.
 
-Series are held in fixed point.  A series built at the working precision
-p (``mp.mp.prec``, the work bits inside a :func:`working` block) stores
-every exponent e and coefficient c as a Python integer at the scale
-2^-F, F = p + 64, fixed when the series is built.  Exponents are exact:
+Series are held in fixed point (:mod:`hzeta.fixed`).  A series built at
+the working precision p stores every exponent e and coefficient c as a
+Python integer at the default scale 2^-F, F = p + 64 (``fixed.scale``),
+fixed when the series is built.  Exponents are exact:
 the callers pass integers and mpf shifts of p bits, whose last bit is
 worth more than 2^-F, so e1 + e2, e == 1 and e > emax are integer
 operations, the exponent classes e mod 1 combine exactly (alpha and
 1 - alpha meet in the integer class), and no tolerance decides whether
-two exponents are equal.  A coefficient is c 2^F rounded to the nearest
-integer.  Series built at different scales combine at the larger one,
-which is an exact shift.
+two exponents are equal.  A coefficient is ``fix(c, F)``.  Series built
+at different scales combine at the larger one, which is an exact shift.
 
 Rounding, in units u = 2^-F, for each output coefficient: sums,
 negation and exponent shifts are exact; a product of series, a product
@@ -50,8 +49,7 @@ twice per output, once after the binomial stage and once after the log
 stage.  Evaluation runs Horner's rule in 1/n on integers (at most u per
 step) and rounds once to p bits.  With coefficients up to 2^16 and 76
 terms, as on the Euler-Maclaurin families, the accumulated error stays
-many bits below 2^-p, so the 64 guard bits leave room for coefficient
-growth; a unit is 2^-64 of the last bit of the working precision.
+many bits below 2^-p, inside the 64 guard bits.
 """
 
 from __future__ import annotations
@@ -61,12 +59,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
 
 from .compositions import Composition
 from .errors import NoConvergence
 from .finite_sums import (ShiftVector, _coerce, mhs, mhss, nested_stream,
                           nth)
+from .fixed import dyadic, fix, horner, rdiv, scale, to_mpf
 from .precision import working
 
 
@@ -92,42 +90,6 @@ class ExpansionWindow:
 DEFAULT_WINDOW = ExpansionWindow()
 
 
-# a series built at working precision p lives at the scale 2^-(p + 64)
-FIXED_GUARD_BITS = 64
-
-
-def _scale():
-    return mp.mp.prec + FIXED_GUARD_BITS
-
-
-def _fix(x, F):
-    """x 2^F rounded to the nearest integer; exact when x is an int or an
-    mpf whose last bit is worth at least 2^-F.  Other inputs (strings,
-    floats) are read as an mpf at the working precision first."""
-    if isinstance(x, int):
-        return x << F
-    if not isinstance(x, mp.mpf):
-        x = mp.mpf(x)
-    sign, man, exp, _ = x._mpf_
-    if not man:
-        if exp:
-            raise ValueError(f"{x} has no fixed-point value")
-        return 0
-    s = exp + F
-    v = man << s if s >= 0 else (man + (1 << (-s - 1))) >> -s
-    return -v if sign else v
-
-
-def _unfix(X, F):
-    """The exact mpf X 2^-F, whatever precision is active."""
-    return mp.make_mpf(from_man_exp(X, -F))
-
-
-def _rdiv(a, b):
-    """a / b rounded to the nearest integer, for b > 0."""
-    return (2 * a + b) // (2 * b)
-
-
 def _round_dict(acc, F):
     """{key: v 2^-F rounded} without the entries that round to 0."""
     half = 1 << (F - 1)
@@ -142,18 +104,9 @@ def _round_dict(acc, F):
 def _scalar_product(t, x):
     """{key: C x} for an int, an mpf or anything mp.mpf reads: each product
     is exact before its one rounding."""
-    if isinstance(x, int):
-        return {k: c * x for k, c in t.items()} if x else {}
-    if not isinstance(x, mp.mpf):
-        x = mp.mpf(x)
-    sign, man, exp, _ = x._mpf_
-    if not man:
-        return {}
-    if sign:
-        man = -man
-    if exp >= 0:
-        return {k: (c * man) << exp for k, c in t.items()}
-    return _round_dict({k: c * man for k, c in t.items()}, -exp)
+    e, B = dyadic(x)
+    t = {k: c * B for k, c in t.items()} if B else {}
+    return _round_dict(t, e) if e else t
 
 
 def _product(a, b, F, emax):
@@ -183,14 +136,14 @@ class AsymSeries:
     __slots__ = ("_t", "_F", "_emax")
 
     def __init__(self, terms=None, emax=14):
-        F = self._F = _scale()
-        self._emax = _fix(emax, F)
+        F = self._F = scale()
+        self._emax = fix(emax, F)
         self._t = {}
         if terms:
             acc = {}
             for (e, j), c in terms.items():
-                key = (_fix(e, F), int(j))
-                acc[key] = acc.get(key, 0) + _fix(c, F)
+                key = (fix(e, F), int(j))
+                acc[key] = acc.get(key, 0) + fix(c, F)
             self._t = {k: c for k, c in acc.items()
                        if c and k[0] <= self._emax}
 
@@ -204,12 +157,12 @@ class AsymSeries:
     def terms(self):
         """{(e, j): c} with exact mpf exponents and coefficients."""
         F = self._F
-        return {(_unfix(e, F), j): _unfix(c, F)
+        return {(to_mpf(e, F), j): to_mpf(c, F)
                 for (e, j), c in self._t.items()}
 
     @property
     def emax(self):
-        return _unfix(self._emax, self._F)
+        return to_mpf(self._emax, self._F)
 
     def _at(self, F):
         """(terms, emax) lifted exactly to a scale F >= self._F."""
@@ -240,7 +193,7 @@ class AsymSeries:
                         del t[(e, j)]
             return AsymSeries._make(t, F, emax)
         t = dict(self._t)
-        c = t.get((0, 0), 0) + _fix(other, self._F)
+        c = t.get((0, 0), 0) + fix(other, self._F)
         if c:
             t[(0, 0)] = c
         else:
@@ -271,7 +224,7 @@ class AsymSeries:
         """This series divided by the positive integer m."""
         t = {}
         for k, c in self._t.items():
-            c = _rdiv(c, m)
+            c = rdiv(c, m)
             if c:
                 t[k] = c
         return AsymSeries._make(t, self._F, self._emax)
@@ -298,15 +251,15 @@ class AsymSeries:
     def min_exponent(self, above=None):
         """The smallest exponent (above ``above``, when given), or emax + 1
         when there is none."""
-        above = None if above is None else _fix(above, self._F)
-        return _unfix(self._min_e(above), self._F)
+        above = None if above is None else fix(above, self._F)
+        return to_mpf(self._min_e(above), self._F)
 
     def coefficient(self, e, j):
-        return _unfix(self._t.get((_fix(e, self._F), j), 0), self._F)
+        return to_mpf(self._t.get((fix(e, self._F), j), 0), self._F)
 
     def drop_term(self, e, j):
         t = dict(self._t)
-        t.pop((_fix(e, self._F), j), None)
+        t.pop((fix(e, self._F), j), None)
         return AsymSeries._make(t, self._F, self._emax)
 
     def __call__(self, n):
@@ -321,23 +274,22 @@ class AsymSeries:
         with mp.workprec(F + 8):
             n = mp.mpf(n)
             ln = mp.log(n)
-            x = _fix(1 / n, F)
+            x = fix(1 / n, F)
             lp = [one]
             for _ in range(max((j for _, j in self._t), default=0)):
-                lp.append(_fix(ln ** len(lp), F))
-            bases = {r: _fix(n ** -_unfix(r, F), F) if r else one
+                lp.append(fix(ln ** len(lp), F))
+            bases = {r: fix(n ** -to_mpf(r, F), F) if r else one
                      for r in {r for r, _ in groups}}
-            n_fix = _fix(n, F)
+            n_fix = fix(n, F)
         total = 0  # at 2^-3F
         for (r, j), poly in groups.items():
             lo = min(0, min(poly))
-            acc = 0
-            for m in range(max(poly), lo - 1, -1):
-                acc = ((acc * x) >> F) + poly.get(m, 0)
+            acc = horner([poly.get(m, 0) for m in range(lo, max(poly) + 1)],
+                         x, F, max(poly) - lo)
             for _ in range(-lo):  # growth terms: times n^(-lo)
                 acc = (acc * n_fix) >> F
             total += acc * bases[r] * lp[j]
-        return mp.mpf(_unfix(total, 3 * F))
+        return to_mpf(total, 3 * F, mp.mp.prec)
 
     def derivative(self):
         """Termwise d/dn."""
@@ -365,7 +317,7 @@ class AsymSeries:
         acc = {}
         for (e, j), c in self._t.items():
             if e == one:
-                terms = [((0, j + 1), _rdiv(c, j + 1))]
+                terms = [((0, j + 1), rdiv(c, j + 1))]
             else:
                 d = one - e  # (1 - e) 2^F
                 sign = 1 if d > 0 else -1
@@ -374,7 +326,7 @@ class AsymSeries:
                 terms = []
                 for i in range(j, -1, -1):
                     # a_i 2^F = C (j!/i!) (-1)^(j-i) 2^(F(j-i+1)) / d^(j-i+1)
-                    terms.append(((e - one, i), _rdiv(num << F, den)))
+                    terms.append(((e - one, i), rdiv(num << F, den)))
                     num, den = -num * i * sign, den * d
                     num <<= F
             for key, v in terms:
@@ -395,7 +347,7 @@ class AsymSeries:
             return self.copy()
         F, emax, t = self._F, self._emax, self._t
         one = 1 << F
-        cf = _fix(c, F)
+        cf = fix(c, F)
         classes = {}  # class -> set of integer parts
         for e, _ in t:
             classes.setdefault(e & (one - 1), set()).add(e >> F)
@@ -441,7 +393,7 @@ def _binomial_row(e, cf, F, emax):
     one = 1 << F
     row = [one] if e <= emax else []
     for i in range((emax - e) // one):
-        row.append(_rdiv(row[-1] * -(e + i * one) * cf, (i + 1) << (2 * F)))
+        row.append(rdiv(row[-1] * -(e + i * one) * cf, (i + 1) << (2 * F)))
     return row
 
 
@@ -451,7 +403,7 @@ def _log_ratio(cf, F, emax):
     one = 1 << F
     t, cp = {}, cf
     for i in range(1, emax // one + 1):
-        v = _rdiv(cp if i % 2 else -cp, i)
+        v = rdiv(cp if i % 2 else -cp, i)
         if v:
             t[(i * one, 0)] = v
         cp = (cp * cf + (1 << (F - 1))) >> F
@@ -460,18 +412,18 @@ def _log_ratio(cf, F, emax):
 
 def power_shift(s, c, emax):
     """(n + c)^(-s) expanded in n: sum_i C(-s, i) c^i n^(-s-i)."""
-    F = _scale()
-    e, top = _fix(s, F), _fix(emax, F)
-    row = _binomial_row(e, _fix(c, F), F, top)
+    F = scale()
+    e, top = fix(s, F), fix(emax, F)
+    row = _binomial_row(e, fix(c, F), F, top)
     return AsymSeries._make({(e + (i << F), 0): b for i, b in enumerate(row)
                              if b}, F, top)
 
 
 def log_shift(c, emax):
     """log(n + c) expanded in n: log n + sum_i (-1)^(i+1) (c/n)^i / i."""
-    F = _scale()
-    top = _fix(emax, F)
-    t = _log_ratio(_fix(c, F), F, top)
+    F = scale()
+    top = fix(emax, F)
+    t = _log_ratio(fix(c, F), F, top)
     t[(0, 1)] = 1 << F
     return AsymSeries._make(t, F, top)
 
@@ -522,7 +474,7 @@ def reciprocal(S):
     F, e0 = S._F, S._min_e()
     if [j for e, j in S._t if e == e0] != [0]:
         raise ValueError("reciprocal needs a log-free leading term")
-    c0 = _unfix(S._t[(e0, 0)], F)
+    c0 = to_mpf(S._t[(e0, 0)], F)
     R = AsymSeries._make({(e - e0, j): c for (e, j), c in S._t.items()
                           if (e, j) != (e0, 0)}, F, S._emax) * (1 / c0)
     inv = inverse_one_plus(R) * (1 / c0)
@@ -557,21 +509,21 @@ def _log_gamma(h, emax):
     on integers 64 bits below the series scale, which covers their
     cancellation, and each coefficient is rounded once to the scale.
     """
-    F = _scale()
+    F = scale()
     G, one = F + 64, 1 << F
     K = int(emax) + 1
-    H = _fix(h, G)
+    H = fix(h, G)
     hp = [1 << G]  # h^i 2^G
     for _ in range(K):
         hp.append((hp[-1] * H + (1 << (G - 1))) >> G)
     bern = _bernoulli_fixed(K, G)
-    t = {(-one, 1): one, (-one, 0): -one, (0, 1): _fix(h, F) - one // 2}
+    t = {(-one, 1): one, (-one, 0): -one, (0, 1): fix(h, F) - one // 2}
     for k in range(2, K + 1):
         b = sum(math.comb(k, i) * bern[i] * hp[k - i] for i in range(k + 1))
-        c = _rdiv(b if k % 2 == 0 else -b, (k * (k - 1)) << (2 * G - F))
+        c = rdiv(b if k % 2 == 0 else -b, (k * (k - 1)) << (2 * G - F))
         if c:
             t[((k - 1) * one, 0)] = c
-    return AsymSeries._make(t, F, _fix(emax, F))
+    return AsymSeries._make(t, F, fix(emax, F))
 
 
 _BERNOULLI_FIXED = {}  # scale G -> [B_i 2^G for i = 0, 1, ...]
@@ -582,7 +534,7 @@ def _bernoulli_fixed(K, G):
     tab = _BERNOULLI_FIXED.setdefault(G, [])
     while len(tab) <= K:
         p, q = mp.bernfrac(len(tab))
-        tab.append(_rdiv(p << G, q))
+        tab.append(rdiv(p << G, q))
     return tab
 
 
@@ -601,7 +553,7 @@ def gamma_ratio(c, d, emax):
         R = AsymSeries._make({k: v for k, v in D._t.items() if k[0] > 0},
                              D._F, D._emax)
         hit = _gamma_ratio_cache[key] = exp_decaying(R)._shifted(
-            _fix(d, R._F) - _fix(c, R._F))
+            fix(d, R._F) - fix(c, R._F))
     return hit
 
 
@@ -784,7 +736,9 @@ def hurwitz_jets(orders, a):
     grow first.  All exponents share the head, log A, the ratios
     c_(k+1)/c_k and the Bernoulli table; each pays one A^(-e).  The head
     is empty unless a is below :func:`_em_base`, which is about
-    0.11 prec + 8 for moderate e.
+    0.11 prec + 8 for moderate e.  The Bernoulli loop runs on integers
+    at its own scales F and G, entered by ``int(mp.ldexp(x, F))``, which
+    rounds toward zero (the ratios c_(k+1)/c_k are negative).
     """
     prec = mp.mp.prec
     jmax = max(orders.values())
@@ -862,10 +816,10 @@ def hurwitz_jets(orders, a):
                     f"Euler-Maclaurin series for zeta({e}, {A}) did not "
                     f"converge in {k_max} terms"
                 )
-            scale = mp.exp(-e * lnA)  # A^(-e)
+            A_e = mp.exp(-e * lnA)  # A^(-e)
             for i in range(J + 1):
-                jet[i] += scale * mp.fsum(
-                    lpA[p] * (L[i - p] + mp.ldexp(Q[i - p], -F))
+                jet[i] += A_e * mp.fsum(
+                    lpA[p] * (L[i - p] + to_mpf(Q[i - p], F))
                     for p in range(i + 1)
                 )
     return {e: [+x for x in jet] for e, jet in jets.items()}
@@ -890,18 +844,18 @@ def tail_sum(series, n_start):
         if e <= one:
             if abs(c) > lim:
                 raise NoConvergence(
-                    f"tail term n^(-{mp.mpf(_unfix(e, F))}) log^{j} with "
-                    f"coefficient {mp.mpf(_unfix(c, F))} diverges"
+                    f"tail term n^(-{to_mpf(e, F, mp.mp.prec)}) log^{j} with "
+                    f"coefficient {to_mpf(c, F, mp.mp.prec)} diverges"
                 )
             continue
         orders[e] = max(orders.get(e, 0), j)
     if not orders:
         return mp.mpf(0)
-    exps = {e: _unfix(e, F) for e in orders}
+    exps = {e: to_mpf(e, F) for e in orders}
     jets = hurwitz_jets({exps[e]: J for e, J in orders.items()}, n_start + 1)
     total = mp.mpf(0)
     for (e, j), c in t.items():
         if e > one:
-            total += _unfix(c, F) * jets[exps[e]][j] * (
+            total += to_mpf(c, F) * jets[exps[e]][j] * (
                 (-1) ** j * math.factorial(j))
     return total

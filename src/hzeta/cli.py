@@ -112,7 +112,7 @@ def _evaluate(args):
         v = se.apery_I(Composition.parse(args.index), args.kk,
                        parse_real(args.alpha), tol)
     elif kind == "apery2":
-        _require(args, ["alpha"])
+        _require(args, ["alpha", "k"])
         star = Composition.parse(args.star_index) if args.star_index else None
         v = se.apery_II(args.k, star, args.m, parse_real(args.alpha), tol)
     elif kind == "apery3":

@@ -16,21 +16,20 @@ M = work_bits // 2 + 24.  The one free constant per level is anchored
 against a direct series evaluation at u = 1/4, which keeps all constants
 numerical and avoids regularised limit values.
 
-Tables are held in fixed point.  A table built at the working precision
-p (``mp.mp.prec``, the work bits inside a :func:`working` block) is one
-row of Python integers per log power j, entry m standing for c_{m,j}
-2^-F with F = p + 64 (``asymptotics.FIXED_GUARD_BITS``); a unit below
-is 2^-F.  The build multiplies by 1/(1 - u^f) with exact prefix sums,
-forms each output of a termwise integration as one exact fraction and
-rounds it once (at most 1/2 unit), and adds the anchor constant, the
+Tables are held in fixed point (:mod:`hzeta.fixed`).  A table built at
+the working precision p is one row of Python integers per log power j,
+entry m standing for c_{m,j} 2^-F at the default scale F = p + 64.  The
+build multiplies by 1/(1 - u^f) with exact prefix sums, forms each
+output of a termwise integration as one exact fraction and rounds it
+once (at most 1/2 unit), and adds the anchor constant, the
 direct value minus the table's own value at u = 1/4, rounded once.  The
 integration carries input errors on with the factors j!/i!/(m+1)^(j-i+1);
 measured against an exact rational build with the same anchors, no
 coefficient of a depth-3 table at 256 or 448 bits is off by more than 4
 units, far below the anchor's own direct-series error of 2^-(p-6).
 
-Evaluation rounds u to U = u 2^F (at most 1/2 unit) and runs Horner's
-rule on each row, acc <- (acc U >> F) + c_{m,j}, one floor per step;
+Evaluation rounds u to U = ``fix(u, F)`` (at most 1/2 unit) and runs
+``fixed.horner`` on each row, one floor per step;
 since u <= 1/4 every earlier error shrinks by u per later step, so a row
 carries at most 4/3 units.  Terms with U^m below one unit are cut: with
 |c_{m,j}| below 6 on those depth-3 tables they add up to less than 8
@@ -53,8 +52,10 @@ from math import factorial
 import mpmath as mp
 
 from . import series_engine
-from .asymptotics import LruCache, _fix, _scale, _unfix
+from .asymptotics import LruCache
 from .compositions import Composition
+from .errors import DomainError
+from .fixed import fix, horner, rdiv, scale, to_mpf
 from .precision import PrecisionConfig, working
 
 # A cold seed-7 verify pass at 256 bits fills 12 entries, its 10 anchored
@@ -64,18 +65,10 @@ ENDPOINT_CACHE_SIZE = 64
 _cache = LruCache(ENDPOINT_CACHE_SIZE)
 
 
-def _horner(row, U, F, degree):
-    """sum_{m <= degree} row[m] (U 2^-F)^m at 2^-F, one floor per step."""
-    acc = row[degree]
-    for m in range(degree - 1, -1, -1):
-        acc = (acc * U >> F) + row[m]
-    return acc
-
-
 def _eval_rows(rows, F, u):
     """sum_j P_j(u) log(u)^j at the working precision, each P_j(u) the
     Horner value of row j on integers."""
-    U = _fix(u, F)
+    U = fix(u, F)
     degree = len(rows[0]) - 1
     b = U.bit_length()
     if b < F:
@@ -84,13 +77,8 @@ def _eval_rows(rows, F, u):
     lu = mp.log(u)
     total = mp.mpf(0)
     for row in reversed(rows):
-        total = total * lu + _unfix(_horner(row, U, F, degree), F)
+        total = total * lu + to_mpf(horner(row, U, F, degree), F)
     return total
-
-
-def _round_div(num, den):
-    """num / den rounded to the nearest integer (den > 0)."""
-    return (2 * num + den) // (2 * den)
 
 
 def _integrate_rows(rows, low, M):
@@ -103,7 +91,7 @@ def _integrate_rows(rows, low, M):
     if low < 0:
         # u^-1 log^j u integrates to log^(j+1) u / (j+1)
         for j, row in enumerate(rows):
-            out[j + 1][0] = _round_div(row[0], j + 1)
+            out[j + 1][0] = rdiv(row[0], j + 1)
     for d in range(1, M + 1):
         col = [row[d - 1 - low] for row in rows]
         # u^(d-1) log^j u integrates to u^d sum_{t <= j} (-1)^(j-t) j!/t!
@@ -111,7 +99,7 @@ def _integrate_rows(rows, low, M):
         for t in range(J + 1):
             num = sum((-1) ** (j - t) * (factorial(j) // factorial(t))
                       * col[j] * d ** (J - j) for j in range(t, J + 1))
-            out[t][d] = _round_div(num, d ** (J - t + 1))
+            out[t][d] = rdiv(num, d ** (J - t + 1))
     return out
 
 
@@ -143,7 +131,7 @@ def _useries(kind, k_parts, M):
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    F = _scale()
+    F = scale()
     if not k_parts:
         out = [[1 << F] + [0] * M]
         _cache[key] = out
@@ -160,21 +148,25 @@ def _useries(kind, k_parts, M):
     u0 = mp.mpf(_ANCHOR_U)
     x0 = 1 - u0 if kind == "mpl" else (1 - u0) / (1 + u0)
     direct = _direct_core(kind, k_parts, x0)
-    E[0][0] += _fix(direct - _eval_rows(E, F, u0), F)
+    E[0][0] += fix(direct - _eval_rows(E, F, u0), F)
     _cache[key] = E
     return E
 
 
 def _endpoint(kind, k):
-    """Evaluator u -> core at the local variable u, accurate for 0 < u <=
-    1/4; it captures the active config and enters it on every call."""
+    """Evaluator u -> core at the local variable u for 0 < u <= 1/4
+    (:class:`DomainError` elsewhere); it captures the active config and
+    enters it on every call."""
     with working() as cfg:
         rows = _useries(kind, Composition(k).parts, cfg.work_bits // 2 + 24)
-        F = _scale()
+        F = scale()
 
     def f(u):
         with working(cfg):
-            return _eval_rows(rows, F, mp.mpf(u))
+            u = mp.mpf(u)
+            if not 0 < u <= 0.25:
+                raise DomainError(f"u must lie in (0, 1/4], got {u}")
+            return _eval_rows(rows, F, u)
 
     return f
 

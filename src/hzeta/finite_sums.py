@@ -14,8 +14,8 @@ for n < depth; the star sum is evaluated literally for n >= 1 (it still
 has terms with repeated indices when 1 <= n < depth) and is 0 at n = 0
 for a nonempty index.
 
-The kernel runs on Python integers in fixed point: an integer X stands
-for X 2^-F, with F = work_bits + sum_j k_j bitlen(|a_j| + r + 1) + 64
+The kernel runs on Python integers in fixed point (:mod:`hzeta.fixed`)
+at its own scale F = work_bits + sum_j k_j bitlen(|a_j| + r + 1) + 64
 (raised where needed so that every shift is exact).  The middle term
 bounds the first nonzero inner sum from below, so it already carries
 work_bits + 64 bits.  Each slot of each step rounds once, by a floor
@@ -24,7 +24,7 @@ units of 2^-F, far below the working precision for any reachable n.
 The innermost multiplier is an integer at 2^-F as well: the binomial jet
 of :func:`_binomials` runs its recurrence on integers, one floor division
 per jet entry and step, so no step of the kernel touches an mpf.  Values
-become mpf only where they leave the kernel.
+become mpf only where they leave the kernel, through ``fixed.to_mpf``.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from itertools import islice
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .compositions import Composition
-from .errors import DimensionMismatch, DomainError, PoleError
-from .precision import PrecisionConfig, working
+from .errors import DimensionMismatch, PoleError
+from .fixed import GUARD_BITS, dyadic, to_mpf
+from .precision import PrecisionConfig, finite_real, working
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -55,10 +55,7 @@ class ShiftVector:
     def __init__(self, shifts: Sequence | "ShiftVector"):
         if isinstance(shifts, ShiftVector):
             shifts = shifts.shifts
-        shifts = tuple(mp.mpf(s) for s in shifts)
-        for s in shifts:
-            if not mp.isfinite(s):
-                raise DomainError(f"shift {s} is not finite")
+        shifts = tuple(finite_real("shift", s) for s in shifts)
         object.__setattr__(self, "shifts", shifts)
 
     @classmethod
@@ -118,22 +115,7 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
     with working(prec) as cfg:
         bits = cfg.work_bits
         F, raw = _fixed_stream(k, a, star, bits, binomial)
-    return ((m, _to_mpf(s, F, bits)) for m, s in enumerate(raw, 1))
-
-
-def _to_mpf(s, F, bits):
-    """s 2^-F as an mpf of ``bits`` bits, whatever precision is active."""
-    return mp.make_mpf(from_man_exp(s, -F, bits, round_nearest))
-
-
-def _dyadic(x):
-    """(e, B) with the mpf x = B 2^-e exactly and e >= 0 as small as
-    possible (mpf mantissas are odd)."""
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise ValueError(f"{x} has no fixed-point value")
-    B = -man if sign else man
-    return (0, B << exp) if exp >= 0 else (-exp, B)
+    return ((m, to_mpf(s, F, bits)) for m, s in enumerate(raw, 1))
 
 
 def _fixed_stream(k, a, star, bits, binomial=None):
@@ -151,14 +133,14 @@ def _fixed_stream(k, a, star, bits, binomial=None):
     """
     a = [mp.mpf(x) for x in a]
     r = len(k)
-    F = bits + 64 + sum(kj * (int(abs(x)) + r + 1).bit_length()
-                        for kj, x in zip(k, a))
-    F = max([F] + [-x._mpf_[2] for x in a])
+    F = bits + GUARD_BITS + sum(kj * (int(abs(x)) + r + 1).bit_length()
+                                for kj, x in zip(k, a))
+    F = max([F] + [dyadic(x)[0] for x in a])
     slots = []
     for j in range(r - 1, -1, -1) if star else range(r):
         # the power of two cancels, so a shift with e fractional bits
         # divides by an (e + log2 m)-bit integer
-        e, B = _dyadic(a[j])
+        e, B = dyadic(a[j])
         slots.append((j, k[j], k[j] * e, e, B - (1 << e)))
     jet = None if binomial is None else _binomials(*binomial, F)
     return F, _steps(slots, r, F, jet)
@@ -194,7 +176,7 @@ def _binomials(alpha, order, F):
     step plus the earlier errors carried by the factors; a factor that is
     exactly 0 makes every later value exactly 0.
     """
-    e, B = _dyadic(mp.mpf(alpha))
+    e, B = dyadic(mp.mpf(alpha))
     B -= 1 << e
     d = [1 << F] + [0] * order
     m = 1
@@ -225,7 +207,7 @@ def _nth(k, a, star, n):
         return mp.mpf(0)
     bits = mp.mp.prec  # the work bits of the caller's block
     F, raw = _fixed_stream(k.parts, a.shifts, star, bits)
-    return _to_mpf(next(islice(raw, n - 1, None)), F, bits)
+    return to_mpf(next(islice(raw, n - 1, None)), F, bits)
 
 
 def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:

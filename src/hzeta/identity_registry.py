@@ -40,7 +40,8 @@ from .errors import (
     ToleranceNotReached,
     UnknownIdentity,
 )
-from .finite_sums import ShiftVector, _to_mpf, mhss
+from .finite_sums import ShiftVector, mhss
+from .fixed import to_mpf
 from .precision import PrecisionConfig, parse_real, parse_tol, working
 from .series_engine import ValueWithBound, term_spec, weighted_sum
 
@@ -282,7 +283,7 @@ def _series_in_x(spec, x, tol, extra=0) -> ValueWithBound:
         while True:
             n += 1
             xn *= x
-            t = _to_mpf(state.step(n), state.H, cfg.work_bits) * xn
+            t = to_mpf(state.step(n), state.H, cfg.work_bits) * xn
             total += t
             if n >= 40 and n % 8 == 0 or n >= cap:
                 tail = abs(t) * 2 * x / (1 - x)

@@ -66,6 +66,15 @@ def working(prec: PrecisionConfig | None = None):
         _active.reset(token)
 
 
+def finite_real(name: str, x) -> mp.mpf:
+    """``x`` as an mpf at the current precision; :class:`DomainError`,
+    naming the parameter ``name``, unless it is finite."""
+    x = mp.mpf(x)
+    if not mp.isfinite(x):
+        raise DomainError(f"{name} {x} is not finite")
+    return x
+
+
 def parse_real(x) -> mp.mpf:
     """``x`` as an mpf at the current precision; strings may be fractions
     such as "1/3".  A fraction with a zero denominator or more than one

@@ -24,9 +24,9 @@ sums them exactly up to a crossover index, and replaces the tail by an
 anchored asymptotic expansion summed in closed form, with the budgets of
 :class:`TailStrategy`.
 
-The exact head runs on Python integers in fixed point: a term is an
-integer at 2^-H, H = work_bits + 64 (the guard bits of
-:mod:`asymptotics`), formed by :class:`_SpecState` from the nested-sum
+The exact head runs on Python integers in fixed point
+(:mod:`hzeta.fixed`): a term is an integer at the default scale 2^-H,
+H = work_bits + 64, formed by :class:`_SpecState` from the nested-sum
 kernel's integers, the integer binomial jets of
 :func:`finite_sums._binomials` and exact divisions by (n + c)^m.  Each of
 its factors rounds once, by a floor, so a term is off by a few units of
@@ -66,15 +66,9 @@ from .errors import (
     PoleError,
     ToleranceNotReached,
 )
-from .finite_sums import (
-    ShiftVector,
-    _binomials,
-    _coerce,
-    _dyadic,
-    _fixed_stream,
-    _to_mpf,
-)
-from .precision import PrecisionConfig, parse_tol, working
+from .finite_sums import ShiftVector, _binomials, _coerce, _fixed_stream
+from .fixed import GUARD_BITS, dyadic, scale, to_mpf
+from .precision import PrecisionConfig, finite_real, parse_tol, working
 
 
 @dataclass(frozen=True)
@@ -258,8 +252,8 @@ def term_spec(
 
 class _SpecState:
     """Incremental evaluator of one TermSpec along n = 1, 2, ..., on
-    integers at 2^-H with H = work_bits + 64 (the guard bits of
-    :mod:`asymptotics`), resolved from the working precision when the
+    integers at 2^-H with H = work_bits + 64, the default scale of
+    :mod:`hzeta.fixed`, resolved from the working precision when the
     state is built; each :meth:`step` costs O(total depth).
 
     :meth:`step` returns the term as an integer at 2^-H.  The prefix sums
@@ -280,7 +274,7 @@ class _SpecState:
     def __init__(self, spec: TermSpec):
         self.spec = spec
         bits = mp.mp.prec  # the work bits of the caller's block
-        H = self.H = bits + asym.FIXED_GUARD_BITS
+        H = self.H = scale()
         self.strict = self.star = None
         if spec.strict_index is not None:
             self.strict = _fixed_stream(
@@ -299,9 +293,10 @@ class _SpecState:
                       for b in spec.binom_lower]
         self.powers = []
         for c, m in spec.powers:
-            e, B = _dyadic(c)  # (n + c) 2^e = n 2^e + B
+            e, B = dyadic(c)  # (n + c) 2^e = n 2^e + B
             self.powers.append((c, m, m * e, e, B))
-        self.coeff = spec.coeff._mpf_[:3]
+        e, B = dyadic(spec.coeff)
+        self.coeff = (B < 0, abs(B), e)
 
     def step(self, n: int) -> int:
         spec = self.spec
@@ -324,15 +319,14 @@ class _SpecState:
             if not w:
                 raise PoleError(f"binomial C(n - {b}, n) vanishes at n = {n}")
             t = (t << H) // w
-        sign, man, exp = self.coeff
+        sign, man, shift = self.coeff
         if t and man:
             for c, m, me, e, B in self.powers:
                 d = (n << e) + B
                 if not d:
                     raise PoleError(f"denominator n + {c} vanishes at n = {n}")
                 t = (t << me) // (d if m == 1 else d ** m)
-        mag = abs(t) * man
-        mag = mag << exp if exp >= 0 else mag >> -exp
+        mag = abs(t) * man >> shift
         return -mag if (t < 0) != sign else mag
 
 
@@ -401,7 +395,7 @@ def _em_sum(specs, tol, strategy: TailStrategy):
                     t += st.step(n)
                 t2, t1, t0 = t1, t0, t
                 head += t
-            head_v, v0, v1, v2 = (_to_mpf(x, H, bits)
+            head_v, v0, v1, v2 = (to_mpf(x, H, bits)
                                   for x in (head, t0, t1, t2))
             tail = tail_sum(series, N)
             e0 = min(series.min_exponent(above=1), series.emax)
@@ -535,8 +529,9 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy,
     The loop runs on the kernel's integers (at 2^-F): x^d(m) and the total
     are integers at 2^-G, with G such that the first nonzero term keeps
     work_bits + 64 bits (a tiny x keeps its relative accuracy) and x^d(m)
-    64 bits where the envelope meets ``tol``; they become mpf only at the
-    envelope check.  After n terms the positive total is off by at most
+    ``GUARD_BITS`` bits where the envelope meets ``tol``; they enter by
+    ``libmp.to_fixed``, which rounds toward zero, and become mpf only at
+    the envelope check.  After n terms the positive total is off by at most
     n (4 + 2 / (1 - x^frame)) units of 2^-G plus n r units of 2^-F per
     term, so below 2^-(work_bits + 64) of it times those counts, which the
     floor 2^(12 - work_bits) (|value| + 1) of the claim covers.
@@ -559,7 +554,7 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy,
         F, inner = _fixed_stream(tail.parts, shifts.shifts, False, bits)
         d0 = frame * (1 if r == 1 else r) - c  # d(m) of the first nonzero term
         G = max(F + k1 * d0.bit_length() + d0 * (1 - mp.mag(x)),
-                64 - mp.mag(tol))
+                GUARD_BITS - mp.mag(tol))
         xf = x ** frame
         # x^frame, and x^d(m) at m = 1
         XF, X = (to_fixed(y._mpf_, G) for y in (xf, x ** (frame - c)))
@@ -573,14 +568,14 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy,
             P = next(inner)
             X = X * XF >> G
             if m % 16 == 0 or m <= 32 or m >= strategy.N_max:
-                xp = _to_mpf(X, G, bits)
+                xp = to_mpf(X, G, bits)
                 d1 = mp.mpf(max(frame * (m + 1) - c, 1))
                 env = (env_scale * xp
                        * (2 + 2 * mp.log(frame * (m + 1))) ** (r - 1)
                        / d1 ** k1)
                 q = xf * mp.exp(mp.mpf(r - 1) / m)
                 bound = env / (1 - q) if q < 1 else mp.inf  # env (1 + q + ...)
-                value = _to_mpf(T, G - scale_exp, bits)
+                value = to_mpf(T, G - scale_exp, bits)
                 if bound <= tol:
                     fl = mp.ldexp(abs(value) + 1, -bits + 12)
                     return ValueWithBound(value, bound + fl, True)
@@ -676,7 +671,7 @@ def apery_I(k, kk: int, alpha, tol=None, strategy=None,
     if kk < 0:
         raise DomainError("kk must be >= 0")
     with working(prec):
-        alpha = mp.mpf(alpha)
+        alpha = finite_real("alpha", alpha)
         if alpha >= 1:
             raise DomainError(f"alpha must be < 1, got {alpha}")
         spec = term_spec(
@@ -697,7 +692,7 @@ def apery_II(k_head: int, star_tail, m: int, alpha, tol=None, strategy=None,
         raise DomainError("need k_head >= 0 and m >= 1")
     star_tail = Composition(star_tail if star_tail is not None else ())
     with working(prec):
-        alpha = mp.mpf(alpha)
+        alpha = finite_real("alpha", alpha)
         if alpha >= 1 or (alpha <= 0 and alpha == mp.floor(alpha)):
             raise DomainError(f"alpha must be < 1 and not a nonpositive "
                               f"integer, got {alpha}")
@@ -720,8 +715,7 @@ def apery_III(k, l, m: int, alpha, beta, tol=None, strategy=None,
     k = Composition(k if k is not None else ())
     l = Composition(l if l is not None else ())
     with working(prec):
-        alpha = mp.mpf(alpha)
-        beta = mp.mpf(beta)
+        alpha, beta = finite_real("alpha", alpha), finite_real("beta", beta)
         if alpha >= 1 or beta >= 1:
             raise DomainError("alpha and beta must be < 1")
         if alpha <= 0 and alpha == mp.floor(alpha):
@@ -745,8 +739,7 @@ def param_euler_sum(m: int, a, b, tol=None, strategy=None,
     if m < 0:
         raise DomainError("m must be >= 0")
     with working(prec):
-        a = mp.mpf(a)
-        b = mp.mpf(b)
+        a, b = finite_real("a", a), finite_real("b", b)
         for c in (a, b):
             if c <= -1 and c == mp.floor(c):
                 raise DomainError(f"offset {c} puts a pole on the index set")
@@ -761,7 +754,7 @@ def param_euler_pow(m: int, k: int, alpha, tol=None, strategy=None,
     if m < 0 or k < 1:
         raise DomainError("need m >= 0 and k >= 1")
     with working(prec):
-        alpha = mp.mpf(alpha)
+        alpha = finite_real("alpha", alpha)
         if alpha <= -1 and alpha == mp.floor(alpha):
             raise DomainError(f"offset {alpha} puts a pole on the index set")
         spec = term_spec(strict=ones(m), strict_prev=True,
@@ -846,8 +839,7 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None) -> ValueWithBound:
         raise DomainError("needs a nonempty index")
     r = k.depth()
     with working():
-        alpha = mp.mpf(alpha)
-        shift = mp.mpf(shift)
+        alpha, shift = finite_real("alpha", alpha), finite_real("shift", shift)
         if shift <= 0:
             raise DomainError(f"shift must be positive, got {shift}")
         if r >= 2 and k[0] < 2:

@@ -54,6 +54,15 @@ class TestEval:
         assert code == 3
         assert "--index" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("apery2", "--alpha", "0.3"), "--k"),
+        (("euler-sum", "--m", "1", "--a", "nan"), "a nan is not finite"),
+    ], ids=["apery2-without-k", "euler-sum-nan-offset"])
+    def test_bad_arguments_usage_error(self, capsys, argv, flag):
+        code, _, err = run_cli(capsys, "eval", *argv)
+        assert code == 3
+        assert flag in err
+
     def test_domain_error_exit(self, capsys):
         # non-admissible head entry
         code, _, err = run_cli(capsys, "eval", "htmzv", "--index", "1,2")

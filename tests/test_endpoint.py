@@ -3,9 +3,10 @@ import pytest
 from mpmath.libmp import from_man_exp
 
 from hzeta import endpoint
-from hzeta.asymptotics import FIXED_GUARD_BITS
 from hzeta.compositions import Composition
 from hzeta.endpoint import kta_endpoint, mpl_endpoint
+from hzeta.errors import DomainError
+from hzeta.fixed import GUARD_BITS
 from hzeta.precision import PrecisionConfig, working
 from hzeta.series_engine import kta, mpl
 from mpf_reference import mpf_useries
@@ -58,12 +59,27 @@ def test_kta_endpoint_tiny_u():
     assert abs(f(mp.mpf("1e-25")) - mp.pi ** 2 / 4) < mp.mpf(10) ** -22
 
 
+@pytest.mark.parametrize("u", [0, "-0.1", "0.5"])
+def test_endpoint_rejects_u_outside_its_interval(u):
+    # the series holds on 0 < u <= 1/4 only: log u diverges at 0 and is
+    # complex below it
+    f = mpl_endpoint((2,), PREC)
+    with pytest.raises(DomainError):
+        f(u)
+
+
+@pytest.mark.parametrize("u", ["0.25", mp.ldexp(1, -320)])
+def test_endpoint_accepts_u_at_its_interval_ends(u):
+    v = mpl_endpoint((2,), PREC)(u)
+    assert isinstance(v, mp.mpf) and 0 < v < 2
+
+
 def _table(kind, k, prec):
     """The rows of the cached table and their scale F."""
     with working(prec) as cfg:
         rows = endpoint._useries(kind, Composition(k).parts,
                                  cfg.work_bits // 2 + 24)
-        return rows, mp.mp.prec + FIXED_GUARD_BITS
+        return rows, mp.mp.prec + GUARD_BITS
 
 
 @pytest.mark.parametrize("bits", [160, 256, 448])

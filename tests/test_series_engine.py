@@ -324,6 +324,25 @@ class TestEulerSums:
         assert close(v, mp.zeta(3))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: param_euler_sum(1, "inf", 0), "a"),
+    (lambda: param_euler_sum(1, 0, "-inf"), "b"),
+    (lambda: param_euler_pow(1, 1, "nan"), "alpha"),
+    (lambda: htmzv_pbc("nan", (2, 1), "0.5"), "alpha"),
+    (lambda: htmzv_pbc("-inf", (2, 1), "0.5"), "alpha"),
+    (lambda: htmzv_pbc("0.3", (2, 1), "inf"), "shift"),
+    (lambda: apery_I((1,), 0, "-inf"), "alpha"),
+    (lambda: apery_II(1, None, 1, "nan"), "alpha"),
+    (lambda: apery_III((1,), None, 1, "0.3", "nan"), "beta"),
+], ids=["sum-a-inf", "sum-b-minus-inf", "pow-alpha-nan", "pbc-alpha-nan",
+        "pbc-alpha-minus-inf", "pbc-shift-inf", "apery1-alpha-minus-inf",
+        "apery2-alpha-nan", "apery3-beta-nan"])
+def test_non_finite_parameter_is_a_domain_error(call, name):
+    # the fixed-point layer cannot hold them; the error names the parameter
+    with pytest.raises(DomainError, match=rf"^{name} [-+]?(inf|nan) is not"):
+        call()
+
+
 class TestArakawaKaneko:
     def test_xi_1(self):
         # xi(1; k) is the plain zeta value of the raised dual

@@ -1,9 +1,11 @@
-"""Check that two source trees give the same eval-em values and claims.
+"""Check that two source trees give the same eval-em and eval-direct
+values and claims.
 
 Usage: python tools/same_values.py OTHER_TREE
 
-Runs the requests of ``perfbench/workloads.make_pass("eval-em", c, 0)``
-for the candidates c = 0-15 in both trees, one fresh process per tree and
+Runs the requests of ``perfbench/workloads.make_pass(w, c, 0)`` for both
+workloads w = eval-em and eval-direct and the candidates c = 0-15 in both
+trees (1,536 requests each), one fresh process per tree, workload and
 candidate, two processes at a time.  The request lists come from this
 tree's ``perfbench/workloads.py`` for both trees; each tree's ``src`` is
 imported for the evaluation.  Values and claimed errors travel as exact
@@ -26,6 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("eval-em", "eval-direct")
 CANDIDATES = range(16)
 CLAIM_RATIO = Fraction(101, 100)
 
@@ -36,14 +39,14 @@ def _signed(x):
     return [-man if sign else man, exp]
 
 
-def child(tree: str, candidate: int):
+def child(tree: str, workload: str, candidate: int):
     """Evaluate one candidate's requests with ``tree``'s hzeta; print one
     JSON line per request."""
     sys.path[:0] = [str(Path(tree) / "src"), str(HERE / "perfbench")]
     import hzeta
     import workloads
 
-    for req in workloads.make_pass("eval-em", candidate, 0):
+    for req in workloads.make_pass(workload, candidate, 0):
         try:
             value, err = workloads.execute(hzeta, req)
             out = {"value": _signed(value),
@@ -53,11 +56,13 @@ def child(tree: str, candidate: int):
         print(json.dumps(out), flush=True)
 
 
-def run(tree: Path, candidate: int):
-    cmd = [sys.executable, __file__, "--child", str(tree), str(candidate)]
+def run(tree: Path, workload: str, candidate: int):
+    cmd = [sys.executable, __file__, "--child", str(tree), workload,
+           str(candidate)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode:
-        raise RuntimeError(f"{tree} candidate {candidate}: {proc.stderr}")
+        raise RuntimeError(f"{tree} {workload} candidate {candidate}: "
+                           f"{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
@@ -67,8 +72,8 @@ def _exact(pair):
 
 
 def main(argv) -> int:
-    if len(argv) == 3 and argv[0] == "--child":
-        child(argv[1], int(argv[2]))
+    if len(argv) == 4 and argv[0] == "--child":
+        child(argv[1], argv[2], int(argv[3]))
         return 0
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -77,14 +82,15 @@ def main(argv) -> int:
     import workloads
 
     other = Path(argv[0]).resolve()
-    jobs = [(tree, c) for c in CANDIDATES for tree in (HERE, other)]
+    cases = [(w, c) for w in WORKLOADS for c in CANDIDATES]
+    jobs = [(tree, w, c) for w, c in cases for tree in (HERE, other)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda job: run(*job), jobs))
     worst_value, worst_claim, broken = Fraction(0), Fraction(1), []
-    for i, c in enumerate(CANDIDATES):
-        reqs = workloads.make_pass("eval-em", c, 0)
+    for i, (w, c) in enumerate(cases):
+        reqs = workloads.make_pass(w, c, 0)
         for req, a, b in zip(reqs, results[2 * i], results[2 * i + 1]):
-            where = f"candidate {c}: {workloads.key(req)}"
+            where = f"{w} candidate {c}: {workloads.key(req)}"
             if "error" in a or "error" in b:
                 if a != b:
                     broken.append(f"{where}: {a} here, {b} in {other}")
