@@ -1,9 +1,9 @@
-"""Endpoint expansions of polylogarithm cores near x = 1.
+"""Endpoint expansions of polylogarithm cores near x = 1, with a claimed error.
 
-Direct series for Li_k(x) and the A-function A(k; x) converge too slowly
-near the right endpoint for quadrature nodes that sit exponentially
-close to 1.  Both satisfy first-order recursions in the local variable
-(u = 1 - x for Li, u = (1-x)/(1+x) for A):
+Direct series for Li_k(x) and the A-function A(k; x) cost about
+1/(1 - x) terms, which is too slow near the right endpoint.  Both cores
+satisfy first-order recursions in the local variable (u = 1 - x for Li,
+u = (1-x)/(1+x) for A):
 
     d/du Li_(1, rest)(1-u)       = -Li_rest(1-u) / u
     d/du Li_(k1, rest)(1-u)      = -Li_(k1-1, rest)(1-u) / (1-u)
@@ -12,62 +12,137 @@ close to 1.  Both satisfy first-order recursions in the local variable
 
 so each core is a finite combination sum c_{m,j} u^m log(u)^j whose
 coefficients follow by termwise integration, truncated at the degree
-M = work_bits // 2 + 24.  The one free constant per level is anchored
-against a direct series evaluation at u = 1/4, which keeps all constants
-numerical and avoids regularised limit values.
+M = p // 2 + 24 of the table's precision p.  The one free constant per
+level is anchored against the direct series at the domain edge
+u0 = ``EDGE`` = 1/4, which keeps all constants numerical and avoids
+regularised limit values.  Every table serves 0 < u <= 1/4.
 
-Tables are held in fixed point (:mod:`hzeta.fixed`).  A table built at
-the working precision p is one row of Python integers per log power j,
-entry m standing for c_{m,j} 2^-F at the default scale F = p + 64.  The
-build multiplies by 1/(1 - u^f) with exact prefix sums, forms each
+Two callers.  :mod:`hzeta.quadrature` evaluates the tables at the full
+working precision through :func:`mpl_endpoint` and :func:`kta_endpoint`.
+``series_engine.mpl`` and ``kta`` send every request whose u is at most
+1/4 to :func:`evaluate`, which builds the table at the precision the
+tolerance needs, p = min(work bits, -log2 tol + guard) rounded up to a
+multiple of 32 so that nearby tolerances share tables; the guard covers
+the claim's factor 3r + 2 and the core's size |log u|^r / r! (depth r)
+with 8 bits to spare.  A claim above tol repeats the evaluation once at
+the work bits.  The precision depends on the request only, and a table
+on its index and precision only, so one request always gives the same
+bits, whatever the cache holds.
+
+Anchors.  :func:`_direct_core` runs one direct pass at x0 = x(1/4) (3/4
+for Li, 3/5 for A, both exact rationals) for every missing level of a
+chain: the levels (j, k_(i+1), ..., k_r) share the inner sums of one
+nested-sum stream (:func:`finite_sums._steps`) at the default scale F.
+Each level stops at its own N, where the log-majorant of its tail
+(:func:`_cut`) drops below 2^-(p + 8), so its value does not depend on
+which chain asked for it.
+
+Tables are held in fixed point (:mod:`hzeta.fixed`): one row of Python
+integers per log power j, entry m standing for c_{m,j} 2^-F at F = p + 64.
+The build multiplies by 1/(1 - u^f) with exact prefix sums, forms each
 output of a termwise integration as one exact fraction and rounds it
-once (at most 1/2 unit), and adds the anchor constant, the
-direct value minus the table's own value at u = 1/4, rounded once.  The
-integration carries input errors on with the factors j!/i!/(m+1)^(j-i+1);
-measured against an exact rational build with the same anchors, no
-coefficient of a depth-3 table at 256 or 448 bits is off by more than 4
-units, far below the anchor's own direct-series error of 2^-(p-6).
+once (at most 1/2 unit), and adds the anchor constant, the direct value
+minus the table's own value at u0, rounded once.
 
-Evaluation rounds u to U = ``fix(u, F)`` (at most 1/2 unit) and runs
-``fixed.horner`` on each row, one floor per step;
-since u <= 1/4 every earlier error shrinks by u per later step, so a row
-carries at most 4/3 units.  Terms with U^m below one unit are cut: with
-|c_{m,j}| below 6 on those depth-3 tables they add up to less than 8
-units.  Each row then becomes an exact mpf P_j, and the value is
-sum_j P_j log(u)^j by Horner's rule in log u at p bits, whose roundings
-dominate: against the per-term mpf sum of the same table 128 bits
-higher, the relative error is at most 2^-(p-5).  mp.log(u) is the one
-transcendental call.  An absolute error of a few dozen units times
-sum_j |log u|^j is also a relative one, because no core comes near 0:
-every core has positive coefficients in x and so increases with x, and
-on 0 < u <= 1/4 it is at least its value at u = 1/4.  Over the indices
-of the verify suite's integrals (suite seeds 0-15) the smallest is
-Li_(2,1,1)(3/4) = 0.0850; the smallest A-core is A((2,1); 3/5) = 0.413.
+The claim.  Write L = log(u0/u) >= 0.  Each table carries a polynomial
+err with |table - core| <= sum_i err[i] L^i on (0, 1/4]:
+
+* anchor: the direct tail bound of its level plus the pass's rounding;
+* a k1 = 1 level integrates its child's error against 1/u, which turns
+  L^i into L^(i+1)/(i+1), so a child error grows by at most log(u0/u),
+  and the re-anchoring puts no error of the child's at u0;
+* a k1 > 1 level integrates against f/(1 - u^f) <= f/(1 - u0^f), and
+  int_0^u0 L^i = u0 i!, so the child's error becomes a constant; the
+  prefix sums past degree M - 1 that the truncation drops are at most
+  f A_j u^M |log u|^j / (1 - u) with A_j the child's absolute row sums,
+  which integrates in closed form (:func:`_tail_integral`);
+* its own roundings: 1/2 unit per coefficient on both sides of the
+  anchor, the anchor's own rounding and the Horner floors at u0, at most
+  4 units times sum_j |log u|^j.
+
+An evaluation adds per row j: one unit of u (u and U round within it)
+times sup |P_j'| <= 16/9 max_m |c_{m,j}|, 4/3 units of Horner floors (u
+<= 1/4 shrinks every earlier error by u per step) and 4/3 max_m
+|c_{m,j}| units for the terms below one unit that Horner's rule skips,
+and last the Horner rule in log u at p bits, at most (3r + 2) 2^-p sum_j
+|P_j| |log u|^j.  The claim is not rigorous: the bound arithmetic runs
+in round-to-nearest mpf and floats, and the unit counts are argued
+rather than proven.
 """
 
 from __future__ import annotations
 
-from math import factorial
+import math
+from dataclasses import dataclass
+from itertools import zip_longest
+from math import comb, factorial
 
 import mpmath as mp
 
-from . import series_engine
 from .asymptotics import LruCache
 from .compositions import Composition
 from .errors import DomainError
+from .finite_sums import _slots, _steps
 from .fixed import fix, horner, rdiv, scale, to_mpf
 from .precision import PrecisionConfig, working
 
-# A cold seed-7 verify pass at 256 bits fills 12 entries, its 10 anchored
-# builds and the two empty indices, about 80 KB of integers, and evicts
-# none (suite seeds 0-15 together fill 15).
+# The domain edge: every table serves 0 < u <= EDGE and is anchored there.
+EDGE = mp.mpf(0.25)
+
+# x0^frame as an exact ratio, x0 the anchor point x(EDGE)
+_RATIO = {"mpl": (3, 4), "kta": (9, 25)}
+
+# anchors are cut ANCHOR_BITS below the table's precision
+ANCHOR_BITS = 8
+
+# A cold seed-7 verify pass at 256 bits fills 12 entries (suite seeds 0-15
+# together 15); the 24 routed index layouts of the eval-direct passes fill
+# 37 at their tolerance-sized 128 bits, about 0.7 MB of integers.
 ENDPOINT_CACHE_SIZE = 64
 _cache = LruCache(ENDPOINT_CACHE_SIZE)
 
 
+@dataclass(frozen=True)
+class _Table:
+    """rows[j][m] = c_{m,j} at 2^-F; ``err`` and ``claim`` are polynomials
+    in L = log(u0/u): the table's error and that plus an evaluation's
+    units (module docstring)."""
+
+    rows: list
+    err: list
+    claim: list
+
+
+def _poly_at(c, L):
+    total = mp.mpf(0)
+    for a in reversed(c):
+        total = total * L + a
+    return total
+
+
+def _poly_add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _units_poly(w, F):
+    """2^-F sum_j w[j] |log u|^j as a polynomial in L = |log u| - log 4."""
+    lam = [mp.log(4) ** i for i in range(len(w))]
+    return [mp.ldexp(mp.fsum(w[j] * comb(j, i) * lam[j - i]
+                             for j in range(i, len(w))), -F)
+            for i in range(len(w))]
+
+
+def _tail_integral(M, j):
+    """int_0^u0 s^M |log s|^j ds in closed form."""
+    lam = mp.log(4)
+    return EDGE ** (M + 1) * mp.fsum(
+        mp.mpf(factorial(j) // factorial(t)) * lam ** t / (M + 1) ** (j - t + 1)
+        for t in range(j + 1))
+
+
 def _eval_rows(rows, F, u):
-    """sum_j P_j(u) log(u)^j at the working precision, each P_j(u) the
-    Horner value of row j on integers."""
+    """(sum_j P_j(u) log(u)^j, sum_j |P_j(u)| |log u|^j) at the working
+    precision, each P_j(u) the Horner value of row j on integers."""
     U = fix(u, F)
     degree = len(rows[0]) - 1
     b = U.bit_length()
@@ -75,10 +150,13 @@ def _eval_rows(rows, F, u):
         # (U 2^-F)^m < 2^(m (b - F)) drops below one unit past F/(F - b)
         degree = min(degree, F // (F - b))
     lu = mp.log(u)
-    total = mp.mpf(0)
+    alu = abs(lu)
+    total = size = mp.mpf(0)
     for row in reversed(rows):
-        total = total * lu + to_mpf(horner(row, U, F, degree), F)
-    return total
+        P = to_mpf(horner(row, U, F, degree), F)
+        total = total * lu + P
+        size = size * alu + abs(P)
+    return total, size
 
 
 def _integrate_rows(rows, low, M):
@@ -93,13 +171,14 @@ def _integrate_rows(rows, low, M):
         for j, row in enumerate(rows):
             out[j + 1][0] = rdiv(row[0], j + 1)
     for d in range(1, M + 1):
-        col = [row[d - 1 - low] for row in rows]
         # u^(d-1) log^j u integrates to u^d sum_{t <= j} (-1)^(j-t) j!/t!
-        # log^t u / d^(j-t+1); over the denominator d^(J-t+1)
-        for t in range(J + 1):
-            num = sum((-1) ** (j - t) * (factorial(j) // factorial(t))
-                      * col[j] * d ** (J - j) for j in range(t, J + 1))
-            out[t][d] = rdiv(num, d ** (J - t + 1))
+        # log^t u / d^(j-t+1), so the log^t coefficient a_t of the column
+        # is c_t / d - (t + 1) a_(t+1) / d; n = a_t d^(J-t+1) is exact
+        n, p = 0, 1
+        for t in range(J, -1, -1):
+            n = rows[t][d - 1 - low] * p - (t + 1) * n
+            p *= d
+            out[t][d] = rdiv(n, p)
     return out
 
 
@@ -115,42 +194,174 @@ def _mul_geom(rows, step):
     return out
 
 
-def _direct_core(kind, k_parts, x):
-    """Direct series value of the core at an interior anchor point."""
-    tol = mp.ldexp(1, -mp.mp.prec + 6)
-    return getattr(series_engine, kind)(Composition(k_parts), x, tol).value
+def _cut(kind, depth, j, target):
+    """(N, bound): the first N at which the log-majorant of the direct
+    tail past N of a depth-``depth`` level with leading exponent ``j`` at
+    x0 is at most 2^-target, and that majorant.
+
+    An inner sum is at most (1 + log m)^(r-1) / (r-1)! (A's denominators
+    are at least their index) and the outer denominator at least m^j, so a
+    term is at most c q^m (1 + log m)^(r-1) / ((r-1)! m^j), q = x0^frame,
+    c = 1 for Li and (2/x0)^r for A; consecutive ratios past N are at most
+    rho = q e^((r-1)/(N+1)).  The majorant decreases in N once rho <=
+    q^(3/4), so a bisection finds N; floats carry its base-2 logarithm.
+    """
+    q = _RATIO[kind][0] / _RATIO[kind][1]
+    c = 0.0 if kind == "mpl" else depth * math.log2(10 / 3)
+    lf = math.log2(factorial(depth - 1))
+
+    def lg(N):
+        n = N + 1
+        rho = q * math.exp((depth - 1) / n)
+        return (c + n * math.log2(q) + (depth - 1) * math.log2(1 + math.log(n))
+                - lf - j * math.log2(n) - math.log2(1 - rho))
+
+    lo = max(depth, math.ceil(4 * (depth - 1) / -math.log(q)))
+    hi = lo
+    while lg(hi) > -target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if lg(mid) <= -target else (mid + 1, hi)
+    return lo, mp.mpf(2) ** lg(lo)
 
 
-_ANCHOR_U = "0.25"
+def _direct_core(kind, parts, levels):
+    """{level: (value at 2^-F, claimed error)}: the direct values at x0 of
+    the ``levels``, each (j,) + parts[i+1:], from one pass of the direct
+    series of ``parts`` at the working precision.
 
-
-def _useries(kind, k_parts, M):
-    """Rows of the u-expansion at 2^-F (module docstring), cached per
-    working precision."""
-    key = (kind, k_parts, M, mp.mp.prec)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    Level (j,) + parts[i+1:] of depth r' sums x^d(m) d(m)^(-j) times the
+    stream's inner sum S[i] at m - 1, d(m) = m for Li and 2 m - r' for A
+    (scale (10/3)^r' 2^-|parts[i+1:]|, since A's stream sums over the half
+    denominators of its shifts (i + 2 - r)/2).  x0^frame steps by one
+    floor of an exact ratio (at most 1/(1 - q) <= 4 units off), the inner
+    sums carry m r units after m steps, and each term floors twice, so the
+    pass is off by at most c (N (4B + 2) + 12 (r' - 1)) + 1 units, B the
+    inner-sum bound of :func:`_cut` at N and c the scale.
+    """
     F = scale()
-    if not k_parts:
-        out = [[1 << F] + [0] * M]
-        _cache[key] = out
-        return out
-    k1 = k_parts[0]
-    if k1 == 1:
-        R = _useries(kind, k_parts[1:], M)
-        E = _integrate_rows([[-c for c in row] for row in R], -1, M)
+    r = len(parts)
+    num, den = _RATIO[kind]
+    if kind == "mpl":
+        shifts = [mp.mpf(1)] * (r - 1)
     else:
-        S = _useries(kind, (k1 - 1,) + k_parts[1:], M)
-        f = 1 if kind == "mpl" else 2
-        rhs = [[-f * c for c in row] for row in _mul_geom(S, f)]
+        shifts = [mp.mpf(i + 2 - r) / 2 for i in range(1, r)]
+    stream = _steps(_slots(parts[1:], shifts, False), r - 1, F, None)
+    target = mp.mp.prec + ANCHOR_BITS
+    jobs = []
+    for lv in levels:
+        depth = len(lv)
+        N, tail = _cut(kind, depth, lv[0], target)
+        jobs.append([lv, r - depth, N, tail, 0])
+    S = [0] * (r - 1) + [1 << F]
+    X = 1 << F
+    for m in range(1, max(job[2] for job in jobs) + 1):
+        X = X * num // den
+        for job in jobs:
+            lv, i, N = job[0], job[1], job[2]
+            if m <= N and S[i]:
+                d = m if kind == "mpl" else 2 * m - len(lv)
+                job[4] += (X * S[i] >> F) // (d if lv[0] == 1 else d ** lv[0])
+        S = next(stream)
+    out = {}
+    for lv, _i, N, tail, T in jobs:
+        depth = len(lv)
+        c = 1
+        if kind == "kta":
+            c = mp.mpf(10) ** depth / 3 ** depth
+            T = rdiv(T * 10 ** depth, 3 ** depth << sum(lv[1:]))
+        B = (1 + mp.log(N)) ** (depth - 1) / factorial(depth - 1)
+        units = c * (N * (4 * B + 2) + 12 * (depth - 1)) + 1
+        out[lv] = (T, tail + mp.ldexp(units, -F))
+    return out
+
+
+def _child(parts):
+    return parts[1:] if parts[0] == 1 else (parts[0] - 1,) + parts[1:]
+
+
+def _build(kind, parts, child, anchor, F, M):
+    """The table of ``parts`` from its child's and its anchor."""
+    D, delta = anchor
+    f = 1 if kind == "mpl" else 2
+    if parts[0] == 1:
+        E = _integrate_rows([[-c for c in row] for row in child.rows], -1, M)
+        err = [delta] + [a / (i + 1) for i, a in enumerate(child.err)]
+    else:
+        rhs = [[-f * c for c in row] for row in _mul_geom(child.rows, f)]
         E = _integrate_rows(rhs, 0, M)
-    u0 = mp.mpf(_ANCHOR_U)
-    x0 = 1 - u0 if kind == "mpl" else (1 - u0) / (1 + u0)
-    direct = _direct_core(kind, k_parts, x0)
-    E[0][0] += fix(direct - _eval_rows(E, F, u0), F)
-    _cache[key] = E
-    return E
+        carried = f * EDGE / (1 - EDGE ** f) * mp.fsum(
+            a * factorial(i) for i, a in enumerate(child.err))
+        trunc = mp.mpf(4 * f) / 3 * mp.fsum(
+            to_mpf(sum(map(abs, row)), F) * _tail_integral(M, j)
+            for j, row in enumerate(child.rows))
+        err = [delta + carried + trunc]
+    with mp.workprec(F + 32):
+        E[0][0] += fix(to_mpf(D, F) - _eval_rows(E, F, EDGE)[0], F)
+    err = _poly_add(err, _units_poly([4] * len(E), F))
+    evalu = [mp.mpf(28) / 9 * to_mpf(max(map(abs, row)), F) + mp.mpf(4) / 3
+             for row in E]
+    return _Table(E, err, _poly_add(err, _units_poly(evalu, F)))
+
+
+def _useries(kind, parts):
+    """The table of the core ``parts`` at the working precision, cached per
+    precision; one direct pass anchors every level of its chain (parts,
+    its child, ..., ()) that is not cached yet."""
+    prec = mp.mp.prec
+    chain = [parts]
+    while chain[-1]:
+        chain.append(_child(chain[-1]))
+    have = {lv: _cache.get((kind, lv, prec)) for lv in chain}
+    if have[parts] is not None:
+        return have[parts]
+    missing = [lv for lv in chain if lv and have[lv] is None]
+    anchors = _direct_core(kind, parts, missing)
+    F = scale()
+    M = prec // 2 + 24
+    table = None
+    for lv in reversed(chain):
+        table = have[lv]
+        if table is None:
+            if lv:
+                table = _build(kind, lv, child, anchors[lv], F, M)
+            else:
+                table = _Table([[1 << F] + [0] * M], [mp.mpf(0)], [mp.mpf(0)])
+            _cache[(kind, lv, prec)] = table
+        child = table
+    return table
+
+
+def local_u(kind, x):
+    """The local variable of the core at 0 <= x < 1 (1 - x for Li, (1-x)/(1+x)
+    for A), computed 64 bits above the working precision: within half a unit
+    of 2^-F at the default scale F of any table up to the working precision."""
+    with mp.workprec(scale()):
+        return 1 - x if kind == "mpl" else (1 - x) / (1 + x)
+
+
+def evaluate(kind, k, u, tol):
+    """(value, claimed error) of Li_k(1 - u) or A(k; (1-u)/(1+u)) for
+    0 < u <= 1/4 (``u`` from :func:`local_u`), from the table at the
+    precision ``tol`` needs (module docstring)."""
+    parts = Composition(k).parts
+    r = len(parts)
+    work = mp.mp.prec
+    with mp.workprec(53):
+        core = (-mp.log(u)) ** r / factorial(r)
+        need = (-mp.mag(tol) + (3 * r + 2).bit_length() + max(0, mp.mag(core))
+                + 8)
+    bits = min(work, -(-need // 32) * 32)
+    for p in sorted({bits, work}):
+        with mp.workprec(p):
+            table = _useries(kind, parts)
+            value, size = _eval_rows(table.rows, scale(), u)
+            claim = (_poly_at(table.claim, mp.log(EDGE / u))
+                     + (3 * r + 2) * mp.ldexp(size, -p))
+        if claim <= tol:
+            break
+    return value, claim
 
 
 def _endpoint(kind, k):
@@ -158,15 +369,15 @@ def _endpoint(kind, k):
     (:class:`DomainError` elsewhere); it captures the active config and
     enters it on every call."""
     with working() as cfg:
-        rows = _useries(kind, Composition(k).parts, cfg.work_bits // 2 + 24)
+        rows = _useries(kind, Composition(k).parts).rows
         F = scale()
 
     def f(u):
         with working(cfg):
             u = mp.mpf(u)
-            if not 0 < u <= 0.25:
+            if not 0 < u <= EDGE:
                 raise DomainError(f"u must lie in (0, 1/4], got {u}")
-            return _eval_rows(rows, F, u)
+            return _eval_rows(rows, F, u)[0]
 
     return f
 

@@ -115,12 +115,13 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
     with working(prec) as cfg:
         bits = cfg.work_bits
         F, raw = _fixed_stream(k, a, star, bits, binomial)
-    return ((m, to_mpf(s, F, bits)) for m, s in enumerate(raw, 1))
+    return ((m, to_mpf(S[0], F, bits)) for m, S in enumerate(raw, 1))
 
 
 def _fixed_stream(k, a, star, bits, binomial=None):
-    """(F, the iterator of floor(S_n 2^F) for n = 1, 2, ...), resolved
-    before the generator starts (F as in the module docstring).
+    """(F, :func:`_steps` of the index): the live state after each step
+    n = 1, 2, ..., whose entry 0 is floor(S_n 2^F), resolved before the
+    generator starts (F as in the module docstring).
 
     S[j] holds the depth-(r - j) inner sum and S[r] the innermost
     multiplier (1 without one; the jet of ``binomial`` = (alpha, order)
@@ -136,17 +137,25 @@ def _fixed_stream(k, a, star, bits, binomial=None):
     F = bits + GUARD_BITS + sum(kj * (int(abs(x)) + r + 1).bit_length()
                                 for kj, x in zip(k, a))
     F = max([F] + [dyadic(x)[0] for x in a])
+    jet = None if binomial is None else _binomials(*binomial, F)
+    return F, _steps(_slots(k, a, star), r, F, jet)
+
+
+def _slots(k, a, star):
+    """The per-slot constants of :func:`_steps`, in update order, for
+    exponents ``k`` and mpf shifts ``a`` whose fractional bits F covers."""
     slots = []
-    for j in range(r - 1, -1, -1) if star else range(r):
+    for j in range(len(k) - 1, -1, -1) if star else range(len(k)):
         # the power of two cancels, so a shift with e fractional bits
         # divides by an (e + log2 m)-bit integer
         e, B = dyadic(a[j])
         slots.append((j, k[j], k[j] * e, e, B - (1 << e)))
-    jet = None if binomial is None else _binomials(*binomial, F)
-    return F, _steps(slots, r, F, jet)
+    return slots
 
 
 def _steps(slots, r, F, jet):
+    """The live state S after each step m = 1, 2, ...: S[j] is the
+    depth-(r - j) inner sum at m, S[r] the innermost multiplier."""
     S = [0] * r + [1 << F]
     m = 0
     while True:
@@ -160,7 +169,7 @@ def _steps(slots, r, F, jet):
                 if not d:
                     raise PoleError(f"denominator {m} + {1 - m} - 1 vanishes")
                 S[j] += (inner << ke) // (d if kj == 1 else d ** kj)
-        yield S[0]
+        yield S
 
 
 def _binomials(alpha, order, F):
@@ -207,7 +216,7 @@ def _nth(k, a, star, n):
         return mp.mpf(0)
     bits = mp.mp.prec  # the work bits of the caller's block
     F, raw = _fixed_stream(k.parts, a.shifts, star, bits)
-    return to_mpf(next(islice(raw, n - 1, None)), F, bits)
+    return to_mpf(next(islice(raw, n - 1, None))[0], F, bits)
 
 
 def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .compositions import Composition, refinements
-from .endpoint import kta_endpoint, mpl_endpoint
+from .endpoint import EDGE, kta_endpoint, mpl_endpoint
 from .errors import DomainError, NoConvergence
 from .precision import PrecisionConfig, parse_tol, working
-from .series_engine import ValueWithBound, kta as _kta_series, mpl as _mpl_series
+from .series_engine import ValueWithBound, _direct_series
 
 MAX_LEVELS = 12
 
@@ -99,16 +99,16 @@ class WeightedIntegrand:
 
 def _hybrid(kind, k: Composition):
     """Evaluator (x, u) -> Li_k(x) or A(k; x), u the core's right-endpoint
-    variable; switches to the endpoint series once u <= 1/4."""
+    variable as the node carries it exactly: the endpoint series at the
+    working precision once u <= 1/4, the direct loop before."""
     near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(k)
-    series = _mpl_series if kind == "mpl" else _kta_series
-    quarter = mp.mpf("0.25")
+    frame, name = (1, "Li") if kind == "mpl" else (2, "A-function")
     tol = mp.ldexp(1, -(mp.mp.prec - 16))
 
     def f(x, u):
-        if u <= quarter:
+        if u <= EDGE:
             return near(u)
-        return series(k, x, tol).value
+        return _direct_series(k, x, frame, tol, None, name).value
 
     return f
 

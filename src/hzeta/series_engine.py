@@ -48,6 +48,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from . import asymptotics as asym
+from . import endpoint
 from .asymptotics import (AsymSeries, _binomial_series, gamma_ratio, power_shift,
                           prefix_expansion, tail_sum)
 from .compositions import (
@@ -305,13 +306,13 @@ class _SpecState:
         if self.strict is not None:
             F, raw = self.strict
             if spec.strict_prev:
-                v, self.strict_prev_val = self.strict_prev_val, next(raw)
+                v, self.strict_prev_val = self.strict_prev_val, next(raw)[0]
             else:
-                v = next(raw)
+                v = next(raw)[0]
             t = v >> (F - H)
         if self.star is not None:
             F, raw = self.star
-            t = t * next(raw) >> F
+            t = t * next(raw)[0] >> F
         for upper in self.upper:
             t = t * next(upper) >> H
         for b, lower in zip(spec.binom_lower, self.lower):
@@ -499,7 +500,7 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
     if not k.admissible():
         raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
     with working(prec):
-        alpha = mp.mpf(alpha)
+        alpha = finite_real("alpha", alpha)
         if alpha <= 0:
             raise DomainError(f"alpha must be positive, got {alpha}")
         r = k.depth()
@@ -565,7 +566,7 @@ def _direct_series(k: Composition, x, frame: int, tol, strategy,
             m += 1
             if P:
                 T += (X * P >> F) // (frame * m - c) ** k1
-            P = next(inner)
+            P = next(inner)[0]
             X = X * XF >> G
             if m % 16 == 0 or m <= 32 or m >= strategy.N_max:
                 xp = to_mpf(X, G, bits)
@@ -591,14 +592,18 @@ def mpl(k, x, tol=None, strategy=None,
         prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Single-variable multiple polylogarithm Li_k(x) for 0 <= x <= 1.
 
-    Frame 1 of :func:`_direct_series`: direct summation with a rigorous
-    log-majorant envelope on the tail.  At x = 1 the admissible case
-    delegates to :func:`htmzv`.
+    While u = 1 - x > 1/4, frame 1 of :func:`_direct_series`: direct
+    summation with a rigorous log-majorant envelope on the tail, bounded
+    by ``strategy``.  For u <= 1/4 (``endpoint.EDGE``), where the direct
+    series needs about 1/u terms, the u-series of
+    :func:`endpoint.evaluate` at the precision ``tol`` needs, whose claim
+    is derived but not rigorous.  At x = 1 the admissible case delegates
+    to :func:`htmzv`.
     """
     k = Composition(k)
     if k.is_empty():
         raise DomainError("mpl needs a nonempty index")
-    with working(prec):
+    with working(prec) as cfg:
         x = mp.mpf(x)
         if not 0 <= x <= 1:
             raise DomainError(f"x must lie in [0, 1], got {x}")
@@ -608,6 +613,10 @@ def mpl(k, x, tol=None, strategy=None,
             return htmzv(k, None, tol, strategy)
         if x == 0:
             return ValueWithBound(0, 0, True)
+        u = endpoint.local_u("mpl", x)
+        if u <= endpoint.EDGE:
+            tol = parse_tol(tol, _default_tol(cfg))
+            return ValueWithBound(*endpoint.evaluate("mpl", k, u, tol))
         return _direct_series(k, x, 1, tol, strategy, "Li")
 
 
@@ -642,13 +651,15 @@ def kta(k, x, tol=None, strategy=None,
         A(k; x) = 2^r sum_{m_1 > ... > m_r >= 1}
                   x^(2 m_1 - r) / prod_j (2 m_j - r + j - 1)^(k_j)
 
-    for 0 <= x <= 1, summed directly as frame 2 of :func:`_direct_series`;
-    at x = 1 it equals the multiple T-value T(k).
+    for 0 <= x <= 1, summed directly as frame 2 of :func:`_direct_series`
+    while u = (1-x)/(1+x) > 1/4 and from the u-series of
+    :func:`endpoint.evaluate` for u <= 1/4, as :func:`mpl` does; at x = 1
+    it equals the multiple T-value T(k).
     """
     k = Composition(k)
     if k.is_empty():
         raise DomainError("kta needs a nonempty index")
-    with working(prec):
+    with working(prec) as cfg:
         x = mp.mpf(x)
         if not 0 <= x <= 1:
             raise DomainError(f"x must lie in [0, 1], got {x}")
@@ -658,6 +669,10 @@ def kta(k, x, tol=None, strategy=None,
             return htmtv(k, 1, tol, strategy)
         if x == 0:
             return ValueWithBound(0, 0, True)
+        u = endpoint.local_u("kta", x)
+        if u <= endpoint.EDGE:
+            tol = parse_tol(tol, _default_tol(cfg))
+            return ValueWithBound(*endpoint.evaluate("kta", k, u, tol))
         return _direct_series(k, x, 2, tol, strategy, "A-function")
 
 

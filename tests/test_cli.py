@@ -137,6 +137,16 @@ class TestEval:
         assert "inf is not finite" in err or "nan is not finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_usage_error(self, capsys, alpha):
+        # htmtv names the parameter it was given, not the shifts it derives
+        code, out, err = run_cli(capsys, "eval", "htmtv", "--index", "2",
+                                 "--alpha", alpha)
+        assert code == 3
+        assert err.startswith("hzeta: error: alpha ")
+        assert err.rstrip().endswith(f"{alpha} is not finite")
+        assert out == ""
+
 
 class TestVerify:
     def test_verify_pass_exit0(self, capsys):

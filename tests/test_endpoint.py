@@ -2,13 +2,14 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import from_man_exp
 
-from hzeta import endpoint
+from hzeta import endpoint, series_engine
+from hzeta.asymptotics import LruCache
 from hzeta.compositions import Composition
 from hzeta.endpoint import kta_endpoint, mpl_endpoint
 from hzeta.errors import DomainError
 from hzeta.fixed import GUARD_BITS
 from hzeta.precision import PrecisionConfig, working
-from hzeta.series_engine import kta, mpl
+from hzeta.series_engine import ValueWithBound, _direct_series, kta, mpl
 from mpf_reference import mpf_useries
 
 PREC = PrecisionConfig(bits=192)
@@ -21,12 +22,20 @@ def _workprec():
         yield
 
 
+def _direct(k, x, frame, tol=TOL, prec=PREC):
+    """The direct loop behind mpl (frame 1) and kta (frame 2), which send
+    u <= 1/4 to the tables under test."""
+    with working(prec):
+        return _direct_series(Composition(k), mp.mpf(x), frame, tol, None,
+                              "reference")
+
+
 @pytest.mark.parametrize("k", [(1,), (2,), (1, 1), (2, 1), (2, 2), (2, 1, 1)])
 @pytest.mark.parametrize("u", ["0.25", "0.1", "0.01"])
 def test_mpl_endpoint_matches_series(k, u):
     u = mp.mpf(u)
     f = mpl_endpoint(k, PREC)
-    direct = mpl(k, 1 - u, TOL, None, PREC)
+    direct = _direct(k, 1 - u, 1)
     assert abs(f(u) - direct.value) < mp.mpf(10) ** -25
 
 
@@ -49,7 +58,7 @@ def test_kta_endpoint_matches_series(k, u):
     u = mp.mpf(u)
     x = (1 - u) / (1 + u)
     f = kta_endpoint(k, PREC)
-    direct = kta(k, x, TOL, None, PREC)
+    direct = _direct(k, x, 2)
     assert abs(f(u) - direct.value) < mp.mpf(10) ** -25
 
 
@@ -76,9 +85,8 @@ def test_endpoint_accepts_u_at_its_interval_ends(u):
 
 def _table(kind, k, prec):
     """The rows of the cached table and their scale F."""
-    with working(prec) as cfg:
-        rows = endpoint._useries(kind, Composition(k).parts,
-                                 cfg.work_bits // 2 + 24)
+    with working(prec):
+        rows = endpoint._useries(kind, Composition(k).parts).rows
         return rows, mp.mp.prec + GUARD_BITS
 
 
@@ -118,3 +126,70 @@ def test_endpoint_below_one_unit_is_the_constant_row(kind, k):
         for row in reversed(rows):
             expected = expected * lu + mp.make_mpf(from_man_exp(row[0], -F))
         assert f(u) == expected
+
+
+# depth 1-5, parts in {1, 2, 3}
+ROUTE_INDICES = [(3,), (1, 2), (2, 3, 1), (1, 1, 3, 2), (3, 1, 2, 1, 1)]
+# u = 1/4 exactly, then x near 1; the direct series needs about 1/u terms
+ROUTE_POINTS = [None, "0.9", "0.99", "0.9999", 1 - mp.ldexp(1, -40)]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 448])
+@pytest.mark.parametrize("k", ROUTE_INDICES)
+@pytest.mark.parametrize("kind", ["mpl", "kta"])
+def test_route_claim_holds(kind, k, bits):
+    # |value - reference| <= claim <= tol at the default tol and 2^-(bits-64).
+    # The reference runs at twice the bits: the direct loop while 1/u <= 100,
+    # and past that, where the direct series is out of reach (2^40 terms at
+    # 1 - 2^-40), the route itself on its own tables at twice the bits.
+    fn, frame = (mpl, 1) if kind == "mpl" else (kta, 2)
+    prec, ref_prec = PrecisionConfig(bits), PrecisionConfig(2 * bits)
+    for x in ROUTE_POINTS:
+        with working(ref_prec) as cfg:
+            ref_tol = mp.ldexp(1, -(cfg.bits - 64))
+            if x is None:
+                u = endpoint.EDGE
+                x_ref = 1 - u if kind == "mpl" else (1 - u) / (1 + u)
+            else:
+                x_ref = mp.mpf(x)
+                u = endpoint.local_u(kind, x_ref)
+            if u >= mp.mpf("0.01"):
+                ref = _direct(k, x_ref, frame, ref_tol, ref_prec)
+            else:
+                ref = fn(k, x_ref, ref_tol, None, ref_prec)
+        for given in (None, mp.ldexp(1, -(bits - 64))):
+            with working(prec) as cfg:
+                tol = given or series_engine._default_tol(cfg)
+                if x is None:
+                    v = ValueWithBound(*endpoint.evaluate(kind, k, u, tol))
+                else:
+                    v = fn(k, x, given, None, prec)
+            with mp.workprec(4 * bits):
+                assert abs(v.value - ref.value) <= v.abs_error <= tol, (x, tol)
+                assert ref.abs_error * 16 <= v.abs_error
+
+
+@pytest.mark.parametrize("k", [(1,), (2, 1), (1, 2, 1), (3, 1, 1, 2)])
+def test_route_at_the_edge_from_a_cold_cache(monkeypatch, k):
+    # u = 1/4 builds every table from nothing; the anchors come from the
+    # direct pass, so neither entry point is re-entered on the way
+    monkeypatch.setattr(endpoint, "_cache",
+                        LruCache(endpoint.ENDPOINT_CACHE_SIZE))
+    depth = [0]
+
+    def guarded(fn):
+        def call(*args):
+            assert depth[0] == 0, "re-entered"
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for name, frame, x in (("mpl", 1, "0.75"), ("kta", 2, "0.6")):
+        monkeypatch.setattr(series_engine, name,
+                            guarded(getattr(series_engine, name)))
+        v = getattr(series_engine, name)(k, x, None, None, PREC)
+        direct = _direct(k, x, frame, None)
+        assert abs(v.value - direct.value) <= v.abs_error + direct.abs_error
