@@ -29,13 +29,18 @@ the work bits.  The precision depends on the request only, and a table
 on its index and precision only, so one request always gives the same
 bits, whatever the cache holds.
 
-Anchors.  :func:`_direct_core` runs one direct pass at x0 = x(1/4) (3/4
-for Li, 3/5 for A, both exact rationals) for every missing level of a
-chain: the levels (j, k_(i+1), ..., k_r) share the inner sums of one
-nested-sum stream (:func:`finite_sums._steps`) at the default scale F.
-Each level stops at its own N, where the log-majorant of its tail
-(:func:`_cut`) drops below 2^-(p + 8), so its value does not depend on
-which chain asked for it.
+The direct pass.  :func:`_direct_pass` is the one direct series of both
+cores, at an exact ratio x, for levels (j, k_(i+1), ..., k_r) that share
+the inner sums of one nested-sum stream (:func:`finite_sums._steps`) on
+integers at the caller's scale F.  Each level stops at its own N, found
+once before the loop by a float bisection on its tail majorant
+(:func:`_cut`), and claims that majorant evaluated once in mpf at N plus
+the pass's counted rounding units.  ``series_engine._direct_series``
+runs one level at any 0 < x < 1 (``mpl`` and ``kta`` for u > 1/4, the
+quadrature before the edge).  :func:`_direct_core` anchors every missing
+level of a chain at x0 = x(1/4) (3/4 for Li, 3/5 for A) at the default
+scale, cut at 2^-(p + 8), so an anchor does not depend on which chain
+asked for it.
 
 Tables are held in fixed point (:mod:`hzeta.fixed`): one row of Python
 integers per log power j, entry m standing for c_{m,j} 2^-F at F = p + 64.
@@ -88,9 +93,6 @@ from .precision import PrecisionConfig, working
 
 # The domain edge: every table serves 0 < u <= EDGE and is anchored there.
 EDGE = mp.mpf(0.25)
-
-# x0^frame as an exact ratio, x0 the anchor point x(EDGE)
-_RATIO = {"mpl": (3, 4), "kta": (9, 25)}
 
 # anchors are cut ANCHOR_BITS below the table's precision
 ANCHOR_BITS = 8
@@ -194,87 +196,113 @@ def _mul_geom(rows, step):
     return out
 
 
-def _cut(kind, depth, j, target):
-    """(N, bound): the first N at which the log-majorant of the direct
-    tail past N of a depth-``depth`` level with leading exponent ``j`` at
-    x0 is at most 2^-target, and that majorant.
+def _log_majorant(lib, lnx, frame, depth, j, N):
+    """log of the majorant of :func:`_cut` past N at x = e^lnx in the
+    arithmetic of ``lib`` (``math`` or ``mpmath``); inf while rho >= 1."""
+    n = N + 1
+    lq = frame * lnx
+    rho = lib.exp(lq + (depth - 1) / n)
+    if rho >= 1:
+        return lib.inf
+    c = 0 if frame == 1 else depth * (lib.log(2) - lnx)
+    return (c + n * lq + (depth - 1) * lib.log(1 + lib.log(n))
+            - lib.log(factorial(depth - 1)) - j * lib.log(n)
+            - lib.log(1 - rho))
+
+
+def _cut(frame, x, depth, j, target, cap=None):
+    """(N, bound, met): the first N at which the log-majorant of the
+    direct tail past N of a depth-``depth`` level with leading exponent
+    ``j`` at x = num/den is at most 2^-target, or ``cap`` if that comes
+    first, the majorant at N, and whether it met 2^-target.
 
     An inner sum is at most (1 + log m)^(r-1) / (r-1)! (A's denominators
     are at least their index) and the outer denominator at least m^j, so a
-    term is at most c q^m (1 + log m)^(r-1) / ((r-1)! m^j), q = x0^frame,
-    c = 1 for Li and (2/x0)^r for A; consecutive ratios past N are at most
+    term is at most c q^m (1 + log m)^(r-1) / ((r-1)! m^j), q = x^frame,
+    c = 1 for Li and (2/x)^r for A; consecutive ratios past N are at most
     rho = q e^((r-1)/(N+1)).  The majorant decreases in N once rho <=
-    q^(3/4), so a bisection finds N; floats carry its base-2 logarithm.
+    q^(3/4), so a bisection on floats finds N; the bound is the majorant
+    evaluated once in mpf at N.
     """
-    q = _RATIO[kind][0] / _RATIO[kind][1]
-    c = 0.0 if kind == "mpl" else depth * math.log2(10 / 3)
-    lf = math.log2(factorial(depth - 1))
+    num, den = x
+    lnx = math.log(num) - math.log(den)
+    cut = -target * math.log(2)
 
-    def lg(N):
-        n = N + 1
-        rho = q * math.exp((depth - 1) / n)
-        return (c + n * math.log2(q) + (depth - 1) * math.log2(1 + math.log(n))
-                - lf - j * math.log2(n) - math.log2(1 - rho))
+    def above(N):
+        return _log_majorant(math, lnx, frame, depth, j, N) > cut
 
-    lo = max(depth, math.ceil(4 * (depth - 1) / -math.log(q)))
+    lo = max(depth, math.ceil(4 * (depth - 1) / (-frame * lnx)))
     hi = lo
-    while lg(hi) > -target:
+    while above(hi) and (cap is None or hi < cap):
         hi *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if lg(mid) <= -target else (mid + 1, hi)
-    return lo, mp.mpf(2) ** lg(lo)
+        lo, hi = (mid + 1, hi) if above(mid) else (lo, mid)
+    N = lo if cap is None else min(lo, cap)
+    bound = mp.exp(_log_majorant(mp, mp.log(num) - mp.log(den), frame,
+                                 depth, j, mp.mpf(N)))
+    return N, bound, not above(N)
 
 
-def _direct_core(kind, parts, levels):
-    """{level: (value at 2^-F, claimed error)}: the direct values at x0 of
-    the ``levels``, each (j,) + parts[i+1:], from one pass of the direct
-    series of ``parts`` at the working precision.
+def _direct_pass(frame, parts, x, levels, target, F, cap=None):
+    """{level: (value at 2^-F, claimed error, whether the tail met
+    2^-target)}: Li (frame 1) or A (frame 2) at x = num/den, an exact
+    ratio in (0, 1), of each of the ``levels`` (j,) + parts[i+1:], from
+    one pass of the direct series of ``parts`` on integers at 2^-F.
 
-    Level (j,) + parts[i+1:] of depth r' sums x^d(m) d(m)^(-j) times the
-    stream's inner sum S[i] at m - 1, d(m) = m for Li and 2 m - r' for A
-    (scale (10/3)^r' 2^-|parts[i+1:]|, since A's stream sums over the half
-    denominators of its shifts (i + 2 - r)/2).  x0^frame steps by one
-    floor of an exact ratio (at most 1/(1 - q) <= 4 units off), the inner
-    sums carry m r units after m steps, and each term floors twice, so the
-    pass is off by at most c (N (4B + 2) + 12 (r' - 1)) + 1 units, B the
-    inner-sum bound of :func:`_cut` at N and c the scale.
+    Level (j,) + parts[i+1:] of depth r' sums q^m d(m)^(-j) times the
+    stream's inner sum S[i] at m - 1 for m <= N (:func:`_cut`, at most
+    ``cap``), q = x^frame and d(m) = m for Li and 2 m - r' for A, whose
+    prefactor c 2^-|parts[i+1:]|, c = (2/x)^r', is applied once at the end
+    by one rounded exact division (A's stream sums over the half
+    denominators of its slots).  q^m steps by one floor of an exact ratio
+    (at most 1/(1 - q) units off), the inner sums carry m r' units after m
+    steps, and each term floors twice, so the pass is off by at most
+    c (N (B / (1 - q) + 2) + (r' - 1) q / (1 - q)^2) + 1 units, B the
+    inner-sum bound of :func:`_cut` at N and c = 1 for Li.  The claim is
+    that plus the majorant at N.
     """
-    F = scale()
+    num, den = x
+    qn, qd = num ** frame, den ** frame
     r = len(parts)
-    num, den = _RATIO[kind]
-    if kind == "mpl":
-        shifts = [mp.mpf(1)] * (r - 1)
-    else:
-        shifts = [mp.mpf(i + 2 - r) / 2 for i in range(1, r)]
+    shifts = [mp.mpf(1 if frame == 1 else (i + 2 - r) / 2)
+              for i in range(1, r)]
     stream = _steps(_slots(parts[1:], shifts, False), r - 1, F, None)
-    target = mp.mp.prec + ANCHOR_BITS
-    jobs = []
-    for lv in levels:
-        depth = len(lv)
-        N, tail = _cut(kind, depth, lv[0], target)
-        jobs.append([lv, r - depth, N, tail, 0])
+    jobs = [[lv, r - len(lv), *_cut(frame, x, len(lv), lv[0], target, cap),
+             0] for lv in levels]
     S = [0] * (r - 1) + [1 << F]
     X = 1 << F
     for m in range(1, max(job[2] for job in jobs) + 1):
-        X = X * num // den
+        X = X * qn // qd
         for job in jobs:
             lv, i, N = job[0], job[1], job[2]
             if m <= N and S[i]:
-                d = m if kind == "mpl" else 2 * m - len(lv)
-                job[4] += (X * S[i] >> F) // (d if lv[0] == 1 else d ** lv[0])
+                d = m if frame == 1 else 2 * m - len(lv)
+                job[5] += (X * S[i] >> F) // (d if lv[0] == 1 else d ** lv[0])
         S = next(stream)
+    q = mp.mpf(qn) / qd
     out = {}
-    for lv, _i, N, tail, T in jobs:
+    for lv, _i, N, tail, met, T in jobs:
         depth = len(lv)
         c = 1
-        if kind == "kta":
-            c = mp.mpf(10) ** depth / 3 ** depth
-            T = rdiv(T * 10 ** depth, 3 ** depth << sum(lv[1:]))
+        if frame == 2:
+            c = (2 * mp.mpf(den) / num) ** depth
+            T = rdiv(T * (2 * den) ** depth, num ** depth << sum(lv[1:]))
         B = (1 + mp.log(N)) ** (depth - 1) / factorial(depth - 1)
-        units = c * (N * (4 * B + 2) + 12 * (depth - 1)) + 1
-        out[lv] = (T, tail + mp.ldexp(units, -F))
+        units = c * (N * (B / (1 - q) + 2)
+                     + (depth - 1) * q / (1 - q) ** 2) + 1
+        out[lv] = (T, tail + mp.ldexp(units, -F), met)
     return out
+
+
+def _direct_core(kind, parts, levels):
+    """{level: (value at 2^-F, claimed error)}: the ``levels`` of
+    :func:`_direct_pass` at the anchor point x0 = x(EDGE) and the default
+    scale F, each cut ``ANCHOR_BITS`` below the working precision."""
+    frame, x0 = (1, (3, 4)) if kind == "mpl" else (2, (3, 5))
+    out = _direct_pass(frame, parts, x0, levels, mp.mp.prec + ANCHOR_BITS,
+                       scale())
+    return {lv: (T, claim) for lv, (T, claim, _) in out.items()}
 
 
 def _child(parts):

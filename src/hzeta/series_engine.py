@@ -37,15 +37,20 @@ sign of their coefficient cancel exactly.  The head and the terms at
 N - 2, N - 1 and N are summed as integers and become mpf once per
 escalation level; a level continues the head where the previous one
 stopped.
+
+Li_k(x) and A(k; x) with u > 1/4 are one level of the direct pass that
+also anchors the endpoint tables (:func:`endpoint._direct_pass`, through
+:func:`_direct_series`): it stops at the index where its tail majorant
+meets tol/2 and claims that majorant plus its counted rounding units.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
 
 from . import asymptotics as asym
 from . import endpoint
@@ -155,6 +160,16 @@ _LEVELS = 4
 
 def _default_tol(cfg: PrecisionConfig):
     return mp.ldexp(1, -min(cfg.bits // 3, 120))
+
+
+def _checked(v: ValueWithBound, tol) -> ValueWithBound:
+    """``v``, or :class:`ToleranceNotReached` with ``v`` in ``best`` when its
+    claim exceeds ``tol``."""
+    if v.abs_error > tol:
+        raise ToleranceNotReached(
+            f"error estimate {mp.nstr(v.abs_error, 6)} exceeds tolerance "
+            f"{mp.nstr(tol, 6)}", best=v)
+    return v
 
 
 def _expansion_window(em_order: int, level: int) -> asym.ExpansionWindow:
@@ -411,11 +426,7 @@ def _em_sum(specs, tol, strategy: TailStrategy):
                 best = val
             if err <= tol:
                 return val
-        raise ToleranceNotReached(
-            f"error estimate {mp.nstr(best.abs_error, 6)} exceeds tolerance "
-            f"{mp.nstr(tol, 6)}",
-            best=best,
-        )
+        return _checked(best, tol)
 
 
 def weighted_sum(specs, tol=None, strategy: TailStrategy | None = None,
@@ -517,107 +528,80 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
 
 def _direct_series(k: Composition, x, frame: int, tol, strategy,
                    name: str) -> ValueWithBound:
-    """Li_k(x) (frame 1) or A(k; x) (frame 2) for 0 < x < 1: scale times
-    sum_{m>=1} x^d(m) d(m)^(-k_1) zeta_(m-1)(k_2..k_r; a), d(m) = frame m - c.
+    """Li_k(x) (frame 1) or A(k; x) (frame 2) for 0 < x < 1: the one level
+    k of :func:`endpoint._direct_pass`, cut where its tail majorant meets
+    tol/2, or at ``strategy.N_max`` terms, past which it raises
+    :class:`ToleranceNotReached` with the majorant there in ``best``.
 
-    Li: c = 0, a = 1, scale 1.  A: c = r and a_i = (i + 2 - r)/2, since
-    inner slot i has denominator 2 m_i - r + i = 2 (m_i + a_i - 1); the
-    2^r of A and those 2s give scale 2^(r - |k_2..k_r|), a power of two
-    applied once to the total.  Tail: |coefficient of x^d(m)| <= env_scale
-    (2 + 2 log(frame m))^(r-1) / d(m)^(k_1) (env_scale 2^r for A), with
-    envelope ratio beyond m at most x^frame e^((r-1)/m).
-
-    The loop runs on the kernel's integers (at 2^-F): x^d(m) and the total
-    are integers at 2^-G, with G such that the first nonzero term keeps
-    work_bits + 64 bits (a tiny x keeps its relative accuracy) and x^d(m)
-    ``GUARD_BITS`` bits where the envelope meets ``tol``; they enter by
-    ``libmp.to_fixed``, which rounds toward zero, and become mpf only at
-    the envelope check.  After n terms the positive total is off by at most
-    n (4 + 2 / (1 - x^frame)) units of 2^-G plus n r units of 2^-F per
-    term, so below 2^-(work_bits + 64) of it times those counts, which the
-    floor 2^(12 - work_bits) (|value| + 1) of the claim covers.
+    The scale F keeps ``GUARD_BITS`` below that cut after A's prefactor
+    (2/x)^r, and frame r bits per binary order of a small x, so that the
+    first term, about x^r, keeps the default scale's bits: a tiny x keeps
+    its relative accuracy.  The value is the pass's integer rounded once
+    to that many bits, and its rounding joins the claim.
     """
     strategy = strategy or DEFAULT_TAIL
     with working() as cfg:
-        bits = cfg.work_bits
         tol = parse_tol(tol, _default_tol(cfg))
-        r = k.depth()
-        k1 = k[0]
-        tail = Composition(k.parts[1:])
-        if frame == 1:
-            c, shifts, scale_exp, env_scale = 0, None, 0, 1
-        else:
-            c = r
-            shifts = [mp.mpf(i + 2 - r) / 2 for i in range(1, r)]
-            scale_exp = r - tail.weight()
-            env_scale = mp.ldexp(1, r)
-        tail, shifts = _coerce(tail, shifts)
-        F, inner = _fixed_stream(tail.parts, shifts.shifts, False, bits)
-        d0 = frame * (1 if r == 1 else r) - c  # d(m) of the first nonzero term
-        G = max(F + k1 * d0.bit_length() + d0 * (1 - mp.mag(x)),
-                GUARD_BITS - mp.mag(tol))
-        xf = x ** frame
-        # x^frame, and x^d(m) at m = 1
-        XF, X = (to_fixed(y._mpf_, G) for y in (xf, x ** (frame - c)))
-        P = 1 << F if r == 1 else 0  # zeta_(m-1)(k_2..k_r; a) at 2^-F
-        T = 0
-        m = 0
-        while True:
-            m += 1
-            if P:
-                T += (X * P >> F) // (frame * m - c) ** k1
-            P = next(inner)[0]
-            X = X * XF >> G
-            if m % 16 == 0 or m <= 32 or m >= strategy.N_max:
-                xp = to_mpf(X, G, bits)
-                d1 = mp.mpf(max(frame * (m + 1) - c, 1))
-                env = (env_scale * xp
-                       * (2 + 2 * mp.log(frame * (m + 1))) ** (r - 1)
-                       / d1 ** k1)
-                q = xf * mp.exp(mp.mpf(r - 1) / m)
-                bound = env / (1 - q) if q < 1 else mp.inf  # env (1 + q + ...)
-                value = to_mpf(T, G - scale_exp, bits)
-                if bound <= tol:
-                    fl = mp.ldexp(abs(value) + 1, -bits + 12)
-                    return ValueWithBound(value, bound + fl, True)
-                if m >= strategy.N_max:
-                    raise ToleranceNotReached(
-                        f"{name} tail bound not certified within "
-                        f"{strategy.N_max} terms",
-                        best=ValueWithBound(value, bound, False),
-                    )
+        r, out_bits = k.depth(), scale()
+        e, B = dyadic(x)
+        target = 2 - mp.mag(tol)  # 2^-target <= tol/2
+        lp = 0 if frame == 1 else r * (1 + e - math.log2(B))  # (2/x)^r
+        F = max(out_bits + frame * r * max(0, e - B.bit_length()),
+                math.ceil(target + lp) + GUARD_BITS)
+        [(T, claim, done)] = endpoint._direct_pass(
+            frame, k.parts, (B, 1 << e), [k.parts], target, F,
+            strategy.N_max).values()
+        with mp.workprec(out_bits):
+            value = to_mpf(T, F, out_bits)
+            v = ValueWithBound(value, claim + mp.ldexp(abs(value), -out_bits),
+                               done)
+        if not done:
+            raise ToleranceNotReached(
+                f"{name} tail bound not certified within {strategy.N_max} "
+                "terms", best=v)
+        return v
+
+
+def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
+    """The core ``kind`` ("mpl" or "kta") at 0 <= x <= 1 and the parsed
+    ``tol`` for :func:`mpl`, :func:`kta` and :func:`mpl_landen`; its claim
+    may exceed tol."""
+    k = Composition(k)
+    if k.is_empty():
+        raise DomainError(f"{kind} needs a nonempty index")
+    x = mp.mpf(x)
+    if not 0 <= x <= 1:
+        raise DomainError(f"x must lie in [0, 1], got {x}")
+    if x == 1:
+        if not k.admissible():
+            raise DomainError(f"{kind} diverges at x = 1 for leading "
+                              "exponent 1")
+        return (htmzv(k, None, tol, strategy) if kind == "mpl"
+                else htmtv(k, 1, tol, strategy))
+    if x == 0:
+        return ValueWithBound(0, 0, True)
+    u = endpoint.local_u(kind, x)
+    if u <= endpoint.EDGE:
+        return ValueWithBound(*endpoint.evaluate(kind, k, u, tol))
+    return _direct_series(k, x, 1 if kind == "mpl" else 2, tol, strategy,
+                          kind)
 
 
 def mpl(k, x, tol=None, strategy=None,
         prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Single-variable multiple polylogarithm Li_k(x) for 0 <= x <= 1.
 
-    While u = 1 - x > 1/4, frame 1 of :func:`_direct_series`: direct
-    summation with a rigorous log-majorant envelope on the tail, bounded
-    by ``strategy``.  For u <= 1/4 (``endpoint.EDGE``), where the direct
-    series needs about 1/u terms, the u-series of
+    While u = 1 - x > 1/4, frame 1 of :func:`_direct_series`, which gives
+    up after ``strategy.N_max`` terms.  For u <= 1/4 (``endpoint.EDGE``),
+    where the direct series needs about 1/u terms, the u-series of
     :func:`endpoint.evaluate` at the precision ``tol`` needs, whose claim
-    is derived but not rigorous.  At x = 1 the admissible case delegates
-    to :func:`htmzv`.
+    is derived but not rigorous.  A claim above ``tol`` on either route
+    raises :class:`ToleranceNotReached` with the value in ``best``.  At
+    x = 1 the admissible case delegates to :func:`htmzv`.
     """
-    k = Composition(k)
-    if k.is_empty():
-        raise DomainError("mpl needs a nonempty index")
     with working(prec) as cfg:
-        x = mp.mpf(x)
-        if not 0 <= x <= 1:
-            raise DomainError(f"x must lie in [0, 1], got {x}")
-        if x == 1:
-            if not k.admissible():
-                raise DomainError("Li_k(1) diverges for leading exponent 1")
-            return htmzv(k, None, tol, strategy)
-        if x == 0:
-            return ValueWithBound(0, 0, True)
-        u = endpoint.local_u("mpl", x)
-        if u <= endpoint.EDGE:
-            tol = parse_tol(tol, _default_tol(cfg))
-            return ValueWithBound(*endpoint.evaluate("mpl", k, u, tol))
-        return _direct_series(k, x, 1, tol, strategy, "Li")
+        tol = parse_tol(tol, _default_tol(cfg))
+        return _checked(_polylog("mpl", k, x, tol, strategy), tol)
 
 
 def mpl_landen(k, x, tol=None, strategy=None,
@@ -625,7 +609,9 @@ def mpl_landen(k, x, tol=None, strategy=None,
     """Li_k evaluated at x/(x-1) via the refinement expansion.
 
     The Landen map gives Li_k(x/(x-1)) = (-1)^r sum of Li_l(x) over all
-    refinements l of k, valid for 0 <= x < 1.
+    refinements l of k, valid for 0 <= x < 1; each term is asked for
+    tol / (number of terms), and a total claim above tol raises as in
+    :func:`mpl`.
     """
     k = Composition(k)
     if k.is_empty():
@@ -639,9 +625,9 @@ def mpl_landen(k, x, tol=None, strategy=None,
         sub = tol / len(terms)
         total = ValueWithBound(0, 0, True)
         for l in terms:
-            total = total + mpl(l, x, sub, strategy)
+            total = total + _polylog("mpl", l, x, sub, strategy)
         sign = -1 if k.depth() % 2 else 1
-        return total * sign
+        return _checked(total * sign, tol)
 
 
 def kta(k, x, tol=None, strategy=None,
@@ -653,27 +639,12 @@ def kta(k, x, tol=None, strategy=None,
 
     for 0 <= x <= 1, summed directly as frame 2 of :func:`_direct_series`
     while u = (1-x)/(1+x) > 1/4 and from the u-series of
-    :func:`endpoint.evaluate` for u <= 1/4, as :func:`mpl` does; at x = 1
-    it equals the multiple T-value T(k).
+    :func:`endpoint.evaluate` for u <= 1/4, with the tolerance contract of
+    :func:`mpl`; at x = 1 it equals the multiple T-value T(k).
     """
-    k = Composition(k)
-    if k.is_empty():
-        raise DomainError("kta needs a nonempty index")
     with working(prec) as cfg:
-        x = mp.mpf(x)
-        if not 0 <= x <= 1:
-            raise DomainError(f"x must lie in [0, 1], got {x}")
-        if x == 1:
-            if not k.admissible():
-                raise DomainError("A(k; 1) diverges for leading exponent 1")
-            return htmtv(k, 1, tol, strategy)
-        if x == 0:
-            return ValueWithBound(0, 0, True)
-        u = endpoint.local_u("kta", x)
-        if u <= endpoint.EDGE:
-            tol = parse_tol(tol, _default_tol(cfg))
-            return ValueWithBound(*endpoint.evaluate("kta", k, u, tol))
-        return _direct_series(k, x, 2, tol, strategy, "A-function")
+        tol = parse_tol(tol, _default_tol(cfg))
+        return _checked(_polylog("kta", k, x, tol, strategy), tol)
 
 
 def apery_I(k, kk: int, alpha, tol=None, strategy=None,

@@ -46,3 +46,21 @@ def mpf_useries(terms, u):
             lpow[j] = lu ** j
         total += c * u ** m * lpow[j]
     return total
+
+
+def mpf_polylog(k, x, frame):
+    """Li_k(x) (frame 1) or A(k; x) (frame 2) summed over m_1 <= m for
+    m = 1, 2, ... by their defining series: x^d_0(m_1) prod_j
+    d_j(m_j)^(-k_j) over m_1 > ... > m_r >= 1, d_j(m) = m for Li and
+    2 m - r + j for A, whose sum carries 2^r."""
+    r = len(k)
+    S = [mp.mpf(0)] * r + [mp.mpf(1)]
+    m = 0
+    while True:
+        m += 1
+        for j in range(r):
+            if S[j + 1]:
+                d = m if frame == 1 else 2 * m - r + j
+                w = S[j + 1] / mp.mpf(d) ** k[j]
+                S[j] += x ** d * w if j == 0 else w
+        yield S[0] if frame == 1 else S[0] * 2 ** r

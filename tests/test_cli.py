@@ -77,6 +77,15 @@ class TestEval:
         assert code == 4
         assert "exceeds tolerance" in err
 
+    @pytest.mark.parametrize("kind, x", [("mpl", "0.5"), ("mpl", "0.9"),
+                                         ("htmzv", None)])
+    def test_tolerance_out_of_reach_exit(self, capsys, kind, x):
+        # 1e-400 at 256 bits: each route says so with exit 4
+        argv = ["eval", kind, "--index", "2", "--tol", "1e-400"]
+        code, _, err = run_cli(capsys, *argv, *(["--x", x] if x else []))
+        assert code == 4
+        assert "exceeds tolerance" in err
+
     def test_output_roundtrips(self, capsys):
         code, out, _ = run_cli(capsys, "--bits", "128", "eval", "htmzv",
                                "--index", "2")

@@ -7,10 +7,10 @@ from hzeta.asymptotics import LruCache
 from hzeta.compositions import Composition
 from hzeta.endpoint import kta_endpoint, mpl_endpoint
 from hzeta.errors import DomainError
-from hzeta.fixed import GUARD_BITS
-from hzeta.precision import PrecisionConfig, working
+from hzeta.fixed import GUARD_BITS, to_mpf
+from hzeta.precision import PrecisionConfig, parse_real, working
 from hzeta.series_engine import ValueWithBound, _direct_series, kta, mpl
-from mpf_reference import mpf_useries
+from mpf_reference import mpf_polylog, mpf_useries
 
 PREC = PrecisionConfig(bits=192)
 TOL = mp.mpf(10) ** -30
@@ -30,13 +30,21 @@ def _direct(k, x, frame, tol=TOL, prec=PREC):
                               "reference")
 
 
+def _defining(k, x, frame, bits):
+    """The defining series of Li (frame 1) or A (frame 2) at the active
+    precision, summed until x^(frame m) is below 2^-bits."""
+    for m, total in enumerate(mpf_polylog(k, x, frame), 1):
+        if x ** (frame * m) < mp.ldexp(1, -bits):
+            return total
+
+
 @pytest.mark.parametrize("k", [(1,), (2,), (1, 1), (2, 1), (2, 2), (2, 1, 1)])
 @pytest.mark.parametrize("u", ["0.25", "0.1", "0.01"])
 def test_mpl_endpoint_matches_series(k, u):
     u = mp.mpf(u)
     f = mpl_endpoint(k, PREC)
-    direct = _direct(k, 1 - u, 1)
-    assert abs(f(u) - direct.value) < mp.mpf(10) ** -25
+    direct = _defining(k, 1 - u, 1, 120)
+    assert abs(f(u) - direct) < mp.mpf(10) ** -25
 
 
 def test_mpl_endpoint_log_singularity():
@@ -58,8 +66,8 @@ def test_kta_endpoint_matches_series(k, u):
     u = mp.mpf(u)
     x = (1 - u) / (1 + u)
     f = kta_endpoint(k, PREC)
-    direct = _direct(k, x, 2)
-    assert abs(f(u) - direct.value) < mp.mpf(10) ** -25
+    direct = _defining(k, x, 2, 120)
+    assert abs(f(u) - direct) < mp.mpf(10) ** -25
 
 
 def test_kta_endpoint_tiny_u():
@@ -193,3 +201,34 @@ def test_route_at_the_edge_from_a_cold_cache(monkeypatch, k):
         v = getattr(series_engine, name)(k, x, None, None, PREC)
         direct = _direct(k, x, frame, None)
         assert abs(v.value - direct.value) <= v.abs_error + direct.abs_error
+
+
+@pytest.mark.parametrize("bits", [128, 256, 448])
+@pytest.mark.parametrize("k", [(1,), (3,), (2, 1), (1, 2), (2, 1, 1),
+                               (1, 3, 1, 2)])
+@pytest.mark.parametrize("kind, frame", [("mpl", 1), ("kta", 2)])
+def test_direct_pass_claims_hold(kind, frame, k, bits):
+    # the one direct pass, through its single-level call at x from 2^-200
+    # to the anchor point x0 and through the anchors of k's chain at x0,
+    # against the defining series 256 bits higher
+    prec = PrecisionConfig(bits)
+    den = 4 if kind == "mpl" else 5
+    chain = [k]
+    while len(chain[-1]) > 1 or chain[-1][0] > 1:
+        chain.append(endpoint._child(chain[-1]))
+    with working(prec):
+        anchors = endpoint._direct_core(kind, k, chain)
+        F = endpoint.scale()
+    for x in (mp.ldexp(1, -200), "0.3", "0.6", f"3/{den}"):
+        with working(prec):
+            x = parse_real(x)
+        v = _direct(k, x, frame, None, prec)
+        with mp.workprec(bits + 256):
+            ref = _defining(k, x, frame, -mp.mag(x ** (frame * len(k)))
+                            + bits + 200)
+            assert abs(v.value - ref) <= v.abs_error, x
+    with mp.workprec(bits + 256):
+        x0 = mp.mpf(3) / den
+        for lv, (T, claim) in anchors.items():
+            ref = _defining(lv, x0, frame, bits + 200)
+            assert abs(to_mpf(T, F) - ref) <= claim, lv

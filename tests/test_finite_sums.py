@@ -351,3 +351,4 @@ def test_direct_series_at_tiny_x_keeps_relative_accuracy(bits, fn, frame, k):
         ref = _series_reference(k, x, frame, 4)
         assert abs(v.value - ref) <= mp.ldexp(abs(ref), -(bits + 16))
         assert abs(v.value - ref) <= v.abs_error
+        assert v.abs_error <= mp.ldexp(abs(ref), -bits)

@@ -167,6 +167,31 @@ class TestPolylogs:
         assert abs(v.value - ref) < mp.mpf(10) ** -60
 
 
+    # at 256 bits a claim cannot reach 1e-400 on either route; the direct
+    # route (u > 1/4), then the endpoint route (u <= 1/4); mpl_landen
+    # checks its total
+    @pytest.mark.parametrize("fn, k, x", [(mpl, (2,), "0.5"),
+                                          (kta, (2, 1), "0.3"),
+                                          (mpl_landen, (2, 1), "0.3")])
+    def test_direct_route_raises_above_tol(self, fn, k, x):
+        self._raises_above_tol(fn, k, x)
+
+    @pytest.mark.parametrize("fn, k, x", [(mpl, (1, 1), "0.9"),
+                                          (kta, (2, 1), "0.95")])
+    def test_endpoint_route_raises_above_tol(self, fn, k, x):
+        self._raises_above_tol(fn, k, x)
+
+    @staticmethod
+    def _raises_above_tol(fn, k, x):
+        prec = PrecisionConfig(256)
+        with pytest.raises(ToleranceNotReached) as info:
+            fn(k, x, "1e-400", None, prec)
+        best = info.value.best
+        ref = fn(k, x, None, None, prec)
+        assert best.abs_error > mp.mpf("1e-400")
+        assert abs(best.value - ref.value) <= best.abs_error + ref.abs_error
+
+
 class TestAperyFamilies:
     def test_apery_I_pi4(self):
         # sum zeta*_n(1; 1) / (n^3 C(2n,n)/..) at alpha=0 collapses to

@@ -4,12 +4,14 @@ values and claims.
 Usage: python tools/same_values.py OTHER_TREE
 
 Runs the requests of ``perfbench/workloads.make_pass(w, c, 0)`` for both
-workloads w = eval-em and eval-direct and the candidates c = 0-15 in both
-trees (1,536 requests each), one fresh process per tree, workload and
-candidate, two processes at a time.  The request lists come from this
-tree's ``perfbench/workloads.py`` for both trees; each tree's ``src`` is
-imported for the evaluation.  Values and claimed errors travel as exact
-signed (mantissa, exponent) pairs.
+workloads w = eval-em and eval-direct and the candidates c = 0-15, and a
+fixed grid of ``mpl`` and ``kta`` requests whose u exceeds 1/4, so that
+they take the direct series (:func:`grid`), in both trees (1,641 requests
+each), one fresh process per tree, workload and candidate (the grid is
+one more), two processes at a time.  The request lists come from this
+tree's ``perfbench/workloads.py`` and this file for both trees; each
+tree's ``src`` is imported for the evaluation.  Values and claimed errors
+travel as exact signed (mantissa, exponent) pairs.
 
 Prints the largest relative value difference, in units of
 2^-(bits - 8) for each request's bits, and the largest claim ratio.  Exits
@@ -31,6 +33,26 @@ HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("eval-em", "eval-direct")
 CANDIDATES = range(16)
 CLAIM_RATIO = Fraction(101, 100)
+# depths 1-5 at x in both frames of the direct series, default tol
+GRID_INDICES = [[2], [1, 2], [2, 1, 3], [1, 2, 1, 2], [2, 1, 1, 3, 1]]
+GRID_X = {"mpl": ["0.125", "0.375", "0.625", "0.71875"],
+          "kta": ["0.125", "0.375", "0.5625"]}
+
+
+def grid():
+    """The fixed direct-series requests, in the request format of
+    ``perfbench/workloads.py``."""
+    return [{"kind": kind, "args": [k, x], "bits": bits}
+            for kind, xs in GRID_X.items() for x in xs
+            for k in GRID_INDICES for bits in (128, 256, 448)]
+
+
+def requests(workload: str, candidate: int):
+    import workloads
+
+    if workload == "grid":
+        return grid()
+    return workloads.make_pass(workload, candidate, 0)
 
 
 def _signed(x):
@@ -46,7 +68,7 @@ def child(tree: str, workload: str, candidate: int):
     import hzeta
     import workloads
 
-    for req in workloads.make_pass(workload, candidate, 0):
+    for req in requests(workload, candidate):
         try:
             value, err = workloads.execute(hzeta, req)
             out = {"value": _signed(value),
@@ -82,13 +104,13 @@ def main(argv) -> int:
     import workloads
 
     other = Path(argv[0]).resolve()
-    cases = [(w, c) for w in WORKLOADS for c in CANDIDATES]
+    cases = [(w, c) for w in WORKLOADS for c in CANDIDATES] + [("grid", 0)]
     jobs = [(tree, w, c) for w, c in cases for tree in (HERE, other)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda job: run(*job), jobs))
     worst_value, worst_claim, broken = Fraction(0), Fraction(1), []
     for i, (w, c) in enumerate(cases):
-        reqs = workloads.make_pass(w, c, 0)
+        reqs = requests(w, c)
         for req, a, b in zip(reqs, results[2 * i], results[2 * i + 1]):
             where = f"{w} candidate {c}: {workloads.key(req)}"
             if "error" in a or "error" in b:
