@@ -1,4 +1,5 @@
-"""Endpoint expansions of polylogarithm cores near x = 1, with a claimed error.
+"""Li_k(x) and A(k; x): the endpoint expansions near x = 1, the direct
+series before them, and the routes of requests and quadrature nodes.
 
 Direct series for Li_k(x) and the A-function A(k; x) cost about
 1/(1 - x) terms, which is too slow near the right endpoint.  Both cores
@@ -17,9 +18,8 @@ level is anchored against the direct series at the domain edge
 u0 = ``EDGE`` = 1/4, which keeps all constants numerical and avoids
 regularised limit values.  Every table serves 0 < u <= 1/4.
 
-Two callers.  :mod:`hzeta.quadrature` evaluates the tables at the full
-working precision through :func:`mpl_endpoint` and :func:`kta_endpoint`.
-``series_engine.mpl`` and ``kta`` send every request whose u is at most
+Two entries.  :func:`route` serves a request (``series_engine.mpl``,
+``kta`` and ``mpl_landen``): u > 1/4 goes to :func:`direct`, and u <=
 1/4 to :func:`evaluate`, which builds the table at the precision the
 tolerance needs, p = min(work bits, -log2 tol + guard) rounded up to a
 multiple of 32 so that nearby tolerances share tables; the guard covers
@@ -27,7 +27,10 @@ the claim's factor 3r + 2 and the core's size |log u|^r / r! (depth r)
 with 8 bits to spare.  A claim above tol repeats the evaluation once at
 the work bits.  The precision depends on the request only, and a table
 on its index and precision only, so one request always gives the same
-bits, whatever the cache holds.
+bits, whatever the cache holds.  :func:`node_evaluator` serves the
+quadrature, whose nodes need the value at the work precision only: the
+tables at the work bits (:func:`mpl_endpoint`, :func:`kta_endpoint`) or
+:func:`direct`, and no claim.
 
 The direct pass.  :func:`_direct_pass` is the one direct series of both
 cores, at an exact ratio x, for levels (j, k_(i+1), ..., k_r) that share
@@ -35,12 +38,10 @@ the inner sums of one nested-sum stream (:func:`finite_sums._steps`) on
 integers at the caller's scale F.  Each level stops at its own N, found
 once before the loop by a float bisection on its tail majorant
 (:func:`_cut`), and claims that majorant evaluated once in mpf at N plus
-the pass's counted rounding units.  ``series_engine._direct_series``
-runs one level at any 0 < x < 1 (``mpl`` and ``kta`` for u > 1/4, the
-quadrature before the edge).  :func:`_direct_core` anchors every missing
-level of a chain at x0 = x(1/4) (3/4 for Li, 3/5 for A) at the default
-scale, cut at 2^-(p + 8), so an anchor does not depend on which chain
-asked for it.
+the pass's counted rounding units.  :func:`direct` runs one level at any
+0 < x < 1; :func:`_direct_core` anchors every missing level of a chain
+at x0 = x(1/4) (``KINDS``) at the default scale, cut at 2^-(p + 8), so
+an anchor does not depend on which chain asked for it.
 
 Tables are held in fixed point (:mod:`hzeta.fixed`): one row of Python
 integers per log power j, entry m standing for c_{m,j} 2^-F at F = p + 64.
@@ -70,9 +71,9 @@ times sup |P_j'| <= 16/9 max_m |c_{m,j}|, 4/3 units of Horner floors (u
 <= 1/4 shrinks every earlier error by u per step) and 4/3 max_m
 |c_{m,j}| units for the terms below one unit that Horner's rule skips,
 and last the Horner rule in log u at p bits, at most (3r + 2) 2^-p sum_j
-|P_j| |log u|^j.  The claim is not rigorous: the bound arithmetic runs
-in round-to-nearest mpf and floats, and the unit counts are argued
-rather than proven.
+|P_j| |log u|^j.  Neither this claim nor the direct one is rigorous, and
+both routes say so: the bound arithmetic runs in round-to-nearest mpf
+and floats, and the unit counts are argued rather than proven.
 """
 
 from __future__ import annotations
@@ -85,14 +86,17 @@ from math import comb, factorial
 import mpmath as mp
 
 from .asymptotics import LruCache
-from .compositions import Composition
+from .compositions import Composition, refinements
 from .errors import DomainError
 from .finite_sums import _slots, _steps
-from .fixed import fix, horner, rdiv, scale, to_mpf
+from .fixed import GUARD_BITS, dyadic, fix, horner, rdiv, scale, to_mpf
 from .precision import PrecisionConfig, working
 
 # The domain edge: every table serves 0 < u <= EDGE and is anchored there.
 EDGE = mp.mpf(0.25)
+
+# (frame, x0 = x(EDGE)) of each core: Li sums x^m, A sums x^(2m - r)
+KINDS = {"mpl": (1, (3, 4)), "kta": (2, (3, 5))}
 
 # anchors are cut ANCHOR_BITS below the table's precision
 ANCHOR_BITS = 8
@@ -210,11 +214,10 @@ def _log_majorant(lib, lnx, frame, depth, j, N):
             - lib.log(1 - rho))
 
 
-def _cut(frame, x, depth, j, target, cap=None):
-    """(N, bound, met): the first N at which the log-majorant of the
-    direct tail past N of a depth-``depth`` level with leading exponent
-    ``j`` at x = num/den is at most 2^-target, or ``cap`` if that comes
-    first, the majorant at N, and whether it met 2^-target.
+def _cut(frame, x, depth, j, target):
+    """(N, bound): the first N at which the log-majorant of the direct tail
+    past N of a depth-``depth`` level with leading exponent ``j`` at
+    x = num/den is at most 2^-target, and the majorant at N.
 
     An inner sum is at most (1 + log m)^(r-1) / (r-1)! (A's denominators
     are at least their index) and the outer denominator at least m^j, so a
@@ -233,29 +236,27 @@ def _cut(frame, x, depth, j, target, cap=None):
 
     lo = max(depth, math.ceil(4 * (depth - 1) / (-frame * lnx)))
     hi = lo
-    while above(hi) and (cap is None or hi < cap):
+    while above(hi):
         hi *= 2
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (mid + 1, hi) if above(mid) else (lo, mid)
-    N = lo if cap is None else min(lo, cap)
-    bound = mp.exp(_log_majorant(mp, mp.log(num) - mp.log(den), frame,
-                                 depth, j, mp.mpf(N)))
-    return N, bound, not above(N)
+    return lo, mp.exp(_log_majorant(mp, mp.log(num) - mp.log(den), frame,
+                                    depth, j, mp.mpf(lo)))
 
 
-def _direct_pass(frame, parts, x, levels, target, F, cap=None):
-    """{level: (value at 2^-F, claimed error, whether the tail met
-    2^-target)}: Li (frame 1) or A (frame 2) at x = num/den, an exact
-    ratio in (0, 1), of each of the ``levels`` (j,) + parts[i+1:], from
-    one pass of the direct series of ``parts`` on integers at 2^-F.
+def _direct_pass(frame, parts, x, levels, target, F):
+    """{level: (value at 2^-F, claimed error)}: Li (frame 1) or A (frame 2)
+    at x = num/den, an exact ratio in (0, 1), of each of the ``levels``
+    (j,) + parts[i+1:], from one pass of the direct series of ``parts`` on
+    integers at 2^-F.
 
     Level (j,) + parts[i+1:] of depth r' sums q^m d(m)^(-j) times the
-    stream's inner sum S[i] at m - 1 for m <= N (:func:`_cut`, at most
-    ``cap``), q = x^frame and d(m) = m for Li and 2 m - r' for A, whose
-    prefactor c 2^-|parts[i+1:]|, c = (2/x)^r', is applied once at the end
-    by one rounded exact division (A's stream sums over the half
-    denominators of its slots).  q^m steps by one floor of an exact ratio
+    stream's inner sum S[i] at m - 1 for m <= N (:func:`_cut`), q = x^frame
+    and d(m) = m for Li and 2 m - r' for A, whose prefactor c
+    2^-|parts[i+1:]|, c = (2/x)^r', is applied once at the end by one
+    rounded exact division (A's stream sums over the half denominators of
+    its slots).  q^m steps by one floor of an exact ratio
     (at most 1/(1 - q) units off), the inner sums carry m r' units after m
     steps, and each term floors twice, so the pass is off by at most
     c (N (B / (1 - q) + 2) + (r' - 1) q / (1 - q)^2) + 1 units, B the
@@ -268,8 +269,8 @@ def _direct_pass(frame, parts, x, levels, target, F, cap=None):
     shifts = [mp.mpf(1 if frame == 1 else (i + 2 - r) / 2)
               for i in range(1, r)]
     stream = _steps(_slots(parts[1:], shifts, False), r - 1, F, None)
-    jobs = [[lv, r - len(lv), *_cut(frame, x, len(lv), lv[0], target, cap),
-             0] for lv in levels]
+    jobs = [[lv, r - len(lv), *_cut(frame, x, len(lv), lv[0], target), 0]
+            for lv in levels]
     S = [0] * (r - 1) + [1 << F]
     X = 1 << F
     for m in range(1, max(job[2] for job in jobs) + 1):
@@ -278,11 +279,11 @@ def _direct_pass(frame, parts, x, levels, target, F, cap=None):
             lv, i, N = job[0], job[1], job[2]
             if m <= N and S[i]:
                 d = m if frame == 1 else 2 * m - len(lv)
-                job[5] += (X * S[i] >> F) // (d if lv[0] == 1 else d ** lv[0])
+                job[4] += (X * S[i] >> F) // (d if lv[0] == 1 else d ** lv[0])
         S = next(stream)
     q = mp.mpf(qn) / qd
     out = {}
-    for lv, _i, N, tail, met, T in jobs:
+    for lv, _i, N, tail, T in jobs:
         depth = len(lv)
         c = 1
         if frame == 2:
@@ -291,7 +292,7 @@ def _direct_pass(frame, parts, x, levels, target, F, cap=None):
         B = (1 + mp.log(N)) ** (depth - 1) / factorial(depth - 1)
         units = c * (N * (B / (1 - q) + 2)
                      + (depth - 1) * q / (1 - q) ** 2) + 1
-        out[lv] = (T, tail + mp.ldexp(units, -F), met)
+        out[lv] = (T, tail + mp.ldexp(units, -F))
     return out
 
 
@@ -299,10 +300,35 @@ def _direct_core(kind, parts, levels):
     """{level: (value at 2^-F, claimed error)}: the ``levels`` of
     :func:`_direct_pass` at the anchor point x0 = x(EDGE) and the default
     scale F, each cut ``ANCHOR_BITS`` below the working precision."""
-    frame, x0 = (1, (3, 4)) if kind == "mpl" else (2, (3, 5))
-    out = _direct_pass(frame, parts, x0, levels, mp.mp.prec + ANCHOR_BITS,
-                       scale())
-    return {lv: (T, claim) for lv, (T, claim, _) in out.items()}
+    frame, x0 = KINDS[kind]
+    return _direct_pass(frame, parts, x0, levels, mp.mp.prec + ANCHOR_BITS,
+                        scale())
+
+
+def direct(kind, parts, x, tol):
+    """(value, claimed error) of Li_parts(x) ("mpl") or A(parts; x) ("kta")
+    at 0 < x < 1 (an mpf): the one level ``parts`` of :func:`_direct_pass`,
+    cut where its tail majorant meets tol/2.
+
+    The scale F keeps ``GUARD_BITS`` below that cut after A's prefactor
+    (2/x)^r, and frame r bits per binary order of a small x, so that the
+    first term, about x^r, keeps the default scale's bits: a tiny x keeps
+    its relative accuracy.  The value is the pass's integer rounded once
+    to :func:`scale` bits, which a caller keeps by wrapping it at that
+    precision, and its rounding joins the claim.
+    """
+    frame = KINDS[kind][0]
+    r, out_bits = len(parts), scale()
+    e, B = dyadic(x)
+    target = 2 - mp.mag(tol)  # 2^-target <= tol/2
+    lp = 0 if frame == 1 else r * (1 + e - math.log2(B))  # (2/x)^r
+    F = max(out_bits + frame * r * max(0, e - B.bit_length()),
+            math.ceil(target + lp) + GUARD_BITS)
+    [(T, claim)] = _direct_pass(frame, parts, (B, 1 << e), [parts], target,
+                                F).values()
+    with mp.workprec(out_bits):
+        value = to_mpf(T, F, out_bits)
+        return value, claim + mp.ldexp(abs(value), -out_bits)
 
 
 def _child(parts):
@@ -312,7 +338,7 @@ def _child(parts):
 def _build(kind, parts, child, anchor, F, M):
     """The table of ``parts`` from its child's and its anchor."""
     D, delta = anchor
-    f = 1 if kind == "mpl" else 2
+    f = KINDS[kind][0]
     if parts[0] == 1:
         E = _integrate_rows([[-c for c in row] for row in child.rows], -1, M)
         err = [delta] + [a / (i + 1) for i, a in enumerate(child.err)]
@@ -422,3 +448,41 @@ def kta_endpoint(k, prec: PrecisionConfig | None = None):
     :func:`mpl_endpoint` builds it."""
     with working(prec):
         return _endpoint("kta", k)
+
+
+def route(kind, k, x, tol):
+    """(value, claimed error) of Li_k(x) ("mpl") or A(k; x) ("kta") for a
+    request at 0 < x < 1: :func:`evaluate` once u <= ``EDGE``, else
+    :func:`direct` (whose value carries :func:`scale` bits)."""
+    u = local_u(kind, x)
+    if u <= EDGE:
+        return evaluate(kind, k, u, tol)
+    return direct(kind, Composition(k).parts, x, tol)
+
+
+def landen(k):
+    """(sign, terms) with Li_k(x/(x-1)) = sign sum_l Li_l(x) over the
+    refinements l of k, in one fixed order, for 0 <= x < 1."""
+    k = Composition(k)
+    return (-1) ** k.depth(), sorted(refinements(k), key=lambda l: l.parts)
+
+
+def node_evaluator(kind, k):
+    """Evaluator (x, u) -> Li_k(x) ("mpl"), A(k; x) ("kta") or
+    Li_k(x/(x-1)) ("mpl_landen", by :func:`landen`) at a quadrature node,
+    u the core's local variable as the node carries it exactly: the table
+    at the working precision once u <= ``EDGE``, :func:`direct` at
+    2^-(p - 16) before; the value only, with no claim (:func:`route`)."""
+    if kind == "mpl_landen":
+        sign, terms = landen(k)
+        evals = [node_evaluator("mpl", l) for l in terms]
+        return lambda x, u: sign * mp.fsum(f(x, u) for f in evals)
+    # looked up at call time, so a wrapper set on the module sees the call
+    near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(k)
+    parts = Composition(k).parts
+    tol = mp.ldexp(1, -(mp.mp.prec - 16))
+
+    def f(x, u):
+        return near(u) if u <= EDGE else direct(kind, parts, x, tol)[0]
+
+    return f

@@ -2,13 +2,14 @@
 
 All real arithmetic in hzeta runs on mpmath.  A :class:`PrecisionConfig`
 fixes the user-visible precision in bits; internally every routine works
-at ``bits + GUARD_BITS``.  Public entry points take ``prec`` and enter it
-once with :func:`working`; private layers take no precision and run at
-the innermost active config, so ``prec=None`` inside a block means that
-block's config.  No block spans a ``yield``: streams resolve their bits
-when created, and factories capture the config and re-enter it on every
-call of the closure they return.  Precision-keyed caches key on
-``mp.mp.prec``, which equals ``work_bits`` inside a block.
+at ``bits + WORK_GUARD_BITS``, the work bits, on top of which the
+fixed-point kernels add ``fixed.GUARD_BITS``.  Public entry points take
+``prec`` and enter it once with :func:`working`; private layers take no
+precision and run at the innermost active config, so ``prec=None`` inside
+a block means that block's config.  No block spans a ``yield``: streams
+resolve their bits when created, and factories capture the config and
+re-enter it on every call of the closure they return.  Precision-keyed
+caches key on ``mp.mp.prec``, which equals ``work_bits`` inside a block.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import mpmath as mp
 from .errors import DomainError
 
 MIN_BITS = 64
-GUARD_BITS = 32
+WORK_GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision in bits; routines add :data:`GUARD_BITS`."""
+    """Working precision in bits; routines add :data:`WORK_GUARD_BITS`."""
 
     bits: int = 256
 
@@ -38,7 +39,7 @@ class PrecisionConfig:
 
     @property
     def work_bits(self) -> int:
-        return self.bits + GUARD_BITS
+        return self.bits + WORK_GUARD_BITS
 
 
 def default_precision() -> PrecisionConfig:

@@ -8,10 +8,10 @@ are integrated accurately; the error estimate is the last level-doubling
 delta and is heuristic.
 
 Both endpoint coordinates of every node are kept explicitly (v and
-1 - v), and polylogarithm cores switch to the anchored endpoint
-expansions of :mod:`hzeta.endpoint` once their right-endpoint variable
-is at most 1/4, so nodes exponentially close to x = 1 stay cheap and
-fully accurate.
+1 - v).  The polylogarithm cores (Li, A and Li's Landen image) are
+:func:`endpoint.node_evaluator`'s, which switches to the anchored
+endpoint tables once the right-endpoint variable is at most 1/4, so
+nodes exponentially close to x = 1 stay cheap and fully accurate.
 
 The frame follows from the core.  The A-function core integrates in
 u = (1 - x)/(1 + x), so the natural singular variable of its weights sits
@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .compositions import Composition, refinements
-from .endpoint import EDGE, kta_endpoint, mpl_endpoint
+from .compositions import Composition
+from .endpoint import node_evaluator
 from .errors import DomainError, NoConvergence
 from .precision import PrecisionConfig, parse_tol, working
-from .series_engine import ValueWithBound, _direct_series
+from .series_engine import ValueWithBound
 
 MAX_LEVELS = 12
 
@@ -97,22 +97,6 @@ class WeightedIntegrand:
         return Composition(self.core[1]).depth()
 
 
-def _hybrid(kind, k: Composition):
-    """Evaluator (x, u) -> Li_k(x) or A(k; x), u the core's right-endpoint
-    variable as the node carries it exactly: the endpoint series at the
-    working precision once u <= 1/4, the direct loop before."""
-    near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(k)
-    frame, name = (1, "Li") if kind == "mpl" else (2, "A-function")
-    tol = mp.ldexp(1, -(mp.mp.prec - 16))
-
-    def f(x, u):
-        if u <= EDGE:
-            return near(u)
-        return _direct_series(k, x, frame, tol, None, name).value
-
-    return f
-
-
 def _core_evaluator(core):
     """Evaluator (x, w) -> core value, w the right-endpoint variable."""
     kind = core[0]
@@ -121,18 +105,8 @@ def _core_evaluator(core):
     if kind == "monomial":
         n = int(core[1])
         return lambda x, omx: x ** (n - 1)
-    if kind in ("mpl", "kta"):
-        return _hybrid(kind, Composition(core[1]))
-    if kind == "mpl_landen":
-        k = Composition(core[1])
-        parts = [_hybrid("mpl", l) for l in sorted(refinements(k),
-                                                  key=lambda l: l.parts)]
-        sign = -1 if k.depth() % 2 else 1
-
-        def f(x, omx):
-            return sign * mp.fsum(p(x, omx) for p in parts)
-
-        return f
+    if kind in ("mpl", "kta", "mpl_landen"):
+        return node_evaluator(kind, Composition(core[1]))
     raise DomainError(f"unknown integrand core {core!r}")
 
 

@@ -38,15 +38,14 @@ N - 2, N - 1 and N are summed as integers and become mpf once per
 escalation level; a level continues the head where the previous one
 stopped.
 
-Li_k(x) and A(k; x) with u > 1/4 are one level of the direct pass that
-also anchors the endpoint tables (:func:`endpoint._direct_pass`, through
-:func:`_direct_series`): it stops at the index where its tail majorant
-meets tol/2 and claims that majorant plus its counted rounding units.
+Li_k(x) and A(k; x) at 0 < x < 1 are :func:`endpoint.route`'s, the one
+module that knows both cores; :func:`mpl`, :func:`kta` and
+:func:`mpl_landen` add the checks, the exact ends x = 0 and 1 and the
+tolerance contract.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -61,7 +60,6 @@ from .compositions import (
     add as index_add,
     binom_weight,
     ones,
-    refinements,
     theorem_dual,
     weak_compositions,
 )
@@ -73,7 +71,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .finite_sums import ShiftVector, _binomials, _coerce, _fixed_stream
-from .fixed import GUARD_BITS, dyadic, scale, to_mpf
+from .fixed import dyadic, scale, to_mpf
 from .precision import PrecisionConfig, finite_real, parse_tol, working
 
 
@@ -83,7 +81,9 @@ class ValueWithBound:
 
     ``rigorous`` is True when ``abs_error`` comes from a proven envelope
     bound on the discarded tail, False when it is a heuristic estimate
-    (observed expansion defect or extrapolation delta).
+    (observed expansion defect or extrapolation delta) or a derived claim
+    with unproven arithmetic, as Li_k(x) and A(k; x) give on both routes
+    of :func:`endpoint.route`.  So far only exact values are rigorous.
     """
 
     value: mp.mpf
@@ -137,10 +137,11 @@ class ValueWithBound:
 
 @dataclass(frozen=True)
 class TailStrategy:
-    """Outer-tail budgets.  The remainder beyond the crossover is the
-    anchored asymptotic expansion of the summand, summed through
-    closed-form Hurwitz tails.  ``N_max`` caps the number of exactly
-    summed terms; ``em_order`` sets the base expansion order.
+    """Outer-tail budgets of the Euler-Maclaurin driver.  The remainder
+    beyond the crossover is the anchored asymptotic expansion of the
+    summand, summed through closed-form Hurwitz tails.  ``N_max`` caps the
+    number of exactly summed head terms; ``em_order`` sets the base
+    expansion order.  Li_k and A(k; x) reach it only at x = 1.
     """
 
     N_max: int = 2_000_000
@@ -526,42 +527,6 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
         return weighted_sum([spec], tol, strategy)
 
 
-def _direct_series(k: Composition, x, frame: int, tol, strategy,
-                   name: str) -> ValueWithBound:
-    """Li_k(x) (frame 1) or A(k; x) (frame 2) for 0 < x < 1: the one level
-    k of :func:`endpoint._direct_pass`, cut where its tail majorant meets
-    tol/2, or at ``strategy.N_max`` terms, past which it raises
-    :class:`ToleranceNotReached` with the majorant there in ``best``.
-
-    The scale F keeps ``GUARD_BITS`` below that cut after A's prefactor
-    (2/x)^r, and frame r bits per binary order of a small x, so that the
-    first term, about x^r, keeps the default scale's bits: a tiny x keeps
-    its relative accuracy.  The value is the pass's integer rounded once
-    to that many bits, and its rounding joins the claim.
-    """
-    strategy = strategy or DEFAULT_TAIL
-    with working() as cfg:
-        tol = parse_tol(tol, _default_tol(cfg))
-        r, out_bits = k.depth(), scale()
-        e, B = dyadic(x)
-        target = 2 - mp.mag(tol)  # 2^-target <= tol/2
-        lp = 0 if frame == 1 else r * (1 + e - math.log2(B))  # (2/x)^r
-        F = max(out_bits + frame * r * max(0, e - B.bit_length()),
-                math.ceil(target + lp) + GUARD_BITS)
-        [(T, claim, done)] = endpoint._direct_pass(
-            frame, k.parts, (B, 1 << e), [k.parts], target, F,
-            strategy.N_max).values()
-        with mp.workprec(out_bits):
-            value = to_mpf(T, F, out_bits)
-            v = ValueWithBound(value, claim + mp.ldexp(abs(value), -out_bits),
-                               done)
-        if not done:
-            raise ToleranceNotReached(
-                f"{name} tail bound not certified within {strategy.N_max} "
-                "terms", best=v)
-        return v
-
-
 def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
     """The core ``kind`` ("mpl" or "kta") at 0 <= x <= 1 and the parsed
     ``tol`` for :func:`mpl`, :func:`kta` and :func:`mpl_landen`; its claim
@@ -580,24 +545,21 @@ def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
                 else htmtv(k, 1, tol, strategy))
     if x == 0:
         return ValueWithBound(0, 0, True)
-    u = endpoint.local_u(kind, x)
-    if u <= endpoint.EDGE:
-        return ValueWithBound(*endpoint.evaluate(kind, k, u, tol))
-    return _direct_series(k, x, 1 if kind == "mpl" else 2, tol, strategy,
-                          kind)
+    value, claim = endpoint.route(kind, k, x, tol)
+    with mp.workprec(scale()):  # the direct value's bits
+        return ValueWithBound(value, claim)
 
 
 def mpl(k, x, tol=None, strategy=None,
         prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Single-variable multiple polylogarithm Li_k(x) for 0 <= x <= 1.
 
-    While u = 1 - x > 1/4, frame 1 of :func:`_direct_series`, which gives
-    up after ``strategy.N_max`` terms.  For u <= 1/4 (``endpoint.EDGE``),
-    where the direct series needs about 1/u terms, the u-series of
-    :func:`endpoint.evaluate` at the precision ``tol`` needs, whose claim
-    is derived but not rigorous.  A claim above ``tol`` on either route
-    raises :class:`ToleranceNotReached` with the value in ``best``.  At
-    x = 1 the admissible case delegates to :func:`htmzv`.
+    For 0 < x < 1, :func:`endpoint.route`: the direct series while
+    u = 1 - x > 1/4, and for u <= 1/4, where that needs about 1/u terms,
+    the endpoint u-series at the precision ``tol`` needs.  Neither claim
+    is rigorous; one above ``tol`` raises :class:`ToleranceNotReached`
+    with the value in ``best``.  At x = 1 the admissible case delegates
+    to :func:`htmzv`.
     """
     with working(prec) as cfg:
         tol = parse_tol(tol, _default_tol(cfg))
@@ -609,9 +571,9 @@ def mpl_landen(k, x, tol=None, strategy=None,
     """Li_k evaluated at x/(x-1) via the refinement expansion.
 
     The Landen map gives Li_k(x/(x-1)) = (-1)^r sum of Li_l(x) over all
-    refinements l of k, valid for 0 <= x < 1; each term is asked for
-    tol / (number of terms), and a total claim above tol raises as in
-    :func:`mpl`.
+    refinements l of k (:func:`endpoint.landen`), valid for 0 <= x < 1;
+    each term takes the route of :func:`mpl` at tol / (number of terms),
+    and a total claim above tol raises as in :func:`mpl`.
     """
     k = Composition(k)
     if k.is_empty():
@@ -621,12 +583,11 @@ def mpl_landen(k, x, tol=None, strategy=None,
         if not 0 <= x < 1:
             raise DomainError(f"x must lie in [0, 1), got {x}")
         tol = parse_tol(tol, _default_tol(cfg))
-        terms = sorted(refinements(k), key=lambda l: l.parts)
+        sign, terms = endpoint.landen(k)
         sub = tol / len(terms)
         total = ValueWithBound(0, 0, True)
         for l in terms:
             total = total + _polylog("mpl", l, x, sub, strategy)
-        sign = -1 if k.depth() % 2 else 1
         return _checked(total * sign, tol)
 
 
@@ -637,10 +598,9 @@ def kta(k, x, tol=None, strategy=None,
         A(k; x) = 2^r sum_{m_1 > ... > m_r >= 1}
                   x^(2 m_1 - r) / prod_j (2 m_j - r + j - 1)^(k_j)
 
-    for 0 <= x <= 1, summed directly as frame 2 of :func:`_direct_series`
-    while u = (1-x)/(1+x) > 1/4 and from the u-series of
-    :func:`endpoint.evaluate` for u <= 1/4, with the tolerance contract of
-    :func:`mpl`; at x = 1 it equals the multiple T-value T(k).
+    for 0 <= x <= 1, by :func:`endpoint.route` in u = (1-x)/(1+x) with the
+    tolerance contract of :func:`mpl`; at x = 1 it equals the multiple
+    T-value T(k).
     """
     with working(prec) as cfg:
         tol = parse_tol(tol, _default_tol(cfg))

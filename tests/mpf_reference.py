@@ -64,3 +64,11 @@ def mpf_polylog(k, x, frame):
                 w = S[j + 1] / mp.mpf(d) ** k[j]
                 S[j] += x ** d * w if j == 0 else w
         yield S[0] if frame == 1 else S[0] * 2 ** r
+
+
+def mpf_defining(k, x, frame, bits):
+    """Li_k(x) (frame 1) or A(k; x) (frame 2) by :func:`mpf_polylog` at the
+    active precision, summed until x^(frame m) is below 2^-bits."""
+    for m, total in enumerate(mpf_polylog(k, x, frame), 1):
+        if x ** (frame * m) < mp.ldexp(1, -bits):
+            return total

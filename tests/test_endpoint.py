@@ -9,8 +9,8 @@ from hzeta.endpoint import kta_endpoint, mpl_endpoint
 from hzeta.errors import DomainError
 from hzeta.fixed import GUARD_BITS, to_mpf
 from hzeta.precision import PrecisionConfig, parse_real, working
-from hzeta.series_engine import ValueWithBound, _direct_series, kta, mpl
-from mpf_reference import mpf_polylog, mpf_useries
+from hzeta.series_engine import ValueWithBound, kta, mpl
+from mpf_reference import mpf_defining, mpf_useries
 
 PREC = PrecisionConfig(bits=192)
 TOL = mp.mpf(10) ** -30
@@ -22,20 +22,15 @@ def _workprec():
         yield
 
 
-def _direct(k, x, frame, tol=TOL, prec=PREC):
-    """The direct loop behind mpl (frame 1) and kta (frame 2), which send
-    u <= 1/4 to the tables under test."""
-    with working(prec):
-        return _direct_series(Composition(k), mp.mpf(x), frame, tol, None,
-                              "reference")
-
-
-def _defining(k, x, frame, bits):
-    """The defining series of Li (frame 1) or A (frame 2) at the active
-    precision, summed until x^(frame m) is below 2^-bits."""
-    for m, total in enumerate(mpf_polylog(k, x, frame), 1):
-        if x ** (frame * m) < mp.ldexp(1, -bits):
-            return total
+def _direct(k, x, kind, tol=TOL, prec=PREC):
+    """The single-level direct call behind mpl and kta, which send u <= 1/4
+    to the tables under test, at the default tol when ``tol`` is None."""
+    with working(prec) as cfg:
+        tol = series_engine._default_tol(cfg) if tol is None else tol
+        value, claim = endpoint.direct(kind, Composition(k).parts,
+                                       mp.mpf(x), tol)
+        with mp.workprec(endpoint.scale()):
+            return ValueWithBound(value, claim)
 
 
 @pytest.mark.parametrize("k", [(1,), (2,), (1, 1), (2, 1), (2, 2), (2, 1, 1)])
@@ -43,7 +38,7 @@ def _defining(k, x, frame, bits):
 def test_mpl_endpoint_matches_series(k, u):
     u = mp.mpf(u)
     f = mpl_endpoint(k, PREC)
-    direct = _defining(k, 1 - u, 1, 120)
+    direct = mpf_defining(k, 1 - u, 1, 120)
     assert abs(f(u) - direct) < mp.mpf(10) ** -25
 
 
@@ -66,7 +61,7 @@ def test_kta_endpoint_matches_series(k, u):
     u = mp.mpf(u)
     x = (1 - u) / (1 + u)
     f = kta_endpoint(k, PREC)
-    direct = _defining(k, x, 2, 120)
+    direct = mpf_defining(k, x, 2, 120)
     assert abs(f(u) - direct) < mp.mpf(10) ** -25
 
 
@@ -150,7 +145,7 @@ def test_route_claim_holds(kind, k, bits):
     # The reference runs at twice the bits: the direct loop while 1/u <= 100,
     # and past that, where the direct series is out of reach (2^40 terms at
     # 1 - 2^-40), the route itself on its own tables at twice the bits.
-    fn, frame = (mpl, 1) if kind == "mpl" else (kta, 2)
+    fn = mpl if kind == "mpl" else kta
     prec, ref_prec = PrecisionConfig(bits), PrecisionConfig(2 * bits)
     for x in ROUTE_POINTS:
         with working(ref_prec) as cfg:
@@ -162,7 +157,7 @@ def test_route_claim_holds(kind, k, bits):
                 x_ref = mp.mpf(x)
                 u = endpoint.local_u(kind, x_ref)
             if u >= mp.mpf("0.01"):
-                ref = _direct(k, x_ref, frame, ref_tol, ref_prec)
+                ref = _direct(k, x_ref, kind, ref_tol, ref_prec)
             else:
                 ref = fn(k, x_ref, ref_tol, None, ref_prec)
         for given in (None, mp.ldexp(1, -(bits - 64))):
@@ -195,11 +190,11 @@ def test_route_at_the_edge_from_a_cold_cache(monkeypatch, k):
                 depth[0] -= 1
         return call
 
-    for name, frame, x in (("mpl", 1, "0.75"), ("kta", 2, "0.6")):
+    for name, x in (("mpl", "0.75"), ("kta", "0.6")):
         monkeypatch.setattr(series_engine, name,
                             guarded(getattr(series_engine, name)))
         v = getattr(series_engine, name)(k, x, None, None, PREC)
-        direct = _direct(k, x, frame, None)
+        direct = _direct(k, x, name, None)
         assert abs(v.value - direct.value) <= v.abs_error + direct.abs_error
 
 
@@ -222,13 +217,13 @@ def test_direct_pass_claims_hold(kind, frame, k, bits):
     for x in (mp.ldexp(1, -200), "0.3", "0.6", f"3/{den}"):
         with working(prec):
             x = parse_real(x)
-        v = _direct(k, x, frame, None, prec)
+        v = _direct(k, x, kind, None, prec)
         with mp.workprec(bits + 256):
-            ref = _defining(k, x, frame, -mp.mag(x ** (frame * len(k)))
-                            + bits + 200)
+            ref = mpf_defining(k, x, frame,
+                               -mp.mag(x ** (frame * len(k))) + bits + 200)
             assert abs(v.value - ref) <= v.abs_error, x
     with mp.workprec(bits + 256):
         x0 = mp.mpf(3) / den
         for lv, (T, claim) in anchors.items():
-            ref = _defining(lv, x0, frame, bits + 200)
+            ref = mpf_defining(lv, x0, frame, bits + 200)
             assert abs(to_mpf(T, F) - ref) <= claim, lv

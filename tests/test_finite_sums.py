@@ -1,4 +1,4 @@
-from itertools import combinations, islice, product
+from itertools import islice, product
 
 import mpmath as mp
 import pytest
@@ -19,7 +19,7 @@ from hzeta.finite_sums import (
 )
 from hzeta.precision import PrecisionConfig, parse_real, working
 from hzeta.series_engine import kta, mpl
-from mpf_reference import mpf_binomials, mpf_nested
+from mpf_reference import mpf_binomials, mpf_defining, mpf_nested
 
 PREC = PrecisionConfig(bits=192)
 TOL = mp.mpf(2) ** -180
@@ -322,20 +322,6 @@ def test_poles_at_integer_shifts_only(fn):
             assert abs(v - ref) <= mp.ldexp(abs(ref), -PREC.bits)
 
 
-def _series_reference(k, x, frame, terms):
-    """Li_k(x) (frame 1) or A(k; x) (frame 2) summed over m_1 < r + terms,
-    at the active precision."""
-    r = len(k)
-    c = 0 if frame == 1 else r
-    total = mp.mpf(0)
-    for idx in combinations(range(r + terms, 0, -1), r):
-        term = x ** (frame * idx[0] - c)
-        for j, (m, kj) in enumerate(zip(idx, k)):
-            term /= (frame * m - c + (frame - 1) * j) ** kj
-        total += term
-    return total * (1 if frame == 1 else mp.mpf(2) ** r)
-
-
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("fn,frame,k", [
     (mpl, 1, (1,)), (mpl, 1, (2, 1)), (mpl, 1, (3, 1, 2)),
@@ -348,7 +334,7 @@ def test_direct_series_at_tiny_x_keeps_relative_accuracy(bits, fn, frame, k):
     tol = mp.ldexp(1, -(200 * r + bits + 64))
     v = fn(k, x, tol, None, PrecisionConfig(bits))
     with mp.workprec(bits + 256):
-        ref = _series_reference(k, x, frame, 4)
+        ref = mpf_defining(k, x, frame, 200 * frame * r + bits + 200)
         assert abs(v.value - ref) <= mp.ldexp(abs(ref), -(bits + 16))
         assert abs(v.value - ref) <= v.abs_error
         assert v.abs_error <= mp.ldexp(abs(ref), -bits)

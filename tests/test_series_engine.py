@@ -10,7 +10,6 @@ from hzeta import asymptotics as asym
 from hzeta.finite_sums import ShiftVector, _binomials, nested_stream, nth
 from hzeta.precision import PrecisionConfig, working
 from hzeta.series_engine import (
-    TailStrategy,
     ValueWithBound,
     apery_I,
     apery_II,
@@ -25,7 +24,6 @@ from hzeta.series_engine import (
     mpl_landen,
     param_euler_pow,
     param_euler_sum,
-    _direct_series,
     _pbc_sum,
     _SpecState,
     term_spec,
@@ -180,6 +178,20 @@ class TestPolylogs:
                                           (kta, (2, 1), "0.95")])
     def test_endpoint_route_raises_above_tol(self, fn, k, x):
         self._raises_above_tol(fn, k, x)
+
+    # the direct route (u > 1/4), the table route (u <= 1/4), the exact zero
+    # at x = 0, htmzv/htmtv at x = 1 and mpl_landen's sum of refinements
+    @pytest.mark.parametrize("fn, k, x, rigorous", [
+        (mpl, (2,), "0.5", False), (kta, (2, 1), "0.3", False),
+        (mpl, (2,), "0.9", False), (kta, (2, 1), "0.95", False),
+        (mpl, (2,), 0, True), (kta, (2, 1), 0, True),
+        (mpl, (2,), 1, False), (kta, (2, 1), 1, False),
+        (mpl_landen, (2, 1), "0.3", False),
+    ])
+    def test_rigor_flag(self, fn, k, x, rigorous):
+        # a Li/A claim rests on round-to-nearest mpf bounds and argued unit
+        # counts on both routes, so only the exact zero is rigorous
+        assert fn(k, x, None, None, PREC).rigorous is rigorous
 
     @staticmethod
     def _raises_above_tol(fn, k, x):
@@ -560,26 +572,6 @@ class TestErrorModel:
         assert spec.binom_lower == (p7,)
         assert spec.coeff == p3
         assert spec.coeff != mp.mpf("0.3")
-
-    @pytest.mark.parametrize("x", ["0.99", "0.9999"])
-    @pytest.mark.parametrize("fn", [mpl, kta])
-    def test_give_up_bound_holds(self, fn, x):
-        # the best estimate at the term cap claims at least its true error;
-        # the direct loop behind fn, which sends these u <= 1/4 to the
-        # endpoint tables
-        prec = PrecisionConfig(bits=128)
-        frame = 1 if fn is mpl else 2
-
-        def direct(tol, strategy):
-            with working(prec):
-                return _direct_series(Composition((1, 1)), mp.mpf(x), frame,
-                                      tol, strategy, fn.__name__)
-
-        with pytest.raises(ToleranceNotReached) as info:
-            direct(None, TailStrategy(N_max=1000))
-        best = info.value.best
-        ref = direct(mp.mpf("1e-12"), None)
-        assert best.abs_error >= abs(best.value - ref.value)
 
     @pytest.mark.parametrize("fn", [htmzv, htmzsv])
     def test_scalar_string_shift_broadcasts(self, fn):
