@@ -41,15 +41,18 @@ negation and exponent shifts are exact; a product of series, a product
 with a scalar, the derivative, the antiderivative and a division by an
 integer each form the exact integer result and round it once (at most
 u/2), on top of the input errors they carry forward (|a| |db| + |b| |da|
-for a product).  :func:`power_shift`, :func:`log_shift`,
-:func:`exp_decaying` and the binomial table of :meth:`AsymSeries.shift_arg`
-round once per step of their recurrences, and the step factor ((s + i)
-c / (i + 1), c or 1/m) carries earlier roundings on; shift_arg rounds
-twice per output, once after the binomial stage and once after the log
-stage.  Evaluation runs Horner's rule in 1/n on integers (at most u per
-step) and rounds once to p bits.  With coefficients up to 2^16 and 76
-terms, as on the Euler-Maclaurin families, the accumulated error stays
-many bits below 2^-p, inside the 64 guard bits.
+for a product).  A rational constant (B_2k/(2k)!, 1/2, 1/j!, 1/i) is an
+exact integer product and one division, so it rounds once; every
+Bernoulli number comes exact from one table, :func:`_bernoulli`.
+:func:`power_shift`, :func:`log_shift`, :func:`exp_decaying` and the
+binomial table of :meth:`AsymSeries.shift_arg` round once per step of
+their recurrences, and the step factor ((s + i) c / (i + 1), c or 1/m)
+carries earlier roundings on; shift_arg rounds twice per output, once
+after the binomial stage and once after the log stage.  Evaluation runs
+Horner's rule in 1/n on integers (at most u per step) and rounds once to
+p bits.  With coefficients up to 2^16 and 76 terms, as on the
+Euler-Maclaurin families, the accumulated error stays many bits below
+2^-p, inside the 64 guard bits.
 """
 
 from __future__ import annotations
@@ -481,21 +484,31 @@ def reciprocal(S):
     return inv._shifted(-e0)
 
 
+_BERNOULLI = []  # [(p, q) for i = 0, 1, ...]: B_i = p / q with q > 0
+
+
+def _bernoulli(i):
+    """B_i as the exact fraction (p, q), for every Euler-Maclaurin kernel."""
+    while len(_BERNOULLI) <= i:
+        _BERNOULLI.append(mp.bernfrac(len(_BERNOULLI)))
+    return _BERNOULLI[i]
+
+
 def em_antidifference(T):
     """V with V(n) - V(n-1) ~ T(n), so sum_{m<=n} T(m) = const + V(n).
 
     Euler-Maclaurin: V = int T + T/2 + sum_k B_2k/(2k)! T^(2k-1), truncated
-    by the series grading.
+    by the series grading (each step raises every exponent by 2).  With
+    B_2k = p/q exact, a term is p T^(2k-1) over q (2k)!, rounded once.
     """
-    V = T.antiderivative() + T * mp.mpf("0.5")
+    V = T.antiderivative() + T._idiv(2)
     D = T.derivative()  # odd-order derivatives T^(2k-1)
     k = 1
     while D._t:
-        V = V + D * (mp.bernoulli(2 * k) / mp.factorial(2 * k))
+        p, q = _bernoulli(2 * k)
+        V = V + (D * p)._idiv(q * math.factorial(2 * k))
         D = D.derivative().derivative()
         k += 1
-        if k > 60:
-            break
     return V
 
 
@@ -516,7 +529,7 @@ def _log_gamma(h, emax):
     hp = [1 << G]  # h^i 2^G
     for _ in range(K):
         hp.append((hp[-1] * H + (1 << (G - 1))) >> G)
-    bern = _bernoulli_fixed(K, G)
+    bern = [rdiv(p << G, q) for p, q in map(_bernoulli, range(K + 1))]
     t = {(-one, 1): one, (-one, 0): -one, (0, 1): fix(h, F) - one // 2}
     for k in range(2, K + 1):
         b = sum(math.comb(k, i) * bern[i] * hp[k - i] for i in range(k + 1))
@@ -524,18 +537,6 @@ def _log_gamma(h, emax):
         if c:
             t[((k - 1) * one, 0)] = c
     return AsymSeries._make(t, F, fix(emax, F))
-
-
-_BERNOULLI_FIXED = {}  # scale G -> [B_i 2^G for i = 0, 1, ...]
-
-
-def _bernoulli_fixed(K, G):
-    """[B_i 2^G rounded for i = 0..K], tabulated once per scale."""
-    tab = _BERNOULLI_FIXED.setdefault(G, [])
-    while len(tab) <= K:
-        p, q = mp.bernfrac(len(tab))
-        tab.append(rdiv(p << G, q))
-    return tab
 
 
 def gamma_ratio(c, d, emax):
@@ -574,15 +575,15 @@ def _binomial_series(alpha, order, emax) -> AsymSeries:
     D = _log_gamma(alpha - 1, emax)
     for j in range(1, order + 1):
         D = D.derivative()
-        a.append((D - mp.psi(j - 1, alpha)) * (1 / mp.factorial(j)))
+        a.append((D - mp.psi(j - 1, alpha))._idiv(math.factorial(j)))
     # E = exp(sum_j a_j eps^j) by i E_i = sum_j j a_j E_(i-j)
     E = [AsymSeries.constant(1, emax)]
     for i in range(1, order + 1):
         acc = AsymSeries(emax=emax)
         for j in range(1, i + 1):
             acc = acc + a[j - 1] * E[i - j] * j
-        E.append(acc * (mp.mpf(1) / i))
-    return G * E[order] * mp.factorial(order)
+        E.append(acc._idiv(i))
+    return G * E[order] * math.factorial(order)
 
 
 class LruCache:
@@ -668,19 +669,6 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
         return out
 
 
-_BERNOULLI_STEPS = {}  # precision -> [b_(k+1) / b_k for k = 1, 2, ...]
-
-
-def _bernoulli_step(k):
-    """b_(k+1) / b_k for b_k = B_2k / (2k)!, tabulated once per precision."""
-    tab = _BERNOULLI_STEPS.setdefault(mp.mp.prec, [])
-    while len(tab) < k:
-        i = len(tab) + 1
-        tab.append(mp.bernoulli(2 * i + 2) / mp.bernoulli(2 * i)
-                   / ((2 * i + 1) * (2 * i + 2)))
-    return tab[k - 1]
-
-
 def _em_base(e, bits):
     """Smallest base A from which the Euler-Maclaurin series of
     sum_{n>=A} n^(-e) reaches 2^-bits of its leading term.
@@ -737,8 +725,10 @@ def hurwitz_jets(orders, a):
     c_(k+1)/c_k and the Bernoulli table; each pays one A^(-e).  The head
     is empty unless a is below :func:`_em_base`, which is about
     0.11 prec + 8 for moderate e.  The Bernoulli loop runs on integers
-    at its own scales F and G, entered by ``int(mp.ldexp(x, F))``, which
-    rounds toward zero (the ratios c_(k+1)/c_k are negative).
+    at its own scales F and G: the first term and each ratio c_(k+1)/c_k
+    are one rounded quotient of exact integers (Bernoulli fractions, e and
+    A = B_A 2^-e_A by :func:`hzeta.fixed.dyadic`); e and the stopping
+    thresholds enter by ``fix``.
     """
     prec = mp.mp.prec
     jmax = max(orders.values())
@@ -759,7 +749,7 @@ def hurwitz_jets(orders, a):
         A = a + M
         lnA = mp.log(A)
         lpA = _log_jet(-lnA, jmax)
-        inv_A2 = 1 / (A * A)
+        e_A, B_A = dyadic(A)
         k_max = int(math.pi * float(A)) + 2
         # The Bernoulli loop runs on integers: a term coefficient X stands
         # for X 2^-F, a ratio Y for Y 2^-G.  G gives the ratios, which are
@@ -777,14 +767,15 @@ def hurwitz_jets(orders, a):
             # coefficient of L, so the roundings of ~k_max terms stay below it
             F = prec + 16 - min(mp.mag(x) for x in L)
             one = 1 << F
-            thr = [int(mp.ldexp(abs(x), F - prec)) for x in L]
-            c1 = 1 / (12 * A)  # B_2/2! A^-1
-            T = [0] * (J + 1)  # c_1 (s)_1 = c_1 (e + (s - e))
-            T[0] = int(mp.ldexp(c1 * e, F))
+            thr = [fix(abs(x), F - prec) for x in L]
+            # c_1 (s)_1 = (e + (s - e)) / (12 A), exact until one rounding
+            e_e, B_e = dyadic(e)
+            T = [0] * (J + 1)
+            T[0] = rdiv(B_e << (F + e_A), (12 * B_A) << e_e)
             if J:
-                T[1] = int(mp.ldexp(c1, F))
+                T[1] = rdiv(1 << (F + e_A), 12 * B_A)
             Q = [0] * (J + 1)
-            e_fix = int(mp.ldexp(e, F))
+            e_fix = fix(e, F)
             for k in range(1, k_max):
                 if all(abs(T[q]) <= thr[q] for q in range(J + 1)):
                     break
@@ -798,7 +789,13 @@ def hurwitz_jets(orders, a):
                 for q in range(J + 1):
                     Q[q] += T[q]
                 if len(ratios) < k:
-                    ratios.append(int(mp.ldexp(_bernoulli_step(k) * inv_A2, G)))
+                    # -|B_(2k+2)| / (|B_2k| (2k+1)(2k+2) A^2) 2^G, as B_2k
+                    # alternates in sign
+                    p1, q1 = _bernoulli(2 * k)
+                    p2, q2 = _bernoulli(2 * k + 2)
+                    ratios.append(rdiv(
+                        -abs(p2) * q1 << (G + 2 * e_A),
+                        q2 * abs(p1) * (2 * k + 1) * (2 * k + 2) * B_A * B_A))
                 rho = ratios[k - 1]
                 # next term: rho (s + 2k - 1)(s + 2k) times this one
                 u = e_fix + ((2 * k - 1) << F)

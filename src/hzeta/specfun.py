@@ -147,7 +147,7 @@ def hurwitz_zeta(s: int, a, prec: PrecisionConfig | None = None) -> mp.mpf:
     The order-0 jet of :func:`hzeta.asymptotics.hurwitz_jets`, the
     Euler-Maclaurin kernel that also sums every asymptotic tail: a direct
     head up to a base A chosen from the working precision and s, then the
-    Bernoulli series, stopped at the first term below the working epsilon.
+    Bernoulli series, stopped once a term is below 2^-prec (A/(s-1) + 1/2).
     """
     if s < 2:
         raise DomainError(f"hurwitz_zeta needs integer s >= 2, got {s}")

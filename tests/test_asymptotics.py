@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -90,6 +91,21 @@ def test_em_antidifference_harmonic():
     assert abs(delta - mp.mpf(1) / n) < mp.mpf(10) ** -24
 
 
+def test_em_antidifference_runs_to_the_end_of_its_grading():
+    # V for T = n^-2 is -n^-1 + n^-2/2 - sum_k B_2k n^-(2k+1): every odd
+    # exponent up to emax = 131 (k = 65), each an exact -B_2k rounded once
+    with mp.workprec(128):
+        V = em_antidifference(power_shift(2, 0, 131))
+        F = V._F
+        assert len(V.terms) == 67
+        assert max(e for e, _ in V.terms) == 131
+        for k in range(1, 66):
+            p, q = mp.bernfrac(2 * k)
+            want = Fraction(-p, q) * 2 ** F
+            got = V._t[((2 * k + 1) << F, 0)]
+            assert abs(got - want) <= Fraction(1, 2), k
+
+
 @pytest.mark.parametrize("star", [False, True])
 @pytest.mark.parametrize("k,a", [
     ((1,), (1,)),
@@ -137,11 +153,16 @@ def _zeta_ref(e, a, j, bits):
 
 
 @pytest.mark.parametrize("bits", [256, 448])
-@pytest.mark.parametrize("a", [6, 11, 401, 801])
+@pytest.mark.parametrize("a", [6, 11, 401, 801,
+                               pytest.param("1/3", id="third")])
 def test_hurwitz_jets_vs_mpmath(bits, a):
     # all six exponents in one batch, jets up to order 3; small a needs a
-    # direct head before the Euler-Maclaurin series converges
+    # direct head before the Euler-Maclaurin series converges.  1/3, rounded
+    # at the test's bits, has no short binary expansion, so the base A and
+    # the ratios of Bernoulli terms carry a large exact 2^-e_A
     with mp.workprec(bits):
+        if a == "1/3":
+            a = mp.mpf(1) / 3
         exps = [mp.mpf(e) for e in JET_EXPONENTS]
         jets = hurwitz_jets({e: 3 for e in exps}, a)
     for e in exps:
@@ -202,7 +223,7 @@ def test_lru_cache_evicts_least_recently_used():
     assert c.get("a") == 1 and c.get("c") == 3
 
 
-def test_strategy_frozen():
+def test_expansion_window_frozen():
     s = ExpansionWindow()
     with pytest.raises(Exception):
         s.order = 3
@@ -301,7 +322,7 @@ def _ref_shift(a, c, emax):
 def _ref_em_antidifference(T, emax):
     V = _ref_add(_ref_antiderivative(T), {k: c / 2 for k, c in T.items()})
     D, k = _ref_derivative(T, emax), 1
-    while D and k <= 60:
+    while D:
         b = mp.bernoulli(2 * k) / mp.factorial(2 * k)
         V = _ref_add(V, {key: c * b for key, c in D.items()})
         D = _ref_derivative(_ref_derivative(D, emax), emax)

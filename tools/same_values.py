@@ -5,8 +5,10 @@ Usage: python tools/same_values.py OTHER_TREE
 
 Runs the requests of ``perfbench/workloads.make_pass(w, c, 0)`` for both
 workloads w = eval-em and eval-direct and the candidates c = 0-15, and a
-fixed grid of ``mpl`` and ``kta`` requests whose u exceeds 1/4, so that
-they take the direct series (:func:`grid`), in both trees (1,641 requests
+fixed grid (:func:`grid`) of ``mpl`` and ``kta`` requests whose u exceeds
+1/4, so that they take the direct series, and of ``hurwitz_zeta``
+requests at shifts below the Euler-Maclaurin base, so that
+``hurwitz_jets`` sums a direct head, in both trees (1,668 requests
 each), one fresh process per tree, workload and candidate (the grid is
 one more), two processes at a time.  The request lists come from this
 tree's ``perfbench/workloads.py`` and this file for both trees; each
@@ -18,9 +20,9 @@ Prints the largest relative value difference, in units of
 many claims moved by more than 1%.  A request fails when its two values
 differ by more than max(2^-(bits - 8) |value|, the sum of both trees'
 claims), or when it fails in one tree only (:func:`compare`); the finite
-sums claim nothing, so they keep the 2^-(bits - 8) rule.  So a changed
-claim passes as long as both trees' values lie within their claims of
-each other.  Exits 1 if any request fails, else 0.
+sums and ``hurwitz_zeta`` claim nothing, so they keep the 2^-(bits - 8)
+rule.  So a changed claim passes as long as both trees' values lie
+within their claims of each other.  Exits 1 if any request fails, else 0.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
+
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("eval-em", "eval-direct")
 CANDIDATES = range(16)
@@ -40,14 +44,20 @@ CLAIM_RATIO = Fraction(101, 100)
 GRID_INDICES = [[2], [1, 2], [2, 1, 3], [1, 2, 1, 2], [2, 1, 1, 3, 1]]
 GRID_X = {"mpl": ["0.125", "0.375", "0.625", "0.71875"],
           "kta": ["0.125", "0.375", "0.5625"]}
+GRID_BITS = (128, 256, 448)
+# zeta(s, a) with a below the Euler-Maclaurin base, which no tail reaches
+HURWITZ_S = (2, 3, 7)
+HURWITZ_A = ("0.3", "2.75", "6")
 
 
 def grid():
-    """The fixed direct-series requests, in the request format of
-    ``perfbench/workloads.py``."""
-    return [{"kind": kind, "args": [k, x], "bits": bits}
-            for kind, xs in GRID_X.items() for x in xs
-            for k in GRID_INDICES for bits in (128, 256, 448)]
+    """The fixed direct-series and Hurwitz zeta requests, in the request
+    format of ``perfbench/workloads.py``."""
+    return ([{"kind": kind, "args": [k, x], "bits": bits}
+             for kind, xs in GRID_X.items() for x in xs
+             for k in GRID_INDICES for bits in GRID_BITS]
+            + [{"kind": "hurwitz_zeta", "args": [s, a], "bits": bits}
+               for s in HURWITZ_S for a in HURWITZ_A for bits in GRID_BITS])
 
 
 def requests(workload: str, candidate: int):
@@ -73,7 +83,13 @@ def child(tree: str, workload: str, candidate: int):
 
     for req in requests(workload, candidate):
         try:
-            value, err = workloads.execute(hzeta, req)
+            if req["kind"] == "hurwitz_zeta":
+                # like workloads.execute: from mpmath's default context
+                with mp.workprec(53):
+                    value, err = hzeta.specfun.hurwitz_zeta(
+                        *req["args"], hzeta.PrecisionConfig(req["bits"])), None
+            else:
+                value, err = workloads.execute(hzeta, req)
             out = {"value": _signed(value),
                    "abs_error": None if err is None else _signed(err)}
         except hzeta.HZetaError as exc:
