@@ -17,13 +17,10 @@ growth terms left over and no series to invert or shift.
 That constant is anchored numerically: prefix expansions of the nested
 harmonic sums are built recursively and pinned to an exact dynamic-program
 evaluation at a moderate index.  Tails of outer series whose terms have
-an AsymSeries expansion are then summed in closed form: sum_{n>=a} n^(-e)
-log(n)^j is (-1)^j j! times the j-th Taylor coefficient in s of the
-Hurwitz zeta function zeta(s, a) at s = e.  :func:`hurwitz_jets` computes
-those coefficients by Euler-Maclaurin summation on truncated power series
-in s, one pass per distinct exponent for every log power at once; all
-exponents share the direct head, log a and the ratios of consecutive
-Bernoulli terms.
+an AsymSeries expansion are closed by the same Euler-Maclaurin formula:
+:func:`tail_sum` sums the terms directly up to a base M and subtracts
+V(M), V the :func:`em_antidifference` of the expansion on a grading
+lifted to the Bernoulli orders that M needs.
 
 Series are held in fixed point (:mod:`hzeta.fixed`).  A series built at
 the working precision p stores every exponent e and coefficient c as a
@@ -34,14 +31,17 @@ worth more than 2^-F, so e1 + e2, e == 1 and e > emax are integer
 operations, the exponent classes e mod 1 combine exactly (alpha and
 1 - alpha meet in the integer class), and no tolerance decides whether
 two exponents are equal.  A coefficient is ``fix(c, F)``.  Series built
-at different scales combine at the larger one, which is an exact shift.
+at different scales combine at the larger one, which is an exact shift;
+:func:`tail_sum` shifts its series up by the bits that its largest tail
+term lies below 1, as its antidifference is absolute in units of 2^-F.
 
 Rounding, in units u = 2^-F, for each output coefficient: sums,
 negation and exponent shifts are exact; a product of series, a product
-with a scalar, the derivative, the antiderivative and a division by an
-integer each form the exact integer result and round it once (at most
-u/2), on top of the input errors they carry forward (|a| |db| + |b| |da|
-for a product).  A rational constant (B_2k/(2k)!, 1/2, 1/j!, 1/i) is an
+with a scalar, the derivative, the second derivative (one fused pass,
+not two rounded ones), the antiderivative and a division by an integer
+each form the exact integer result and round it once (at most u/2), on
+top of the input errors they carry forward (|a| |db| + |b| |da| for a
+product).  A rational constant (B_2k/(2k)!, 1/2, 1/j!, 1/i) is an
 exact integer product and one division, so it rounds once; every
 Bernoulli number comes exact from one table, :func:`_bernoulli`.
 :func:`power_shift`, :func:`log_shift`, :func:`exp_decaying` and the
@@ -308,6 +308,27 @@ class AsymSeries:
                 acc[key] = acc.get(key, 0) + ((c * j) << F)
         return AsymSeries._make(_round_dict(acc, F), F, self._emax)
 
+    def second_derivative(self):
+        """Termwise d^2/dn^2 in one pass: n^(-e) log^j -> (e(e+1) log^j -
+        (2e+1) j log^(j-1) + j(j-1) log^(j-2)) n^(-e-2), each output an
+        exact sum of products rounded once."""
+        F, one = self._F, 1 << self._F
+        lim = self._emax - 2 * one
+        acc = {}  # at 2^-3F
+        get = acc.get
+        for (e, j), c in self._t.items():
+            if e > lim:
+                continue
+            e2 = e + 2 * one
+            acc[(e2, j)] = get((e2, j), 0) + c * e * (e + one)
+            if j:
+                key = (e2, j - 1)
+                acc[key] = get(key, 0) - ((c * (2 * e + one) * j) << F)
+                if j >= 2:
+                    key = (e2, j - 2)
+                    acc[key] = get(key, 0) + ((c * j * (j - 1)) << 2 * F)
+        return AsymSeries._make(_round_dict(acc, 2 * F), F, self._emax)
+
     def antiderivative(self):
         """Termwise antiderivative in n (constants dropped).
 
@@ -499,17 +520,21 @@ def em_antidifference(T):
 
     Euler-Maclaurin: V = int T + T/2 + sum_k B_2k/(2k)! T^(2k-1), truncated
     by the series grading (each step raises every exponent by 2).  With
-    B_2k = p/q exact, a term is p T^(2k-1) over q (2k)!, rounded once.
+    B_2k = p/q exact, a term is p T^(2k-1) over q (2k)!, rounded once and
+    added into one dict; each next order is one fused second derivative.
     """
-    V = T.antiderivative() + T._idiv(2)
+    acc = (T.antiderivative() + T._idiv(2))._t
     D = T.derivative()  # odd-order derivatives T^(2k-1)
     k = 1
     while D._t:
         p, q = _bernoulli(2 * k)
-        V = V + (D * p)._idiv(q * math.factorial(2 * k))
-        D = D.derivative().derivative()
+        q *= math.factorial(2 * k)
+        for key, c in D._t.items():
+            acc[key] = acc.get(key, 0) + rdiv(c * p, q)
+        D = D.second_derivative()
         k += 1
-    return V
+    return AsymSeries._make({key: c for key, c in acc.items() if c},
+                            T._F, T._emax)
 
 
 def _log_gamma(h, emax):
@@ -669,190 +694,79 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
         return out
 
 
-def _em_base(e, bits):
-    """Smallest base A from which the Euler-Maclaurin series of
-    sum_{n>=A} n^(-e) reaches 2^-bits of its leading term.
+def _em_cut(t, F, n_start, bits):
+    """(M, emax, lift) for :func:`tail_sum` of the term dict ``t`` at 2^-F,
+    every exponent > 1: the base M >= n_start, the grading emax (at 2^-F)
+    for the Bernoulli orders M needs, and the bits the scale rises by.
 
-    The terms B_2k/(2k)! (e)_(2k-1) A^(1-e-2k) shrink while 2k + e < X =
-    2 pi A; relative to the leading term A^(1-e)/(e-1) the smallest is
-    about 2 X^(e-1) / Gamma(e-1) sqrt(2 pi / X) exp(-X).  A starts at
-    0.11 bits + 8 (where exp(-X) alone is small enough) and grows until
-    that bound holds, which large e needs.
+    The k-th Bernoulli term of c n^(-e) log^j n at M is about 2 (e)_(2k-1)
+    (2 pi M)^(-2k) |c| M^(1-e), and the tail about L = max |c| M^(1-e) /
+    (e - 1).  Each exponent keeps the orders below the first, K(e), whose
+    term is under 2^-(bits + 8j) L: emax is the largest e + 2K(e) - 3 or e.
+    That covers every exponent, not only the smallest: each K(e) is
+    measured against the same L, and the ratio of consecutive terms,
+    E (E + 1) / (2 pi M)^2, depends only on the exponent E reached, so with
+    emax + 1 < 2 pi M every kept order and the first omitted one of every
+    exponent shrink; orders kept beyond K(e) - 1 only lower the remainder.
+    Where terms would grow first, M rises by 1/8.  The arithmetic is
+    absolute in 2^-F: the scale rises by the bits that the largest
+    |c| M^(1-e) lies below 1.
     """
-    e = float(e)
-    target = -bits * math.log(2)
-    A = 0.11 * bits + 8
+    one = 1 << F
+    exps = {}  # E -> (log2 of the largest |c|, largest j)
+    for (E, j), c in t.items():
+        lc, jj = exps.get(E, (-math.inf, 0))
+        exps[E] = (max(lc, math.log2(abs(c)) - F), max(jj, j))
+    M = max(n_start, 1)
     while True:
-        X = 2 * math.pi * A
-        if X > e + 1 and (
-            math.log(2) + (e - 1) * math.log(X) - math.lgamma(e - 1)
-            + 0.5 * math.log(2 * math.pi / X) - X
-        ) < target:
-            return A
-        A *= 1.125
-
-
-def _log_jet(x, order):
-    """[x^i / i! for i = 0..order]."""
-    out = [mp.mpf(1)]
-    for i in range(1, order + 1):
-        out.append(out[-1] * x / i)
-    return out
-
-
-def hurwitz_jets(orders, a):
-    """Taylor jets in s of the Hurwitz zeta function, for several s at once.
-
-    ``orders`` maps exponents e > 1 to the largest wanted order J; the
-    result maps each e to [zeta^(i)(e, a) / i! for i = 0..J], where
-    zeta(s, a) = sum_{n>=0} (n + a)^(-s) and a > 0.  Log-weighted sums
-    follow without further work: sum_{n>=0} (n+a)^(-e) log(n+a)^j equals
-    (-1)^j j! jet[j].
-
-    Euler-Maclaurin on power series in s - e truncated after order J:
-    sum the head n + a < A directly, then
-
-        zeta(s, A) = A^(-s) [A/(s - 1) + 1/2 + sum_k c_k (s)_(2k-1)],
-        c_k = B_2k/(2k)! A^(1-2k),
-
-    where each term is the previous one times c_(k+1)/c_k (about
-    -1/(2 pi A)^2) and two linear factors of the Pochhammer jet.  Each
-    exponent stops once the next term is below 2^-prec of the matching
-    coefficient of A/(s - 1) + 1/2 in every order (no coefficient of
-    A^(-s) cancels, so that bounds the relative error of every jet
-    coefficient), and raises :class:`NoConvergence` if the terms start to
-    grow first.  All exponents share the head, log A, the ratios
-    c_(k+1)/c_k and the Bernoulli table; each pays one A^(-e).  The head
-    is empty unless a is below :func:`_em_base`, which is about
-    0.11 prec + 8 for moderate e.  The Bernoulli loop runs on integers
-    at its own scales F and G: the first term and each ratio c_(k+1)/c_k
-    are one rounded quotient of exact integers (Bernoulli fractions, e and
-    A = B_A 2^-e_A by :func:`hzeta.fixed.dyadic`); e and the stopping
-    thresholds enter by ``fix``.
-    """
-    prec = mp.mp.prec
-    jmax = max(orders.values())
-    with mp.workprec(prec + 12):
-        a = mp.mpf(a)
-        jets = {e: [mp.mpf(0)] * (J + 1) for e, J in orders.items()}
-        # the order-J coefficient of a term exceeds its order-0 size by up
-        # to ~(2k)^J / J!, hence 8 margin bits per order
-        A_min = _em_base(max(orders), prec + 8 * (jmax + 2))
-        M = max(0, math.ceil(A_min - float(a)))
-        for m in range(M):
-            ln = mp.log(a + m)
-            lp = _log_jet(-ln, jmax)
-            for e, jet in jets.items():
-                w = mp.exp(-e * ln)
-                for i in range(len(jet)):
-                    jet[i] += w * lp[i]
-        A = a + M
-        lnA = mp.log(A)
-        lpA = _log_jet(-lnA, jmax)
-        e_A, B_A = dyadic(A)
-        k_max = int(math.pi * float(A)) + 2
-        # The Bernoulli loop runs on integers: a term coefficient X stands
-        # for X 2^-F, a ratio Y for Y 2^-G.  G gives the ratios, which are
-        # about (2 pi A)^-2, 32 bits beyond the working precision.
-        G = prec + 32 + 2 * math.ceil(math.log2(2 * math.pi * float(A)))
-        ratios = []  # c_(k+1)/c_k 2^G, shared by every exponent
-        for e, jet in jets.items():
-            J = len(jet) - 1
-            r = 1 / (e - 1)
-            L = [A * r]  # A/(s - 1) + 1/2
-            for _ in range(J):
-                L.append(-L[-1] * r)
-            L[0] += mp.mpf(0.5)
-            # a unit 2^-F is 2^-16 of the tolerance on the smallest
-            # coefficient of L, so the roundings of ~k_max terms stay below it
-            F = prec + 16 - min(mp.mag(x) for x in L)
-            one = 1 << F
-            thr = [fix(abs(x), F - prec) for x in L]
-            # c_1 (s)_1 = (e + (s - e)) / (12 A), exact until one rounding
-            e_e, B_e = dyadic(e)
-            T = [0] * (J + 1)
-            T[0] = rdiv(B_e << (F + e_A), (12 * B_A) << e_e)
-            if J:
-                T[1] = rdiv(1 << (F + e_A), 12 * B_A)
-            Q = [0] * (J + 1)
-            e_fix = fix(e, F)
-            for k in range(1, k_max):
-                if all(abs(T[q]) <= thr[q] for q in range(J + 1)):
-                    break
-                size = abs(T[0])
-                if k > 1 and size > prev:
-                    raise NoConvergence(
-                        f"Euler-Maclaurin terms for zeta({e}, {A}) grow "
-                        f"from k = {k}"
-                    )
-                prev = size
-                for q in range(J + 1):
-                    Q[q] += T[q]
-                if len(ratios) < k:
-                    # -|B_(2k+2)| / (|B_2k| (2k+1)(2k+2) A^2) 2^G, as B_2k
-                    # alternates in sign
-                    p1, q1 = _bernoulli(2 * k)
-                    p2, q2 = _bernoulli(2 * k + 2)
-                    ratios.append(rdiv(
-                        -abs(p2) * q1 << (G + 2 * e_A),
-                        q2 * abs(p1) * (2 * k + 1) * (2 * k + 2) * B_A * B_A))
-                rho = ratios[k - 1]
-                # next term: rho (s + 2k - 1)(s + 2k) times this one
-                u = e_fix + ((2 * k - 1) << F)
-                a0 = rho * ((u * (u + one)) >> F) >> F
-                a1 = rho * (2 * u + one) >> F
-                for i in range(J, -1, -1):
-                    x = a0 * T[i]
-                    if i >= 1:
-                        x += a1 * T[i - 1]
-                    if i >= 2:
-                        x += rho * T[i - 2]
-                    T[i] = x >> G
-            else:
-                raise NoConvergence(
-                    f"Euler-Maclaurin series for zeta({e}, {A}) did not "
-                    f"converge in {k_max} terms"
-                )
-            A_e = mp.exp(-e * lnA)  # A^(-e)
-            for i in range(J + 1):
-                jet[i] += A_e * mp.fsum(
-                    lpA[p] * (L[i - p] + to_mpf(Q[i - p], F))
-                    for p in range(i + 1)
-                )
-    return {e: [+x for x in jet] for e, jet in jets.items()}
+        lm, X = math.log2(M), 2 * math.pi * M
+        lx = math.log2(X)
+        size = {E: lc + (1 - E / one) * lm for E, (lc, _) in exps.items()}
+        lead = max(s - math.log2(E / one - 1) for E, s in size.items())
+        top = max(exps)
+        for E, (_, j) in exps.items():
+            e, k, bound = E / one, 1, lead - bits - 8 * j
+            r = size[E] + 1 + math.log2(e) - 2 * lx  # log2 of term k
+            while r >= bound and e + 2 * k < X:
+                r += math.log2((e + 2 * k - 1) * (e + 2 * k)) - 2 * lx
+                k += 1
+            if r >= bound:  # the terms grow first: raise M
+                break
+            top = max(top, E + (2 * k - 3) * one)
+        else:
+            if top / one + 1 < X:
+                return M, top, max(0, math.ceil(-max(size.values())))
+        M += max(1, M >> 3)
 
 
 def tail_sum(series, n_start):
-    """sum_{n > n_start} of the termwise expansion, in closed form.
-
-    Each n^(-e) log^j n term sums to (-1)^j j! times the j-th Taylor
-    coefficient in s of zeta(s, n_start + 1) at s = e.  Terms are grouped
-    by their exact exponent, so one :func:`hurwitz_jets` pass per distinct
-    e serves every log power, and each e becomes an mpf once.  Exponents
-    e <= 1 with coefficients above 2^-(prec + 20) mean divergence and raise
-    :class:`NoConvergence`.
+    """sum_{n > n_start} of the termwise expansion S by Euler-Maclaurin:
+    S(n) summed for n_start < n <= M, minus V(M) for V =
+    :func:`em_antidifference` (S) on the grading and scale that
+    :func:`_em_cut` chooses.  V vanishes at infinity, as every kept
+    exponent exceeds 1.  The parts are rounded 16 bits beyond the working
+    precision, summed exactly and rounded once.  Exponents e <= 1 with
+    coefficients above 2^-(prec + 20) mean divergence and raise
+    :class:`NoConvergence`; smaller ones are dropped.
     """
     F, t = series._F, series._t
-    one = 1 << F
-    lim = F - mp.mp.prec - 20
+    one, prec = 1 << F, mp.mp.prec
+    lim = F - prec - 20
     lim = 1 << lim if lim >= 0 else 0
-    orders = {}
-    for (e, j), c in t.items():
-        if e <= one:
-            if abs(c) > lim:
-                raise NoConvergence(
-                    f"tail term n^(-{to_mpf(e, F, mp.mp.prec)}) log^{j} with "
-                    f"coefficient {to_mpf(c, F, mp.mp.prec)} diverges"
-                )
-            continue
-        orders[e] = max(orders.get(e, 0), j)
-    if not orders:
-        return mp.mpf(0)
-    exps = {e: to_mpf(e, F) for e in orders}
-    jets = hurwitz_jets({exps[e]: J for e, J in orders.items()}, n_start + 1)
-    total = mp.mpf(0)
+    kept = {}
     for (e, j), c in t.items():
         if e > one:
-            total += to_mpf(c, F) * jets[exps[e]][j] * (
-                (-1) ** j * math.factorial(j))
-    return total
+            kept[(e, j)] = c
+        elif abs(c) > lim:
+            raise NoConvergence(f"tail term n^(-{to_mpf(e, F, prec)}) "
+                                f"log^{j} with coefficient "
+                                f"{to_mpf(c, F, prec)} diverges")
+    if not kept:
+        return mp.mpf(0)
+    M, emax, lift = _em_cut(kept, F, n_start, prec)
+    t, emax = AsymSeries._make(kept, F, emax)._at(F + lift)
+    S = AsymSeries._make(t, F + lift, emax)
+    V = em_antidifference(S)
+    with mp.workprec(prec + 16):
+        total = mp.fsum([S(n) for n in range(n_start + 1, M + 1)] + [-V(M)])
+    return +total

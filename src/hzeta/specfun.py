@@ -3,8 +3,7 @@
 log-gamma, digamma/polygamma, Pochhammer symbols, generalized binomial
 coefficients, the beta function with mixed partial derivatives (via the
 polygamma recurrence for log-derivatives of B), the Hurwitz zeta function
-at integer exponents (through the Euler-Maclaurin jet kernel of
-:mod:`hzeta.asymptotics`), and the Euler-Mascheroni constant.
+at integer exponents, and the Euler-Mascheroni constant.
 
 The domain is real throughout: every gamma-type argument must be positive.
 """
@@ -15,7 +14,6 @@ from math import comb
 
 import mpmath as mp
 
-from .asymptotics import hurwitz_jets
 from .errors import DomainError
 from .precision import PrecisionConfig, working
 
@@ -144,14 +142,11 @@ def beta_partial(p: int, q: int, a, b, prec: PrecisionConfig | None = None) -> m
 def hurwitz_zeta(s: int, a, prec: PrecisionConfig | None = None) -> mp.mpf:
     """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2 and a > 0.
 
-    The order-0 jet of :func:`hzeta.asymptotics.hurwitz_jets`, the
-    Euler-Maclaurin kernel that also sums every asymptotic tail: a direct
-    head up to a base A chosen from the working precision and s, then the
-    Bernoulli series, stopped once a term is below 2^-prec (A/(s-1) + 1/2).
+    ``mp.zeta(s, a)``, a reference independent of the Euler-Maclaurin
+    tails of :func:`hzeta.asymptotics.tail_sum`; no module here calls it.
     """
     if s < 2:
         raise DomainError(f"hurwitz_zeta needs integer s >= 2, got {s}")
     with working(prec):
         a = _pos(a, "a")
-        s = mp.mpf(s)
-        return hurwitz_jets({s: 0}, a)[s][0]
+        return mp.zeta(s, a)

@@ -11,7 +11,6 @@ from hzeta.asymptotics import (
     ExpansionWindow,
     em_antidifference,
     gamma_ratio,
-    hurwitz_jets,
     log_shift,
     power_shift,
     prefix_expansion,
@@ -106,6 +105,41 @@ def test_em_antidifference_runs_to_the_end_of_its_grading():
             assert abs(got - want) <= Fraction(1, 2), k
 
 
+def _classes_0_and_07(coef, emax):
+    # exponents m and m + 0.7 with log powers up to 3
+    return AsymSeries({(x + m, j): coef(m, j, x)
+                       for m in range(2, 12) for j in range(4)
+                       for x in (0, mp.mpf("0.7"))}, emax)
+
+
+@pytest.mark.parametrize("bits", [256, 448])
+def test_second_derivative_is_one_fused_pass(bits):
+    # integer coefficients make the first of two derivative() passes exact,
+    # so both routes round the same exact value once; general coefficients
+    # are checked against the exact rational second derivative
+    emax = 18
+    with mp.workprec(bits):
+        S = _classes_0_and_07(lambda m, j, x: (-1) ** m * (7 * m + j + 1),
+                              emax)
+        got, two = S.second_derivative()._t, S.derivative().derivative()._t
+        assert got and set(got) == set(two)
+        assert all(abs(got[k] - two[k]) <= 1 for k in got)
+        S = _classes_0_and_07(lambda m, j, x: mp.mpf(7 * m + j) / 3 - x, emax)
+        got = S.second_derivative()._t
+    F, one = S._F, 1 << S._F
+    exact = {}
+    for (E, j), C in S._t.items():
+        if E + 2 * one <= S._emax:
+            c, e = Fraction(C, one), Fraction(E, one)
+            for i, w in ((j, e * (e + 1)), (j - 1, -(2 * e + 1) * j),
+                         (j - 2, j * (j - 1))):
+                if i >= 0:
+                    key = (E + 2 * one, i)
+                    exact[key] = exact.get(key, 0) + c * w
+    assert set(got) == {k for k, v in exact.items() if v}
+    assert all(abs(got[k] - exact[k] * one) <= Fraction(1, 2) for k in got)
+
+
 @pytest.mark.parametrize("star", [False, True])
 @pytest.mark.parametrize("k,a", [
     ((1,), (1,)),
@@ -153,23 +187,20 @@ def _zeta_ref(e, a, j, bits):
 
 
 @pytest.mark.parametrize("bits", [256, 448])
-@pytest.mark.parametrize("a", [6, 11, 401, 801,
-                               pytest.param("1/3", id="third")])
-def test_hurwitz_jets_vs_mpmath(bits, a):
-    # all six exponents in one batch, jets up to order 3; small a needs a
-    # direct head before the Euler-Maclaurin series converges.  1/3, rounded
-    # at the test's bits, has no short binary expansion, so the base A and
-    # the ratios of Bernoulli terms carry a large exact 2^-e_A
-    with mp.workprec(bits):
-        if a == "1/3":
-            a = mp.mpf(1) / 3
-        exps = [mp.mpf(e) for e in JET_EXPONENTS]
-        jets = hurwitz_jets({e: 3 for e in exps}, a)
-    for e in exps:
+@pytest.mark.parametrize("a", [6, 11, 401, 801])
+def test_tail_sum_vs_mpmath(bits, a):
+    # sum_{n>=a} n^-e log^j n = (-1)^j zeta^(j)(e, a), one term at a time;
+    # small a needs a base above the start before the Euler-Maclaurin
+    # series converges, and e = 30 the largest base
+    for e in JET_EXPONENTS:
         for j in range(4):
-            ref = _zeta_ref(e, a, j, bits)
+            with mp.workprec(bits):
+                e_b = mp.mpf(e)
+                got = tail_sum(AsymSeries({(e_b, j): 1}, 40), a - 1)
+            ref = _zeta_ref(e_b, a, j, bits)
             with mp.workprec(bits + 128):
-                rel = abs(jets[e][j] - ref) / abs(ref)
+                ref *= (-1) ** j * math.factorial(j)
+                rel = abs(got - ref) / abs(ref)
             assert rel < mp.ldexp(1, 3 - bits), (e, j, a, bits)
 
 
