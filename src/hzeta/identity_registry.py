@@ -185,30 +185,19 @@ def _t_value(idx, tol=None) -> ValueWithBound:
     return v * mp.ldexp(1, -idx.weight())
 
 
-def _bsum(k, kk: int, shift, zfun, tol) -> ValueWithBound:
-    """sum over |j| = kk of B(b; j) Z(b + j; shift) with b the
-    raised-dual index of k and Z supplied by ``zfun``."""
+def _bsum(base, kk: int, shift, zfun, tol) -> ValueWithBound:
+    """sum over |j| = kk of B(b; j) Z(b + j; shift) with b = ``base`` and
+    Z supplied by ``zfun``."""
     return se._dual_binomial_sum(
-        k, kk, lambda idx, sub: zfun(idx, shift, sub), tol / 2)
+        base, kk, lambda idx, sub: zfun(idx, shift, sub), tol / 2)
 
 
-def _product_rhs(mvec, k: int, shift, tol) -> ValueWithBound:
-    """sum over weak compositions i of k into depth(m) parts of
-    prod C(m_j + i_j - 1, i_j) zeta(m_p + i_p, ..., m_1 + i_1; shift)."""
-    mvec = tuple(mvec)
-    p = len(mvec)
-    terms = []
-    for i in weak_compositions(k, p):
-        w = mp.mpf(1)
-        for mj, ij in zip(mvec, i.parts):
-            w *= sf.gen_binom(mj + ij - 1, ij)
-        idx = tuple(mvec[j] + i[j] for j in reversed(range(p)))
-        terms.append((w, idx))
-    wsum = mp.fsum(abs(w) for w, _ in terms) + 1
-    sub = tol / (2 * wsum)
+def _alternating(m: int, a, b) -> ValueWithBound:
+    """sum over i = 1, ..., m + 1 of (-1)^(i-1) a(i) b(m + 2 - i), each
+    a(i) evaluated before its b."""
     total = ValueWithBound(0, 0, True)
-    for w, idx in terms:
-        total = total + _zeta(idx, shift, sub) * w
+    for i in range(1, m + 2):
+        total = total + a(i) * b(m + 2 - i) * mp.mpf(-1) ** (i - 1)
     return total
 
 
@@ -334,7 +323,8 @@ def _eval_thm_21(integral, zfun):
     def ev(tol, *, k, log_pow, alpha):
         lhs = integral(k, alpha, log_pow, tol / 16)
         sign = mp.mpf(-1) ** log_pow * mp.factorial(log_pow)
-        rhs = _bsum(k, log_pow, 1 - alpha, zfun, tol / 8) * sign
+        rhs = _bsum(theorem_dual(Composition(k)), log_pow, 1 - alpha, zfun,
+                    tol / 8) * sign
         return lhs, rhs
 
     return ev
@@ -443,7 +433,7 @@ _register(
 
 def _eval_thm_34(tol, *, k, kk, alpha):
     lhs = se.apery_I(k, kk, alpha, tol / 8)
-    rhs = _bsum(k, kk, 1 - alpha, _zeta, tol / 8)
+    rhs = _bsum(theorem_dual(Composition(k)), kk, 1 - alpha, _zeta, tol / 8)
     return lhs, rhs
 
 
@@ -499,7 +489,7 @@ def _eval_thm_35(tol, *, k, kk, alpha):
             star = k.parts[1:l] + (j,)
             tl = se.apery_II(kk, star, k[0], alpha, sub)
             total = total + zf * tl * (sign_l * mp.mpf(-1) ** (j - 1))
-    rhs = _bsum(k.parts, kk, 1 - alpha, _zeta, tol / 8)
+    rhs = _bsum(theorem_dual(k), kk, 1 - alpha, _zeta, tol / 8)
     return total, rhs
 
 
@@ -631,10 +621,7 @@ _register(
 
 
 def _eval_ones_duality(tol, *, k, r, alpha):
-    spec = term_spec(strict=ones(k), strict_shift=alpha,
-                     star=ones(r), binom_upper=((alpha, False),),
-                     powers=((0, 1),))
-    lhs = weighted_sum([spec], tol / 8)
+    lhs = se.apery_II(k, ones(r), 1, alpha, tol / 8)
     v = sf.gen_binom(k + r, k) * mp.zeta(k + r + 1, 1 - alpha)
     return lhs, _closed(v)
 
@@ -657,16 +644,23 @@ def _eval_thm_42(tol, *, m, p, k, alpha):
     return lhs, rhs
 
 
+def _hoffman_sum(m, series, sub):
+    """sum over j of (-1)^(j-1) zeta(m_p, ..., m_(j+1)) S(s_j), where s_j
+    is the Hoffman dual of (m_1 - 1, m_2, ..., m_j) and S = ``series``."""
+    total = ValueWithBound(0, 0, True)
+    for j in range(1, len(m) + 1):
+        zf = _zeta(tuple(reversed(m[j:])), 1, sub)
+        star = hoffman_dual(Composition((m[0] - 1,) + m[1:j]))
+        total = total + zf * series(star.parts) * mp.mpf(-1) ** (j - 1)
+    return total
+
+
 def _eval_thm_43(tol, *, m, p, k, alpha):
     sub = tol / 32
-    total = ValueWithBound(0, 0, True)
+    total = _hoffman_sum(
+        (m,) * p, lambda star: se.apery_II(k, star, 1, alpha, sub), sub)
     if k == 0:
         total = total + _zeta((m,) * p, 1, sub)
-    for l in range(1, p + 1):
-        zf = _zeta((m,) * (p - l), 1, sub)
-        star = ((1,) * (m - 2) + (2,)) * (l - 1) + (1,) * (m - 1)
-        s = se.apery_II(k, star, 1, alpha, sub)
-        total = total + zf * s * mp.mpf(-1) ** (l - 1)
     rhs = _partition_rhs(m, p, k, 1 - alpha, tol / 8)
     return total, rhs
 
@@ -680,24 +674,15 @@ for _id, _ev in (("thm-4.2", _eval_thm_42), ("thm-4.3", _eval_thm_43)):
     )
 
 
-def _hoffman_sum(m, series, sub):
-    """sum over j of (-1)^(j-1) zeta(m_p, ..., m_(j+1)) S(s_j), where s_j
-    is the Hoffman dual of (m_1 - 1, m_2, ..., m_j) and S = ``series``."""
-    total = ValueWithBound(0, 0, True)
-    for j in range(1, len(m) + 1):
-        zf = _zeta(tuple(reversed(m[j:])), 1, sub)
-        star = hoffman_dual(Composition((m[0] - 1,) + m[1:j]))
-        total = total + zf * series(star.parts) * mp.mpf(-1) ** (j - 1)
-    return total
-
-
 def _eval_thm_44(tol, *, m, k, alpha):
     sub = tol / 32
     total = _hoffman_sum(
         m, lambda star: se.apery_II(k, star, 1, alpha, sub), sub)
-    rhs = _product_rhs(m, k, 1 - alpha, tol / 8)
+    # sum over |i| = k of prod C(m_j + i_j - 1, i_j) zeta(m_p + i_p, ...,
+    # m_1 + i_1) is the dual-binomial sum on the reversed index
+    rhs = _bsum(m[::-1], k, 1 - alpha, _zeta, tol / 8)
     if k == 0:
-        rhs = rhs - _zeta(tuple(reversed(m)), 1, sub)
+        rhs = rhs - _zeta(m[::-1], 1, sub)
     return total, rhs
 
 
@@ -718,7 +703,7 @@ def _eval_44_limit(tol, *, m, k):
         return weighted_sum([spec], sub)
 
     total = _hoffman_sum(m, series, sub)
-    rhs = _product_rhs(m, k, 1, tol / 8)
+    rhs = _bsum(m[::-1], k, 1, _zeta, tol / 8)
     return total, rhs
 
 
@@ -738,9 +723,7 @@ def _eval_cor_53(tol, *, m):
     parity = 1 + mp.mpf(-1) ** m
     lhs = _closed(parity * mp.zeta(m + 2))
     c = {i: se.apery_II(0, None, i, half, tol / 32) for i in range(1, m + 3)}
-    rhs = c[m + 2] * parity
-    for i in range(1, m + 2):
-        rhs = rhs + c[i] * c[m + 2 - i] * mp.mpf(-1) ** (i - 1)
+    rhs = c[m + 2] * parity + _alternating(m, c.get, c.get)
     return lhs, rhs
 
 
@@ -773,11 +756,8 @@ def _eval_thm_54(tol, *, m, k, p, alpha, beta):
                                powers=((0, m + 2),),
                                coeff=-mp.mpf(-1) ** m))
     lhs = weighted_sum(specs, tol / 8)
-    rhs = ValueWithBound(0, 0, True)
-    for i in range(1, m + 2):
-        a = se.apery_II(p, None, i, beta, tol / 32)
-        b = se.apery_II(k, None, m + 2 - i, alpha, tol / 32)
-        rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
+    rhs = _alternating(m, lambda i: se.apery_II(p, None, i, beta, tol / 32),
+                       lambda j: se.apery_II(k, None, j, alpha, tol / 32))
     return lhs, rhs
 
 
@@ -813,12 +793,9 @@ def _eval_cor_55(tol, *, m, k, p):
                   powers=((0, m + 3),), coeff=mp.mpf(-1) ** m),
     ]
     lhs = weighted_sum(specs, tol / 8)
-    rhs = ValueWithBound(0, 0, True)
     sub = tol / 32
-    for i in range(1, m + 2):
-        a = _zeta((i + 1,) + (1,) * (p - 1), 1, sub)
-        b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub)
-        rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
+    rhs = _alternating(m, lambda i: _zeta((i + 1,) + (1,) * (p - 1), 1, sub),
+                       lambda j: _zeta((j + 1,) + (1,) * (k - 1), 1, sub))
     return lhs, rhs
 
 
@@ -846,14 +823,9 @@ def _eval_cor_56(tol, *, m, k, p):
     sub = tol / 32
     if p == 0:
         lhs = lhs - _zeta((m + 3,) + (1,) * (k - 1), 1, sub)
-    rhs = ValueWithBound(0, 0, True)
-    for i in range(1, m + 2):
-        tspec = term_spec(strict=ones(p), strict_shift=half,
-                          binom_upper=((half, False),),
-                          powers=((0, i),), coeff=mp.ldexp(1, -p))
-        a = weighted_sum([tspec], sub)
-        b = _zeta((m + 3 - i,) + (1,) * (k - 1), 1, sub)
-        rhs = rhs + a * b * mp.mpf(-1) ** (i - 1)
+    rhs = _alternating(
+        m, lambda i: se.apery_II(p, None, i, half, sub) * mp.ldexp(1, -p),
+        lambda j: _zeta((j + 1,) + (1,) * (k - 1), 1, sub))
     return lhs, rhs
 
 
@@ -865,13 +837,16 @@ _register(
 )
 
 
+def _bracket(idx, alpha, beta, tol) -> ValueWithBound:
+    """alpha sum_n zeta_(n-1)(idx; 1 - beta) / ((n - beta)(n - alpha - beta))."""
+    spec = term_spec(strict=idx, strict_shift=1 - beta, strict_prev=True,
+                     powers=((-beta - alpha, 1), (-beta, 1)))
+    return weighted_sum([spec], tol) * alpha
+
+
 def _eval_thm_57(tol, *, m, alpha, beta):
     lhs = se.apery_III(None, None, m, alpha, beta, tol / 8)
-    spec = term_spec(strict=ones(m + 1), strict_shift=1 - beta,
-                     strict_prev=True,
-                     powers=((-beta - alpha, 1), (-beta, 1)))
-    rhs = weighted_sum([spec], tol / 8) * alpha
-    return lhs, rhs
+    return lhs, _bracket(ones(m + 1), alpha, beta, tol / 8)
 
 
 _register(
@@ -899,10 +874,7 @@ def _eval_thm_58(tol, *, m, k, p, alpha, beta):
     def term(i1, tail, w):
         idx = (i1 + k + 1,) + tail
         if i1 == 0 and k == 0:
-            spec = term_spec(strict=tail, strict_shift=1 - beta,
-                             strict_prev=True,
-                             powers=((-beta, 1), (-alpha - beta, 1)))
-            bracket = weighted_sum([spec], sub) * alpha
+            bracket = _bracket(tail, alpha, beta, sub)
         else:
             shifts = ShiftVector((1 - alpha - beta,)
                                  + (1 - beta,) * (m + 1))
@@ -924,12 +896,8 @@ _register(
 
 
 def _eval_cor_59(tol, *, m, k, p):
-    half = mp.mpf("0.5")
-    spec = term_spec(strict=ones(k - 1), strict_prev=True,
-                     star=ones(p), star_shift=half,
-                     binom_lower=(half,), powers=((0, m + 3),),
-                     coeff=mp.ldexp(1, -p))
-    lhs = weighted_sum([spec], tol / 8)
+    lhs = se.apery_I((m + 2,) + (1,) * (k - 1), p, mp.mpf("0.5"),
+                     tol / 8) * mp.ldexp(1, -p)
     sub = tol / 32
 
     def term(i1, tail, w):
@@ -985,23 +953,19 @@ _register(
 
 def _eval_cor_511(tol, *, m, k, p):
     half = mp.mpf("0.5")
-    spec = term_spec(strict=ones(k), strict_shift=half,
-                     star=ones(p), binom_upper=((half, False),),
-                     powers=((0, m + 2),))
-    lhs = weighted_sum([spec], tol / 8)
+    lhs = se.apery_II(k, ones(p), m + 2, half, tol / 8)
     sub = tol / 32
 
     def term(i1, tail, w):
         if k >= 1:
-            specs = [term_spec(strict=tail, strict_prev=True,
-                               powers=((-half, i1 + k + 1),))]
-        else:
-            specs = [
-                term_spec(strict=tail, strict_prev=True,
-                          powers=((-half, i1 + 1),)),
-                term_spec(strict=tail, strict_prev=True,
-                          powers=((0, i1 + 1),), coeff=-1),
-            ]
+            shifts = ShiftVector((half,) + (1,) * len(tail))
+            return _zeta((i1 + k + 1,) + tail, shifts, sub) * w
+        specs = [
+            term_spec(strict=tail, strict_prev=True,
+                      powers=((-half, i1 + 1),)),
+            term_spec(strict=tail, strict_prev=True,
+                      powers=((0, i1 + 1),), coeff=-1),
+        ]
         return weighted_sum(specs, sub) * w
 
     return lhs, _composition_sum(p, m, k, term)
@@ -1029,15 +993,19 @@ def _double_single(family, sub):
 def _eval_thm_61(family):
     def ev(tol, *, m, p, q):
         double, single = _double_single(family, tol / 64)
-        lhs = ValueWithBound(0, 0, True)
-        for i in range(m):
-            j = m - 1 - i
-            w = sf.gen_binom(p + i - 1, i) * sf.gen_binom(q + j - 1, j)
-            lhs = lhs + double(p + i, q + j) * w
-        for i in range(p):
-            j = p - 1 - i
-            w = sf.gen_binom(m + i - 1, i) * sf.gen_binom(q + j - 1, j)
-            lhs = lhs - double(m + i, q + j) * (w * mp.mpf(-1) ** q)
+
+        def half(a, b):
+            """sum over i + j = a - 1 of C(b + i - 1, i) C(q + j - 1, j)
+            Z(b + i, q + j)."""
+            total = ValueWithBound(0, 0, True)
+            for i in range(a):
+                j = a - 1 - i
+                w = sf.gen_binom(b + i - 1, i) * sf.gen_binom(q + j - 1, j)
+                total = total + double(b + i, q + j) * w
+            return total
+
+        h = half(m, p)
+        lhs = h - (h if m == p else half(p, m)) * mp.mpf(-1) ** q
         rhs = ValueWithBound(0, 0, True)
         for i in range(q):
             j = q - 1 - i
@@ -1058,26 +1026,10 @@ for _fam in ("zeta", "T"):
     )
 
 
-def _eval_cor_62(tol, *, p, q, family):
-    double, single = _double_single(family, tol / 64)
-    lhs = ValueWithBound(0, 0, True)
-    for i in range(p):
-        j = p - 1 - i
-        w = sf.gen_binom(p + i - 1, i) * sf.gen_binom(q + j - 1, j)
-        lhs = lhs + double(p + i, q + j) * w
-    lhs = lhs * (1 - mp.mpf(-1) ** q)
-    rhs = ValueWithBound(0, 0, True)
-    for i in range(q):
-        j = q - 1 - i
-        w = sf.gen_binom(p + i - 1, i) * sf.gen_binom(p + j - 1, j) \
-            * mp.mpf(-1) ** j
-        rhs = rhs + single(p + i) * single(p + j) * w
-    return lhs, rhs
-
-
+# cor-6.2 is thm-6.1 at m = p
 _register(
     "cor-6.2",
-    _eval_cor_62,
+    lambda tol, *, p, q, family: _eval_thm_61(family)(tol, m=p, p=p, q=q),
     _pools(p=range(2, 5), q=range(1, 4), family=["zeta", "T"]),
     {"p": 2, "q": 1, "family": "T"},
 )
@@ -1099,20 +1051,6 @@ _register(
     _pools(k=[(2,), (1, 1), (2, 1), (2, 1, 1)],
            alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"k": (2, 1), "alpha": "0.3", "beta": "0.25"},
-)
-
-
-def _eval_ideas_5(tol, *, alpha, beta):
-    lhs = se.htmzv_pbc(alpha, (1,), 1 - beta, tol / 8)
-    rhs = _closed(sf.beta(1 - alpha, 1 - beta))
-    return lhs, rhs
-
-
-_register(
-    "eq-7-ideas-5",
-    _eval_ideas_5,
-    _pools(alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
-    {"alpha": "1/3", "beta": "1/4"},
 )
 
 
@@ -1147,6 +1085,11 @@ _register(
     _pools(m=range(4), alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
     {"m": 2, "alpha": "0.3", "beta": "0.25"},
 )
+# eq-7-ideas-5 is eq-7-depth1 at m = 0
+_register("eq-7-ideas-5",
+          lambda tol, **params: _eval_depth1(tol, m=0, **params),
+          _pools(alpha=_SMALL_ALPHAS, beta=_SMALL_ALPHAS),
+          {"alpha": "1/3", "beta": "1/4"})
 
 
 def _eval_thm_72(tol, *, k, r, alpha, beta):

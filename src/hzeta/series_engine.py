@@ -708,10 +708,10 @@ def param_euler_pow(m: int, k: int, alpha, tol=None, strategy=None,
         return weighted_sum([spec], tol, strategy)
 
 
-def _dual_binomial_sum(k, total: int, Z, tol) -> ValueWithBound:
+def _dual_binomial_sum(base, total: int, Z, tol) -> ValueWithBound:
     """sum over weak compositions j of ``total`` of B(b; j) Z(b + j, sub),
-    with b = theorem_dual(k) and the budget sub = tol / sum_j B(b; j)."""
-    base = theorem_dual(Composition(k))
+    with b = ``base`` and the budget sub = tol / sum_j B(b; j)."""
+    base = Composition(base)
     jlist = list(weak_compositions(total, base.depth()))
     weights = [binom_weight(base, j) for j in jlist]
     sub = tol / sum(weights)
@@ -746,7 +746,7 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
             Z = lambda idx, sub: htmtv(idx, 1, sub, strategy)
         else:
             Z = lambda idx, sub: htmzsv(idx, None, sub, strategy)
-        total = _dual_binomial_sum(k, s - 1, Z, tol)
+        total = _dual_binomial_sum(theorem_dual(k), s - 1, Z, tol)
         if kind == "eta" and k.depth() % 2 == 0:
             total = -total
         return total

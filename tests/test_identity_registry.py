@@ -163,3 +163,32 @@ def test_series_in_x_predicts_that_it_misses_the_cap():
     assert not c.passed
     assert "did not reach tolerance" in c.error
     assert c.best is not None and c.best.abs_error > 0
+
+
+_PREC_256 = PrecisionConfig(bits=256)
+
+
+@pytest.mark.parametrize("special, general, params, fixed", [
+    ("thm-5.2", "thm-5.4", {"m": 1, "alpha": "0.25", "beta": "0.35"},
+     {"k": 0, "p": 0}),
+    *[("cor-6.2", f"thm-6.1-{family}", {"p": 3, "q": q, "family": family},
+       {"m": 3}) for q in (1, 2) for family in ("zeta", "T")],
+    ("eq-7-ideas-5", "eq-7-depth1", {"alpha": "1/3", "beta": "1/4"},
+     {"m": 0}),
+])
+def test_specialisation_equals_its_general_row(special, general, params,
+                                               fixed):
+    # a corollary row is its theorem's row at the fixed parameters, bit
+    # for bit: at m = p and even q both halves of thm-6.1's lhs are one sum
+    s = run_check(special, params, TOL, _PREC_256)
+    shared = {k: v for k, v in params.items() if k != "family"}
+    g = run_check(general, {**shared, **fixed}, TOL, _PREC_256)
+    assert s.lhs == g.lhs and s.rhs == g.rhs and s.residual == g.residual
+
+
+@pytest.mark.parametrize("m, p", [(-1, 0), (0, 1), (1, 2)])
+def test_cor_511_at_k_zero(m, p):
+    # the sampler draws k in {1, 2}; k = 0 takes the subtracted-sum branch
+    c = run_check("cor-5.11", {"m": m, "k": 0, "p": p}, TOL, _PREC_256)
+    assert c.error is None and c.passed
+    assert c.residual < mp.mpf("1e-30")

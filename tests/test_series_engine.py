@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hzeta.compositions import Composition, contractions, ones
-from hzeta.errors import DomainError, NonAdmissible, PoleError, ToleranceNotReached
+from hzeta.errors import (DomainError, NoConvergence, NonAdmissible, PoleError,
+                          ToleranceNotReached)
 from hzeta import asymptotics as asym
 from hzeta.finite_sums import ShiftVector, _binomials, nested_stream, nth
 from hzeta.precision import PrecisionConfig, working
@@ -615,3 +616,106 @@ def test_star_contraction_property(k):
     for part in contractions(Composition(k)):
         total += htmzv(part, None, TOL, None, PREC).value
     assert abs(star.value - total) < mp.mpf(10) ** -10
+
+
+def _guard(id, call, exc, fragment):
+    return pytest.param(call, exc, fragment, id=id)
+
+
+# (call, exception type, message fragment): every guard of the public
+# evaluators, each tripped once
+GUARDS = [
+    _guard("htmzv-admissible", lambda: htmzv((1, 2)), NonAdmissible,
+           "leading exponent must be >= 2"),
+    _guard("htmzv-pole", lambda: htmzv((2, 1), (1, 0)), PoleError,
+           "puts a pole on the chain"),
+    _guard("htmzv-negative", lambda: htmzv((2, 1), (1, -1)), DomainError,
+           "feasible denominator negative"),
+    _guard("htmzsv-admissible", lambda: htmzsv((1,)), NonAdmissible,
+           "leading exponent must be >= 2"),
+    _guard("htmzsv-pole", lambda: htmzsv((2, 1), (1, 0)), PoleError,
+           "puts a pole at index 1"),
+    _guard("htmzsv-negative", lambda: htmzsv((2, 1), (1, "-0.5")),
+           DomainError, "star shifts must be positive"),
+    _guard("htmtv-admissible", lambda: htmtv((1, 1)), NonAdmissible,
+           "leading exponent must be >= 2"),
+    _guard("htmtv-alpha", lambda: htmtv((2,), 0), DomainError,
+           "alpha must be positive"),
+    _guard("mpl-empty", lambda: mpl((), "0.5"), DomainError,
+           "mpl needs a nonempty index"),
+    _guard("kta-x", lambda: kta((2,), "1.5"), DomainError,
+           "x must lie in [0, 1]"),
+    _guard("mpl-diverges", lambda: mpl((1,), 1), DomainError,
+           "diverges at x = 1"),
+    _guard("landen-empty", lambda: mpl_landen((), "0.5"), DomainError,
+           "mpl_landen needs a nonempty index"),
+    _guard("landen-x", lambda: mpl_landen((2,), 1), DomainError,
+           "x must lie in [0, 1)"),
+    _guard("apery_I-empty", lambda: apery_I((), 0, "0.5"), DomainError,
+           "apery_I needs a nonempty index"),
+    _guard("apery_I-kk", lambda: apery_I((2,), -1, "0.5"), DomainError,
+           "kk must be >= 0"),
+    _guard("apery_I-alpha", lambda: apery_I((2,), 0, 1), DomainError,
+           "alpha must be < 1"),
+    _guard("apery_II-m", lambda: apery_II(0, None, 0, "0.5"), DomainError,
+           "need k_head >= 0 and m >= 1"),
+    _guard("apery_II-alpha", lambda: apery_II(0, None, 1, -2), DomainError,
+           "not a nonpositive integer"),
+    _guard("apery_III-m", lambda: apery_III(None, None, -2, "0.5", "0.5"),
+           DomainError, "need m >= -1"),
+    _guard("apery_III-beta", lambda: apery_III(None, None, 0, "0.5", 1),
+           DomainError, "alpha and beta must be < 1"),
+    _guard("apery_III-alpha", lambda: apery_III(None, None, 0, -1, "0.5"),
+           DomainError, "must not be a nonpositive integer"),
+    _guard("euler_sum-m", lambda: param_euler_sum(-1, 0, 0), DomainError,
+           "m must be >= 0"),
+    _guard("euler_sum-pole", lambda: param_euler_sum(1, -1, 0), DomainError,
+           "puts a pole"),
+    _guard("euler_pow-k", lambda: param_euler_pow(1, 0, "0.5"), DomainError,
+           "need m >= 0 and k >= 1"),
+    _guard("euler_pow-pole", lambda: param_euler_pow(1, 1, -2), DomainError,
+           "puts a pole"),
+    _guard("ak-kind", lambda: arakawa_kaneko("zeta", 2, (1,)), DomainError,
+           "kind must be xi, psi or eta"),
+    _guard("ak-s", lambda: arakawa_kaneko("xi", 0, (1,)), DomainError,
+           "s must be >= 1"),
+    _guard("ak-empty", lambda: arakawa_kaneko("xi", 2, ()), DomainError,
+           "needs a nonempty index"),
+    _guard("pbc-empty", lambda: htmzv_pbc("0.5", (), 1), DomainError,
+           "needs a nonempty index"),
+    _guard("pbc-shift", lambda: htmzv_pbc("0.5", (2,), 0), DomainError,
+           "shift must be positive"),
+    _guard("pbc-admissible", lambda: htmzv_pbc("0.5", (1, 1), 1),
+           NonAdmissible, "leading exponent must be >= 2"),
+    _guard("pbc-negative-integer", lambda: htmzv_pbc(-1, (2,), 1),
+           DomainError, "must not be a negative integer"),
+    _guard("pbc-diverges", lambda: htmzv_pbc("1.5", (1,), "0.5"),
+           NoConvergence, "depth-1 sum diverges"),
+    _guard("pbc-derivative", lambda: _pbc_sum(0, (2,), 1, 1), DomainError,
+           "alpha-derivatives need alpha off"),
+]
+
+
+@pytest.mark.parametrize("call, exc, fragment", GUARDS)
+def test_public_evaluator_guards(call, exc, fragment):
+    with working(PREC):
+        with pytest.raises(exc) as info:
+            call()
+    assert info.type is exc
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: htmzv(()), 1),
+    (lambda: htmzsv(()), 1),
+    (lambda: htmtv(()), 1),
+    (lambda: mpl((2, 1), 0), 0),
+    (lambda: kta((2,), 0), 0),
+    (lambda: weighted_sum([]), 0),
+    # alpha = 0 pins n_1 = 1, leaving shift^-k_1
+    (lambda: htmzv_pbc(0, (2,), 2), mp.mpf(1) / 4),
+])
+def test_exact_early_returns(call, value):
+    with working(PREC):
+        v = call()
+    assert v.value == value and v.abs_error == 0 and v.rigorous
