@@ -4,14 +4,18 @@ numerical verification of the identities relating them.
 The package splits into combinatorics of composition indices
 (:mod:`hzeta.compositions`), exact finite nested sums
 (:mod:`hzeta.finite_sums`), infinite series evaluation with error
-bounds (:mod:`hzeta.series_engine`), an independent tanh-sinh
-quadrature oracle (:mod:`hzeta.quadrature`), and a registry of
+bounds (:mod:`hzeta.series_engine`), anchored asymptotic expansions for
+its tails (:mod:`hzeta.asymptotics`), Li_k(x) and A(k; x) by the direct
+series and the endpoint expansions near x = 1 (:mod:`hzeta.endpoint`),
+an independent tanh-sinh quadrature oracle (:mod:`hzeta.quadrature`),
+real special functions (:mod:`hzeta.specfun`), and a registry of
 identities checked by dual evaluation (:mod:`hzeta.identity_registry`).
+Underneath, :mod:`hzeta.precision` manages the working precision and
+:mod:`hzeta.fixed` the integer fixed point of the exact kernels.
 """
 
 from .compositions import (
     Composition,
-    WeakComposition,
     dual_index,
     hoffman_dual,
     plus_first,
@@ -42,6 +46,7 @@ from .precision import PrecisionConfig, default_precision, working
 from .quadrature import WeightedIntegrand, de_quad, int_kta_weighted, int_mpl_weighted
 from .series_engine import (
     TailStrategy,
+    TermSpec,
     ValueWithBound,
     apery_I,
     apery_II,
@@ -56,24 +61,22 @@ from .series_engine import (
     mpl_landen,
     param_euler_pow,
     param_euler_sum,
-    term_spec,
     weighted_sum,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Composition", "WeakComposition", "dual_index", "hoffman_dual",
-    "plus_first", "refinements", "contractions", "theorem_dual",
-    "weak_compositions",
+    "Composition", "dual_index", "hoffman_dual", "plus_first",
+    "refinements", "contractions", "theorem_dual", "weak_compositions",
     "HZetaError", "DomainError", "NonAdmissible", "DimensionMismatch",
     "PoleError", "ToleranceNotReached", "NoConvergence", "UnknownIdentity",
     "ShiftVector", "mhs", "mhss", "t_mhs", "t_mhss",
     "IdentityCheck", "SuiteReport", "identity_ids", "run_check", "run_suite",
     "PrecisionConfig", "default_precision", "working",
     "WeightedIntegrand", "de_quad", "int_kta_weighted", "int_mpl_weighted",
-    "TailStrategy", "ValueWithBound", "apery_I", "apery_II", "apery_III",
-    "arakawa_kaneko", "htmtv", "htmzsv", "htmzv", "htmzv_pbc", "kta",
-    "mpl", "mpl_landen", "param_euler_pow", "param_euler_sum",
-    "term_spec", "weighted_sum",
+    "TailStrategy", "TermSpec", "ValueWithBound", "apery_I", "apery_II",
+    "apery_III", "arakawa_kaneko", "htmtv", "htmzsv", "htmzv", "htmzv_pbc",
+    "kta", "mpl", "mpl_landen", "param_euler_pow", "param_euler_sum",
+    "weighted_sum",
 ]

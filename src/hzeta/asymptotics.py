@@ -65,8 +65,7 @@ import mpmath as mp
 
 from .compositions import Composition
 from .errors import NoConvergence
-from .finite_sums import (ShiftVector, _coerce, mhs, mhss, nested_stream,
-                          nth)
+from .finite_sums import ShiftVector, _coerce, _nth, mhs, mhss
 from .fixed import dyadic, fix, horner, rdiv, scale, to_mpf
 from .precision import working
 
@@ -684,8 +683,7 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
             n0 = window.n_anchor
             # plain anchors stay on mhs/mhss, whose traced calls mark misses
             if binomial is not None:
-                exact = nth(nested_stream(k.parts, a.shifts, star,
-                                          binomial=binomial), n0)
+                exact = _nth(k, a, star, n0, binomial)
             else:
                 exact = mhss(n0, k, a) if star else mhs(n0, k, a)
             out = V + (exact - V(n0))

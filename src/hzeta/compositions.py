@@ -11,6 +11,7 @@ Everything here is exact integer arithmetic on immutable value objects.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
@@ -18,6 +19,7 @@ from typing import Iterator, Sequence
 from .errors import DimensionMismatch, NonAdmissible
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Composition:
     """An immutable sequence of positive integers; possibly empty.
 
@@ -26,7 +28,7 @@ class Composition:
     rejected by the dual and refinement operations.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple
 
     def __init__(self, parts: Sequence[int] | "Composition" = ()):
         if isinstance(parts, Composition):
@@ -36,9 +38,6 @@ class Composition:
             if p < 1:
                 raise ValueError(f"composition parts must be >= 1, got {p}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
 
     def weight(self) -> int:
         return sum(self.parts)
@@ -61,12 +60,6 @@ class Composition:
     def __getitem__(self, i):
         return self.parts[i]
 
-    def __eq__(self, other):
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Composition", self.parts))
-
     def __repr__(self):
         return f"Composition({list(self.parts)!r})"
 
@@ -80,43 +73,6 @@ class Composition:
         if not text:
             return cls(())
         return cls([int(t) for t in text.split(",")])
-
-
-class WeakComposition:
-    """An immutable sequence of nonnegative integers (zero parts allowed)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for p in parts:
-            if p < 0:
-                raise ValueError(f"weak composition parts must be >= 0, got {p}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeakComposition is immutable")
-
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, WeakComposition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("WeakComposition", self.parts))
-
-    def __repr__(self):
-        return f"WeakComposition({list(self.parts)!r})"
 
 
 def _require_nonempty(k: Composition, op: str) -> None:
@@ -216,8 +172,9 @@ def contractions(k: Composition) -> set:
     return out
 
 
-def weak_compositions(total: int, parts: int) -> Iterator[WeakComposition]:
-    """Yield every j in N_0^parts with sum(j) = total, exactly once."""
+def weak_compositions(total: int, parts: int) -> Iterator[tuple]:
+    """Yield every j in N_0^parts with sum(j) = total, exactly once, as a
+    tuple of ints."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
     if total < 0:
@@ -231,11 +188,10 @@ def weak_compositions(total: int, parts: int) -> Iterator[WeakComposition]:
             for rest in rec(remaining - first, slots - 1):
                 yield (first,) + rest
 
-    for t in rec(total, parts):
-        yield WeakComposition(t)
+    yield from rec(total, parts)
 
 
-def binom_weight(k: Composition, j: WeakComposition) -> int:
+def binom_weight(k: Composition, j: Sequence[int]) -> int:
     """B(k; j) = prod_i C(k_i + j_i - 1, j_i), exactly."""
     if len(k) != len(j):
         raise DimensionMismatch(
@@ -247,7 +203,7 @@ def binom_weight(k: Composition, j: WeakComposition) -> int:
     return out
 
 
-def add(k: Composition, j: WeakComposition) -> Composition:
+def add(k: Composition, j: Sequence[int]) -> Composition:
     """Component-wise k + j (same depth)."""
     if len(k) != len(j):
         raise DimensionMismatch(

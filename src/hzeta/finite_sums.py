@@ -199,13 +199,9 @@ def _binomials(alpha, order, F):
         m += 1
 
 
-def nth(stream, n: int):
-    """The value at step n >= 1 of a :func:`nested_stream`."""
-    return next(islice(stream, n - 1, None))[1]
-
-
-def _nth(k, a, star, n):
-    """S_n of the kernel, converted to an mpf only at the end."""
+def _nth(k, a, star, n, binomial=None):
+    """S_n of the kernel (with the innermost ``binomial`` multiplier of
+    :func:`nested_stream`), converted to an mpf only at the end."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     k, a = _coerce(k, a)
@@ -215,7 +211,7 @@ def _nth(k, a, star, n):
     if n < (1 if star else r):
         return mp.mpf(0)
     bits = mp.mp.prec  # the work bits of the caller's block
-    F, raw = _fixed_stream(k.parts, a.shifts, star, bits)
+    F, raw = _fixed_stream(k.parts, a.shifts, star, bits, binomial)
     return to_mpf(next(islice(raw, n - 1, None))[0], F, bits)
 
 

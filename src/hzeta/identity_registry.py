@@ -43,7 +43,7 @@ from .errors import (
 from .finite_sums import ShiftVector, mhss
 from .fixed import to_mpf
 from .precision import PrecisionConfig, parse_real, parse_tol, working
-from .series_engine import ValueWithBound, term_spec, weighted_sum
+from .series_engine import TermSpec, ValueWithBound, weighted_sum
 
 DEFAULT_TOL = "1e-8"
 
@@ -144,13 +144,12 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
 class _Identity:
-    def __init__(self, id: str, evaluate: Callable, sample: Callable,
-                 default: dict):
-        self.id = id
-        self.evaluate = evaluate
-        self.sample = sample
-        self.default = default
+    id: str
+    evaluate: Callable
+    sample: Callable
+    default: dict
 
 
 _REGISTRY: dict = {}
@@ -236,7 +235,7 @@ def _partition_rhs(m: int, p: int, k: int, shift, tol) -> ValueWithBound:
         q = len(levels)
         for kvec in weak_compositions(k, q):
             term = ValueWithBound(pref, 0, True)
-            for lev, kj in zip(levels, kvec.parts):
+            for lev, kj in zip(levels, kvec):
                 term = term * (zv(lev * m + kj)
                                * sf.gen_binom(lev * m - 1 + kj, kj))
             total = total + term
@@ -398,8 +397,8 @@ def _eval_thm_31(tol, *, x, alpha, log_pow):
     v = mp.mpf(-1) ** log_pow / mp.factorial(log_pow) \
         * mp.log(1 - x) ** log_pow / (1 - x) ** alpha
     lhs = _closed(v)
-    spec = term_spec(strict=ones(log_pow), strict_shift=alpha,
-                     binom_upper=((alpha, False),))
+    spec = TermSpec(strict=ones(log_pow), strict_shift=alpha,
+                    binom_upper=((alpha, False),))
     rhs = _series_in_x(spec, x, tol / 8, extra=1 if log_pow == 0 else 0)
     return lhs, rhs
 
@@ -698,8 +697,8 @@ def _eval_44_limit(tol, *, m, k):
     sub = tol / 32
 
     def series(star):
-        spec = term_spec(strict=ones(k - 1), strict_prev=True,
-                         star=star, powers=((0, 2),))
+        spec = TermSpec(strict=ones(k - 1), strict_prev=True,
+                        star=star, powers=((0, 2),))
         return weighted_sum([spec], sub)
 
     total = _hoffman_sum(m, series, sub)
@@ -737,24 +736,24 @@ _register(
 
 def _eval_thm_54(tol, *, m, k, p, alpha, beta):
     specs = [
-        term_spec(strict=ones(k), strict_shift=alpha,
-                  star=ones(p), star_shift=1 - beta,
-                  binom_upper=((alpha, False),), binom_lower=(beta,),
-                  powers=((0, m + 2),)),
-        term_spec(strict=ones(p), strict_shift=beta,
-                  star=ones(k), star_shift=1 - alpha,
-                  binom_upper=((beta, False),), binom_lower=(alpha,),
-                  powers=((0, m + 2),), coeff=mp.mpf(-1) ** m),
+        TermSpec(strict=ones(k), strict_shift=alpha,
+                 star=ones(p), star_shift=1 - beta,
+                 binom_upper=((alpha, False),), binom_lower=(beta,),
+                 powers=((0, m + 2),)),
+        TermSpec(strict=ones(p), strict_shift=beta,
+                 star=ones(k), star_shift=1 - alpha,
+                 binom_upper=((beta, False),), binom_lower=(alpha,),
+                 powers=((0, m + 2),), coeff=mp.mpf(-1) ** m),
     ]
     if p == 0:
-        specs.append(term_spec(strict=ones(k), strict_shift=alpha,
-                               binom_upper=((alpha, False),),
-                               powers=((0, m + 2),), coeff=-1))
+        specs.append(TermSpec(strict=ones(k), strict_shift=alpha,
+                              binom_upper=((alpha, False),),
+                              powers=((0, m + 2),), coeff=-1))
     if k == 0:
-        specs.append(term_spec(strict=ones(p), strict_shift=beta,
-                               binom_upper=((beta, False),),
-                               powers=((0, m + 2),),
-                               coeff=-mp.mpf(-1) ** m))
+        specs.append(TermSpec(strict=ones(p), strict_shift=beta,
+                              binom_upper=((beta, False),),
+                              powers=((0, m + 2),),
+                              coeff=-mp.mpf(-1) ** m))
     lhs = weighted_sum(specs, tol / 8)
     rhs = _alternating(m, lambda i: se.apery_II(p, None, i, beta, tol / 32),
                        lambda j: se.apery_II(k, None, j, alpha, tol / 32))
@@ -787,10 +786,10 @@ _register("thm-5.2",
 
 def _eval_cor_55(tol, *, m, k, p):
     specs = [
-        term_spec(strict=ones(k - 1), strict_prev=True, star=ones(p),
-                  powers=((0, m + 3),)),
-        term_spec(strict=ones(p - 1), strict_prev=True, star=ones(k),
-                  powers=((0, m + 3),), coeff=mp.mpf(-1) ** m),
+        TermSpec(strict=ones(k - 1), strict_prev=True, star=ones(p),
+                 powers=((0, m + 3),)),
+        TermSpec(strict=ones(p - 1), strict_prev=True, star=ones(k),
+                 powers=((0, m + 3),), coeff=mp.mpf(-1) ** m),
     ]
     lhs = weighted_sum(specs, tol / 8)
     sub = tol / 32
@@ -810,14 +809,14 @@ _register(
 def _eval_cor_56(tol, *, m, k, p):
     half = mp.mpf("0.5")
     specs = [
-        term_spec(strict=ones(k - 1), strict_prev=True,
-                  star=ones(p), star_shift=half,
-                  binom_lower=(half,), powers=((0, m + 3),),
-                  coeff=mp.ldexp(1, -p)),
-        term_spec(strict=ones(p), strict_shift=half,
-                  star=ones(k), binom_upper=((half, False),),
-                  powers=((0, m + 2),),
-                  coeff=mp.mpf(-1) ** m * mp.ldexp(1, -p)),
+        TermSpec(strict=ones(k - 1), strict_prev=True,
+                 star=ones(p), star_shift=half,
+                 binom_lower=(half,), powers=((0, m + 3),),
+                 coeff=mp.ldexp(1, -p)),
+        TermSpec(strict=ones(p), strict_shift=half,
+                 star=ones(k), binom_upper=((half, False),),
+                 powers=((0, m + 2),),
+                 coeff=mp.mpf(-1) ** m * mp.ldexp(1, -p)),
     ]
     lhs = weighted_sum(specs, tol / 8)
     sub = tol / 32
@@ -839,8 +838,8 @@ _register(
 
 def _bracket(idx, alpha, beta, tol) -> ValueWithBound:
     """alpha sum_n zeta_(n-1)(idx; 1 - beta) / ((n - beta)(n - alpha - beta))."""
-    spec = term_spec(strict=idx, strict_shift=1 - beta, strict_prev=True,
-                     powers=((-beta - alpha, 1), (-beta, 1)))
+    spec = TermSpec(strict=idx, strict_shift=1 - beta, strict_prev=True,
+                    powers=((-beta - alpha, 1), (-beta, 1)))
     return weighted_sum([spec], tol) * alpha
 
 
@@ -862,7 +861,7 @@ def _composition_sum(p, m, k, term):
     term(i_1, (i_2 + 1, ..., i_(m+2) + 1), C(i_1 + k, k))."""
     total = ValueWithBound(0, 0, True)
     for i in weak_compositions(p, m + 2):
-        tail = tuple(ij + 1 for ij in i.parts[1:])
+        tail = tuple(ij + 1 for ij in i[1:])
         total = total + term(i[0], tail, sf.gen_binom(i[0] + k, k))
     return total
 
@@ -917,25 +916,25 @@ _register(
 
 def _eval_cor_510(tol, *, m, k, p):
     half = mp.mpf("0.5")
-    spec = term_spec(strict=ones(k), strict_shift=half,
-                     star=ones(p), star_shift=half,
-                     powers=((0, m + 2),))
+    spec = TermSpec(strict=ones(k), strict_shift=half,
+                    star=ones(p), star_shift=half,
+                    powers=((0, m + 2),))
     lhs = weighted_sum([spec], tol / 8)
     sub = tol / 32
 
     def term(i1, tail, w):
         tw = mp.ldexp(1, -sum(tail))
         if k >= 1:
-            specs = [term_spec(strict=tail, strict_shift=half,
-                               powers=((0, i1 + k + 1),), coeff=tw)]
+            specs = [TermSpec(strict=tail, strict_shift=half,
+                              powers=((0, i1 + k + 1),), coeff=tw)]
         else:
             # the subtracted sum carries the prefix strictly below n
             specs = [
-                term_spec(strict=tail, strict_shift=half,
-                          powers=((0, i1 + 1),), coeff=tw),
-                term_spec(strict=tail, strict_shift=half,
-                          strict_prev=True,
-                          powers=((-half, i1 + 1),), coeff=-tw),
+                TermSpec(strict=tail, strict_shift=half,
+                         powers=((0, i1 + 1),), coeff=tw),
+                TermSpec(strict=tail, strict_shift=half,
+                         strict_prev=True,
+                         powers=((-half, i1 + 1),), coeff=-tw),
             ]
         # the specialization forces weight 2^(p - i_1 + m + 1)
         return weighted_sum(specs, sub) * mp.ldexp(w, p - i1 + m + 1)
@@ -961,10 +960,10 @@ def _eval_cor_511(tol, *, m, k, p):
             shifts = ShiftVector((half,) + (1,) * len(tail))
             return _zeta((i1 + k + 1,) + tail, shifts, sub) * w
         specs = [
-            term_spec(strict=tail, strict_prev=True,
-                      powers=((-half, i1 + 1),)),
-            term_spec(strict=tail, strict_prev=True,
-                      powers=((0, i1 + 1),), coeff=-1),
+            TermSpec(strict=tail, strict_prev=True,
+                     powers=((-half, i1 + 1),)),
+            TermSpec(strict=tail, strict_prev=True,
+                     powers=((0, i1 + 1),), coeff=-1),
         ]
         return weighted_sum(specs, sub) * w
 
@@ -1055,9 +1054,9 @@ _register(
 
 
 def _eval_ideas_6(tol, *, k, m, alpha, beta):
-    spec = term_spec(strict=ones(k), strict_shift=alpha,
-                     strict_prev=True, binom_upper=((alpha, True),),
-                     powers=((-beta, m + 1),))
+    spec = TermSpec(strict=ones(k), strict_shift=alpha,
+                    strict_prev=True, binom_upper=((alpha, True),),
+                    powers=((-beta, m + 1),))
     lhs = weighted_sum([spec], tol / 8)
     v = mp.mpf(-1) ** (k + m) / (mp.factorial(k) * mp.factorial(m)) \
         * sf.beta_partial(k, m, 1 - alpha, 1 - beta)
@@ -1104,7 +1103,7 @@ def _eval_thm_72(tol, *, k, r, alpha, beta):
     sign = -mp.mpf(-1) ** k
     # i_1 + ... + i_{k-1} + l = r + k - 1 with i_j >= 1 and l >= 0
     for w in weak_compositions(r, k):
-        i_parts, l = tuple(wj + 1 for wj in w.parts[:-1]), w.parts[-1]
+        i_parts, l = tuple(wj + 1 for wj in w[:-1]), w[-1]
         dual = theorem_dual(Composition(i_parts))
         d = _pbc_deriv(l, beta, dual, 1 - alpha, sub)
         rhs = rhs + d * (sign / mp.factorial(l))

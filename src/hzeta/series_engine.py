@@ -46,7 +46,7 @@ tolerance contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import mpmath as mp
@@ -190,81 +190,62 @@ class TermSpec:
               * prod C(n + alpha - 1, n)  [or C(n + alpha - 2, n - 1)]
               * prod 1 / C(n - beta, n)
 
-    ``strict_binomial`` = (alpha, order) puts the order-th alpha-derivative
-    of C(n_r + alpha - 2, n_r - 1) on the innermost index of the strict
-    prefix; a C(n + alpha - 2, n - 1) factor may carry an order likewise.
-    Build instances through :func:`term_spec`, which normalises shifts.
+    The constructor normalises its arguments.  ``strict``/``star`` accept
+    anything :class:`Composition` accepts, and their shifts a
+    :class:`ShiftVector`, a sequence or one scalar for every slot; an empty
+    index drops the factor (it is identically 1), so the index and its
+    shift become None.  Every
+    scalar (shifts, offsets, binomial parameters and the coefficient) is
+    converted at the active :func:`working` precision.  ``powers`` is a
+    sequence of (offset, exponent) pairs; ``binom_upper`` of (alpha,
+    at_prev) pairs or (alpha, True, order) triples, stored as triples;
+    ``binom_lower`` of beta values.  ``strict_binomial`` = (alpha, order)
+    puts the order-th alpha-derivative of C(n_r + alpha - 2, n_r - 1) on
+    the innermost index of the strict prefix; a C(n + alpha - 2, n - 1)
+    factor may carry an order likewise.
     """
 
-    strict_index: Composition | None = None
-    strict_shift: ShiftVector | None = None
+    strict: Composition | None = None
+    strict_shift: ShiftVector | None = 1
     strict_prev: bool = False
     strict_binomial: tuple | None = None
-    star_index: Composition | None = None
-    star_shift: ShiftVector | None = None
+    star: Composition | None = None
+    star_shift: ShiftVector | None = 1
     powers: tuple = ()
     binom_upper: tuple = ()
     binom_lower: tuple = ()
-    coeff: mp.mpf = field(default_factory=lambda: mp.mpf(1))
+    coeff: mp.mpf = 1
 
+    def __post_init__(self):
+        def index(k, a):
+            if k is not None:
+                k, a = _coerce(k, a)
+                if not k.is_empty():
+                    return k, a
+            return None, None
 
-def term_spec(
-    strict=None,
-    strict_shift=1,
-    strict_prev=False,
-    strict_binomial=None,
-    star=None,
-    star_shift=1,
-    powers=(),
-    binom_upper=(),
-    binom_lower=(),
-    coeff=1,
-    prec: PrecisionConfig | None = None,
-) -> TermSpec:
-    """Normalising constructor for :class:`TermSpec`.
-
-    ``strict``/``star`` accept anything :class:`Composition` accepts;
-    empty indices drop the factor (it is identically 1).  Every scalar
-    (shifts, offsets, binomial parameters and the coefficient) is
-    converted at the working precision of ``prec``.  ``powers`` is a
-    sequence of (offset, exponent) pairs; ``binom_upper`` of (alpha,
-    at_prev) pairs or (alpha, True, order) triples; ``binom_lower`` of
-    beta values.
-    """
-    sk = ss = tk = ts = None
-    with working(prec):
-        if strict is not None:
-            sk, ss = _coerce(strict, strict_shift)
-            if sk.is_empty():
-                sk = ss = None
-        if star is not None:
-            tk, ts = _coerce(star, star_shift)
-            if tk.is_empty():
-                tk = ts = None
-        binom_upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
-                            for a, p, *o in binom_upper)
-        if strict_binomial is not None:
-            strict_binomial = (mp.mpf(strict_binomial[0]),
-                               int(strict_binomial[1]))
-        powers = tuple((mp.mpf(c), int(m)) for c, m in powers)
-        binom_lower = tuple(mp.mpf(b) for b in binom_lower)
-        coeff = mp.mpf(coeff)
-    if (strict_binomial is not None and sk is None
-            or any(o and not p for _, p, o in binom_upper)):
-        raise ValueError("strict_binomial needs a strict index and a binomial "
-                         "order needs C(n + alpha - 2, n - 1)")
-    return TermSpec(
-        strict_index=sk,
-        strict_shift=ss,
-        strict_prev=bool(strict_prev),
-        strict_binomial=strict_binomial,
-        star_index=tk,
-        star_shift=ts,
-        powers=powers,
-        binom_upper=binom_upper,
-        binom_lower=binom_lower,
-        coeff=coeff,
-    )
+        with working():
+            strict, strict_shift = index(self.strict, self.strict_shift)
+            star, star_shift = index(self.star, self.star_shift)
+            binomial = self.strict_binomial
+            if binomial is not None:
+                binomial = (mp.mpf(binomial[0]), int(binomial[1]))
+            upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
+                          for a, p, *o in self.binom_upper)
+            normal = dict(
+                strict=strict, strict_shift=strict_shift,
+                strict_prev=bool(self.strict_prev), strict_binomial=binomial,
+                star=star, star_shift=star_shift,
+                powers=tuple((mp.mpf(c), int(m)) for c, m in self.powers),
+                binom_upper=upper,
+                binom_lower=tuple(mp.mpf(b) for b in self.binom_lower),
+                coeff=mp.mpf(self.coeff))
+        if (binomial is not None and strict is None
+                or any(o and not p for _, p, o in upper)):
+            raise ValueError("strict_binomial needs a strict index and a "
+                             "binomial order needs C(n + alpha - 2, n - 1)")
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
 
 
 class _SpecState:
@@ -293,13 +274,13 @@ class _SpecState:
         bits = mp.mp.prec  # the work bits of the caller's block
         H = self.H = scale()
         self.strict = self.star = None
-        if spec.strict_index is not None:
+        if spec.strict is not None:
             self.strict = _fixed_stream(
-                spec.strict_index.parts, spec.strict_shift.shifts, False,
+                spec.strict.parts, spec.strict_shift.shifts, False,
                 bits, spec.strict_binomial)
         self.strict_prev_val = 0
-        if spec.star_index is not None:
-            self.star = _fixed_stream(spec.star_index.parts,
+        if spec.star is not None:
+            self.star = _fixed_stream(spec.star.parts,
                                       spec.star_shift.shifts, True, bits)
         # C(n + alpha - 1, n) and C(n - beta, n) are C(m + c - 2, m - 1)
         # at m = n + 1 for c = alpha and c = 1 - beta
@@ -350,14 +331,14 @@ class _SpecState:
 def _spec_series(spec: TermSpec, window: asym.ExpansionWindow) -> AsymSeries:
     emax = window.order
     S = AsymSeries.constant(spec.coeff, emax)
-    if spec.strict_index is not None:
-        E = prefix_expansion(spec.strict_index, spec.strict_shift, False,
+    if spec.strict is not None:
+        E = prefix_expansion(spec.strict, spec.strict_shift, False,
                              window, spec.strict_binomial)
         if spec.strict_prev:
             E = E.shift_arg(-1)
         S = S * E
-    if spec.star_index is not None:
-        S = S * prefix_expansion(spec.star_index, spec.star_shift, True, window)
+    if spec.star is not None:
+        S = S * prefix_expansion(spec.star, spec.star_shift, True, window)
     for a, at_prev, order in spec.binom_upper:
         if at_prev:
             S = S * _binomial_series(a, order, emax)
@@ -467,7 +448,7 @@ def htmzv(k, a=None, tol=None, strategy=None,
         if not k.admissible():
             raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
         _check_strict_shifts(k, a)
-        spec = term_spec(
+        spec = TermSpec(
             strict=Composition(k.parts[1:]),
             strict_shift=ShiftVector(a.shifts[1:]),
             strict_prev=True,
@@ -490,7 +471,7 @@ def htmzsv(k, a=None, tol=None, strategy=None,
                 raise PoleError(f"shift a_{i + 1} = 0 puts a pole at index 1")
             if a[i] < 0:
                 raise DomainError(f"star shifts must be positive, got {a[i]}")
-        spec = term_spec(
+        spec = TermSpec(
             star=Composition(k.parts[1:]),
             star_shift=ShiftVector(a.shifts[1:]),
             powers=((a[0] - 1, k[0]),),
@@ -517,7 +498,7 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
             raise DomainError(f"alpha must be positive, got {alpha}")
         r = k.depth()
         a = ShiftVector([(alpha + j - r) / 2 for j in range(1, r + 1)])
-        spec = term_spec(
+        spec = TermSpec(
             strict=Composition(k.parts[1:]),
             strict_shift=ShiftVector(a.shifts[1:]),
             strict_prev=True,
@@ -620,7 +601,7 @@ def apery_I(k, kk: int, alpha, tol=None, strategy=None,
         alpha = finite_real("alpha", alpha)
         if alpha >= 1:
             raise DomainError(f"alpha must be < 1, got {alpha}")
-        spec = term_spec(
+        spec = TermSpec(
             strict=Composition(k.parts[1:]),
             strict_prev=True,
             star=ones(kk),
@@ -642,7 +623,7 @@ def apery_II(k_head: int, star_tail, m: int, alpha, tol=None, strategy=None,
         if alpha >= 1 or (alpha <= 0 and alpha == mp.floor(alpha)):
             raise DomainError(f"alpha must be < 1 and not a nonpositive "
                               f"integer, got {alpha}")
-        spec = term_spec(
+        spec = TermSpec(
             strict=ones(k_head),
             strict_shift=alpha,
             star=star_tail,
@@ -667,7 +648,7 @@ def apery_III(k, l, m: int, alpha, beta, tol=None, strategy=None,
         if alpha <= 0 and alpha == mp.floor(alpha):
             raise DomainError(f"alpha must not be a nonpositive integer, "
                               f"got {alpha}")
-        spec = term_spec(
+        spec = TermSpec(
             strict=k,
             strict_shift=alpha,
             star=l,
@@ -690,7 +671,7 @@ def param_euler_sum(m: int, a, b, tol=None, strategy=None,
             if c <= -1 and c == mp.floor(c):
                 raise DomainError(f"offset {c} puts a pole on the index set")
         powers = ((a, 2),) if a == b else ((a, 1), (b, 1))
-        spec = term_spec(strict=ones(m), strict_prev=True, powers=powers)
+        spec = TermSpec(strict=ones(m), strict_prev=True, powers=powers)
         return weighted_sum([spec], tol, strategy)
 
 
@@ -703,8 +684,8 @@ def param_euler_pow(m: int, k: int, alpha, tol=None, strategy=None,
         alpha = finite_real("alpha", alpha)
         if alpha <= -1 and alpha == mp.floor(alpha):
             raise DomainError(f"offset {alpha} puts a pole on the index set")
-        spec = term_spec(strict=ones(m), strict_prev=True,
-                         powers=((alpha, k + 1),))
+        spec = TermSpec(strict=ones(m), strict_prev=True,
+                        powers=((alpha, k + 1),))
         return weighted_sum([spec], tol, strategy)
 
 
@@ -812,10 +793,10 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None) -> ValueWithBound:
                     f"alpha = {alpha}"
                 )
             # the multiplier sits on n itself
-            spec = term_spec(binom_upper=((alpha, True, order),),
-                             powers=((shift - 1, k[0]),))
+            spec = TermSpec(binom_upper=((alpha, True, order),),
+                            powers=((shift - 1, k[0]),))
         else:
-            spec = term_spec(
+            spec = TermSpec(
                 strict=k.parts[1:],
                 strict_shift=ShiftVector.constant(shift, r - 1),
                 strict_prev=True,

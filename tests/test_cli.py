@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def swap_evaluate(monkeypatch, id, evaluate):
+    """Replace the evaluator of the registry row ``id`` for one test."""
+    row = identity_registry._REGISTRY[id]
+    monkeypatch.setitem(identity_registry._REGISTRY, id,
+                        dataclasses.replace(row, evaluate=evaluate))
 
 
 def value_line(out):
@@ -220,8 +228,7 @@ class TestVerify:
                 "error estimate 3e-7 exceeds tolerance 1e-8",
                 best=series_engine.ValueWithBound(mp.mpf("0.25"), 3e-7))
 
-        monkeypatch.setattr(identity_registry._REGISTRY["cor-5.3"],
-                            "evaluate", fail)
+        swap_evaluate(monkeypatch, "cor-5.3", fail)
         code, out, _ = run_cli(capsys, "--bits", "160", "verify",
                                "--filter", "cor-5.[35]")
         assert code == 4
@@ -247,10 +254,8 @@ class TestVerify:
             one = series_engine.ValueWithBound(1, 0)
             return one, one * 2
 
-        monkeypatch.setattr(identity_registry._REGISTRY["cor-5.3"],
-                            "evaluate", fail)
-        monkeypatch.setattr(identity_registry._REGISTRY["cor-5.5"],
-                            "evaluate", wrong)
+        swap_evaluate(monkeypatch, "cor-5.3", fail)
+        swap_evaluate(monkeypatch, "cor-5.5", wrong)
         code, out, _ = run_cli(capsys, "--bits", "160", "verify",
                                "--filter", "cor-5.[35]")
         assert code == 2

@@ -192,3 +192,17 @@ def test_cor_511_at_k_zero(m, p):
     c = run_check("cor-5.11", {"m": m, "k": 0, "p": p}, TOL, _PREC_256)
     assert c.error is None and c.passed
     assert c.residual < mp.mpf("1e-30")
+
+
+@pytest.mark.parametrize("id, params", [
+    ("thm-3.5", {"k": (2, 1), "kk": 0, "alpha": "0.3"}),
+    ("thm-4.3", {"m": 2, "p": 2, "k": 0, "alpha": "0.3"}),
+    ("thm-4.4", {"m": (3, 2), "k": 0, "alpha": "0.3"}),
+    ("cor-5.6", {"m": 1, "k": 1, "p": 0}),
+    ("cor-5.10", {"m": 1, "k": 0, "p": 1}),
+])
+def test_branches_the_golden_seed_does_not_draw(id, params):
+    # the kk = 0 / k = 0 / p = 0 terms of these rows, which seed 7 skips
+    c = run_check(id, params, TOL, _PREC_256)
+    assert c.error is None and c.passed
+    assert c.residual < mp.mpf("1e-30")

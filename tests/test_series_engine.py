@@ -8,9 +8,10 @@ from hzeta.compositions import Composition, contractions, ones
 from hzeta.errors import (DomainError, NoConvergence, NonAdmissible, PoleError,
                           ToleranceNotReached)
 from hzeta import asymptotics as asym
-from hzeta.finite_sums import ShiftVector, _binomials, nested_stream, nth
+from hzeta.finite_sums import ShiftVector, _binomials, _nth, nested_stream
 from hzeta.precision import PrecisionConfig, working
 from hzeta.series_engine import (
+    TermSpec,
     ValueWithBound,
     apery_I,
     apery_II,
@@ -27,7 +28,6 @@ from hzeta.series_engine import (
     param_euler_sum,
     _pbc_sum,
     _SpecState,
-    term_spec,
     weighted_sum,
 )
 from hzeta.specfun import beta, digamma, euler_gamma
@@ -243,8 +243,8 @@ class TestAperyFamilies:
         P = PrecisionConfig(bits=256)
         with working(P):
             a, b = mp.mpf(alpha), mp.mpf(beta)
-            state = _SpecState(term_spec(binom_upper=((a, False),),
-                                         binom_lower=(b,), prec=P))
+            state = _SpecState(TermSpec(binom_upper=((a, False),),
+                                        binom_lower=(b,)))
             for n in range(1, 61):
                 ref = mp.binomial(n + a - 1, n) / mp.binomial(n - b, n)
                 t = mp.ldexp(state.step(n), -state.H)
@@ -253,7 +253,7 @@ class TestAperyFamilies:
     def test_vanishing_lower_binomial_is_a_pole(self):
         # C(n - 3, n) = -2, 1, 0 at n = 1, 2, 3
         with working(PREC):
-            state = _SpecState(term_spec(binom_lower=(3,)))
+            state = _SpecState(TermSpec(binom_lower=(3,)))
         state.step(1)
         state.step(2)
         with pytest.raises(PoleError):
@@ -264,14 +264,14 @@ def _head_reference(spec, n):
     """Terms 1..n of ``spec`` by mpf recurrences at the active precision,
     from the spec's own (already rounded) parameters."""
     strict = star = None
-    if spec.strict_index is not None:
+    if spec.strict is not None:
         jet = None
         if spec.strict_binomial is not None:
             jet = mpf_binomials(*spec.strict_binomial)
-        strict = mpf_nested(spec.strict_index.parts,
+        strict = mpf_nested(spec.strict.parts,
                             spec.strict_shift.shifts, False, jet)
-    if spec.star_index is not None:
-        star = mpf_nested(spec.star_index.parts, spec.star_shift.shifts, True)
+    if spec.star is not None:
+        star = mpf_nested(spec.star.parts, spec.star_shift.shifts, True)
     upper = [itertools.islice(mpf_binomials(a, o), 0 if p else 1, None)
              for a, p, o in spec.binom_upper]
     lower = [itertools.islice(mpf_binomials(1 - b), 1, None)
@@ -321,7 +321,7 @@ class TestFixedPointHead:
         P = PrecisionConfig(bits)
         with working(P) as cfg:
             # the strings become mpfs of the work bits
-            spec = term_spec(**kw)
+            spec = TermSpec(**kw)
             state = _SpecState(spec)
             got = [state.step(n) for n in range(1, 3201)]
         with mp.workprec(cfg.work_bits + 128):
@@ -333,7 +333,7 @@ class TestFixedPointHead:
 
     def test_power_pole(self):
         with working(PREC):
-            state = _SpecState(term_spec(powers=((-3, 2),)))
+            state = _SpecState(TermSpec(powers=((-3, 2),)))
         state.step(1)
         state.step(2)
         with pytest.raises(PoleError):
@@ -345,7 +345,7 @@ class TestFixedPointHead:
                   powers=(("-0.95", 2),))
         with working(PREC):
             c = mp.mpf(3) / 7
-            specs = [term_spec(coeff=c, **kw), term_spec(coeff=-c, **kw)]
+            specs = [TermSpec(coeff=c, **kw), TermSpec(coeff=-c, **kw)]
         v = weighted_sum(specs, TOL, None, PREC)
         assert v.value == 0
 
@@ -444,9 +444,13 @@ class TestPbc:
             for m, kj in zip(idx, k):
                 term /= (m + shift - 1) ** kj
             ref += term
-        v = nth(nested_stream(k, (shift,) * depth, False, PREC,
-                              binomial=(alpha, 0)), n)
+        stream = nested_stream(k, (shift,) * depth, False, PREC,
+                               binomial=(alpha, 0))
+        v = next(itertools.islice(stream, n - 1, None))[1]
         assert abs(v - ref) <= mp.mpf(2) ** -180 * abs(ref)
+        # the anchor of a binomial prefix expansion rounds the same state
+        with working(PREC):
+            assert _nth(k, (shift,) * depth, False, n, (alpha, 0)) == v
 
 
 class TestPbcDerivative:
@@ -512,7 +516,7 @@ class TestPbcDerivative:
                                     {"binom_upper": (("0.3", False, 1),)}])
     def test_binomial_needs_its_place(self, kw):
         with pytest.raises(ValueError):
-            term_spec(**kw)
+            TermSpec(**kw)
 
     def test_shared_prefix_cache_keeps_binomials_apart(self, monkeypatch):
         # pbc and plain prefixes share one cache; a plain htmzv after a pbc
@@ -536,6 +540,37 @@ class TestPbcDerivative:
         assert v.value == ref.value and v.abs_error == ref.abs_error
 
 
+class TestTermSpec:
+    KW = dict(strict=(2, 1), strict_shift="0.3", star=[1],
+              powers=((0, 2),), binom_upper=(("0.45", False),), coeff=2)
+
+    def test_equal_inputs_give_equal_specs(self):
+        with working(PREC):
+            a = TermSpec(**self.KW)
+            b = TermSpec(**self.KW)
+            c = TermSpec(strict=Composition([2, 1]),
+                         strict_shift=ShiftVector(["0.3", "0.3"]),
+                         star=Composition([1]), star_shift=ShiftVector([1]),
+                         powers=[(mp.mpf(0), 2)],
+                         binom_upper=[("0.45", False, 0)], coeff=mp.mpf(2))
+            d = TermSpec(**{**self.KW, "coeff": 3})
+        assert a == b == c != d
+        assert hash(a) == hash(b) == hash(c)
+
+    def test_spec_is_frozen(self):
+        spec = TermSpec(**self.KW)
+        with pytest.raises(AttributeError):
+            spec.coeff = 3
+
+    def test_empty_index_normalises_to_none(self):
+        with working(PREC):
+            spec = TermSpec(strict=(), strict_shift="0.3",
+                            star=Composition(), powers=((0, 2),))
+            assert spec == TermSpec(powers=((0, 2),))
+        assert spec.strict is None and spec.strict_shift is None
+        assert spec.star is None and spec.star_shift is None
+
+
 class TestErrorModel:
     @pytest.mark.parametrize("fn", [htmzv, htmzsv])
     def test_decimal_shifts_ignore_caller_precision(self, fn):
@@ -549,21 +584,22 @@ class TestErrorModel:
 
     def test_term_spec_shifts_keep_the_working_precision(self):
         prec = PrecisionConfig(bits=448)
-        with mp.workprec(prec.work_bits):
+        with working(prec):
             shift = mp.mpf(3) / 10
-            spec = term_spec(strict=(1, 1), strict_shift=shift,
-                             star=(1,), star_shift=shift, prec=prec)
+            spec = TermSpec(strict=(1, 1), strict_shift=shift,
+                            star=(1,), star_shift=shift)
             assert spec.strict_shift[0] == shift
             assert spec.star_shift[0] == shift
 
     def test_term_spec_scalars_keep_the_working_precision(self):
-        # outside any block, every decimal string is read at the 480 work
-        # bits of the config, not at the caller's 53
+        # every decimal string is read at the 480 work bits of the block's
+        # config, and the spec keeps them back at the caller's 53
         prec = PrecisionConfig(bits=448)
-        spec = term_spec(powers=(("0.3", 2),), binom_upper=(("0.3", True, 1),),
-                         binom_lower=("0.7",), coeff="0.3", strict=(1,),
-                         strict_shift="0.3", strict_binomial=("0.3", 1),
-                         prec=prec)
+        with working(prec):
+            spec = TermSpec(powers=(("0.3", 2),),
+                            binom_upper=(("0.3", True, 1),),
+                            binom_lower=("0.7",), coeff="0.3", strict=(1,),
+                            strict_shift="0.3", strict_binomial=("0.3", 1))
         with mp.workprec(prec.work_bits):
             p3, p7 = mp.mpf("0.3"), mp.mpf("0.7")
         assert spec.strict_shift[0] == p3
