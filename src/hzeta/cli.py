@@ -4,13 +4,14 @@ Three subcommands:
 
 * ``eval``   evaluates a named quantity (nested zeta sums, polylogs,
   binomial series, ...) and prints value, error bound, rigor flag and
-  elapsed time.
+  elapsed time.  :data:`EVAL_KINDS` lists, per kind, the flags of
+  :data:`FLAGS` it needs and those it may take, with their defaults; a
+  missing flag, or one the kind does not read, is a usage error.
 * ``verify`` runs the identity suite and prints the aligned residual
   table; with ``--out`` the per-check records are also written as JSON
   lines.  A check whose sides cannot be evaluated is reported as an
-  ERROR row and the run goes on.  Exit code is 0 when all checks pass,
-  2 when any check fails, 4 when none fails but some could not be
-  evaluated.
+  ERROR row and the run goes on; a failed check (exit 2) outranks it
+  (exit 4).
 * ``index``  applies combinatorial transforms to composition indices.
 
 Exit codes: 0 success, 2 failed identity checks, 3 usage or domain
@@ -42,9 +43,6 @@ EXIT_FAILED_CHECKS = 2
 EXIT_USAGE = 3
 EXIT_NOT_EVALUATED = 4
 
-EVAL_KINDS = ("htmzv", "htmzsv", "htmtv", "mpl", "kta", "apery1", "apery2",
-              "apery3", "xi", "psi", "eta", "pbc", "euler-sum")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; the contract here
@@ -52,32 +50,73 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    def _fail(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
-def _parse_shift(text: str, depth: int):
+def _parse_shift(text: str):
+    """One shift, or a :class:`ShiftVector` when ``text`` has commas."""
     if "," in text:
-        parts = tuple(parse_real(p) for p in text.split(","))
-        return ShiftVector(parts)
-    value = parse_real(text)
-    return ShiftVector.constant(value, depth) if depth else value
+        return ShiftVector(parse_real(p) for p in text.split(","))
+    return parse_real(text)
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        flags = ", ".join("--" + n for n in missing)
-        raise HZetaError(f"kind {args.kind!r} requires {flags}")
+def _euler_sum(v):
+    """param_euler_pow at offset alpha with --k, else param_euler_sum."""
+    if v["k"] is None:
+        return se.param_euler_sum(v["m"], v["alpha"], v["beta"] or 0, v["tol"])
+    if v["beta"] is not None:
+        raise HZetaError("kind 'euler-sum' with --k does not read --beta")
+    return se.param_euler_pow(v["m"], v["k"], v["alpha"], v["tol"])
+
+
+# eval flag: (help, parser of its text)
+FLAGS = {
+    "index": ("composition, e.g. 2,1,3", Composition.parse),
+    "star-index": ("composition for the star factor", Composition.parse),
+    "shift": ("denominator shift, scalar or vector", _parse_shift),
+    "x": ("series argument in (0, 1]", parse_real),
+    "alpha": ("shift parameter, or first offset of euler-sum", parse_real),
+    "beta": ("second shift parameter or offset", parse_real),
+    "s": ("argument of xi/psi/eta (default 2)", int),
+    "m": ("outer power index (default 1)", int),
+    "k": ("all-ones count (default 0 in apery1)", int),
+    "tol": ("target tolerance", parse_real),
+}
+
+# kind: (flags it needs, flags it may take with their defaults, call on the
+# parsed values); every kind may take --tol
+EVAL_KINDS = {
+    "htmzv": (("index",), {"shift": None},
+              lambda v: se.htmzv(v["index"], v["shift"], v["tol"])),
+    "htmzsv": (("index",), {"shift": None},
+               lambda v: se.htmzsv(v["index"], v["shift"], v["tol"])),
+    "htmtv": (("index",), {"alpha": 1},
+              lambda v: se.htmtv(v["index"], v["alpha"], v["tol"])),
+    "mpl": (("index", "x"), {},
+            lambda v: se.mpl(v["index"], v["x"], v["tol"])),
+    "kta": (("index", "x"), {},
+            lambda v: se.kta(v["index"], v["x"], v["tol"])),
+    "apery1": (("index", "alpha"), {"k": 0},
+               lambda v: se.apery_I(v["index"], v["k"], v["alpha"], v["tol"])),
+    "apery2": (("alpha", "k"), {"star-index": None, "m": 1},
+               lambda v: se.apery_II(v["k"], v["star-index"], v["m"],
+                                     v["alpha"], v["tol"])),
+    "apery3": (("alpha", "beta"), {"index": None, "star-index": None, "m": 1},
+               lambda v: se.apery_III(v["index"], v["star-index"], v["m"],
+                                      v["alpha"], v["beta"], v["tol"])),
+    **{kind: (("index",), {"s": 2}, lambda v, kind=kind: se.arakawa_kaneko(
+        kind, v["s"], v["index"], v["tol"])) for kind in ("xi", "psi", "eta")},
+    "pbc": (("index", "alpha", "shift"), {},
+            lambda v: se.htmzv_pbc(v["alpha"], v["index"], v["shift"],
+                                   v["tol"])),
+    "euler-sum": ((), {"m": 1, "alpha": 0, "beta": None, "k": None},
+                  _euler_sum),
+}
 
 
 def cmd_eval(args, cfg: PrecisionConfig) -> int:
     start = time.monotonic()
-    # arguments such as 1/3 are parsed at the working precision, and the
-    # evaluator inherits it
     with working(cfg):
         v = _evaluate(args)
         elapsed = time.monotonic() - start
@@ -90,68 +129,32 @@ def cmd_eval(args, cfg: PrecisionConfig) -> int:
 
 
 def _evaluate(args):
-    """The value of ``args.kind`` at the active working precision."""
-    tol = parse_real(args.tol) if args.tol else None
-    kind = args.kind
-    if kind in ("htmzv", "htmzsv"):
-        _require(args, ["index"])
-        k = Composition.parse(args.index)
-        shift = _parse_shift(args.shift, k.depth()) if args.shift else None
-        fn = se.htmzv if kind == "htmzv" else se.htmzsv
-        v = fn(k, shift, tol)
-    elif kind == "htmtv":
-        _require(args, ["index"])
-        alpha = parse_real(args.alpha) if args.alpha else 1
-        v = se.htmtv(Composition.parse(args.index), alpha, tol)
-    elif kind in ("mpl", "kta"):
-        _require(args, ["index", "x"])
-        fn = se.mpl if kind == "mpl" else se.kta
-        v = fn(Composition.parse(args.index), parse_real(args.x), tol)
-    elif kind == "apery1":
-        _require(args, ["index", "alpha"])
-        v = se.apery_I(Composition.parse(args.index), args.kk,
-                       parse_real(args.alpha), tol)
-    elif kind == "apery2":
-        _require(args, ["alpha", "k"])
-        star = Composition.parse(args.star_index) if args.star_index else None
-        v = se.apery_II(args.k, star, args.m, parse_real(args.alpha), tol)
-    elif kind == "apery3":
-        _require(args, ["alpha", "beta"])
-        k = Composition.parse(args.index) if args.index else None
-        star = Composition.parse(args.star_index) if args.star_index else None
-        v = se.apery_III(k, star, args.m, parse_real(args.alpha),
-                         parse_real(args.beta), tol)
-    elif kind in ("xi", "psi", "eta"):
-        _require(args, ["index"])
-        v = se.arakawa_kaneko(kind, args.s, Composition.parse(args.index), tol)
-    elif kind == "pbc":
-        _require(args, ["index", "alpha", "shift-arg"])
-        v = se.htmzv_pbc(parse_real(args.alpha), Composition.parse(args.index),
-                         parse_real(args.shift_arg), tol)
-    elif kind == "euler-sum":
-        if args.k is not None:
-            _require(args, ["alpha"])
-            v = se.param_euler_pow(args.m, args.k, parse_real(args.alpha), tol)
-        else:
-            a = parse_real(args.a) if args.a else mp.mpf(0)
-            b = parse_real(args.b) if args.b else mp.mpf(0)
-            v = se.param_euler_sum(args.m, a, b, tol)
-    else:
-        raise HZetaError(f"unknown kind {kind!r}")
-    return v
+    """The value of ``args.kind``; its flags, such as --alpha 1/3, are
+    parsed at the active working precision, which the evaluator inherits."""
+    needs, takes, call = EVAL_KINDS[args.kind]
+    given = {n: vars(args)[n] for n in FLAGS if vars(args)[n] is not None}
+    missing = [n for n in needs if n not in given]
+    if missing:
+        flags = ", ".join("--" + n for n in missing)
+        raise HZetaError(f"kind {args.kind!r} requires {flags}")
+    unread = [n for n in given if n not in needs + ("tol",) and n not in takes]
+    if unread:
+        flags = ", ".join("--" + n for n in unread)
+        raise HZetaError(f"kind {args.kind!r} does not read {flags}")
+    values = {"tol": None, **takes}
+    values.update((n, FLAGS[n][1](text)) for n, text in given.items())
+    return call(values)
 
 
 def cmd_verify(args, cfg: PrecisionConfig) -> int:
     report = run_suite(args.filter, args.samples, args.tol, args.seed, cfg)
-    if args.format == "records":
-        for rec in report.to_records():
-            print(json.dumps(rec, sort_keys=True))
-    else:
-        print(report.table())
+    records = "".join(json.dumps(rec, sort_keys=True) + "\n"
+                      for rec in report.to_records())
+    print(records if args.format == "records" else report.table() + "\n",
+          end="")
     if args.out:
         with open(args.out, "w") as fh:
-            for rec in report.to_records():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(records)
     if report.n_failed:
         return EXIT_FAILED_CHECKS
     return EXIT_NOT_EVALUATED if report.n_errors else EXIT_OK
@@ -178,24 +181,13 @@ def build_parser() -> _Parser:
                              "(default 256, or HZETA_PREC)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", help="evaluate a named quantity")
+    # one spelling per flag: no abbreviations such as --a for --alpha
+    pe = sub.add_parser("eval", help="evaluate a named quantity",
+                        allow_abbrev=False)
     pe.add_argument("kind", choices=EVAL_KINDS)
-    pe.add_argument("--index", help="composition, e.g. 2,1,3")
-    pe.add_argument("--star-index", help="composition for the star factor")
-    pe.add_argument("--shift", help="denominator shift, scalar or vector")
-    pe.add_argument("--shift-arg", dest="shift_arg",
-                    help="denominator shift of the pbc family")
-    pe.add_argument("--x", help="series argument in (0, 1]")
-    pe.add_argument("--alpha", help="shift parameter")
-    pe.add_argument("--beta", help="second shift parameter")
-    pe.add_argument("--a", help="first offset of the euler-sum family")
-    pe.add_argument("--b", help="second offset of the euler-sum family")
-    pe.add_argument("--s", type=int, default=2, help="argument of xi/psi/eta")
-    pe.add_argument("--m", type=int, default=1, help="outer power index")
-    pe.add_argument("--k", type=int, default=None, help="all-ones count")
-    pe.add_argument("--kk", type=int, default=0,
-                    help="all-ones star depth of apery1")
-    pe.add_argument("--tol", help="target tolerance")
+    for name, (text, parse) in FLAGS.items():  # argparse checks the ints
+        pe.add_argument("--" + name, dest=name, help=text,
+                        type=int if parse is int else None)
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run the identity suite")
@@ -216,20 +208,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = PrecisionConfig(args.bits) if args.bits else default_precision()
         return args.func(args, cfg)
-    except (ToleranceNotReached, NoConvergence) as exc:
+    except (HZetaError, ValueError) as exc:
         print(f"hzeta: error: {exc}", file=sys.stderr)
-        return EXIT_NOT_EVALUATED
-    except HZetaError as exc:
-        print(f"hzeta: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"hzeta: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        unevaluated = isinstance(exc, (ToleranceNotReached, NoConvergence))
+        return EXIT_NOT_EVALUATED if unevaluated else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -32,8 +32,7 @@ class ToleranceNotReached(HZetaError):
 
 
 class NoConvergence(HZetaError):
-    """Quadrature level doubling stopped improving before the tolerance
-    was met."""
+    """A series diverges, so it has no value to approximate."""
 
 
 class UnknownIdentity(HZetaError, KeyError):

@@ -166,24 +166,6 @@ def identity_ids() -> list:
 # ---------------------------------------------------------------------------
 # shared evaluation helpers
 
-def _zeta(idx, shift=1, tol=None) -> ValueWithBound:
-    """Multiple zeta value with a constant (or vector) denominator shift."""
-    if not isinstance(shift, ShiftVector):
-        shift = parse_real(shift)
-    return se.htmzv(idx, shift, tol)
-
-
-def _tee(idx, alpha=1, tol=None) -> ValueWithBound:
-    return se.htmtv(Composition(idx), parse_real(alpha), tol)
-
-
-def _t_value(idx, tol=None) -> ValueWithBound:
-    """Odd-denominator multiple t-value 2^-|k| zeta(k; 1/2)."""
-    idx = Composition(idx)
-    v = _zeta(idx, mp.mpf("0.5"), tol)
-    return v * mp.ldexp(1, -idx.weight())
-
-
 def _bsum(base, kk: int, shift, zfun, tol) -> ValueWithBound:
     """sum over |j| = kk of B(b; j) Z(b + j; shift) with b = ``base`` and
     Z supplied by ``zfun``."""
@@ -220,7 +202,7 @@ def _partition_rhs(m: int, p: int, k: int, shift, tol) -> ValueWithBound:
 
     def zv(s):
         if s not in zc:
-            zc[s] = _zeta((s,), shift, tol / 64)
+            zc[s] = se.htmzv((s,), shift, tol / 64)
         return zc[s]
 
     total = ValueWithBound(0, 0, True)
@@ -316,10 +298,12 @@ def _pools(**pools):
 # ---------------------------------------------------------------------------
 # section 2: weighted integrals of polylogarithm cores
 
-def _eval_thm_21(integral, zfun):
-    """A weighted integral against the binomial sum of Z: the polylog
-    core with zeta for thm-2.1a, the A-function with t for thm-2.1b."""
+def _eval_thm_21(integral, family):
+    """A weighted integral against the binomial sum of the zeta or T
+    ``family``: the polylog core with zeta for thm-2.1a, the A-function
+    with T for thm-2.1b."""
     def ev(tol, *, k, log_pow, alpha):
+        zfun = se.htmzv if family == "zeta" else se.htmtv
         lhs = integral(k, alpha, log_pow, tol / 16)
         sign = mp.mpf(-1) ** log_pow * mp.factorial(log_pow)
         rhs = _bsum(theorem_dual(Composition(k)), log_pow, 1 - alpha, zfun,
@@ -332,13 +316,13 @@ def _eval_thm_21(integral, zfun):
 _register(
     "thm-2.1a",
     _eval_thm_21(lambda k, alpha, kk, tol:
-                 quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol), _zeta),
+                 quad.int_mpl_weighted(k, 1, alpha, 0, kk, tol), "zeta"),
     _pools(k=[(2,), (2, 2), (2, 1)], log_pow=range(3), alpha=_ALPHAS),
     {"k": (2, 2), "log_pow": 1, "alpha": "0.25"},
 )
 _register(
     "thm-2.1b",
-    _eval_thm_21(quad.int_kta_weighted, _tee),
+    _eval_thm_21(quad.int_kta_weighted, "T"),
     _pools(k=[(2,), (2, 1), (1, 2)], log_pow=range(2), alpha=_ALPHAS),
     {"k": (2,), "log_pow": 1, "alpha": "0.3"},
 )
@@ -432,7 +416,7 @@ _register(
 
 def _eval_thm_34(tol, *, k, kk, alpha):
     lhs = se.apery_I(k, kk, alpha, tol / 8)
-    rhs = _bsum(theorem_dual(Composition(k)), kk, 1 - alpha, _zeta, tol / 8)
+    rhs = _bsum(theorem_dual(Composition(k)), kk, 1 - alpha, se.htmzv, tol / 8)
     return lhs, rhs
 
 
@@ -451,7 +435,7 @@ def _eval_thm_34_display(which):
         lhs = se.apery_I(k, 1, alpha, tol / 8)
         rhs = ValueWithBound(0, 0, True)
         for idx, c in combo:
-            rhs = rhs + _zeta(idx, 1 - alpha, tol / 16) * c
+            rhs = rhs + se.htmzv(idx, 1 - alpha, tol / 16) * c
         return lhs, rhs
 
     return ev
@@ -473,22 +457,22 @@ def _eval_thm_35(tol, *, k, kk, alpha):
     sub = tol / 64
     total = ValueWithBound(0, 0, True)
     if kk == 0:
-        total = total + _zeta((k[0] + 1,) + k.parts[1:], 1, sub)
+        total = total + se.htmzv((k[0] + 1,) + k.parts[1:], 1, sub)
     for j in range(1, k[0]):
-        zf = _zeta((k[0] + 1 - j,) + k.parts[1:], 1, sub)
+        zf = se.htmzv((k[0] + 1 - j,) + k.parts[1:], 1, sub)
         sj = se.apery_II(kk, None, j, alpha, sub)
         total = total + zf * sj * mp.mpf(-1) ** (j - 1)
     for l in range(1, r + 1):
         sign_l = mp.mpf(-1) ** (sum(parts[:l]) - l)
         for j in range(1, parts[l] if l < r else 2):
             if l < r:
-                zf = _zeta((parts[l] + 1 - j,) + parts[l + 1:r], 1, sub)
+                zf = se.htmzv((parts[l] + 1 - j,) + parts[l + 1:r], 1, sub)
             else:
                 zf = ValueWithBound(1, 0, True)
             star = k.parts[1:l] + (j,)
             tl = se.apery_II(kk, star, k[0], alpha, sub)
             total = total + zf * tl * (sign_l * mp.mpf(-1) ** (j - 1))
-    rhs = _bsum(theorem_dual(k), kk, 1 - alpha, _zeta, tol / 8)
+    rhs = _bsum(theorem_dual(k), kk, 1 - alpha, se.htmzv, tol / 8)
     return total, rhs
 
 
@@ -562,29 +546,29 @@ def _eval_binom_display(which):
             return lhs, _closed(v)
         if which == 4:
             lhs = se.apery_II(0, ones(k), 2, alpha, sub)
-            rhs = _zeta((k + 1, 1), 1, sub) \
-                - _zeta((k + 1, 1), 1 - alpha, sub) \
+            rhs = se.htmzv((k + 1, 1), 1, sub) \
+                - se.htmzv((k + 1, 1), 1 - alpha, sub) \
                 - _closed(mp.zeta(k + 1) * psi0)
             return lhs, rhs
         if which == 5:
             lhs = se.apery_II(1, (1,), 2, alpha, sub)
             rhs = _closed(mp.zeta(2) * mp.zeta(2, 1 - alpha)) \
-                - _zeta((3, 1), 1 - alpha, sub) * 2 \
-                - _zeta((2, 2), 1 - alpha, sub)
+                - se.htmzv((3, 1), 1 - alpha, sub) * 2 \
+                - se.htmzv((2, 2), 1 - alpha, sub)
             return lhs, rhs
         if which == 6:
             lhs = se.apery_II(1, (1, 1), 2, alpha, sub)
             rhs = _closed(mp.zeta(3) * mp.zeta(2, 1 - alpha)) \
-                - _zeta((3, 2), 1 - alpha, sub) \
-                - _zeta((4, 1), 1 - alpha, sub) * 3
+                - se.htmzv((3, 2), 1 - alpha, sub) \
+                - se.htmzv((4, 1), 1 - alpha, sub) * 3
             return lhs, rhs
         lhs = se.apery_II(1, (2, 1), 2, alpha, sub)
-        rhs = _zeta((3, 2, 1), 1 - alpha, sub) * 2 \
-            + _zeta((2, 3, 1), 1 - alpha, sub) * 2 \
-            + _zeta((2, 2, 2), 1 - alpha, sub) \
+        rhs = se.htmzv((3, 2, 1), 1 - alpha, sub) * 2 \
+            + se.htmzv((2, 3, 1), 1 - alpha, sub) * 2 \
+            + se.htmzv((2, 2, 2), 1 - alpha, sub) \
             + _closed(mp.mpf(7) / 4 * mp.zeta(4) * mp.zeta(2, 1 - alpha)) \
-            - _zeta((3, 1), 1 - alpha, sub) * (2 * mp.zeta(2)) \
-            - _zeta((2, 2), 1 - alpha, sub) * mp.zeta(2)
+            - se.htmzv((3, 1), 1 - alpha, sub) * (2 * mp.zeta(2)) \
+            - se.htmzv((2, 2), 1 - alpha, sub) * mp.zeta(2)
         return lhs, rhs
 
     return ev
@@ -648,7 +632,7 @@ def _hoffman_sum(m, series, sub):
     is the Hoffman dual of (m_1 - 1, m_2, ..., m_j) and S = ``series``."""
     total = ValueWithBound(0, 0, True)
     for j in range(1, len(m) + 1):
-        zf = _zeta(tuple(reversed(m[j:])), 1, sub)
+        zf = se.htmzv(tuple(reversed(m[j:])), 1, sub)
         star = hoffman_dual(Composition((m[0] - 1,) + m[1:j]))
         total = total + zf * series(star.parts) * mp.mpf(-1) ** (j - 1)
     return total
@@ -659,7 +643,7 @@ def _eval_thm_43(tol, *, m, p, k, alpha):
     total = _hoffman_sum(
         (m,) * p, lambda star: se.apery_II(k, star, 1, alpha, sub), sub)
     if k == 0:
-        total = total + _zeta((m,) * p, 1, sub)
+        total = total + se.htmzv((m,) * p, 1, sub)
     rhs = _partition_rhs(m, p, k, 1 - alpha, tol / 8)
     return total, rhs
 
@@ -679,9 +663,9 @@ def _eval_thm_44(tol, *, m, k, alpha):
         m, lambda star: se.apery_II(k, star, 1, alpha, sub), sub)
     # sum over |i| = k of prod C(m_j + i_j - 1, i_j) zeta(m_p + i_p, ...,
     # m_1 + i_1) is the dual-binomial sum on the reversed index
-    rhs = _bsum(m[::-1], k, 1 - alpha, _zeta, tol / 8)
+    rhs = _bsum(m[::-1], k, 1 - alpha, se.htmzv, tol / 8)
     if k == 0:
-        rhs = rhs - _zeta(m[::-1], 1, sub)
+        rhs = rhs - se.htmzv(m[::-1], 1, sub)
     return total, rhs
 
 
@@ -702,7 +686,7 @@ def _eval_44_limit(tol, *, m, k):
         return weighted_sum([spec], sub)
 
     total = _hoffman_sum(m, series, sub)
-    rhs = _bsum(m[::-1], k, 1, _zeta, tol / 8)
+    rhs = _bsum(m[::-1], k, 1, se.htmzv, tol / 8)
     return total, rhs
 
 
@@ -793,8 +777,9 @@ def _eval_cor_55(tol, *, m, k, p):
     ]
     lhs = weighted_sum(specs, tol / 8)
     sub = tol / 32
-    rhs = _alternating(m, lambda i: _zeta((i + 1,) + (1,) * (p - 1), 1, sub),
-                       lambda j: _zeta((j + 1,) + (1,) * (k - 1), 1, sub))
+    rhs = _alternating(
+        m, lambda i: se.htmzv((i + 1,) + (1,) * (p - 1), 1, sub),
+        lambda j: se.htmzv((j + 1,) + (1,) * (k - 1), 1, sub))
     return lhs, rhs
 
 
@@ -821,10 +806,10 @@ def _eval_cor_56(tol, *, m, k, p):
     lhs = weighted_sum(specs, tol / 8)
     sub = tol / 32
     if p == 0:
-        lhs = lhs - _zeta((m + 3,) + (1,) * (k - 1), 1, sub)
+        lhs = lhs - se.htmzv((m + 3,) + (1,) * (k - 1), 1, sub)
     rhs = _alternating(
         m, lambda i: se.apery_II(p, None, i, half, sub) * mp.ldexp(1, -p),
-        lambda j: _zeta((j + 1,) + (1,) * (k - 1), 1, sub))
+        lambda j: se.htmzv((j + 1,) + (1,) * (k - 1), 1, sub))
     return lhs, rhs
 
 
@@ -877,9 +862,9 @@ def _eval_thm_58(tol, *, m, k, p, alpha, beta):
         else:
             shifts = ShiftVector((1 - alpha - beta,)
                                  + (1 - beta,) * (m + 1))
-            bracket = _zeta(idx, shifts, sub)
+            bracket = se.htmzv(idx, shifts, sub)
             if k == 0:
-                bracket = bracket - _zeta(idx, 1 - beta, sub)
+                bracket = bracket - se.htmzv(idx, 1 - beta, sub)
         return bracket * w
 
     return lhs, _composition_sum(p, m, k, term)
@@ -899,9 +884,9 @@ def _eval_cor_59(tol, *, m, k, p):
                      tol / 8) * mp.ldexp(1, -p)
     sub = tol / 32
 
-    def term(i1, tail, w):
-        idx = (i1 + k + 1,) + tail
-        return _t_value(idx, sub) * (w * mp.ldexp(1, k + m + 2))
+    def term(i1, tail, w):  # t(idx) = 2^-|idx| zeta(idx; 1/2)
+        t = se.htmzv((i1 + k + 1,) + tail, mp.mpf("0.5"), sub)
+        return t * (w * mp.ldexp(1, m + 1 - i1 - sum(tail)))
 
     return lhs, _composition_sum(p, m, k, term)
 
@@ -958,7 +943,7 @@ def _eval_cor_511(tol, *, m, k, p):
     def term(i1, tail, w):
         if k >= 1:
             shifts = ShiftVector((half,) + (1,) * len(tail))
-            return _zeta((i1 + k + 1,) + tail, shifts, sub) * w
+            return se.htmzv((i1 + k + 1,) + tail, shifts, sub) * w
         specs = [
             TermSpec(strict=tail, strict_prev=True,
                      powers=((-half, i1 + 1),)),
@@ -984,9 +969,10 @@ _register(
 def _double_single(family, sub):
     """The depth-two and depth-one value maps of the zeta or T family."""
     if family == "zeta":
-        return (lambda a, b: _zeta((a, b), 1, sub),
+        return (lambda a, b: se.htmzv((a, b), 1, sub),
                 lambda a: _closed(mp.zeta(a)))
-    return (lambda a, b: _tee((a, b), 1, sub), lambda a: _tee((a,), 1, sub))
+    return (lambda a, b: se.htmtv((a, b), 1, sub),
+            lambda a: se.htmtv((a,), 1, sub))
 
 
 def _eval_thm_61(family):
@@ -1097,7 +1083,7 @@ def _eval_thm_72(tol, *, k, r, alpha, beta):
     rhs = ValueWithBound(0, 0, True)
     sub = tol / 64
     for j in range(k - 1):
-        zf = _zeta((k - j,) + (1,) * (r - 1), 1, sub)
+        zf = se.htmzv((k - j,) + (1,) * (r - 1), 1, sub)
         pb = se.htmzv_pbc(beta, (j + 1,), 1 - alpha, sub)
         rhs = rhs + zf * pb * mp.mpf(-1) ** j
     sign = -mp.mpf(-1) ** k
@@ -1141,7 +1127,7 @@ def _eval_cor_74(tol, *, alpha, beta):
     sub = tol / 32
     lhs = se.htmzv_pbc(alpha, (3, 1), 1 - beta, sub) \
         + se.htmzv_pbc(beta, (2, 1, 1), 1 - alpha, sub)
-    rhs = _zeta((2, 1), 1, sub) * se.htmzv_pbc(beta, (1,), 1 - alpha, sub)
+    rhs = se.htmzv((2, 1), 1, sub) * se.htmzv_pbc(beta, (1,), 1 - alpha, sub)
     d2 = _pbc_deriv(2, beta, (2,), 1 - alpha, sub)
     d1 = _pbc_deriv(1, beta, (2, 1), 1 - alpha, sub)
     rhs = rhs - d2 * mp.mpf(0.5) - d1

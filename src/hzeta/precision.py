@@ -69,8 +69,11 @@ def working(prec: PrecisionConfig | None = None):
 
 def finite_real(name: str, x) -> mp.mpf:
     """``x`` as an mpf at the current precision; :class:`DomainError`,
-    naming the parameter ``name``, unless it is finite."""
-    x = mp.mpf(x)
+    naming the parameter ``name``, unless it is a finite real number."""
+    try:
+        x = mp.mpf(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} {x!r} is not a real number") from None
     if not mp.isfinite(x):
         raise DomainError(f"{name} {x} is not finite")
     return x

@@ -26,7 +26,7 @@ import mpmath as mp
 
 from .compositions import Composition
 from .endpoint import node_evaluator
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, ToleranceNotReached
 from .precision import PrecisionConfig, parse_tol, working
 from .series_engine import ValueWithBound
 
@@ -149,7 +149,8 @@ def _check_integrable(f: WeightedIntegrand):
 
 def de_quad(f: WeightedIntegrand, tol=None,
             prec: PrecisionConfig | None = None) -> ValueWithBound:
-    """Integrate a weighted core over (0, 1) by level-doubled tanh-sinh."""
+    """Integrate a weighted core over (0, 1) by level-doubled tanh-sinh;
+    :class:`ToleranceNotReached`, with the last sum and delta, on a stall."""
     _check_integrable(f)
     with working(prec) as cfg:
         tol = parse_tol(tol, mp.mpf(10) ** -20)
@@ -167,10 +168,9 @@ def de_quad(f: WeightedIntegrand, tol=None,
                     err = delta + mp.ldexp(scale, -cfg.work_bits + 16)
                     return ValueWithBound(total, err, False)
             prev = total
-        raise NoConvergence(
+        raise ToleranceNotReached(
             f"level deltas stalled at {mp.nstr(delta, 6)} above tolerance "
-            f"{mp.nstr(tol, 6)}"
-        )
+            f"{mp.nstr(tol, 6)}", best=ValueWithBound(total, delta))
 
 
 def int_mpl_weighted(k, alpha, beta, p: int = 0, q: int = 0, tol=None,

@@ -194,15 +194,16 @@ class TermSpec:
     anything :class:`Composition` accepts, and their shifts a
     :class:`ShiftVector`, a sequence or one scalar for every slot; an empty
     index drops the factor (it is identically 1), so the index and its
-    shift become None.  Every
-    scalar (shifts, offsets, binomial parameters and the coefficient) is
-    converted at the active :func:`working` precision.  ``powers`` is a
-    sequence of (offset, exponent) pairs; ``binom_upper`` of (alpha,
-    at_prev) pairs or (alpha, True, order) triples, stored as triples;
-    ``binom_lower`` of beta values.  ``strict_binomial`` = (alpha, order)
-    puts the order-th alpha-derivative of C(n_r + alpha - 2, n_r - 1) on
-    the innermost index of the strict prefix; a C(n + alpha - 2, n - 1)
-    factor may carry an order likewise.
+    shift become None.  Every scalar (shifts, offsets, binomial parameters
+    and the coefficient) is converted at the active :func:`working`
+    precision.  ``powers`` is a sequence of (offset, exponent) pairs;
+    ``binom_upper`` of (alpha, at_prev) pairs or (alpha, True, order)
+    triples, stored as triples; ``binom_lower`` of beta values.  An
+    exponent or order that is not integral raises ValueError.
+    ``strict_binomial`` = (alpha, order) puts the order-th
+    alpha-derivative of C(n_r + alpha - 2, n_r - 1) on the innermost index
+    of the strict prefix; a C(n + alpha - 2, n - 1) factor may carry an
+    order likewise.
     """
 
     strict: Composition | None = None
@@ -224,19 +225,24 @@ class TermSpec:
                     return k, a
             return None, None
 
+        def whole(n):
+            if mp.mpf(n) != int(n):
+                raise ValueError(f"exponent or order {n} is not an integer")
+            return int(n)
+
         with working():
             strict, strict_shift = index(self.strict, self.strict_shift)
             star, star_shift = index(self.star, self.star_shift)
             binomial = self.strict_binomial
             if binomial is not None:
-                binomial = (mp.mpf(binomial[0]), int(binomial[1]))
-            upper = tuple((mp.mpf(a), bool(p), int(o[0]) if o else 0)
+                binomial = (mp.mpf(binomial[0]), whole(binomial[1]))
+            upper = tuple((mp.mpf(a), bool(p), whole(o[0]) if o else 0)
                           for a, p, *o in self.binom_upper)
             normal = dict(
                 strict=strict, strict_shift=strict_shift,
                 strict_prev=bool(self.strict_prev), strict_binomial=binomial,
                 star=star, star_shift=star_shift,
-                powers=tuple((mp.mpf(c), int(m)) for c, m in self.powers),
+                powers=tuple((mp.mpf(c), whole(m)) for c, m in self.powers),
                 binom_upper=upper,
                 binom_lower=tuple(mp.mpf(b) for b in self.binom_lower),
                 coeff=mp.mpf(self.coeff))
@@ -438,23 +444,33 @@ def _check_strict_shifts(k: Composition, a: ShiftVector):
             )
 
 
+def _admissible(k: Composition) -> bool:
+    """False for the empty index (value 1), True for an admissible one."""
+    if k.is_empty():
+        return False
+    if not k.admissible():
+        raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
+    return True
+
+
+def _outer_spec(k: Composition, a: ShiftVector, star=False, coeff=1):
+    """The summand of zeta(k; a) (zeta* when ``star``) over its first index
+    n: (n + a_1 - 1)^(-k_1) times the strict or star prefix of the rest."""
+    prefix = (dict(star=k.parts[1:], star_shift=a.shifts[1:]) if star else
+              dict(strict=k.parts[1:], strict_shift=a.shifts[1:],
+                   strict_prev=True))
+    return TermSpec(powers=((a[0] - 1, k[0]),), coeff=coeff, **prefix)
+
+
 def htmzv(k, a=None, tol=None, strategy=None,
           prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Hurwitz-type multiple zeta value zeta(k; a) with vector shifts."""
     with working(prec):
         k, a = _coerce(k, a)
-        if k.is_empty():
+        if not _admissible(k):
             return ValueWithBound(1, 0, True)
-        if not k.admissible():
-            raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
         _check_strict_shifts(k, a)
-        spec = TermSpec(
-            strict=Composition(k.parts[1:]),
-            strict_shift=ShiftVector(a.shifts[1:]),
-            strict_prev=True,
-            powers=((a[0] - 1, k[0]),),
-        )
-        return weighted_sum([spec], tol, strategy)
+        return weighted_sum([_outer_spec(k, a)], tol, strategy)
 
 
 def htmzsv(k, a=None, tol=None, strategy=None,
@@ -462,21 +478,14 @@ def htmzsv(k, a=None, tol=None, strategy=None,
     """Hurwitz-type multiple zeta-star value zeta*(k; a)."""
     with working(prec):
         k, a = _coerce(k, a)
-        if k.is_empty():
+        if not _admissible(k):
             return ValueWithBound(1, 0, True)
-        if not k.admissible():
-            raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
         for i in range(k.depth()):
             if a[i] == 0:
                 raise PoleError(f"shift a_{i + 1} = 0 puts a pole at index 1")
             if a[i] < 0:
                 raise DomainError(f"star shifts must be positive, got {a[i]}")
-        spec = TermSpec(
-            star=Composition(k.parts[1:]),
-            star_shift=ShiftVector(a.shifts[1:]),
-            powers=((a[0] - 1, k[0]),),
-        )
-        return weighted_sum([spec], tol, strategy)
+        return weighted_sum([_outer_spec(k, a, star=True)], tol, strategy)
 
 
 def htmtv(k, alpha=1, tol=None, strategy=None,
@@ -488,23 +497,15 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
     multiple T-value.
     """
     k = Composition(k)
-    if k.is_empty():
+    if not _admissible(k):
         return ValueWithBound(1, 0, True)
-    if not k.admissible():
-        raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
     with working(prec):
         alpha = finite_real("alpha", alpha)
         if alpha <= 0:
             raise DomainError(f"alpha must be positive, got {alpha}")
         r = k.depth()
         a = ShiftVector([(alpha + j - r) / 2 for j in range(1, r + 1)])
-        spec = TermSpec(
-            strict=Composition(k.parts[1:]),
-            strict_shift=ShiftVector(a.shifts[1:]),
-            strict_prev=True,
-            powers=((a[0] - 1, k[0]),),
-            coeff=mp.ldexp(1, r - k.weight()),
-        )
+        spec = _outer_spec(k, a, coeff=mp.ldexp(1, r - k.weight()))
         return weighted_sum([spec], tol, strategy)
 
 

@@ -10,8 +10,9 @@ import mpmath as mp
 import pytest
 
 from hzeta import identity_registry, series_engine
-from hzeta.cli import main
+from hzeta.cli import EVAL_KINDS, FLAGS, main
 from hzeta.errors import NoConvergence, ToleranceNotReached
+from hzeta.precision import working
 
 
 def run_cli(capsys, *argv):
@@ -51,7 +52,7 @@ class TestEval:
 
     def test_pbc_beta(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "pbc", "--alpha", "1/3",
-                               "--index", "1", "--shift-arg", "0.75")
+                               "--index", "1", "--shift", "0.75")
         assert code == 0
         with mp.workprec(300):
             ref = mp.beta(mp.mpf(2) / 3, mp.mpf(3) / 4)
@@ -64,12 +65,51 @@ class TestEval:
 
     @pytest.mark.parametrize("argv, flag", [
         (("apery2", "--alpha", "0.3"), "--k"),
-        (("euler-sum", "--m", "1", "--a", "nan"), "a nan is not finite"),
+        (("euler-sum", "--m", "1", "--alpha", "nan"), "a nan is not finite"),
     ], ids=["apery2-without-k", "euler-sum-nan-offset"])
     def test_bad_arguments_usage_error(self, capsys, argv, flag):
         code, _, err = run_cli(capsys, "eval", *argv)
         assert code == 3
         assert flag in err
+
+    def test_every_unread_flag_is_refused(self, capsys):
+        # each kind, given what it needs, refuses each flag it does not
+        # read (htmzv --alpha among them) rather than drop it
+        for kind, (needs, takes, _) in EVAL_KINDS.items():
+            argv = [a for n in needs for a in ("--" + n, "1")]
+            for flag in FLAGS:
+                if flag in needs or flag in takes or flag == "tol":
+                    continue
+                code, out, err = run_cli(capsys, "eval", kind, *argv,
+                                         "--" + flag, "1")
+                assert code == 3, (kind, flag)
+                assert f"kind {kind!r} does not read --{flag}" in err
+                assert out == ""
+        code, _, err = run_cli(capsys, "eval", "euler-sum", "--k", "2",
+                               "--beta", "0.5")
+        assert code == 3 and "does not read --beta" in err
+
+    @pytest.mark.parametrize("argv, ref", [
+        (("euler-sum", "--m", "1", "--alpha", "0.3"),
+         lambda: series_engine.param_euler_sum(1, "0.3", 0)),
+        (("apery1", "--index", "2", "--alpha", "0.3", "--k", "2"),
+         lambda: series_engine.apery_I((2,), 2, "0.3")),
+    ], ids=["euler-sum-alpha", "apery1-k"])
+    def test_eval_reads_its_flags(self, capsys, argv, ref):
+        # a dropped flag would print zeta(3) and the k = 0 value
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        assert code == 0
+        with working():
+            want = ref().value
+        with mp.workprec(300):
+            assert abs(value_line(out) - want) < mp.mpf(10) ** -60
+
+    def test_vector_shift_of_pbc_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "pbc", "--alpha", "1/3",
+                                 "--index", "1", "--shift", "0.5,0.5")
+        assert code == 3
+        assert err.startswith("hzeta: error: shift ")
+        assert "Traceback" not in err and out == ""
 
     def test_domain_error_exit(self, capsys):
         # non-admissible head entry

@@ -11,7 +11,10 @@ import pytest
 
 import hzeta
 from hzeta.finite_sums import mhs_stream
-from hzeta.precision import PrecisionConfig, default_precision, working
+from hzeta.errors import DomainError
+from hzeta.finite_sums import ShiftVector
+from hzeta.precision import (PrecisionConfig, default_precision, finite_real,
+                             working)
 from hzeta.series_engine import htmzv
 
 P160 = PrecisionConfig(bits=160)
@@ -85,3 +88,10 @@ def test_no_private_function_takes_prec():
             if private and "prec" in inspect.signature(fn).parameters:
                 offenders.append(f"{module.__name__}.{qualname}")
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize("x", [ShiftVector([1, 2]), "abc", None])
+def test_finite_real_refuses_a_non_number(x):
+    # a DomainError (exit 3 in the CLI), not mpmath's TypeError
+    with pytest.raises(DomainError, match="^shift .* is not a real number"):
+        finite_real("shift", x)

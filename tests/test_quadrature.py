@@ -4,7 +4,8 @@ import mpmath as mp
 import pytest
 
 from hzeta.compositions import Composition, theorem_dual
-from hzeta.errors import DomainError
+from hzeta import quadrature
+from hzeta.errors import DomainError, ToleranceNotReached
 from hzeta.finite_sums import ShiftVector, mhss
 from hzeta.precision import PrecisionConfig
 from hzeta.quadrature import (
@@ -95,6 +96,18 @@ class TestPolylogCores:
         from hzeta.series_engine import arakawa_kaneko
         ref = arakawa_kaneko("psi", 1, (2,), QTOL, None, PREC)
         assert abs(got.value - ref.value) < mp.mpf(10) ** -10
+
+
+def test_stalled_levels_raise_tolerance_not_reached(monkeypatch):
+    # like every other route, a stall hands back its last sum and delta
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 3)
+    f = WeightedIntegrand(x_exp="-0.5", omx_exp="0.5")
+    with pytest.raises(ToleranceNotReached, match="level deltas stalled") \
+            as info:
+        de_quad(f, "1e-70", PrecisionConfig(bits=256))
+    best = info.value.best
+    with mp.workprec(384):
+        assert abs(best.value - mp.beta(0.5, 1.5)) <= best.abs_error
 
 
 class TestLogXWeight:

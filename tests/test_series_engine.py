@@ -570,6 +570,23 @@ class TestTermSpec:
         assert spec.strict is None and spec.strict_shift is None
         assert spec.star is None and spec.star_shift is None
 
+    @pytest.mark.parametrize("kw", [
+        dict(powers=((0, 2.5),)),
+        dict(strict=(1,), strict_binomial=("0.3", 1.5), powers=((0, 2),)),
+        dict(binom_upper=(("0.3", True, mp.mpf("0.5")),), powers=((0, 2),)),
+    ], ids=["power", "strict-binomial-order", "binom-upper-order"])
+    def test_non_integral_exponent_or_order_is_refused(self, kw):
+        # int() once turned zeta(2.5) into zeta(2) with a 1e-83 claim
+        with working(PREC), pytest.raises(ValueError, match="not an integer"):
+            TermSpec(**kw)
+
+    def test_integral_float_exponent_is_accepted(self):
+        with working(PREC):
+            spec = TermSpec(powers=((0, 2.0), (1, "3")),
+                            strict=(1,), strict_binomial=("0.3", mp.mpf(1)))
+        assert spec.powers[0][1] == 2 and type(spec.powers[0][1]) is int
+        assert spec.strict_binomial[1] == 1
+
 
 class TestErrorModel:
     @pytest.mark.parametrize("fn", [htmzv, htmzsv])
