@@ -17,10 +17,17 @@ growth terms left over and no series to invert or shift.
 That constant is anchored numerically: prefix expansions of the nested
 harmonic sums are built recursively and pinned to an exact dynamic-program
 evaluation at a moderate index.  Tails of outer series whose terms have
-an AsymSeries expansion are closed by the same Euler-Maclaurin formula:
-:func:`tail_sum` sums the terms directly up to a base M and subtracts
-V(M), V the :func:`em_antidifference` of the expansion on a grading
-lifted to the Bernoulli orders that M needs.
+an AsymSeries expansion are closed by the same Euler-Maclaurin formula,
+in one kernel, :func:`_em_parts`: it sums the terms directly up to a base
+M and subtracts V(M), V the :func:`em_antidifference` of the expansion on
+a grading lifted to the Bernoulli orders that M needs.  :func:`tail_sum`
+is linear in the coefficients of the integer exponents: each such term c
+n^(-e) log^j n contributes c tau(e, j, N), with tau(e, j, N) = sum_{n>N}
+n^(-e) log^j n = (-1)^j zeta^(j)(e, N + 1) from that kernel on the unit
+monomial alone, cached per (e, j, N, precision) (:func:`_tau`).  These
+are the nested-sum prefixes and (n + c)^(-m) factors, whose tails repeat
+across calls; the terms of fractional exponent go through the kernel
+together.
 
 Series are held in fixed point (:mod:`hzeta.fixed`).  A series built at
 the working precision p stores every exponent e and coefficient c as a
@@ -53,6 +60,14 @@ Horner's rule in 1/n on integers (at most u per step) and rounds once to
 p bits.  With coefficients up to 2^16 and 76 terms, as on the
 Euler-Maclaurin families, the accumulated error stays many bits below
 2^-p, inside the 64 guard bits.
+
+A tail is rounded once.  Its parts are the exact products c tau, each
+tau rounded :data:`TAU_GUARD_BITS` (24) bits beyond p relative to its
+own size, and the parts of the fractional kernel, each rounded 16 bits
+beyond p; :func:`tail_sum` adds them all exactly (``mp.fsum``) and rounds
+the sum once to p bits.  A product c tau is thus at least as exact,
+relative to its size, as a part of the unsplit kernel, and a cached tau
+is the same number whichever series asks for it.
 """
 
 from __future__ import annotations
@@ -737,13 +752,63 @@ def _em_cut(t, F, n_start, bits):
         M += max(1, M >> 3)
 
 
-def tail_sum(series, n_start):
-    """sum_{n > n_start} of the termwise expansion S by Euler-Maclaurin:
-    S(n) summed for n_start < n <= M, minus V(M) for V =
+def _em_parts(t, F, n_start, guard):
+    """The parts of sum_{n > n_start} of the term dict ``t`` at 2^-F,
+    every exponent > 1, each rounded ``guard`` bits beyond the working
+    precision: S(n) for n_start < n <= M, and -V(M) for V =
     :func:`em_antidifference` (S) on the grading and scale that
-    :func:`_em_cut` chooses.  V vanishes at infinity, as every kept
-    exponent exceeds 1.  The parts are rounded 16 bits beyond the working
-    precision, summed exactly and rounded once.  Exponents e <= 1 with
+    :func:`_em_cut` chooses.  V vanishes at infinity, as every exponent
+    exceeds 1, so the parts sum to the tail."""
+    prec = mp.mp.prec
+    M, emax, lift = _em_cut(t, F, n_start, prec)
+    t, emax = AsymSeries._make(t, F, emax)._at(F + lift)
+    S = AsymSeries._make(t, F + lift, emax)
+    V = em_antidifference(S)
+    with mp.workprec(prec + guard):
+        return [S(n) for n in range(n_start + 1, M + 1)] + [-V(M)]
+
+
+# tau(e, j, N) is rounded this many bits beyond the working precision,
+# relative to its own size: 8 more than the 16 of the kernel's parts, for
+# the cancellation between the products c tau of one series.
+TAU_GUARD_BITS = 24
+
+# A cold seed-7 verify pass fills 52 entries, and suite seeds 0-15
+# together 54 (e = 2..14, j <= 4, N = 400, 288 work bits); 16 eval-em
+# passes fill 172 over (N, work bits) = (400, 288), (400, 480) and (800,
+# 480), and evict none.  An entry, an mpf of work + 24 bits keyed by an
+# exponent of work + 64 bits, takes about 0.5 KB, so a warm process that
+# keeps meeting new crossovers and precisions holds at most about 130 KB.
+TAU_CACHE_SIZE = 256
+_tau_cache = LruCache(TAU_CACHE_SIZE)
+
+
+def _tau(E, j, F, N):
+    """tau(e, j, N) = sum_{n > N} n^(-e) log(n)^j for the integer e = E
+    2^-F, from :func:`_em_parts` of the unit monomial, rounded
+    :data:`TAU_GUARD_BITS` beyond the working precision.  Memoised per
+    (E, j, F, N, precision)."""
+    key = (E, j, F, N, mp.mp.prec)
+    hit = _tau_cache.get(key)
+    if hit is None:
+        parts = _em_parts({(E, j): 1 << F}, F, N, TAU_GUARD_BITS)
+        with mp.workprec(mp.mp.prec + TAU_GUARD_BITS):
+            hit = _tau_cache[key] = mp.fsum(parts)
+    return hit
+
+
+def tail_sum(series, n_start):
+    """sum_{n > n_start} of the termwise expansion S, linear in its
+    integer-exponent terms.
+
+    Each term c n^(-e) log^j n with an integer e contributes the exact
+    product c tau(e, j, n_start) (:func:`_tau`, cached, rounded
+    :data:`TAU_GUARD_BITS` beyond the working precision relative to its
+    size).  The terms of fractional exponent go together through
+    :func:`_em_parts`: S(n) summed for n_start < n <= M, minus the
+    Euler-Maclaurin V(M), each part rounded 16 bits beyond the working
+    precision.  All parts are summed exactly and rounded once, so the
+    split adds no rounding of the total.  Exponents e <= 1 with
     coefficients above 2^-(prec + 20) mean divergence and raise
     :class:`NoConvergence`; smaller ones are dropped.
     """
@@ -751,20 +816,22 @@ def tail_sum(series, n_start):
     one, prec = 1 << F, mp.mp.prec
     lim = F - prec - 20
     lim = 1 << lim if lim >= 0 else 0
-    kept = {}
+    frac, parts = {}, []
     for (e, j), c in t.items():
-        if e > one:
-            kept[(e, j)] = c
-        elif abs(c) > lim:
-            raise NoConvergence(f"tail term n^(-{to_mpf(e, F, prec)}) "
-                                f"log^{j} with coefficient "
-                                f"{to_mpf(c, F, prec)} diverges")
-    if not kept:
+        if e <= one:
+            if abs(c) > lim:
+                raise NoConvergence(f"tail term n^(-{to_mpf(e, F, prec)}) "
+                                    f"log^{j} with coefficient "
+                                    f"{to_mpf(c, F, prec)} diverges")
+        elif e & (one - 1):
+            frac[(e, j)] = c
+        else:
+            parts.append(mp.fmul(to_mpf(c, F), _tau(e, j, F, n_start),
+                                 exact=True))
+    if frac:
+        parts += _em_parts(frac, F, n_start, 16)
+    if not parts:
         return mp.mpf(0)
-    M, emax, lift = _em_cut(kept, F, n_start, prec)
-    t, emax = AsymSeries._make(kept, F, emax)._at(F + lift)
-    S = AsymSeries._make(t, F + lift, emax)
-    V = em_antidifference(S)
     with mp.workprec(prec + 16):
-        total = mp.fsum([S(n) for n in range(n_start + 1, M + 1)] + [-V(M)])
+        total = mp.fsum(parts)
     return +total

@@ -36,7 +36,7 @@ from .errors import HZetaError, NoConvergence, ToleranceNotReached
 from .finite_sums import ShiftVector
 from .identity_registry import run_suite
 from .precision import (PrecisionConfig, default_precision, parse_real,
-                        working)
+                        parse_tol, working)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 2
@@ -81,7 +81,8 @@ FLAGS = {
     "s": ("argument of xi/psi/eta (default 2)", int),
     "m": ("outer power index (default 1)", int),
     "k": ("all-ones count (default 0 in apery1)", int),
-    "tol": ("target tolerance", parse_real),
+    "tol": ("target tolerance, such as 1e-30 or 2^-100",
+            lambda text: parse_tol(text, None)),
 }
 
 # kind: (flags it needs, flags it may take with their defaults, call on the
@@ -173,15 +174,15 @@ def cmd_index(args, cfg: PrecisionConfig) -> int:
 
 
 def build_parser() -> _Parser:
+    # one spelling per flag: no abbreviations such as --a for --alpha
     parser = _Parser(prog="hzeta",
                      description="high-precision nested zeta series and "
-                                 "identity verification")
+                                 "identity verification", allow_abbrev=False)
     parser.add_argument("--bits", type=int, default=None,
                         help="working precision in bits "
                              "(default 256, or HZETA_PREC)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # one spelling per flag: no abbreviations such as --a for --alpha
     pe = sub.add_parser("eval", help="evaluate a named quantity",
                         allow_abbrev=False)
     pe.add_argument("kind", choices=EVAL_KINDS)
@@ -190,17 +191,20 @@ def build_parser() -> _Parser:
                         type=int if parse is int else None)
     pe.set_defaults(func=cmd_eval)
 
-    pv = sub.add_parser("verify", help="run the identity suite")
+    pv = sub.add_parser("verify", help="run the identity suite",
+                        allow_abbrev=False)
     pv.add_argument("--filter", default="*", help="glob over identity ids")
     pv.add_argument("--samples", type=int, default=1)
-    pv.add_argument("--tol", default=None)
+    pv.add_argument("--tol", default=None,
+                    help="tolerance, such as 1e-30 or 2^-100")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", help="write JSON-lines records here")
     pv.add_argument("--format", choices=("table", "records"),
                     default="table")
     pv.set_defaults(func=cmd_verify)
 
-    pi = sub.add_parser("index", help="transform composition indices")
+    pi = sub.add_parser("index", help="transform composition indices",
+                        allow_abbrev=False)
     pi.add_argument("op", choices=("dual", "hoffman-dual", "refinements"))
     pi.add_argument("index")
     pi.set_defaults(func=cmd_index)

@@ -322,7 +322,8 @@ _register(
 )
 _register(
     "thm-2.1b",
-    _eval_thm_21(quad.int_kta_weighted, "T"),
+    _eval_thm_21(lambda k, alpha, kk, tol:
+                 quad.int_kta_weighted(k, alpha, kk, tol), "T"),
     _pools(k=[(2,), (2, 1), (1, 2)], log_pow=range(2), alpha=_ALPHAS),
     {"k": (2,), "log_pow": 1, "alpha": "0.3"},
 )

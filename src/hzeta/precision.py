@@ -15,6 +15,7 @@ caches key on ``mp.mp.prec``, which equals ``work_bits`` inside a block.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -96,9 +97,18 @@ def parse_real(x) -> mp.mpf:
 
 def parse_tol(tol, default) -> mp.mpf:
     """The tolerance ``tol`` (``default`` when it is None) as an mpf at the
-    current precision; raises :class:`DomainError` unless it is positive
-    and finite, since no error estimate can meet such a tolerance."""
-    t = parse_real(default if tol is None else tol)
+    current precision; text may also be a power of two, such as "2^-100".
+    Raises :class:`DomainError` unless it is positive and finite, since no
+    error estimate can meet such a tolerance."""
+    tol = default if tol is None else tol
+    if isinstance(tol, str) and "^" in tol:
+        power = re.fullmatch(r"\s*2\^([+-]?\d+)\s*", tol)
+        if power is None:
+            raise DomainError(f"malformed power of two {tol!r}: "
+                              f"write 2^n with an integer n")
+        t = mp.ldexp(1, int(power.group(1)))
+    else:
+        t = parse_real(tol)
     if not (mp.isfinite(t) and t > 0):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     return t

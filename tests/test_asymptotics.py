@@ -4,11 +4,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from hzeta import asymptotics
 from hzeta.asymptotics import (
     AsymSeries,
     _binomial_series,
+    _em_parts,
+    _tau,
     LruCache,
     ExpansionWindow,
+    TAU_CACHE_SIZE,
     em_antidifference,
     gamma_ratio,
     log_shift,
@@ -20,6 +24,7 @@ from hzeta.asymptotics import (
 from hzeta.compositions import Composition
 from hzeta.errors import NoConvergence
 from hzeta.finite_sums import ShiftVector, mhs, mhss
+from hzeta.fixed import scale
 from hzeta.precision import PrecisionConfig, working
 
 PREC = PrecisionConfig(bits=192)
@@ -241,6 +246,55 @@ def test_tail_sum_divergent_raises():
     S = AsymSeries({(1, 0): mp.mpf(2) ** -400}, EMAX)
     assert tail_sum(S + AsymSeries({(2, 0): 1}, EMAX), 10) == tail_sum(
         AsymSeries({(2, 0): 1}, EMAX), 10)
+
+
+@pytest.mark.parametrize("bits", [256, 448])
+@pytest.mark.parametrize("N", [5, 400, 800])
+def test_tau_is_a_hurwitz_zeta_derivative(bits, N):
+    # tau(e, j, N) = (-1)^j zeta^(j)(e, N + 1), against mp.zeta 64 bits
+    # above the precision and the value's own binary magnitude, since
+    # mp.zeta's error is absolute
+    for e in (2, 3, 14):
+        for j in range(5):
+            with mp.workprec(bits):
+                F = scale()
+                got = _tau(e << F, j, F, N)
+            with mp.workprec(53):
+                lost = max(0, -mp.mag(mp.zeta(e, N + 1, j)))
+            with mp.workprec(bits + 64 + lost):
+                ref = (-1) ** j * mp.zeta(e, N + 1, j)
+                assert abs(got - ref) < mp.ldexp(abs(ref), 8 - bits), (e, j)
+
+
+@pytest.mark.parametrize("bits", [256, 448])
+@pytest.mark.parametrize("N", [10, 400])
+def test_tail_sum_split_matches_the_unsplit_kernel(bits, N):
+    # a nested-sum prefix (integer exponents, log powers) times (n + 1/4)^-2
+    # and times a binomial factor of the class 0.2: the cached integer tails
+    # plus the fractional kernel match the one kernel on the whole series
+    with working(PrecisionConfig(bits)):
+        P = prefix_expansion((1, 2), ("0.75", "0.5"))
+        S = P * (power_shift(2, "0.25", EMAX)
+                 + gamma_ratio("-0.7", 0, EMAX) * power_shift("1.5", "0.5",
+                                                              EMAX))
+        kinds = {(e == int(e), j > 0) for e, j in S.terms}
+        assert {(True, True), (False, True)} <= kinds
+        got = tail_sum(S, N)
+        prec = mp.mp.prec
+        parts = _em_parts(S._t, S._F, N, 16)
+        with mp.workprec(prec + 16):
+            ref = mp.fsum(parts)
+        assert abs(got - ref) < mp.ldexp(abs(ref), 8 - bits)
+
+
+def test_tau_table_never_holds_more_than_its_capacity(monkeypatch):
+    assert asymptotics._tau_cache.capacity == TAU_CACHE_SIZE
+    monkeypatch.setattr(asymptotics, "_tau_cache", LruCache(3))
+    S = AsymSeries({(e, j): 1 for e in range(2, 6) for j in range(2)}, EMAX)
+    first = tail_sum(S, 400)
+    assert len(asymptotics._tau_cache) == 3
+    assert tail_sum(S, 400) == first
+    assert len(asymptotics._tau_cache) == 3
 
 
 def test_lru_cache_evicts_least_recently_used():

@@ -152,6 +152,21 @@ class TestEval:
         assert "tolerance" in err
         assert time.monotonic() - start < 1
 
+    def test_tolerance_as_a_power_of_two(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "htmzv", "--index", "2",
+                               "--tol", "2^-100")
+        assert code == 0
+        error = mp.mpf(out.split("error")[1].split()[0])
+        assert 0 < error <= mp.ldexp(1, -100)
+
+    @pytest.mark.parametrize("command", [("eval", "htmzv", "--index", "2"),
+                                         ("verify", "--filter", "cor-5.3")])
+    def test_malformed_power_of_two_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--tol", "2^x")
+        assert code == 3
+        assert err.startswith("hzeta: error: malformed power of two")
+        assert out == ""
+
     @pytest.mark.parametrize("bits, env", [("32", None), (None, "abc"),
                                            (None, "16")])
     def test_bad_precision_usage_error(self, capsys, monkeypatch, bits, env):
@@ -234,6 +249,12 @@ class TestVerify:
         assert code == 3
         assert "tolerance" in err and not out
         assert time.monotonic() - start < 1
+
+    def test_verify_tolerance_as_a_power_of_two(self, capsys):
+        code, out, _ = run_cli(capsys, "--bits", "160", "verify",
+                               "--filter", "cor-5.3", "--tol", "2^-100")
+        assert code == 0
+        assert "(tol=7.88861e-31," in out
 
     def test_verify_zero_samples_exit3(self, capsys):
         # a run that would check nothing is a usage error, not a pass
@@ -322,6 +343,21 @@ class TestIndex:
         code, out, _ = run_cli(capsys, "index", "refinements", "2")
         assert code == 0
         assert out.strip() == "2 | 1,1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--filt", "thm-2.1a", "--samp", "0"),
+    ("--bit", "128", "eval", "htmzv", "--index", "2"),
+], ids=["verify", "top-level"])
+def test_abbreviated_flag_usage_error(capsys, argv):
+    # --filt is not read as --filter, nor --samp as --samples, nor --bit
+    # as --bits: argparse refuses them before any work
+    with pytest.raises(SystemExit) as exit:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit.value.code == 3
+    assert "hzeta: error: " in captured.err and captured.out == ""
+    assert "samples" not in captured.err
 
 
 def test_python_m_hzeta_runs_from_the_source_tree():

@@ -141,6 +141,22 @@ def test_records_shape():
     assert rec["passed"] is True
 
 
+@pytest.mark.parametrize("id, name", [("thm-2.1a", "int_mpl_weighted"),
+                                      ("thm-2.1b", "int_kta_weighted")])
+def test_thm_21_looks_up_its_integral_at_call_time(monkeypatch, id, name):
+    # a wrapper installed after import, as a tracer installs it, is called
+    calls = []
+    inner = getattr(identity_registry.quad, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(identity_registry.quad, name, counting)
+    c = run_check(id, None, TOL, PREC)
+    assert c.passed and len(calls) == 1
+
+
 def test_series_in_x_gives_up_as_an_error_check(monkeypatch):
     # a series in x that reaches the term cap is an ERROR check carrying
     # its partial sum, not an exception that ends the suite

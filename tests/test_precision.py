@@ -14,7 +14,7 @@ from hzeta.finite_sums import mhs_stream
 from hzeta.errors import DomainError
 from hzeta.finite_sums import ShiftVector
 from hzeta.precision import (PrecisionConfig, default_precision, finite_real,
-                             working)
+                             parse_tol, working)
 from hzeta.series_engine import htmzv
 
 P160 = PrecisionConfig(bits=160)
@@ -95,3 +95,15 @@ def test_finite_real_refuses_a_non_number(x):
     # a DomainError (exit 3 in the CLI), not mpmath's TypeError
     with pytest.raises(DomainError, match="^shift .* is not a real number"):
         finite_real("shift", x)
+
+
+def test_parse_tol_reads_a_power_of_two():
+    assert parse_tol("2^-100", None) == mp.ldexp(1, -100)
+    assert parse_tol(" 2^-7", None) == mp.mpf(1) / 128
+    assert parse_tol(None, "2^-448") == mp.ldexp(1, -448)
+
+
+@pytest.mark.parametrize("tol", ["2^x", "2^", "2^-1.5", "3^-4", "2^-3^2"])
+def test_parse_tol_refuses_a_malformed_power(tol):
+    with pytest.raises(DomainError, match="^malformed power of two"):
+        parse_tol(tol, None)
