@@ -42,7 +42,7 @@ from .identity_registry import (
     run_check,
     run_suite,
 )
-from .precision import PrecisionConfig, default_precision, working
+from .precision import PrecisionConfig, working
 from .quadrature import WeightedIntegrand, de_quad, int_kta_weighted, int_mpl_weighted
 from .series_engine import (
     TailStrategy,
@@ -73,7 +73,7 @@ __all__ = [
     "PoleError", "ToleranceNotReached", "NoConvergence", "UnknownIdentity",
     "ShiftVector", "mhs", "mhss", "t_mhs", "t_mhss",
     "IdentityCheck", "SuiteReport", "identity_ids", "run_check", "run_suite",
-    "PrecisionConfig", "default_precision", "working",
+    "PrecisionConfig", "working",
     "WeightedIntegrand", "de_quad", "int_kta_weighted", "int_mpl_weighted",
     "TailStrategy", "TermSpec", "ValueWithBound", "apery_I", "apery_II",
     "apery_III", "arakawa_kaneko", "htmtv", "htmzsv", "htmzv", "htmzv_pbc",

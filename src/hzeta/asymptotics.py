@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -83,28 +82,6 @@ from .errors import NoConvergence
 from .finite_sums import ShiftVector, _coerce, _nth, mhs, mhss
 from .fixed import dyadic, fix, horner, rdiv, scale, to_mpf
 from .precision import working
-
-
-@dataclass(frozen=True)
-class ExpansionWindow:
-    """Truncation controls for anchored expansions and tail summation.
-
-    ``order``: largest kept exponent in n^(-e) (graded truncation degree).
-    ``n_anchor``: index where expansion constants are pinned to exact sums.
-    ``n_direct``: outer series are summed exactly up to this index, the
-    remainder via the expansion.
-    """
-
-    order: int = 14
-    n_anchor: int = 160
-    n_direct: int = 400
-
-    def __post_init__(self):
-        if self.order < 4 or self.n_anchor < 8 or self.n_direct < self.n_anchor:
-            raise ValueError("degenerate expansion window")
-
-
-DEFAULT_WINDOW = ExpansionWindow()
 
 
 def _round_dict(acc, F):
@@ -152,7 +129,7 @@ class AsymSeries:
 
     __slots__ = ("_t", "_F", "_emax")
 
-    def __init__(self, terms=None, emax=14):
+    def __init__(self, terms, emax):
         F = self._F = scale()
         self._emax = fix(emax, F)
         self._t = {}
@@ -618,7 +595,7 @@ def _binomial_series(alpha, order, emax) -> AsymSeries:
     # E = exp(sum_j a_j eps^j) by i E_i = sum_j j a_j E_(i-j)
     E = [AsymSeries.constant(1, emax)]
     for i in range(1, order + 1):
-        acc = AsymSeries(emax=emax)
+        acc = AsymSeries({}, emax)
         for j in range(1, i + 1):
             acc = acc + a[j - 1] * E[i - j] * j
         E.append(acc._idiv(i))
@@ -662,8 +639,7 @@ GAMMA_RATIO_CACHE_SIZE = 32
 _gamma_ratio_cache = LruCache(GAMMA_RATIO_CACHE_SIZE)
 
 
-def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
-                     binomial=None):
+def prefix_expansion(k, a, star, emax, n_anchor, binomial=None):
     """AsymSeries E with E(n) ~ zeta_n(k; a) (or the star sum) for large n.
 
     ``binomial`` = (alpha, order), when given, puts the order-th
@@ -671,16 +647,17 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
     (:func:`_binomial_series`).  Built by the nested-sum recursion: the
     outermost summand is expanded, Euler-Maclaurin turns it into a
     partial-sum expansion, and the free constant is anchored against the
-    exact dynamic program at ``window.n_anchor``.  Runs at the active
-    :func:`working` precision, which keys the cache.
+    exact dynamic program at ``n_anchor``.  Every level is truncated at
+    the exponent ``emax``.  Runs at the active :func:`working` precision,
+    which keys the cache.
     """
     with working():
         k, a = _coerce(k, a)
-        key = (k.parts, a.shifts, bool(star), binomial, window, mp.mp.prec)
+        key = (k.parts, a.shifts, bool(star), binomial, emax, n_anchor,
+               mp.mp.prec)
         hit = _prefix_cache.get(key)
         if hit is not None:
             return hit
-        emax = window.order
         r = k.depth()
         if r == 0:
             out = AsymSeries.constant(1, emax)
@@ -691,17 +668,16 @@ def prefix_expansion(k, a=None, star=False, window=DEFAULT_WINDOW,
             else:
                 tail = prefix_expansion(
                     Composition(k.parts[1:]), ShiftVector(a.shifts[1:]), star,
-                    window, binomial,
+                    emax, n_anchor, binomial,
                 )
                 T = lead * (tail if star else tail.shift_arg(-1))
             V = em_antidifference(T).prune()
-            n0 = window.n_anchor
             # plain anchors stay on mhs/mhss, whose traced calls mark misses
             if binomial is not None:
-                exact = _nth(k, a, star, n0, binomial)
+                exact = _nth(k, a, star, n_anchor, binomial)
             else:
-                exact = mhss(n0, k, a) if star else mhs(n0, k, a)
-            out = V + (exact - V(n0))
+                exact = mhss(n_anchor, k, a) if star else mhs(n_anchor, k, a)
+            out = V + (exact - V(n_anchor))
             out = out.prune()
         _prefix_cache[key] = out
         return out

@@ -16,9 +16,8 @@ Three subcommands:
 
 Exit codes: 0 success, 2 failed identity checks, 3 usage or domain
 errors, 4 a value that could not be evaluated to the requested tolerance
-(``ToleranceNotReached`` or ``NoConvergence``).  The environment
-variable HZETA_PREC overrides the default precision in bits; everything
-else is configured by flags.
+(``ToleranceNotReached`` or ``NoConvergence``).  Everything is
+configured by flags; ``--bits`` defaults to ``PrecisionConfig()``'s.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from .compositions import Composition, dual_index, hoffman_dual, refinements
 from .errors import HZetaError, NoConvergence, ToleranceNotReached
 from .finite_sums import ShiftVector
 from .identity_registry import run_suite
-from .precision import (PrecisionConfig, default_precision, parse_real,
-                        parse_tol, working)
+from .precision import PrecisionConfig, parse_real, parse_tol, working
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 2
@@ -81,8 +79,7 @@ FLAGS = {
     "s": ("argument of xi/psi/eta (default 2)", int),
     "m": ("outer power index (default 1)", int),
     "k": ("all-ones count (default 0 in apery1)", int),
-    "tol": ("target tolerance, such as 1e-30 or 2^-100",
-            lambda text: parse_tol(text, None)),
+    "tol": ("target tolerance, such as 1e-30 or 2^-100", parse_tol),
 }
 
 # kind: (flags it needs, flags it may take with their defaults, call on the
@@ -178,9 +175,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hzeta",
                      description="high-precision nested zeta series and "
                                  "identity verification", allow_abbrev=False)
-    parser.add_argument("--bits", type=int, default=None,
-                        help="working precision in bits "
-                             "(default 256, or HZETA_PREC)")
+    parser.add_argument("--bits", type=int, default=PrecisionConfig().bits,
+                        help="working precision in bits (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a named quantity",
@@ -211,11 +207,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse(parser: _Parser, argv):
+    """``parser.parse_args(argv)``, naming a flag before the command that
+    the parser does not know: argparse alone sets it aside and reads its
+    value as the command ("invalid choice: '128'" for --bit 128)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        action = parser._option_string_actions.get(argv[i].split("=")[0])
+        if action is None:
+            parser.error(f"unrecognized arguments: {argv[i]}")
+        i += 1 if "=" in argv[i] or action.nargs == 0 else 2
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(build_parser(), argv)
     try:
-        cfg = PrecisionConfig(args.bits) if args.bits else default_precision()
-        return args.func(args, cfg)
+        return args.func(args, PrecisionConfig(args.bits))
     except (HZetaError, ValueError) as exc:
         print(f"hzeta: error: {exc}", file=sys.stderr)
         unevaluated = isinstance(exc, (ToleranceNotReached, NoConvergence))

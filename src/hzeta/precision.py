@@ -14,7 +14,6 @@ caches key on ``mp.mp.prec``, which equals ``work_bits`` inside a block.
 
 from __future__ import annotations
 
-import os
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -43,23 +42,15 @@ class PrecisionConfig:
         return self.bits + WORK_GUARD_BITS
 
 
-def default_precision() -> PrecisionConfig:
-    """Default config; HZETA_PREC (bits) overrides the 256-bit default."""
-    env = os.environ.get("HZETA_PREC")
-    if env:
-        return PrecisionConfig(bits=int(env))
-    return PrecisionConfig()
-
-
 _active: ContextVar = ContextVar("working", default=None)
 
 
 @contextmanager
 def working(prec: PrecisionConfig | None = None):
     """Enter the working precision of ``prec`` (by default the innermost
-    active block's config, else :func:`default_precision`) and yield its
+    active block's config, else ``PrecisionConfig()``) and yield its
     config; the outer config comes back on exit, also after an error."""
-    cfg = prec or _active.get() or default_precision()
+    cfg = prec or _active.get() or PrecisionConfig()
     token = _active.set(cfg)
     try:
         with mp.workprec(cfg.work_bits):
@@ -95,12 +86,17 @@ def parse_real(x) -> mp.mpf:
     return mp.mpf(x)
 
 
-def parse_tol(tol, default) -> mp.mpf:
+def parse_tol(tol, default=None) -> mp.mpf:
     """The tolerance ``tol`` (``default`` when it is None) as an mpf at the
     current precision; text may also be a power of two, such as "2^-100".
-    Raises :class:`DomainError` unless it is positive and finite, since no
-    error estimate can meet such a tolerance."""
+    When both are None it is the default of the active :func:`working`
+    block, 2^-min(bits // 3, 120).  Raises :class:`DomainError` unless it
+    is positive and finite, since no error estimate can meet such a
+    tolerance."""
     tol = default if tol is None else tol
+    if tol is None:
+        with working() as cfg:
+            return mp.ldexp(1, -min(cfg.bits // 3, 120))
     if isinstance(tol, str) and "^" in tol:
         power = re.fullmatch(r"\s*2\^([+-]?\d+)\s*", tol)
         if power is None:

@@ -51,7 +51,6 @@ from itertools import islice
 
 import mpmath as mp
 
-from . import asymptotics as asym
 from . import endpoint
 from .asymptotics import (AsymSeries, _binomial_series, gamma_ratio, power_shift,
                           prefix_expansion, tail_sum)
@@ -159,10 +158,6 @@ DEFAULT_TAIL = TailStrategy()
 _LEVELS = 4
 
 
-def _default_tol(cfg: PrecisionConfig):
-    return mp.ldexp(1, -min(cfg.bits // 3, 120))
-
-
 def _checked(v: ValueWithBound, tol) -> ValueWithBound:
     """``v``, or :class:`ToleranceNotReached` with ``v`` in ``best`` when its
     claim exceeds ``tol``."""
@@ -173,12 +168,12 @@ def _checked(v: ValueWithBound, tol) -> ValueWithBound:
     return v
 
 
-def _expansion_window(em_order: int, level: int) -> asym.ExpansionWindow:
-    return asym.ExpansionWindow(
-        order=em_order + 6 + 4 * level,
-        n_anchor=160 + 110 * level,
-        n_direct=400 * 2 ** level,
-    )
+def _expansion_window(em_order: int, level: int):
+    """(emax, n_anchor, n_direct) at escalation ``level``: the largest kept
+    exponent of the expansions, the index where their constants are pinned
+    to exact sums, and the crossover up to which the outer series is
+    summed exactly.  The one place that sets the window."""
+    return em_order + 6 + 4 * level, 160 + 110 * level, 400 * 2 ** level
 
 
 @dataclass(frozen=True)
@@ -334,17 +329,17 @@ class _SpecState:
         return -mag if (t < 0) != sign else mag
 
 
-def _spec_series(spec: TermSpec, window: asym.ExpansionWindow) -> AsymSeries:
-    emax = window.order
+def _spec_series(spec: TermSpec, emax: int, n_anchor: int) -> AsymSeries:
     S = AsymSeries.constant(spec.coeff, emax)
     if spec.strict is not None:
-        E = prefix_expansion(spec.strict, spec.strict_shift, False,
-                             window, spec.strict_binomial)
+        E = prefix_expansion(spec.strict, spec.strict_shift, False, emax,
+                             n_anchor, spec.strict_binomial)
         if spec.strict_prev:
             E = E.shift_arg(-1)
         S = S * E
     if spec.star is not None:
-        S = S * prefix_expansion(spec.star, spec.star_shift, True, window)
+        S = S * prefix_expansion(spec.star, spec.star_shift, True, emax,
+                                 n_anchor)
     for a, at_prev, order in spec.binom_upper:
         if at_prev:
             S = S * _binomial_series(a, order, emax)
@@ -378,7 +373,7 @@ def _em_sum(specs, tol, strategy: TailStrategy):
     points cannot see.
     """
     with working() as cfg:
-        tol = parse_tol(tol, _default_tol(cfg))
+        tol = parse_tol(tol)
         bits = cfg.work_bits
         # one set of states per call: each level continues the head
         states = [_SpecState(s) for s in specs]
@@ -386,11 +381,12 @@ def _em_sum(specs, tol, strategy: TailStrategy):
         n = head = t2 = t1 = t0 = 0  # integers at 2^-H; terms N - 2, N - 1, N
         best = None
         for level in range(_LEVELS):
-            window = _expansion_window(strategy.em_order, level)
-            N = max(min(window.n_direct, strategy.N_max), window.n_anchor)
-            series = AsymSeries(emax=window.order)
+            emax, n_anchor, n_direct = _expansion_window(strategy.em_order,
+                                                         level)
+            N = min(n_direct, strategy.N_max)
+            series = AsymSeries({}, emax)
             for s in specs:
-                series = series + _spec_series(s, window)
+                series = series + _spec_series(s, emax, n_anchor)
             series = series.prune()
             while n < N:
                 n += 1
@@ -543,8 +539,8 @@ def mpl(k, x, tol=None, strategy=None,
     with the value in ``best``.  At x = 1 the admissible case delegates
     to :func:`htmzv`.
     """
-    with working(prec) as cfg:
-        tol = parse_tol(tol, _default_tol(cfg))
+    with working(prec):
+        tol = parse_tol(tol)
         return _checked(_polylog("mpl", k, x, tol, strategy), tol)
 
 
@@ -560,11 +556,11 @@ def mpl_landen(k, x, tol=None, strategy=None,
     k = Composition(k)
     if k.is_empty():
         raise DomainError("mpl_landen needs a nonempty index")
-    with working(prec) as cfg:
+    with working(prec):
         x = mp.mpf(x)
         if not 0 <= x < 1:
             raise DomainError(f"x must lie in [0, 1), got {x}")
-        tol = parse_tol(tol, _default_tol(cfg))
+        tol = parse_tol(tol)
         sign, terms = endpoint.landen(k)
         sub = tol / len(terms)
         total = ValueWithBound(0, 0, True)
@@ -584,8 +580,8 @@ def kta(k, x, tol=None, strategy=None,
     tolerance contract of :func:`mpl`; at x = 1 it equals the multiple
     T-value T(k).
     """
-    with working(prec) as cfg:
-        tol = parse_tol(tol, _default_tol(cfg))
+    with working(prec):
+        tol = parse_tol(tol)
         return _checked(_polylog("kta", k, x, tol, strategy), tol)
 
 
@@ -720,8 +716,8 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
     k = Composition(k)
     if k.is_empty():
         raise DomainError("needs a nonempty index")
-    with working(prec) as cfg:
-        tol = parse_tol(tol, _default_tol(cfg))
+    with working(prec):
+        tol = parse_tol(tol)
         if kind == "xi":
             Z = lambda idx, sub: htmzv(idx, None, sub, strategy)
         elif kind == "psi":

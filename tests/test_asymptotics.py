@@ -11,7 +11,6 @@ from hzeta.asymptotics import (
     _em_parts,
     _tau,
     LruCache,
-    ExpansionWindow,
     TAU_CACHE_SIZE,
     em_antidifference,
     gamma_ratio,
@@ -29,6 +28,7 @@ from hzeta.precision import PrecisionConfig, working
 
 PREC = PrecisionConfig(bits=192)
 EMAX = 14
+N_ANCHOR = 160
 
 
 @pytest.fixture(autouse=True)
@@ -155,7 +155,7 @@ def test_second_derivative_is_one_fused_pass(bits):
 def test_prefix_expansion_matches_dp(k, a, star):
     a = ShiftVector(tuple(mp.mpf(x) for x in a))
     with working(PREC):
-        E = prefix_expansion(Composition(k), a, star)
+        E = prefix_expansion(Composition(k), a, star, EMAX, N_ANCHOR)
     n = 4000
     exact = mhss(n, k, a, PREC) if star else mhs(n, k, a, PREC)
     assert abs(E(mp.mpf(n)) - exact) < mp.mpf(10) ** -18
@@ -213,7 +213,7 @@ def test_tail_sum_batches_log_powers():
     # several log powers of one exponent plus a second exponent, vs the
     # per-term sums (-1)^j zeta^(j)(e, a)
     with mp.workprec(288):
-        S = AsymSeries(emax=40)
+        S = AsymSeries({}, 40)
         for e, j, c in (("2.5", 0, "0.75"), ("2.5", 1, "-1.5"),
                         ("2.5", 3, "0.25"), ("7.25", 2, "3")):
             S = S + AsymSeries({(e, j): c}, 40)
@@ -273,7 +273,7 @@ def test_tail_sum_split_matches_the_unsplit_kernel(bits, N):
     # and times a binomial factor of the class 0.2: the cached integer tails
     # plus the fractional kernel match the one kernel on the whole series
     with working(PrecisionConfig(bits)):
-        P = prefix_expansion((1, 2), ("0.75", "0.5"))
+        P = prefix_expansion((1, 2), ("0.75", "0.5"), False, EMAX, N_ANCHOR)
         S = P * (power_shift(2, "0.25", EMAX)
                  + gamma_ratio("-0.7", 0, EMAX) * power_shift("1.5", "0.5",
                                                               EMAX))
@@ -306,12 +306,6 @@ def test_lru_cache_evicts_least_recently_used():
     assert len(c) == 2
     assert c.get("b") is None
     assert c.get("a") == 1 and c.get("c") == 3
-
-
-def test_expansion_window_frozen():
-    s = ExpansionWindow()
-    with pytest.raises(Exception):
-        s.order = 3
 
 
 @pytest.mark.parametrize("alpha", ["0.5", "0.3"])
@@ -427,10 +421,9 @@ def test_fixed_point_algebra_matches_mpf_reference(bits):
     # algebra step, each checked at n = 400 against the same step in mpf
     # 128 bits higher, started from the same exact inputs and shift
     n, emax = 400, 18
-    window = ExpansionWindow(order=emax, n_anchor=160, n_direct=400)
     with working(PrecisionConfig(bits)):
-        P = prefix_expansion((1, 2, 1), ("0.75", "1.25", "0.5"),
-                             window=window)
+        P = prefix_expansion((1, 2, 1), ("0.75", "1.25", "0.5"), False, emax,
+                             N_ANCHOR)
         c = mp.mpf("0.3")
         B = _binomial_series(c, 2, emax)
         M = P * B

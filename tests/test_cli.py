@@ -167,20 +167,14 @@ class TestEval:
         assert err.startswith("hzeta: error: malformed power of two")
         assert out == ""
 
-    @pytest.mark.parametrize("bits, env", [("32", None), (None, "abc"),
-                                           (None, "16")])
-    def test_bad_precision_usage_error(self, capsys, monkeypatch, bits, env):
-        # --bits 32, HZETA_PREC=abc and HZETA_PREC=16 print one error line
-        monkeypatch.delenv("HZETA_PREC", raising=False)
-        if env is not None:
-            monkeypatch.setenv("HZETA_PREC", env)
-        argv = (("--bits", bits) if bits else ()) + ("eval", "htmzv",
-                                                     "--index", "2")
-        code, out, err = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("bits", ["32", "0"])
+    def test_bad_precision_usage_error(self, capsys, bits):
+        # --bits 32 and --bits 0 print one error line; 0 is not the default
+        code, out, err = run_cli(capsys, "--bits", bits, "eval", "htmzv",
+                                 "--index", "2")
         assert code == 3
         assert err.startswith("hzeta: error: ") and "Traceback" not in err
         assert out == ""
-
 
     @pytest.mark.parametrize("argv", [
         ("eval", "mpl", "--index", "2", "--x", "1/0"),
@@ -345,19 +339,21 @@ class TestIndex:
         assert out.strip() == "2 | 1,1"
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--filt", "thm-2.1a", "--samp", "0"),
-    ("--bit", "128", "eval", "htmzv", "--index", "2"),
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--filt", "thm-2.1a", "--samp", "0"), "--filt"),
+    (("--bit", "128", "eval", "htmzv", "--index", "2"), "--bit"),
 ], ids=["verify", "top-level"])
-def test_abbreviated_flag_usage_error(capsys, argv):
+def test_abbreviated_flag_usage_error(capsys, argv, flag):
     # --filt is not read as --filter, nor --samp as --samples, nor --bit
-    # as --bits: argparse refuses them before any work
+    # as --bits: argparse refuses them before any work, and names the
+    # flag (not "invalid choice: '128'" for the command)
     with pytest.raises(SystemExit) as exit:
         main(list(argv))
     captured = capsys.readouterr()
     assert exit.value.code == 3
     assert "hzeta: error: " in captured.err and captured.out == ""
     assert "samples" not in captured.err
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_python_m_hzeta_runs_from_the_source_tree():

@@ -8,7 +8,7 @@ from hzeta.compositions import Composition
 from hzeta.endpoint import kta_endpoint, mpl_endpoint
 from hzeta.errors import DomainError
 from hzeta.fixed import GUARD_BITS, to_mpf
-from hzeta.precision import PrecisionConfig, parse_real, working
+from hzeta.precision import PrecisionConfig, parse_real, parse_tol, working
 from hzeta.series_engine import ValueWithBound, kta, mpl
 from mpf_reference import mpf_defining, mpf_useries
 
@@ -25,8 +25,8 @@ def _workprec():
 def _direct(k, x, kind, tol=TOL, prec=PREC):
     """The single-level direct call behind mpl and kta, which send u <= 1/4
     to the tables under test, at the default tol when ``tol`` is None."""
-    with working(prec) as cfg:
-        tol = series_engine._default_tol(cfg) if tol is None else tol
+    with working(prec):
+        tol = parse_tol(None) if tol is None else tol
         value, claim = endpoint.direct(kind, Composition(k).parts,
                                        mp.mpf(x), tol)
         with mp.workprec(endpoint.scale()):
@@ -161,8 +161,8 @@ def test_route_claim_holds(kind, k, bits):
             else:
                 ref = fn(k, x_ref, ref_tol, None, ref_prec)
         for given in (None, mp.ldexp(1, -(bits - 64))):
-            with working(prec) as cfg:
-                tol = given or series_engine._default_tol(cfg)
+            with working(prec):
+                tol = given or parse_tol(None)
                 if x is None:
                     v = ValueWithBound(*endpoint.evaluate(kind, k, u, tol))
                 else:

@@ -13,8 +13,7 @@ import hzeta
 from hzeta.finite_sums import mhs_stream
 from hzeta.errors import DomainError
 from hzeta.finite_sums import ShiftVector
-from hzeta.precision import (PrecisionConfig, default_precision, finite_real,
-                             parse_tol, working)
+from hzeta.precision import PrecisionConfig, finite_real, parse_tol, working
 from hzeta.series_engine import htmzv
 
 P160 = PrecisionConfig(bits=160)
@@ -38,7 +37,15 @@ def test_working_inherits_the_innermost_block():
             assert after is P160 and mp.mp.prec == 192
     assert mp.mp.prec == outer
     with working() as cfg:
-        assert cfg == default_precision()
+        assert cfg == PrecisionConfig()
+
+
+def test_outside_every_block_the_precision_is_the_default(monkeypatch):
+    # PrecisionConfig() is the one default; no environment variable moves it
+    monkeypatch.setenv("HZETA_PREC", "128")
+    with working() as cfg:
+        assert cfg == PrecisionConfig() and cfg.bits == 256
+    assert parse_tol(None) == mp.ldexp(1, -(256 // 3))
 
 
 def test_public_call_inherits_the_block():
@@ -101,6 +108,13 @@ def test_parse_tol_reads_a_power_of_two():
     assert parse_tol("2^-100", None) == mp.ldexp(1, -100)
     assert parse_tol(" 2^-7", None) == mp.mpf(1) / 128
     assert parse_tol(None, "2^-448") == mp.ldexp(1, -448)
+
+
+@pytest.mark.parametrize("bits, power", [(160, 53), (256, 85), (512, 120)])
+def test_parse_tol_defaults_to_the_active_block(bits, power):
+    # 2^-min(bits // 3, 120), the default of every evaluator and de_quad
+    with working(PrecisionConfig(bits)):
+        assert parse_tol(None) == mp.ldexp(1, -power)
 
 
 @pytest.mark.parametrize("tol", ["2^x", "2^", "2^-1.5", "3^-4", "2^-3^2"])

@@ -3,12 +3,15 @@ import random
 import mpmath as mp
 import pytest
 
+from hzeta.asymptotics import LruCache
 from hzeta.compositions import Composition, theorem_dual
 from hzeta import quadrature
 from hzeta.errors import DomainError, ToleranceNotReached
 from hzeta.finite_sums import ShiftVector, mhss
 from hzeta.precision import PrecisionConfig
 from hzeta.quadrature import (
+    MAX_LEVELS,
+    NODE_CACHE_SIZE,
     WeightedIntegrand,
     de_quad,
     int_kta_weighted,
@@ -108,6 +111,26 @@ def test_stalled_levels_raise_tolerance_not_reached(monkeypatch):
     best = info.value.best
     with mp.workprec(384):
         assert abs(best.value - mp.beta(0.5, 1.5)) <= best.abs_error
+
+
+def test_default_tolerance_follows_the_precision():
+    # tol None is the block's 2^-min(bits // 3, 120), as for every series
+    # evaluator: 2^-120 at 512 bits, where a fixed 1e-20 stopped at 2.5e-33
+    f = WeightedIntegrand(x_exp="-0.5", omx_exp="0.5")
+    got = de_quad(f, None, PrecisionConfig(bits=512))
+    assert got.abs_error <= mp.ldexp(1, -120)
+
+
+def test_node_table_never_holds_more_than_its_capacity(monkeypatch):
+    # the 13 levels of one call fit, so it never evicts its own lower ones
+    assert quadrature._node_cache.capacity == NODE_CACHE_SIZE > MAX_LEVELS
+    f = WeightedIntegrand(x_exp="-0.5", omx_exp="0.5")
+    first = de_quad(f, QTOL, PREC)
+    monkeypatch.setattr(quadrature, "_node_cache", LruCache(3))
+    for _ in range(2):
+        got = de_quad(f, QTOL, PREC)
+        assert len(quadrature._node_cache) == 3
+        assert (got.value, got.abs_error) == (first.value, first.abs_error)
 
 
 class TestLogXWeight:
