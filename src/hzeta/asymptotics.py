@@ -37,10 +37,12 @@ the callers pass integers and mpf shifts of p bits, whose last bit is
 worth more than 2^-F, so e1 + e2, e == 1 and e > emax are integer
 operations, the exponent classes e mod 1 combine exactly (alpha and
 1 - alpha meet in the integer class), and no tolerance decides whether
-two exponents are equal.  A coefficient is ``fix(c, F)``.  Series built
-at different scales combine at the larger one, which is an exact shift;
-:func:`tail_sum` shifts its series up by the bits that its largest tail
-term lies below 1, as its antidifference is absolute in units of 2^-F.
+two exponents are equal.  A coefficient is ``fix(c, F)``.  Every series
+of one :func:`working` block has that block's scale, as the caches key
+on the precision, so sums and products run at that one scale and keep
+the emax of their left operand; :func:`tail_sum` alone shifts its series
+up, by the bits that its largest tail term lies below 1, as its
+antidifference is absolute in units of 2^-F.
 
 Rounding, in units u = 2^-F, for each output coefficient: sums,
 negation and exponent shifts are exact; a product of series, a product
@@ -77,11 +79,9 @@ from collections import OrderedDict
 
 import mpmath as mp
 
-from .compositions import Composition
 from .errors import NoConvergence
-from .finite_sums import ShiftVector, _coerce, _nth, mhs, mhss
+from .finite_sums import _nth, mhs, mhss
 from .fixed import dyadic, fix, horner, rdiv, scale, to_mpf
-from .precision import working
 
 
 def _round_dict(acc, F):
@@ -158,14 +158,6 @@ class AsymSeries:
     def emax(self):
         return to_mpf(self._emax, self._F)
 
-    def _at(self, F):
-        """(terms, emax) lifted exactly to a scale F >= self._F."""
-        d = F - self._F
-        if not d:
-            return self._t, self._emax
-        return ({(e << d, j): c << d for (e, j), c in self._t.items()},
-                self._emax << d)
-
     @classmethod
     def constant(cls, c, emax):
         return cls({(0, 0): c}, emax)
@@ -175,17 +167,16 @@ class AsymSeries:
 
     def __add__(self, other):
         if isinstance(other, AsymSeries):
-            F = max(self._F, other._F)
-            t, emax = self._at(F)
-            t = dict(t)
-            for (e, j), c in other._at(F)[0].items():
+            emax = self._emax
+            t = dict(self._t)
+            for (e, j), c in other._t.items():
                 if e <= emax:
                     c += t.get((e, j), 0)
                     if c:
                         t[(e, j)] = c
                     else:
                         del t[(e, j)]
-            return AsymSeries._make(t, F, emax)
+            return AsymSeries._make(t, self._F, emax)
         t = dict(self._t)
         c = t.get((0, 0), 0) + fix(other, self._F)
         if c:
@@ -205,10 +196,9 @@ class AsymSeries:
 
     def __mul__(self, other):
         if isinstance(other, AsymSeries):
-            F = max(self._F, other._F)
-            t, emax = self._at(F)
-            return AsymSeries._make(_product(t, other._at(F)[0], F, emax),
-                                    F, emax)
+            return AsymSeries._make(
+                _product(self._t, other._t, self._F, self._emax),
+                self._F, self._emax)
         return AsymSeries._make(_scalar_product(self._t, other),
                                 self._F, self._emax)
 
@@ -640,47 +630,43 @@ _gamma_ratio_cache = LruCache(GAMMA_RATIO_CACHE_SIZE)
 
 
 def prefix_expansion(k, a, star, emax, n_anchor, binomial=None):
-    """AsymSeries E with E(n) ~ zeta_n(k; a) (or the star sum) for large n.
+    """AsymSeries E with E(n) ~ zeta_n(k; a) (or the star sum) for large n,
+    for a tuple of exponents ``k`` and one of mpf shifts ``a``.
 
     ``binomial`` = (alpha, order), when given, puts the order-th
     alpha-derivative of C(n_r + alpha - 2, n_r - 1) on the innermost index
-    (:func:`_binomial_series`).  Built by the nested-sum recursion: the
-    outermost summand is expanded, Euler-Maclaurin turns it into a
-    partial-sum expansion, and the free constant is anchored against the
-    exact dynamic program at ``n_anchor``.  Every level is truncated at
-    the exponent ``emax``.  Runs at the active :func:`working` precision,
-    which keys the cache.
+    (:func:`_binomial_series`).  Built by the nested-sum recursion on
+    (k[1:], a[1:]): the outermost summand is expanded, Euler-Maclaurin
+    turns it into a partial-sum expansion, and the free constant is
+    anchored against the exact dynamic program at ``n_anchor``.  Every
+    level is truncated at the exponent ``emax``.  Runs at the precision of
+    the caller's :func:`working` block; the cache keys on the arguments
+    and that precision.
     """
-    with working():
-        k, a = _coerce(k, a)
-        key = (k.parts, a.shifts, bool(star), binomial, emax, n_anchor,
-               mp.mp.prec)
-        hit = _prefix_cache.get(key)
-        if hit is not None:
-            return hit
-        r = k.depth()
-        if r == 0:
-            out = AsymSeries.constant(1, emax)
+    key = (k, a, star, binomial, emax, n_anchor, mp.mp.prec)
+    hit = _prefix_cache.get(key)
+    if hit is not None:
+        return hit
+    if not k:
+        out = AsymSeries.constant(1, emax)
+    else:
+        lead = power_shift(k[0], a[0] - 1, emax)
+        if len(k) == 1 and binomial is not None:
+            T = _binomial_series(*binomial, emax) * lead
         else:
-            lead = power_shift(k[0], a[0] - 1, emax)
-            if r == 1 and binomial is not None:
-                T = _binomial_series(*binomial, emax) * lead
-            else:
-                tail = prefix_expansion(
-                    Composition(k.parts[1:]), ShiftVector(a.shifts[1:]), star,
-                    emax, n_anchor, binomial,
-                )
-                T = lead * (tail if star else tail.shift_arg(-1))
-            V = em_antidifference(T).prune()
-            # plain anchors stay on mhs/mhss, whose traced calls mark misses
-            if binomial is not None:
-                exact = _nth(k, a, star, n_anchor, binomial)
-            else:
-                exact = mhss(n_anchor, k, a) if star else mhs(n_anchor, k, a)
-            out = V + (exact - V(n_anchor))
-            out = out.prune()
-        _prefix_cache[key] = out
-        return out
+            tail = prefix_expansion(k[1:], a[1:], star, emax, n_anchor,
+                                    binomial)
+            T = lead * (tail if star else tail.shift_arg(-1))
+        V = em_antidifference(T).prune()
+        # plain anchors stay on mhs/mhss, whose traced calls mark misses
+        if binomial is not None:
+            exact = _nth(k, a, star, n_anchor, binomial)
+        else:
+            exact = mhss(n_anchor, k, a) if star else mhs(n_anchor, k, a)
+        out = V + (exact - V(n_anchor))
+        out = out.prune()
+    _prefix_cache[key] = out
+    return out
 
 
 def _em_cut(t, F, n_start, bits):
@@ -737,8 +723,8 @@ def _em_parts(t, F, n_start, guard):
     exceeds 1, so the parts sum to the tail."""
     prec = mp.mp.prec
     M, emax, lift = _em_cut(t, F, n_start, prec)
-    t, emax = AsymSeries._make(t, F, emax)._at(F + lift)
-    S = AsymSeries._make(t, F + lift, emax)
+    S = AsymSeries._make({(e << lift, j): c << lift for (e, j), c in t.items()},
+                         F + lift, emax << lift)
     V = em_antidifference(S)
     with mp.workprec(prec + guard):
         return [S(n) for n in range(n_start + 1, M + 1)] + [-V(M)]

@@ -395,11 +395,10 @@ def local_u(kind, x):
         return 1 - x if kind == "mpl" else (1 - x) / (1 + x)
 
 
-def evaluate(kind, k, u, tol):
-    """(value, claimed error) of Li_k(1 - u) or A(k; (1-u)/(1+u)) for
-    0 < u <= 1/4 (``u`` from :func:`local_u`), from the table at the
+def evaluate(kind, parts, u, tol):
+    """(value, claimed error) of Li_parts(1 - u) or A(parts; (1-u)/(1+u))
+    for 0 < u <= 1/4 (``u`` from :func:`local_u`), from the table at the
     precision ``tol`` needs (module docstring)."""
-    parts = Composition(k).parts
     r = len(parts)
     work = mp.mp.prec
     with mp.workprec(53):
@@ -450,14 +449,14 @@ def kta_endpoint(k, prec: PrecisionConfig | None = None):
         return _endpoint("kta", k)
 
 
-def route(kind, k, x, tol):
-    """(value, claimed error) of Li_k(x) ("mpl") or A(k; x) ("kta") for a
-    request at 0 < x < 1: :func:`evaluate` once u <= ``EDGE``, else
+def route(kind, parts, x, tol):
+    """(value, claimed error) of Li_parts(x) ("mpl") or A(parts; x) ("kta")
+    for a request at 0 < x < 1: :func:`evaluate` once u <= ``EDGE``, else
     :func:`direct` (whose value carries :func:`scale` bits)."""
     u = local_u(kind, x)
     if u <= EDGE:
-        return evaluate(kind, k, u, tol)
-    return direct(kind, Composition(k).parts, x, tol)
+        return evaluate(kind, parts, u, tol)
+    return direct(kind, parts, x, tol)
 
 
 def landen(k):
@@ -467,19 +466,18 @@ def landen(k):
     return (-1) ** k.depth(), sorted(refinements(k), key=lambda l: l.parts)
 
 
-def node_evaluator(kind, k):
-    """Evaluator (x, u) -> Li_k(x) ("mpl"), A(k; x) ("kta") or
-    Li_k(x/(x-1)) ("mpl_landen", by :func:`landen`) at a quadrature node,
-    u the core's local variable as the node carries it exactly: the table
-    at the working precision once u <= ``EDGE``, :func:`direct` at
+def node_evaluator(kind, parts):
+    """Evaluator (x, u) -> Li_parts(x) ("mpl"), A(parts; x) ("kta") or
+    Li_parts(x/(x-1)) ("mpl_landen", by :func:`landen`) at a quadrature
+    node, u the core's local variable as the node carries it exactly: the
+    table at the working precision once u <= ``EDGE``, :func:`direct` at
     2^-(p - 16) before; the value only, with no claim (:func:`route`)."""
     if kind == "mpl_landen":
-        sign, terms = landen(k)
-        evals = [node_evaluator("mpl", l) for l in terms]
+        sign, terms = landen(parts)
+        evals = [node_evaluator("mpl", l.parts) for l in terms]
         return lambda x, u: sign * mp.fsum(f(x, u) for f in evals)
     # looked up at call time, so a wrapper set on the module sees the call
-    near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(k)
-    parts = Composition(k).parts
+    near = (mpl_endpoint if kind == "mpl" else kta_endpoint)(parts)
     tol = mp.ldexp(1, -(mp.mp.prec - 16))
 
     def f(x, u):

@@ -76,19 +76,19 @@ class ShiftVector:
 
 
 def _coerce(k, a):
-    """(Composition, ShiftVector), shifts converted at the working
-    precision whatever precision the caller has active."""
+    """(Composition, ShiftVector) of a public call's index and shifts, made
+    once at the entry point inside its :func:`working` block: None means 1
+    in every slot, a scalar or a string that value in every slot, and a
+    sequence one shift per slot, whose length must be the depth
+    (:class:`DimensionMismatch`)."""
     k = Composition(k)
-    with working():
-        if a is None or isinstance(a, str):
-            a = ShiftVector.constant(1 if a is None else a, k.depth())
-        elif not isinstance(a, ShiftVector):
-            try:
-                a = ShiftVector(a)
-            except TypeError:
-                a = ShiftVector.constant(a, k.depth())
-            if len(a) == 1 and k.depth() > 1:
-                a = ShiftVector.constant(a[0], k.depth())
+    if a is None or isinstance(a, str):
+        a = ShiftVector.constant(1 if a is None else a, k.depth())
+    elif not isinstance(a, ShiftVector):
+        try:
+            a = ShiftVector(a)
+        except TypeError:
+            a = ShiftVector.constant(a, k.depth())
     if len(a) != k.depth():
         raise DimensionMismatch(
             f"shift vector length {len(a)} != depth {k.depth()}"
@@ -201,30 +201,33 @@ def _binomials(alpha, order, F):
 
 def _nth(k, a, star, n, binomial=None):
     """S_n of the kernel (with the innermost ``binomial`` multiplier of
-    :func:`nested_stream`), converted to an mpf only at the end."""
+    :func:`nested_stream`) for a tuple of exponents ``k`` and one of mpf
+    shifts ``a``, at the work bits of the caller's block, converted to an
+    mpf only at the end."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    k, a = _coerce(k, a)
-    r = k.depth()
+    r = len(k)
     if r == 0:
         return mp.mpf(1)
     if n < (1 if star else r):
         return mp.mpf(0)
-    bits = mp.mp.prec  # the work bits of the caller's block
-    F, raw = _fixed_stream(k.parts, a.shifts, star, bits, binomial)
+    bits = mp.mp.prec
+    F, raw = _fixed_stream(k, a, star, bits, binomial)
     return to_mpf(next(islice(raw, n - 1, None))[0], F, bits)
 
 
 def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Strict nested sum zeta_n(k; a); 0 when n < depth(k), 1 for empty k."""
     with working(prec):
-        return _nth(k, a, False, n)
+        k, a = _coerce(k, a)
+        return _nth(k.parts, a.shifts, False, n)
 
 
 def mhss(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Star nested sum zeta*_n(k; a) with >= ordering, summed literally."""
     with working(prec):
-        return _nth(k, a, True, n)
+        k, a = _coerce(k, a)
+        return _nth(k.parts, a.shifts, True, n)
 
 
 def mhs_stream(k, a=None, prec: PrecisionConfig | None = None):

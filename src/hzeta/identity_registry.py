@@ -235,42 +235,43 @@ SERIES_IN_X_MAX_TERMS = 2_000_000
 
 def _series_in_x(spec, x, tol, extra=0) -> ValueWithBound:
     """sum_n a_n x^n for a TermSpec sequence a_n, with a geometric
-    heuristic tail bound; ``extra`` is added to the total (n = 0 term).
-    At n = 128, 256, ... it fits |t_n| = C n^p x^n through n / 2 and n and
-    gives up at once if the tail bound extrapolated to
-    :data:`SERIES_IN_X_MAX_TERMS` terms still misses ``tol``."""
+    heuristic tail bound, at the work bits of the caller's block;
+    ``extra`` is added to the total (n = 0 term).  At n = 128, 256, ...
+    it fits |t_n| = C n^p x^n through n / 2 and n and gives up at once if
+    the tail bound extrapolated to :data:`SERIES_IN_X_MAX_TERMS` terms
+    still misses ``tol``."""
     if not 0 < x < 1:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     cap = SERIES_IN_X_MAX_TERMS
-    with working() as cfg:
-        state = se._SpecState(spec)
-        total = mp.mpf(extra)
-        xn = mp.mpf(1)
-        log_x, log_tol = float(mp.log(x)), float(mp.log(tol))
-        log_gain = float(mp.log(2 * x / (1 - x)))  # tail bound / |t_n|
-        fit = None  # log |t_(n/2)|
-        n = 0
-        while True:
-            n += 1
-            xn *= x
-            t = to_mpf(state.step(n), state.H, cfg.work_bits) * xn
-            total += t
-            if n >= 40 and n % 8 == 0 or n >= cap:
-                tail = abs(t) * 2 * x / (1 - x)
-                if tail <= tol:
-                    fl = mp.ldexp(abs(total) + 1, -cfg.work_bits + 12)
-                    return ValueWithBound(total, tail + fl, False)
-                if n >= cap or not n & (n - 1):  # the cap or a power of two
-                    log_t = float(mp.log(abs(t))) if t else None
-                    if n >= cap or fit is not None and log_t is not None and (
-                            log_t + log_gain + (cap - n) * log_x
-                            + (log_t - fit - n // 2 * log_x) * math.log2(cap / n)
-                            > log_tol):
-                        raise ToleranceNotReached(
-                            f"series in x did not reach tolerance within "
-                            f"{cap} terms",
-                            best=ValueWithBound(total, tail, False))
-                    fit = log_t
+    bits = mp.mp.prec
+    state = se._SpecState(spec)
+    total = mp.mpf(extra)
+    xn = mp.mpf(1)
+    log_x, log_tol = float(mp.log(x)), float(mp.log(tol))
+    log_gain = float(mp.log(2 * x / (1 - x)))  # tail bound / |t_n|
+    fit = None  # log |t_(n/2)|
+    n = 0
+    while True:
+        n += 1
+        xn *= x
+        t = to_mpf(state.step(n), state.H, bits) * xn
+        total += t
+        if n >= 40 and n % 8 == 0 or n >= cap:
+            tail = abs(t) * 2 * x / (1 - x)
+            if tail <= tol:
+                fl = mp.ldexp(abs(total) + 1, -bits + 12)
+                return ValueWithBound(total, tail + fl, False)
+            if n >= cap or not n & (n - 1):  # the cap or a power of two
+                log_t = float(mp.log(abs(t))) if t else None
+                if n >= cap or fit is not None and log_t is not None and (
+                        log_t + log_gain + (cap - n) * log_x
+                        + (log_t - fit - n // 2 * log_x) * math.log2(cap / n)
+                        > log_tol):
+                    raise ToleranceNotReached(
+                        f"series in x did not reach tolerance within "
+                        f"{cap} terms",
+                        best=ValueWithBound(total, tail, False))
+                fit = log_t
 
 
 # ---------------------------------------------------------------------------

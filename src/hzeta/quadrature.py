@@ -115,7 +115,7 @@ def _core_evaluator(core):
         n = int(core[1])
         return lambda x, omx: x ** (n - 1)
     if kind in ("mpl", "kta", "mpl_landen"):
-        return node_evaluator(kind, Composition(core[1]))
+        return node_evaluator(kind, Composition(core[1]).parts)
     raise DomainError(f"unknown integrand core {core!r}")
 
 

@@ -332,14 +332,14 @@ class _SpecState:
 def _spec_series(spec: TermSpec, emax: int, n_anchor: int) -> AsymSeries:
     S = AsymSeries.constant(spec.coeff, emax)
     if spec.strict is not None:
-        E = prefix_expansion(spec.strict, spec.strict_shift, False, emax,
-                             n_anchor, spec.strict_binomial)
+        E = prefix_expansion(spec.strict.parts, spec.strict_shift.shifts,
+                             False, emax, n_anchor, spec.strict_binomial)
         if spec.strict_prev:
             E = E.shift_arg(-1)
         S = S * E
     if spec.star is not None:
-        S = S * prefix_expansion(spec.star, spec.star_shift, True, emax,
-                                 n_anchor)
+        S = S * prefix_expansion(spec.star.parts, spec.star_shift.shifts,
+                                 True, emax, n_anchor)
     for a, at_prev, order in spec.binom_upper:
         if at_prev:
             S = S * _binomial_series(a, order, emax)
@@ -353,7 +353,8 @@ def _spec_series(spec: TermSpec, emax: int, n_anchor: int) -> AsymSeries:
 
 
 def _em_sum(specs, tol, strategy: TailStrategy):
-    """Escalating anchored-expansion summation of the TermSpec summands.
+    """Escalating anchored-expansion summation of the TermSpec summands to
+    the parsed tolerance ``tol``, at the work bits of the caller's block.
 
     The error estimate is driven by the observed expansion defect d(n) =
     term(n) - series(n) at the crossover N; escalation raises the order
@@ -372,45 +373,42 @@ def _em_sum(specs, tol, strategy: TailStrategy):
     one-point estimate, times 2 for the higher log terms that three
     points cannot see.
     """
-    with working() as cfg:
-        tol = parse_tol(tol)
-        bits = cfg.work_bits
-        # one set of states per call: each level continues the head
-        states = [_SpecState(s) for s in specs]
-        H = states[0].H
-        n = head = t2 = t1 = t0 = 0  # integers at 2^-H; terms N - 2, N - 1, N
-        best = None
-        for level in range(_LEVELS):
-            emax, n_anchor, n_direct = _expansion_window(strategy.em_order,
-                                                         level)
-            N = min(n_direct, strategy.N_max)
-            series = AsymSeries({}, emax)
-            for s in specs:
-                series = series + _spec_series(s, emax, n_anchor)
-            series = series.prune()
-            while n < N:
-                n += 1
-                t = 0
-                for st in states:
-                    t += st.step(n)
-                t2, t1, t0 = t1, t0, t
-                head += t
-            head_v, v0, v1, v2 = (to_mpf(x, H, bits)
-                                  for x in (head, t0, t1, t2))
-            tail = tail_sum(series, N)
-            e0 = min(series.min_exponent(above=1), series.emax)
-            d0, d1, d2 = v0 - series(N), v1 - series(N - 1), v2 - series(N - 2)
-            td = N * (d0 - d1)
-            ttd = N * N * (d0 - 2 * d1 + d2) + td
-            p1 = mp.sqrt(abs(ttd * d0 - td * td))
-            err = 4 * N * (abs(d0) / (e0 - 1) + p1 / (e0 - 1) ** 2) \
-                + mp.ldexp(abs(head_v) + abs(tail) + 1, -bits + 12)
-            val = ValueWithBound(head_v + tail, err, False)
-            if best is None or err < best.abs_error:
-                best = val
-            if err <= tol:
-                return val
-        return _checked(best, tol)
+    bits = mp.mp.prec
+    # one set of states per call: each level continues the head
+    states = [_SpecState(s) for s in specs]
+    H = states[0].H
+    n = head = t2 = t1 = t0 = 0  # integers at 2^-H; terms N - 2, N - 1, N
+    best = None
+    for level in range(_LEVELS):
+        emax, n_anchor, n_direct = _expansion_window(strategy.em_order, level)
+        N = min(n_direct, strategy.N_max)
+        series = AsymSeries({}, emax)
+        for s in specs:
+            series = series + _spec_series(s, emax, n_anchor)
+        series = series.prune()
+        while n < N:
+            n += 1
+            t = 0
+            for st in states:
+                t += st.step(n)
+            t2, t1, t0 = t1, t0, t
+            head += t
+        head_v, v0, v1, v2 = (to_mpf(x, H, bits)
+                              for x in (head, t0, t1, t2))
+        tail = tail_sum(series, N)
+        e0 = min(series.min_exponent(above=1), series.emax)
+        d0, d1, d2 = v0 - series(N), v1 - series(N - 1), v2 - series(N - 2)
+        td = N * (d0 - d1)
+        ttd = N * N * (d0 - 2 * d1 + d2) + td
+        p1 = mp.sqrt(abs(ttd * d0 - td * td))
+        err = 4 * N * (abs(d0) / (e0 - 1) + p1 / (e0 - 1) ** 2) \
+            + mp.ldexp(abs(head_v) + abs(tail) + 1, -bits + 12)
+        val = ValueWithBound(head_v + tail, err, False)
+        if best is None or err < best.abs_error:
+            best = val
+        if err <= tol:
+            return val
+    return _checked(best, tol)
 
 
 def weighted_sum(specs, tol=None, strategy: TailStrategy | None = None,
@@ -420,7 +418,7 @@ def weighted_sum(specs, tol=None, strategy: TailStrategy | None = None,
     if not specs:
         return ValueWithBound(0, 0, True)
     with working(prec):
-        return _em_sum(specs, tol, strategy or DEFAULT_TAIL)
+        return _em_sum(specs, parse_tol(tol), strategy or DEFAULT_TAIL)
 
 
 def _check_strict_shifts(k: Composition, a: ShiftVector):
@@ -523,7 +521,7 @@ def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
                 else htmtv(k, 1, tol, strategy))
     if x == 0:
         return ValueWithBound(0, 0, True)
-    value, claim = endpoint.route(kind, k, x, tol)
+    value, claim = endpoint.route(kind, k.parts, x, tol)
     with mp.workprec(scale()):  # the direct value's bits
         return ValueWithBound(value, claim)
 

@@ -13,14 +13,15 @@ from hzeta.asymptotics import (
     LruCache,
     TAU_CACHE_SIZE,
     em_antidifference,
+    exp_decaying,
     gamma_ratio,
+    inverse_one_plus,
     log_shift,
     power_shift,
     prefix_expansion,
     reciprocal,
     tail_sum,
 )
-from hzeta.compositions import Composition
 from hzeta.errors import NoConvergence
 from hzeta.finite_sums import ShiftVector, mhs, mhss
 from hzeta.fixed import scale
@@ -61,6 +62,17 @@ def test_reciprocal_roundtrip():
     inv = reciprocal(S)
     n = mp.mpf(70)
     assert abs(inv(n) * S(n) - 1) < mp.mpf(10) ** -22
+
+
+@pytest.mark.parametrize("fn, terms, match", [
+    (exp_decaying, {(0, 0): 1, (1, 0): 1}, "strictly decaying"),
+    (inverse_one_plus, {(-1, 0): 1}, "strictly decaying"),
+    (reciprocal, {}, "empty series"),
+    (reciprocal, {(1, 1): 1, (2, 0): 1}, "log-free leading term"),
+])
+def test_series_algebra_refuses_input_it_cannot_expand(fn, terms, match):
+    with pytest.raises(ValueError, match=match):
+        fn(AsymSeries(terms, EMAX))
 
 
 @pytest.mark.parametrize("c,d", [("0.5", 1), ("1.9", 1), ("1.4375", 1),
@@ -155,7 +167,7 @@ def test_second_derivative_is_one_fused_pass(bits):
 def test_prefix_expansion_matches_dp(k, a, star):
     a = ShiftVector(tuple(mp.mpf(x) for x in a))
     with working(PREC):
-        E = prefix_expansion(Composition(k), a, star, EMAX, N_ANCHOR)
+        E = prefix_expansion(k, a.shifts, star, EMAX, N_ANCHOR)
     n = 4000
     exact = mhss(n, k, a, PREC) if star else mhs(n, k, a, PREC)
     assert abs(E(mp.mpf(n)) - exact) < mp.mpf(10) ** -18
@@ -273,7 +285,8 @@ def test_tail_sum_split_matches_the_unsplit_kernel(bits, N):
     # and times a binomial factor of the class 0.2: the cached integer tails
     # plus the fractional kernel match the one kernel on the whole series
     with working(PrecisionConfig(bits)):
-        P = prefix_expansion((1, 2), ("0.75", "0.5"), False, EMAX, N_ANCHOR)
+        P = prefix_expansion((1, 2), (mp.mpf("0.75"), mp.mpf("0.5")), False,
+                             EMAX, N_ANCHOR)
         S = P * (power_shift(2, "0.25", EMAX)
                  + gamma_ratio("-0.7", 0, EMAX) * power_shift("1.5", "0.5",
                                                               EMAX))
@@ -422,8 +435,8 @@ def test_fixed_point_algebra_matches_mpf_reference(bits):
     # 128 bits higher, started from the same exact inputs and shift
     n, emax = 400, 18
     with working(PrecisionConfig(bits)):
-        P = prefix_expansion((1, 2, 1), ("0.75", "1.25", "0.5"), False, emax,
-                             N_ANCHOR)
+        a = tuple(mp.mpf(x) for x in ("0.75", "1.25", "0.5"))
+        P = prefix_expansion((1, 2, 1), a, False, emax, N_ANCHOR)
         c = mp.mpf("0.3")
         B = _binomial_series(c, 2, emax)
         M = P * B

@@ -94,7 +94,9 @@ class TestEval:
          lambda: series_engine.param_euler_sum(1, "0.3", 0)),
         (("apery1", "--index", "2", "--alpha", "0.3", "--k", "2"),
          lambda: series_engine.apery_I((2,), 2, "0.3")),
-    ], ids=["euler-sum-alpha", "apery1-k"])
+        (("euler-sum", "--m", "1", "--k", "2", "--alpha", "0.3"),
+         lambda: series_engine.param_euler_pow(1, 2, "0.3")),
+    ], ids=["euler-sum-alpha", "apery1-k", "euler-sum-k"])
     def test_eval_reads_its_flags(self, capsys, argv, ref):
         # a dropped flag would print zeta(3) and the k = 0 value
         code, out, _ = run_cli(capsys, "eval", *argv)
@@ -359,7 +361,8 @@ def test_abbreviated_flag_usage_error(capsys, argv, flag):
 def test_python_m_hzeta_runs_from_the_source_tree():
     # no install: the package is found on PYTHONPATH alone
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "hzeta", "verify", "--filter", "conj-3.7"],
         cwd=root, env=env, capture_output=True, text=True, timeout=300)

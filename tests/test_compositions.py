@@ -30,7 +30,10 @@ def test_basic_stats():
     assert not Composition([1, 2]).admissible()
     assert Composition().is_empty()
     assert Composition.parse("2,1,3") == k
+    assert Composition.parse("") == Composition()
     assert str(k) == "2,1,3"
+    with pytest.raises(ValueError):
+        Composition([0])
 
 
 def test_composition_is_a_frozen_value():
@@ -55,6 +58,8 @@ def test_hoffman_dual_examples():
     assert hoffman_dual(Composition([3, 2])) == Composition([1, 1, 2, 1])
     assert hoffman_dual(Composition([1])) == Composition([1])
     assert hoffman_dual(Composition([2, 2])) == Composition([1, 2, 1])
+    with pytest.raises(ValueError):
+        hoffman_dual(Composition())
 
 
 def test_dual_index_examples():
@@ -107,6 +112,9 @@ def test_weak_compositions_count():
     assert len(got) == 21
     assert len(set(got)) == 21
     assert all(type(w) is tuple and sum(w) == 5 and len(w) == 3 for w in got)
+    for total, parts in [(1, 0), (-1, 2)]:
+        with pytest.raises(ValueError):
+            list(weak_compositions(total, parts))
 
 
 def test_binom_weight():
@@ -118,6 +126,8 @@ def test_binom_weight():
 
 def test_add_ones_helpers():
     assert add(Composition([2, 1]), (0, 3)) == Composition([2, 4])
+    with pytest.raises(DimensionMismatch):
+        add(Composition([2, 1]), (1,))
     assert ones(3) == Composition([1, 1, 1])
     assert ones(0).is_empty()
     assert plus_first(Composition([2, 2])) == Composition([3, 2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hzeta.compositions import Composition
-from hzeta.errors import DomainError, PoleError
+from hzeta.errors import DimensionMismatch, DomainError, PoleError
 from hzeta.finite_sums import (
     ShiftVector,
     mhs,
@@ -232,7 +232,8 @@ def test_stream_shifts_ignore_caller_precision(stream):
 def test_shift_vector():
     v = ShiftVector(["0.5", 1])
     assert len(v) == 2
-    assert v == ShiftVector([mp.mpf("0.5"), mp.mpf(1)])
+    assert v == ShiftVector([mp.mpf("0.5"), mp.mpf(1)]) == ShiftVector(v)
+    assert list(v) == [mp.mpf("0.5"), mp.mpf(1)]
     assert ShiftVector.constant(1, 3) == ShiftVector([1, 1, 1])
     with pytest.raises(AttributeError):
         v.shifts = ()
@@ -242,6 +243,15 @@ def test_shift_vector():
 def test_non_finite_shift_is_a_domain_error(shift):
     with pytest.raises(DomainError, match=r"shift [-+]?(inf|nan) is not finite"):
         mhs(5, (2, 1), shift)
+
+
+# one shift for every slot is a scalar or a string; a sequence has one
+# shift per slot, so a single-entry list for a depth-2 index is no broadcast
+@pytest.mark.parametrize("shift", [[0.5], ["0.5", 1, 1], ()])
+@pytest.mark.parametrize("fn", [mhs, mhss])
+def test_shift_sequence_of_the_wrong_length(fn, shift):
+    with pytest.raises(DimensionMismatch, match="shift vector length"):
+        fn(5, (2, 1), shift)
 
 
 # ---------------------------------------------------------------------------

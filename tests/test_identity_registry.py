@@ -131,6 +131,22 @@ def test_suite_no_match():
         run_suite("nope-*", 1, TOL, seed=0, prec=PREC)
 
 
+def test_suite_runs_each_drawn_sample_once():
+    # cor-5.3 draws m from range(5), so 12 samples repeat; a repeat is
+    # skipped, not checked again
+    r = run_suite("cor-5.3", 12, TOL, seed=0, prec=PREC)
+    drawn = [tuple(sorted(c.params.items())) for c in r.checks]
+    assert len(drawn) <= 5 and len(set(drawn)) == len(drawn)
+
+
+def test_thm_52_at_m_minus_one_is_trivially_zero():
+    # seed 17 draws m = -1, where the sampler sets beta = alpha: both
+    # sides are exactly 0, so the check passes without testing the identity
+    [c] = run_suite("thm-5.2", 1, TOL, seed=17, prec=PREC).checks
+    assert c.params["m"] == -1 and c.params["alpha"] == c.params["beta"]
+    assert c.passed and c.lhs.value == 0 and c.rhs.value == 0
+
+
 def test_records_shape():
     r = run_suite("cor-5.3", 1, TOL, seed=0, prec=PREC)
     rec = r.to_records()[0]

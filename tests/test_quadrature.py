@@ -60,9 +60,12 @@ class TestConvergence:
         assert abs(got.value - 2) < mp.mpf(10) ** -15
 
     def test_non_integrable_rejected(self):
-        f = WeightedIntegrand(x_exp=mp.mpf(-1))
-        with pytest.raises(DomainError):
-            de_quad(f, QTOL, PREC)
+        for f, match in [
+                (WeightedIntegrand(x_exp=mp.mpf(-1)), "x-exponent"),
+                (WeightedIntegrand(omx_exp=mp.mpf(-1)), "right-endpoint"),
+                (WeightedIntegrand(core=("zeta", (2,))), "unknown integrand")]:
+            with pytest.raises(DomainError, match=match):
+                de_quad(f, QTOL, PREC)
 
 
 class TestPolylogCores:

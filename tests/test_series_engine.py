@@ -650,6 +650,9 @@ class TestErrorModel:
         assert s.value == 5 and p.value == 6
         assert s.abs_error >= mp.mpf("1e-20")
         assert p.abs_error >= 3 * mp.mpf("1e-20")
+        d = 1 - a
+        assert d.value == -1 and d.abs_error == a.abs_error and d.rigorous
+        assert float(b) == 3.0
 
 
 @settings(max_examples=20, deadline=None)

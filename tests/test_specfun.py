@@ -54,6 +54,8 @@ def test_pochhammer():
     assert pochhammer(mp.mpf("0.5"), 0, PREC) == 1
     with mp.workprec(280):
         assert close(pochhammer(mp.mpf("0.5"), 3, PREC), mp.mpf(15) / 8)
+    with pytest.raises(DomainError):
+        pochhammer(3, -1)
 
 
 def test_gen_binom():
@@ -82,6 +84,8 @@ def test_beta_partial_base_and_first_order():
         assert close(beta_partial(1, 0, a, b, PREC), expect)
         expect_b = B * (mp.digamma(b) - mp.digamma(a + b))
         assert close(beta_partial(0, 1, a, b, PREC), expect_b)
+    with pytest.raises(DomainError):
+        beta_partial(-1, 0, 1, 1)
 
 
 @pytest.mark.parametrize("p,q", [(2, 0), (0, 3), (1, 1), (2, 2), (3, 1)])

@@ -3,8 +3,8 @@
 Usage: python tools/same_records.py OTHER_TREE
 
 Runs ``python -m hzeta --bits B verify --filter '*' --samples 1 --seed S
---format records`` with each tree's ``src`` on PYTHONPATH, at seeds 0-15
-and 256 bits and at seed 7 and 160 and 448 bits, two processes at a time.
+--format records`` with each tree's ``src`` first on PYTHONPATH, at seeds
+0-15 and 256 bits and at seed 7 and 160 and 448 bits, two processes at a time.
 The ``elapsed`` field is dropped; every other field of every record, and
 the exit code, must match.  Prints every differing record, one line
 each (id, params, the fields that differ and the residual in both trees),
@@ -26,7 +26,9 @@ RUNS = [(256, seed) for seed in range(16)] + [(160, 7), (448, 7)]
 
 def verify(tree: Path, bits: int, seed: int):
     """Exit code and records (without ``elapsed``) of one verify run."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # the tree's src goes first; the caller's PYTHONPATH may hold mpmath
+    path = [str(tree / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     cmd = [sys.executable, "-m", "hzeta", "--bits", str(bits), "verify",
            "--filter", "*", "--samples", "1", "--seed", str(seed),
            "--format", "records"]

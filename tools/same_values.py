@@ -6,12 +6,11 @@ Usage: python tools/same_values.py OTHER_TREE
 Runs the requests of ``perfbench/workloads.make_pass(w, c, 0)`` for both
 workloads w = eval-em and eval-direct and the candidates c = 0-15, and a
 fixed grid (:func:`grid`) of ``mpl`` and ``kta`` requests whose u exceeds
-1/4, so that they take the direct series, of ``hurwitz_zeta`` requests at
-small shifts, and of ``asymptotics.tail_sum`` requests on one term
-n^-e log^j n, from starts below the Euler-Maclaurin base up to the
-workloads' crossovers, in both trees (1,860 requests each), one fresh
-process per tree, workload and candidate (the grid is one more), two
-processes at a time.  The request lists come from this
+1/4, so that they take the direct series, and of ``asymptotics.tail_sum``
+requests on one term n^-e log^j n, from starts below the Euler-Maclaurin
+base up to the workloads' crossovers, in both trees (1,833 requests
+each), one fresh process per tree, workload and candidate (the grid is
+one more), two processes at a time.  The request lists come from this
 tree's ``perfbench/workloads.py`` and this file for both trees; each
 tree's ``src`` is imported for the evaluation.  Values and claimed errors
 travel as exact signed (mantissa, exponent) pairs.
@@ -21,9 +20,9 @@ Prints the largest relative value difference, in units of
 many claims moved by more than 1%.  A request fails when its two values
 differ by more than max(2^-(bits - 8) |value|, the sum of both trees'
 claims), or when it fails in one tree only (:func:`compare`); the finite
-sums, ``hurwitz_zeta`` and ``tail_sum`` claim nothing, so they keep the
-2^-(bits - 8) rule.  So a changed claim passes as long as both trees'
-values lie within their claims of each other.  Exits 1 if any request
+sums and ``tail_sum`` claim nothing, so they keep the 2^-(bits - 8)
+rule.  So a changed claim passes as long as both trees' values lie
+within their claims of each other.  Exits 1 if any request
 fails, else 0.
 """
 
@@ -47,10 +46,6 @@ GRID_INDICES = [[2], [1, 2], [2, 1, 3], [1, 2, 1, 2], [2, 1, 1, 3, 1]]
 GRID_X = {"mpl": ["0.125", "0.375", "0.625", "0.71875"],
           "kta": ["0.125", "0.375", "0.5625"]}
 GRID_BITS = (128, 256, 448)
-# zeta(s, a) at small shifts: mp.zeta here, so against a tree that still
-# sums them with its own Euler-Maclaurin jets these compare two kernels
-HURWITZ_S = (2, 3, 7)
-HURWITZ_A = ("0.3", "2.75", "6")
 # tail_sum of n^-e log^j n for n > n_start: starts 5 and 10 lie below the
 # Euler-Maclaurin base, 400 and 800 are the crossovers of the workloads,
 # which reach them only at e <= 26 and below 1024 bits
@@ -61,13 +56,11 @@ TAIL_BITS = (256, 448, 1024)
 
 
 def grid():
-    """The fixed direct-series, Hurwitz zeta and tail requests, in the
-    request format of ``perfbench/workloads.py``."""
+    """The fixed direct-series and tail requests, in the request format
+    of ``perfbench/workloads.py``."""
     return ([{"kind": kind, "args": [k, x], "bits": bits}
              for kind, xs in GRID_X.items() for x in xs
              for k in GRID_INDICES for bits in GRID_BITS]
-            + [{"kind": "hurwitz_zeta", "args": [s, a], "bits": bits}
-               for s in HURWITZ_S for a in HURWITZ_A for bits in GRID_BITS]
             + [{"kind": "tail_sum", "args": [e, j, n], "bits": bits}
                for e in TAIL_E for j in TAIL_J for n in TAIL_START
                for bits in TAIL_BITS])
@@ -96,12 +89,7 @@ def child(tree: str, workload: str, candidate: int):
 
     for req in requests(workload, candidate):
         try:
-            if req["kind"] == "hurwitz_zeta":
-                # like workloads.execute: from mpmath's default context
-                with mp.workprec(53):
-                    value, err = hzeta.specfun.hurwitz_zeta(
-                        *req["args"], hzeta.PrecisionConfig(req["bits"])), None
-            elif req["kind"] == "tail_sum":
+            if req["kind"] == "tail_sum":
                 e, j, n = req["args"]
                 with mp.workprec(req["bits"]):
                     S = hzeta.asymptotics.AsymSeries({(mp.mpf(e), j): 1}, 40)
