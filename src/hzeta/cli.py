@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import mpmath as mp
 
@@ -34,7 +35,7 @@ from .compositions import Composition, dual_index, hoffman_dual, refinements
 from .errors import HZetaError, NoConvergence, ToleranceNotReached
 from .finite_sums import ShiftVector
 from .identity_registry import run_suite
-from .precision import PrecisionConfig, parse_real, parse_tol, working
+from .precision import PrecisionConfig, finite_real, parse_tol, whole, working
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 2
@@ -52,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_shift(text: str):
-    """One shift, or a :class:`ShiftVector` when ``text`` has commas."""
-    if "," in text:
-        return ShiftVector(parse_real(p) for p in text.split(","))
-    return parse_real(text)
-
-
 def _euler_sum(v):
     """param_euler_pow at offset alpha with --k, else param_euler_sum."""
     if v["k"] is None:
@@ -68,17 +62,20 @@ def _euler_sum(v):
     return se.param_euler_pow(v["m"], v["k"], v["alpha"], v["tol"])
 
 
-# eval flag: (help, parser of its text)
+# eval flag: (help, reader of its text)
 FLAGS = {
     "index": ("composition, e.g. 2,1,3", Composition.parse),
     "star-index": ("composition for the star factor", Composition.parse),
-    "shift": ("denominator shift, scalar or vector", _parse_shift),
-    "x": ("series argument in (0, 1]", parse_real),
-    "alpha": ("shift parameter, or first offset of euler-sum", parse_real),
-    "beta": ("second shift parameter or offset", parse_real),
-    "s": ("argument of xi/psi/eta (default 2)", int),
-    "m": ("outer power index (default 1)", int),
-    "k": ("all-ones count (default 0 in apery1)", int),
+    "shift": ("denominator shift, scalar or comma-separated vector",
+              lambda t: ShiftVector(t.split(",")) if "," in t
+              else finite_real("shift", t)),
+    "x": ("series argument in (0, 1]", partial(finite_real, "x")),
+    "alpha": ("shift parameter, or first offset of euler-sum",
+              partial(finite_real, "alpha")),
+    "beta": ("second shift parameter or offset", partial(finite_real, "beta")),
+    "s": ("argument of xi/psi/eta (default 2)", partial(whole, "s")),
+    "m": ("outer power index (default 1)", partial(whole, "m")),
+    "k": ("all-ones count (default 0 in apery1)", partial(whole, "k")),
     "tol": ("target tolerance, such as 1e-30 or 2^-100", parse_tol),
 }
 
@@ -182,9 +179,8 @@ def build_parser() -> _Parser:
     pe = sub.add_parser("eval", help="evaluate a named quantity",
                         allow_abbrev=False)
     pe.add_argument("kind", choices=EVAL_KINDS)
-    for name, (text, parse) in FLAGS.items():  # argparse checks the ints
-        pe.add_argument("--" + name, dest=name, help=text,
-                        type=int if parse is int else None)
+    for name, (text, _) in FLAGS.items():
+        pe.add_argument("--" + name, dest=name, help=text)
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run the identity suite",
@@ -225,7 +221,7 @@ def main(argv=None) -> int:
     args = _parse(build_parser(), argv)
     try:
         return args.func(args, PrecisionConfig(args.bits))
-    except (HZetaError, ValueError) as exc:
+    except HZetaError as exc:
         print(f"hzeta: error: {exc}", file=sys.stderr)
         unevaluated = isinstance(exc, (ToleranceNotReached, NoConvergence))
         return EXIT_NOT_EVALUATED if unevaluated else EXIT_USAGE

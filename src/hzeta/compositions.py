@@ -16,14 +16,17 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import DimensionMismatch, NonAdmissible
+from .errors import DimensionMismatch, DomainError, NonAdmissible
+from .precision import whole
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Composition:
     """An immutable sequence of positive integers; possibly empty.
 
-    The empty composition is the sentinel used where a formula needs the
+    Parts are read by :func:`precision.whole` (``2.0``, ``mpf(2)`` and
+    ``"2"`` are the part 2); text is read by :meth:`parse` alone.  The empty
+    composition is the sentinel used where a formula needs the
     empty index (for instance the convention zeta_n(empty) = 1).  It is
     rejected by the dual and refinement operations.
     """
@@ -33,10 +36,9 @@ class Composition:
     def __init__(self, parts: Sequence[int] | "Composition" = ()):
         if isinstance(parts, Composition):
             parts = parts.parts
-        parts = tuple(int(p) for p in parts)
-        for p in parts:
-            if p < 1:
-                raise ValueError(f"composition parts must be >= 1, got {p}")
+        elif isinstance(parts, str):
+            raise DomainError(f"index {parts!r} is text: use Composition.parse")
+        parts = tuple(whole("part", p, 1) for p in parts)
         object.__setattr__(self, "parts", parts)
 
     def weight(self) -> int:
@@ -69,15 +71,15 @@ class Composition:
     @classmethod
     def parse(cls, text: str) -> "Composition":
         """Parse the comma-separated text form, e.g. ``"2,1,3"``."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls([int(t) for t in text.split(",")])
+        return cls(text.split(",") if text.strip() else ())
 
 
-def _require_nonempty(k: Composition, op: str) -> None:
+def _nonempty(k, op: str) -> Composition:
+    """``k`` as a Composition; :class:`DomainError` when it is empty."""
+    k = Composition(k)
     if k.is_empty():
-        raise ValueError(f"{op} is undefined for the empty composition")
+        raise DomainError(f"{op} is undefined for the empty composition")
+    return k
 
 
 def _cuts(k: Composition) -> frozenset:
@@ -109,7 +111,7 @@ def hoffman_dual(k: Composition) -> Composition:
     inside {1, ..., |k|-1}; weight is preserved and
     depth(dual) = |k| + 1 - depth(k).
     """
-    _require_nonempty(k, "hoffman_dual")
+    k = _nonempty(k, "hoffman_dual")
     w = k.weight()
     cuts = _cuts(k)
     co_cuts = [c for c in range(1, w) if c not in cuts]
@@ -118,13 +120,13 @@ def hoffman_dual(k: Composition) -> Composition:
 
 def plus_first(k: Composition) -> Composition:
     """(k_1, k_2, ..., k_r) -> (k_1+1, k_2, ..., k_r)."""
-    _require_nonempty(k, "plus_first")
+    k = _nonempty(k, "plus_first")
     return Composition((k.parts[0] + 1,) + k.parts[1:])
 
 
 def reverse(k: Composition) -> Composition:
     """(k_1, ..., k_r) -> (k_r, ..., k_1)."""
-    return Composition(tuple(reversed(k.parts)))
+    return Composition(tuple(reversed(Composition(k).parts)))
 
 
 def dual_index(m: Composition) -> Composition:
@@ -134,7 +136,7 @@ def dual_index(m: Composition) -> Composition:
     ``plus_first(hoffman_dual(reverse(k)))``, which coincides with the
     Hoffman dual of (1, k_r, ..., k_1).  Involutive and weight-preserving.
     """
-    _require_nonempty(m, "dual_index")
+    m = _nonempty(m, "dual_index")
     if not m.admissible():
         raise NonAdmissible(f"dual_index requires an admissible index, got {m}")
     k = Composition((m.parts[0] - 1,) + m.parts[1:])
@@ -148,7 +150,7 @@ def refinements(k: Composition) -> set:
     the cut set of l contains the cut set of k.  There are
     2**(|k| - depth(k)) refinements, all of weight |k|.
     """
-    _require_nonempty(k, "refinements")
+    k = _nonempty(k, "refinements")
     w = k.weight()
     base = _cuts(k)
     free = [c for c in range(1, w) if c not in base]
@@ -162,7 +164,7 @@ def refinements(k: Composition) -> set:
 def contractions(k: Composition) -> set:
     """All compositions obtainable from ``k`` by combining consecutive
     parts (the coarsenings of ``k``; the reverse relation of refinements)."""
-    _require_nonempty(k, "contractions")
+    k = _nonempty(k, "contractions")
     w = k.weight()
     base = _cuts(k)
     out = set()
@@ -175,10 +177,7 @@ def contractions(k: Composition) -> set:
 def weak_compositions(total: int, parts: int) -> Iterator[tuple]:
     """Yield every j in N_0^parts with sum(j) = total, exactly once, as a
     tuple of ints."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if total < 0:
-        raise ValueError("total must be >= 0")
+    total, parts = whole("total", total, 0), whole("parts", parts, 1)
 
     def rec(remaining, slots):
         if slots == 1:

@@ -86,11 +86,11 @@ from math import comb, factorial
 import mpmath as mp
 
 from .asymptotics import LruCache
-from .compositions import Composition, refinements
+from .compositions import Composition, _nonempty, refinements
 from .errors import DomainError
 from .finite_sums import _slots, _steps
 from .fixed import GUARD_BITS, dyadic, fix, horner, rdiv, scale, to_mpf
-from .precision import PrecisionConfig, working
+from .precision import PrecisionConfig, finite_real, working
 
 # The domain edge: every table serves 0 < u <= EDGE and is anchored there.
 EDGE = mp.mpf(0.25)
@@ -422,12 +422,12 @@ def _endpoint(kind, k):
     (:class:`DomainError` elsewhere); it captures the active config and
     enters it on every call."""
     with working() as cfg:
-        rows = _useries(kind, Composition(k).parts).rows
+        rows = _useries(kind, _nonempty(k, f"{kind}_endpoint").parts).rows
         F = scale()
 
     def f(u):
         with working(cfg):
-            u = mp.mpf(u)
+            u = finite_real("u", u)
             if not 0 < u <= EDGE:
                 raise DomainError(f"u must lie in (0, 1/4], got {u}")
             return _eval_rows(rows, F, u)[0]

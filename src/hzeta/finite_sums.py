@@ -36,9 +36,9 @@ from typing import Sequence
 import mpmath as mp
 
 from .compositions import Composition
-from .errors import DimensionMismatch, PoleError
+from .errors import DimensionMismatch, DomainError, PoleError
 from .fixed import GUARD_BITS, dyadic, to_mpf
-from .precision import PrecisionConfig, finite_real, working
+from .precision import PrecisionConfig, finite_real, whole, working
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -55,12 +55,14 @@ class ShiftVector:
     def __init__(self, shifts: Sequence | "ShiftVector"):
         if isinstance(shifts, ShiftVector):
             shifts = shifts.shifts
+        elif isinstance(shifts, str):
+            raise DomainError(f"shifts {shifts!r} are text, not a sequence")
         shifts = tuple(finite_real("shift", s) for s in shifts)
         object.__setattr__(self, "shifts", shifts)
 
     @classmethod
     def constant(cls, alpha, depth: int) -> "ShiftVector":
-        return cls((mp.mpf(alpha),) * depth)
+        return cls((finite_real("shift", alpha),) * depth)
 
     def __iter__(self):
         return iter(self.shifts)
@@ -101,7 +103,7 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
     """An iterator of (n, S_n) for n = 1, 2, ..., the one nested-sum kernel.
 
     S_n sums prod_j (n_j + a_j - 1)^(-k_j) over n >= n_1 > ... > n_r >= 1
-    (>= throughout when ``star``) for exponents ``k`` and real shifts
+    (>= throughout when ``star``) for exponents ``k`` and mpf shifts
     ``a``; ``binomial`` = (alpha, order), when given, multiplies the
     innermost factor by the order-th alpha-derivative of
     C(n_r + alpha - 2, n_r - 1) (:func:`_binomials`).  The recurrence runs
@@ -132,7 +134,6 @@ def _fixed_stream(k, a, star, bits, binomial=None):
     zero inner sum skips its weight, so chains that the ordering rules out
     cannot trip a pole.
     """
-    a = [mp.mpf(x) for x in a]
     r = len(k)
     F = bits + GUARD_BITS + sum(kj * (int(abs(x)) + r + 1).bit_length()
                                 for kj, x in zip(k, a))
@@ -185,7 +186,7 @@ def _binomials(alpha, order, F):
     step plus the earlier errors carried by the factors; a factor that is
     exactly 0 makes every later value exactly 0.
     """
-    e, B = dyadic(mp.mpf(alpha))
+    e, B = dyadic(alpha)
     B -= 1 << e
     d = [1 << F] + [0] * order
     m = 1
@@ -204,8 +205,6 @@ def _nth(k, a, star, n, binomial=None):
     :func:`nested_stream`) for a tuple of exponents ``k`` and one of mpf
     shifts ``a``, at the work bits of the caller's block, converted to an
     mpf only at the end."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     r = len(k)
     if r == 0:
         return mp.mpf(1)
@@ -220,14 +219,14 @@ def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Strict nested sum zeta_n(k; a); 0 when n < depth(k), 1 for empty k."""
     with working(prec):
         k, a = _coerce(k, a)
-        return _nth(k.parts, a.shifts, False, n)
+        return _nth(k.parts, a.shifts, False, whole("n", n, 0))
 
 
 def mhss(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:
     """Star nested sum zeta*_n(k; a) with >= ordering, summed literally."""
     with working(prec):
         k, a = _coerce(k, a)
-        return _nth(k.parts, a.shifts, True, n)
+        return _nth(k.parts, a.shifts, True, whole("n", n, 0))
 
 
 def mhs_stream(k, a=None, prec: PrecisionConfig | None = None):
@@ -248,15 +247,14 @@ def mhss_stream(k, a=None, prec: PrecisionConfig | None = None):
 
 def power_sums(n: int, alpha, jmax: int, prec: PrecisionConfig | None = None):
     """[0, p_1, ..., p_jmax] with p_j = sum_{i<=n} (i + alpha - 1)^(-j)."""
+    jmax = whole("jmax", jmax, 0)
     return [mp.mpf(0)] + [mhs(n, (j,), alpha, prec) for j in range(1, jmax + 1)]
 
 
 def ones_sums(n: int, kmax: int, alpha, prec: PrecisionConfig | None = None):
     """All-ones sums (zeta_n({1}_k; alpha))_k and (zeta*_n({1}_k; alpha))_k
     for k = 0..kmax, as two lists."""
-    if n < 0 or kmax < 0:
-        raise ValueError("n and kmax must be >= 0")
-    ones = [(1,) * k for k in range(kmax + 1)]
+    ones = [(1,) * k for k in range(whole("kmax", kmax, 0) + 1)]
     return ([mhs(n, k, alpha, prec) for k in ones],
             [mhss(n, k, alpha, prec) for k in ones])
 

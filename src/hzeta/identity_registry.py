@@ -42,7 +42,7 @@ from .errors import (
 )
 from .finite_sums import ShiftVector, mhss
 from .fixed import to_mpf
-from .precision import PrecisionConfig, parse_real, parse_tol, working
+from .precision import PrecisionConfig, finite_real, parse_tol, whole, working
 from .series_engine import TermSpec, ValueWithBound, weighted_sum
 
 DEFAULT_TOL = "1e-8"
@@ -1173,9 +1173,11 @@ _REALS = ("alpha", "beta", "x")
 
 def run_check(id: str, params: dict | None = None, tol=None,
               prec: PrecisionConfig | None = None) -> IdentityCheck:
-    """Evaluate both sides of one identity at ``prec`` and compare.  The
-    real parameters (alpha, beta, x) are parsed here, once, at the working
-    precision; the evaluator takes (tol, **params) and inherits the
+    """Evaluate both sides of one identity at ``prec`` and compare.
+    ``params`` must name the parameters of the identity's default point
+    (:class:`DomainError` otherwise); the real ones (alpha, beta, x) are
+    read here, once, by :func:`precision.finite_real` at the working
+    precision.  The evaluator takes (tol, **params) and inherits the
     working block.  A side that cannot be evaluated gives an ERROR check."""
     try:
         ident = _REGISTRY[id]
@@ -1183,9 +1185,12 @@ def run_check(id: str, params: dict | None = None, tol=None,
         raise UnknownIdentity(f"no identity registered under {id!r}")
     if params is None:
         params = dict(ident.default)
+    if set(params) != set(ident.default):
+        raise DomainError(f"{id} takes the parameters {sorted(ident.default)}"
+                          f", got {sorted(params)}")
     with working(prec):
         tol = parse_tol(tol, DEFAULT_TOL)
-        parsed = {k: parse_real(v) if k in _REALS else v
+        parsed = {k: finite_real(k, v) if k in _REALS else v
                   for k, v in params.items()}
         start = time.monotonic()
         try:
@@ -1206,9 +1211,7 @@ def run_suite(filter: str = "*", samples_per_id: int = 1, tol=None,
               seed: int = 0,
               prec: PrecisionConfig | None = None) -> SuiteReport:
     """Run every matching identity at seeded sample points."""
-    if samples_per_id < 1:
-        raise ValueError(f"samples per identity must be >= 1, "
-                         f"got {samples_per_id}")
+    samples_per_id = whole("samples", samples_per_id, 1)
     shown = mp.nstr(parse_tol(tol, DEFAULT_TOL), 6)
     ids = [i for i in identity_ids() if fnmatch.fnmatch(i, filter)]
     if not ids:

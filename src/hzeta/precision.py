@@ -10,6 +10,8 @@ a block means that block's config.  No block spans a ``yield``: streams
 resolve their bits when created, and factories capture the config and
 re-enter it on every call of the closure they return.  Precision-keyed
 caches key on ``mp.mp.prec``, which equals ``work_bits`` inside a block.
+Public entry points read every real argument with :func:`finite_real`
+and every integer with :func:`whole`, inside their block.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ class PrecisionConfig:
     bits: int = 256
 
     def __post_init__(self):
-        if self.bits < MIN_BITS:
-            raise ValueError(f"precision must be >= {MIN_BITS} bits, got {self.bits}")
+        object.__setattr__(self, "bits", whole("bits", self.bits, MIN_BITS))
 
     @property
     def work_bits(self) -> int:
@@ -60,30 +61,36 @@ def working(prec: PrecisionConfig | None = None):
 
 
 def finite_real(name: str, x) -> mp.mpf:
-    """``x`` as an mpf at the current precision; :class:`DomainError`,
-    naming the parameter ``name``, unless it is a finite real number."""
+    """``x`` as an mpf at the current precision: an int, float or mpf, or
+    decimal, exponent or fraction text ("0.3", "1e-3", "1/3", a fraction of
+    integers rounded once); :class:`DomainError`, naming the parameter
+    ``name``, unless it is a finite real number."""
     try:
         x = mp.mpf(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} {x!r} is not a real number") from None
+    except (TypeError, ValueError, ZeroDivisionError):
+        what = ("a fraction p/q of integers with q != 0"
+                if isinstance(x, str) and "/" in x else "a real number")
+        raise DomainError(f"{name} {x!r} is not {what}") from None
     if not mp.isfinite(x):
         raise DomainError(f"{name} {x} is not finite")
     return x
 
 
-def parse_real(x) -> mp.mpf:
-    """``x`` as an mpf at the current precision; strings may be fractions
-    such as "1/3".  A fraction with a zero denominator or more than one
-    slash raises :class:`DomainError`."""
-    if isinstance(x, str) and "/" in x:
-        parts = x.split("/")
-        if len(parts) != 2:
-            raise DomainError(f"malformed fraction {x!r}")
-        p, q = (mp.mpf(s) for s in parts)
-        if not q:
-            raise DomainError(f"fraction {x!r} has a zero denominator")
-        return p / q
-    return mp.mpf(x)
+def whole(name: str, n, least: int | None = None) -> int:
+    """``n`` as an int: a Python int, a float or mpf of integral value, or
+    integer text such as "3".  :class:`DomainError`, naming the parameter
+    ``name``, for anything else or for a value below ``least``."""
+    value = n
+    if type(n) is not int:
+        try:
+            value = int(n) if isinstance(n, str) else int(mp.mpf(n))
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not isinstance(n, str) and value != n:
+            raise DomainError(f"{name} {n!r} is not an integer")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return value
 
 
 def parse_tol(tol, default=None) -> mp.mpf:
@@ -104,7 +111,7 @@ def parse_tol(tol, default=None) -> mp.mpf:
                               f"write 2^n with an integer n")
         t = mp.ldexp(1, int(power.group(1)))
     else:
-        t = parse_real(tol)
-    if not (mp.isfinite(t) and t > 0):
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+        t = finite_real("tolerance", tol)
+    if t <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
     return t

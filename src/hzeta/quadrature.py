@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .asymptotics import LruCache
-from .compositions import Composition
+from .compositions import _nonempty
 from .endpoint import node_evaluator
 from .errors import DomainError, ToleranceNotReached
-from .precision import PrecisionConfig, parse_tol, working
+from .precision import PrecisionConfig, finite_real, parse_tol, whole, working
 from .series_engine import ValueWithBound
 
 MAX_LEVELS = 12
@@ -87,7 +87,10 @@ class WeightedIntegrand:
     ("mpl_landen", k), ("kta", k).  The weight is
     x^x_exp w^omx_exp log^logx_pow x log^logomx_pow w, where the
     right-endpoint variable w is 1 - x, except for the "kta" core, whose
-    w is u = (1-x)/(1+x) and whose integral is carried out in u.
+    w is u = (1-x)/(1+x) and whose integral is carried out in u.  The
+    constructor reads the core (n as an int, k as the parts of a nonempty
+    :class:`Composition`) and the log powers (integers >= 0), raising
+    :class:`DomainError`; :func:`de_quad` reads the exponents.
     """
 
     core: tuple = ("constant",)
@@ -96,39 +99,50 @@ class WeightedIntegrand:
     logx_pow: int = 0
     logomx_pow: int = 0
 
+    def __post_init__(self):
+        kind, *param = self.core or (None,)
+        if kind == "constant" and not param:
+            core = (kind,)
+        elif kind == "monomial" and len(param) == 1:
+            core = (kind, whole("monomial", param[0]))
+        elif kind in ("mpl", "mpl_landen", "kta") and len(param) == 1:
+            core = (kind, _nonempty(param[0], f"core {kind!r}").parts)
+        else:
+            raise DomainError(f"unknown integrand core {self.core!r}")
+        object.__setattr__(self, "core", core)
+        for name in ("logx_pow", "logomx_pow"):
+            object.__setattr__(self, name, whole(name, getattr(self, name), 0))
+
     def core_order(self) -> int:
         """Vanishing order of the core at x = 0."""
         kind = self.core[0]
         if kind == "constant":
             return 0
         if kind == "monomial":
-            return int(self.core[1]) - 1
-        return Composition(self.core[1]).depth()
+            return self.core[1] - 1
+        return len(self.core[1])
 
 
 def _core_evaluator(core):
-    """Evaluator (x, w) -> core value, w the right-endpoint variable."""
+    """Evaluator (x, w) -> core value, w the right-endpoint variable, for
+    the read ``core`` of a :class:`WeightedIntegrand`."""
     kind = core[0]
     if kind == "constant":
         return lambda x, omx: mp.mpf(1)
     if kind == "monomial":
-        n = int(core[1])
+        n = core[1]
         return lambda x, omx: x ** (n - 1)
-    if kind in ("mpl", "kta", "mpl_landen"):
-        return node_evaluator(kind, Composition(core[1]).parts)
-    raise DomainError(f"unknown integrand core {core!r}")
+    return node_evaluator(kind, core[1])
 
 
-def _build_pointwise(f: WeightedIntegrand):
+def _build_pointwise(f: WeightedIntegrand, a, b):
     """Map a node (v, 1-v) of the integration variable to the full
-    integrand value: (x, w) = (v, 1 - v), or for the "kta" core u = w = v,
+    integrand value, for the read exponents ``a`` = x_exp and ``b`` =
+    omx_exp: (x, w) = (v, 1 - v), or for the "kta" core u = w = v,
     x = (1-u)/(1+u) and the jacobian 2/(1+u)^2."""
     core = _core_evaluator(f.core)
     odd = f.core[0] == "kta"
-    a = mp.mpf(f.x_exp)
-    b = mp.mpf(f.omx_exp)
-    p = int(f.logx_pow)
-    q = int(f.logomx_pow)
+    p, q = f.logx_pow, f.logomx_pow
 
     def g(v, omv):
         if odd:
@@ -149,21 +163,21 @@ def _build_pointwise(f: WeightedIntegrand):
     return g
 
 
-def _check_integrable(f: WeightedIntegrand):
-    if f.core_order() + mp.mpf(f.x_exp) <= -1:
-        raise DomainError("x-exponent too singular at x = 0")
-    if mp.mpf(f.omx_exp) <= -1:
-        raise DomainError("right-endpoint exponent must exceed -1")
-
-
 def de_quad(f: WeightedIntegrand, tol=None,
             prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Integrate a weighted core over (0, 1) by level-doubled tanh-sinh;
-    :class:`ToleranceNotReached`, with the last sum and delta, on a stall."""
-    _check_integrable(f)
+    :class:`ToleranceNotReached`, with the last sum and delta, on a stall.
+    The exponents are read at ``prec``; one too singular to integrate
+    raises :class:`DomainError`."""
     with working(prec) as cfg:
+        a = finite_real("x_exp", f.x_exp)
+        b = finite_real("omx_exp", f.omx_exp)
+        if f.core_order() + a <= -1:
+            raise DomainError("x-exponent too singular at x = 0")
+        if b <= -1:
+            raise DomainError("right-endpoint exponent must exceed -1")
         tol = parse_tol(tol)
-        g = _build_pointwise(f)
+        g = _build_pointwise(f, a, b)
         total = mp.mpf(0)
         prev = None
         delta = mp.inf
@@ -187,27 +201,20 @@ def int_mpl_weighted(k, alpha, beta, p: int = 0, q: int = 0, tol=None,
                      core: str = "mpl") -> ValueWithBound:
     """integral_0^1 Li_k(x) x^(-alpha) (1-x)^(-beta) log^p x log^q (1-x) dx.
 
-    ``core="mpl_landen"`` replaces Li_k(x) by Li_k(x/(x-1)).
+    ``core="mpl_landen"`` replaces Li_k(x) by Li_k(x/(x-1)).  alpha and
+    beta are read at ``prec``, and p and q are the integrand's log powers.
     """
-    k = Composition(k)
-    f = WeightedIntegrand(
-        core=(core, k.parts),
-        x_exp=-mp.mpf(alpha),
-        omx_exp=-mp.mpf(beta),
-        logx_pow=p,
-        logomx_pow=q,
-    )
-    return de_quad(f, tol, prec)
+    with working(prec):
+        f = WeightedIntegrand((core, k), -finite_real("alpha", alpha),
+                              -finite_real("beta", beta), p, q)
+        return de_quad(f, tol)
 
 
 def int_kta_weighted(k, alpha, q: int = 0, tol=None,
                      prec: PrecisionConfig | None = None) -> ValueWithBound:
-    """integral_0^1 A(k; x) u^(-alpha) log^q u dx / x with u = (1-x)/(1+x)."""
-    k = Composition(k)
-    f = WeightedIntegrand(
-        core=("kta", k.parts),
-        x_exp=-1,
-        omx_exp=-mp.mpf(alpha),
-        logomx_pow=q,
-    )
-    return de_quad(f, tol, prec)
+    """integral_0^1 A(k; x) u^(-alpha) log^q u dx / x with u = (1-x)/(1+x);
+    alpha is read at ``prec``."""
+    with working(prec):
+        f = WeightedIntegrand(("kta", k), -1, -finite_real("alpha", alpha),
+                              logomx_pow=q)
+        return de_quad(f, tol)

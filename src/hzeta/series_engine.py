@@ -71,7 +71,7 @@ from .errors import (
 )
 from .finite_sums import ShiftVector, _binomials, _coerce, _fixed_stream
 from .fixed import dyadic, scale, to_mpf
-from .precision import PrecisionConfig, finite_real, parse_tol, working
+from .precision import PrecisionConfig, finite_real, parse_tol, whole, working
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,9 @@ class TailStrategy:
     em_order: int = 8
 
     def __post_init__(self):
-        if self.N_max < 1000:
-            raise ValueError("N_max must be >= 1000")
-        if self.em_order < 2:
-            raise ValueError("em_order must be >= 2")
+        object.__setattr__(self, "N_max", whole("N_max", self.N_max, 1000))
+        object.__setattr__(self, "em_order",
+                           whole("em_order", self.em_order, 2))
 
 
 DEFAULT_TAIL = TailStrategy()
@@ -190,11 +189,12 @@ class TermSpec:
     :class:`ShiftVector`, a sequence or one scalar for every slot; an empty
     index drops the factor (it is identically 1), so the index and its
     shift become None.  Every scalar (shifts, offsets, binomial parameters
-    and the coefficient) is converted at the active :func:`working`
-    precision.  ``powers`` is a sequence of (offset, exponent) pairs;
-    ``binom_upper`` of (alpha, at_prev) pairs or (alpha, True, order)
-    triples, stored as triples; ``binom_lower`` of beta values.  An
-    exponent or order that is not integral raises ValueError.
+    and the coefficient) is read by :func:`precision.finite_real` at the
+    active :func:`working` precision, and every exponent and order by
+    :func:`precision.whole`; they raise :class:`DomainError`.  ``powers``
+    is a sequence of (offset, exponent) pairs; ``binom_upper`` of (alpha,
+    at_prev) pairs or (alpha, True, order) triples, stored as triples;
+    ``binom_lower`` of beta values.
     ``strict_binomial`` = (alpha, order) puts the order-th
     alpha-derivative of C(n_r + alpha - 2, n_r - 1) on the innermost index
     of the strict prefix; a C(n + alpha - 2, n - 1) factor may carry an
@@ -220,31 +220,30 @@ class TermSpec:
                     return k, a
             return None, None
 
-        def whole(n):
-            if mp.mpf(n) != int(n):
-                raise ValueError(f"exponent or order {n} is not an integer")
-            return int(n)
-
         with working():
             strict, strict_shift = index(self.strict, self.strict_shift)
             star, star_shift = index(self.star, self.star_shift)
             binomial = self.strict_binomial
             if binomial is not None:
-                binomial = (mp.mpf(binomial[0]), whole(binomial[1]))
-            upper = tuple((mp.mpf(a), bool(p), whole(o[0]) if o else 0)
+                binomial = (finite_real("alpha", binomial[0]),
+                            whole("order", binomial[1], 0))
+            upper = tuple((finite_real("alpha", a), bool(p),
+                           whole("order", o[0], 0) if o else 0)
                           for a, p, *o in self.binom_upper)
             normal = dict(
                 strict=strict, strict_shift=strict_shift,
                 strict_prev=bool(self.strict_prev), strict_binomial=binomial,
                 star=star, star_shift=star_shift,
-                powers=tuple((mp.mpf(c), whole(m)) for c, m in self.powers),
+                powers=tuple((finite_real("offset", c), whole("exponent", m))
+                             for c, m in self.powers),
                 binom_upper=upper,
-                binom_lower=tuple(mp.mpf(b) for b in self.binom_lower),
-                coeff=mp.mpf(self.coeff))
+                binom_lower=tuple(finite_real("beta", b)
+                                  for b in self.binom_lower),
+                coeff=finite_real("coeff", self.coeff))
         if (binomial is not None and strict is None
                 or any(o and not p for _, p, o in upper)):
-            raise ValueError("strict_binomial needs a strict index and a "
-                             "binomial order needs C(n + alpha - 2, n - 1)")
+            raise DomainError("strict_binomial needs a strict index and a "
+                              "binomial order needs C(n + alpha - 2, n - 1)")
         for name, value in normal.items():
             object.__setattr__(self, name, value)
 
@@ -490,10 +489,10 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
     zeta(k; a) with a_j = (alpha + j - r) / 2, so T(k; 1) is the plain
     multiple T-value.
     """
-    k = Composition(k)
-    if not _admissible(k):
-        return ValueWithBound(1, 0, True)
     with working(prec):
+        k = Composition(k)
+        if not _admissible(k):
+            return ValueWithBound(1, 0, True)
         alpha = finite_real("alpha", alpha)
         if alpha <= 0:
             raise DomainError(f"alpha must be positive, got {alpha}")
@@ -510,7 +509,7 @@ def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
     k = Composition(k)
     if k.is_empty():
         raise DomainError(f"{kind} needs a nonempty index")
-    x = mp.mpf(x)
+    x = finite_real("x", x)
     if not 0 <= x <= 1:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if x == 1:
@@ -551,11 +550,11 @@ def mpl_landen(k, x, tol=None, strategy=None,
     each term takes the route of :func:`mpl` at tol / (number of terms),
     and a total claim above tol raises as in :func:`mpl`.
     """
-    k = Composition(k)
-    if k.is_empty():
-        raise DomainError("mpl_landen needs a nonempty index")
     with working(prec):
-        x = mp.mpf(x)
+        k = Composition(k)
+        if k.is_empty():
+            raise DomainError("mpl_landen needs a nonempty index")
+        x = finite_real("x", x)
         if not 0 <= x < 1:
             raise DomainError(f"x must lie in [0, 1), got {x}")
         tol = parse_tol(tol)
@@ -587,12 +586,11 @@ def apery_I(k, kk: int, alpha, tol=None, strategy=None,
             prec: PrecisionConfig | None = None) -> ValueWithBound:
     """sum_n zeta_{n-1}(k_2..k_r) zeta*_n({1}_kk; 1-alpha)
     / (n^(k_1+1) C(n-alpha, n))."""
-    k = Composition(k)
-    if k.is_empty():
-        raise DomainError("apery_I needs a nonempty index")
-    if kk < 0:
-        raise DomainError("kk must be >= 0")
     with working(prec):
+        k = Composition(k)
+        if k.is_empty():
+            raise DomainError("apery_I needs a nonempty index")
+        kk = whole("kk", kk, 0)
         alpha = finite_real("alpha", alpha)
         if alpha >= 1:
             raise DomainError(f"alpha must be < 1, got {alpha}")
@@ -610,10 +608,9 @@ def apery_I(k, kk: int, alpha, tol=None, strategy=None,
 def apery_II(k_head: int, star_tail, m: int, alpha, tol=None, strategy=None,
              prec: PrecisionConfig | None = None) -> ValueWithBound:
     """sum_n C(n+alpha-1, n) zeta_n({1}_k; alpha) zeta*_n(tail) / n^m."""
-    if k_head < 0 or m < 1:
-        raise DomainError("need k_head >= 0 and m >= 1")
-    star_tail = Composition(star_tail if star_tail is not None else ())
     with working(prec):
+        k_head, m = whole("k_head", k_head, 0), whole("m", m, 1)
+        star_tail = Composition(star_tail if star_tail is not None else ())
         alpha = finite_real("alpha", alpha)
         if alpha >= 1 or (alpha <= 0 and alpha == mp.floor(alpha)):
             raise DomainError(f"alpha must be < 1 and not a nonpositive "
@@ -632,11 +629,10 @@ def apery_III(k, l, m: int, alpha, beta, tol=None, strategy=None,
               prec: PrecisionConfig | None = None) -> ValueWithBound:
     """sum_n C(n+alpha-1, n)/C(n-beta, n) zeta_n(k; alpha)
     zeta*_n(l; 1-beta) / n^(m+2); the two-binomial family, m >= -1."""
-    if m < -1:
-        raise DomainError("need m >= -1")
-    k = Composition(k if k is not None else ())
-    l = Composition(l if l is not None else ())
     with working(prec):
+        m = whole("m", m, -1)
+        k = Composition(k if k is not None else ())
+        l = Composition(l if l is not None else ())
         alpha, beta = finite_real("alpha", alpha), finite_real("beta", beta)
         if alpha >= 1 or beta >= 1:
             raise DomainError("alpha and beta must be < 1")
@@ -658,9 +654,8 @@ def apery_III(k, l, m: int, alpha, beta, tol=None, strategy=None,
 def param_euler_sum(m: int, a, b, tol=None, strategy=None,
                     prec: PrecisionConfig | None = None) -> ValueWithBound:
     """sum_n zeta_{n-1}({1}_m) / ((n + a)(n + b))."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
     with working(prec):
+        m = whole("m", m, 0)
         a, b = finite_real("a", a), finite_real("b", b)
         for c in (a, b):
             if c <= -1 and c == mp.floor(c):
@@ -673,9 +668,8 @@ def param_euler_sum(m: int, a, b, tol=None, strategy=None,
 def param_euler_pow(m: int, k: int, alpha, tol=None, strategy=None,
                     prec: PrecisionConfig | None = None) -> ValueWithBound:
     """sum_n zeta_{n-1}({1}_m) / (n + alpha)^(k+1)."""
-    if m < 0 or k < 1:
-        raise DomainError("need m >= 0 and k >= 1")
     with working(prec):
+        m, k = whole("m", m, 0), whole("k", k, 1)
         alpha = finite_real("alpha", alpha)
         if alpha <= -1 and alpha == mp.floor(alpha):
             raise DomainError(f"offset {alpha} puts a pole on the index set")
@@ -709,12 +703,11 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
     """
     if kind not in ("xi", "psi", "eta"):
         raise DomainError(f"kind must be xi, psi or eta, got {kind!r}")
-    if s < 1:
-        raise DomainError("s must be >= 1")
-    k = Composition(k)
-    if k.is_empty():
-        raise DomainError("needs a nonempty index")
     with working(prec):
+        s = whole("s", s, 1)
+        k = Composition(k)
+        if k.is_empty():
+            raise DomainError("needs a nonempty index")
         tol = parse_tol(tol)
         if kind == "xi":
             Z = lambda idx, sub: htmzv(idx, None, sub, strategy)
@@ -760,42 +753,41 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None) -> ValueWithBound:
     if k.is_empty():
         raise DomainError("needs a nonempty index")
     r = k.depth()
-    with working():
-        alpha, shift = finite_real("alpha", alpha), finite_real("shift", shift)
-        if shift <= 0:
-            raise DomainError(f"shift must be positive, got {shift}")
-        if r >= 2 and k[0] < 2:
-            raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
-        if alpha <= 0 and alpha == mp.floor(alpha):
-            if order:
-                raise DomainError(f"alpha-derivatives need alpha off the "
-                                  f"nonpositive integers, got {alpha}")
-            if alpha < 0:
-                raise DomainError(f"alpha must not be a negative integer, "
-                                  f"got {alpha}")
-            # C(n_r - 2, n_r - 1) vanishes except at n_r = 1
-            w = shift ** (-k[r - 1])
-            if r == 1:
-                return ValueWithBound(w, 0, True)
-            head = Composition(k.parts[:-1])
-            inner = htmzv(head, ShiftVector.constant(shift + 1, r - 1),
-                          tol, strategy)
-            return inner * w
+    alpha, shift = finite_real("alpha", alpha), finite_real("shift", shift)
+    if shift <= 0:
+        raise DomainError(f"shift must be positive, got {shift}")
+    if r >= 2 and k[0] < 2:
+        raise NonAdmissible(f"leading exponent must be >= 2, got {k}")
+    if alpha <= 0 and alpha == mp.floor(alpha):
+        if order:
+            raise DomainError(f"alpha-derivatives need alpha off the "
+                              f"nonpositive integers, got {alpha}")
+        if alpha < 0:
+            raise DomainError(f"alpha must not be a negative integer, "
+                              f"got {alpha}")
+        # C(n_r - 2, n_r - 1) vanishes except at n_r = 1
+        w = shift ** (-k[r - 1])
         if r == 1:
-            if k[0] + 1 - alpha <= 1:
-                raise NoConvergence(
-                    f"depth-1 sum diverges for exponent {k[0]} at "
-                    f"alpha = {alpha}"
-                )
-            # the multiplier sits on n itself
-            spec = TermSpec(binom_upper=((alpha, True, order),),
-                            powers=((shift - 1, k[0]),))
-        else:
-            spec = TermSpec(
-                strict=k.parts[1:],
-                strict_shift=ShiftVector.constant(shift, r - 1),
-                strict_prev=True,
-                strict_binomial=(alpha, order),
-                powers=((shift - 1, k[0]),),
+            return ValueWithBound(w, 0, True)
+        head = Composition(k.parts[:-1])
+        inner = htmzv(head, ShiftVector.constant(shift + 1, r - 1),
+                      tol, strategy)
+        return inner * w
+    if r == 1:
+        if k[0] + 1 - alpha <= 1:
+            raise NoConvergence(
+                f"depth-1 sum diverges for exponent {k[0]} at "
+                f"alpha = {alpha}"
             )
-        return weighted_sum([spec], tol, strategy)
+        # the multiplier sits on n itself
+        spec = TermSpec(binom_upper=((alpha, True, order),),
+                        powers=((shift - 1, k[0]),))
+    else:
+        spec = TermSpec(
+            strict=k.parts[1:],
+            strict_shift=ShiftVector.constant(shift, r - 1),
+            strict_prev=True,
+            strict_binomial=(alpha, order),
+            powers=((shift - 1, k[0]),),
+        )
+    return weighted_sum([spec], tol, strategy)

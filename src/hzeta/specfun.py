@@ -15,11 +15,11 @@ from math import comb
 import mpmath as mp
 
 from .errors import DomainError
-from .precision import PrecisionConfig, working
+from .precision import PrecisionConfig, finite_real, whole, working
 
 
 def _pos(x, name="x"):
-    x = mp.mpf(x)
+    x = finite_real(name, x)
     if x <= 0:
         raise DomainError(f"{name} must be > 0, got {x}")
     return x
@@ -45,9 +45,8 @@ def digamma(x, prec: PrecisionConfig | None = None) -> mp.mpf:
 
 def polygamma(m: int, x, prec: PrecisionConfig | None = None) -> mp.mpf:
     """psi^(m)(x) for x > 0 and m >= 0."""
-    if m < 0:
-        raise DomainError(f"polygamma order must be >= 0, got {m}")
     with working(prec):
+        m = whole("m", m, 0)
         x = _pos(x)
         if m == 0:
             return mp.digamma(x)
@@ -56,10 +55,9 @@ def polygamma(m: int, x, prec: PrecisionConfig | None = None) -> mp.mpf:
 
 def pochhammer(alpha, n: int, prec: PrecisionConfig | None = None) -> mp.mpf:
     """(alpha)_n = alpha (alpha+1) ... (alpha+n-1), with (alpha)_0 = 1."""
-    if n < 0:
-        raise DomainError(f"pochhammer needs n >= 0, got {n}")
     with working(prec):
-        alpha = mp.mpf(alpha)
+        n = whole("n", n, 0)
+        alpha = finite_real("alpha", alpha)
         out = mp.mpf(1)
         for i in range(n):
             out *= alpha + i
@@ -72,8 +70,8 @@ def gen_binom(a, b, prec: PrecisionConfig | None = None) -> mp.mpf:
     Restricted to the regime where all three gamma arguments are positive.
     """
     with working(prec):
-        a = mp.mpf(a)
-        b = mp.mpf(b)
+        a = finite_real("a", a)
+        b = finite_real("b", b)
         for val, name in ((a + 1, "a+1"), (b + 1, "b+1"), (a - b + 1, "a-b+1")):
             if val <= 0:
                 raise DomainError(f"gen_binom needs {name} > 0, got {val}")
@@ -106,9 +104,8 @@ def beta_partial(p: int, q: int, a, b, prec: PrecisionConfig | None = None) -> m
     by repeated Leibniz differentiation, so every derivative reduces to
     polygamma values; no numerical differentiation is involved.
     """
-    if p < 0 or q < 0:
-        raise DomainError("derivative orders must be >= 0")
     with working(prec):
+        p, q = whole("p", p, 0), whole("q", q, 0)
         a = _pos(a, "a")
         b = _pos(b, "b")
         table = {(0, 0): beta(a, b)}
@@ -145,8 +142,7 @@ def hurwitz_zeta(s: int, a, prec: PrecisionConfig | None = None) -> mp.mpf:
     ``mp.zeta(s, a)``, a reference independent of the Euler-Maclaurin
     tails of :func:`hzeta.asymptotics.tail_sum`; no module here calls it.
     """
-    if s < 2:
-        raise DomainError(f"hurwitz_zeta needs integer s >= 2, got {s}")
     with working(prec):
+        s = whole("s", s, 2)
         a = _pos(a, "a")
         return mp.zeta(s, a)

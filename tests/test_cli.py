@@ -205,6 +205,26 @@ class TestEval:
         assert "inf is not finite" in err or "nan is not finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, named", [
+        (("htmzv", "--index", "2.5"), "part '2.5' is not an integer"),
+        (("xi", "--index", "2", "--s", "x"), "s 'x' is not an integer"),
+        (("mpl", "--index", "2", "--x", "abc"), "x 'abc' is not a real"),
+    ], ids=["index", "s", "x"])
+    def test_bad_number_names_its_flag(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 3
+        assert err.startswith(f"hzeta: error: {named}") and out == ""
+
+    def test_defect_is_not_a_usage_error(self, capsys, monkeypatch):
+        # only an HZetaError is the caller's fault; a bare ValueError from
+        # inside the package is a defect and propagates
+        def broken(*args):
+            raise ValueError("defect")
+
+        monkeypatch.setattr(series_engine, "htmzv", broken)
+        with pytest.raises(ValueError, match="defect"):
+            main(["eval", "htmzv", "--index", "2"])
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_usage_error(self, capsys, alpha):
         # htmtv names the parameter it was given, not the shifts it derives

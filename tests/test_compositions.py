@@ -15,7 +15,7 @@ from hzeta.compositions import (
     theorem_dual,
     weak_compositions,
 )
-from hzeta.errors import DimensionMismatch, NonAdmissible
+from hzeta.errors import DimensionMismatch, DomainError, NonAdmissible
 
 comps = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6).map(
     Composition
@@ -34,6 +34,17 @@ def test_basic_stats():
     assert str(k) == "2,1,3"
     with pytest.raises(ValueError):
         Composition([0])
+
+
+def test_text_is_read_by_parse_alone():
+    # a string is not read character by character: "21" is not (2, 1)
+    with pytest.raises(DomainError, match="^index '21' is text"):
+        Composition("21")
+    assert Composition.parse(" 2, 1 ") == Composition([2, 1])
+    assert hoffman_dual((2, 1)) == hoffman_dual(Composition([2, 1]))
+    for bad in ["2,,1", "2.5", "2,x"]:
+        with pytest.raises(DomainError, match="^part .* is not an integer"):
+            Composition.parse(bad)
 
 
 def test_composition_is_a_frozen_value():

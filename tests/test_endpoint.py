@@ -8,7 +8,7 @@ from hzeta.compositions import Composition
 from hzeta.endpoint import kta_endpoint, mpl_endpoint
 from hzeta.errors import DomainError
 from hzeta.fixed import GUARD_BITS, to_mpf
-from hzeta.precision import PrecisionConfig, parse_real, parse_tol, working
+from hzeta.precision import PrecisionConfig, finite_real, parse_tol, working
 from hzeta.series_engine import ValueWithBound, kta, mpl
 from mpf_reference import mpf_defining, mpf_useries
 
@@ -216,7 +216,7 @@ def test_direct_pass_claims_hold(kind, frame, k, bits):
         F = endpoint.scale()
     for x in (mp.ldexp(1, -200), "0.3", "0.6", f"3/{den}"):
         with working(prec):
-            x = parse_real(x)
+            x = finite_real("x", x)
         v = _direct(k, x, kind, None, prec)
         with mp.workprec(bits + 256):
             ref = mpf_defining(k, x, frame,

@@ -17,7 +17,7 @@ from hzeta.finite_sums import (
     t_mhs,
     t_mhss,
 )
-from hzeta.precision import PrecisionConfig, parse_real, working
+from hzeta.precision import PrecisionConfig, finite_real, working
 from hzeta.series_engine import kta, mpl
 from mpf_reference import mpf_binomials, mpf_defining, mpf_nested
 
@@ -265,7 +265,7 @@ def _kernel_errors(bits, k, shift, star, n, alpha=None, order=0):
     work bits), both relative to the recurrence at bits + 256."""
     prec = PrecisionConfig(bits)
     with working(prec) as cfg:
-        a = [parse_real(shift)] * len(k)  # the kernel's rounded shift
+        a = [finite_real("shift", shift)] * len(k)  # the kernel's rounded shift
         al = None if alpha is None else mp.mpf(alpha)
     got = nested_stream(k, a, star, prec,
                         None if al is None else (al, order))

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from hzeta import identity_registry
-from hzeta.errors import UnknownIdentity
+from hzeta.errors import DomainError, UnknownIdentity
 from hzeta.identity_registry import (
     identity_ids,
     run_check,
@@ -56,6 +56,27 @@ def test_samplers_keep_their_draw_order():
             got = list(sample(random.Random(f"{seed}:{id}")).items())
             assert got == want, (id, seed)
             assert [type(v) for _, v in got] == [type(v) for _, v in want]
+
+
+@pytest.mark.parametrize("params, given", [
+    ({"k": (2,)}, "['k']"),
+    ({"k": (2,), "kk": 1, "alpha": "0.3", "beta": "0.1"},
+     "['alpha', 'beta', 'k', 'kk']"),
+], ids=["missing", "extra"])
+def test_run_check_names_its_parameters(params, given):
+    # refused before any evaluation, naming the identity's own parameters
+    with pytest.raises(DomainError) as info:
+        run_check("thm-3.4", params, TOL, PREC)
+    assert str(info.value) == ("thm-3.4 takes the parameters "
+                               f"['alpha', 'k', 'kk'], got {given}")
+
+
+def test_every_sample_names_the_default_parameters():
+    for id in identity_ids():
+        ident = identity_registry._REGISTRY[id]
+        for seed in range(4):
+            drawn = ident.sample(random.Random(f"{seed}:{id}"))
+            assert set(drawn) == set(ident.default), id
 
 
 def test_unknown_identity():

@@ -13,7 +13,7 @@ import hzeta
 from hzeta.finite_sums import mhs_stream
 from hzeta.errors import DomainError
 from hzeta.finite_sums import ShiftVector
-from hzeta.precision import PrecisionConfig, finite_real, parse_tol, working
+from hzeta.precision import PrecisionConfig, finite_real, parse_tol, whole, working
 from hzeta.series_engine import htmzv
 
 P160 = PrecisionConfig(bits=160)
@@ -121,3 +121,101 @@ def test_parse_tol_defaults_to_the_active_block(bits, power):
 def test_parse_tol_refuses_a_malformed_power(tol):
     with pytest.raises(DomainError, match="^malformed power of two"):
         parse_tol(tol, None)
+
+
+@pytest.mark.parametrize("bits", [53, 160, 288, 480])
+@pytest.mark.parametrize("text, p, q", [
+    ("1/3", 1, 3), ("-1/3", -1, 3), ("2/7", 2, 7), ("10/3", 10, 3),
+    (" 1/3 ", 1, 3), ("1/-3", 1, -3), ("3/1", 3, 1)])
+def test_finite_real_reads_a_fraction_rounded_once(bits, text, p, q):
+    with mp.workprec(bits):
+        assert finite_real("alpha", text) == mp.mpf(p) / q
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/2/3", "0.5/3"])
+def test_finite_real_refuses_a_malformed_fraction(text):
+    with pytest.raises(DomainError, match="^alpha .* is not a fraction"):
+        finite_real("alpha", text)
+
+
+@pytest.mark.parametrize("n", [3, 3.0, mp.mpf(3), "3", " 3 "])
+def test_whole_reads_every_integral_form(n):
+    value = whole("n", n)
+    assert value == 3 and type(value) is int
+
+
+@pytest.mark.parametrize("n", [2.5, mp.mpf("2.5"), "2.5", "3.0", "x", None,
+                               mp.inf, float("nan"), (3,)])
+def test_whole_refuses_a_non_integer(n):
+    with pytest.raises(DomainError, match="^n .* is not an integer$"):
+        whole("n", n)
+
+
+def test_whole_refuses_a_value_below_least():
+    assert whole("m", -1, -1) == -1
+    with pytest.raises(DomainError, match=r"^m must be >= 1, got 0$"):
+        whole("m", 0, 1)
+
+
+def test_precision_config_reads_its_bits():
+    assert PrecisionConfig("128").bits == 128
+    with pytest.raises(DomainError, match="^bits must be >= 64"):
+        PrecisionConfig(32)
+
+
+# Invalid input at the public entry points: each must raise DomainError.
+# The group comments say what a loose read of the input gives instead.
+INVALID = [
+    # a wrong answer: zeta(2), -1, zeta(2) - 1, the shifts (1, 2)
+    ("htmzv-fractional-part", lambda: hzeta.htmzv((2.5,), 1)),
+    ("de_quad-fractional-log", lambda: hzeta.de_quad(
+        hzeta.WeightedIntegrand(logx_pow=1.5))),
+    ("int_mpl-fractional-log", lambda: hzeta.int_mpl_weighted(
+        (2,), 0, 0, 0.5, 0)),
+    ("shift_vector-text", lambda: hzeta.ShiftVector("12")),
+    # a bare ValueError
+    ("htmzv-zero-part", lambda: hzeta.htmzv((0,), 1)),
+    ("htmzv-text-part", lambda: hzeta.htmzv(("a",), 1)),
+    ("htmzv-text-shift", lambda: hzeta.htmzv((2,), "x")),
+    ("htmzv-text-tol", lambda: hzeta.htmzv((2,), 1, "x")),
+    ("mpl-text-x", lambda: hzeta.mpl((2,), "abc")),
+    ("mhs-negative-n", lambda: hzeta.mhs(-1, (2,), 1)),
+    ("mhs-fractional-n", lambda: hzeta.mhs(2.5, (2,), 1)),
+    ("termspec-fractional-power", lambda: hzeta.TermSpec(
+        powers=((0, 2.5),))),
+    ("run_suite-no-samples", lambda: hzeta.run_suite("cor-5.3", 0)),
+    ("weak_compositions-no-parts", lambda: list(
+        hzeta.weak_compositions(2, 0))),
+    ("hoffman_dual-empty", lambda: hzeta.hoffman_dual(hzeta.Composition())),
+    ("mpl_endpoint-empty", lambda: hzeta.endpoint.mpl_endpoint(())),
+    ("run_check-text-index", lambda: hzeta.run_check(
+        "thm-3.4", {"k": "2,1", "kk": 1, "alpha": "0.3"})),
+    # a bare TypeError ("1", integer text, is the count 1: see below)
+    ("apery_II-text-count", lambda: hzeta.apery_II("one", None, 2, 0.3)),
+    ("apery_I-fractional-count", lambda: hzeta.apery_I((2,), 1.5, 0.3)),
+    ("arakawa_kaneko-fractional-s", lambda: hzeta.arakawa_kaneko(
+        "xi", 2.5, (2,))),
+    ("run_check-missing-parameter", lambda: hzeta.run_check(
+        "thm-3.4", {"k": (2,)})),
+    ("run_check-extra-parameter", lambda: hzeta.run_check(
+        "thm-3.4", {"k": (2,), "kk": 1, "alpha": "0.3", "beta": "0.1"})),
+    # a bare IndexError
+    ("de_quad-core-without-index", lambda: hzeta.de_quad(
+        hzeta.WeightedIntegrand(core=("mpl",)))),
+    ("de_quad-monomial-without-n", lambda: hzeta.de_quad(
+        hzeta.WeightedIntegrand(core=("monomial",)))),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in INVALID],
+                         ids=[i for i, _ in INVALID])
+def test_invalid_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_integer_text_is_a_count():
+    # whole reads "1" as 1 wherever it reads a count
+    a = hzeta.apery_II("1", None, 2, "0.3", None, None, P160)
+    b = hzeta.apery_II(1, None, 2, "0.3", None, None, P160)
+    assert a.value == b.value and a.abs_error == b.abs_error

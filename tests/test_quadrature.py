@@ -8,7 +8,7 @@ from hzeta.compositions import Composition, theorem_dual
 from hzeta import quadrature
 from hzeta.errors import DomainError, ToleranceNotReached
 from hzeta.finite_sums import ShiftVector, mhss
-from hzeta.precision import PrecisionConfig
+from hzeta.precision import PrecisionConfig, working
 from hzeta.quadrature import (
     MAX_LEVELS,
     NODE_CACHE_SIZE,
@@ -62,10 +62,12 @@ class TestConvergence:
     def test_non_integrable_rejected(self):
         for f, match in [
                 (WeightedIntegrand(x_exp=mp.mpf(-1)), "x-exponent"),
-                (WeightedIntegrand(omx_exp=mp.mpf(-1)), "right-endpoint"),
-                (WeightedIntegrand(core=("zeta", (2,))), "unknown integrand")]:
+                (WeightedIntegrand(omx_exp=mp.mpf(-1)), "right-endpoint")]:
             with pytest.raises(DomainError, match=match):
                 de_quad(f, QTOL, PREC)
+        # the core is read when the integrand is built
+        with pytest.raises(DomainError, match="unknown integrand"):
+            de_quad(WeightedIntegrand(core=("zeta",)), QTOL, PREC)
 
 
 class TestPolylogCores:
@@ -102,6 +104,36 @@ class TestPolylogCores:
         from hzeta.series_engine import arakawa_kaneko
         ref = arakawa_kaneko("psi", 1, (2,), QTOL, None, PREC)
         assert abs(got.value - ref.value) < mp.mpf(10) ** -10
+
+
+@pytest.mark.parametrize("call", [
+    lambda P: int_mpl_weighted((2,), "0.3", 0, 0, 0, 1e-40, P),
+    lambda P: int_kta_weighted((2,), "0.3", 0, 1e-40, P),
+], ids=["mpl", "kta"])
+def test_wrappers_read_alpha_at_their_precision(call):
+    # alpha is read inside the call's block, not at the caller's 53 bits
+    # (4.4e-18 and 8.0e-17 off against claims of 4.65e-64 and 7.7e-48)
+    P = PrecisionConfig(bits=256)
+    with mp.workprec(53):
+        outside = call(P)
+    with working(P):
+        inside = call(P)
+    assert outside.value == inside.value
+    assert outside.abs_error == inside.abs_error
+
+
+def test_integrand_reads_its_core_once():
+    f = WeightedIntegrand(core=("mpl", Composition([2, 1])), logx_pow="2",
+                          logomx_pow=1.0)
+    assert f.core == ("mpl", (2, 1)) and f.core_order() == 2
+    assert (f.logx_pow, f.logomx_pow) == (2, 1)
+    assert WeightedIntegrand(core=("monomial", mp.mpf(3))).core_order() == 2
+    for core in [("constant", 1), ("mpl", (2,), 1), ("kta", ()), (),
+                 "mpl", ("monomial", 1.5)]:
+        with pytest.raises(DomainError):
+            WeightedIntegrand(core=core)
+    with pytest.raises(DomainError, match="logomx_pow must be >= 0"):
+        WeightedIntegrand(logomx_pow=-1)
 
 
 def test_stalled_levels_raise_tolerance_not_reached(monkeypatch):

@@ -8,7 +8,7 @@ from hzeta.compositions import Composition, contractions, ones
 from hzeta.errors import (DomainError, NoConvergence, NonAdmissible, PoleError,
                           ToleranceNotReached)
 from hzeta import asymptotics as asym
-from hzeta.finite_sums import ShiftVector, _binomials, _nth, nested_stream
+from hzeta.finite_sums import ShiftVector, _binomials, _nth, mhs, nested_stream
 from hzeta.precision import PrecisionConfig, working
 from hzeta.series_engine import (
     TermSpec,
@@ -586,6 +586,12 @@ class TestTermSpec:
                             strict=(1,), strict_binomial=("0.3", mp.mpf(1)))
         assert spec.powers[0][1] == 2 and type(spec.powers[0][1]) is int
         assert spec.strict_binomial[1] == 1
+        # Composition parts and mhs's n take the same forms
+        k = Composition([2.0, "3", mp.mpf(1)])
+        assert k.parts == (2, 3, 1) and all(type(p) is int for p in k)
+        ref = mhs(5, (2, 1), "0.5", PREC)
+        for n in (5.0, "5", mp.mpf(5)):
+            assert mhs(n, (2.0, mp.mpf(1)), "0.5", PREC) == ref
 
 
 class TestErrorModel:
@@ -714,11 +720,11 @@ GUARDS = [
     _guard("apery_I-alpha", lambda: apery_I((2,), 0, 1), DomainError,
            "alpha must be < 1"),
     _guard("apery_II-m", lambda: apery_II(0, None, 0, "0.5"), DomainError,
-           "need k_head >= 0 and m >= 1"),
+           "m must be >= 1"),
     _guard("apery_II-alpha", lambda: apery_II(0, None, 1, -2), DomainError,
            "not a nonpositive integer"),
     _guard("apery_III-m", lambda: apery_III(None, None, -2, "0.5", "0.5"),
-           DomainError, "need m >= -1"),
+           DomainError, "m must be >= -1"),
     _guard("apery_III-beta", lambda: apery_III(None, None, 0, "0.5", 1),
            DomainError, "alpha and beta must be < 1"),
     _guard("apery_III-alpha", lambda: apery_III(None, None, 0, -1, "0.5"),
@@ -728,7 +734,7 @@ GUARDS = [
     _guard("euler_sum-pole", lambda: param_euler_sum(1, -1, 0), DomainError,
            "puts a pole"),
     _guard("euler_pow-k", lambda: param_euler_pow(1, 0, "0.5"), DomainError,
-           "need m >= 0 and k >= 1"),
+           "k must be >= 1"),
     _guard("euler_pow-pole", lambda: param_euler_pow(1, 1, -2), DomainError,
            "puts a pole"),
     _guard("ak-kind", lambda: arakawa_kaneko("zeta", 2, (1,)), DomainError,
