@@ -24,10 +24,15 @@ a grading lifted to the Bernoulli orders that M needs.  :func:`tail_sum`
 is linear in the coefficients of the integer exponents: each such term c
 n^(-e) log^j n contributes c tau(e, j, N), with tau(e, j, N) = sum_{n>N}
 n^(-e) log^j n = (-1)^j zeta^(j)(e, N + 1) from that kernel on the unit
-monomial alone, cached per (e, j, N, precision) (:func:`_tau`).  These
-are the nested-sum prefixes and (n + c)^(-m) factors, whose tails repeat
-across calls; the terms of fractional exponent go through the kernel
-together.
+monomial alone (:func:`_tau`).  These are the nested-sum prefixes and
+(n + c)^(-m) factors, whose tails repeat across calls; the terms of
+fractional exponent go through the kernel together.
+
+Three tables are memoised by :func:`precision.memo`, each keyed on the
+function's arguments and the working precision: :func:`prefix_expansion`
+per level of its recursion, :func:`gamma_ratio`, and :func:`_tau` per
+(e, j, N).  Callers share the returned series and numbers and never
+mutate them.
 
 Series are held in fixed point (:mod:`hzeta.fixed`).  A series built at
 the working precision p stores every exponent e and coefficient c as a
@@ -38,7 +43,7 @@ worth more than 2^-F, so e1 + e2, e == 1 and e > emax are integer
 operations, the exponent classes e mod 1 combine exactly (alpha and
 1 - alpha meet in the integer class), and no tolerance decides whether
 two exponents are equal.  A coefficient is ``fix(c, F)``.  Every series
-of one :func:`working` block has that block's scale, as the caches key
+of one :func:`working` block has that block's scale, as the memos key
 on the precision, so sums and products run at that one scale and keep
 the emax of their left operand; :func:`tail_sum` alone shifts its series
 up, by the bits that its largest tail term lies below 1, as its
@@ -75,13 +80,13 @@ is the same number whichever series asks for it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import mpmath as mp
 
 from .errors import NoConvergence
 from .finite_sums import _nth, mhs, mhss
 from .fixed import dyadic, fix, horner, rdiv, scale, to_mpf
+from .precision import memo
 
 
 def _round_dict(acc, F):
@@ -545,23 +550,26 @@ def _log_gamma(h, emax):
     return AsymSeries._make(t, F, fix(emax, F))
 
 
+# A cold seed-7 verify pass asks 72 times for 20 distinct ratios (other
+# suite seeds up to 22) and evicts none; a warm process that keeps meeting
+# new parameters holds about 5 KB each (3.6 KB at order 14 and 288 bits,
+# 8 KB at order 26 and 480).
+GAMMA_RATIO_CACHE_SIZE = 32
+
+
+@memo(GAMMA_RATIO_CACHE_SIZE)
 def gamma_ratio(c, d, emax):
     """Gamma(n + c) / Gamma(n + d) ~ n^(c-d) (1 + ...): exp of the decaying
     part of :func:`_log_gamma` (c) - (d), shifted by the exact c - d.
 
-    Memoised per (c, d, emax, precision); callers share the returned series
-    and must not mutate it.
+    Memoised per (c, d, emax, precision) (:func:`precision.memo`); callers
+    share the returned series and must not mutate it.
     """
     c, d = mp.mpf(c), mp.mpf(d)
-    key = (c, d, emax, mp.mp.prec)
-    hit = _gamma_ratio_cache.get(key)
-    if hit is None:
-        D = _log_gamma(c, emax) - _log_gamma(d, emax)
-        R = AsymSeries._make({k: v for k, v in D._t.items() if k[0] > 0},
-                             D._F, D._emax)
-        hit = _gamma_ratio_cache[key] = exp_decaying(R)._shifted(
-            fix(d, R._F) - fix(c, R._F))
-    return hit
+    D = _log_gamma(c, emax) - _log_gamma(d, emax)
+    R = AsymSeries._make({k: v for k, v in D._t.items() if k[0] > 0},
+                         D._F, D._emax)
+    return exp_decaying(R)._shifted(fix(d, R._F) - fix(c, R._F))
 
 
 def _binomial_series(alpha, order, emax) -> AsymSeries:
@@ -592,81 +600,42 @@ def _binomial_series(alpha, order, emax) -> AsymSeries:
     return G * E[order] * math.factorial(order)
 
 
-class LruCache:
-    """Mapping that keeps only its ``capacity`` most recently used entries."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self._data = OrderedDict()
-
-    def __len__(self):
-        return len(self._data)
-
-    def get(self, key):
-        hit = self._data.get(key)
-        if hit is not None:
-            self._data.move_to_end(key)
-        return hit
-
-    def __setitem__(self, key, value):
-        self._data[key] = value
-        self._data.move_to_end(key)
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-
 # A cold 51-identity verify pass fills 91 entries, 14 of them carrying a
 # binomial, and evicts none; a warm process that keeps meeting new shifts
 # would otherwise grow without bound.
 PREFIX_CACHE_SIZE = 128
-_prefix_cache = LruCache(PREFIX_CACHE_SIZE)
-
-# A cold seed-7 verify pass asks 72 times for 20 distinct ratios (other
-# suite seeds up to 22) and evicts none; a warm process that keeps meeting
-# new parameters holds about 5 KB each (3.6 KB at order 14 and 288 bits,
-# 8 KB at order 26 and 480).
-GAMMA_RATIO_CACHE_SIZE = 32
-_gamma_ratio_cache = LruCache(GAMMA_RATIO_CACHE_SIZE)
 
 
-def prefix_expansion(k, a, star, emax, n_anchor, binomial=None):
+@memo(PREFIX_CACHE_SIZE)
+def prefix_expansion(k, a, star, emax, n_anchor, binomial):
     """AsymSeries E with E(n) ~ zeta_n(k; a) (or the star sum) for large n,
     for a tuple of exponents ``k`` and one of mpf shifts ``a``.
 
-    ``binomial`` = (alpha, order), when given, puts the order-th
+    ``binomial`` = (alpha, order), when not None, puts the order-th
     alpha-derivative of C(n_r + alpha - 2, n_r - 1) on the innermost index
     (:func:`_binomial_series`).  Built by the nested-sum recursion on
     (k[1:], a[1:]): the outermost summand is expanded, Euler-Maclaurin
     turns it into a partial-sum expansion, and the free constant is
     anchored against the exact dynamic program at ``n_anchor``.  Every
     level is truncated at the exponent ``emax``.  Runs at the precision of
-    the caller's :func:`working` block; the cache keys on the arguments
-    and that precision.
+    the caller's :func:`working` block; memoised per level on the
+    arguments and that precision (:func:`precision.memo`).
     """
-    key = (k, a, star, binomial, emax, n_anchor, mp.mp.prec)
-    hit = _prefix_cache.get(key)
-    if hit is not None:
-        return hit
     if not k:
-        out = AsymSeries.constant(1, emax)
+        return AsymSeries.constant(1, emax)
+    lead = power_shift(k[0], a[0] - 1, emax)
+    if len(k) == 1 and binomial is not None:
+        T = _binomial_series(*binomial, emax) * lead
     else:
-        lead = power_shift(k[0], a[0] - 1, emax)
-        if len(k) == 1 and binomial is not None:
-            T = _binomial_series(*binomial, emax) * lead
-        else:
-            tail = prefix_expansion(k[1:], a[1:], star, emax, n_anchor,
-                                    binomial)
-            T = lead * (tail if star else tail.shift_arg(-1))
-        V = em_antidifference(T).prune()
-        # plain anchors stay on mhs/mhss, whose traced calls mark misses
-        if binomial is not None:
-            exact = _nth(k, a, star, n_anchor, binomial)
-        else:
-            exact = mhss(n_anchor, k, a) if star else mhs(n_anchor, k, a)
-        out = V + (exact - V(n_anchor))
-        out = out.prune()
-    _prefix_cache[key] = out
-    return out
+        tail = prefix_expansion(k[1:], a[1:], star, emax, n_anchor, binomial)
+        T = lead * (tail if star else tail.shift_arg(-1))
+    V = em_antidifference(T).prune()
+    # plain anchors stay on mhs/mhss, whose traced calls mark misses
+    if binomial is not None:
+        exact = _nth(k, a, star, n_anchor, binomial)
+    else:
+        exact = mhss(n_anchor, k, a) if star else mhs(n_anchor, k, a)
+    return (V + (exact - V(n_anchor))).prune()
 
 
 def _em_cut(t, F, n_start, bits):
@@ -742,21 +711,17 @@ TAU_GUARD_BITS = 24
 # exponent of work + 64 bits, takes about 0.5 KB, so a warm process that
 # keeps meeting new crossovers and precisions holds at most about 130 KB.
 TAU_CACHE_SIZE = 256
-_tau_cache = LruCache(TAU_CACHE_SIZE)
 
 
+@memo(TAU_CACHE_SIZE)
 def _tau(E, j, F, N):
     """tau(e, j, N) = sum_{n > N} n^(-e) log(n)^j for the integer e = E
     2^-F, from :func:`_em_parts` of the unit monomial, rounded
     :data:`TAU_GUARD_BITS` beyond the working precision.  Memoised per
     (E, j, F, N, precision)."""
-    key = (E, j, F, N, mp.mp.prec)
-    hit = _tau_cache.get(key)
-    if hit is None:
-        parts = _em_parts({(E, j): 1 << F}, F, N, TAU_GUARD_BITS)
-        with mp.workprec(mp.mp.prec + TAU_GUARD_BITS):
-            hit = _tau_cache[key] = mp.fsum(parts)
-    return hit
+    parts = _em_parts({(E, j): 1 << F}, F, N, TAU_GUARD_BITS)
+    with mp.workprec(mp.mp.prec + TAU_GUARD_BITS):
+        return mp.fsum(parts)
 
 
 def tail_sum(series, n_start):

@@ -78,7 +78,7 @@ def _nonempty(k, op: str) -> Composition:
     """``k`` as a Composition; :class:`DomainError` when it is empty."""
     k = Composition(k)
     if k.is_empty():
-        raise DomainError(f"{op} is undefined for the empty composition")
+        raise DomainError(f"{op} needs a nonempty index")
     return k
 
 

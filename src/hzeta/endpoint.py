@@ -27,21 +27,27 @@ the claim's factor 3r + 2 and the core's size |log u|^r / r! (depth r)
 with 8 bits to spare.  A claim above tol repeats the evaluation once at
 the work bits.  The precision depends on the request only, and a table
 on its index and precision only, so one request always gives the same
-bits, whatever the cache holds.  :func:`node_evaluator` serves the
+bits, whatever the memo holds.  :func:`node_evaluator` serves the
 quadrature, whose nodes need the value at the work precision only: the
 tables at the work bits (:func:`mpl_endpoint`, :func:`kta_endpoint`) or
 :func:`direct`, and no claim.
 
 The direct pass.  :func:`_direct_pass` is the one direct series of both
-cores, at an exact ratio x, for levels (j, k_(i+1), ..., k_r) that share
-the inner sums of one nested-sum stream (:func:`finite_sums._steps`) on
-integers at the caller's scale F.  Each level stops at its own N, found
-once before the loop by a float bisection on its tail majorant
-(:func:`_cut`), and claims that majorant evaluated once in mpf at N plus
-the pass's counted rounding units.  :func:`direct` runs one level at any
-0 < x < 1; :func:`_direct_core` anchors every missing level of a chain
-at x0 = x(1/4) (``KINDS``) at the default scale, cut at 2^-(p + 8), so
-an anchor does not depend on which chain asked for it.
+cores, at an exact ratio x, of one index on the inner sums of its
+nested-sum stream (:func:`finite_sums._steps`), on integers at the
+caller's scale F.  It stops at the N found once before the loop by a
+float bisection on its tail majorant (:func:`_cut`), and claims that
+majorant evaluated once in mpf at N plus the pass's counted rounding
+units.  :func:`direct` runs it at any 0 < x < 1, and :func:`_direct_core`
+at x0 = x(1/4) (``KINDS``) at the default scale, cut at 2^-(p + 8), for
+the anchor of one table.
+
+The tables.  :func:`_useries` is memoised per (kind, index, precision)
+(:func:`precision.memo`) and recursive: the table of an index is built
+from its child's (k_1 - 1 or the tail past a leading 1, down to the
+constant 1 of the empty index) and anchored on its own, so each table
+built costs one anchor pass and a table never depends on which request
+built it.
 
 Tables are held in fixed point (:mod:`hzeta.fixed`): one row of Python
 integers per log power j, entry m standing for c_{m,j} 2^-F at F = p + 64.
@@ -85,12 +91,11 @@ from math import comb, factorial
 
 import mpmath as mp
 
-from .asymptotics import LruCache
 from .compositions import Composition, _nonempty, refinements
 from .errors import DomainError
 from .finite_sums import _slots, _steps
 from .fixed import GUARD_BITS, dyadic, fix, horner, rdiv, scale, to_mpf
-from .precision import PrecisionConfig, finite_real, working
+from .precision import PrecisionConfig, finite_real, memo, working
 
 # The domain edge: every table serves 0 < u <= EDGE and is anchored there.
 EDGE = mp.mpf(0.25)
@@ -105,7 +110,6 @@ ANCHOR_BITS = 8
 # together 15); the 24 routed index layouts of the eval-direct passes fill
 # 37 at their tolerance-sized 128 bits, about 0.7 MB of integers.
 ENDPOINT_CACHE_SIZE = 64
-_cache = LruCache(ENDPOINT_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -245,70 +249,60 @@ def _cut(frame, x, depth, j, target):
                                     depth, j, mp.mpf(lo)))
 
 
-def _direct_pass(frame, parts, x, levels, target, F):
-    """{level: (value at 2^-F, claimed error)}: Li (frame 1) or A (frame 2)
-    at x = num/den, an exact ratio in (0, 1), of each of the ``levels``
-    (j,) + parts[i+1:], from one pass of the direct series of ``parts`` on
-    integers at 2^-F.
+def _direct_pass(frame, parts, x, target, F):
+    """(value at 2^-F, claimed error): Li (frame 1) or A (frame 2) of
+    ``parts`` at x = num/den, an exact ratio in (0, 1), from one pass of
+    its direct series on integers at 2^-F, cut where its tail majorant
+    meets 2^-target.
 
-    Level (j,) + parts[i+1:] of depth r' sums q^m d(m)^(-j) times the
-    stream's inner sum S[i] at m - 1 for m <= N (:func:`_cut`), q = x^frame
-    and d(m) = m for Li and 2 m - r' for A, whose prefactor c
-    2^-|parts[i+1:]|, c = (2/x)^r', is applied once at the end by one
-    rounded exact division (A's stream sums over the half denominators of
-    its slots).  q^m steps by one floor of an exact ratio
-    (at most 1/(1 - q) units off), the inner sums carry m r' units after m
-    steps, and each term floors twice, so the pass is off by at most
-    c (N (B / (1 - q) + 2) + (r' - 1) q / (1 - q)^2) + 1 units, B the
-    inner-sum bound of :func:`_cut` at N and c = 1 for Li.  The claim is
-    that plus the majorant at N.
+    Depth r sums q^m d(m)^(-k_1) times the inner sum S of the stream of
+    parts[1:] at m - 1 for m <= N (:func:`_cut`), q = x^frame and d(m) = m
+    for Li and 2 m - r for A, whose prefactor c 2^-|parts[1:]|, c =
+    (2/x)^r, is applied once at the end by one rounded exact division (A's
+    stream sums over the half denominators of its slots).  q^m steps by
+    one floor of an exact ratio (at most 1/(1 - q) units off), the inner
+    sums carry m r units after m steps, and each term floors twice, so the
+    pass is off by at most c (N (B / (1 - q) + 2) + (r - 1) q / (1 - q)^2)
+    + 1 units, B the inner-sum bound of :func:`_cut` at N and c = 1 for
+    Li.  The claim is that plus the majorant at N.
     """
     num, den = x
     qn, qd = num ** frame, den ** frame
-    r = len(parts)
+    r, k1 = len(parts), parts[0]
     shifts = [mp.mpf(1 if frame == 1 else (i + 2 - r) / 2)
               for i in range(1, r)]
     stream = _steps(_slots(parts[1:], shifts, False), r - 1, F, None)
-    jobs = [[lv, r - len(lv), *_cut(frame, x, len(lv), lv[0], target), 0]
-            for lv in levels]
+    N, tail = _cut(frame, x, r, k1, target)
     S = [0] * (r - 1) + [1 << F]
-    X = 1 << F
-    for m in range(1, max(job[2] for job in jobs) + 1):
+    X, T = 1 << F, 0
+    for m in range(1, N + 1):
         X = X * qn // qd
-        for job in jobs:
-            lv, i, N = job[0], job[1], job[2]
-            if m <= N and S[i]:
-                d = m if frame == 1 else 2 * m - len(lv)
-                job[4] += (X * S[i] >> F) // (d if lv[0] == 1 else d ** lv[0])
+        if S[0]:
+            d = m if frame == 1 else 2 * m - r
+            T += (X * S[0] >> F) // (d if k1 == 1 else d ** k1)
         S = next(stream)
     q = mp.mpf(qn) / qd
-    out = {}
-    for lv, _i, N, tail, T in jobs:
-        depth = len(lv)
-        c = 1
-        if frame == 2:
-            c = (2 * mp.mpf(den) / num) ** depth
-            T = rdiv(T * (2 * den) ** depth, num ** depth << sum(lv[1:]))
-        B = (1 + mp.log(N)) ** (depth - 1) / factorial(depth - 1)
-        units = c * (N * (B / (1 - q) + 2)
-                     + (depth - 1) * q / (1 - q) ** 2) + 1
-        out[lv] = (T, tail + mp.ldexp(units, -F))
-    return out
+    c = 1
+    if frame == 2:
+        c = (2 * mp.mpf(den) / num) ** r
+        T = rdiv(T * (2 * den) ** r, num ** r << sum(parts[1:]))
+    B = (1 + mp.log(N)) ** (r - 1) / factorial(r - 1)
+    units = c * (N * (B / (1 - q) + 2) + (r - 1) * q / (1 - q) ** 2) + 1
+    return T, tail + mp.ldexp(units, -F)
 
 
-def _direct_core(kind, parts, levels):
-    """{level: (value at 2^-F, claimed error)}: the ``levels`` of
-    :func:`_direct_pass` at the anchor point x0 = x(EDGE) and the default
-    scale F, each cut ``ANCHOR_BITS`` below the working precision."""
+def _direct_core(kind, parts):
+    """(value at 2^-F, claimed error): the anchor of the table of
+    ``parts``, its :func:`_direct_pass` at x0 = x(EDGE) and the default
+    scale F, cut ``ANCHOR_BITS`` below the working precision."""
     frame, x0 = KINDS[kind]
-    return _direct_pass(frame, parts, x0, levels, mp.mp.prec + ANCHOR_BITS,
-                        scale())
+    return _direct_pass(frame, parts, x0, mp.mp.prec + ANCHOR_BITS, scale())
 
 
 def direct(kind, parts, x, tol):
     """(value, claimed error) of Li_parts(x) ("mpl") or A(parts; x) ("kta")
-    at 0 < x < 1 (an mpf): the one level ``parts`` of :func:`_direct_pass`,
-    cut where its tail majorant meets tol/2.
+    at 0 < x < 1 (an mpf): :func:`_direct_pass`, cut where its tail
+    majorant meets tol/2.
 
     The scale F keeps ``GUARD_BITS`` below that cut after A's prefactor
     (2/x)^r, and frame r bits per binary order of a small x, so that the
@@ -324,8 +318,7 @@ def direct(kind, parts, x, tol):
     lp = 0 if frame == 1 else r * (1 + e - math.log2(B))  # (2/x)^r
     F = max(out_bits + frame * r * max(0, e - B.bit_length()),
             math.ceil(target + lp) + GUARD_BITS)
-    [(T, claim)] = _direct_pass(frame, parts, (B, 1 << e), [parts], target,
-                                F).values()
+    T, claim = _direct_pass(frame, parts, (B, 1 << e), target, F)
     with mp.workprec(out_bits):
         value = to_mpf(T, F, out_bits)
         return value, claim + mp.ldexp(abs(value), -out_bits)
@@ -359,32 +352,17 @@ def _build(kind, parts, child, anchor, F, M):
     return _Table(E, err, _poly_add(err, _units_poly(evalu, F)))
 
 
+@memo(ENDPOINT_CACHE_SIZE)
 def _useries(kind, parts):
-    """The table of the core ``parts`` at the working precision, cached per
-    precision; one direct pass anchors every level of its chain (parts,
-    its child, ..., ()) that is not cached yet."""
-    prec = mp.mp.prec
-    chain = [parts]
-    while chain[-1]:
-        chain.append(_child(chain[-1]))
-    have = {lv: _cache.get((kind, lv, prec)) for lv in chain}
-    if have[parts] is not None:
-        return have[parts]
-    missing = [lv for lv in chain if lv and have[lv] is None]
-    anchors = _direct_core(kind, parts, missing)
+    """The table of the core ``parts`` at the working precision, memoised
+    per level: the constant 1 for (), else :func:`_build` of its child's
+    table and its own anchor (:func:`_direct_core`)."""
     F = scale()
-    M = prec // 2 + 24
-    table = None
-    for lv in reversed(chain):
-        table = have[lv]
-        if table is None:
-            if lv:
-                table = _build(kind, lv, child, anchors[lv], F, M)
-            else:
-                table = _Table([[1 << F] + [0] * M], [mp.mpf(0)], [mp.mpf(0)])
-            _cache[(kind, lv, prec)] = table
-        child = table
-    return table
+    M = mp.mp.prec // 2 + 24
+    if not parts:
+        return _Table([[1 << F] + [0] * M], [mp.mpf(0)], [mp.mpf(0)])
+    child = _useries(kind, _child(parts))
+    return _build(kind, parts, child, _direct_core(kind, parts), F, M)
 
 
 def local_u(kind, x):

@@ -282,15 +282,11 @@ _SMALL_ALPHAS = ["0.15", "0.25", "0.35", "0.45"]
 _SHORT_INDICES = [(2,), (2, 1), (1, 2), (2, 2)]
 
 
-def _pick(rng, pool):
-    return pool[rng.randrange(len(pool))]
-
-
 def _pools(**pools):
     """Sampler that draws each parameter, in the order written, from its
     pool (a list or a range); a scalar is a constant and draws nothing."""
     def sample(rng):
-        return {name: _pick(rng, pool) if isinstance(pool, (list, range))
+        return {name: rng.choice(pool) if isinstance(pool, (list, range))
                 else pool for name, pool in pools.items()}
 
     return sample
@@ -756,12 +752,12 @@ _register(
 
 
 def _sample_thm_52(rng):
-    m = _pick(rng, [-1, 0, 1, 2, 3])
+    m = rng.choice([-1, 0, 1, 2, 3])
     if m == -1:
-        a = _pick(rng, _SMALL_ALPHAS)
+        a = rng.choice(_SMALL_ALPHAS)
         return {"m": m, "alpha": a, "beta": a}
-    return {"m": m, "alpha": _pick(rng, _SMALL_ALPHAS),
-            "beta": _pick(rng, _SMALL_ALPHAS)}
+    return {"m": m, "alpha": rng.choice(_SMALL_ALPHAS),
+            "beta": rng.choice(_SMALL_ALPHAS)}
 
 
 # thm-5.2 is thm-5.4 with no harmonic prefixes (k = p = 0)

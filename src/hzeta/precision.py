@@ -8,8 +8,10 @@ fixed-point kernels add ``fixed.GUARD_BITS``.  Public entry points take
 precision and run at the innermost active config, so ``prec=None`` inside
 a block means that block's config.  No block spans a ``yield``: streams
 resolve their bits when created, and factories capture the config and
-re-enter it on every call of the closure they return.  Precision-keyed
-caches key on ``mp.mp.prec``, which equals ``work_bits`` inside a block.
+re-enter it on every call of the closure they return.  Every
+precision-keyed table is one :func:`memo`, keyed on its function's
+positional arguments and ``mp.mp.prec``, which equals ``work_bits`` inside
+a block, so a value built at one precision is never served at another.
 Public entry points read every real argument with :func:`finite_real`
 and every integer with :func:`whole`, inside their block.
 """
@@ -20,6 +22,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import mpmath as mp
 
@@ -58,6 +61,27 @@ def working(prec: PrecisionConfig | None = None):
             yield cfg
     finally:
         _active.reset(token)
+
+
+def memo(maxsize: int):
+    """Decorator: a :func:`functools.lru_cache` of ``maxsize`` entries
+    keyed on the positional arguments, the only ones it takes, and
+    ``mp.mp.prec``, with its ``cache_info`` and ``cache_clear``.  Callers
+    share each returned value and must not mutate it."""
+    def decorate(fn):
+        @lru_cache(maxsize)
+        def cached(prec, *args):
+            return fn(*args)
+
+        @wraps(fn)
+        def call(*args):
+            return cached(mp.mp.prec, *args)
+
+        call.cache_info = cached.cache_info
+        call.cache_clear = cached.cache_clear
+        return call
+
+    return decorate
 
 
 def finite_real(name: str, x) -> mp.mpf:

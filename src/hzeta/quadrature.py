@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .asymptotics import LruCache
 from .compositions import _nonempty
 from .endpoint import node_evaluator
 from .errors import DomainError, ToleranceNotReached
-from .precision import PrecisionConfig, finite_real, parse_tol, whole, working
+from .precision import (PrecisionConfig, finite_real, memo, parse_tol, whole,
+                        working)
 from .series_engine import ValueWithBound
 
 MAX_LEVELS = 12
@@ -41,9 +41,9 @@ MAX_LEVELS = 12
 # its own lower levels, and a process that meets new precisions holds
 # about one such set.
 NODE_CACHE_SIZE = 16
-_node_cache = LruCache(NODE_CACHE_SIZE)
 
 
+@memo(NODE_CACHE_SIZE)
 def _nodes(level: int):
     """New abscissae at this level: (v, 1 - v, weight) triples.
 
@@ -51,10 +51,6 @@ def _nodes(level: int):
     multiples of h = 2^-l.  Nodes are generated until 1 - v underflows
     the working precision by a wide margin.
     """
-    key = (level, mp.mp.prec)
-    hit = _node_cache.get(key)
-    if hit is not None:
-        return hit
     cutoff = mp.ldexp(1, -(mp.mp.prec + 40))
     h = mp.ldexp(1, -level)
     out = []
@@ -75,7 +71,6 @@ def _nodes(level: int):
         if t:
             out.append((omv, v, w))  # the mirrored node t -> -t
         j += 1
-    _node_cache[key] = out
     return out
 
 

@@ -56,6 +56,7 @@ from .asymptotics import (AsymSeries, _binomial_series, gamma_ratio, power_shift
                           prefix_expansion, tail_sum)
 from .compositions import (
     Composition,
+    _nonempty,
     add as index_add,
     binom_weight,
     ones,
@@ -338,7 +339,7 @@ def _spec_series(spec: TermSpec, emax: int, n_anchor: int) -> AsymSeries:
         S = S * E
     if spec.star is not None:
         S = S * prefix_expansion(spec.star.parts, spec.star_shift.shifts,
-                                 True, emax, n_anchor)
+                                 True, emax, n_anchor, None)
     for a, at_prev, order in spec.binom_upper:
         if at_prev:
             S = S * _binomial_series(a, order, emax)
@@ -506,9 +507,7 @@ def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
     """The core ``kind`` ("mpl" or "kta") at 0 <= x <= 1 and the parsed
     ``tol`` for :func:`mpl`, :func:`kta` and :func:`mpl_landen`; its claim
     may exceed tol."""
-    k = Composition(k)
-    if k.is_empty():
-        raise DomainError(f"{kind} needs a nonempty index")
+    k = _nonempty(k, kind)
     x = finite_real("x", x)
     if not 0 <= x <= 1:
         raise DomainError(f"x must lie in [0, 1], got {x}")
@@ -551,9 +550,7 @@ def mpl_landen(k, x, tol=None, strategy=None,
     and a total claim above tol raises as in :func:`mpl`.
     """
     with working(prec):
-        k = Composition(k)
-        if k.is_empty():
-            raise DomainError("mpl_landen needs a nonempty index")
+        k = _nonempty(k, "mpl_landen")
         x = finite_real("x", x)
         if not 0 <= x < 1:
             raise DomainError(f"x must lie in [0, 1), got {x}")
@@ -587,9 +584,7 @@ def apery_I(k, kk: int, alpha, tol=None, strategy=None,
     """sum_n zeta_{n-1}(k_2..k_r) zeta*_n({1}_kk; 1-alpha)
     / (n^(k_1+1) C(n-alpha, n))."""
     with working(prec):
-        k = Composition(k)
-        if k.is_empty():
-            raise DomainError("apery_I needs a nonempty index")
+        k = _nonempty(k, "apery_I")
         kk = whole("kk", kk, 0)
         alpha = finite_real("alpha", alpha)
         if alpha >= 1:
@@ -705,9 +700,7 @@ def arakawa_kaneko(kind: str, s: int, k, tol=None, strategy=None,
         raise DomainError(f"kind must be xi, psi or eta, got {kind!r}")
     with working(prec):
         s = whole("s", s, 1)
-        k = Composition(k)
-        if k.is_empty():
-            raise DomainError("needs a nonempty index")
+        k = _nonempty(k, kind)
         tol = parse_tol(tol)
         if kind == "xi":
             Z = lambda idx, sub: htmzv(idx, None, sub, strategy)
@@ -749,9 +742,7 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None) -> ValueWithBound:
     derivative: a Taylor jet in the head (:func:`_binomials`) and a
     log-power series in the expansion (:func:`_binomial_series`).
     """
-    k = Composition(k)
-    if k.is_empty():
-        raise DomainError("needs a nonempty index")
+    k = _nonempty(k, "htmzv_pbc")
     r = k.depth()
     alpha, shift = finite_real("alpha", alpha), finite_real("shift", shift)
     if shift <= 0:

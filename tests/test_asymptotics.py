@@ -4,13 +4,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from hzeta import asymptotics
 from hzeta.asymptotics import (
     AsymSeries,
     _binomial_series,
     _em_parts,
     _tau,
-    LruCache,
     TAU_CACHE_SIZE,
     em_antidifference,
     exp_decaying,
@@ -167,7 +165,7 @@ def test_second_derivative_is_one_fused_pass(bits):
 def test_prefix_expansion_matches_dp(k, a, star):
     a = ShiftVector(tuple(mp.mpf(x) for x in a))
     with working(PREC):
-        E = prefix_expansion(k, a.shifts, star, EMAX, N_ANCHOR)
+        E = prefix_expansion(k, a.shifts, star, EMAX, N_ANCHOR, None)
     n = 4000
     exact = mhss(n, k, a, PREC) if star else mhs(n, k, a, PREC)
     assert abs(E(mp.mpf(n)) - exact) < mp.mpf(10) ** -18
@@ -286,7 +284,7 @@ def test_tail_sum_split_matches_the_unsplit_kernel(bits, N):
     # plus the fractional kernel match the one kernel on the whole series
     with working(PrecisionConfig(bits)):
         P = prefix_expansion((1, 2), (mp.mpf("0.75"), mp.mpf("0.5")), False,
-                             EMAX, N_ANCHOR)
+                             EMAX, N_ANCHOR, None)
         S = P * (power_shift(2, "0.25", EMAX)
                  + gamma_ratio("-0.7", 0, EMAX) * power_shift("1.5", "0.5",
                                                               EMAX))
@@ -300,25 +298,17 @@ def test_tail_sum_split_matches_the_unsplit_kernel(bits, N):
         assert abs(got - ref) < mp.ldexp(abs(ref), 8 - bits)
 
 
-def test_tau_table_never_holds_more_than_its_capacity(monkeypatch):
-    assert asymptotics._tau_cache.capacity == TAU_CACHE_SIZE
-    monkeypatch.setattr(asymptotics, "_tau_cache", LruCache(3))
+def test_tau_table_never_holds_more_than_its_capacity():
+    # bounded at TAU_CACHE_SIZE; one entry per (e, j) of the series, each
+    # served again on the second call
+    assert _tau.cache_info().maxsize == TAU_CACHE_SIZE
+    _tau.cache_clear()
     S = AsymSeries({(e, j): 1 for e in range(2, 6) for j in range(2)}, EMAX)
     first = tail_sum(S, 400)
-    assert len(asymptotics._tau_cache) == 3
+    assert _tau.cache_info().currsize == 8
     assert tail_sum(S, 400) == first
-    assert len(asymptotics._tau_cache) == 3
-
-
-def test_lru_cache_evicts_least_recently_used():
-    c = LruCache(2)
-    c["a"] = 1
-    c["b"] = 2
-    assert c.get("a") == 1  # "b" is now the oldest
-    c["c"] = 3
-    assert len(c) == 2
-    assert c.get("b") is None
-    assert c.get("a") == 1 and c.get("c") == 3
+    info = _tau.cache_info()
+    assert (info.currsize, info.hits) == (8, 8)
 
 
 @pytest.mark.parametrize("alpha", ["0.5", "0.3"])
@@ -436,7 +426,7 @@ def test_fixed_point_algebra_matches_mpf_reference(bits):
     n, emax = 400, 18
     with working(PrecisionConfig(bits)):
         a = tuple(mp.mpf(x) for x in ("0.75", "1.25", "0.5"))
-        P = prefix_expansion((1, 2, 1), a, False, emax, N_ANCHOR)
+        P = prefix_expansion((1, 2, 1), a, False, emax, N_ANCHOR, None)
         c = mp.mpf("0.3")
         B = _binomial_series(c, 2, emax)
         M = P * B

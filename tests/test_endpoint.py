@@ -3,7 +3,6 @@ import pytest
 from mpmath.libmp import from_man_exp
 
 from hzeta import endpoint, series_engine
-from hzeta.asymptotics import LruCache
 from hzeta.compositions import Composition
 from hzeta.endpoint import kta_endpoint, mpl_endpoint
 from hzeta.errors import DomainError
@@ -176,8 +175,7 @@ def test_route_claim_holds(kind, k, bits):
 def test_route_at_the_edge_from_a_cold_cache(monkeypatch, k):
     # u = 1/4 builds every table from nothing; the anchors come from the
     # direct pass, so neither entry point is re-entered on the way
-    monkeypatch.setattr(endpoint, "_cache",
-                        LruCache(endpoint.ENDPOINT_CACHE_SIZE))
+    endpoint._useries.cache_clear()
     depth = [0]
 
     def guarded(fn):
@@ -203,8 +201,8 @@ def test_route_at_the_edge_from_a_cold_cache(monkeypatch, k):
                                (1, 3, 1, 2)])
 @pytest.mark.parametrize("kind, frame", [("mpl", 1), ("kta", 2)])
 def test_direct_pass_claims_hold(kind, frame, k, bits):
-    # the one direct pass, through its single-level call at x from 2^-200
-    # to the anchor point x0 and through the anchors of k's chain at x0,
+    # the one direct pass, through its call at x from 2^-200 to the anchor
+    # point x0 and through the anchor of every level of k's chain at x0,
     # against the defining series 256 bits higher
     prec = PrecisionConfig(bits)
     den = 4 if kind == "mpl" else 5
@@ -212,7 +210,7 @@ def test_direct_pass_claims_hold(kind, frame, k, bits):
     while len(chain[-1]) > 1 or chain[-1][0] > 1:
         chain.append(endpoint._child(chain[-1]))
     with working(prec):
-        anchors = endpoint._direct_core(kind, k, chain)
+        anchors = {lv: endpoint._direct_core(kind, lv) for lv in chain}
         F = endpoint.scale()
     for x in (mp.ldexp(1, -200), "0.3", "0.6", f"3/{den}"):
         with working(prec):

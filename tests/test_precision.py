@@ -10,11 +10,12 @@ import mpmath as mp
 import pytest
 
 import hzeta
+from hzeta import asymptotics, endpoint
 from hzeta.finite_sums import mhs_stream
 from hzeta.errors import DomainError
 from hzeta.finite_sums import ShiftVector
 from hzeta.precision import PrecisionConfig, finite_real, parse_tol, whole, working
-from hzeta.series_engine import htmzv
+from hzeta.series_engine import htmzsv, htmzv, mpl
 
 P160 = PrecisionConfig(bits=160)
 
@@ -95,6 +96,42 @@ def test_no_private_function_takes_prec():
             if private and "prec" in inspect.signature(fn).parameters:
                 offenders.append(f"{module.__name__}.{qualname}")
     assert not offenders, offenders
+
+
+def test_memo_keys_on_the_arguments_and_the_precision(monkeypatch):
+    # one Gamma-ratio entry per precision, each series at its own scale,
+    # and a repeated call returns the very same object
+    ratio = asymptotics.gamma_ratio
+    ratio.cache_clear()
+    series = []
+    for bits in (160, 256):
+        with working(PrecisionConfig(bits)):
+            series.append(ratio("0.3", 0, 14))
+            assert ratio("0.3", 0, 14) is series[-1]
+    assert ratio.cache_info().currsize == 2
+    assert [S._F for S in series] == [256, 352]
+    # the star prefixes of (1, 1) hold those of (1,): _spec_series passes
+    # the binomial positionally, as the recursion does, so both keys agree
+    prefix = asymptotics.prefix_expansion
+    prefix.cache_clear()
+    htmzsv((2, 1, 1), "0.75")
+    misses = prefix.cache_info().misses
+    htmzsv((2, 1), "0.75")
+    assert prefix.cache_info().misses == misses
+    # each endpoint table built runs its own anchor pass; held ones none
+    anchored = []
+    core = endpoint._direct_core
+
+    def counted(kind, parts):
+        anchored.append(parts)
+        return core(kind, parts)
+
+    monkeypatch.setattr(endpoint, "_direct_core", counted)
+    endpoint._useries.cache_clear()
+    mpl((2, 1), "0.9")
+    assert anchored == [(1,), (1, 1), (2, 1)]
+    mpl((1, 1), "0.9")
+    assert anchored == [(1,), (1, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("x", [ShiftVector([1, 2]), "abc", None])

@@ -3,7 +3,6 @@ import random
 import mpmath as mp
 import pytest
 
-from hzeta.asymptotics import LruCache
 from hzeta.compositions import Composition, theorem_dual
 from hzeta import quadrature
 from hzeta.errors import DomainError, ToleranceNotReached
@@ -156,16 +155,19 @@ def test_default_tolerance_follows_the_precision():
     assert got.abs_error <= mp.ldexp(1, -120)
 
 
-def test_node_table_never_holds_more_than_its_capacity(monkeypatch):
-    # the 13 levels of one call fit, so it never evicts its own lower ones
-    assert quadrature._node_cache.capacity == NODE_CACHE_SIZE > MAX_LEVELS
+def test_node_table_never_holds_more_than_its_capacity():
+    # the 13 levels of one call fit, so it never evicts its own lower ones;
+    # a repeated call reads every level it reached from the table
+    nodes = quadrature._nodes
+    assert nodes.cache_info().maxsize == NODE_CACHE_SIZE > MAX_LEVELS
+    nodes.cache_clear()
     f = WeightedIntegrand(x_exp="-0.5", omx_exp="0.5")
     first = de_quad(f, QTOL, PREC)
-    monkeypatch.setattr(quadrature, "_node_cache", LruCache(3))
-    for _ in range(2):
-        got = de_quad(f, QTOL, PREC)
-        assert len(quadrature._node_cache) == 3
-        assert (got.value, got.abs_error) == (first.value, first.abs_error)
+    levels = nodes.cache_info().currsize
+    got = de_quad(f, QTOL, PREC)
+    info = nodes.cache_info()
+    assert (info.currsize, info.hits) == (levels, levels)
+    assert (got.value, got.abs_error) == (first.value, first.abs_error)
 
 
 class TestLogXWeight:

@@ -518,16 +518,12 @@ class TestPbcDerivative:
         with pytest.raises(ValueError):
             TermSpec(**kw)
 
-    def test_shared_prefix_cache_keeps_binomials_apart(self, monkeypatch):
-        # pbc and plain prefixes share one cache; a plain htmzv after a pbc
+    def test_shared_prefix_cache_keeps_binomials_apart(self):
+        # pbc and plain prefixes share one memo; a plain htmzv after a pbc
         # sum over the same index and shift must not pick up its prefixes
-        def cold():
-            monkeypatch.setattr(asym, "_prefix_cache",
-                                asym.LruCache(asym.PREFIX_CACHE_SIZE))
-
-        cold()
+        asym.prefix_expansion.cache_clear()
         ref = htmzv((2, 1, 1), "0.75", None, None, self.P256)
-        cold()
+        asym.prefix_expansion.cache_clear()
         htmzv_pbc("0.3", (2, 1, 1), "0.75", None, None, self.P256)
         v = htmzv((2, 1, 1), "0.75", None, None, self.P256)
         assert v.value == ref.value and v.abs_error == ref.abs_error
