@@ -34,13 +34,15 @@ tables at the work bits (:func:`mpl_endpoint`, :func:`kta_endpoint`) or
 
 The direct pass.  :func:`_direct_pass` is the one direct series of both
 cores, at an exact ratio x, of one index on the inner sums of its
-nested-sum stream (:func:`finite_sums._steps`), on integers at the
-caller's scale F.  It stops at the N found once before the loop by a
-float bisection on its tail majorant (:func:`_cut`), and claims that
-majorant evaluated once in mpf at N plus the pass's counted rounding
-units.  :func:`direct` runs it at any 0 < x < 1, and :func:`_direct_core`
-at x0 = x(1/4) (``KINDS``) at the default scale, cut at 2^-(p + 8), for
-the anchor of one table.
+nested sum, taken a block at a time from the nested-sum kernel
+(:class:`finite_sums._NestedSum`), on integers at the caller's scale F.
+It stops at the N found once before the loop by a float bisection on its
+tail majorant (:func:`_cut`).  :func:`_direct_claim` claims that majorant
+evaluated once in mpf at N plus the pass's counted rounding units, where
+a claim is returned: :func:`direct`, at any 0 < x < 1, and
+:func:`_direct_core`, at x0 = x(1/4) (``KINDS``) at the default scale,
+cut at 2^-(p + 8), for the anchor of one table.  A quadrature node takes
+the value alone (:func:`_direct_value`).
 
 The tables.  :func:`_useries` is memoised per (kind, index, precision)
 (:func:`precision.memo`) and recursive: the table of an index is built
@@ -93,7 +95,7 @@ import mpmath as mp
 
 from .compositions import Composition, _nonempty, refinements
 from .errors import DomainError
-from .finite_sums import _slots, _steps
+from .finite_sums import BLOCK, _NestedSum, _weigh
 from .fixed import GUARD_BITS, dyadic, fix, horner, rdiv, scale, to_mpf
 from .precision import PrecisionConfig, finite_real, memo, working
 
@@ -219,17 +221,16 @@ def _log_majorant(lib, lnx, frame, depth, j, N):
 
 
 def _cut(frame, x, depth, j, target):
-    """(N, bound): the first N at which the log-majorant of the direct tail
-    past N of a depth-``depth`` level with leading exponent ``j`` at
-    x = num/den is at most 2^-target, and the majorant at N.
+    """The first N at which the log-majorant of the direct tail past N of
+    a depth-``depth`` level with leading exponent ``j`` at x = num/den is
+    at most 2^-target.
 
     An inner sum is at most (1 + log m)^(r-1) / (r-1)! (A's denominators
     are at least their index) and the outer denominator at least m^j, so a
     term is at most c q^m (1 + log m)^(r-1) / ((r-1)! m^j), q = x^frame,
     c = 1 for Li and (2/x)^r for A; consecutive ratios past N are at most
     rho = q e^((r-1)/(N+1)).  The majorant decreases in N once rho <=
-    q^(3/4), so a bisection on floats finds N; the bound is the majorant
-    evaluated once in mpf at N.
+    q^(3/4), so a bisection on floats finds N.
     """
     num, den = x
     lnx = math.log(num) - math.log(den)
@@ -245,50 +246,67 @@ def _cut(frame, x, depth, j, target):
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (mid + 1, hi) if above(mid) else (lo, mid)
-    return lo, mp.exp(_log_majorant(mp, mp.log(num) - mp.log(den), frame,
-                                    depth, j, mp.mpf(lo)))
+    return lo
 
 
-def _direct_pass(frame, parts, x, target, F):
-    """(value at 2^-F, claimed error): Li (frame 1) or A (frame 2) of
-    ``parts`` at x = num/den, an exact ratio in (0, 1), from one pass of
-    its direct series on integers at 2^-F, cut where its tail majorant
-    meets 2^-target.
+def _direct_pass(frame, parts, x, N, F):
+    """Li (frame 1) or A (frame 2) of ``parts`` at x = num/den, an exact
+    ratio in (0, 1), at 2^-F: one pass of its direct series on integers,
+    cut after N terms (:func:`_cut`); :func:`_direct_claim` bounds its
+    error.
 
-    Depth r sums q^m d(m)^(-k_1) times the inner sum S of the stream of
-    parts[1:] at m - 1 for m <= N (:func:`_cut`), q = x^frame and d(m) = m
-    for Li and 2 m - r for A, whose prefactor c 2^-|parts[1:]|, c =
-    (2/x)^r, is applied once at the end by one rounded exact division (A's
-    stream sums over the half denominators of its slots).  q^m steps by
-    one floor of an exact ratio (at most 1/(1 - q) units off), the inner
-    sums carry m r units after m steps, and each term floors twice, so the
-    pass is off by at most c (N (B / (1 - q) + 2) + (r - 1) q / (1 - q)^2)
-    + 1 units, B the inner-sum bound of :func:`_cut` at N and c = 1 for
-    Li.  The claim is that plus the majorant at N.
+    Depth r sums q^m d(m)^(-k_1) times the inner sum S of parts[1:] at
+    m - 1 for m <= N, q = x^frame and d(m) = m for Li and 2 m - r for A,
+    whose prefactor c 2^-|parts[1:]|, c = (2/x)^r, is applied once at the
+    end by one rounded exact division (A's inner sums run over the half
+    denominators of their slots).  The inner sums come a block at a time
+    from :class:`finite_sums._NestedSum`; q^m steps by one floor of an
+    exact ratio, and each term floors twice.
     """
     num, den = x
     qn, qd = num ** frame, den ** frame
     r, k1 = len(parts), parts[0]
     shifts = [mp.mpf(1 if frame == 1 else (i + 2 - r) / 2)
               for i in range(1, r)]
-    stream = _steps(_slots(parts[1:], shifts, False), r - 1, F, None)
-    N, tail = _cut(frame, x, r, k1, target)
-    S = [0] * (r - 1) + [1 << F]
-    X, T = 1 << F, 0
-    for m in range(1, N + 1):
-        X = X * qn // qd
-        if S[0]:
-            d = m if frame == 1 else 2 * m - r
-            T += (X * S[0] >> F) // (d if k1 == 1 else d ** k1)
-        S = next(stream)
-    q = mp.mpf(qn) / qd
-    c = 1
+    inner = _NestedSum(parts[1:], shifts, False, F)
+    X, T, m = 1 << F, 0, 0
+    carried = inner.S[0]  # the inner sum at m
+    while m < N:
+        count = min(BLOCK, N - m)
+        column = inner.advance(count)
+        column, carried = [carried] + column[:-1], column[-1]
+        xs = []
+        for _ in range(count):
+            X = X * qn // qd
+            xs.append(X)
+        ds = range(m + 1, m + count + 1) if frame == 1 else \
+            range(2 * m + 2 - r, 2 * (m + count) + 2 - r, 2)
+        T += sum(_weigh([y * s >> F for y, s in zip(xs, column)], k1, 0, ds))
+        m += count
     if frame == 2:
-        c = (2 * mp.mpf(den) / num) ** r
         T = rdiv(T * (2 * den) ** r, num ** r << sum(parts[1:]))
+    return T
+
+
+def _direct_claim(frame, parts, x, N, F):
+    """The claimed error of :func:`_direct_pass` cut after N terms at
+    2^-F: the tail majorant of :func:`_cut` at N, evaluated once in mpf,
+    plus the pass's rounding units.
+
+    q^m is at most 1/(1 - q) units off, the inner sums carry m r units
+    after m steps, and each term floors twice, so the pass is off by at
+    most c (N (B / (1 - q) + 2) + (r - 1) q / (1 - q)^2) + 1 units, B the
+    inner-sum bound of :func:`_cut` at N and c = 1 for Li.
+    """
+    num, den = x
+    r = len(parts)
+    tail = mp.exp(_log_majorant(mp, mp.log(num) - mp.log(den), frame, r,
+                                parts[0], mp.mpf(N)))
+    q = mp.mpf(num ** frame) / den ** frame
+    c = 1 if frame == 1 else (2 * mp.mpf(den) / num) ** r
     B = (1 + mp.log(N)) ** (r - 1) / factorial(r - 1)
     units = c * (N * (B / (1 - q) + 2) + (r - 1) * q / (1 - q) ** 2) + 1
-    return T, tail + mp.ldexp(units, -F)
+    return tail + mp.ldexp(units, -F)
 
 
 def _direct_core(kind, parts):
@@ -296,7 +314,27 @@ def _direct_core(kind, parts):
     ``parts``, its :func:`_direct_pass` at x0 = x(EDGE) and the default
     scale F, cut ``ANCHOR_BITS`` below the working precision."""
     frame, x0 = KINDS[kind]
-    return _direct_pass(frame, parts, x0, mp.mp.prec + ANCHOR_BITS, scale())
+    F = scale()
+    N = _cut(frame, x0, len(parts), parts[0], mp.mp.prec + ANCHOR_BITS)
+    return (_direct_pass(frame, parts, x0, N, F),
+            _direct_claim(frame, parts, x0, N, F))
+
+
+def _direct_value(kind, parts, x, tol):
+    """(value, (frame, x, N, F)): the value of :func:`direct` and the pass
+    that gave it, which :func:`direct` claims for and a quadrature node
+    does not."""
+    frame = KINDS[kind][0]
+    r, out_bits = len(parts), scale()
+    e, B = dyadic(x)
+    target = 2 - mp.mag(tol)  # 2^-target <= tol/2
+    lp = 0 if frame == 1 else r * (1 + e - math.log2(B))  # (2/x)^r
+    F = max(out_bits + frame * r * max(0, e - B.bit_length()),
+            math.ceil(target + lp) + GUARD_BITS)
+    ratio = (B, 1 << e)
+    N = _cut(frame, ratio, r, parts[0], target)
+    value = to_mpf(_direct_pass(frame, parts, ratio, N, F), F, out_bits)
+    return value, (frame, ratio, N, F)
 
 
 def direct(kind, parts, x, tol):
@@ -311,16 +349,10 @@ def direct(kind, parts, x, tol):
     to :func:`scale` bits, which a caller keeps by wrapping it at that
     precision, and its rounding joins the claim.
     """
-    frame = KINDS[kind][0]
-    r, out_bits = len(parts), scale()
-    e, B = dyadic(x)
-    target = 2 - mp.mag(tol)  # 2^-target <= tol/2
-    lp = 0 if frame == 1 else r * (1 + e - math.log2(B))  # (2/x)^r
-    F = max(out_bits + frame * r * max(0, e - B.bit_length()),
-            math.ceil(target + lp) + GUARD_BITS)
-    T, claim = _direct_pass(frame, parts, (B, 1 << e), target, F)
+    out_bits = scale()
+    value, (frame, ratio, N, F) = _direct_value(kind, parts, x, tol)
+    claim = _direct_claim(frame, parts, ratio, N, F)
     with mp.workprec(out_bits):
-        value = to_mpf(T, F, out_bits)
         return value, claim + mp.ldexp(abs(value), -out_bits)
 
 
@@ -459,6 +491,6 @@ def node_evaluator(kind, parts):
     tol = mp.ldexp(1, -(mp.mp.prec - 16))
 
     def f(x, u):
-        return near(u) if u <= EDGE else direct(kind, parts, x, tol)[0]
+        return near(u) if u <= EDGE else _direct_value(kind, parts, x, tol)[0]
 
     return f

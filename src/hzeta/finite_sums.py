@@ -21,16 +21,22 @@ bounds the first nonzero inner sum from below, so it already carries
 work_bits + 64 bits.  Each slot of each step rounds once, by a floor
 division, so after n steps of a depth-r sum the error is at most n r
 units of 2^-F, far below the working precision for any reachable n.
+The state advances a block of up to ``BLOCK`` steps at a time, slot by
+slot in column order (:class:`_NestedSum`), and gives the same integers
+as one step at a time.
 The innermost multiplier is an integer at 2^-F as well: the binomial jet
 of :func:`_binomials` runs its recurrence on integers, one floor division
 per jet entry and step, so no step of the kernel touches an mpf.  Values
 become mpf only where they leave the kernel, through ``fixed.to_mpf``.
+A step where a denominator can vanish runs in a block of its own
+(:func:`_span`), so a pole raises at the same step, after the same
+values, as one step at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
 import mpmath as mp
@@ -40,6 +46,10 @@ from .errors import DimensionMismatch, DomainError, PoleError
 from .fixed import GUARD_BITS, dyadic, to_mpf
 from .precision import PrecisionConfig, finite_real, whole, working
 
+# steps per block of the nested-sum kernel
+BLOCK = 256
+# a divisor below 2^30 is one CPython digit
+_DIGIT = 1 << 30
 
 @dataclass(frozen=True, slots=True, repr=False)
 class ShiftVector:
@@ -107,70 +117,143 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
     ``a``; ``binomial`` = (alpha, order), when given, multiplies the
     innermost factor by the order-th alpha-derivative of
     C(n_r + alpha - 2, n_r - 1) (:func:`_binomials`).  The recurrence runs
-    on integers at 2^-F (:func:`_fixed_stream`; F as in the module
-    docstring), so S_n is off by at most n r units of 2^-F, plus the
-    multiplier's rounding carried through the sum, before it is rounded
-    once to an mpf of the work bits, whatever the caller's precision.  The
-    work bits are resolved when the stream is created, so a stream built
-    inside a :func:`working` block keeps its bits wherever it is drained.
+    on integers at 2^-F (:class:`_NestedSum`; F as in the module
+    docstring), in blocks of 16 steps doubling up to ``BLOCK``, so S_n is
+    off by at most n r units of 2^-F, plus the multiplier's rounding
+    carried through the sum, before it is rounded once to an mpf of the
+    work bits, whatever the caller's precision; only the values that are
+    read become mpf.  The work bits are resolved when the stream is
+    created, so a stream built inside a :func:`working` block keeps its
+    bits wherever it is drained.  A pole raises :class:`PoleError` after
+    every value before it has been yielded.
     """
     with working(prec) as cfg:
         bits = cfg.work_bits
-        F, raw = _fixed_stream(k, a, star, bits, binomial)
-    return ((m, to_mpf(S[0], F, bits)) for m, S in enumerate(raw, 1))
+        state = _fixed_stream(k, a, star, bits, binomial)
+    return chain.from_iterable(_blocks(state, bits))
+
+
+def _blocks(state, bits):
+    """The (n, S_n) of ``state`` from its next step on, one iterator per
+    block; a block is computed when the one before it runs out."""
+    size = 16
+    while True:
+        m = state.m
+        count = _span(m, size, state.poles)
+        column = state.advance(count)
+        yield zip(range(m + 1, m + count + 1),
+                  map(to_mpf, column, repeat(state.F), repeat(bits)))
+        size = min(2 * size, BLOCK)
 
 
 def _fixed_stream(k, a, star, bits, binomial=None):
-    """(F, :func:`_steps` of the index): the live state after each step
-    n = 1, 2, ..., whose entry 0 is floor(S_n 2^F), resolved before the
-    generator starts (F as in the module docstring).
-
-    S[j] holds the depth-(r - j) inner sum and S[r] the innermost
-    multiplier (1 without one; the jet of ``binomial`` = (alpha, order)
-    at 2^-F with one).  A slot adds S[j + 1] / (m + a_j - 1)^(k_j) as
-    (S[j + 1] << k_j e) // D^(k_j) with D = (m + a_j - 1) 2^e exact, so
-    the pole test is D == 0.  A strict step updates S[0], S[1], ... so
-    that S[j + 1] is still at m - 1, a star step the other way round.  A
-    zero inner sum skips its weight, so chains that the ordering rules out
-    cannot trip a pole.
-    """
+    """The :class:`_NestedSum` of the index at step 0, at the scale F of
+    the module docstring for ``bits`` work bits."""
     r = len(k)
     F = bits + GUARD_BITS + sum(kj * (int(abs(x)) + r + 1).bit_length()
                                 for kj, x in zip(k, a))
     F = max([F] + [dyadic(x)[0] for x in a])
-    jet = None if binomial is None else _binomials(*binomial, F)
-    return F, _steps(_slots(k, a, star), r, F, jet)
+    return _NestedSum(k, a, star, F, binomial)
 
 
-def _slots(k, a, star):
-    """The per-slot constants of :func:`_steps`, in update order, for
-    exponents ``k`` and mpf shifts ``a`` whose fractional bits F covers."""
-    slots = []
-    for j in range(len(k) - 1, -1, -1) if star else range(len(k)):
-        # the power of two cancels, so a shift with e fractional bits
-        # divides by an (e + log2 m)-bit integer
-        e, B = dyadic(a[j])
-        slots.append((j, k[j], k[j] * e, e, B - (1 << e)))
-    return slots
+def _span(m, count, cuts):
+    """The length of the block after step m: ``count``, cut before the
+    first step of ``cuts`` past m + 1, or 1 if step m + 1 is one of them,
+    so that a step where a denominator can vanish runs alone and a pole
+    is met at the same step, after the same values, as step by step."""
+    nxt = min((p for p in cuts if p > m), default=None)
+    if nxt is None:
+        return count
+    return 1 if nxt == m + 1 else min(count, nxt - m - 1)
 
 
-def _steps(slots, r, F, jet):
-    """The live state S after each step m = 1, 2, ...: S[j] is the
-    depth-(r - j) inner sum at m, S[r] the innermost multiplier."""
-    S = [0] * r + [1 << F]
-    m = 0
-    while True:
-        m += 1
-        if jet is not None:
-            S[r] = next(jet)
-        for j, kj, ke, e, B in slots:
-            inner = S[j + 1]
-            if inner:
-                d = (m << e) + B
-                if not d:
-                    raise PoleError(f"denominator {m} + {1 - m} - 1 vanishes")
-                S[j] += (inner << ke) // (d if kj == 1 else d ** kj)
-        yield S
+def _weigh(column, k, ke, ds):
+    """[(x << ke) // d^k for x, d in zip(column, ds)]: the floor divisions
+    of one slot or power over a block, for the range ``ds`` of its exact
+    denominators d = (m + c) 2^e.
+
+    A zero x gives 0 even where d = 0 (a zero inner sum skips its weight);
+    the caller raises :class:`PoleError` before a nonzero x meets d = 0.
+    With k >= 2 and every d a one-digit integer in (0, 2^30), it divides k
+    times by d, which floor(floor(y / d) / d) = floor(y / d^2) for d > 0
+    makes the same and CPython's one-digit division makes faster; any
+    other block divides once by d^k.
+    """
+    if 0 in ds:
+        return [(x << ke) // d ** k if x else 0 for x, d in zip(column, ds)]
+    if k == 1:
+        return [(x << ke) // d for x, d in zip(column, ds)]
+    if ds[0] > 0 and ds[-1] < _DIGIT:
+        out = [(x << ke) // d for x, d in zip(column, ds)]
+        for _ in range(k - 1):
+            out = [y // d for y, d in zip(out, ds)]
+        return out
+    return [(x << ke) // d ** k for x, d in zip(column, ds)]
+
+
+class _NestedSum:
+    """The live state of the nested-sum recurrence after step m, advanced
+    a block of steps at a time by :meth:`advance`, the one recurrence of
+    every nested sum: the finite sums, the series engine's heads and the
+    direct series of :mod:`hzeta.endpoint`.
+
+    S[j] holds the depth-(r - j) inner sum at m, as floor(sum 2^F), and
+    S[r] the innermost multiplier (1 without one; the jet of ``binomial``
+    = (alpha, order) at 2^-F with one).  A slot adds S[j + 1] /
+    (m + a_j - 1)^(k_j) as (S[j + 1] << k_j e) // D^(k_j) with D =
+    (m + a_j - 1) 2^e exact, so the pole test is D == 0, met only at
+    m = 1 - a_j for an integer shift a_j <= 0 (``poles``).  A strict slot
+    reads its inner sum at m - 1, a star slot at m, and the innermost slot
+    the multiplier at m; a zero inner sum skips its weight, so chains that
+    the ordering rules out cannot trip a pole.
+    """
+
+    __slots__ = ("F", "slots", "star", "S", "m", "jet", "poles")
+
+    def __init__(self, k, a, star, F, binomial=None):
+        self.F, self.star, self.m = F, star, 0
+        r = len(k)
+        self.S = [0] * r + [1 << F]
+        self.jet = None if binomial is None else _binomials(*binomial, F)
+        # innermost first; the power of two cancels, so a shift with e
+        # fractional bits divides by an (e + log2 m)-bit integer
+        self.slots = []
+        for j in range(r - 1, -1, -1):
+            e, B = dyadic(a[j])
+            self.slots.append((j, k[j], k[j] * e, e, B - (1 << e)))
+        self.poles = {-B for _, _, _, e, B in self.slots if not e and B < 0}
+
+    def advance(self, count):
+        """The column of S[0] at steps m + 1, ..., m + count, leaving the
+        state at m + count.
+
+        Slots run innermost first, each on the column of its inner sum:
+        one list of floor divisions (:func:`_weigh`), summed by
+        ``accumulate`` from the slot's carried value, so every integer is
+        the one a step-by-step recurrence gives.
+        """
+        S, m, r = self.S, self.m, len(self.S) - 1
+        if self.jet is None:
+            column = [S[r]] * count
+        else:
+            column = list(islice(self.jet, count))
+            S[r] = column[-1]
+        carried = None  # S[j + 1] at m, which a strict slot reads
+        for j, kj, ke, e, B in self.slots:
+            inner = column
+            if not self.star and j < r - 1:
+                inner = [carried] + column[:-1]
+            ds = range((m + 1 << e) + B, (m + count + 1 << e) + B, 1 << e)
+            if 0 in ds and inner[ds.index(0)]:
+                step = m + 1 + ds.index(0)
+                raise PoleError(f"denominator {step} + {1 - step} - 1 vanishes")
+            terms = _weigh(inner, kj, ke, ds)
+            carried = S[j]
+            terms[0] += carried
+            column = list(accumulate(terms))
+            S[j] = column[-1]
+        self.m = m + count
+        return column
 
 
 def _binomials(alpha, order, F):
@@ -203,16 +286,19 @@ def _binomials(alpha, order, F):
 def _nth(k, a, star, n, binomial=None):
     """S_n of the kernel (with the innermost ``binomial`` multiplier of
     :func:`nested_stream`) for a tuple of exponents ``k`` and one of mpf
-    shifts ``a``, at the work bits of the caller's block, converted to an
-    mpf only at the end."""
+    shifts ``a``, at the work bits of the caller's block, advanced in
+    blocks of ``BLOCK`` steps and converted to an mpf only at the end."""
     r = len(k)
     if r == 0:
         return mp.mpf(1)
     if n < (1 if star else r):
         return mp.mpf(0)
     bits = mp.mp.prec
-    F, raw = _fixed_stream(k, a, star, bits, binomial)
-    return to_mpf(next(islice(raw, n - 1, None))[0], F, bits)
+    state = _fixed_stream(k, a, star, bits, binomial)
+    while state.m < n:
+        column = state.advance(_span(state.m, min(BLOCK, n - state.m),
+                                     state.poles))
+    return to_mpf(column[-1], state.F, bits)
 
 
 def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:

@@ -236,7 +236,10 @@ SERIES_IN_X_MAX_TERMS = 2_000_000
 def _series_in_x(spec, x, tol, extra=0) -> ValueWithBound:
     """sum_n a_n x^n for a TermSpec sequence a_n, with a geometric
     heuristic tail bound, at the work bits of the caller's block;
-    ``extra`` is added to the total (n = 0 term).  At n = 128, 256, ...
+    ``extra`` is added to the total (n = 0 term).  The terms come in
+    blocks of 8 from :class:`series_engine._SpecState`, each ending at a
+    check point (n = 40, 48, ... or the cap), so it stops at the first
+    check point whose tail bound meets ``tol``.  At n = 128, 256, ...
     it fits |t_n| = C n^p x^n through n / 2 and n and gives up at once if
     the tail bound extrapolated to :data:`SERIES_IN_X_MAX_TERMS` terms
     still misses ``tol``."""
@@ -252,10 +255,14 @@ def _series_in_x(spec, x, tol, extra=0) -> ValueWithBound:
     fit = None  # log |t_(n/2)|
     n = 0
     while True:
-        n += 1
-        xn *= x
-        t = to_mpf(state.step(n), state.H, bits) * xn
-        total += t
+        # blocks of 8 end at the check points, so no term past the last
+        # n checked is computed
+        block = state.step(n, min(n + 8, cap))
+        for u in block:
+            xn *= x
+            t = to_mpf(u, state.H, bits) * xn
+            total += t
+        n += len(block)
         if n >= 40 and n % 8 == 0 or n >= cap:
             tail = abs(t) * 2 * x / (1 - x)
             if tail <= tol:

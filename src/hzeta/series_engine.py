@@ -70,7 +70,8 @@ from .errors import (
     PoleError,
     ToleranceNotReached,
 )
-from .finite_sums import ShiftVector, _binomials, _coerce, _fixed_stream
+from .finite_sums import (BLOCK, ShiftVector, _binomials, _coerce, _fixed_stream,
+                          _span, _weigh)
 from .fixed import dyadic, scale, to_mpf
 from .precision import PrecisionConfig, finite_real, parse_tol, whole, working
 
@@ -253,21 +254,29 @@ class _SpecState:
     """Incremental evaluator of one TermSpec along n = 1, 2, ..., on
     integers at 2^-H with H = work_bits + 64, the default scale of
     :mod:`hzeta.fixed`, resolved from the working precision when the
-    state is built; each :meth:`step` costs O(total depth).
+    state is built; :meth:`step` runs a block of n at a time and costs
+    O(total depth) per term.
 
-    :meth:`step` returns the term as an integer at 2^-H.  The prefix sums
-    are the raw integers of :func:`_fixed_stream` (at their own 2^-F,
-    F >= H), every binomial factor is a jet of :func:`_binomials` at 2^-H,
-    and each (n + c)^(-m) divides by the exact integer ((n + c) 2^e)^m of a
-    shift c with e fractional bits.  Each factor rounds once, by a floor,
-    so it adds at most one unit of 2^-H to the term besides the error its
-    input carries (n r units of 2^-F for a prefix, a few n units of 2^-H
-    for a jet entry after n steps), and later factors scale the earlier
-    error by their size; the divisions come last, where (n + c)^(-m) <= 1
-    only shrinks it.  The coefficient is applied last, to |t|, and the
-    sign set after: floor is not odd, so rounding a signed product would
-    leave a unit where two summands that differ only in the sign of their
+    :meth:`step` returns the terms as integers at 2^-H.  The prefix sums
+    are the block columns of :class:`finite_sums._NestedSum` (at their own
+    2^-F, F >= H), every binomial factor is a jet of :func:`_binomials` at
+    2^-H, and each (n + c)^(-m) divides by the exact integer
+    ((n + c) 2^e)^m of a shift c with e fractional bits.  Each factor is
+    one pass over the block and rounds once per term, by a floor, so it
+    adds at most one unit of 2^-H to the term besides the error its input
+    carries (n r units of 2^-F for a prefix, a few n units of 2^-H for a
+    jet entry after n steps), and later factors scale the earlier error by
+    their size; the divisions come last, where (n + c)^(-m) <= 1 only
+    shrinks it.  The coefficient is applied last, to |t|, and the sign set
+    after: floor is not odd, so rounding a signed product would leave a
+    unit where two summands that differ only in the sign of their
     coefficient cancel exactly.
+
+    A factor can vanish only at a step of ``cuts``: a prefix's pole, n =
+    -c for a power (n + c)^(-m) with a negative integer c, and n = beta,
+    where C(n - beta, n) first vanishes for a positive integer beta.  Those
+    steps run alone, so a pole raises at the same n, with the same
+    message, as one step at a time.
     """
 
     def __init__(self, spec: TermSpec):
@@ -275,14 +284,17 @@ class _SpecState:
         bits = mp.mp.prec  # the work bits of the caller's block
         H = self.H = scale()
         self.strict = self.star = None
+        self.cuts = set()
         if spec.strict is not None:
             self.strict = _fixed_stream(
                 spec.strict.parts, spec.strict_shift.shifts, False,
                 bits, spec.strict_binomial)
+            self.cuts |= self.strict.poles
         self.strict_prev_val = 0
         if spec.star is not None:
             self.star = _fixed_stream(spec.star.parts,
                                       spec.star_shift.shifts, True, bits)
+            self.cuts |= self.star.poles
         # C(n + alpha - 1, n) and C(n - beta, n) are C(m + c - 2, m - 1)
         # at m = n + 1 for c = alpha and c = 1 - beta
         self.upper = [islice(_binomials(a, order, H), 0 if at_prev else 1,
@@ -290,43 +302,73 @@ class _SpecState:
                       for a, at_prev, order in spec.binom_upper]
         self.lower = [islice(_binomials(1 - b, 0, H), 1, None)
                       for b in spec.binom_lower]
+        for b in spec.binom_lower:
+            e, B = dyadic(b)
+            if not e and B > 0:
+                self.cuts.add(B)
         self.powers = []
         for c, m in spec.powers:
             e, B = dyadic(c)  # (n + c) 2^e = n 2^e + B
             self.powers.append((c, m, m * e, e, B))
+            if not e and B < 0:
+                self.cuts.add(-B)
         e, B = dyadic(spec.coeff)
         self.coeff = (B < 0, abs(B), e)
 
-    def step(self, n: int) -> int:
+    def step(self, n0: int, n1: int) -> list:
+        """The terms for n0 < n <= n1, continuing from n0, the last n
+        stepped."""
+        terms = []
+        while n0 < n1:
+            count = _span(n0, min(BLOCK, n1 - n0), self.cuts)
+            terms += self._block(n0, count)
+            n0 += count
+        return terms
+
+    def _block(self, n, count):
+        """The terms for n < n' <= n + count, each factor one pass."""
         spec = self.spec
         H = self.H
-        t = 1 << H
+        t = None  # 1 at every n'
         if self.strict is not None:
-            F, raw = self.strict
+            column = self.strict.advance(count)
             if spec.strict_prev:
-                v, self.strict_prev_val = self.strict_prev_val, next(raw)[0]
-            else:
-                v = next(raw)[0]
-            t = v >> (F - H)
+                column, self.strict_prev_val = (
+                    [self.strict_prev_val] + column[:-1], column[-1])
+            shift = self.strict.F - H
+            t = [v >> shift for v in column]
         if self.star is not None:
-            F, raw = self.star
-            t = t * next(raw)[0] >> F
+            F = self.star.F
+            column = self.star.advance(count)
+            t = ([v >> (F - H) for v in column] if t is None
+                 else [x * v >> F for x, v in zip(t, column)])
         for upper in self.upper:
-            t = t * next(upper) >> H
+            column = list(islice(upper, count))
+            t = column if t is None else [x * u >> H
+                                          for x, u in zip(t, column)]
+        if t is None:
+            t = [1 << H] * count
         for b, lower in zip(spec.binom_lower, self.lower):
-            w = next(lower)
-            if not w:
-                raise PoleError(f"binomial C(n - {b}, n) vanishes at n = {n}")
-            t = (t << H) // w
+            column = list(islice(lower, count))
+            if 0 in column:
+                raise PoleError(f"binomial C(n - {b}, n) vanishes at "
+                                f"n = {n + 1 + column.index(0)}")
+            t = [(x << H) // w for x, w in zip(t, column)]
         sign, man, shift = self.coeff
-        if t and man:
-            for c, m, me, e, B in self.powers:
-                d = (n << e) + B
-                if not d:
-                    raise PoleError(f"denominator n + {c} vanishes at n = {n}")
-                t = (t << me) // (d if m == 1 else d ** m)
-        mag = abs(t) * man >> shift
-        return -mag if (t < 0) != sign else mag
+        if not man:
+            return [0] * count
+        for c, m, me, e, B in self.powers:
+            ds = range((n + 1 << e) + B, (n + count + 1 << e) + B, 1 << e)
+            if 0 in ds and t[ds.index(0)]:
+                raise PoleError(f"denominator n + {c} vanishes at "
+                                f"n = {n + 1 + ds.index(0)}")
+        for c, m, me, e, B in self.powers:
+            ds = range((n + 1 << e) + B, (n + count + 1 << e) + B, 1 << e)
+            t = _weigh(t, m, me, ds)
+        if man == 1 and not shift:
+            return [-x for x in t] if sign else t
+        t = [x * man >> shift if x >= 0 else -(-x * man >> shift) for x in t]
+        return [-x for x in t] if sign else t
 
 
 def _spec_series(spec: TermSpec, emax: int, n_anchor: int) -> AsymSeries:
@@ -376,6 +418,8 @@ def _em_sum(specs, tol, strategy: TailStrategy):
     bits = mp.mp.prec
     # one set of states per call: each level continues the head
     states = [_SpecState(s) for s in specs]
+    # blocks shared by every state, cut where any of them can meet a pole
+    cuts = set().union(*(st.cuts for st in states))
     H = states[0].H
     n = head = t2 = t1 = t0 = 0  # integers at 2^-H; terms N - 2, N - 1, N
     best = None
@@ -387,12 +431,12 @@ def _em_sum(specs, tol, strategy: TailStrategy):
             series = series + _spec_series(s, emax, n_anchor)
         series = series.prune()
         while n < N:
-            n += 1
-            t = 0
-            for st in states:
-                t += st.step(n)
-            t2, t1, t0 = t1, t0, t
-            head += t
+            count = _span(n, min(BLOCK, N - n), cuts)
+            terms = [sum(ts) for ts in zip(*(st.step(n, n + count)
+                                            for st in states))]
+            head += sum(terms)
+            t2, t1, t0 = ([t2, t1, t0] + terms)[-3:]
+            n += count
         head_v, v0, v1, v2 = (to_mpf(x, H, bits)
                               for x in (head, t0, t1, t2))
         tail = tail_sum(series, N)

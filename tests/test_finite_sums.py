@@ -1,3 +1,4 @@
+import random
 from itertools import islice, product
 
 import mpmath as mp
@@ -7,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 from hzeta.compositions import Composition
 from hzeta.errors import DimensionMismatch, DomainError, PoleError
 from hzeta.finite_sums import (
+    BLOCK,
     ShiftVector,
+    _binomials,
+    _NestedSum,
+    _span,
     mhs,
     mhs_stream,
     mhss,
@@ -17,6 +22,7 @@ from hzeta.finite_sums import (
     t_mhs,
     t_mhss,
 )
+from hzeta.fixed import dyadic
 from hzeta.precision import PrecisionConfig, finite_real, working
 from hzeta.series_engine import kta, mpl
 from mpf_reference import mpf_binomials, mpf_defining, mpf_nested
@@ -348,3 +354,67 @@ def test_direct_series_at_tiny_x_keeps_relative_accuracy(bits, fn, frame, k):
         assert abs(v.value - ref) <= mp.ldexp(abs(ref), -(bits + 16))
         assert abs(v.value - ref) <= v.abs_error
         assert v.abs_error <= mp.ldexp(abs(ref), -bits)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the row recurrence, integer for integer
+
+
+def _rows(k, a, star, F, binomial, n):
+    """S_0 at m = 1..n by the step-by-step row recurrence on integers."""
+    r = len(k)
+    S = [0] * r + [1 << F]
+    jet = None if binomial is None else _binomials(*binomial, F)
+    out = []
+    for m in range(1, n + 1):
+        if jet is not None:
+            S[r] = next(jet)
+        for j in range(r - 1, -1, -1) if star else range(r):
+            e, B = dyadic(a[j])
+            if S[j + 1]:
+                d = (m << e) + B - (1 << e)  # (m + a_j - 1) 2^e
+                S[j] += (S[j + 1] << k[j] * e) // d ** k[j]
+        out.append(S[0])
+    return out
+
+
+def _blocks(k, a, star, F, binomial, n):
+    state = _NestedSum(k, a, star, F, binomial)
+    out = []
+    while state.m < n:
+        out += state.advance(_span(state.m, min(BLOCK, n - state.m),
+                                   state.poles))
+    return out
+
+
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("shift", ["5/128", "0.3", "-1.3", "-2.7"])
+@pytest.mark.parametrize("order", [None, 0, 1, 2])
+def test_block_kernel_equals_row_recurrence(star, shift, order):
+    rng = random.Random(f"{star}{shift}{order}")
+    with mp.workprec(256):
+        for depth in range(1, 6):
+            k = tuple(rng.randint(1, 4) for _ in range(depth))
+            a = [finite_real("shift", shift)] + [
+                mp.mpf(rng.randrange(1, 250)) / 128 for _ in range(depth - 1)]
+            rng.shuffle(a)
+            binomial = None if order is None else (mp.mpf("0.3"), order)
+            F = 320 + 7 * sum(k)
+            for n in (1, 255, 256, 257, 600):
+                assert _blocks(k, a, star, F, binomial, n) == \
+                    _rows(k, a, star, F, binomial, n), (k, a, n)
+
+
+def test_stream_yields_every_value_before_a_pole():
+    stream = mhs_stream((1,), -300, PREC)
+    values = [v for _, v in islice(stream, 300)]
+    assert len(values) == 300 and all(v < 0 for v in values)
+    with pytest.raises(PoleError, match="denominator 301 \\+ -300 - 1 vanishes"):
+        next(stream)
+
+
+def test_empty_index_is_one_at_every_n():
+    for n in (0, 1, 255, 256, 257, 600):
+        assert mhs(n, (), None, PREC) == mhss(n, (), None, PREC) == 1
+    state = _NestedSum((), (), False, 100)
+    assert state.advance(300) == [1 << 100] * 300

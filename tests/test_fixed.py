@@ -4,6 +4,8 @@ from math import floor
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp, round_nearest
 
 from hzeta.fixed import GUARD_BITS, dyadic, fix, horner, rdiv, scale, to_mpf
 
@@ -62,6 +64,23 @@ def test_to_mpf_exact_and_rounded():
         assert rounded == mp.ldexp(mp.mpf(X), -F)
     assert rounded != exact and rounded.man.bit_length() <= 100
     assert abs(rounded - exact) <= mp.ldexp(exact, -100)
+
+
+@settings(max_examples=500, deadline=None)
+@given(X=st.one_of(st.integers(-(1 << 2000), 1 << 2000),
+                   st.sampled_from([0, 1, -1]),
+                   st.integers(1, 2000).map(lambda k: (1 << k) - 1)),
+       negate=st.booleans(), F=st.integers(0, 1200),
+       bits=st.one_of(st.none(), st.integers(2, 1024)),
+       tie=st.one_of(st.none(), st.integers(1, 200)))
+def test_to_mpf_is_from_man_exp(X, negate, F, bits, tie):
+    if tie is not None and bits is not None:
+        # a bits-bit head and ``tie`` bits 10...0: exactly half an ulp
+        head = abs(X) % (1 << (bits - 1)) | 1 << (bits - 1)
+        X = (head << tie) + (1 << (tie - 1))
+    X = -X if negate else X
+    assert to_mpf(X, F, bits)._mpf_ == from_man_exp(X, -F, bits,
+                                                    round_nearest)
 
 
 def test_rdiv_rounds_to_nearest_ties_up():

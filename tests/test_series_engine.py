@@ -245,19 +245,18 @@ class TestAperyFamilies:
             a, b = mp.mpf(alpha), mp.mpf(beta)
             state = _SpecState(TermSpec(binom_upper=((a, False),),
                                         binom_lower=(b,)))
-            for n in range(1, 61):
+            for n, u in enumerate(state.step(0, 60), 1):
                 ref = mp.binomial(n + a - 1, n) / mp.binomial(n - b, n)
-                t = mp.ldexp(state.step(n), -state.H)
+                t = mp.ldexp(u, -state.H)
                 assert abs(t / ref - 1) < mp.mpf(10) ** -70, n
 
     def test_vanishing_lower_binomial_is_a_pole(self):
         # C(n - 3, n) = -2, 1, 0 at n = 1, 2, 3
         with working(PREC):
             state = _SpecState(TermSpec(binom_lower=(3,)))
-        state.step(1)
-        state.step(2)
+        state.step(0, 2)
         with pytest.raises(PoleError):
-            state.step(3)
+            state.step(2, 3)
 
 
 def _head_reference(spec, n):
@@ -323,7 +322,7 @@ class TestFixedPointHead:
             # the strings become mpfs of the work bits
             spec = TermSpec(**kw)
             state = _SpecState(spec)
-            got = [state.step(n) for n in range(1, 3201)]
+            got = state.step(0, 3200)
         with mp.workprec(cfg.work_bits + 128):
             bound = mp.ldexp(1, -(bits + 16))
             for n, (t, ref) in enumerate(zip(got, _head_reference(spec, 3200)),
@@ -334,10 +333,35 @@ class TestFixedPointHead:
     def test_power_pole(self):
         with working(PREC):
             state = _SpecState(TermSpec(powers=((-3, 2),)))
-        state.step(1)
-        state.step(2)
+        state.step(0, 2)
         with pytest.raises(PoleError):
-            state.step(3)
+            state.step(2, 3)
+
+    @pytest.mark.parametrize("kw", SPECS)
+    def test_blocks_equal_single_steps(self, kw):
+        with working(PREC):
+            spec = TermSpec(**kw)
+            whole, single = _SpecState(spec), _SpecState(spec)
+        assert whole.step(0, 600) == [t for n in range(600)
+                                      for t in single.step(n, n + 1)]
+
+    @pytest.mark.parametrize("kw", [dict(powers=((-300, 2),)),
+                                    dict(binom_lower=(300,)),
+                                    dict(strict=(1,), strict_shift="0.5",
+                                         binom_lower=(300,),
+                                         powers=((-300, 1),))])
+    def test_pole_in_a_block_raises_at_the_same_n(self, kw):
+        with working(PREC):
+            whole = _SpecState(TermSpec(**kw))
+            single = _SpecState(TermSpec(**kw))
+        for n in range(299):
+            single.step(n, n + 1)
+        with pytest.raises(PoleError) as one:
+            single.step(299, 300)
+        with pytest.raises(PoleError) as block:
+            whole.step(0, 600)
+        assert "n = 300" in str(one.value)
+        assert str(block.value) == str(one.value)
 
     def test_opposite_coefficients_cancel_exactly(self):
         kw = dict(strict=(2, 1), strict_shift="0.3", star=(1,),
