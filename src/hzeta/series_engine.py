@@ -357,16 +357,13 @@ class _SpecState:
         sign, man, shift = self.coeff
         if not man:
             return [0] * count
+        before = t  # a zero term skips every power, as step by step
         for c, m, me, e, B in self.powers:
             ds = range((n + 1 << e) + B, (n + count + 1 << e) + B, 1 << e)
-            if 0 in ds and t[ds.index(0)]:
+            if 0 in ds and before[ds.index(0)]:
                 raise PoleError(f"denominator n + {c} vanishes at "
                                 f"n = {n + 1 + ds.index(0)}")
-        for c, m, me, e, B in self.powers:
-            ds = range((n + 1 << e) + B, (n + count + 1 << e) + B, 1 << e)
             t = _weigh(t, m, me, ds)
-        if man == 1 and not shift:
-            return [-x for x in t] if sign else t
         t = [x * man >> shift if x >= 0 else -(-x * man >> shift) for x in t]
         return [-x for x in t] if sign else t
 
