@@ -45,7 +45,6 @@ from .identity_registry import (
 from .precision import PrecisionConfig, working
 from .quadrature import WeightedIntegrand, de_quad, int_kta_weighted, int_mpl_weighted
 from .series_engine import (
-    TailStrategy,
     TermSpec,
     ValueWithBound,
     apery_I,
@@ -75,8 +74,7 @@ __all__ = [
     "IdentityCheck", "SuiteReport", "identity_ids", "run_check", "run_suite",
     "PrecisionConfig", "working",
     "WeightedIntegrand", "de_quad", "int_kta_weighted", "int_mpl_weighted",
-    "TailStrategy", "TermSpec", "ValueWithBound", "apery_I", "apery_II",
-    "apery_III", "arakawa_kaneko", "htmtv", "htmzsv", "htmzv", "htmzv_pbc",
-    "kta", "mpl", "mpl_landen", "param_euler_pow", "param_euler_sum",
-    "weighted_sum",
+    "TermSpec", "ValueWithBound", "apery_I", "apery_II", "apery_III",
+    "arakawa_kaneko", "htmtv", "htmzsv", "htmzv", "htmzv_pbc", "kta", "mpl",
+    "mpl_landen", "param_euler_pow", "param_euler_sum", "weighted_sum",
 ]

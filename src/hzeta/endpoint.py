@@ -269,12 +269,12 @@ def _direct_pass(frame, parts, x, N, F):
     shifts = [mp.mpf(1 if frame == 1 else (i + 2 - r) / 2)
               for i in range(1, r)]
     inner = _NestedSum(parts[1:], shifts, False, F)
-    X, T, m = 1 << F, 0, 0
-    carried = inner.S[0]  # the inner sum at m
-    while m < N:
+    X, T = 1 << F, 0
+    while inner.m < N:
+        m = inner.m
         count = min(BLOCK, N - m)
-        column = inner.advance(count)
-        column, carried = [carried] + column[:-1], column[-1]
+        prev = inner.S[0]  # the inner sum at m
+        column = [prev] + inner.advance(count)[:-1]
         xs = []
         for _ in range(count):
             X = X * qn // qd
@@ -282,7 +282,6 @@ def _direct_pass(frame, parts, x, N, F):
         ds = range(m + 1, m + count + 1) if frame == 1 else \
             range(2 * m + 2 - r, 2 * (m + count) + 2 - r, 2)
         T += sum(_weigh([y * s >> F for y, s in zip(xs, column)], k1, 0, ds))
-        m += count
     if frame == 2:
         T = rdiv(T * (2 * den) ** r, num ** r << sum(parts[1:]))
     return T

@@ -111,8 +111,7 @@ def _coerce(k, a):
     return k, a
 
 
-def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
-                  binomial=None):
+def nested_stream(k, a, star: bool, binomial=None):
     """An iterator of (n, S_n) for n = 1, 2, ..., streamed from the kernel.
 
     S_n sums prod_j (n_j + a_j - 1)^(-k_j) over n >= n_1 > ... > n_r >= 1
@@ -124,15 +123,14 @@ def nested_stream(k, a, star: bool, prec: PrecisionConfig | None = None,
     docstring), in blocks of 16 steps doubling up to ``BLOCK``, so S_n is
     off by at most n r units of 2^-F, plus the multiplier's rounding
     carried through the sum, before it is rounded once to an mpf of the
-    work bits, whatever the caller's precision; only the values that are
-    read become mpf.  The work bits are resolved when the stream is
-    created, so a stream built inside a :func:`working` block keeps its
-    bits wherever it is drained.  A pole raises :class:`PoleError` after
-    every value before it has been yielded.
+    work bits of the caller's block; only the values that are read become
+    mpf.  The work bits are resolved when the stream is created, so a
+    stream built inside a :func:`working` block keeps its bits wherever it
+    is drained.  A pole raises :class:`PoleError` after every value before
+    it has been yielded.
     """
-    with working(prec) as cfg:
-        bits = cfg.work_bits
-        state = _fixed_stream(k, a, star, bits, binomial)
+    bits = mp.mp.prec  # the work bits of the caller's block
+    state = _fixed_stream(k, a, star, bits, binomial)
     return chain.from_iterable(_blocks(state, bits))
 
 

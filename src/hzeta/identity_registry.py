@@ -253,16 +253,15 @@ def _series_in_x(spec, x, tol, extra=0) -> ValueWithBound:
     log_x, log_tol = float(mp.log(x)), float(mp.log(tol))
     log_gain = float(mp.log(2 * x / (1 - x)))  # tail bound / |t_n|
     fit = None  # log |t_(n/2)|
-    n = 0
     while True:
         # blocks of 8 end at the check points, so no term past the last
         # n checked is computed
-        block = state.step(n, min(n + 8, cap))
+        block = state.step(min(8, cap - state.n))
         for u in block:
             xn *= x
             t = to_mpf(u, state.H, bits) * xn
             total += t
-        n += len(block)
+        n = state.n
         if n >= 40 and n % 8 == 0 or n >= cap:
             tail = abs(t) * 2 * x / (1 - x)
             if tail <= tol:
@@ -1180,8 +1179,9 @@ def run_check(id: str, params: dict | None = None, tol=None,
     ``params`` must name the parameters of the identity's default point
     (:class:`DomainError` otherwise); the real ones (alpha, beta, x) are
     read here, once, by :func:`precision.finite_real` at the working
-    precision.  The evaluator takes (tol, **params) and inherits the
-    working block.  A side that cannot be evaluated gives an ERROR check."""
+    precision, and those whose default is an int by :func:`precision.whole`.
+    The evaluator takes (tol, **params) and inherits the working block.  A
+    side that cannot be evaluated gives an ERROR check."""
     try:
         ident = _REGISTRY[id]
     except KeyError:
@@ -1193,7 +1193,8 @@ def run_check(id: str, params: dict | None = None, tol=None,
                           f", got {sorted(params)}")
     with working(prec):
         tol = parse_tol(tol, DEFAULT_TOL)
-        parsed = {k: finite_real(k, v) if k in _REALS else v
+        parsed = {k: finite_real(k, v) if k in _REALS
+                  else whole(k, v) if type(ident.default[k]) is int else v
                   for k, v in params.items()}
         start = time.monotonic()
         try:

@@ -53,7 +53,11 @@ _active: ContextVar = ContextVar("working", default=None)
 def working(prec: PrecisionConfig | None = None):
     """Enter the working precision of ``prec`` (by default the innermost
     active block's config, else ``PrecisionConfig()``) and yield its
-    config; the outer config comes back on exit, also after an error."""
+    config; the outer config comes back on exit, also after an error.
+    A ``prec`` that is neither None nor a config raises
+    :class:`DomainError`."""
+    if prec is not None and not isinstance(prec, PrecisionConfig):
+        raise DomainError(f"prec {prec!r} is not a PrecisionConfig")
     cfg = prec or _active.get() or PrecisionConfig()
     token = _active.set(cfg)
     try:

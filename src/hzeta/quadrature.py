@@ -163,7 +163,11 @@ def de_quad(f: WeightedIntegrand, tol=None,
     """Integrate a weighted core over (0, 1) by level-doubled tanh-sinh;
     :class:`ToleranceNotReached`, with the last sum and delta, on a stall.
     The exponents are read at ``prec``; one too singular to integrate
-    raises :class:`DomainError`."""
+    raises :class:`DomainError`, as does an ``f`` that is not a
+    :class:`WeightedIntegrand`."""
+    if not isinstance(f, WeightedIntegrand):
+        raise DomainError(f"de_quad integrates a WeightedIntegrand, "
+                          f"got {f!r}")
     with working(prec) as cfg:
         a = finite_real("x_exp", f.x_exp)
         b = finite_real("omx_exp", f.omx_exp)

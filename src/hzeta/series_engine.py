@@ -21,8 +21,10 @@ Every evaluator returns a :class:`ValueWithBound`.  The families covered:
 Every Euler-Maclaurin family, the parametric-binomial one included, runs
 on one driver: it accepts a list of :class:`TermSpec` product summands,
 sums them exactly up to a crossover index, and replaces the tail by an
-anchored asymptotic expansion summed in closed form, with the budgets of
-:class:`TailStrategy`.
+anchored asymptotic expansion summed in closed form, over the window of
+:func:`_expansion_window`.  Every family keeps a positional ``strategy``
+slot after ``tol``: it is reserved and must be None (:class:`DomainError`
+otherwise).
 
 The exact head runs on Python integers in fixed point
 (:mod:`hzeta.fixed`): a term is an integer at the default scale 2^-H,
@@ -136,26 +138,6 @@ class ValueWithBound:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class TailStrategy:
-    """Outer-tail budgets of the Euler-Maclaurin driver.  The remainder
-    beyond the crossover is the anchored asymptotic expansion of the
-    summand, summed through closed-form Hurwitz tails.  ``N_max`` caps the
-    number of exactly summed head terms; ``em_order`` sets the base
-    expansion order.  Li_k and A(k; x) reach it only at x = 1.
-    """
-
-    N_max: int = 2_000_000
-    em_order: int = 8
-
-    def __post_init__(self):
-        object.__setattr__(self, "N_max", whole("N_max", self.N_max, 1000))
-        object.__setattr__(self, "em_order",
-                           whole("em_order", self.em_order, 2))
-
-
-DEFAULT_TAIL = TailStrategy()
-
 _LEVELS = 4
 
 
@@ -169,12 +151,18 @@ def _checked(v: ValueWithBound, tol) -> ValueWithBound:
     return v
 
 
-def _expansion_window(em_order: int, level: int):
+def _reserved(strategy):
+    """:class:`DomainError` unless the reserved ``strategy`` slot is None."""
+    if strategy is not None:
+        raise DomainError(f"strategy must be None, got {strategy!r}")
+
+
+def _expansion_window(level: int):
     """(emax, n_anchor, n_direct) at escalation ``level``: the largest kept
     exponent of the expansions, the index where their constants are pinned
     to exact sums, and the crossover up to which the outer series is
     summed exactly.  The one place that sets the window."""
-    return em_order + 6 + 4 * level, 160 + 110 * level, 400 * 2 ** level
+    return 14 + 4 * level, 160 + 110 * level, 400 * 2 ** level
 
 
 @dataclass(frozen=True)
@@ -254,8 +242,9 @@ class _SpecState:
     """Incremental evaluator of one TermSpec along n = 1, 2, ..., on
     integers at 2^-H with H = work_bits + 64, the default scale of
     :mod:`hzeta.fixed`, resolved from the working precision when the
-    state is built; :meth:`step` runs a block of n at a time and costs
-    O(total depth) per term.
+    state is built; :meth:`step` continues from the state's own position
+    ``n``, the last n stepped, a block of n at a time, and costs O(total
+    depth) per term.
 
     :meth:`step` returns the terms as integers at 2^-H.  The prefix sums
     are the block columns of :class:`finite_sums._NestedSum` (at their own
@@ -281,6 +270,7 @@ class _SpecState:
 
     def __init__(self, spec: TermSpec):
         self.spec = spec
+        self.n = 0
         bits = mp.mp.prec  # the work bits of the caller's block
         H = self.H = scale()
         self.strict = self.star = None
@@ -290,7 +280,6 @@ class _SpecState:
                 spec.strict.parts, spec.strict_shift.shifts, False,
                 bits, spec.strict_binomial)
             self.cuts |= self.strict.poles
-        self.strict_prev_val = 0
         if spec.star is not None:
             self.star = _fixed_stream(spec.star.parts,
                                       spec.star_shift.shifts, True, bits)
@@ -315,26 +304,28 @@ class _SpecState:
         e, B = dyadic(spec.coeff)
         self.coeff = (B < 0, abs(B), e)
 
-    def step(self, n0: int, n1: int) -> list:
-        """The terms for n0 < n <= n1, continuing from n0, the last n
-        stepped."""
+    def step(self, count: int) -> list:
+        """The terms for the next ``count`` n, from n + 1 on."""
         terms = []
-        while n0 < n1:
-            count = _span(n0, min(BLOCK, n1 - n0), self.cuts)
-            terms += self._block(n0, count)
-            n0 += count
+        end = self.n + count
+        while self.n < end:
+            terms += self._block(_span(self.n, min(BLOCK, end - self.n),
+                                       self.cuts))
         return terms
 
-    def _block(self, n, count):
-        """The terms for n < n' <= n + count, each factor one pass."""
+    def _block(self, count):
+        """The terms for n < n' <= n + count, each factor one pass, leaving
+        the state at n + count."""
         spec = self.spec
         H = self.H
+        n = self.n
+        self.n = n + count
         t = None  # 1 at every n'
         if self.strict is not None:
+            prev = self.strict.S[0]  # the prefix at n
             column = self.strict.advance(count)
             if spec.strict_prev:
-                column, self.strict_prev_val = (
-                    [self.strict_prev_val] + column[:-1], column[-1])
+                column = [prev] + column[:-1]
             shift = self.strict.F - H
             t = [v >> shift for v in column]
         if self.star is not None:
@@ -391,7 +382,7 @@ def _spec_series(spec: TermSpec, emax: int, n_anchor: int) -> AsymSeries:
     return S
 
 
-def _em_sum(specs, tol, strategy: TailStrategy):
+def _em_sum(specs, tol):
     """Escalating anchored-expansion summation of the TermSpec summands to
     the parsed tolerance ``tol``, at the work bits of the caller's block.
 
@@ -418,22 +409,20 @@ def _em_sum(specs, tol, strategy: TailStrategy):
     # blocks shared by every state, cut where any of them can meet a pole
     cuts = set().union(*(st.cuts for st in states))
     H = states[0].H
-    n = head = t2 = t1 = t0 = 0  # integers at 2^-H; terms N - 2, N - 1, N
+    head = t2 = t1 = t0 = 0  # integers at 2^-H; terms N - 2, N - 1, N
     best = None
     for level in range(_LEVELS):
-        emax, n_anchor, n_direct = _expansion_window(strategy.em_order, level)
-        N = min(n_direct, strategy.N_max)
+        emax, n_anchor, N = _expansion_window(level)
         series = AsymSeries({}, emax)
         for s in specs:
             series = series + _spec_series(s, emax, n_anchor)
         series = series.prune()
-        while n < N:
+        while (n := states[0].n) < N:
             count = _span(n, min(BLOCK, N - n), cuts)
-            terms = [sum(ts) for ts in zip(*(st.step(n, n + count)
+            terms = [sum(ts) for ts in zip(*(st.step(count)
                                             for st in states))]
             head += sum(terms)
             t2, t1, t0 = ([t2, t1, t0] + terms)[-3:]
-            n += count
         head_v, v0, v1, v2 = (to_mpf(x, H, bits)
                               for x in (head, t0, t1, t2))
         tail = tail_sum(series, N)
@@ -452,14 +441,19 @@ def _em_sum(specs, tol, strategy: TailStrategy):
     return _checked(best, tol)
 
 
-def weighted_sum(specs, tol=None, strategy: TailStrategy | None = None,
+def weighted_sum(specs, tol=None, strategy=None,
                  prec: PrecisionConfig | None = None) -> ValueWithBound:
-    """Sum over n >= 1 of the combined TermSpec summands."""
+    """Sum over n >= 1 of the combined TermSpec summands; ``strategy`` is
+    reserved and must be None."""
+    _reserved(strategy)
     specs = tuple(specs)
+    for s in specs:
+        if not isinstance(s, TermSpec):
+            raise DomainError(f"summands must be TermSpecs, got {s!r}")
     if not specs:
         return ValueWithBound(0, 0, True)
     with working(prec):
-        return _em_sum(specs, parse_tol(tol), strategy or DEFAULT_TAIL)
+        return _em_sum(specs, parse_tol(tol))
 
 
 def _check_strict_shifts(k: Composition, a: ShiftVector):
@@ -548,6 +542,7 @@ def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
     """The core ``kind`` ("mpl" or "kta") at 0 <= x <= 1 and the parsed
     ``tol`` for :func:`mpl`, :func:`kta` and :func:`mpl_landen`; its claim
     may exceed tol."""
+    _reserved(strategy)
     k = _nonempty(k, kind)
     x = finite_real("x", x)
     if not 0 <= x <= 1:
@@ -556,8 +551,7 @@ def _polylog(kind, k, x, tol, strategy) -> ValueWithBound:
         if not k.admissible():
             raise DomainError(f"{kind} diverges at x = 1 for leading "
                               "exponent 1")
-        return (htmzv(k, None, tol, strategy) if kind == "mpl"
-                else htmtv(k, 1, tol, strategy))
+        return htmzv(k, None, tol) if kind == "mpl" else htmtv(k, 1, tol)
     if x == 0:
         return ValueWithBound(0, 0, True)
     value, claim = endpoint.route(kind, k.parts, x, tol)

@@ -273,8 +273,7 @@ def _kernel_errors(bits, k, shift, star, n, alpha=None, order=0):
     with working(prec) as cfg:
         a = [finite_real("shift", shift)] * len(k)  # the kernel's rounded shift
         al = None if alpha is None else mp.mpf(alpha)
-    got = nested_stream(k, a, star, prec,
-                        None if al is None else (al, order))
+        got = nested_stream(k, a, star, None if al is None else (al, order))
     with mp.workprec(cfg.work_bits):
         work = mpf_nested(k, a, star,
                           None if al is None else mpf_binomials(al, order))

@@ -98,6 +98,11 @@ def test_no_private_function_takes_prec():
     assert not offenders, offenders
 
 
+def test_every_export_resolves():
+    # a stale name in __all__ fails only on ``from hzeta import *``
+    assert [n for n in hzeta.__all__ if not hasattr(hzeta, n)] == []
+
+
 def test_memo_keys_on_the_arguments_and_the_precision(monkeypatch):
     # one Gamma-ratio entry per precision, each series at its own scale,
     # and a repeated call returns the very same object
@@ -241,6 +246,18 @@ INVALID = [
         hzeta.WeightedIntegrand(core=("mpl",)))),
     ("de_quad-monomial-without-n", lambda: hzeta.de_quad(
         hzeta.WeightedIntegrand(core=("monomial",)))),
+    # a bare AttributeError
+    ("htmzv-prec-not-a-config", lambda: hzeta.htmzv((2,), None, None, None,
+                                                     3)),
+    ("weighted_sum-not-a-termspec", lambda: hzeta.weighted_sum([3])),
+    ("de_quad-not-an-integrand", lambda: hzeta.de_quad("x")),
+    ("htmzv-strategy", lambda: hzeta.htmzv((2,), None, None, "x")),
+    # a bare TypeError
+    ("run_check-text-count", lambda: hzeta.run_check(
+        "thm-3.1", {"x": "0.3", "alpha": "0.4", "log_pow": "x"})),
+    # the strategy slot silently ignored
+    ("mpl-strategy", lambda: hzeta.mpl((2,), "0.5", None, "x")),
+    ("mpl-at-one-strategy", lambda: hzeta.mpl((2,), 1, None, "x")),
 ]
 
 

@@ -26,6 +26,7 @@ from hzeta.series_engine import (
     mpl_landen,
     param_euler_pow,
     param_euler_sum,
+    _expansion_window,
     _pbc_sum,
     _SpecState,
     weighted_sum,
@@ -245,7 +246,7 @@ class TestAperyFamilies:
             a, b = mp.mpf(alpha), mp.mpf(beta)
             state = _SpecState(TermSpec(binom_upper=((a, False),),
                                         binom_lower=(b,)))
-            for n, u in enumerate(state.step(0, 60), 1):
+            for n, u in enumerate(state.step(60), 1):
                 ref = mp.binomial(n + a - 1, n) / mp.binomial(n - b, n)
                 t = mp.ldexp(u, -state.H)
                 assert abs(t / ref - 1) < mp.mpf(10) ** -70, n
@@ -254,9 +255,9 @@ class TestAperyFamilies:
         # C(n - 3, n) = -2, 1, 0 at n = 1, 2, 3
         with working(PREC):
             state = _SpecState(TermSpec(binom_lower=(3,)))
-        state.step(0, 2)
+        state.step(2)
         with pytest.raises(PoleError):
-            state.step(2, 3)
+            state.step(1)
 
 
 def _head_reference(spec, n):
@@ -322,7 +323,7 @@ class TestFixedPointHead:
             # the strings become mpfs of the work bits
             spec = TermSpec(**kw)
             state = _SpecState(spec)
-            got = state.step(0, 3200)
+            got = state.step(3200)
         with mp.workprec(cfg.work_bits + 128):
             bound = mp.ldexp(1, -(bits + 16))
             for n, (t, ref) in enumerate(zip(got, _head_reference(spec, 3200)),
@@ -333,17 +334,17 @@ class TestFixedPointHead:
     def test_power_pole(self):
         with working(PREC):
             state = _SpecState(TermSpec(powers=((-3, 2),)))
-        state.step(0, 2)
+        state.step(2)
         with pytest.raises(PoleError):
-            state.step(2, 3)
+            state.step(1)
 
     @pytest.mark.parametrize("kw", SPECS)
     def test_blocks_equal_single_steps(self, kw):
         with working(PREC):
             spec = TermSpec(**kw)
             whole, single = _SpecState(spec), _SpecState(spec)
-        assert whole.step(0, 600) == [t for n in range(600)
-                                      for t in single.step(n, n + 1)]
+        assert whole.step(600) == [t for _ in range(600)
+                                   for t in single.step(1)]
 
     @pytest.mark.parametrize("kw", [dict(powers=((-300, 2),)),
                                     dict(binom_lower=(300,)),
@@ -354,12 +355,12 @@ class TestFixedPointHead:
         with working(PREC):
             whole = _SpecState(TermSpec(**kw))
             single = _SpecState(TermSpec(**kw))
-        for n in range(299):
-            single.step(n, n + 1)
+        for _ in range(299):
+            single.step(1)
         with pytest.raises(PoleError) as one:
-            single.step(299, 300)
+            single.step(1)
         with pytest.raises(PoleError) as block:
-            whole.step(0, 600)
+            whole.step(600)
         assert "n = 300" in str(one.value)
         assert str(block.value) == str(one.value)
 
@@ -372,6 +373,13 @@ class TestFixedPointHead:
             specs = [TermSpec(coeff=c, **kw), TermSpec(coeff=-c, **kw)]
         v = weighted_sum(specs, TOL, None, PREC)
         assert v.value == 0
+
+
+def test_expansion_window():
+    # (emax, n_anchor, n_direct) per escalation level: the golden tables
+    # rest on it, so a new window rule shows up here
+    assert [_expansion_window(level) for level in range(4)] == [
+        (14, 160, 400), (18, 270, 800), (22, 380, 1600), (26, 490, 3200)]
 
 
 class TestEulerSums:
@@ -447,8 +455,9 @@ class TestPbc:
     def test_stream_keeps_caller_precision(self):
         alpha, shift = mp.mpf("0.3"), mp.mpf("0.75")
         with mp.workprec(53):
-            g = nested_stream((2, 1), (shift, shift), False, PREC,
-                              binomial=(alpha, 0))
+            with working(PREC):
+                g = nested_stream((2, 1), (shift, shift), False,
+                                  binomial=(alpha, 0))
             next(g)
             _, v = next(g)
             assert mp.mp.prec == 53
@@ -468,8 +477,9 @@ class TestPbc:
             for m, kj in zip(idx, k):
                 term /= (m + shift - 1) ** kj
             ref += term
-        stream = nested_stream(k, (shift,) * depth, False, PREC,
-                               binomial=(alpha, 0))
+        with working(PREC):
+            stream = nested_stream(k, (shift,) * depth, False,
+                                   binomial=(alpha, 0))
         v = next(itertools.islice(stream, n - 1, None))[1]
         assert abs(v - ref) <= mp.mpf(2) ** -180 * abs(ref)
         # the anchor of a binomial prefix expansion rounds the same state
