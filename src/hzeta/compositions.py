@@ -132,15 +132,14 @@ def reverse(k: Composition) -> Composition:
 def dual_index(m: Composition) -> Composition:
     """Classical dual of an admissible index.
 
-    For m = (k_1+1, k_2, ..., k_r) the dual equals
-    ``plus_first(hoffman_dual(reverse(k)))``, which coincides with the
-    Hoffman dual of (1, k_r, ..., k_1).  Involutive and weight-preserving.
+    For m = (k_1+1, k_2, ..., k_r) the dual is :func:`theorem_dual` of
+    k = (k_1, ..., k_r), which coincides with the Hoffman dual of
+    (1, k_r, ..., k_1).  Involutive and weight-preserving.
     """
     m = _nonempty(m, "dual_index")
     if not m.admissible():
         raise NonAdmissible(f"dual_index requires an admissible index, got {m}")
-    k = Composition((m.parts[0] - 1,) + m.parts[1:])
-    return plus_first(hoffman_dual(reverse(k)))
+    return theorem_dual(Composition((m.parts[0] - 1,) + m.parts[1:]))
 
 
 def refinements(k: Composition) -> set:

@@ -33,11 +33,11 @@ tables at the work bits (:func:`mpl_endpoint`, :func:`kta_endpoint`) or
 :func:`direct`, and no claim.
 
 The direct pass.  :func:`_direct_pass` is the one direct series of both
-cores, at an exact ratio x, of one index on the inner sums of its
-nested sum, taken a block at a time from the nested-sum kernel
-(:class:`finite_sums._NestedSum`), on integers at the caller's scale F.
-It stops at the N found once before the loop by a float bisection on its
-tail majorant (:func:`_cut`).  :func:`_direct_claim` claims that majorant
+cores, at an exact ratio x: the nested-sum kernel
+(:class:`finite_sums._NestedSum`) of the whole index with q^m, q =
+x^frame, on its outermost slot, on integers at the caller's scale F,
+drained to the N found once before it by a float bisection on its tail
+majorant (:func:`_cut`).  :func:`_direct_claim` claims that majorant
 evaluated once in mpf at N plus the pass's counted rounding units, where
 a claim is returned: :func:`direct`, at any 0 < x < 1, and
 :func:`_direct_core`, at x0 = x(1/4) (``KINDS``) at the default scale,
@@ -95,7 +95,7 @@ import mpmath as mp
 
 from .compositions import Composition, _nonempty, refinements
 from .errors import DomainError
-from .finite_sums import BLOCK, _NestedSum, _weigh
+from .finite_sums import BLOCK, _NestedSum
 from .fixed import GUARD_BITS, dyadic, fix, horner, rdiv, scale, to_mpf
 from .precision import PrecisionConfig, finite_real, memo, working
 
@@ -251,40 +251,24 @@ def _cut(frame, x, depth, j, target):
 
 def _direct_pass(frame, parts, x, N, F):
     """Li (frame 1) or A (frame 2) of ``parts`` at x = num/den, an exact
-    ratio in (0, 1), at 2^-F: one pass of its direct series on integers,
-    cut after N terms (:func:`_cut`); :func:`_direct_claim` bounds its
-    error.
+    ratio in (0, 1), at 2^-F: the kernel (:class:`finite_sums._NestedSum`)
+    of ``parts`` with the ratio q = x^frame on its outermost slot, drained
+    to step N (:func:`_cut`); :func:`_direct_claim` bounds its error.
 
-    Depth r sums q^m d(m)^(-k_1) times the inner sum S of parts[1:] at
-    m - 1 for m <= N, q = x^frame and d(m) = m for Li and 2 m - r for A,
-    whose prefactor c 2^-|parts[1:]|, c = (2/x)^r, is applied once at the
-    end by one rounded exact division (A's inner sums run over the half
-    denominators of their slots).  The inner sums come a block at a time
-    from :class:`finite_sums._NestedSum`; q^m steps by one floor of an
-    exact ratio, and each term floors twice.
+    Slots have shift 1 for Li; for A slot i has shift (i + 2 - r)/2, so
+    the outer one divides by (m - r/2)^k_1, and the prefactor c 2^-|parts|,
+    c = (2/x)^r, is one rounded exact division at the end.
     """
     num, den = x
-    qn, qd = num ** frame, den ** frame
-    r, k1 = len(parts), parts[0]
-    shifts = [mp.mpf(1 if frame == 1 else (i + 2 - r) / 2)
-              for i in range(1, r)]
-    inner = _NestedSum(parts[1:], shifts, False, F)
-    X, T = 1 << F, 0
-    while inner.m < N:
-        m = inner.m
-        count = min(BLOCK, N - m)
-        prev = inner.S[0]  # the inner sum at m
-        column = [prev] + inner.advance(count)[:-1]
-        xs = []
-        for _ in range(count):
-            X = X * qn // qd
-            xs.append(X)
-        ds = range(m + 1, m + count + 1) if frame == 1 else \
-            range(2 * m + 2 - r, 2 * (m + count) + 2 - r, 2)
-        T += sum(_weigh([y * s >> F for y, s in zip(xs, column)], k1, 0, ds))
-    if frame == 2:
-        T = rdiv(T * (2 * den) ** r, num ** r << sum(parts[1:]))
-    return T
+    r = len(parts)
+    shifts = [mp.mpf(1 if frame == 1 else (i + 2 - r) / 2) for i in range(r)]
+    state = _NestedSum(parts, shifts, False, F,
+                       ratio=(num ** frame, den ** frame))
+    while state.m < N:
+        state.advance(min(BLOCK, N - state.m))
+    if frame == 1:
+        return state.S[0]
+    return rdiv(state.S[0] * (2 * den) ** r, num ** r << sum(parts))
 
 
 def _direct_claim(frame, parts, x, N, F):
@@ -292,10 +276,12 @@ def _direct_claim(frame, parts, x, N, F):
     2^-F: the tail majorant of :func:`_cut` at N, evaluated once in mpf,
     plus the pass's rounding units.
 
-    q^m is at most 1/(1 - q) units off, the inner sums carry m r units
-    after m steps, and each term floors twice, so the pass is off by at
-    most c (N (B / (1 - q) + 2) + (r - 1) q / (1 - q)^2) + 1 units, B the
-    inner-sum bound of :func:`_cut` at N and c = 1 for Li.
+    In the kernel q^m is at most 1/(1 - q) units off, the inner slots
+    carry (m - 1)(r - 1) units at step m and the outer slot floors twice
+    per term; A's prefactor takes each error to at most c times its Li
+    count, so the pass is off by at most c (N (B / (1 - q) + 2) + (r - 1)
+    q / (1 - q)^2) + 1 units, B the inner-sum bound of :func:`_cut` at N
+    and c = 1 for Li.
     """
     num, den = x
     r = len(parts)

@@ -7,10 +7,11 @@ zeta*_n(k; a) over n >= n_1 >= ... >= n_r >= 1, with denominators
 the series engine's exact heads and for the direct series of
 :mod:`hzeta.endpoint`; :func:`nested_stream` (the streams) and
 :func:`_nth` (the one-shot sums) are its consumers here.  It takes
-strict or star ordering, per-slot (shift, exponent), and an optional
+strict or star ordering, per-slot (shift, exponent), an optional
 multiplier sequence on the innermost index (the parametric binomial
 C(n + alpha - 2, n - 1) of :func:`_binomials`, or one of its
-alpha-derivatives).
+alpha-derivatives), and an optional exact ratio q whose power q^m
+weights the outermost index (the direct series alone).
 
 Conventions: the empty index gives 1 at every n; the strict sum vanishes
 for n < depth; the star sum is evaluated literally for n >= 1 (it still
@@ -129,9 +130,8 @@ def nested_stream(k, a, star: bool, binomial=None):
     is drained.  A pole raises :class:`PoleError` after every value before
     it has been yielded.
     """
-    bits = mp.mp.prec  # the work bits of the caller's block
-    state = _fixed_stream(k, a, star, bits, binomial)
-    return chain.from_iterable(_blocks(state, bits))
+    state = _fixed_stream(k, a, star, binomial)
+    return chain.from_iterable(_blocks(state, mp.mp.prec))
 
 
 def _blocks(state, bits):
@@ -147,12 +147,12 @@ def _blocks(state, bits):
         size = min(2 * size, BLOCK)
 
 
-def _fixed_stream(k, a, star, bits, binomial=None):
+def _fixed_stream(k, a, star, binomial=None):
     """The :class:`_NestedSum` of the index at step 0, at the scale F of
-    the module docstring for ``bits`` work bits."""
+    the module docstring for the work bits of the caller's block."""
     r = len(k)
-    F = bits + GUARD_BITS + sum(kj * (int(abs(x)) + r + 1).bit_length()
-                                for kj, x in zip(k, a))
+    F = mp.mp.prec + GUARD_BITS + sum(
+        kj * (int(abs(x)) + r + 1).bit_length() for kj, x in zip(k, a))
     F = max([F] + [dyadic(x)[0] for x in a])
     return _NestedSum(k, a, star, F, binomial)
 
@@ -210,15 +210,24 @@ class _NestedSum:
     reads its inner sum at m - 1, a star slot at m, and the innermost slot
     the multiplier at m; a zero inner sum skips its weight, so chains that
     the ordering rules out cannot trip a pole.
+
+    An exact ``ratio`` q = qn/qd weights the outermost increment at step
+    m by q^m, for the direct series of :mod:`hzeta.endpoint`: X <- X qn //
+    qd once per step from X = 2^F (at most 1/(1 - q) units off q^m), and
+    that slot weighs X S[1] >> F, one floor more, in place of S[1].
     """
 
-    __slots__ = ("F", "slots", "star", "S", "m", "jet", "poles")
+    __slots__ = ("F", "slots", "star", "S", "m", "jet", "poles", "powers")
 
-    def __init__(self, k, a, star, F, binomial=None):
+    def __init__(self, k, a, star, F, binomial=None, ratio=None):
         self.F, self.star, self.m = F, star, 0
         r = len(k)
         self.S = [0] * r + [1 << F]
         self.jet = None if binomial is None else _binomials(*binomial, F)
+        # X at steps m = 1, 2, ...: X <- X qn // qd from X = 2^F
+        self.powers = None if ratio is None else islice(accumulate(
+            repeat(ratio), lambda X, q: X * q[0] // q[1], initial=1 << F),
+            1, None)
         # innermost first; the power of two cancels, so a shift with e
         # fractional bits divides by an (e + log2 m)-bit integer
         self.slots = []
@@ -236,7 +245,7 @@ class _NestedSum:
         ``accumulate`` from the slot's carried value, so every integer is
         the one a step-by-step recurrence gives.
         """
-        S, m, r = self.S, self.m, len(self.S) - 1
+        S, m, r, F = self.S, self.m, len(self.S) - 1, self.F
         if self.jet is None:
             column = [S[r]] * count
         else:
@@ -247,6 +256,9 @@ class _NestedSum:
             inner = column
             if not self.star and j < r - 1:
                 inner = [carried] + column[:-1]
+            if j == 0 and self.powers is not None:
+                xs = islice(self.powers, count)
+                inner = [X * y >> F for X, y in zip(xs, inner)]
             ds = range((m + 1 << e) + B, (m + count + 1 << e) + B, 1 << e)
             if 0 in ds and inner[ds.index(0)]:
                 step = m + 1 + ds.index(0)
@@ -297,12 +309,11 @@ def _nth(k, a, star, n, binomial=None):
         return mp.mpf(1)
     if n < (1 if star else r):
         return mp.mpf(0)
-    bits = mp.mp.prec
-    state = _fixed_stream(k, a, star, bits, binomial)
+    state = _fixed_stream(k, a, star, binomial)
     while state.m < n:
         column = state.advance(_span(state.m, min(BLOCK, n - state.m),
                                      state.poles))
-    return to_mpf(column[-1], state.F, bits)
+    return to_mpf(column[-1], state.F, mp.mp.prec)
 
 
 def mhs(n: int, k, a=None, prec: PrecisionConfig | None = None) -> mp.mpf:

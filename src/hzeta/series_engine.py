@@ -271,18 +271,17 @@ class _SpecState:
     def __init__(self, spec: TermSpec):
         self.spec = spec
         self.n = 0
-        bits = mp.mp.prec  # the work bits of the caller's block
         H = self.H = scale()
         self.strict = self.star = None
         self.cuts = set()
         if spec.strict is not None:
             self.strict = _fixed_stream(
                 spec.strict.parts, spec.strict_shift.shifts, False,
-                bits, spec.strict_binomial)
+                spec.strict_binomial)
             self.cuts |= self.strict.poles
         if spec.star is not None:
             self.star = _fixed_stream(spec.star.parts,
-                                      spec.star_shift.shifts, True, bits)
+                                      spec.star_shift.shifts, True)
             self.cuts |= self.star.poles
         # C(n + alpha - 1, n) and C(n - beta, n) are C(m + c - 2, m - 1)
         # at m = n + 1 for c = alpha and c = 1 - beta
@@ -494,6 +493,7 @@ def _outer_spec(k: Composition, a: ShiftVector, star=False, coeff=1):
 def htmzv(k, a=None, tol=None, strategy=None,
           prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Hurwitz-type multiple zeta value zeta(k; a) with vector shifts."""
+    _reserved(strategy)
     with working(prec):
         k, a = _coerce(k, a)
         if not _admissible(k):
@@ -505,6 +505,7 @@ def htmzv(k, a=None, tol=None, strategy=None,
 def htmzsv(k, a=None, tol=None, strategy=None,
            prec: PrecisionConfig | None = None) -> ValueWithBound:
     """Hurwitz-type multiple zeta-star value zeta*(k; a)."""
+    _reserved(strategy)
     with working(prec):
         k, a = _coerce(k, a)
         if not _admissible(k):
@@ -525,6 +526,7 @@ def htmtv(k, alpha=1, tol=None, strategy=None,
     zeta(k; a) with a_j = (alpha + j - r) / 2, so T(k; 1) is the plain
     multiple T-value.
     """
+    _reserved(strategy)
     with working(prec):
         k = Composition(k)
         if not _admissible(k):
@@ -777,6 +779,7 @@ def _pbc_sum(alpha, k, shift, order, tol=None, strategy=None) -> ValueWithBound:
     derivative: a Taylor jet in the head (:func:`_binomials`) and a
     log-power series in the expansion (:func:`_binomial_series`).
     """
+    _reserved(strategy)
     k = _nonempty(k, "htmzv_pbc")
     r = k.depth()
     alpha, shift = finite_real("alpha", alpha), finite_real("shift", shift)

@@ -359,26 +359,34 @@ def test_direct_series_at_tiny_x_keeps_relative_accuracy(bits, fn, frame, k):
 # the block kernel against the row recurrence, integer for integer
 
 
-def _rows(k, a, star, F, binomial, n):
-    """S_0 at m = 1..n by the step-by-step row recurrence on integers."""
+def _rows(k, a, star, F, binomial, ratio, n):
+    """S_0 at m = 1..n by the step-by-step row recurrence on integers,
+    with the outermost increment weighted by floor-stepped q^m for an
+    exact ``ratio`` q = qn/qd."""
     r = len(k)
     S = [0] * r + [1 << F]
     jet = None if binomial is None else _binomials(*binomial, F)
+    X = 1 << F
     out = []
     for m in range(1, n + 1):
         if jet is not None:
             S[r] = next(jet)
+        if ratio is not None:
+            X = X * ratio[0] // ratio[1]
         for j in range(r - 1, -1, -1) if star else range(r):
             e, B = dyadic(a[j])
-            if S[j + 1]:
+            y = S[j + 1]
+            if j == 0 and ratio is not None:
+                y = X * y >> F
+            if y:
                 d = (m << e) + B - (1 << e)  # (m + a_j - 1) 2^e
-                S[j] += (S[j + 1] << k[j] * e) // d ** k[j]
+                S[j] += (y << k[j] * e) // d ** k[j]
         out.append(S[0])
     return out
 
 
-def _blocks(k, a, star, F, binomial, n):
-    state = _NestedSum(k, a, star, F, binomial)
+def _blocks(k, a, star, F, binomial, ratio, n):
+    state = _NestedSum(k, a, star, F, binomial, ratio)
     out = []
     while state.m < n:
         out += state.advance(_span(state.m, min(BLOCK, n - state.m),
@@ -399,9 +407,11 @@ def test_block_kernel_equals_row_recurrence(star, shift, order):
             rng.shuffle(a)
             binomial = None if order is None else (mp.mpf("0.3"), order)
             F = 320 + 7 * sum(k)
-            for n in (1, 255, 256, 257, 600):
-                assert _blocks(k, a, star, F, binomial, n) == \
-                    _rows(k, a, star, F, binomial, n), (k, a, n)
+            # the outer weight q^m of the direct series, or none
+            for ratio, n in product([None, (3, 4), (9, 25)],
+                                    (1, 255, 256, 257, 600)):
+                assert _blocks(k, a, star, F, binomial, ratio, n) == \
+                    _rows(k, a, star, F, binomial, ratio, n), (k, a, ratio, n)
 
 
 def test_stream_yields_every_value_before_a_pole():

@@ -258,6 +258,11 @@ INVALID = [
     # the strategy slot silently ignored
     ("mpl-strategy", lambda: hzeta.mpl((2,), "0.5", None, "x")),
     ("mpl-at-one-strategy", lambda: hzeta.mpl((2,), 1, None, "x")),
+    ("htmzv-empty-strategy", lambda: hzeta.htmzv((), None, None, "x")),
+    ("htmzsv-empty-strategy", lambda: hzeta.htmzsv((), None, None, "x")),
+    ("htmtv-empty-strategy", lambda: hzeta.htmtv((), 1, None, "x")),
+    ("htmzv_pbc-alpha-zero-strategy", lambda: hzeta.htmzv_pbc(
+        0, (2,), 1, None, "x")),
 ]
 
 

@@ -16,8 +16,9 @@ tree's ``src`` is imported for the evaluation.  Values and claimed errors
 travel as exact signed (mantissa, exponent) pairs.
 
 Prints the largest relative value difference, in units of
-2^-(bits - 8) for each request's bits, the largest claim ratio and how
-many claims moved by more than 1%.  A request fails when its two values
+2^-(bits - 8) for each request's bits, and the request that gives it
+(workload, candidate and ``workloads.key``), the largest claim ratio and
+how many claims moved by more than 1%.  A request fails when its two values
 differ by more than max(2^-(bits - 8) |value|, the sum of both trees'
 claims), or when it fails in one tree only (:func:`compare`); the finite
 sums and ``tail_sum`` claim nothing, so they keep the 2^-(bits - 8)
@@ -156,11 +157,14 @@ def main(argv) -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda job: run(*job), jobs))
     worst_value, worst_claim, moved, broken = Fraction(0), Fraction(1), 0, []
+    worst_at = "no request"
     for i, (w, c) in enumerate(cases):
         reqs = requests(w, c)
         for req, a, b in zip(reqs, results[2 * i], results[2 * i + 1]):
             units, ratio, failure = compare(req, a, b)
-            worst_value = max(worst_value, units)
+            if units > worst_value:
+                worst_value = units
+                worst_at = f"{w} candidate {c}: {workloads.key(req)}"
             if ratio is not None:
                 worst_claim = max(worst_claim, ratio)
                 moved += ratio > CLAIM_RATIO
@@ -169,7 +173,8 @@ def main(argv) -> int:
                               f"{failure}")
     count = sum(len(r) for r in results[::2])
     print(f"{count} requests; largest value difference "
-          f"{float(worst_value):.3g} x 2^-(bits - 8) relative; "
+          f"{float(worst_value):.3g} x 2^-(bits - 8) relative, at "
+          f"{worst_at}; "
           f"largest claim ratio {float(worst_claim):.6f}; "
           f"{moved} claims moved by more than 1%")
     for line in broken:
